@@ -50,15 +50,15 @@ func runKVMix(b *testing.B, db *DB, mix workload.Mix) {
 		op := ops[i%len(ops)]
 		switch op.Kind {
 		case workload.OpRead:
-			if _, err := db.Get(op.Key); err != nil && !isNotFound(err) {
+			if _, err := db.Get(ctx, op.Key); err != nil && !isNotFound(err) {
 				b.Fatal(err)
 			}
 		case workload.OpWrite:
-			if err := db.Put(op.Key, op.Val); err != nil {
+			if err := db.Put(ctx, op.Key, op.Val); err != nil {
 				b.Fatal(err)
 			}
 		case workload.OpScan:
-			if _, err := db.ScanKeys(op.Key, op.ScanLen); err != nil {
+			if _, err := db.ScanKeys(ctx, op.Key, op.ScanLen); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -472,22 +472,19 @@ func BenchmarkBufferContention_Sharded_G1(b *testing.B)     { benchBufferContent
 func BenchmarkBufferContention_Sharded_G4(b *testing.B)     { benchBufferContention(b, 8, 4) }
 func BenchmarkBufferContention_Sharded_G16(b *testing.B)    { benchBufferContention(b, 8, 16) }
 
-// --- contended WAL commit: group commit vs fsync-per-commit ------------
+// --- contended WAL commit: group commit ---------------------------------
 // N committers run begin/commit transactions against a file-backed log
-// (real fsync). Group commit lets concurrent committers share one sync;
-// the baseline issues one sync per flush.
+// (real fsync); concurrent committers share one sync.
 
-func benchWALCommit(b *testing.B, syncEveryFlush bool, committers int) {
-	dev, err := storage.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
+func benchWALCommit(b *testing.B, committers int) {
+	dir, err := wal.NewFileSegmentDir(filepath.Join(b.TempDir(), "wal"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer dev.Close()
-	l, err := wal.Open(dev)
+	l, err := wal.OpenDir(dir, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l.SetSyncEveryFlush(syncEveryFlush)
 	mgr := txn.NewManager(l, nil)
 	per := b.N/committers + 1
 	b.ResetTimer()
@@ -515,9 +512,6 @@ func benchWALCommit(b *testing.B, syncEveryFlush bool, committers int) {
 	b.ReportMetric(float64(l.Syncs())/commits, "syncs/commit")
 }
 
-func BenchmarkWALCommit_FsyncPerCommit_C1(b *testing.B)  { benchWALCommit(b, true, 1) }
-func BenchmarkWALCommit_FsyncPerCommit_C4(b *testing.B)  { benchWALCommit(b, true, 4) }
-func BenchmarkWALCommit_FsyncPerCommit_C16(b *testing.B) { benchWALCommit(b, true, 16) }
-func BenchmarkWALCommit_GroupCommit_C1(b *testing.B)     { benchWALCommit(b, false, 1) }
-func BenchmarkWALCommit_GroupCommit_C4(b *testing.B)     { benchWALCommit(b, false, 4) }
-func BenchmarkWALCommit_GroupCommit_C16(b *testing.B)    { benchWALCommit(b, false, 16) }
+func BenchmarkWALCommit_GroupCommit_C1(b *testing.B)  { benchWALCommit(b, 1) }
+func BenchmarkWALCommit_GroupCommit_C4(b *testing.B)  { benchWALCommit(b, 4) }
+func BenchmarkWALCommit_GroupCommit_C16(b *testing.B) { benchWALCommit(b, 16) }

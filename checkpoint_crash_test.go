@@ -3,8 +3,6 @@ package sbdms
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -163,42 +161,6 @@ func openSegmentedCrashDB(t *testing.T, dataDev storage.Device, logDir wal.Segme
 	return db
 }
 
-// verifySegmentedRecovered reopens a segmented-log store and checks the
-// committed state key by key.
-func verifySegmentedRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir, st *crashState) {
-	t.Helper()
-	db, err := Open(Options{
-		Device:          dataDev,
-		LogDir:          logDir,
-		Granularity:     Monolithic,
-		BufferFrames:    64,
-		WALSegmentBytes: 2 * storage.PageSize,
-	})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer db.Close(context.Background())
-	for k, want := range st.live {
-		got, err := db.Get(k)
-		if err != nil {
-			t.Fatalf("committed key %q lost after recovery: %v", k, err)
-		}
-		if string(got) != want {
-			t.Fatalf("committed key %q = %q, want %q", k, got, want)
-		}
-	}
-	for k := range st.deleted {
-		if _, err := db.Get(k); err == nil {
-			t.Fatalf("committed delete of %q resurrected after recovery", k)
-		} else if !isNotFound(err) {
-			t.Fatalf("Get(%q) after committed delete: %v", k, err)
-		}
-	}
-	if got, want := db.KVLen(), uint64(len(st.live)); got != want {
-		t.Fatalf("KVLen after recovery = %d, want %d", got, want)
-	}
-}
-
 // tornPageOnDevice scans the raw data device for a page that fails its
 // checksum — evidence the crash really tore a page write.
 func tornPageOnDevice(t *testing.T, dev storage.Device) bool {
@@ -261,7 +223,7 @@ func TestKVCrashRecoveryMidFuzzyCheckpoint(t *testing.T) {
 					t.Fatal("checkpoint reported success on a dead device")
 				}
 				abandon(db)
-				verifySegmentedRecovered(t, inner, logDir, st)
+				verifyRecovered(t, inner, logDir, st)
 			})
 		}
 	}
@@ -339,7 +301,7 @@ func TestKVCrashRecoveryTornPageAfterTruncation(t *testing.T) {
 	// Recovery must rebuild the torn page from the post-checkpoint full
 	// image — the pre-checkpoint history it would otherwise need was
 	// truncated away.
-	verifySegmentedRecovered(t, dataDev, logDir, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }
 
 // TestKVCrashRecoveryMidSegmentRollover kills the WAL itself at many
@@ -360,42 +322,11 @@ func TestKVCrashRecoveryMidSegmentRollover(t *testing.T) {
 			gate.arm = int64(crashAfter)
 			gate.mu.Unlock()
 
-			st := runKVCrashWorkloadWAL(db, 600, 100, int64(crashAfter)+53, gate)
+			st := runKVCrashWorkload(db, 600, 100, int64(crashAfter)+53, gate.dead)
 			abandon(db)
-			verifySegmentedRecovered(t, dataDev, innerDir, st)
+			verifyRecovered(t, dataDev, innerDir, st)
 		})
 	}
-}
-
-// runKVCrashWorkloadWAL mirrors runKVCrashWorkload with the crash
-// signal coming from the WAL's gate instead of the data device.
-func runKVCrashWorkloadWAL(db *DB, nops, keySpace int, seed int64, gate *crashGate) *crashState {
-	st := &crashState{live: map[string]string{}, deleted: map[string]bool{}}
-	rng := rand.New(rand.NewSource(seed))
-	pad := strings.Repeat("x", 80)
-	afterCrash := 0
-	for i := 0; i < nops; i++ {
-		if gate.dead() {
-			afterCrash++
-			if afterCrash > 20 {
-				break
-			}
-		}
-		k := fmt.Sprintf("key-%04d", rng.Intn(keySpace))
-		if rng.Intn(10) < 7 || !st.deleted[k] && st.live[k] == "" {
-			v := fmt.Sprintf("val-%d-%s", i, pad)
-			if err := db.Put(k, []byte(v)); err == nil {
-				st.live[k] = v
-				delete(st.deleted, k)
-			}
-		} else if _, ok := st.live[k]; ok {
-			if err := db.DeleteKey(k); err == nil {
-				delete(st.live, k)
-				st.deleted[k] = true
-			}
-		}
-	}
-	return st
 }
 
 // TestFuzzyCheckpointUnderConcurrentTraffic races fuzzy checkpoints,
@@ -429,7 +360,7 @@ func TestFuzzyCheckpointUnderConcurrentTraffic(t *testing.T) {
 				default:
 				}
 				k := fmt.Sprintf("w%d-key-%03d", w, i%50)
-				if err := db.Put(k, []byte(fmt.Sprintf("v-%d", i))); err != nil {
+				if err := db.Put(ctx, k, []byte(fmt.Sprintf("v-%d", i))); err != nil {
 					t.Errorf("put under checkpoints: %v", err)
 					return
 				}
@@ -529,7 +460,7 @@ func TestKVWALBoundedBySegmentTruncation(t *testing.T) {
 	}
 	// And the bounded log still recovers the full committed state.
 	abandon(db)
-	verifySegmentedRecovered(t, dataDev, logDir, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }
 
 // mergeCrashState folds a later workload's outcome into st.
@@ -618,7 +549,7 @@ func TestKVCrashRecoveryBackgroundWritebackBeforeCheckpoint(t *testing.T) {
 	// the suffix's full page images rebuild the torn victim, redo is
 	// idempotent over the pages the write-back already persisted, and
 	// nothing committed is lost.
-	verifySegmentedRecovered(t, dataDev, logDir, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }
 
 // TestKVCrashRecoveryAsyncCheckpointWithoutCompletion covers the other
@@ -657,5 +588,5 @@ func TestKVCrashRecoveryAsyncCheckpointWithoutCompletion(t *testing.T) {
 	if got := db.Log().OldestSegment(); got != oldest {
 		t.Fatalf("truncation advanced (%d -> %d) on a checkpoint whose snapshot never flushed", oldest, got)
 	}
-	verifySegmentedRecovered(t, inner, logDir, st)
+	verifyRecovered(t, inner, logDir, st)
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	sbdms -addr :7070 -data ./node1.db -wal ./node1.wal -granularity layered -peers host:7071,host:7072
+//	sbdms -addr :7070 -data ./node1.db -wal-dir ./node1.wal -granularity layered -peers host:7071,host:7072
 package main
 
 import (
@@ -30,8 +30,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address for the TCP binding")
 	dataPath := flag.String("data", "", "data file (empty = in-memory)")
-	walPath := flag.String("wal", "", "single-file WAL (legacy unbounded layout; empty = in-memory)")
-	walDir := flag.String("wal-dir", "", "segmented WAL directory (wal.NNNNNN files, truncated by checkpoints; takes precedence over -wal)")
+	walDir := flag.String("wal-dir", "", "WAL directory (wal.NNNNNN segment files, truncated by checkpoints; empty = <data>.wal next to -data, or in-memory without -data)")
 	segBytes := flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold in bytes (0 = 4 MiB)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period (0 = off); bounds recovery time and WAL size")
 	vacEvery := flag.Duration("vacuum-interval", 0, "background MVCC vacuum period (0 = off); reclaims dead versions behind the snapshot horizon")
@@ -41,38 +40,33 @@ func main() {
 	shards := flag.Int("shards", 0, "buffer pool lock-stripe count (0 = auto, 1 = single mutex)")
 	groupWindow := flag.Duration("wal-group-window", 0, "WAL group-commit window (0 = coalesce without waiting)")
 	groupBytes := flag.Int("wal-group-bytes", 0, "end the WAL group window early past this many pending bytes")
-	syncEvery := flag.Bool("wal-sync-every-flush", false, "disable WAL group commit (sync on every flush)")
 	commitSiblings := flag.Int("wal-commit-siblings", 0, "min sibling txns to hold the group window open (0 = 1, <0 = always hold)")
 	scanIsolation := flag.String("scan-isolation", "read-committed", "range-scan isolation: read-committed|serializable (serializable = next-key locking, phantom-free scans)")
 	peers := flag.String("peers", "", "comma-separated peer addresses for registry gossip")
 	gossipEvery := flag.Duration("gossip", 2*time.Second, "gossip interval")
-	node := flag.String("node", "", "node tag for proximity selection")
 	importFile := flag.String("import", "", "bulk-load key<TAB>value lines from this file (- = stdin), print stats and exit instead of serving")
 	importChunk := flag.Int("import-chunk-pages", 0, "pages per import cancellation/flush chunk (0 = 64)")
-	importSlow := flag.Bool("import-no-fast-path", false, "force the per-key import path (disable the bulk build)")
 	clusterShards := flag.Int("cluster-shards", 0, "serve an in-process demo cluster with this many hash-partitioned shards instead of a single node (0 = off)")
 	clusterFollowers := flag.Int("cluster-followers", 1, "WAL-shipped followers per shard for -cluster-shards")
 	clusterAsync := flag.Bool("cluster-async", false, "async-commit WAL mode: ack once a follower holds the record, before the leader's local fsync")
 	flag.Parse()
 
 	opts := sbdms.Options{
-		Granularity:           sbdms.Granularity(*granularity),
-		BufferFrames:          *frames,
-		BufferPolicy:          *policy,
-		BufferShards:          *shards,
-		WALGroupWindow:        *groupWindow,
-		WALGroupBytes:         *groupBytes,
-		WALCommitSiblings:     *commitSiblings,
-		WALSyncEveryFlush:     *syncEvery,
-		WALSegmentBytes:       *segBytes,
-		CheckpointInterval:    *ckptEvery,
-		VacuumInterval:        *vacEvery,
-		ScanIsolation:         sbdms.ScanIsolation(*scanIsolation),
-		ImportChunkPages:      *importChunk,
-		DisableImportFastPath: *importSlow,
+		Granularity:        sbdms.Granularity(*granularity),
+		BufferFrames:       *frames,
+		BufferPolicy:       *policy,
+		BufferShards:       *shards,
+		WALGroupWindow:     *groupWindow,
+		WALGroupBytes:      *groupBytes,
+		WALCommitSiblings:  *commitSiblings,
+		WALSegmentBytes:    *segBytes,
+		CheckpointInterval: *ckptEvery,
+		VacuumInterval:     *vacEvery,
+		ScanIsolation:      sbdms.ScanIsolation(*scanIsolation),
+		ImportChunkPages:   *importChunk,
 	}
 	if *importFile != "" {
-		if err := runImport(*importFile, *dataPath, *walPath, *walDir, opts); err != nil {
+		if err := runImport(*importFile, *dataPath, *walDir, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "sbdms:", err)
 			os.Exit(1)
 		}
@@ -85,44 +79,44 @@ func main() {
 		}
 		return
 	}
-	if err := run(*addr, *dataPath, *walPath, *walDir, opts, *peers, *gossipEvery, *node); err != nil {
+	if err := run(*addr, *dataPath, *walDir, opts, *peers, *gossipEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "sbdms:", err)
 		os.Exit(1)
 	}
 }
 
-// openDevices attaches the file-backed data and WAL devices named on
-// the command line to opts (absent flags leave the in-memory defaults).
-func openDevices(dataPath, walPath, walDir string, opts *sbdms.Options) error {
+// openStore opens the database over the data file and WAL directory
+// named on the command line (absent flags leave the in-memory defaults).
+// A persistent data file never runs over a volatile log: with -data set
+// and -wal-dir empty the log lives in <data>.wal. The directory in use
+// is printed so an operator knows what to keep with the data file.
+func openStore(dataPath, walDir string, opts sbdms.Options) (*sbdms.DB, error) {
 	if dataPath != "" {
 		dev, err := storage.OpenFileDevice(dataPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts.Device = dev
+		if walDir == "" {
+			walDir = dataPath + ".wal"
+		}
 	}
-	switch {
-	case walDir != "":
+	if walDir != "" {
 		dir, err := wal.NewFileSegmentDir(walDir)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		opts.LogDir = dir
-	case walPath != "":
-		dev, err := storage.OpenFileDevice(walPath)
-		if err != nil {
-			return err
-		}
-		opts.LogDevice = dev
+		fmt.Printf("sbdms: write-ahead log in %s\n", walDir)
 	}
-	return nil
+	return sbdms.Open(opts)
 }
 
 // runImport bulk-loads key<TAB>value lines into the store and exits:
 // the offline counterpart of the serving mode, using the same Import
 // path (sorted bottom-up build on an empty store, atomic all-or-nothing
 // load otherwise).
-func runImport(file, dataPath, walPath, walDir string, opts sbdms.Options) error {
+func runImport(file, dataPath, walDir string, opts sbdms.Options) error {
 	in := os.Stdin
 	if file != "-" {
 		f, err := os.Open(file)
@@ -153,15 +147,12 @@ func runImport(file, dataPath, walPath, walDir string, opts sbdms.Options) error
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if err := openDevices(dataPath, walPath, walDir, &opts); err != nil {
-		return err
-	}
-	db, err := sbdms.Open(opts)
+	db, err := openStore(dataPath, walDir, opts)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	if err := db.Import(keys, vals); err != nil {
+	if err := db.Import(context.Background(), keys, vals); err != nil {
 		_ = db.Close(context.Background())
 		return fmt.Errorf("import: %w", err)
 	}
@@ -226,17 +217,12 @@ func runCluster(shards, followers int, async bool, frames, segBytes int, ckptEve
 	return nil
 }
 
-func run(addr, dataPath, walPath, walDir string, opts sbdms.Options, peers string, gossipEvery time.Duration, node string) error {
-	ctx := context.Background()
-	if err := openDevices(dataPath, walPath, walDir, &opts); err != nil {
-		return err
-	}
-	db, err := sbdms.Open(opts)
+func run(addr, dataPath, walDir string, opts sbdms.Options, peers string, gossipEvery time.Duration) error {
+	db, err := openStore(dataPath, walDir, opts)
 	if err != nil {
 		return err
 	}
-	defer db.Close(ctx)
-	_ = node
+	defer db.Close(context.Background())
 
 	srv, err := netbind.Serve(db.Kernel().Registry(), addr)
 	if err != nil {

@@ -1,7 +1,7 @@
-// Command sbench regenerates every experiment of EXPERIMENTS.md and
-// prints the result tables. Run all experiments with no arguments, or
-// select one with -exp (f1, f2, f5, f6, f7, g1, g2, g3, g4, g5, g6,
-// g7, g9, g10, g11).
+// Command sbench regenerates the paper-figure and future-work
+// experiments and prints the result tables. Run all of them with no
+// arguments, or select one with -exp (f1, f2, f5, f6, f7, g1, g2, g3,
+// g4, g5). Engine performance is judged by bench/run.sh, not here.
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	sbdms "repro"
 	"repro/internal/buffer"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -36,22 +35,6 @@ var (
 	flagSegBytes    = flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold for g1 (0 = 4 MiB)")
 	flagCkptEvery   = flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period for g1 (0 = off)")
 	flagJSONDir     = flag.String("json", ".", "directory for BENCH_<EXP>.json reports (empty = disabled)")
-
-	// G9 write-path fix gates: the baseline soak configuration. The g9
-	// runner additionally runs one fallback soak per fix (the gate
-	// flipped off relative to this baseline) so BENCH_G9.json always
-	// carries before/after row pairs on the same host.
-	flagOptDescent  = flag.Bool("optimistic-descent", true, "g9 baseline: optimistic B+tree insert descents (false = exclusive crab descents)")
-	flagAppendDown  = flag.Bool("append-downgrade", true, "g9 baseline: release awaited append gap locks once the entry is visible (false = hold to commit)")
-	flagInlineCkpt  = flag.Bool("inline-checkpoint-flush", false, "g9 baseline: flush the checkpoint dirty-page snapshot on the caller instead of the background flusher")
-	flagSoakWriters = flag.Int("soak-writers", 8, "g9 concurrent writer goroutines")
-
-	// G10 bulk-ingest knobs. -keys sets the import/putBatch load size
-	// for g10 (use 1000000+ for the committed snapshot); the put-loop
-	// row is capped separately because one commit force per key makes
-	// the full size pointless to wait out.
-	flagG10PutKeys = flag.Int("g10-put-keys", 20000, "g10: per-key Put loop row cap")
-	flagG10Batch   = flag.Int("g10-batch", 10000, "g10: PutBatch chunk size")
 )
 
 // benchRows accumulates the structured rows of the experiment
@@ -108,17 +91,16 @@ func writeReport(dir, exp string, ops, keys int) error {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: f1|f2|f5|f6|f7|g1|g2|g3|g4|g5|g6|g7|g9|g10|g11|all")
+	exp := flag.String("exp", "all", "experiment id: f1|f2|f5|f6|f7|g1|g2|g3|g4|g5|all")
 	ops := flag.Int("ops", 20000, "operations per measurement")
 	keys := flag.Int("keys", 2000, "key space size")
 	flag.Parse()
 
 	runners := map[string]func(int, int) error{
 		"f1": runF1, "f2": runF2, "f5": runF5, "f6": runF6, "f7": runF7,
-		"g1": runG1, "g2": runG2, "g3": runG3, "g4": runG4, "g5": runG5, "g6": runG6,
-		"g7": runG7, "g9": runG9, "g10": runG10, "g11": runG11,
+		"g1": runG1, "g2": runG2, "g3": runG3, "g4": runG4, "g5": runG5,
 	}
-	order := []string{"f1", "f2", "f5", "f6", "f7", "g1", "g2", "g3", "g4", "g5", "g6", "g7", "g9", "g10", "g11"}
+	order := []string{"f1", "f2", "f5", "f6", "f7", "g1", "g2", "g3", "g4", "g5"}
 	sel := strings.ToLower(*exp)
 	if sel == "all" {
 		for _, id := range order {
@@ -467,9 +449,8 @@ func runG4(ops, keys int) error {
 
 // runG5 measures the storage engine's internal scalability: contended
 // Pin/Unpin on the sharded buffer pool vs the single-mutex baseline,
-// and concurrent transaction commits with WAL group commit vs
-// fsync-per-flush. Tune with -shards, -wal-group-window and
-// -wal-group-bytes.
+// and concurrent transaction commits under WAL group commit. Tune with
+// -shards, -wal-group-window and -wal-group-bytes.
 func runG5(ops, keys int) error {
 	header("G5 — storage concurrency: sharded buffer pool + WAL group commit")
 
@@ -544,437 +525,64 @@ func runG5(ops, keys int) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	for _, mode := range []struct {
-		label     string
-		syncEvery bool
-	}{
-		{"fsync-per-commit", true},
-		{"group commit    ", false},
-	} {
-		for _, g := range []int{1, 4, 16} {
-			dev, err := storage.OpenFileDevice(filepath.Join(dir, fmt.Sprintf("%t-%d.wal", mode.syncEvery, g)))
-			if err != nil {
-				return err
-			}
-			l, err := wal.Open(dev)
-			if err != nil {
-				return err
-			}
-			l.SetSyncEveryFlush(mode.syncEvery)
-			l.SetGroupWindow(*flagGroupWindow, *flagGroupBytes)
-			mgr := txn.NewManager(l, nil)
-			// commit_siblings gate: lone committers skip the window
-			// (the g5 single-committer row used to pay it in full).
-			// The knob convention matches sbdms.Options.
-			l.SetCommitSiblings(*flagSiblings, func() int { return mgr.ActiveCount() - 1 })
-			per := ops / 10 / g
-			if per < 1 {
-				per = 1
-			}
-			start := time.Now()
-			var wg sync.WaitGroup
-			errs := make(chan error, g)
-			for w := 0; w < g; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						t, err := mgr.Begin()
-						if err != nil {
-							errs <- err
-							return
-						}
-						if err := mgr.Commit(t); err != nil {
-							errs <- err
-							return
-						}
+	for _, g := range []int{1, 4, 16} {
+		segs, err := wal.NewFileSegmentDir(filepath.Join(dir, fmt.Sprintf("wal-%d", g)))
+		if err != nil {
+			return err
+		}
+		l, err := wal.OpenDir(segs, 0)
+		if err != nil {
+			return err
+		}
+		l.SetGroupWindow(*flagGroupWindow, *flagGroupBytes)
+		mgr := txn.NewManager(l, nil)
+		// commit_siblings gate: lone committers skip the window. The
+		// knob convention matches sbdms.Options.
+		l.SetCommitSiblings(*flagSiblings, func() int { return mgr.ActiveCount() - 1 })
+		per := ops / 10 / g
+		if per < 1 {
+			per = 1
+		}
+		start := time.Now()
+		var wg sync.WaitGroup
+		errs := make(chan error, g)
+		for w := 0; w < g; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					t, err := mgr.Begin()
+					if err != nil {
+						errs <- err
+						return
 					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				return err
-			}
-			el := time.Since(start)
-			commits := per * g
-			fmt.Printf("%s committers=%-2d %7d commits  %10.0f commit/s  %6d syncs (%.1f commits/sync)\n",
-				mode.label, g, commits, float64(commits)/el.Seconds(), l.Syncs(),
-				float64(commits)/float64(l.Syncs()))
-			record(struct {
-				Section        string  `json:"section"`
-				Mode           string  `json:"mode"`
-				Committers     int     `json:"committers"`
-				Commits        int     `json:"commits"`
-				CommitsPerSec  float64 `json:"commitsPerSec"`
-				Syncs          uint64  `json:"syncs"`
-				CommitsPerSync float64 `json:"commitsPerSync"`
-			}{"wal-commit", strings.TrimSpace(mode.label), g, commits,
-				float64(commits) / el.Seconds(), l.Syncs(), float64(commits) / float64(l.Syncs())})
-			_ = dev.Close()
+					if err := mgr.Commit(t); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
 		}
-	}
-	return nil
-}
-
-// G7: the serializable-scan tax — a mixed scan/write workload at
-// read-committed vs serializable. Scans sweep a filler range while
-// writers update keys inside it and commit atomic batches across it.
-// Columns to watch: the scan/write throughput and latency deltas
-// between the two isolation rows (the tax), the write p99 (X-lock wait
-// behind the scan stream's S locks — bounded by the FIFO lock
-// manager), and torn scans (> 0 at read-committed, always 0 at
-// serializable).
-func runG7(ops, keys int) error {
-	header("G7 — serializable-scan tax: next-key locking + FIFO lock fairness")
-	fillers := keys / 4
-	if fillers < 64 {
-		fillers = 64
-	}
-	writesPer := ops / 40
-	if writesPer < 50 {
-		writesPer = 50
-	}
-	// Scans are paced (one long analytical scan per duty cycle per
-	// scanner) so every row issues the same scan load and the writer
-	// latencies compare lock interference, not CPU saturation.
-	const scanners, writers = 2, 4
-	const pace = 25 * time.Millisecond
-	fmt.Printf("-- %d scanners (1 scan / %v each) over %d fillers, %d writers x %d writes (1 in 4 an atomic cross-range batch) --\n",
-		scanners, pace, fillers, writers, writesPer)
-	for _, iso := range []sbdms.ScanIsolation{sbdms.ReadCommitted, sbdms.Serializable} {
-		m, err := sbdms.ScanIsolationTaxPaced(iso, pace, scanners, writers, fillers, writesPer, 1)
-		if err != nil {
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
 			return err
 		}
-		fmt.Println(m)
-		record(m)
-	}
-	// The MVCC row: snapshot scans read one consistent commit-timestamp
-	// cut without lock-manager traffic, so the writer p99 the locked
-	// serializable row inflates (X waits behind the scan stream's S and
-	// gap locks) collapses while torn stays 0 — the scan/write
-	// interference the snapshot read path removes.
-	m, err := sbdms.ScanSnapshotTax(sbdms.Serializable, pace, scanners, writers, fillers, writesPer, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Println(m)
-	record(m)
-	return nil
-}
-
-// G9: the write-path soak — a long mixed workload at serializable
-// isolation with fuzzy checkpoints, WAL truncation and MVCC vacuum
-// running throughout, run once at the baseline fix gates and once per
-// fallback (one gate flipped off). Rows to compare, each a labeled
-// pair on the same host: append-heavy Put throughput with the append
-// gap-lock downgrade on vs off, uniform-mixed throughput with
-// optimistic vs exclusive insert descents, and write/checkpoint p99
-// with the background vs inline checkpoint flush. Torn-scan and
-// anomaly counters must be zero on every row — the fixes must not
-// trade serializability for speed.
-func runG9(ops, keys int) error {
-	header("G9 — write-path soak: optimistic descents, background checkpoint flusher, append gap-lock downgrade")
-	base := sbdms.SoakConfig{
-		Keys:                  keys,
-		Writers:               *flagSoakWriters,
-		AppendOps:             ops,
-		MixedOps:              ops,
-		Seed:                  1,
-		OptimisticDescent:     *flagOptDescent,
-		AppendDowngrade:       *flagAppendDown,
-		InlineCheckpointFlush: *flagInlineCkpt,
-	}
-	fmt.Printf("-- %d writers, %d append ops + %d mixed ops per run, %d preloaded keys, checkpoints+vacuum throughout --\n",
-		base.Writers, ops, ops, keys)
-	variants := []struct {
-		name   string
-		mutate func(*sbdms.SoakConfig)
-	}{
-		{"baseline (all fixes on)", func(c *sbdms.SoakConfig) {}},
-		{"fallback: append-downgrade off", func(c *sbdms.SoakConfig) { c.AppendDowngrade = false }},
-		{"fallback: optimistic-descent off", func(c *sbdms.SoakConfig) { c.OptimisticDescent = false }},
-		{"fallback: inline checkpoint flush", func(c *sbdms.SoakConfig) { c.InlineCheckpointFlush = true }},
-	}
-	for _, v := range variants {
-		cfg := base
-		v.mutate(&cfg)
-		fmt.Printf("-- %s --\n", v.name)
-		ms, err := sbdms.Soak(cfg)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			fmt.Println(m)
-			record(m)
-		}
-	}
-	return nil
-}
-
-// G10: bulk ingest — time-to-load a large key set through the Import
-// fast path (sorted bottom-up tree build, one full-page WAL record per
-// packed page, atomic root install) against a chunked PutBatch loop
-// and a per-key Put loop on identical fresh file-backed engines. The
-// headline ratios: import throughput over the PutBatch loop (target
-// >=5x) and WAL bytes per key (target >=10x fewer).
-func runG10(ops, keys int) error {
-	header("G10 — bulk ingest: Import fast path vs PutBatch loop vs Put loop")
-	cfg := sbdms.BulkLoadConfig{
-		Keys:        keys,
-		PutLoopKeys: *flagG10PutKeys,
-		BatchSize:   *flagG10Batch,
-		Seed:        1,
-	}
-	fmt.Printf("-- %d keys (put-loop capped at %d), %d-key batches, file-backed data+WAL, checkpoints throughout --\n",
-		keys, *flagG10PutKeys, *flagG10Batch)
-	rows := map[string]sbdms.BulkLoadMeasurement{}
-	for _, method := range []string{"import", "putBatch-loop", "put-loop"} {
-		m, err := sbdms.BulkLoad(cfg, method)
-		if err != nil {
-			return err
-		}
-		fmt.Println(m)
-		rows[method] = m
-		record(m)
-	}
-	imp, batch := rows["import"], rows["putBatch-loop"]
-	if imp.KeysPerSec > 0 && batch.KeysPerSec > 0 {
-		speedup := imp.KeysPerSec / batch.KeysPerSec
-		walCut := batch.WALBytesPerKey / imp.WALBytesPerKey
-		fmt.Printf("-- import vs putBatch-loop: %.1fx throughput, %.1fx fewer WAL bytes/key --\n", speedup, walCut)
+		el := time.Since(start)
+		commits := per * g
+		fmt.Printf("group commit committers=%-2d %7d commits  %10.0f commit/s  %6d syncs (%.1f commits/sync)\n",
+			g, commits, float64(commits)/el.Seconds(), l.Syncs(),
+			float64(commits)/float64(l.Syncs()))
 		record(struct {
-			ImportSpeedupVsBatch float64 `json:"importSpeedupVsBatch"`
-			WALBytesPerKeyCut    float64 `json:"walBytesPerKeyCut"`
-		}{speedup, walCut})
-	}
-	return nil
-}
-
-// G11: cluster scale-out — aggregate mixed put/get throughput through
-// the epoch-aware router as the keyspace is hash-partitioned over 1, 2
-// and 4 replicated shards (each leader shipping its WAL to one
-// follower over the in-process transport), with a synchronous and an
-// async-commit ack row per width (over mem-backed devices the local
-// fsync async commit skips and the in-process follower round-trip it
-// waits on instead cost about the same, so the two rows bracket the
-// coordination overhead rather than showing a disk-fsync win). All
-// shards share the host's cores, so per-shard parallel speedup only
-// appears on multi-core hosts — the JSON host block records the core
-// count a snapshot was taken on. Then a failover drill: kill -9 an
-// async-commit leader under load, promote its follower (replica flush
-// + crash recovery over the shipped log + map epoch bump), and report
-// promotion time, time-to-first-served-request, and the acked-write
-// survival count — which must be total.
-func runG11(ops, keys int) error {
-	header("G11 — cluster scale-out: sharded throughput + failover recovery")
-	ctx := context.Background()
-	const clients = 8
-	key := func(i int) string { return fmt.Sprintf("key-%07d", i) }
-
-	preload := func(r *cluster.Router) error {
-		const chunk = 1000
-		for lo := 0; lo < keys; lo += chunk {
-			hi := lo + chunk
-			if hi > keys {
-				hi = keys
-			}
-			ks := make([]string, 0, hi-lo)
-			vs := make([][]byte, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				ks = append(ks, key(i))
-				vs = append(vs, []byte("seed"))
-			}
-			if err := r.PutBatch(ctx, ks, vs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	fmt.Printf("-- %d clients, 50/50 put/get over %d keys, 1 follower per shard --\n", clients, keys)
-	for _, shards := range []int{1, 2, 4} {
-		for _, async := range []bool{false, true} {
-			c, err := cluster.New(cluster.Config{
-				Shards: shards, Followers: 1, AsyncCommit: async, Frames: 512,
-			})
-			if err != nil {
-				return err
-			}
-			r := c.Router()
-			if err := preload(r); err != nil {
-				_ = c.Close(ctx)
-				return err
-			}
-			per := ops / clients
-			start := time.Now()
-			var wg sync.WaitGroup
-			errs := make(chan error, clients)
-			for w := 0; w < clients; w++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < per; i++ {
-						k := key(rng.Intn(keys))
-						var err error
-						if rng.Intn(2) == 0 {
-							err = r.Put(ctx, k, []byte(fmt.Sprintf("v%d", i)))
-						} else {
-							_, err = r.Get(ctx, k)
-						}
-						if err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(int64(shards*1000 + w + 1))
-			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				_ = c.Close(ctx)
-				return err
-			}
-			el := time.Since(start)
-			mode := "sync-commit"
-			if async {
-				mode = "async-commit"
-			}
-			total := per * clients
-			// Degraded-mode observability: ack fallbacks are async
-			// commits that local-fsynced because no follower answered in
-			// time; bootstraps are full-snapshot reseeds.
-			var fallbacks, boots uint64
-			for s := 0; s < shards; s++ {
-				fallbacks += c.Node(cluster.LeaderID(s)).AckFallbacks()
-				boots += c.Node(cluster.FollowerID(s, 0)).Bootstraps()
-			}
-			fmt.Printf("shards=%d %-12s %8d ops  %10.0f op/s  ackFallbacks=%d bootstraps=%d\n",
-				shards, mode, total, float64(total)/el.Seconds(), fallbacks, boots)
-			record(struct {
-				Section      string  `json:"section"`
-				Shards       int     `json:"shards"`
-				Followers    int     `json:"followers"`
-				Mode         string  `json:"mode"`
-				Clients      int     `json:"clients"`
-				Ops          int     `json:"ops"`
-				OpsPerSec    float64 `json:"opsPerSec"`
-				AckFallbacks uint64  `json:"ackFallbacks"`
-				Bootstraps   uint64  `json:"bootstraps"`
-			}{"scale-out", shards, 1, mode, clients, total, float64(total) / el.Seconds(), fallbacks, boots})
-			if err := c.Close(ctx); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Failover drill on a 2-shard async-commit cluster.
-	c, err := cluster.New(cluster.Config{Shards: 2, Followers: 1, AsyncCommit: true, Frames: 512})
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.Close(ctx) }()
-	r := c.Router()
-	n := ops / 10
-	if n < 200 {
-		n = 200
-	}
-	acked := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("fo-%06d", i)
-		if err := r.Put(ctx, k, []byte(fmt.Sprintf("v%d", i))); err != nil {
-			return err
-		}
-		acked = append(acked, k)
-	}
-	const victim = 0
-	var probe string
-	for _, k := range acked {
-		if c.Map().ShardFor(k) == victim {
-			probe = k
-			break
-		}
-	}
-	if probe == "" {
-		return fmt.Errorf("g11: no acked key landed on shard %d", victim)
-	}
-	c.Kill(cluster.LeaderID(victim))
-	promote, err := c.Failover(victim)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	for {
-		if _, err := r.Get(ctx, probe); err == nil {
-			break
-		}
-		if time.Since(t0) > 10*time.Second {
-			return fmt.Errorf("g11: shard %d never served after failover", victim)
-		}
-	}
-	firstServed := time.Since(t0)
-	lost := 0
-	for _, k := range acked {
-		if v, err := r.Get(ctx, k); err != nil || len(v) == 0 {
-			lost++
-		}
-	}
-	fmt.Printf("failover: promote=%v first-served=%v acked=%d lost=%d\n",
-		promote.Round(time.Microsecond), firstServed.Round(time.Microsecond), len(acked), lost)
-	record(struct {
-		Section       string        `json:"section"`
-		PromoteNs     time.Duration `json:"promoteNs"`
-		FirstServedNs time.Duration `json:"firstServedNs"`
-		AckedWrites   int           `json:"ackedWrites"`
-		LostWrites    int           `json:"lostWrites"`
-	}{"failover", promote, firstServed, len(acked), lost})
-	if lost > 0 {
-		return fmt.Errorf("g11: %d acked writes lost across failover", lost)
-	}
-	return nil
-}
-
-// G6: concurrency scaling of the fine-grained engine — goroutines ×
-// read/write mix against one WAL-enabled DB (latch-crabbed B+tree,
-// per-key 2PL, no engine-wide lock). The column to watch is the
-// speedup over the 1-goroutine row of the same mix.
-func runG6(ops, keys int) error {
-	fmt.Println("== G6: concurrency scaling (goroutines x read/write mix) ==")
-	fmt.Printf("   shards=%d group-window=%v  (latch crabbing + per-key locks)\n",
-		*flagShards, *flagGroupWindow)
-	db, err := sbdms.Open(sbdms.Options{
-		Granularity:    sbdms.Monolithic,
-		BufferFrames:   2048,
-		BufferShards:   *flagShards,
-		WALGroupWindow: *flagGroupWindow,
-		WALGroupBytes:  *flagGroupBytes,
-	})
-	if err != nil {
-		return err
-	}
-	defer db.Close(context.Background())
-	if err := sbdms.Preload(db, keys, 64); err != nil {
-		return err
-	}
-	for _, readPct := range []int{95, 50} {
-		var base float64
-		for _, g := range []int{1, 2, 4, 8} {
-			m := sbdms.ConcurrencyScaling(db, g, keys, ops, readPct, int64(g)*17)
-			if g == 1 {
-				base = m.OpsPerSec
-			}
-			speedup := 0.0
-			if base > 0 {
-				speedup = m.OpsPerSec / base
-			}
-			fmt.Printf("%s  speedup=%.2fx\n", m, speedup)
-			record(struct {
-				Speedup float64 `json:"speedup"`
-				sbdms.ConcurrencyMeasurement
-			}{speedup, m})
-		}
+			Section        string  `json:"section"`
+			Mode           string  `json:"mode"`
+			Committers     int     `json:"committers"`
+			Commits        int     `json:"commits"`
+			CommitsPerSec  float64 `json:"commitsPerSec"`
+			Syncs          uint64  `json:"syncs"`
+			CommitsPerSync float64 `json:"commitsPerSync"`
+		}{"wal-commit", "group commit", g, commits,
+			float64(commits) / el.Seconds(), l.Syncs(), float64(commits) / float64(l.Syncs())})
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // runConcurrentCrashWorkload drives workers over DISJOINT key stripes
@@ -41,19 +42,19 @@ func runConcurrentCrashWorkload(db *DB, workers, opsPer, keysPer int, fault *sto
 				switch {
 				case rng.Intn(10) < 6:
 					v := fmt.Sprintf("val-%d-%d-%s", w, i, pad)
-					if err := db.Put(k, []byte(v)); err == nil {
+					if err := db.Put(ctx, k, []byte(v)); err == nil {
 						st.live[k] = v
 						delete(st.deleted, k)
 					}
 				case rng.Intn(2) == 0 && len(st.live) > 0:
 					if _, ok := st.live[k]; ok {
-						if err := db.DeleteKey(k); err == nil {
+						if err := db.DeleteKey(ctx, k); err == nil {
 							delete(st.live, k)
 							st.deleted[k] = true
 						}
 					}
 				default:
-					_, _ = db.Get(k) // cross-page read traffic
+					_, _ = db.Get(ctx, k) // cross-page read traffic
 				}
 			}
 		}()
@@ -66,7 +67,7 @@ func runConcurrentCrashWorkload(db *DB, workers, opsPer, keysPer int, fault *sto
 			if fault != nil && fault.Crashed() {
 				return
 			}
-			_, _ = db.ScanKeys("", 10_000)
+			_, _ = db.ScanKeys(ctx, "", 10_000)
 		}
 	}()
 	wg.Wait()
@@ -89,14 +90,14 @@ func runConcurrentCrashWorkload(db *DB, workers, opsPer, keysPer int, fault *sto
 // must repeat history, logically undo the in-flight losers, and
 // reproduce exactly the acknowledged state.
 func TestKVCrashRecoveryConcurrentKill9(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db := openStressDB(t, dataDev, logDev)
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openStressDB(t, dataDev, logDir)
 	st := runConcurrentCrashWorkload(db, 8, 250, 30, nil)
 	if len(st.live) == 0 {
 		t.Fatal("workload committed nothing")
 	}
 	abandon(db) // kill -9: nothing flushed, no SyncMeta, no Close
-	verifyRecovered(t, dataDev, logDev, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }
 
 // TestKVCrashRecoveryConcurrentMidWriteBack crashes the data device at
@@ -106,13 +107,14 @@ func TestKVCrashRecoveryConcurrentKill9(t *testing.T) {
 func TestKVCrashRecoveryConcurrentMidWriteBack(t *testing.T) {
 	for _, crashAfter := range []int{5, 25, 80} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
 			db, err := Open(Options{
-				Device:       fault,
-				LogDevice:    logDev,
-				Granularity:  Monolithic,
-				BufferFrames: 32, // small pool: eviction write-back mid-run
+				Device:          fault,
+				LogDir:          logDir,
+				Granularity:     Monolithic,
+				BufferFrames:    32, // small pool: eviction write-back mid-run
+				WALSegmentBytes: crashSegmentBytes,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +122,7 @@ func TestKVCrashRecoveryConcurrentMidWriteBack(t *testing.T) {
 			fault.CrashAfterWrites(crashAfter, 0)
 			st := runConcurrentCrashWorkload(db, 6, 300, 25, fault)
 			abandon(db)
-			verifyRecovered(t, inner, logDev, st)
+			verifyRecovered(t, inner, logDir, st)
 		})
 	}
 }
@@ -131,13 +133,14 @@ func TestKVCrashRecoveryConcurrentMidWriteBack(t *testing.T) {
 func TestKVCrashRecoveryConcurrentTornWrite(t *testing.T) {
 	for _, crashAfter := range []int{8, 33} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
 			db, err := Open(Options{
-				Device:       fault,
-				LogDevice:    logDev,
-				Granularity:  Monolithic,
-				BufferFrames: 32,
+				Device:          fault,
+				LogDir:          logDir,
+				Granularity:     Monolithic,
+				BufferFrames:    32,
+				WALSegmentBytes: crashSegmentBytes,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +148,7 @@ func TestKVCrashRecoveryConcurrentTornWrite(t *testing.T) {
 			fault.CrashAfterWrites(crashAfter, storage.PageSize/2)
 			st := runConcurrentCrashWorkload(db, 6, 300, 25, fault)
 			abandon(db)
-			verifyRecovered(t, inner, logDev, st)
+			verifyRecovered(t, inner, logDir, st)
 		})
 	}
 }
@@ -155,8 +158,8 @@ func TestKVCrashRecoveryConcurrentTornWrite(t *testing.T) {
 // flush, what DB.Close runs before closing the device), reopen: state
 // and counts intact.
 func TestKVConcurrentLoadThenCleanClose(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db := openStressDB(t, dataDev, logDev)
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openStressDB(t, dataDev, logDir)
 	st := runConcurrentCrashWorkload(db, 6, 200, 20, nil)
 	if err := db.kv.Close(); err != nil {
 		t.Fatal(err)
@@ -165,5 +168,5 @@ func TestKVConcurrentLoadThenCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	abandon(db)
-	verifyRecovered(t, dataDev, logDev, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }

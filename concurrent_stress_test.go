@@ -11,17 +11,19 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // openStressDB opens a WAL-enabled in-memory DB sized for concurrency
 // (a pool large enough that latched descents never starve for frames).
-func openStressDB(t *testing.T, dataDev, logDev storage.Device) *DB {
+func openStressDB(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir) *DB {
 	t.Helper()
 	db, err := Open(Options{
-		Device:       dataDev,
-		LogDevice:    logDev,
-		Granularity:  Monolithic,
-		BufferFrames: 256,
+		Device:          dataDev,
+		LogDir:          logDir,
+		Granularity:     Monolithic,
+		BufferFrames:    256,
+		WALSegmentBytes: crashSegmentBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +36,7 @@ func openStressDB(t *testing.T, dataDev, logDev storage.Device) *DB {
 // run under -race. Each worker verifies its own reads inline; the
 // final state must match every worker's last committed action.
 func TestKVConcurrentDisjointStripes(t *testing.T) {
-	db := openStressDB(t, storage.NewMemDevice(), storage.NewMemDevice())
+	db := openStressDB(t, storage.NewMemDevice(), wal.NewMemSegmentDir())
 	defer db.Close(context.Background())
 
 	const workers = 8
@@ -55,21 +57,21 @@ func TestKVConcurrentDisjointStripes(t *testing.T) {
 				switch {
 				case rng.Intn(10) < 6:
 					v := fmt.Sprintf("v-%d-%d-%s", w, i, strings.Repeat("x", rng.Intn(60)))
-					if err := db.Put(k, []byte(v)); err != nil {
+					if err := db.Put(ctx, k, []byte(v)); err != nil {
 						errs <- fmt.Errorf("put %s: %w", k, err)
 						return
 					}
 					live[k] = v
 				case rng.Intn(2) == 0:
 					if _, ok := live[k]; ok {
-						if err := db.DeleteKey(k); err != nil {
+						if err := db.DeleteKey(ctx, k); err != nil {
 							errs <- fmt.Errorf("delete %s: %w", k, err)
 							return
 						}
 						delete(live, k)
 					}
 				default:
-					got, err := db.Get(k)
+					got, err := db.Get(ctx, k)
 					want, ok := live[k]
 					if ok && (err != nil || string(got) != want) {
 						errs <- fmt.Errorf("get %s = %q, %v; want %q", k, got, err, want)
@@ -91,7 +93,7 @@ func TestKVConcurrentDisjointStripes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if _, err := db.ScanKeys("", 10_000); err != nil {
+				if _, err := db.ScanKeys(ctx, "", 10_000); err != nil {
 					errs <- fmt.Errorf("scan: %w", err)
 					return
 				}
@@ -108,13 +110,13 @@ func TestKVConcurrentDisjointStripes(t *testing.T) {
 	for w := range finals {
 		want += len(finals[w])
 		for k, v := range finals[w] {
-			got, err := db.Get(k)
+			got, err := db.Get(ctx, k)
 			if err != nil || string(got) != v {
 				t.Fatalf("final Get(%s) = %q, %v; want %q", k, got, err, v)
 			}
 		}
 	}
-	if got := db.KVLen(); got != uint64(want) {
+	if got := kvLen(t, db); got != uint64(want) {
 		t.Fatalf("KVLen = %d, want %d", got, want)
 	}
 }
@@ -124,7 +126,7 @@ func TestKVConcurrentDisjointStripes(t *testing.T) {
 // succeed or fail with a documented error (not-found or retryable
 // conflict), and the engine must stay consistent.
 func TestKVConcurrentSharedKeys(t *testing.T) {
-	db := openStressDB(t, storage.NewMemDevice(), storage.NewMemDevice())
+	db := openStressDB(t, storage.NewMemDevice(), wal.NewMemSegmentDir())
 	defer db.Close(context.Background())
 
 	const workers = 8
@@ -142,13 +144,13 @@ func TestKVConcurrentSharedKeys(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					err = db.Put(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
+					err = db.Put(ctx, k, []byte(fmt.Sprintf("w%d-%d", w, i)))
 				case 1:
-					_, err = db.Get(k)
+					_, err = db.Get(ctx, k)
 				case 2:
-					err = db.DeleteKey(k)
+					err = db.DeleteKey(ctx, k)
 				default:
-					_, err = db.ScanKeys("hot-", sharedKeys+1)
+					_, err = db.ScanKeys(ctx, "hot-", sharedKeys+1)
 				}
 				if err != nil && !isNotFound(err) && !IsConflict(err) {
 					errs <- fmt.Errorf("w%d op %d on %s: %w", w, i, k, err)
@@ -163,16 +165,16 @@ func TestKVConcurrentSharedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Consistency: Len agrees with an exhaustive scan.
-	keys, err := db.ScanKeys("", 100)
+	keys, err := db.ScanKeys(ctx, "", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.KVLen(); got != uint64(len(keys)) {
+	if got := kvLen(t, db); got != uint64(len(keys)) {
 		t.Fatalf("KVLen = %d, scan found %d keys (%v)", got, len(keys), keys)
 	}
 	// Survives a clean restart with the same state.
 	for _, k := range keys {
-		if _, err := db.Get(k); err != nil {
+		if _, err := db.Get(ctx, k); err != nil {
 			t.Fatalf("surviving key %s unreadable: %v", k, err)
 		}
 	}
@@ -182,7 +184,7 @@ func TestKVConcurrentSharedKeys(t *testing.T) {
 // overlapping keys. Lock acquisition in sorted key order means batches
 // cannot deadlock each other — every batch must succeed outright.
 func TestKVBatchConflictsResolve(t *testing.T) {
-	db := openStressDB(t, storage.NewMemDevice(), storage.NewMemDevice())
+	db := openStressDB(t, storage.NewMemDevice(), wal.NewMemSegmentDir())
 	defer db.Close(context.Background())
 
 	const workers = 6
@@ -202,7 +204,7 @@ func TestKVBatchConflictsResolve(t *testing.T) {
 					keys[j] = fmt.Sprintf("shared-%02d", rng.Intn(16))
 					vals[j] = []byte(fmt.Sprintf("b%d-%d-%d", w, i, j))
 				}
-				if err := db.PutBatch(keys, vals); err != nil {
+				if err := db.PutBatch(ctx, keys, vals); err != nil {
 					errs <- fmt.Errorf("w%d batch %d: %w", w, i, err)
 					return
 				}
@@ -220,9 +222,9 @@ func TestKVBatchConflictsResolve(t *testing.T) {
 // conflicting transaction returns the context error instead of waiting
 // forever — the lock-wait cancellation path end to end.
 func TestKVLockWaitContextCancellation(t *testing.T) {
-	db := openStressDB(t, storage.NewMemDevice(), storage.NewMemDevice())
+	db := openStressDB(t, storage.NewMemDevice(), wal.NewMemSegmentDir())
 	defer db.Close(context.Background())
-	if err := db.Put("k", []byte("v0")); err != nil {
+	if err := db.Put(ctx, "k", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
 	// Park a foreign exclusive lock on the key, as a long transaction
@@ -231,11 +233,11 @@ func TestKVLockWaitContextCancellation(t *testing.T) {
 	if err := db.Txns().Locks().Acquire(context.Background(), blocker, "kv/k", txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := db.PutContext(ctx, "k", []byte("v1"))
-	if err == nil || ctx.Err() == nil {
+	err := db.Put(short, "k", []byte("v1"))
+	if err == nil || short.Err() == nil {
 		t.Fatalf("blocked put returned %v before cancellation", err)
 	}
 	if time.Since(start) > 5*time.Second {
@@ -244,12 +246,12 @@ func TestKVLockWaitContextCancellation(t *testing.T) {
 	// Reads under shared locks block too; same cancellation path.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
-	if _, err := db.GetContext(ctx2, "k"); err == nil {
+	if _, err := db.Get(ctx2, "k"); err == nil {
 		t.Fatal("blocked get returned before cancellation")
 	}
 	db.Txns().Locks().ReleaseAll(blocker)
 	// The engine is unharmed: the aborted put left no trace.
-	got, err := db.Get("k")
+	got, err := db.Get(ctx, "k")
 	if err != nil || string(got) != "v0" {
 		t.Fatalf("Get after cancelled put = %q, %v", got, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // crashState tracks what a crash-recovery run must find after reopen:
@@ -18,18 +19,24 @@ type crashState struct {
 	deleted map[string]bool
 }
 
+// crashSegmentBytes is the WAL segment size of the crash harnesses:
+// small enough that every workload rolls segments several times, so
+// recovery always reads a multi-segment log and WAL-side kill points
+// land on segment headers as well as records.
+const crashSegmentBytes = 64 << 10
+
 // runKVCrashWorkload drives a mixed put/delete KV workload against db,
 // recording only operations that reported success. Operations are
-// allowed to fail (the device may crash mid-run); the workload stops
-// early once the fault device reports the crash happened and a few
-// more operations have been attempted against the dead disk.
-func runKVCrashWorkload(db *DB, nops, keySpace int, seed int64, fault *storage.FaultDevice) *crashState {
+// allowed to fail (a device may crash mid-run); the workload stops
+// early once crashed (nil = never) reports the crash happened and a few
+// more operations have been attempted against the dead device.
+func runKVCrashWorkload(db *DB, nops, keySpace int, seed int64, crashed func() bool) *crashState {
 	st := &crashState{live: map[string]string{}, deleted: map[string]bool{}}
 	rng := rand.New(rand.NewSource(seed))
 	pad := strings.Repeat("x", 80)
 	afterCrash := 0
 	for i := 0; i < nops; i++ {
-		if fault != nil && fault.Crashed() {
+		if crashed != nil && crashed() {
 			afterCrash++
 			if afterCrash > 20 {
 				break
@@ -38,12 +45,12 @@ func runKVCrashWorkload(db *DB, nops, keySpace int, seed int64, fault *storage.F
 		k := fmt.Sprintf("key-%04d", rng.Intn(keySpace))
 		if rng.Intn(10) < 7 || !st.deleted[k] && st.live[k] == "" {
 			v := fmt.Sprintf("val-%d-%s", i, pad)
-			if err := db.Put(k, []byte(v)); err == nil {
+			if err := db.Put(ctx, k, []byte(v)); err == nil {
 				st.live[k] = v
 				delete(st.deleted, k)
 			}
 		} else if _, ok := st.live[k]; ok {
-			if err := db.DeleteKey(k); err == nil {
+			if err := db.DeleteKey(ctx, k); err == nil {
 				delete(st.live, k)
 				st.deleted[k] = true
 			}
@@ -52,24 +59,25 @@ func runKVCrashWorkload(db *DB, nops, keySpace int, seed int64, fault *storage.F
 	return st
 }
 
-// verifyRecovered reopens the store from the surviving devices and
-// asserts that recovery succeeds, every committed key is readable with
-// its committed value, every committed delete stays deleted, and the
-// index count matches.
-func verifyRecovered(t *testing.T, dataDev, logDev storage.Device, st *crashState) {
+// verifyRecovered reopens the store from the surviving data device and
+// log directory and asserts that recovery succeeds, every committed key
+// is readable with its committed value, every committed delete stays
+// deleted, and the index count matches.
+func verifyRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir, st *crashState) {
 	t.Helper()
 	db, err := Open(Options{
-		Device:       dataDev,
-		LogDevice:    logDev,
-		Granularity:  Monolithic,
-		BufferFrames: 64,
+		Device:          dataDev,
+		LogDir:          logDir,
+		Granularity:     Monolithic,
+		BufferFrames:    64,
+		WALSegmentBytes: crashSegmentBytes,
 	})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer db.Close(context.Background())
 	for k, want := range st.live {
-		got, err := db.Get(k)
+		got, err := db.Get(ctx, k)
 		if err != nil {
 			t.Fatalf("committed key %q lost after recovery: %v", k, err)
 		}
@@ -78,28 +86,29 @@ func verifyRecovered(t *testing.T, dataDev, logDev storage.Device, st *crashStat
 		}
 	}
 	for k := range st.deleted {
-		if _, err := db.Get(k); err == nil {
+		if _, err := db.Get(ctx, k); err == nil {
 			t.Fatalf("committed delete of %q resurrected after recovery", k)
 		} else if !isNotFound(err) {
 			t.Fatalf("Get(%q) after committed delete: %v", k, err)
 		}
 	}
-	if got, want := db.KVLen(), uint64(len(st.live)); got != want {
+	if got, want := kvLen(t, db), uint64(len(st.live)); got != want {
 		t.Fatalf("KVLen after recovery = %d, want %d", got, want)
 	}
 }
 
-// openCrashDB opens a DB over the given devices with a deliberately
-// tiny buffer pool, so dirty pages are written back mid-workload and a
-// crash leaves the store torn between flushed and unflushed pages —
-// the scenario from the ROADMAP corruption item.
-func openCrashDB(t *testing.T, dataDev, logDev storage.Device) *DB {
+// openCrashDB opens a DB over the given data device and log directory
+// with a deliberately tiny buffer pool and small WAL segments, so dirty
+// pages are written back and segments roll mid-workload and a crash
+// leaves the store torn between flushed and unflushed pages.
+func openCrashDB(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir) *DB {
 	t.Helper()
 	db, err := Open(Options{
-		Device:       dataDev,
-		LogDevice:    logDev,
-		Granularity:  Monolithic,
-		BufferFrames: 8,
+		Device:          dataDev,
+		LogDir:          logDir,
+		Granularity:     Monolithic,
+		BufferFrames:    8,
+		WALSegmentBytes: crashSegmentBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +137,14 @@ func abandon(db *DB) {
 // file directory: page 1 has type 6"; with end-to-end KV logging the
 // store must reopen cleanly with every committed key present.
 func TestKVCrashRecoveryKill9(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db := openCrashDB(t, dataDev, logDev)
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openCrashDB(t, dataDev, logDir)
 	st := runKVCrashWorkload(db, 400, 120, 1, nil)
 	if len(st.live) == 0 {
 		t.Fatal("workload committed nothing")
 	}
 	abandon(db)
-	verifyRecovered(t, dataDev, logDev, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }
 
 // TestKVCrashRecoveryMidWriteBack crashes the data device part-way
@@ -145,15 +154,15 @@ func TestKVCrashRecoveryKill9(t *testing.T) {
 func TestKVCrashRecoveryMidWriteBack(t *testing.T) {
 	for _, crashAfter := range []int{0, 3, 17, 60} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
-			db := openCrashDB(t, fault, logDev)
+			db := openCrashDB(t, fault, logDir)
 			// Let the store format itself, then arm the crash so it
 			// triggers during workload write-back.
 			fault.CrashAfterWrites(crashAfter, 0)
-			st := runKVCrashWorkload(db, 600, 120, int64(crashAfter)+2, fault)
+			st := runKVCrashWorkload(db, 600, 120, int64(crashAfter)+2, fault.Crashed)
 			abandon(db)
-			verifyRecovered(t, inner, logDev, st)
+			verifyRecovered(t, inner, logDir, st)
 		})
 	}
 }
@@ -164,13 +173,13 @@ func TestKVCrashRecoveryMidWriteBack(t *testing.T) {
 func TestKVCrashRecoveryTornWrite(t *testing.T) {
 	for _, crashAfter := range []int{2, 11, 40} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
-			db := openCrashDB(t, fault, logDev)
+			db := openCrashDB(t, fault, logDir)
 			fault.CrashAfterWrites(crashAfter, storage.PageSize/2)
-			st := runKVCrashWorkload(db, 600, 120, int64(crashAfter)+100, fault)
+			st := runKVCrashWorkload(db, 600, 120, int64(crashAfter)+100, fault.Crashed)
 			abandon(db)
-			verifyRecovered(t, inner, logDev, st)
+			verifyRecovered(t, inner, logDir, st)
 		})
 	}
 }
@@ -180,9 +189,9 @@ func TestKVCrashRecoveryTornWrite(t *testing.T) {
 // root/count, which physical page undo alone does not rewind — and
 // leave a fully working engine whose state also survives a crash.
 func TestKVBatchAbortRollsBackTree(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db := openCrashDB(t, dataDev, logDev)
-	if err := db.Put("survivor", []byte("v0")); err != nil {
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openCrashDB(t, dataDev, logDir)
+	if err := db.Put(ctx, "survivor", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
 	// 300 small puts force index splits (new root) before the oversized
@@ -195,24 +204,24 @@ func TestKVBatchAbortRollsBackTree(t *testing.T) {
 	}
 	keys[300] = "too-big"
 	vals[300] = make([]byte, 2*storage.PageSize)
-	if err := db.PutBatch(keys, vals); err == nil {
+	if err := db.PutBatch(ctx, keys, vals); err == nil {
 		t.Fatal("oversized batch must fail")
 	}
-	if got := db.KVLen(); got != 1 {
+	if got := kvLen(t, db); got != 1 {
 		t.Fatalf("KVLen after aborted batch = %d, want 1", got)
 	}
-	if _, err := db.Get("doomed-000"); err == nil {
+	if _, err := db.Get(ctx, "doomed-000"); err == nil {
 		t.Fatal("aborted key visible")
 	}
-	if got, err := db.Get("survivor"); err != nil || string(got) != "v0" {
+	if got, err := db.Get(ctx, "survivor"); err != nil || string(got) != "v0" {
 		t.Fatalf("survivor after abort = %q, %v", got, err)
 	}
 	// Engine still fully usable, and its post-abort commits recover.
-	if err := db.Put("after-abort", []byte("v1")); err != nil {
+	if err := db.Put(ctx, "after-abort", []byte("v1")); err != nil {
 		t.Fatalf("put after aborted batch: %v", err)
 	}
 	abandon(db)
-	verifyRecovered(t, dataDev, logDev, &crashState{
+	verifyRecovered(t, dataDev, logDir, &crashState{
 		live:    map[string]string{"survivor": "v0", "after-abort": "v1"},
 		deleted: map[string]bool{"doomed-000": true, "too-big": true},
 	})
@@ -222,8 +231,8 @@ func TestKVBatchAbortRollsBackTree(t *testing.T) {
 // is one transaction, so after a crash either all its keys are present
 // or none are.
 func TestKVCrashRecoveryBatch(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db := openCrashDB(t, dataDev, logDev)
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openCrashDB(t, dataDev, logDir)
 	st := &crashState{live: map[string]string{}, deleted: map[string]bool{}}
 	for b := 0; b < 20; b++ {
 		keys := make([]string, 10)
@@ -232,12 +241,12 @@ func TestKVCrashRecoveryBatch(t *testing.T) {
 			keys[i] = fmt.Sprintf("batch-%02d-%02d", b, i)
 			vals[i] = []byte(fmt.Sprintf("v-%d-%d", b, i))
 		}
-		if err := db.PutBatch(keys, vals); err == nil {
+		if err := db.PutBatch(ctx, keys, vals); err == nil {
 			for i := range keys {
 				st.live[keys[i]] = string(vals[i])
 			}
 		}
 	}
 	abandon(db)
-	verifyRecovered(t, dataDev, logDev, st)
+	verifyRecovered(t, dataDev, logDir, st)
 }

@@ -68,7 +68,7 @@ func main() {
 		}
 		key := fmt.Sprintf("reading-%03d", i%64)
 		start := time.Now()
-		err := db.Put(key, []byte(fmt.Sprintf("%d", i)))
+		err := db.Put(ctx, key, []byte(fmt.Sprintf("%d", i)))
 		lat.Record(time.Since(start))
 		if err != nil {
 			log.Fatalf("op %d: %v", i, err)
@@ -140,7 +140,7 @@ func (s *memStore) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]
 	return s.Scan(ctx, from, n)
 }
 
-func (s *memStore) Len() uint64 { return uint64(len(s.m)) }
+func (s *memStore) Len(context.Context) (uint64, error) { return uint64(len(s.m)), nil }
 
 func deployStandby(ctx context.Context, db *sbdms.DB, backend *memStore) error {
 	svc := sbdms.NewKVService("kv-standby", backend)

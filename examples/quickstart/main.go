@@ -61,10 +61,10 @@ func main() {
 	fmt.Printf("\nmodern books: %d\n", res.Rows[0][0].Int)
 
 	// The KV access service, reached through the same architecture.
-	if err := db.Put("greeting", []byte("hello from SBDMS")); err != nil {
+	if err := db.Put(ctx, "greeting", []byte("hello from SBDMS")); err != nil {
 		log.Fatal(err)
 	}
-	v, err := db.Get("greeting")
+	v, err := db.Get(ctx, "greeting")
 	if err != nil {
 		log.Fatal(err)
 	}

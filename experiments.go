@@ -3,19 +3,11 @@ package sbdms
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netbind"
-	"repro/internal/storage"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -41,6 +33,7 @@ func (m KVMeasurement) String() string {
 // MeasureKV drives a generated KV workload through the DB's configured
 // service path and reports throughput and latency percentiles.
 func MeasureKV(db *DB, gen *workload.KVGen, nops int) KVMeasurement {
+	ctx := context.Background()
 	m := KVMeasurement{Granularity: db.Granularity(), Binding: "local", Ops: nops}
 	if db.opts.Binding != nil {
 		m.Binding = db.opts.Binding.Protocol()
@@ -53,7 +46,7 @@ func MeasureKV(db *DB, gen *workload.KVGen, nops int) KVMeasurement {
 		var err error
 		switch op.Kind {
 		case workload.OpRead:
-			_, err = db.Get(op.Key)
+			_, err = db.Get(ctx, op.Key)
 			if err != nil && err.Error() != "" {
 				// Reads of never-written keys are expected misses, not
 				// failures, in a fresh store.
@@ -62,9 +55,9 @@ func MeasureKV(db *DB, gen *workload.KVGen, nops int) KVMeasurement {
 				}
 			}
 		case workload.OpWrite:
-			err = db.Put(op.Key, op.Val)
+			err = db.Put(ctx, op.Key, op.Val)
 		case workload.OpScan:
-			_, err = db.ScanKeys(op.Key, op.ScanLen)
+			_, err = db.ScanKeys(ctx, op.Key, op.ScanLen)
 		}
 		lat = append(lat, time.Since(t0))
 		if err != nil {
@@ -113,696 +106,9 @@ func Preload(db *DB, keys, valSize int) error {
 		val[i] = byte('a' + i%26)
 	}
 	for i := 0; i < keys; i++ {
-		if err := db.Put(workload.Key(i), val); err != nil {
+		if err := db.Put(context.Background(), workload.Key(i), val); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// ConcurrencyMeasurement is one cell of the G6 concurrency-scaling
-// experiment: throughput of a read/write KV mix at a given goroutine
-// count, against the latch-crabbed, per-key-locked engine.
-type ConcurrencyMeasurement struct {
-	Goroutines int
-	ReadPct    int // percentage of Gets in the mix
-	Ops        int
-	Elapsed    time.Duration
-	OpsPerSec  float64
-	Conflicts  int // retryable deadlock-victim aborts (retried)
-	Failures   int
-}
-
-// String renders the measurement as a result-table row.
-func (m ConcurrencyMeasurement) String() string {
-	return fmt.Sprintf("goroutines=%-3d read%%=%-3d ops=%-8d thr=%10.0f op/s  conflicts=%-4d fail=%d",
-		m.Goroutines, m.ReadPct, m.Ops, m.OpsPerSec, m.Conflicts, m.Failures)
-}
-
-// ConcurrencyScaling drives nops operations split across g goroutines
-// over a shared key space (readPct percent Gets, the rest Puts) and
-// measures aggregate throughput. Deadlock-victim conflicts are retried
-// once and counted. Preload the key space first so reads hit.
-func ConcurrencyScaling(db *DB, g, keys, nops, readPct int, seed int64) ConcurrencyMeasurement {
-	m := ConcurrencyMeasurement{Goroutines: g, ReadPct: readPct, Ops: nops}
-	per := nops / g
-	if per < 1 {
-		per = 1
-	}
-	m.Ops = per * g
-	var conflicts, failures int64
-	val := []byte("concurrency-scaling-value-0123456789")
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)))
-			for i := 0; i < per; i++ {
-				k := workload.Key(rng.Intn(keys))
-				var err error
-				if rng.Intn(100) < readPct {
-					_, err = db.Get(k)
-					if err != nil && isNotFound(err) {
-						err = nil
-					}
-				} else {
-					err = db.Put(k, val)
-					if IsConflict(err) {
-						atomic.AddInt64(&conflicts, 1)
-						err = db.Put(k, val) // retryable by contract
-					}
-				}
-				if err != nil {
-					atomic.AddInt64(&failures, 1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	m.Elapsed = time.Since(start)
-	m.Conflicts = int(conflicts)
-	m.Failures = int(failures)
-	if m.Elapsed > 0 {
-		m.OpsPerSec = float64(m.Ops) / m.Elapsed.Seconds()
-	}
-	return m
-}
-
-// ScanTaxMeasurement is one cell of the G7 serializable-scan-tax
-// experiment: a mixed scan/write workload at one isolation level.
-// WriteP99 is the fairness probe — a write's latency is dominated by
-// how long its X (and gap) locks wait behind the scan stream's S locks,
-// so a fair FIFO lock manager bounds it while a barging one lets it
-// grow without bound. TornScans counts scans that observed one endpoint
-// of an atomic batch but not the other: expected > 0 at
-// read-committed, structurally 0 at serializable.
-type ScanTaxMeasurement struct {
-	Isolation ScanIsolation
-	// SnapshotScans marks the MVCC row: scanners use ScanKeysSnapshot
-	// (lock-free consistent cuts) instead of the locking scan path, so
-	// writers never wait behind the scan stream at any isolation.
-	SnapshotScans bool
-	// ScanPace is the scanners' duty cycle (0 = back-to-back): each
-	// scanner starts at most one scan per pace. Pacing holds the scan
-	// load constant across rows, so the writer-latency delta isolates
-	// lock interference instead of CPU saturation differences.
-	ScanPace                  time.Duration
-	Scanners                  int
-	Writers                   int
-	Scans                     int
-	Writes                    int
-	TornScans                 int
-	Conflicts                 int // deadlock-victim retries (scans and writes)
-	Failures                  int
-	Elapsed                   time.Duration
-	ScanP50, ScanP99          time.Duration
-	WriteP50, WriteP99        time.Duration
-	ScansPerSec, WritesPerSec float64
-}
-
-// String renders the measurement as a result-table row.
-func (m ScanTaxMeasurement) String() string {
-	label := string(m.Isolation)
-	if m.SnapshotScans {
-		label += "+snap"
-	}
-	return fmt.Sprintf("%-14s scan: %6d ops %8.0f/s p50=%-9v p99=%-9v  write: %6d ops %8.0f/s p50=%-9v p99=%-9v  torn=%-3d conflicts=%-4d fail=%d",
-		label, m.Scans, m.ScansPerSec, m.ScanP50, m.ScanP99,
-		m.Writes, m.WritesPerSec, m.WriteP50, m.WriteP99,
-		m.TornScans, m.Conflicts, m.Failures)
-}
-
-func pctl(lat []time.Duration, p int) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return lat[len(lat)*p/100]
-}
-
-// ScanIsolationTax runs the G7 workload at one isolation level:
-// `scanners` goroutines repeatedly scan a filler range while `writers`
-// goroutines interleave single-key puts into that range with atomic
-// two-endpoint batches across it (the phantom probe). It reports scan
-// and write latency distributions, throughput, and how many scans saw
-// a torn batch.
-func ScanIsolationTax(iso ScanIsolation, scanners, writers, fillers, writesPer int, seed int64) (ScanTaxMeasurement, error) {
-	return scanTax(iso, false, 0, scanners, writers, fillers, writesPer, seed)
-}
-
-// ScanIsolationTaxPaced is ScanIsolationTax with a scanner duty
-// cycle: each scanner starts at most one scan per pace, modelling the
-// motivating workload (a periodic long analytical scan over an OLTP
-// write stream) and keeping the scan load identical across isolation
-// rows so writer latencies compare like for like.
-func ScanIsolationTaxPaced(iso ScanIsolation, pace time.Duration, scanners, writers, fillers, writesPer int, seed int64) (ScanTaxMeasurement, error) {
-	return scanTax(iso, false, pace, scanners, writers, fillers, writesPer, seed)
-}
-
-// ScanSnapshotTax runs the G7 workload with the scanners moved onto
-// the MVCC snapshot path (ScanKeysSnapshot): each scan reads one
-// consistent commit-timestamp cut without touching the lock manager,
-// so it can never tear a batch AND never queues a writer behind scan
-// S locks — the interference the locked rows measure disappears.
-// Writers keep per-key 2PL at the given isolation unchanged.
-func ScanSnapshotTax(iso ScanIsolation, pace time.Duration, scanners, writers, fillers, writesPer int, seed int64) (ScanTaxMeasurement, error) {
-	return scanTax(iso, true, pace, scanners, writers, fillers, writesPer, seed)
-}
-
-func scanTax(iso ScanIsolation, snapshot bool, pace time.Duration, scanners, writers, fillers, writesPer int, seed int64) (ScanTaxMeasurement, error) {
-	m := ScanTaxMeasurement{Isolation: iso, SnapshotScans: snapshot, ScanPace: pace, Scanners: scanners, Writers: writers}
-	db, err := Open(Options{
-		Granularity:   Monolithic,
-		BufferFrames:  2048,
-		ScanIsolation: iso,
-	})
-	if err != nil {
-		return m, err
-	}
-	defer db.Close(context.Background())
-	for i := 0; i < fillers; i++ {
-		if err := db.Put(fmt.Sprintf("g7-m-%06d", i), []byte("filler-value")); err != nil {
-			return m, err
-		}
-	}
-
-	var mu sync.Mutex
-	var scanLat, writeLat []time.Duration
-	var torn, conflicts, failures, scans, writes int64
-	var writersLive atomic.Int64
-	writersLive.Store(int64(writers))
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer writersLive.Add(-1)
-			rng := rand.New(rand.NewSource(seed + int64(w)))
-			val := []byte("g7-write-value-0123456789")
-			for i := 0; i < writesPer; i++ {
-				var err error
-				t0 := time.Now()
-				if i%4 == 0 {
-					// Atomic batch spanning the scanned range: the
-					// endpoints bracket every filler, so a torn view is
-					// detectable by any scan.
-					r := int64(w)*int64(writesPer) + int64(i)
-					keys := []string{fmt.Sprintf("g7-a-%012d", r), fmt.Sprintf("g7-z-%012d", r)}
-					err = db.PutBatch(keys, [][]byte{val, val})
-				} else {
-					err = db.Put(fmt.Sprintf("g7-m-%06d", rng.Intn(fillers)), val)
-				}
-				if IsConflict(err) {
-					atomic.AddInt64(&conflicts, 1)
-					i-- // retry the slot: conflicts are part of the tax, not lost work
-					continue
-				}
-				d := time.Since(t0)
-				if err != nil {
-					atomic.AddInt64(&failures, 1)
-					continue
-				}
-				atomic.AddInt64(&writes, 1)
-				mu.Lock()
-				writeLat = append(writeLat, d)
-				mu.Unlock()
-			}
-		}()
-	}
-	for s := 0; s < scanners; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			paceSleep := func(cycle time.Time) {
-				if pace > 0 {
-					if rest := pace - time.Since(cycle); rest > 0 {
-						time.Sleep(rest)
-					}
-				}
-			}
-			for writersLive.Load() > 0 {
-				t0 := time.Now()
-				var keys []string
-				var err error
-				if snapshot {
-					keys, err = db.ScanKeysSnapshot("g7-", 1_000_000)
-				} else {
-					keys, err = db.ScanKeys("g7-", 1_000_000)
-				}
-				d := time.Since(t0)
-				if IsConflict(err) {
-					atomic.AddInt64(&conflicts, 1)
-					paceSleep(t0)
-					continue
-				}
-				if err != nil {
-					atomic.AddInt64(&failures, 1)
-					paceSleep(t0)
-					continue
-				}
-				atomic.AddInt64(&scans, 1)
-				// A batch is torn when exactly one endpoint is visible.
-				seen := map[string]int{}
-				for _, k := range keys {
-					if strings.HasPrefix(k, "g7-a-") {
-						seen[k[len("g7-a-"):]]++
-					}
-					if strings.HasPrefix(k, "g7-z-") {
-						seen[k[len("g7-z-"):]]++
-					}
-				}
-				for _, n := range seen {
-					if n == 1 {
-						atomic.AddInt64(&torn, 1)
-						break
-					}
-				}
-				mu.Lock()
-				scanLat = append(scanLat, d)
-				mu.Unlock()
-				paceSleep(t0)
-			}
-		}()
-	}
-	wg.Wait()
-	m.Elapsed = time.Since(start)
-	m.Scans = int(scans)
-	m.Writes = int(writes)
-	m.TornScans = int(torn)
-	m.Conflicts = int(conflicts)
-	m.Failures = int(failures)
-	m.ScanP50, m.ScanP99 = pctl(scanLat, 50), pctl(scanLat, 99)
-	m.WriteP50, m.WriteP99 = pctl(writeLat, 50), pctl(writeLat, 99)
-	if m.Elapsed > 0 {
-		m.ScansPerSec = float64(m.Scans) / m.Elapsed.Seconds()
-		m.WritesPerSec = float64(m.Writes) / m.Elapsed.Seconds()
-	}
-	return m, nil
-}
-
-// SoakConfig configures one run of the G9 write-path soak: a long
-// mixed workload at serializable isolation with fuzzy checkpoints,
-// segment truncation and MVCC vacuum running throughout, exercised
-// once per write-path fix gate so BENCH_G9.json records before/after
-// row pairs on the same host.
-type SoakConfig struct {
-	// Keys sizes the preloaded uniform key space (the g9-m- fillers the
-	// mixed phase updates and scans).
-	Keys int
-	// Writers is the number of concurrent writer goroutines per phase.
-	Writers int
-	// AppendOps and MixedOps are the total committed writes of the
-	// append-heavy and uniform-mixed phases.
-	AppendOps, MixedOps int
-	// ValSize is the value payload size.
-	ValSize int
-	// CheckpointEvery paces the explicit fuzzy-checkpoint ticker that
-	// runs during both phases (0 = 50ms).
-	CheckpointEvery time.Duration
-	// VacuumEvery paces the background MVCC vacuum (0 = 100ms).
-	VacuumEvery time.Duration
-	Seed        int64
-
-	// The three write-path fix gates. True/false/false is the fast
-	// configuration; each fallback row of BENCH_G9.json flips one.
-	OptimisticDescent     bool
-	AppendDowngrade       bool
-	InlineCheckpointFlush bool
-}
-
-func (c *SoakConfig) defaults() {
-	if c.Keys <= 0 {
-		c.Keys = 5000
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	if c.AppendOps <= 0 {
-		c.AppendOps = 8000
-	}
-	if c.MixedOps <= 0 {
-		c.MixedOps = 8000
-	}
-	if c.ValSize <= 0 {
-		c.ValSize = 64
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 50 * time.Millisecond
-	}
-	if c.VacuumEvery <= 0 {
-		c.VacuumEvery = 100 * time.Millisecond
-	}
-}
-
-// SoakMeasurement is one (config, phase) row of the G9 soak.
-type SoakMeasurement struct {
-	// Phase is "append-heavy" (fresh keys inserted past the right edge
-	// of the index, all writers contending the end-of-index gap) or
-	// "uniform-mixed" (Zipfian updates, scattered fresh inserts and
-	// point reads over the preloaded key space).
-	Phase string
-	// Label names the fix gate this row belongs to in a before/after
-	// pair, e.g. "append-downgrade=on".
-	Label string
-	// Gate settings of the run, recorded per row for honesty.
-	OptimisticDescent, AppendDowngrade bool
-	InlineCheckpointFlush              bool
-
-	Writers             int
-	Ops                 int // committed writes
-	Elapsed             time.Duration
-	OpsPerSec           float64
-	P50, P99            time.Duration // writer-observed write latency
-	Conflicts           int           // retryable deadlock-victim aborts (retried)
-	Failures            int
-	Scans               int // verifier scans completed
-	TornScans           int // scans seeing one endpoint of an atomic pair: must be 0
-	Anomalies           int // other isolation anomalies (duplicate keys in one scan): must be 0
-	Checkpoints         int
-	CkptP50, CkptP99    time.Duration // DB.Checkpoint caller stall
-	DescentFallbacks    uint64        // optimistic descents that fell back to X-crab
-	VacuumKeysReclaimed uint64
-}
-
-// String renders the measurement as a result-table row.
-func (m SoakMeasurement) String() string {
-	return fmt.Sprintf("%-13s %-25s writers=%-2d ops=%-7d thr=%9.0f op/s p50=%-9v p99=%-9v ckpt(n=%d p99=%v) torn=%d anom=%d conflicts=%d fail=%d fallbacks=%d",
-		m.Phase, m.Label, m.Writers, m.Ops, m.OpsPerSec, m.P50, m.P99,
-		m.Checkpoints, m.CkptP99, m.TornScans, m.Anomalies, m.Conflicts, m.Failures, m.DescentFallbacks)
-}
-
-// Soak runs the G9 write-path soak once at the given fix gates and
-// returns one measurement per phase. The whole run happens on one DB
-// instance: preload, then an append-heavy phase (every writer inserts
-// globally increasing fresh keys, so at serializable isolation all of
-// them take the end-of-index next-key gap lock), then a uniform-mixed
-// phase (Zipfian updates of preloaded keys, uniformly scattered fresh
-// inserts — the optimistic-descent showcase — and point reads). A
-// checkpoint ticker and the background vacuum run throughout, so WAL
-// truncation, opportunistic write-back and version reclamation all
-// happen under load; a verifier goroutine continuously scans an
-// atomic-pair probe range and counts torn pairs and duplicate-key
-// anomalies, both of which must be zero at serializable isolation.
-func Soak(cfg SoakConfig) ([]SoakMeasurement, error) {
-	cfg.defaults()
-	// File-backed data and WAL: the costs the three fixes remove —
-	// holding a gap lock across a commit fsync, stalling the checkpoint
-	// caller on a dirty-page flush — only exist when syncs are real.
-	dir, err := os.MkdirTemp("", "sbdms-g9-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	dev, err := storage.OpenFileDevice(filepath.Join(dir, "data.db"))
-	if err != nil {
-		return nil, err
-	}
-	segs, err := wal.NewFileSegmentDir(filepath.Join(dir, "wal"))
-	if err != nil {
-		return nil, err
-	}
-	db, err := Open(Options{
-		Device:                   dev,
-		LogDir:                   segs,
-		Granularity:              Monolithic,
-		BufferFrames:             4096,
-		ScanIsolation:            Serializable,
-		WALSegmentBytes:          1 << 20,
-		VacuumInterval:           cfg.VacuumEvery,
-		DisableOptimisticDescent: !cfg.OptimisticDescent,
-		DisableAppendDowngrade:   !cfg.AppendDowngrade,
-		InlineCheckpointFlush:    cfg.InlineCheckpointFlush,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close(context.Background())
-	val := make([]byte, cfg.ValSize)
-	for i := range val {
-		val[i] = byte('a' + i%26)
-	}
-	for i := 0; i < cfg.Keys; i++ {
-		if err := db.Put(fmt.Sprintf("g9-m-%08d", i), val); err != nil {
-			return nil, err
-		}
-	}
-
-	row := func(phase, label string) SoakMeasurement {
-		return SoakMeasurement{
-			Phase:                 phase,
-			Label:                 label,
-			OptimisticDescent:     cfg.OptimisticDescent,
-			AppendDowngrade:       cfg.AppendDowngrade,
-			InlineCheckpointFlush: cfg.InlineCheckpointFlush,
-			Writers:               cfg.Writers,
-		}
-	}
-
-	var appendCtr atomic.Int64 // globally increasing append suffix
-	appendPhase := func(m *SoakMeasurement) error {
-		return soakPhase(db, cfg, m, func(_ *rand.Rand, i int) error {
-			// Fresh key past everything: "z" sorts after every other g9
-			// prefix, so the insert's next-key gap is the end-of-index
-			// sentinel — the lock the downgrade is about.
-			return db.Put(fmt.Sprintf("g9-z-%016d", appendCtr.Add(1)), val)
-		})
-	}
-	mixedPhase := func(m *SoakMeasurement) error {
-		return soakPhase(db, cfg, m, func(rng *rand.Rand, i int) error {
-			switch r := rng.Intn(10); {
-			case r < 4: // Zipfian-ish update of a hot preloaded key
-				hot := rng.Intn(cfg.Keys/8 + 1)
-				return db.Put(fmt.Sprintf("g9-m-%08d", hot), val)
-			case r < 7: // uniformly scattered fresh insert (descent showcase)
-				return db.Put(fmt.Sprintf("g9-f-%08x", rng.Uint32()), val)
-			case r < 9: // point read
-				_, err := db.Get(fmt.Sprintf("g9-m-%08d", rng.Intn(cfg.Keys)))
-				if err != nil && isNotFound(err) {
-					return nil
-				}
-				return err
-			default: // delete + reinsert churn feeding the vacuum
-				k := fmt.Sprintf("g9-m-%08d", rng.Intn(cfg.Keys))
-				if err := db.DeleteKey(k); err != nil && !isNotFound(err) {
-					return err
-				}
-				return db.Put(k, val)
-			}
-		})
-	}
-
-	out := make([]SoakMeasurement, 0, 2)
-	for _, ph := range []struct {
-		name  string
-		label string
-		ops   int
-		run   func(*SoakMeasurement) error
-	}{
-		{"append-heavy", "append-downgrade=" + onOff(cfg.AppendDowngrade), cfg.AppendOps, appendPhase},
-		{"uniform-mixed", "optimistic-descent=" + onOff(cfg.OptimisticDescent) + " checkpoint-flush=" + flushMode(cfg.InlineCheckpointFlush), cfg.MixedOps, mixedPhase},
-	} {
-		m := row(ph.name, ph.label)
-		m.Ops = ph.ops
-		fb0 := db.kv.idx.DescentFallbacks()
-		if err := ph.run(&m); err != nil {
-			return nil, err
-		}
-		m.DescentFallbacks = db.kv.idx.DescentFallbacks() - fb0
-		out = append(out, m)
-	}
-	stats, _, err := db.VacuumStatus()
-	if err == nil {
-		for i := range out {
-			out[i].VacuumKeysReclaimed = uint64(stats.KeysRemoved)
-		}
-	}
-	return out, nil
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-func flushMode(inline bool) string {
-	if inline {
-		return "inline"
-	}
-	return "background"
-}
-
-// soakPhase drives one measured soak phase: cfg.Writers goroutines
-// split m.Ops writes of op between them while a checkpoint ticker, the
-// pair prober and the torn-scan verifier run alongside. Writer latency
-// percentiles, checkpoint-caller stalls and anomaly counters land in m.
-func soakPhase(db *DB, cfg SoakConfig, m *SoakMeasurement, op func(rng *rand.Rand, i int) error) error {
-	per := m.Ops / cfg.Writers
-	if per < 1 {
-		per = 1
-	}
-	m.Ops = per * cfg.Writers
-	var mu sync.Mutex
-	var wlat, clat []time.Duration
-	var conflicts, failures, scans, torn, anomalies, ckpts int64
-	var opErr error
-	stop := make(chan struct{})
-
-	var bg sync.WaitGroup
-	// Checkpoint ticker: fuzzy checkpoints (and the truncation they
-	// license) keep running under full write load; the recorded stall is
-	// the caller-visible cost the background flusher is meant to remove.
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		t := time.NewTicker(cfg.CheckpointEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				t0 := time.Now()
-				if _, err := db.Checkpoint(); err != nil {
-					continue // busy device: next tick retries
-				}
-				d := time.Since(t0)
-				atomic.AddInt64(&ckpts, 1)
-				mu.Lock()
-				clat = append(clat, d)
-				mu.Unlock()
-			}
-		}
-	}()
-	// Pair prober: atomic two-key batches into a dedicated probe range.
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		val := []byte("g9-pair")
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			keys := []string{fmt.Sprintf("g9-pa-%09d", i), fmt.Sprintf("g9-pb-%09d", i)}
-			err := db.PutBatch(keys, [][]byte{val, val})
-			if IsConflict(err) {
-				continue
-			}
-			if err != nil {
-				atomic.AddInt64(&failures, 1)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	// Verifier: serializable scans over the probe range; a pair with
-	// exactly one visible endpoint is a torn batch, a duplicate key in
-	// one scan is an anomaly. Both must stay zero.
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			keys, err := db.ScanKeys("g9-pa-", 1_000_000)
-			if IsConflict(err) {
-				continue
-			}
-			if err != nil {
-				atomic.AddInt64(&failures, 1)
-				return
-			}
-			atomic.AddInt64(&scans, 1)
-			seen := map[string]int{}
-			dup := false
-			prev := ""
-			for _, k := range keys {
-				if k == prev {
-					dup = true
-				}
-				prev = k
-				if strings.HasPrefix(k, "g9-pa-") {
-					seen[k[len("g9-pa-"):]]++
-				}
-				if strings.HasPrefix(k, "g9-pb-") {
-					seen[k[len("g9-pb-"):]]++
-				}
-			}
-			for _, n := range seen {
-				if n == 1 {
-					atomic.AddInt64(&torn, 1)
-					break
-				}
-			}
-			if dup {
-				atomic.AddInt64(&anomalies, 1)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-			for i := 0; i < per; i++ {
-				t0 := time.Now()
-				err := op(rng, w*per+i)
-				if IsConflict(err) {
-					atomic.AddInt64(&conflicts, 1)
-					i-- // retry the slot: conflicts are tax, not lost work
-					continue
-				}
-				d := time.Since(t0)
-				if err != nil {
-					atomic.AddInt64(&failures, 1)
-					mu.Lock()
-					if opErr == nil {
-						opErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				wlat = append(wlat, d)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	m.Elapsed = time.Since(start)
-	close(stop)
-	bg.Wait()
-
-	if opErr != nil {
-		return opErr
-	}
-	m.Conflicts = int(conflicts)
-	m.Failures = int(failures)
-	m.Scans = int(scans)
-	m.TornScans = int(torn)
-	m.Anomalies = int(anomalies)
-	m.Checkpoints = int(ckpts)
-	m.P50, m.P99 = pctl(wlat, 50), pctl(wlat, 99)
-	m.CkptP50, m.CkptP99 = pctl(clat, 50), pctl(clat, 99)
-	if m.Elapsed > 0 {
-		m.OpsPerSec = float64(m.Ops) / m.Elapsed.Seconds()
 	}
 	return nil
 }
@@ -868,17 +174,11 @@ type SweepStorage struct {
 	CheckpointInterval time.Duration
 }
 
-// GranularitySweep runs experiment G1: every granularity profile under
-// the local binding and under a per-hop delay calibrated from the real
-// TCP round-trip. Returns one measurement per cell.
-func GranularitySweep(mix workload.Mix, keys, nops int, seed int64) ([]KVMeasurement, error) {
-	return GranularitySweepStorage(mix, keys, nops, seed, SweepStorage{})
-}
-
-// GranularitySweepStorage is GranularitySweep with explicit storage
-// knobs, crossing the paper's granularity axis with the storage
-// concurrency axis (ROADMAP: "thread BufferShards/WAL knobs into the
-// G1 sweeps").
+// GranularitySweepStorage runs experiment G1: every granularity profile
+// under the local binding and under a per-hop delay calibrated from the
+// real TCP round-trip, one measurement per cell. The storage knobs cross
+// the paper's granularity axis with the storage concurrency axis; the
+// zero SweepStorage is the classic unlogged sweep.
 func GranularitySweepStorage(mix workload.Mix, keys, nops int, seed int64, st SweepStorage) ([]KVMeasurement, error) {
 	rtt, err := MeasureTCPRoundTrip(200)
 	if err != nil {
@@ -925,170 +225,4 @@ func GranularitySweepStorage(mix workload.Mix, keys, nops int, seed int64, st Sw
 		}
 	}
 	return out, nil
-}
-
-// BulkLoadConfig configures the G10 bulk-ingest study: time-to-load a
-// large sorted-on-arrival-or-not key set through the Import fast path,
-// compared against a chunked PutBatch loop and a per-key Put loop on
-// identical fresh file-backed engines.
-type BulkLoadConfig struct {
-	// Keys is the total load size for the import and putBatch rows.
-	Keys int
-	// PutLoopKeys caps the per-key Put row (default min(Keys, 20000)):
-	// one transaction and one commit force per key makes the full size
-	// pointless to wait out — the per-key rate is what the row reports.
-	PutLoopKeys int
-	// BatchSize is the PutBatch chunk (default 10000 keys per call).
-	BatchSize int
-	// ValSize is the value payload size (default 64).
-	ValSize int
-	// CheckpointInterval paces background fuzzy checkpoints so the
-	// on-disk WAL stays bounded during the load (default 200ms; WAL
-	// byte counts come from LSN deltas and are unaffected by
-	// truncation).
-	CheckpointInterval time.Duration
-	Seed               int64
-}
-
-func (c *BulkLoadConfig) defaults() {
-	if c.Keys <= 0 {
-		c.Keys = 200000
-	}
-	if c.PutLoopKeys <= 0 {
-		c.PutLoopKeys = 20000
-	}
-	if c.PutLoopKeys > c.Keys {
-		c.PutLoopKeys = c.Keys
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 10000
-	}
-	if c.ValSize <= 0 {
-		c.ValSize = 64
-	}
-	if c.CheckpointInterval <= 0 {
-		c.CheckpointInterval = 200 * time.Millisecond
-	}
-}
-
-// BulkLoadMeasurement is one loader row of the G10 study.
-type BulkLoadMeasurement struct {
-	Method         string // import | putBatch-loop | put-loop
-	Keys           int
-	Elapsed        time.Duration
-	KeysPerSec     float64
-	WALBytes       uint64  // log bytes appended during the load (LSN delta)
-	WALBytesPerKey float64 // the full-page-write economics headline
-	Fallbacks      uint64  // import rows: must be 0 (fast path taken)
-}
-
-// String renders the measurement as a result-table row.
-func (m BulkLoadMeasurement) String() string {
-	return fmt.Sprintf("%-14s keys=%-8d elapsed=%-12v thr=%10.0f keys/s  wal=%8.1f MiB (%6.1f B/key)  fallbacks=%d",
-		m.Method, m.Keys, m.Elapsed.Round(time.Millisecond), m.KeysPerSec,
-		float64(m.WALBytes)/(1<<20), m.WALBytesPerKey, m.Fallbacks)
-}
-
-// bulkLoadData builds n random-order keys (Import sorts internally, so
-// arrival order must not matter) with fixed-size values.
-func bulkLoadData(n, valSize int, seed int64) ([]string, [][]byte) {
-	keys := make([]string, n)
-	vals := make([][]byte, n)
-	val := make([]byte, valSize)
-	for i := range val {
-		val[i] = byte('a' + i%26)
-	}
-	for i := 0; i < n; i++ {
-		keys[i] = fmt.Sprintf("g10-%09d", i)
-		vals[i] = val
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	return keys, vals
-}
-
-// BulkLoad runs one loader method on a fresh file-backed engine and
-// returns its row. Every run verifies the loaded store (count plus
-// sampled point reads) before the clock result counts.
-func BulkLoad(cfg BulkLoadConfig, method string) (BulkLoadMeasurement, error) {
-	cfg.defaults()
-	m := BulkLoadMeasurement{Method: method, Keys: cfg.Keys}
-	dir, err := os.MkdirTemp("", "sbdms-g10-")
-	if err != nil {
-		return m, err
-	}
-	defer os.RemoveAll(dir)
-	dev, err := storage.OpenFileDevice(filepath.Join(dir, "data.db"))
-	if err != nil {
-		return m, err
-	}
-	segs, err := wal.NewFileSegmentDir(filepath.Join(dir, "wal"))
-	if err != nil {
-		return m, err
-	}
-	db, err := Open(Options{
-		Device:             dev,
-		LogDir:             segs,
-		Granularity:        Monolithic,
-		BufferFrames:       4096,
-		WALSegmentBytes:    4 << 20,
-		CheckpointInterval: cfg.CheckpointInterval,
-	})
-	if err != nil {
-		return m, err
-	}
-	defer db.Close(context.Background())
-
-	n := cfg.Keys
-	if method == "put-loop" {
-		n = cfg.PutLoopKeys
-		m.Keys = n
-	}
-	keys, vals := bulkLoadData(n, cfg.ValSize, cfg.Seed)
-
-	lsn0 := db.Log().NextLSN()
-	start := time.Now()
-	switch method {
-	case "import":
-		err = db.Import(keys, vals)
-	case "putBatch-loop":
-		for i := 0; i < n && err == nil; i += cfg.BatchSize {
-			end := i + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			err = db.PutBatch(keys[i:end], vals[i:end])
-		}
-	case "put-loop":
-		for i := 0; i < n && err == nil; i++ {
-			err = db.Put(keys[i], vals[i])
-		}
-	default:
-		err = fmt.Errorf("sbdms: unknown bulk-load method %q", method)
-	}
-	if err != nil {
-		return m, err
-	}
-	m.Elapsed = time.Since(start)
-	m.WALBytes = uint64(db.Log().NextLSN() - lsn0)
-	m.Fallbacks = db.ImportFallbacks()
-	if m.Elapsed > 0 {
-		m.KeysPerSec = float64(n) / m.Elapsed.Seconds()
-	}
-	m.WALBytesPerKey = float64(m.WALBytes) / float64(n)
-
-	// The clock only counts if the store actually holds the load.
-	if got := db.KVLen(); got != uint64(n) {
-		return m, fmt.Errorf("sbdms: %s loaded %d keys, want %d", method, got, n)
-	}
-	for i := 0; i < n; i += 1 + n/97 {
-		v, err := db.Get(keys[i])
-		if err != nil {
-			return m, fmt.Errorf("sbdms: %s lost key %q: %w", method, keys[i], err)
-		}
-		if len(v) != cfg.ValSize {
-			return m, fmt.Errorf("sbdms: %s key %q has %d-byte value, want %d", method, keys[i], len(v), cfg.ValSize)
-		}
-	}
-	return m, nil
 }

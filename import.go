@@ -69,8 +69,8 @@ func (kv *kvCore) importCheck(k string, v []byte) error {
 }
 
 // ImportFallbacks returns how many imports could not use the fast path
-// (non-empty tree, disabled fast path, unlogged mode, or a lost install
-// race) and went through the per-key insert path instead.
+// (non-empty tree, unlogged mode, or a lost install race) and went
+// through the per-key insert path instead.
 func (kv *kvCore) ImportFallbacks() uint64 { return kv.importFallbacks.Load() }
 
 // Import bulk-loads a batch of keys: validated and sorted up front
@@ -91,7 +91,7 @@ func (kv *kvCore) Import(ctx context.Context, keys []string, vals [][]byte) erro
 	if len(b.Keys) == 0 {
 		return nil
 	}
-	if kv.txns == nil || kv.importFastOff || kv.idx.Len() > 0 {
+	if kv.txns == nil || kv.idx.Len() > 0 {
 		return kv.importFallback(ctx, b)
 	}
 	installed, err := kv.importFast(ctx, b)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // importTestBatch builds n keys in shuffled (unsorted) order with
@@ -38,11 +39,11 @@ func importTestBatch(n int, seed int64) ([]string, [][]byte) {
 // the count matches.
 func verifyImported(t *testing.T, db *DB, keys []string, vals [][]byte) {
 	t.Helper()
-	if got, want := db.KVLen(), uint64(len(keys)); got != want {
+	if got, want := kvLen(t, db), uint64(len(keys)); got != want {
 		t.Fatalf("KVLen = %d, want %d", got, want)
 	}
 	for i, k := range keys {
-		got, err := db.Get(k)
+		got, err := db.Get(ctx, k)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", k, err)
 		}
@@ -62,7 +63,7 @@ func TestImportFastPath(t *testing.T) {
 	}
 	defer db.Close(context.Background())
 	keys, vals := importTestBatch(5000, 1)
-	if err := db.Import(keys, vals); err != nil {
+	if err := db.Import(ctx, keys, vals); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	if got := db.ImportFallbacks(); got != 0 {
@@ -71,7 +72,7 @@ func TestImportFastPath(t *testing.T) {
 	verifyImported(t, db, keys, vals)
 	// The leaf chain must serve scans in sorted order across page
 	// boundaries.
-	ks, err := db.ScanKeys("", len(keys)+10)
+	ks, err := db.ScanKeys(ctx, "", len(keys)+10)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -85,17 +86,17 @@ func TestImportFastPath(t *testing.T) {
 	}
 	// Snapshot reads resolve the imported versions (single commit TS,
 	// completed at import end).
-	if v, err := db.GetSnapshot("imp-000000"); err != nil || string(v) != "val-of-000000" {
+	if v, err := db.GetSnapshot(ctx, "imp-000000"); err != nil || string(v) != "val-of-000000" {
 		t.Fatalf("GetSnapshot = %q, %v", v, err)
 	}
 	// The store stays fully writable after the root swap.
-	if err := db.Put("imp-extra", []byte("x")); err != nil {
+	if err := db.Put(ctx, "imp-extra", []byte("x")); err != nil {
 		t.Fatalf("put after import: %v", err)
 	}
-	if err := db.DeleteKey("imp-000001"); err != nil {
+	if err := db.DeleteKey(ctx, "imp-000001"); err != nil {
 		t.Fatalf("delete after import: %v", err)
 	}
-	if got, want := db.KVLen(), uint64(len(keys)); got != want {
+	if got, want := kvLen(t, db), uint64(len(keys)); got != want {
 		t.Fatalf("KVLen after put+delete = %d, want %d", got, want)
 	}
 }
@@ -111,18 +112,22 @@ func TestImportSurvivesReopen(t *testing.T) {
 		}
 		return d
 	}
-	db, err := Open(Options{Device: openDev("data"), LogDevice: openDev("log"), Granularity: Monolithic, BufferFrames: 32})
+	logDir, err := wal.NewFileSegmentDir(dir + "/wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{Device: openDev("data"), LogDir: logDir, Granularity: Monolithic, BufferFrames: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys, vals := importTestBatch(3000, 2)
-	if err := db.Import(keys, vals); err != nil {
+	if err := db.Import(ctx, keys, vals); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	if err := db.Close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	db, err = Open(Options{Device: openDev("data"), LogDevice: openDev("log"), Granularity: Monolithic, BufferFrames: 32})
+	db, err = Open(Options{Device: openDev("data"), LogDir: logDir, Granularity: Monolithic, BufferFrames: 32})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -140,40 +145,40 @@ func TestImportErrorMatrix(t *testing.T) {
 	}
 	defer db.Close(context.Background())
 
-	if err := db.Import([]string{"a", "b"}, [][]byte{[]byte("1")}); !errors.Is(err, ErrBatchMismatch) && err == nil {
+	if err := db.Import(ctx, []string{"a", "b"}, [][]byte{[]byte("1")}); !errors.Is(err, ErrBatchMismatch) && err == nil {
 		t.Fatalf("mismatched batch: %v", err)
 	}
-	if err := db.Import(nil, nil); err != nil {
+	if err := db.Import(ctx, nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := db.Import([]string{"b", "a", "b"}, [][]byte{{1}, {2}, {3}}); !errors.Is(err, ErrImportDuplicate) {
+	if err := db.Import(ctx, []string{"b", "a", "b"}, [][]byte{{1}, {2}, {3}}); !errors.Is(err, ErrImportDuplicate) {
 		t.Fatalf("duplicate key: %v, want ErrImportDuplicate", err)
 	}
 	bigKey := string(make([]byte, 4*storage.PageSize))
-	if err := db.Import([]string{bigKey}, [][]byte{{1}}); !errors.Is(err, ErrImportKeyTooLarge) {
+	if err := db.Import(ctx, []string{bigKey}, [][]byte{{1}}); !errors.Is(err, ErrImportKeyTooLarge) {
 		t.Fatalf("oversized key: %v, want ErrImportKeyTooLarge", err)
 	}
-	if err := db.Import([]string{"k"}, [][]byte{make([]byte, 2*storage.PageSize)}); !errors.Is(err, ErrImportValueTooLarge) {
+	if err := db.Import(ctx, []string{"k"}, [][]byte{make([]byte, 2*storage.PageSize)}); !errors.Is(err, ErrImportValueTooLarge) {
 		t.Fatalf("oversized value: %v, want ErrImportValueTooLarge", err)
 	}
 	// Every rejection happened before any page write: store still empty,
 	// and a subsequent import still takes the fast path.
-	if got := db.KVLen(); got != 0 {
+	if got := kvLen(t, db); got != 0 {
 		t.Fatalf("KVLen after rejected imports = %d, want 0", got)
 	}
-	if err := db.Import([]string{"z", "y", "x"}, [][]byte{{1}, {2}, {3}}); err != nil {
+	if err := db.Import(ctx, []string{"z", "y", "x"}, [][]byte{{1}, {2}, {3}}); err != nil {
 		t.Fatalf("unsorted import: %v", err)
 	}
 	if got := db.ImportFallbacks(); got != 0 {
 		t.Fatalf("ImportFallbacks = %d, want 0", got)
 	}
-	if ks, err := db.ScanKeys("", 10); err != nil || len(ks) != 3 || ks[0] != "x" || ks[2] != "z" {
+	if ks, err := db.ScanKeys(ctx, "", 10); err != nil || len(ks) != 3 || ks[0] != "x" || ks[2] != "z" {
 		t.Fatalf("scan after unsorted import = %v, %v", ks, err)
 	}
 }
 
-// TestImportFallbacks: a non-empty store, a disabled fast path, and a
-// disabled WAL must all route through the per-key path — counted, and
+// TestImportFallbacks: a non-empty store and a disabled WAL must both
+// route through the per-key path — counted, and
 // still correct (including overwrites of existing keys).
 func TestImportFallbacks(t *testing.T) {
 	t.Run("nonEmptyTree", func(t *testing.T) {
@@ -182,32 +187,17 @@ func TestImportFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close(context.Background())
-		if err := db.Put("imp-000001", []byte("old")); err != nil {
+		if err := db.Put(ctx, "imp-000001", []byte("old")); err != nil {
 			t.Fatal(err)
 		}
 		keys, vals := importTestBatch(50, 3)
-		if err := db.Import(keys, vals); err != nil {
+		if err := db.Import(ctx, keys, vals); err != nil {
 			t.Fatalf("import: %v", err)
 		}
 		if got := db.ImportFallbacks(); got != 1 {
 			t.Fatalf("ImportFallbacks = %d, want 1", got)
 		}
 		// The import overwrote the pre-existing key.
-		verifyImported(t, db, keys, vals)
-	})
-	t.Run("disabledFastPath", func(t *testing.T) {
-		db, err := Open(Options{Granularity: Monolithic, BufferFrames: 32, DisableImportFastPath: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close(context.Background())
-		keys, vals := importTestBatch(50, 4)
-		if err := db.Import(keys, vals); err != nil {
-			t.Fatalf("import: %v", err)
-		}
-		if got := db.ImportFallbacks(); got != 1 {
-			t.Fatalf("ImportFallbacks = %d, want 1", got)
-		}
 		verifyImported(t, db, keys, vals)
 	})
 	t.Run("unlogged", func(t *testing.T) {
@@ -217,7 +207,7 @@ func TestImportFallbacks(t *testing.T) {
 		}
 		defer db.Close(context.Background())
 		keys, vals := importTestBatch(50, 5)
-		if err := db.Import(keys, vals); err != nil {
+		if err := db.Import(ctx, keys, vals); err != nil {
 			t.Fatalf("import: %v", err)
 		}
 		if got := db.ImportFallbacks(); got != 1 {
@@ -236,20 +226,20 @@ func TestImportCancelLeavesNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close(context.Background())
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel() // chunk pacing observes this after the first page
 	keys, vals := importTestBatch(2000, 6)
-	if err := db.ImportContext(ctx, keys, vals); !errors.Is(err, context.Canceled) {
+	if err := db.Import(cancelled, keys, vals); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled import: %v, want context.Canceled", err)
 	}
-	if got := db.KVLen(); got != 0 {
+	if got := kvLen(t, db); got != 0 {
 		t.Fatalf("KVLen after cancelled import = %d, want 0", got)
 	}
-	if _, err := db.Get(keys[0]); err == nil || !isNotFound(err) {
+	if _, err := db.Get(ctx, keys[0]); err == nil || !isNotFound(err) {
 		t.Fatalf("Get after cancelled import: %v, want not-found", err)
 	}
 	// Engine unharmed: the retry loads through the fast path.
-	if err := db.Import(keys, vals); err != nil {
+	if err := db.Import(ctx, keys, vals); err != nil {
 		t.Fatalf("import after cancel: %v", err)
 	}
 	if got := db.ImportFallbacks(); got != 0 {
@@ -269,7 +259,7 @@ func TestImportGranularities(t *testing.T) {
 			}
 			defer db.Close(context.Background())
 			keys, vals := importTestBatch(500, 7)
-			if err := db.Import(keys, vals); err != nil {
+			if err := db.Import(ctx, keys, vals); err != nil {
 				t.Fatalf("import via %s: %v", g, err)
 			}
 			verifyImported(t, db, keys, vals)
@@ -282,11 +272,11 @@ func TestImportGranularities(t *testing.T) {
 		}
 		defer db.Close(context.Background())
 		keys, vals := importTestBatch(500, 8)
-		if err := db.Import(keys, vals); err != nil {
+		if err := db.Import(ctx, keys, vals); err != nil {
 			t.Fatalf("import: %v", err)
 		}
 		verifyImported(t, db, keys, vals)
-		if ks, err := db.ScanKeys("", 600); err != nil || len(ks) != 500 {
+		if ks, err := db.ScanKeys(ctx, "", 600); err != nil || len(ks) != 500 {
 			t.Fatalf("serializable scan after import: %d keys, %v", len(ks), err)
 		}
 	})
@@ -303,11 +293,11 @@ func TestImportThenVacuum(t *testing.T) {
 	}
 	defer db.Close(context.Background())
 	keys, vals := importTestBatch(1000, 9)
-	if err := db.Import(keys, vals); err != nil {
+	if err := db.Import(ctx, keys, vals); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	for i := 0; i < 1000; i += 2 {
-		if err := db.DeleteKey(fmt.Sprintf("imp-%06d", i)); err != nil {
+		if err := db.DeleteKey(ctx, fmt.Sprintf("imp-%06d", i)); err != nil {
 			t.Fatalf("delete: %v", err)
 		}
 	}
@@ -318,12 +308,12 @@ func TestImportThenVacuum(t *testing.T) {
 	if st.KeysRemoved == 0 {
 		t.Fatalf("vacuum reclaimed nothing over imported range: %+v", st)
 	}
-	if got := db.KVLen(); got != 500 {
+	if got := kvLen(t, db); got != 500 {
 		t.Fatalf("KVLen after vacuum = %d, want 500", got)
 	}
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("imp-%06d", i)
-		_, err := db.Get(k)
+		_, err := db.Get(ctx, k)
 		if i%2 == 0 {
 			if err == nil || !isNotFound(err) {
 				t.Fatalf("deleted %q after vacuum: %v", k, err)
@@ -347,10 +337,10 @@ func TestImportConcurrentWriters(t *testing.T) {
 	const nImp, nPut = 2000, 200
 	keys, vals := importTestBatch(nImp, 11)
 	done := make(chan error, 2)
-	go func() { done <- db.Import(keys, vals) }()
+	go func() { done <- db.Import(ctx, keys, vals) }()
 	go func() {
 		for i := 0; i < nPut; i++ {
-			if err := db.Put(fmt.Sprintf("put-%04d", i), []byte("w")); err != nil {
+			if err := db.Put(ctx, fmt.Sprintf("put-%04d", i), []byte("w")); err != nil {
 				done <- err
 				return
 			}
@@ -367,7 +357,7 @@ func TestImportConcurrentWriters(t *testing.T) {
 				return
 			default:
 			}
-			ks, err := db.ScanKeysSnapshot("imp-", nImp+1)
+			ks, err := db.ScanKeysSnapshot(ctx, "imp-", nImp+1)
 			if err != nil {
 				continue
 			}
@@ -392,16 +382,16 @@ func TestImportConcurrentWriters(t *testing.T) {
 	if n, ok := <-partial; ok {
 		t.Fatalf("snapshot scan observed PARTIAL import: %d of %d keys", n, nImp)
 	}
-	if got, want := db.KVLen(), uint64(nImp+nPut); got != want {
+	if got, want := kvLen(t, db), uint64(nImp+nPut); got != want {
 		t.Fatalf("KVLen = %d, want %d", got, want)
 	}
 	for i, k := range keys {
-		if got, err := db.Get(k); err != nil || string(got) != string(vals[i]) {
+		if got, err := db.Get(ctx, k); err != nil || string(got) != string(vals[i]) {
 			t.Fatalf("Get(%q) = %q, %v", k, got, err)
 		}
 	}
 	for i := 0; i < nPut; i++ {
-		if _, err := db.Get(fmt.Sprintf("put-%04d", i)); err != nil {
+		if _, err := db.Get(ctx, fmt.Sprintf("put-%04d", i)); err != nil {
 			t.Fatalf("concurrent put key lost: %v", err)
 		}
 	}
@@ -413,30 +403,30 @@ const importCrashN = 2000
 
 // verifyImportAllOrNothing reopens from the surviving devices and
 // asserts the import's crash contract: every key present, or none.
-func verifyImportAllOrNothing(t *testing.T, dataDev, logDev storage.Device, keys []string, vals [][]byte) {
+func verifyImportAllOrNothing(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir, keys []string, vals [][]byte) {
 	t.Helper()
-	db, err := Open(Options{Device: dataDev, LogDevice: logDev, Granularity: Monolithic, BufferFrames: 64})
+	db, err := Open(Options{Device: dataDev, LogDir: logDir, Granularity: Monolithic, BufferFrames: 64, WALSegmentBytes: crashSegmentBytes})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer db.Close(context.Background())
-	switch got := db.KVLen(); got {
+	switch got := kvLen(t, db); got {
 	case 0:
 		for _, i := range []int{0, len(keys) / 2, len(keys) - 1} {
-			if _, err := db.Get(keys[i]); err == nil || !isNotFound(err) {
+			if _, err := db.Get(ctx, keys[i]); err == nil || !isNotFound(err) {
 				t.Fatalf("rolled-back import: Get(%q) = %v, want not-found", keys[i], err)
 			}
 		}
 		// The rolled-back store must accept a fresh import.
-		if err := db.Import(keys[:10], vals[:10]); err != nil {
+		if err := db.Import(ctx, keys[:10], vals[:10]); err != nil {
 			t.Fatalf("import after rolled-back import: %v", err)
 		}
-		if got := db.KVLen(); got != 10 {
+		if got := kvLen(t, db); got != 10 {
 			t.Fatalf("KVLen after re-import = %d, want 10", got)
 		}
 	case uint64(len(keys)):
 		for _, i := range []int{0, 1, len(keys) / 3, len(keys) / 2, len(keys) - 2, len(keys) - 1} {
-			got, err := db.Get(keys[i])
+			got, err := db.Get(ctx, keys[i])
 			if err != nil {
 				t.Fatalf("committed import: Get(%q): %v", keys[i], err)
 			}
@@ -456,16 +446,16 @@ func verifyImportAllOrNothing(t *testing.T, dataDev, logDev storage.Device, keys
 func TestKVCrashRecoveryMidImportKill9(t *testing.T) {
 	for _, crashAfter := range []int{0, 2, 9, 33, 80} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
-			db := openCrashDB(t, fault, logDev)
+			db := openCrashDB(t, fault, logDir)
 			keys, vals := importTestBatch(importCrashN, int64(crashAfter)+20)
 			fault.CrashAfterWrites(crashAfter, 0)
 			// The import may fail (device died under it) — that is the
 			// point; only the recovered state matters.
-			_ = db.Import(keys, vals)
+			_ = db.Import(ctx, keys, vals)
 			abandon(db)
-			verifyImportAllOrNothing(t, inner, logDev, keys, vals)
+			verifyImportAllOrNothing(t, inner, logDir, keys, vals)
 		})
 	}
 }
@@ -476,46 +466,63 @@ func TestKVCrashRecoveryMidImportKill9(t *testing.T) {
 func TestKVCrashRecoveryMidImportTornWrite(t *testing.T) {
 	for _, crashAfter := range []int{1, 7, 25} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
-			db := openCrashDB(t, fault, logDev)
+			db := openCrashDB(t, fault, logDir)
 			keys, vals := importTestBatch(importCrashN, int64(crashAfter)+40)
 			fault.CrashAfterWrites(crashAfter, storage.PageSize/2)
-			_ = db.Import(keys, vals)
+			_ = db.Import(ctx, keys, vals)
 			abandon(db)
-			verifyImportAllOrNothing(t, inner, logDev, keys, vals)
+			verifyImportAllOrNothing(t, inner, logDir, keys, vals)
 		})
 	}
 }
 
-// TestKVCrashRecoveryMidImportLogDevice crashes the LOG device instead:
-// the WAL holds an arbitrary prefix of the import's records. Without a
-// commit record recovery classifies the import as a loser and rolls it
-// back wholesale; with one it replays everything. Never a prefix.
-func TestKVCrashRecoveryMidImportLogDevice(t *testing.T) {
-	for _, crashAfter := range []int{1, 4, 12, 48} {
+// TestKVCrashRecoveryMidImportWALCrash kills the WAL instead of the
+// data device, at EVERY log write of the import in turn (the sweep ends
+// at the first crash point the import never reaches). Small segments
+// make the load roll several times, so the log holds an arbitrary prefix
+// of the import's records cut mid-segment, on a new segment's header
+// write, or just after it; odd crash points also tear the crashing
+// write. Without a commit record recovery classifies the import as a
+// loser and rolls it back wholesale; with one it replays everything.
+// Never a prefix.
+func TestKVCrashRecoveryMidImportWALCrash(t *testing.T) {
+	maxSegments := 0
+	for crashAfter, crashed := 0, true; crashed; crashAfter++ {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			dataDev, inner := storage.NewMemDevice(), storage.NewMemDevice()
-			fault := storage.NewFaultDevice(inner)
+			crashed = false // a failing crash point ends the sweep
+			dataDev, innerDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+			gate := &crashGate{arm: -1}
 			db, err := Open(Options{
-				Device:       dataDev,
-				LogDevice:    fault,
-				Granularity:  Monolithic,
-				BufferFrames: 64,
+				Device:          dataDev,
+				LogDir:          &faultSegmentDir{inner: innerDir, g: gate},
+				Granularity:     Monolithic,
+				BufferFrames:    64,
+				WALSegmentBytes: crashSegmentBytes,
 				// One-page chunks force frequent WAL flushes, spreading
-				// the import across many log-device writes so the sweep
-				// hits genuinely different prefixes.
+				// the import across many log writes so the sweep hits
+				// genuinely different prefixes.
 				ImportChunkPages: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys, vals := importTestBatch(importCrashN, int64(crashAfter)+60)
-			fault.CrashAfterWrites(crashAfter, 0)
-			_ = db.Import(keys, vals)
+			keys, vals := importTestBatch(importCrashN, 60)
+			gate.mu.Lock()
+			gate.arm, gate.tear = int64(crashAfter), 20*(crashAfter%2)
+			gate.mu.Unlock()
+			_ = db.Import(ctx, keys, vals)
 			abandon(db)
-			verifyImportAllOrNothing(t, dataDev, inner, keys, vals)
+			crashed = gate.dead()
+			if n := innerDir.SegmentCount(); n > maxSegments {
+				maxSegments = n
+			}
+			verifyImportAllOrNothing(t, dataDev, innerDir, keys, vals)
 		})
+	}
+	if maxSegments < 3 {
+		t.Fatalf("import spanned %d WAL segments: the sweep never crossed a rollover", maxSegments)
 	}
 }
 
@@ -524,17 +531,17 @@ func TestKVCrashRecoveryMidImportLogDevice(t *testing.T) {
 // ONLY as WAL full-page images, and redo must rebuild every heap and
 // index page from them.
 func TestKVCrashRecoveryAfterImport(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db, err := Open(Options{Device: dataDev, LogDevice: logDev, Granularity: Monolithic, BufferFrames: 4096})
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db, err := Open(Options{Device: dataDev, LogDir: logDir, Granularity: Monolithic, BufferFrames: 4096, WALSegmentBytes: crashSegmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys, vals := importTestBatch(importCrashN, 10)
-	if err := db.Import(keys, vals); err != nil {
+	if err := db.Import(ctx, keys, vals); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	abandon(db)
-	db2, err := Open(Options{Device: dataDev, LogDevice: logDev, Granularity: Monolithic, BufferFrames: 64})
+	db2, err := Open(Options{Device: dataDev, LogDir: logDir, Granularity: Monolithic, BufferFrames: 64, WALSegmentBytes: crashSegmentBytes})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -183,8 +183,8 @@ func TestHeapWALLogging(t *testing.T) {
 	pool := buffer.New(d, 16, buffer.NewLRU())
 	fm, _ := storage.OpenFileManager(pool)
 	h, _ := OpenHeap("heap", fm, pool)
-	logDev := storage.NewMemDevice()
-	l, err := wal.Open(logDev)
+	logDir := wal.NewMemSegmentDir()
+	l, err := wal.OpenDir(logDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func TestHeapWALRecoveryRoundTrip(t *testing.T) {
 	pool := buffer.New(d, 16, buffer.NewLRU())
 	fm, _ := storage.OpenFileManager(pool)
 	h, _ := OpenHeap("heap", fm, pool)
-	logDev := storage.NewMemDevice()
-	l, _ := wal.Open(logDev)
+	logDir := wal.NewMemSegmentDir()
+	l, _ := wal.OpenDir(logDir, 0)
 	h.SetLog(l)
 	pool.SetBeforeEvict(l.BeforeEvict())
 
@@ -277,7 +277,7 @@ func TestHeapWALRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := wal.Open(logDev)
+	l2, err := wal.OpenDir(logDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -544,7 +544,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return true, n.withWriteGate(func() error { return n.DB().PutContext(ctx, r.Key, r.Val) })
+		return true, n.withWriteGate(func() error { return n.DB().Put(ctx, r.Key, r.Val) })
 	})
 	kv.Handle("putBatch", func(ctx context.Context, req any) (any, error) {
 		r, err := n.batchReq(req, "putBatch")
@@ -554,7 +554,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return true, n.withWriteGate(func() error { return n.DB().PutBatchContext(ctx, r.Keys, r.Vals) })
+		return true, n.withWriteGate(func() error { return n.DB().PutBatch(ctx, r.Keys, r.Vals) })
 	})
 	kv.Handle("import", func(ctx context.Context, req any) (any, error) {
 		r, err := n.batchReq(req, "import")
@@ -564,7 +564,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return true, n.withWriteGate(func() error { return n.DB().ImportContext(ctx, r.Keys, r.Vals) })
+		return true, n.withWriteGate(func() error { return n.DB().Import(ctx, r.Keys, r.Vals) })
 	})
 	kv.Handle("get", func(ctx context.Context, req any) (any, error) {
 		r, err := n.getReq(req, "get")
@@ -574,7 +574,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return n.DB().GetContext(ctx, r.Key)
+		return n.DB().Get(ctx, r.Key)
 	})
 	kv.Handle("delete", func(ctx context.Context, req any) (any, error) {
 		r, err := n.getReq(req, "delete")
@@ -584,7 +584,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return true, n.withWriteGate(func() error { return n.DB().DeleteKeyContext(ctx, r.Key) })
+		return true, n.withWriteGate(func() error { return n.DB().DeleteKey(ctx, r.Key) })
 	})
 	kv.Handle("scanKeys", func(ctx context.Context, req any) (any, error) {
 		r, err := n.scanReq(req, "scanKeys")
@@ -594,7 +594,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return n.DB().ScanKeysContext(ctx, r.From, r.N)
+		return n.DB().ScanKeys(ctx, r.From, r.N)
 	})
 	kv.Handle("len", func(ctx context.Context, req any) (any, error) {
 		r, ok := req.(LenReq)
@@ -608,7 +608,7 @@ func (n *Node) registerServices() {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
-		return n.DB().KVLen(), nil
+		return n.DB().KVLen(ctx)
 	})
 	kv.Handle("getSnapshot", func(ctx context.Context, req any) (any, error) {
 		r, err := n.getReq(req, "getSnapshot")
@@ -622,7 +622,7 @@ func (n *Node) registerServices() {
 			return reader.GetSnapshot(ctx, r.Key)
 		}
 		if db := n.DB(); db != nil {
-			return db.GetSnapshotContext(ctx, r.Key)
+			return db.GetSnapshot(ctx, r.Key)
 		}
 		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
 	})
@@ -638,7 +638,7 @@ func (n *Node) registerServices() {
 			return reader.ScanKeysSnapshot(ctx, r.From, r.N)
 		}
 		if db := n.DB(); db != nil {
-			return db.ScanKeysSnapshotContext(ctx, r.From, r.N)
+			return db.ScanKeysSnapshot(ctx, r.From, r.N)
 		}
 		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
 	})

@@ -92,7 +92,6 @@ type BTree struct {
 	// can only invalidate an optimistic descent spuriously (the counter
 	// is monotone), never hide a real change.
 	vers      [descentVersSlots]atomic.Uint64
-	optOff    atomic.Bool   // true disables the optimistic insert descent
 	fallbacks atomic.Uint64 // optimistic descents that fell back to X-crab
 
 	mu    sync.Mutex // guards log/sys/freer configuration
@@ -108,10 +107,6 @@ const descentVersSlots = 256
 func (t *BTree) versSlot(id storage.PageID) *atomic.Uint64 {
 	return &t.vers[uint64(id)%descentVersSlots]
 }
-
-// SetOptimisticDescent toggles the optimistic insert descent (on by
-// default). Off, every insert uses the exclusive crab descent.
-func (t *BTree) SetOptimisticDescent(on bool) { t.optOff.Store(!on) }
 
 // DescentFallbacks returns how many optimistic insert descents failed
 // version validation (or found an unsafe leaf) and fell back to the
@@ -650,35 +645,21 @@ func (t *BTree) InsertTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 			}
 		}
 	}
-	useOpt := !t.optOff.Load()
-	for {
-		if useOpt {
-			inserted, fellback, err := t.insertOptimistic(tx, key, rid, ck, gap)
-			if err != nil {
-				return err
-			}
-			if !fellback {
-				if inserted {
-					t.count.Add(1)
-				}
-				return nil
-			}
-			// One optimistic shot per insert: validation failed or the
-			// leaf needs a split, so finish under the X-crab protocol.
-			useOpt = false
-			continue
-		}
-		done, inserted, err := t.insertAttempt(tx, key, rid, ck, gap)
-		if err != nil {
+	// One optimistic shot per insert: when validation fails or the leaf
+	// needs a split, finish under the X-crab protocol.
+	inserted, fellback, err := t.insertOptimistic(tx, key, rid, ck, gap)
+	if err != nil {
+		return err
+	}
+	for done := !fellback; !done; {
+		if done, inserted, err = t.insertAttempt(tx, key, rid, ck, gap); err != nil {
 			return err
 		}
-		if done {
-			if inserted {
-				t.count.Add(1)
-			}
-			return nil
-		}
 	}
+	if inserted {
+		t.count.Add(1)
+	}
+	return nil
 }
 
 // insertOptimistic runs one optimistic insert descent: shared latches

@@ -173,63 +173,50 @@ func TestConcurrentInsertDeleteScan(t *testing.T) {
 // descent: writers insert interleaved keys (neighbouring keys come from
 // different goroutines), so leaf splits constantly bump interior version
 // counters under concurrent shared-latch descents and force the
-// re-validate + exclusive-crab fallback. The tree must come out complete
-// either way; the fallback counter proves the optimistic path actually
-// engaged (a full target leaf is never "safe", so splits make fallbacks
-// deterministic even on one core) and stays silent when disabled.
+// re-validate + exclusive-crab fallback. The tree must come out
+// complete; the fallback counter proves both paths ran (a full target
+// leaf is never "safe", so splits make fallbacks deterministic even on
+// one core).
 func TestConcurrentInsertOptimisticFallback(t *testing.T) {
-	for _, opt := range []bool{true, false} {
-		name := "optimistic"
-		if !opt {
-			name = "exclusive"
-		}
-		t.Run(name, func(t *testing.T) {
-			tr := newConcurrentTree(t)
-			tr.SetOptimisticDescent(opt)
-			const workers = 8
-			const perWorker = 500
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						n := i*workers + w
-						key := []byte(fmt.Sprintf("fb%07d", n))
-						if err := tr.Insert(key, crid(n)); err != nil {
-							errs <- fmt.Errorf("insert %s: %w", key, err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-			if got, want := tr.Len(), uint64(workers*perWorker); got != want {
-				t.Fatalf("Len = %d, want %d", got, want)
-			}
-			for n := 0; n < workers*perWorker; n++ {
+	tr := newConcurrentTree(t)
+	const workers = 8
+	const perWorker = 500
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				n := i*workers + w
 				key := []byte(fmt.Sprintf("fb%07d", n))
-				rids, err := tr.Search(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(rids) != 1 || rids[0] != crid(n) {
-					t.Fatalf("Search(%s) = %v, want %v", key, rids, crid(n))
+				if err := tr.Insert(key, crid(n)); err != nil {
+					errs <- fmt.Errorf("insert %s: %w", key, err)
+					return
 				}
 			}
-			fb := tr.DescentFallbacks()
-			if opt && fb == 0 {
-				t.Fatal("optimistic descent never fell back; splits should have forced it")
-			}
-			if !opt && fb != 0 {
-				t.Fatalf("descent disabled but fallback counter = %d", fb)
-			}
-		})
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.Len(), uint64(workers*perWorker); got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
+	}
+	for n := 0; n < workers*perWorker; n++ {
+		key := []byte(fmt.Sprintf("fb%07d", n))
+		rids, err := tr.Search(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rids) != 1 || rids[0] != crid(n) {
+			t.Fatalf("Search(%s) = %v, want %v", key, rids, crid(n))
+		}
+	}
+	if tr.DescentFallbacks() == 0 {
+		t.Fatal("optimistic descent never fell back; splits should have forced it")
 	}
 }

@@ -25,7 +25,7 @@ func primaryStack(t *testing.T) (*access.HeapFile, *wal.Log, *buffer.Manager, *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.Open(storage.NewMemDevice())
+	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +39,9 @@ type testTxn struct {
 	last wal.LSN
 }
 
-func (x *testTxn) ID() uint64            { return x.id }
-func (x *testTxn) LastLSN() wal.LSN      { return x.last }
-func (x *testTxn) Record(r *wal.Record)  { x.last = r.LSN }
+func (x *testTxn) ID() uint64           { return x.id }
+func (x *testTxn) LastLSN() wal.LSN     { return x.last }
+func (x *testTxn) Record(r *wal.Record) { x.last = r.LSN }
 
 func TestLogShippingRoundTrip(t *testing.T) {
 	h, l, pool, primaryDisk := primaryStack(t)

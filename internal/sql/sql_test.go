@@ -35,7 +35,7 @@ func newEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.Open(storage.NewMemDevice())
+	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +416,13 @@ func TestParserFeatures(t *testing.T) {
 
 func TestEnginePersistenceAcrossReopen(t *testing.T) {
 	dev := storage.NewMemDevice()
-	logDev := storage.NewMemDevice()
+	logDir := wal.NewMemSegmentDir()
 	open := func() *Engine {
 		d, err := storage.OpenDisk(dev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := wal.Open(logDev)
+		l, err := wal.OpenDir(logDir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,9 +467,9 @@ func TestEnginePersistenceAcrossReopen(t *testing.T) {
 
 func TestEngineCrashRecovery(t *testing.T) {
 	dev := storage.NewMemDevice()
-	logDev := storage.NewMemDevice()
+	logDir := wal.NewMemSegmentDir()
 	d, _ := storage.OpenDisk(dev)
-	l, _ := wal.Open(logDev)
+	l, _ := wal.OpenDir(logDir, 0)
 	pool := buffer.New(d, 128, buffer.NewLRU())
 	pool.SetBeforeEvict(l.BeforeEvict())
 	fm, _ := storage.OpenFileManager(pool)
@@ -490,7 +490,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := wal.Open(logDev)
+	l2, err := wal.OpenDir(logDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

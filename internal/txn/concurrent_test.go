@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -12,7 +11,7 @@ import (
 // manager at once (run with -race): every commit must be durable and
 // the WAL's group commit must coalesce their flushes.
 func TestConcurrentCommitsGroupCommit(t *testing.T) {
-	l, err := wal.Open(storage.NewMemDevice())
+	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

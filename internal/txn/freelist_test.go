@@ -47,7 +47,7 @@ func TestFreedPagesReclaimedAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.Open(storage.NewMemDevice())
+	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

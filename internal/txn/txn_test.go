@@ -170,7 +170,7 @@ func testEngine(t *testing.T) (*Manager, *access.HeapFile, *buffer.Manager, *wal
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.Open(storage.NewMemDevice())
+	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +495,10 @@ func TestFuzzyCheckpointBoundsRecoveryScan(t *testing.T) {
 // bytes do not.
 func TestAbortThenCrashRecovery(t *testing.T) {
 	dev := storage.NewMemDevice()
-	logDev := storage.NewMemDevice()
+	logDir := wal.NewMemSegmentDir()
 	d, _ := storage.OpenDisk(dev)
 	pool := buffer.New(d, 32, buffer.NewLRU())
-	l, _ := wal.Open(logDev)
+	l, _ := wal.OpenDir(logDir, 0)
 	fm, _ := storage.OpenFileManager(pool)
 	h, _ := access.OpenHeap("t", fm, pool)
 	h.SetLog(l)
@@ -536,7 +536,7 @@ func TestAbortThenCrashRecovery(t *testing.T) {
 	// Crash: nothing written back.
 
 	d2, _ := storage.OpenDisk(dev)
-	l2, _ := wal.Open(logDev)
+	l2, _ := wal.OpenDir(logDir, 0)
 	if _, err := wal.Recover(l2, d2); err != nil {
 		t.Fatal(err)
 	}

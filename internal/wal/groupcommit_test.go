@@ -9,20 +9,33 @@ import (
 	"repro/internal/storage"
 )
 
-// countingDevice wraps a Device, counting Sync calls and optionally
-// slowing them down to widen the group-commit window, the way a real
-// fsync would.
-type countingDevice struct {
-	storage.Device
+// countingDir is a MemSegmentDir whose segment devices count Sync calls
+// (one counter across segments) and optionally slow them down to widen
+// the group-commit window, the way a real fsync would.
+type countingDir struct {
+	*MemSegmentDir
 	syncs     atomic.Uint64
 	syncDelay time.Duration
 }
 
-func (d *countingDevice) Sync() error {
-	if d.syncDelay > 0 {
-		time.Sleep(d.syncDelay)
+func (d *countingDir) OpenSegment(seq uint64) (storage.Device, error) {
+	dev, err := d.MemSegmentDir.OpenSegment(seq)
+	if err != nil {
+		return nil, err
 	}
-	d.syncs.Add(1)
+	return &countingDevice{Device: dev, dir: d}, nil
+}
+
+type countingDevice struct {
+	storage.Device
+	dir *countingDir
+}
+
+func (d *countingDevice) Sync() error {
+	if d.dir.syncDelay > 0 {
+		time.Sleep(d.dir.syncDelay)
+	}
+	d.dir.syncs.Add(1)
 	return d.Device.Sync()
 }
 
@@ -30,8 +43,8 @@ func (d *countingDevice) Sync() error {
 // asserts the log issues fewer device syncs than commits: followers
 // ride the leader's sync instead of issuing their own.
 func TestGroupCommitCoalescesSyncs(t *testing.T) {
-	dev := &countingDevice{Device: storage.NewMemDevice(), syncDelay: 200 * time.Microsecond}
-	l, err := Open(dev)
+	dev := &countingDir{MemSegmentDir: NewMemSegmentDir(), syncDelay: 200 * time.Microsecond}
+	l, err := OpenDir(dev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +98,8 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 // TestGroupWindowBatchesBurst checks that a non-zero window batches a
 // burst of committers into very few syncs.
 func TestGroupWindowBatchesBurst(t *testing.T) {
-	dev := &countingDevice{Device: storage.NewMemDevice()}
-	l, err := Open(dev)
+	dev := &countingDir{MemSegmentDir: NewMemSegmentDir()}
+	l, err := OpenDir(dev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +125,7 @@ func TestGroupWindowBatchesBurst(t *testing.T) {
 // TestGroupBytesEndsWindowEarly: once groupBytes are pending, the
 // leader must not wait out the rest of the window.
 func TestGroupBytesEndsWindowEarly(t *testing.T) {
-	l, err := Open(storage.NewMemDevice())
+	l, err := OpenDir(NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +148,7 @@ func TestGroupBytesEndsWindowEarly(t *testing.T) {
 // the window early instead of waiting it out — the caller holds a
 // buffer shard lock.
 func TestEvictFlushClosesWindowEarly(t *testing.T) {
-	l, err := Open(storage.NewMemDevice())
+	l, err := OpenDir(NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,37 +180,13 @@ func TestEvictFlushClosesWindowEarly(t *testing.T) {
 	}
 }
 
-// TestSyncEveryFlushBaseline pins the baseline mode: one device sync
-// per flush call, as before group commit.
-func TestSyncEveryFlushBaseline(t *testing.T) {
-	dev := &countingDevice{Device: storage.NewMemDevice()}
-	l, err := Open(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetSyncEveryFlush(true)
-	opened := dev.syncs.Load()
-	for i := 0; i < 5; i++ {
-		lsn, err := l.Append(&Record{Txn: uint64(i + 1), Type: RecCommit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Flush(lsn + 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if syncs := dev.syncs.Load() - opened; syncs != 5 {
-		t.Fatalf("baseline issued %d syncs for 5 flushes", syncs)
-	}
-}
-
 // TestDurableBoundaryPinsDurability pins the durability contract:
 // after a crash (reopen of the same device), every record with
 // LSN < DurableBoundary survives, and records appended after the last
 // flush are gone.
 func TestDurableBoundaryPinsDurability(t *testing.T) {
-	dev := storage.NewMemDevice()
-	l, err := Open(dev)
+	dir := NewMemSegmentDir()
+	l, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +216,8 @@ func TestDurableBoundaryPinsDurability(t *testing.T) {
 		t.Fatalf("unflushed record %d below boundary %d", lost, boundary)
 	}
 
-	// "Crash": reopen the device without flushing.
-	l2, err := Open(dev)
+	// "Crash": reopen the directory without flushing.
+	l2, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +238,12 @@ func TestDurableBoundaryPinsDurability(t *testing.T) {
 // TestFlushErrorRestoresPending: a failed flush must keep the pending
 // records so a later flush persists them.
 func TestFlushErrorRestoresPending(t *testing.T) {
-	dev := storage.NewMemDevice()
-	l, err := Open(dev)
+	dir := NewMemSegmentDir()
+	l, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := segDev(t, dir, 1)
 	lsn, err := l.Append(&Record{Txn: 1, Type: RecCommit})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +289,7 @@ func TestFlushErrorRestoresPending(t *testing.T) {
 // group window, while a committer with siblings in flight still holds
 // it open to batch them.
 func TestCommitSiblingsGateSkipsWindow(t *testing.T) {
-	l, err := Open(storage.NewMemDevice())
+	l, err := OpenDir(NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

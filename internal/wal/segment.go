@@ -23,8 +23,7 @@ var ErrSegmentGone = errors.New("wal: segment truncated away")
 // SegmentDir is the container of a segmented log: numbered segment
 // files plus a small manifest. Implementations must be safe for
 // concurrent use. The wal package provides MemSegmentDir (tests,
-// in-memory profiles) and FileSegmentDir (a directory on disk);
-// Open(dev) adapts a single Device as one unbounded segment.
+// in-memory profiles) and FileSegmentDir (a directory on disk).
 type SegmentDir interface {
 	// OpenSegment opens (creating if absent) segment seq.
 	OpenSegment(seq uint64) (storage.Device, error)
@@ -271,82 +270,3 @@ func (d *FileSegmentDir) Sync() error {
 	defer f.Close()
 	return f.Sync()
 }
-
-// --- single-device adapter ---------------------------------------------
-
-// sectionDevice exposes the tail of a Device starting at off as a
-// Device of its own, so one file can hold both the manifest and a lone
-// segment (the Open(dev) compatibility layout).
-type sectionDevice struct {
-	dev storage.Device
-	off int64
-}
-
-func (s *sectionDevice) ReadAt(p []byte, off int64) (int, error) {
-	return s.dev.ReadAt(p, off+s.off)
-}
-
-func (s *sectionDevice) WriteAt(p []byte, off int64) (int, error) {
-	return s.dev.WriteAt(p, off+s.off)
-}
-
-func (s *sectionDevice) Size() (int64, error) {
-	n, err := s.dev.Size()
-	if err != nil {
-		return 0, err
-	}
-	if n < s.off {
-		return 0, nil
-	}
-	return n - s.off, nil
-}
-
-func (s *sectionDevice) Truncate(size int64) error { return s.dev.Truncate(size + s.off) }
-func (s *sectionDevice) Sync() error               { return s.dev.Sync() }
-func (s *sectionDevice) Close() error              { return nil } // shared inner device
-
-// singleDeviceDir adapts one Device as a SegmentDir with exactly one
-// unbounded segment: bytes [0, manifestSize) hold the manifest, the
-// rest is segment 1. Truncation never applies (the single segment is
-// always live), so Open(dev) logs grow without bound — the legacy
-// layout kept for embedded devices and micro-benchmarks.
-type singleDeviceDir struct {
-	dev storage.Device
-}
-
-func (d singleDeviceDir) OpenSegment(seq uint64) (storage.Device, error) {
-	if seq != 1 {
-		return nil, fmt.Errorf("wal: single-device log has only segment 1 (asked for %d)", seq)
-	}
-	return &sectionDevice{dev: d.dev, off: manifestSize}, nil
-}
-
-// RemoveSegment implements SegmentDir by truncating the device back to
-// the bare manifest: the single segment cannot be unlinked like a file,
-// but the only caller is the unborn-segment drop at open (a crash
-// during the very first header write, before anything was acknowledged)
-// and a failed createSegment cleanup — wiping the segment region is
-// exactly equivalent.
-func (d singleDeviceDir) RemoveSegment(seq uint64) error {
-	if seq != 1 {
-		return fmt.Errorf("wal: single-device log has only segment 1 (asked to remove %d)", seq)
-	}
-	return d.dev.Truncate(manifestSize)
-}
-
-func (d singleDeviceDir) ListSegments() ([]uint64, error) {
-	size, err := d.dev.Size()
-	if err != nil {
-		return nil, err
-	}
-	if size <= manifestSize {
-		return nil, nil
-	}
-	return []uint64{1}, nil
-}
-
-func (d singleDeviceDir) OpenManifest() (storage.Device, error) {
-	return &sectionDevice{dev: d.dev}, nil
-}
-
-func (d singleDeviceDir) Sync() error { return d.dev.Sync() }

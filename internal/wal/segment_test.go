@@ -333,46 +333,6 @@ func TestCrashDuringFirstInitRecovers(t *testing.T) {
 	}
 }
 
-// TestSingleDeviceCrashDuringFirstInitRecovers: the single-device
-// layout has the same crash window during its very first header write;
-// reopening must wipe the unborn segment region and reinitialise
-// instead of failing forever.
-func TestSingleDeviceCrashDuringFirstInitRecovers(t *testing.T) {
-	dev := storage.NewMemDevice()
-	// Manifest region zeros, then a half-written segment header.
-	if _, err := dev.WriteAt(encodeSegHeader(1, LSN(segHeaderSize))[:12], manifestSize); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(dev)
-	if err != nil {
-		t.Fatalf("open after crashed single-device init: %v", err)
-	}
-	lsn, err := l.Append(fillRecord(1, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Flush(l.NextLSN()); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := l2.Iterate(ZeroLSN, func(r *Record) error {
-		if r.LSN != lsn {
-			t.Fatalf("record at %d, want %d", r.LSN, lsn)
-		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("records after reinit = %d", n)
-	}
-}
-
 // TestIterateBelowOldestFailsLoudly: a positive LSN below the oldest
 // live segment names truncated history; Iterate must fail with
 // ErrSegmentGone instead of silently skipping records (a lagging log
@@ -447,32 +407,6 @@ func TestTornManifestFallsBackConservatively(t *testing.T) {
 	}
 	if l2.FullPageFence() != next {
 		t.Fatalf("fence = %d, want conservative %d", l2.FullPageFence(), next)
-	}
-}
-
-func TestSingleDeviceLogNeverRolls(t *testing.T) {
-	dev := storage.NewMemDevice()
-	l, err := Open(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := l.Append(fillRecord(uint64(i), 4096)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Flush(l.NextLSN()); err != nil {
-		t.Fatal(err)
-	}
-	if l.SegmentCount() != 1 || l.Rolls() != 0 {
-		t.Fatalf("single-device log rolled: %d segments, %d rolls", l.SegmentCount(), l.Rolls())
-	}
-	// Checkpoints advance the manifest but never truncate.
-	if _, err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if l.SegmentCount() != 1 {
-		t.Fatal("single-device segment disappeared")
 	}
 }
 

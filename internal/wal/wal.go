@@ -149,7 +149,7 @@ type Log struct {
 	dir          SegmentDir
 	manifestDev  storage.Device
 	segs         []*segment // ascending by base; last is active
-	segmentBytes int        // roll threshold in record bytes (0 = never)
+	segmentBytes int        // roll threshold in record bytes
 
 	buf      []byte // pending bytes not yet written
 	bufStart uint64 // LSN of buf[0]
@@ -168,7 +168,6 @@ type Log struct {
 	groupBytes     int
 	commitSiblings int        // min other in-flight txns to hold the window
 	siblingsFn     func() int // reports other in-flight transactions
-	syncEveryFlush bool       // baseline mode: every Flush syncs itself
 	syncs          uint64     // device syncs issued by Flush
 	windowSkips    uint64     // windows skipped by the siblings gate
 	rolls          uint64     // segment rollovers performed
@@ -188,30 +187,13 @@ type Log struct {
 	appendObs func(*Record)
 }
 
-// Open opens (or initialises) a log over a single device: the
-// unbounded layout (manifest plus one segment in one file). Checkpoints
-// still advance the recovery-begin LSN and the full-page-write fence,
-// but no space is ever reclaimed; use OpenDir for a segmented log with
-// truncation.
-//
-// The on-device layout changed with the segmented-log rework (a 64-byte
-// manifest followed by a segment header); single-file logs written by
-// the pre-segmentation layout are rejected with ErrCorrupt rather than
-// silently misread.
-func Open(dev storage.Device) (*Log, error) {
-	return OpenDir(singleDeviceDir{dev: dev}, 0)
-}
-
 // OpenDir opens (or initialises) a segmented log over a SegmentDir,
 // scanning the newest segment to find the durable tail (torn tail
 // records are truncated away). segmentBytes sets the roll threshold;
-// <= 0 selects DefaultSegmentBytes, except for single-device layouts
-// which never roll.
+// <= 0 selects DefaultSegmentBytes.
 func OpenDir(dir SegmentDir, segmentBytes int) (*Log, error) {
 	l := &Log{dir: dir, segmentBytes: segmentBytes}
-	if _, single := dir.(singleDeviceDir); single {
-		l.segmentBytes = 0
-	} else if l.segmentBytes <= 0 {
+	if l.segmentBytes <= 0 {
 		l.segmentBytes = DefaultSegmentBytes
 	} else if l.segmentBytes < minSegmentBytes {
 		l.segmentBytes = minSegmentBytes
@@ -248,10 +230,8 @@ func OpenDir(dir SegmentDir, segmentBytes int) (*Log, error) {
 		case allZero:
 			// The manifest region exists but was never written: a crash
 			// landed between creating the first segment and the first
-			// manifest write (the single-device layout extends the file
-			// past the manifest region when the segment header goes
-			// in). No record can have been acknowledged before the
-			// first manifest sync, so treat it as absent, not foreign.
+			// manifest write. No record can have been acknowledged before
+			// the first manifest sync, so treat it as absent, not foreign.
 		case n >= 8 && binary.LittleEndian.Uint64(mbuf) != manifestMagic:
 			// A wrong magic is a foreign or mispointed file, not a torn
 			// manifest write: fail loudly instead of "recovering" over
@@ -482,9 +462,6 @@ func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
 // once per segmentBytes of traffic, and keeping creation atomic with
 // the segment-list swap is what makes every other path lock-simple.
 func (l *Log) maybeRollLocked() error {
-	if l.segmentBytes <= 0 {
-		return nil
-	}
 	act := l.active()
 	if int(l.flushed-act.base) < l.segmentBytes {
 		return nil
@@ -561,15 +538,6 @@ func (l *Log) holdWindowLocked() bool {
 	}
 	l.windowSkips++
 	return false
-}
-
-// SetSyncEveryFlush toggles the pre-group-commit baseline: every Flush
-// call holds the log lock end to end and issues its own device sync.
-// Used by benchmarks to quantify the group-commit win.
-func (l *Log) SetSyncEveryFlush(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.syncEveryFlush = on
 }
 
 // Syncs returns the number of device syncs issued by Flush so far.
@@ -771,16 +739,6 @@ func (l *Log) FlushNoWindow(upTo LSN) error { return l.flush(upTo, false) }
 // lock, and must not stall page traffic for the commit-batching delay.
 func (l *Log) flush(upTo LSN, allowWindow bool) error {
 	l.mu.Lock()
-	if l.syncEveryFlush {
-		// Wait out any in-flight group leader first: flushSyncLocked
-		// must not advance flushed past bytes a leader still has in
-		// flight (the mode can be toggled under traffic).
-		for l.syncing {
-			l.flushDone.Wait()
-		}
-		defer l.mu.Unlock()
-		return l.flushSyncLocked(upTo)
-	}
 	for {
 		if l.flushed >= upTo {
 			l.mu.Unlock()
@@ -867,32 +825,6 @@ func (l *Log) flush(upTo LSN, allowWindow bool) error {
 	l.flushDone.Broadcast()
 	l.mu.Unlock()
 	return err
-}
-
-// flushSyncLocked is the baseline path: write and sync under the lock,
-// syncing once per call whenever anything is or might be pending.
-func (l *Log) flushSyncLocked(upTo LSN) error {
-	if l.flushed >= upTo && len(l.buf) == 0 {
-		return nil
-	}
-	act := l.active()
-	if len(l.buf) > 0 {
-		if _, err := act.dev.WriteAt(l.buf, act.devOff(LSN(l.bufStart))); err != nil {
-			return fmt.Errorf("wal: flushing: %w", err)
-		}
-		l.bufStart += uint64(len(l.buf))
-		l.buf = l.buf[:0]
-	}
-	if err := act.dev.Sync(); err != nil {
-		return err
-	}
-	l.syncs++
-	l.flushed = LSN(l.bufStart)
-	act.end = l.flushed
-	if rerr := l.maybeRollLocked(); rerr != nil {
-		l.rollFails++ // durable already; retried on the next flush
-	}
-	return nil
 }
 
 // DurableBoundary returns the log's durability boundary: every record

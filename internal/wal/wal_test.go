@@ -9,18 +9,28 @@ import (
 	"repro/internal/storage"
 )
 
-func newLog(t *testing.T) (*Log, *storage.MemDevice) {
+func newLog(t *testing.T) *Log {
 	t.Helper()
-	dev := storage.NewMemDevice()
-	l, err := Open(dev)
+	l, err := OpenDir(NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, dev
+	return l
+}
+
+// segDev returns the MemDevice behind segment seq of a MemSegmentDir,
+// so tests can tear or fail the active segment's device directly.
+func segDev(t *testing.T, dir *MemSegmentDir, seq uint64) *storage.MemDevice {
+	t.Helper()
+	dev, err := dir.OpenSegment(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev.(*storage.MemDevice)
 }
 
 func TestAppendFlushIterate(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	recs := []*Record{
 		{Txn: 1, Type: RecBegin},
 		{Txn: 1, Type: RecUpdate, PageID: 3, Offset: 40, Before: []byte("old"), After: []byte("new")},
@@ -75,8 +85,8 @@ func TestAppendFlushIterate(t *testing.T) {
 }
 
 func TestReopenFindsTail(t *testing.T) {
-	dev := storage.NewMemDevice()
-	l, err := Open(dev)
+	dir := NewMemSegmentDir()
+	l, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestReopenFindsTail(t *testing.T) {
 	}
 	size := l.Size()
 
-	l2, err := Open(dev)
+	l2, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +115,14 @@ func TestReopenFindsTail(t *testing.T) {
 }
 
 func TestTornTailTruncated(t *testing.T) {
-	dev := storage.NewMemDevice()
-	l, _ := Open(dev)
+	dir := NewMemSegmentDir()
+	l, _ := OpenDir(dir, 0)
 	if _, err := l.Append(&Record{Txn: 1, Type: RecBegin}); err != nil {
 		t.Fatal(err)
 	}
 	_ = l.Flush(l.NextLSN())
 	good := l.Size()
+	dev := segDev(t, dir, 1)
 	tail, err := dev.Size()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +131,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if _, err := dev.WriteAt([]byte{0x55, 0x01}, tail); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dev)
+	l2, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +146,15 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 func TestOpenRejectsGarbageHeader(t *testing.T) {
-	dev := storage.NewMemDevice()
+	dir := NewMemSegmentDir()
+	dev, err := dir.OpenManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := dev.WriteAt([]byte("garbage!"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dev); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenDir(dir, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -164,8 +179,7 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		Before []byte
 		After  []byte
 	}) bool {
-		dev := storage.NewMemDevice()
-		l, err := Open(dev)
+		l, err := OpenDir(NewMemSegmentDir(), 0)
 		if err != nil {
 			return false
 		}
@@ -222,7 +236,7 @@ func readAt(t *testing.T, store storage.PageStore, id storage.PageID, off, n int
 }
 
 func TestRecoverRedoCommitted(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	disk, _ := storage.OpenDisk(storage.NewMemDevice())
 	pid, _ := disk.Allocate()
 	off := storage.HeaderSize
@@ -256,7 +270,7 @@ func TestRecoverRedoCommitted(t *testing.T) {
 }
 
 func TestRecoverSkipsAlreadyApplied(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	disk, _ := storage.OpenDisk(storage.NewMemDevice())
 	pid, _ := disk.Allocate()
 	off := storage.HeaderSize
@@ -279,7 +293,7 @@ func TestRecoverSkipsAlreadyApplied(t *testing.T) {
 }
 
 func TestRecoverUndoInFlight(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	disk, _ := storage.OpenDisk(storage.NewMemDevice())
 	pid, _ := disk.Allocate()
 	off := storage.HeaderSize
@@ -310,7 +324,7 @@ func TestRecoverUndoInFlight(t *testing.T) {
 }
 
 func TestRecoverMixedTransactions(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	disk, _ := storage.OpenDisk(storage.NewMemDevice())
 	p1, _ := disk.Allocate()
 	p2, _ := disk.Allocate()
@@ -361,7 +375,7 @@ func TestRecoverMixedTransactions(t *testing.T) {
 // a commit-timestamp stamp applied at the post-compaction cell offset
 // vanished under the loser's before image).
 func TestRecoverLoserRedoOnlyNotUndone(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	disk, _ := storage.OpenDisk(storage.NewMemDevice())
 	pid, _ := disk.Allocate()
 	off := storage.HeaderSize
@@ -395,7 +409,7 @@ func TestRecoverLoserRedoOnlyNotUndone(t *testing.T) {
 }
 
 func TestBeforeEvictHookFlushes(t *testing.T) {
-	l, _ := newLog(t)
+	l := newLog(t)
 	hook := l.BeforeEvict()
 	lsn, _ := l.Append(&Record{Txn: 1, Type: RecUpdate, PageID: 1, Offset: 32,
 		Before: []byte("a"), After: []byte("b")})
@@ -417,8 +431,8 @@ func TestBeforeEvictHookFlushes(t *testing.T) {
 }
 
 func TestCheckpointBoundsRecoveryScan(t *testing.T) {
-	dev := storage.NewMemDevice()
-	l, _ := Open(dev)
+	dir := NewMemSegmentDir()
+	l, _ := OpenDir(dir, 0)
 	disk, _ := storage.OpenDisk(storage.NewMemDevice())
 	pid, _ := disk.Allocate()
 	off := storage.HeaderSize
@@ -445,8 +459,8 @@ func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 	_, _ = l.Append(&Record{Txn: 2, Type: RecCommit})
 	_ = l.Flush(l.NextLSN())
 
-	// Reopen (checkpoint LSN must persist in the header) and recover.
-	l2, err := Open(dev)
+	// Reopen (checkpoint LSN must persist in the manifest) and recover.
+	l2, err := OpenDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

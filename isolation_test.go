@@ -29,7 +29,6 @@ func openIsoDB(t *testing.T, iso ScanIsolation) *DB {
 	t.Helper()
 	db, err := Open(Options{
 		Device:        storage.NewMemDevice(),
-		LogDevice:     storage.NewMemDevice(),
 		Granularity:   Monolithic,
 		BufferFrames:  256,
 		ScanIsolation: iso,
@@ -54,7 +53,7 @@ func openIsoDB(t *testing.T, iso ScanIsolation) *DB {
 func runTornBatchRounds(t *testing.T, db *DB, rounds, stopAt int) (torn, clean int) {
 	t.Helper()
 	for i := 0; i < 100; i++ {
-		if err := db.Put(fmt.Sprintf("ph-m-%04d", i), []byte("filler")); err != nil {
+		if err := db.Put(ctx, fmt.Sprintf("ph-m-%04d", i), []byte("filler")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +75,7 @@ func runTornBatchRounds(t *testing.T, db *DB, rounds, stopAt int) (torn, clean i
 			defer close(done)
 			close(started)
 			for {
-				err := db.PutBatch(keys, vals)
+				err := db.PutBatch(ctx, keys, vals)
 				if err == nil {
 					return
 				}
@@ -93,7 +92,7 @@ func runTornBatchRounds(t *testing.T, db *DB, rounds, stopAt int) (torn, clean i
 				scanning = false // one final scan below observes the commit
 			default:
 			}
-			keys, err := db.ScanKeys("ph-", 100000)
+			keys, err := db.ScanKeys(ctx, "ph-", 100000)
 			if err != nil {
 				if IsConflict(err) {
 					continue // serializable deadlock victim: retry
@@ -159,18 +158,18 @@ func TestIsolationPhantomReadCommitted(t *testing.T) {
 	db := openIsoDB(t, ReadCommitted)
 	defer db.Close(context.Background())
 	for i := 0; i < 10; i++ {
-		if err := db.Put(fmt.Sprintf("rng-%02d", i*2), []byte("v")); err != nil {
+		if err := db.Put(ctx, fmt.Sprintf("rng-%02d", i*2), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	first, err := db.ScanKeys("rng-", 1000)
+	first, err := db.ScanKeys(ctx, "rng-", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put("rng-05", []byte("phantom")); err != nil {
+	if err := db.Put(ctx, "rng-05", []byte("phantom")); err != nil {
 		t.Fatal(err)
 	}
-	second, err := db.ScanKeys("rng-", 1000)
+	second, err := db.ScanKeys(ctx, "rng-", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestIsolationPhantomSerializable(t *testing.T) {
 	db := openIsoDB(t, Serializable)
 	defer db.Close(context.Background())
 	for i := 0; i < 10; i++ {
-		if err := db.Put(fmt.Sprintf("rng-%02d", i*2), []byte("v")); err != nil {
+		if err := db.Put(ctx, fmt.Sprintf("rng-%02d", i*2), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +198,7 @@ func TestIsolationPhantomSerializable(t *testing.T) {
 	}
 	// A writer inserting into the scanned range must block on the gap.
 	wrote := make(chan error, 1)
-	go func() { wrote <- db.Put("rng-05", []byte("phantom")) }()
+	go func() { wrote <- db.Put(ctx, "rng-05", []byte("phantom")) }()
 	select {
 	case err := <-wrote:
 		t.Fatalf("writer landed inside a range a transaction is still reading: %v", err)
@@ -235,11 +234,11 @@ func TestIsolationSerializableEmptyKey(t *testing.T) {
 	db := openIsoDB(t, Serializable)
 	defer db.Close(context.Background())
 	for _, k := range []string{"", "a", "b"} {
-		if err := db.Put(k, []byte("v")); err != nil {
+		if err := db.Put(ctx, k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	keys, err := db.ScanKeys("", 10)
+	keys, err := db.ScanKeys(ctx, "", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		db := openIsoDB(t, Serializable)
 		defer db.Close(context.Background())
 		for _, k := range []string{"a", "c"} {
-			if err := db.Put(k, []byte("v")); err != nil {
+			if err := db.Put(ctx, k, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -273,7 +272,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		}
 		short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 		defer cancel()
-		if _, err := db.GetContext(short, "b"); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := db.Get(short, "b"); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("Get of absent key did not wait on the miss gap: %v", err)
 		}
 		// Same at the right edge: absent "zz" has no successor, so the
@@ -283,15 +282,15 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		}
 		short2, cancel2 := context.WithTimeout(ctx, 50*time.Millisecond)
 		defer cancel2()
-		if _, err := db.GetContext(short2, "zz"); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := db.Get(short2, "zz"); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("Get past the last key did not wait on the eof sentinel: %v", err)
 		}
 		db.kv.locks.ReleaseAll(owner)
 		// Gap free again: both misses complete and still report not-found.
-		if _, err := db.Get("b"); !errors.Is(err, ErrKeyNotFound) {
+		if _, err := db.Get(ctx, "b"); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("Get(b) = %v, want ErrKeyNotFound", err)
 		}
-		if _, err := db.Get("zz"); !errors.Is(err, ErrKeyNotFound) {
+		if _, err := db.Get(ctx, "zz"); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("Get(zz) = %v, want ErrKeyNotFound", err)
 		}
 	})
@@ -299,7 +298,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		db := openIsoDB(t, Serializable)
 		defer db.Close(context.Background())
 		for _, k := range []string{"a", "c"} {
-			if err := db.Put(k, []byte("v")); err != nil {
+			if err := db.Put(ctx, k, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -315,7 +314,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 			t.Fatal("miss gap lock did not land on the successor")
 		}
 		inserted := make(chan error, 1)
-		go func() { inserted <- db.Put("b", []byte("v")) }()
+		go func() { inserted <- db.Put(ctx, "b", []byte("v")) }()
 		select {
 		case err := <-inserted:
 			t.Fatalf("insert crossed a gap a Get miss had locked: %v", err)
@@ -335,7 +334,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		db := openIsoDB(t, ReadCommitted)
 		defer db.Close(context.Background())
 		for _, k := range []string{"a", "c"} {
-			if err := db.Put(k, []byte("v")); err != nil {
+			if err := db.Put(ctx, k, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -347,7 +346,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		defer db.kv.locks.ReleaseAll(owner)
 		short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 		defer cancel()
-		if _, err := db.GetContext(short, "b"); !errors.Is(err, ErrKeyNotFound) {
+		if _, err := db.Get(short, "b"); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("read-committed miss must not take gap locks: %v", err)
 		}
 	})
@@ -364,7 +363,7 @@ func TestIsolationInsertKeepsScanLockOnSuccessor(t *testing.T) {
 	db := openIsoDB(t, Serializable)
 	defer db.Close(context.Background())
 	for _, k := range []string{"a", "b", "c"} {
-		if err := db.Put(k, []byte("v")); err != nil {
+		if err := db.Put(ctx, k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +386,7 @@ func TestIsolationInsertKeepsScanLockOnSuccessor(t *testing.T) {
 	// A concurrent delete of the successor must stay blocked until the
 	// transaction commits.
 	deleted := make(chan error, 1)
-	go func() { deleted <- db.DeleteKey("b") }()
+	go func() { deleted <- db.DeleteKey(ctx, "b") }()
 	select {
 	case err := <-deleted:
 		t.Fatalf("writer touched a key inside a live transaction's scanned range: %v", err)
@@ -412,144 +411,111 @@ func TestIsolationInsertKeepsScanLockOnSuccessor(t *testing.T) {
 // stays blocked; and once its insert lands (still uncommitted), any new
 // scan of the range blocks on the new key's own commit-duration X lock
 // — no phantom opens either before or after the downgrade point.
-// Liveness: with the downgrade on, the awaited sentinel lock is
-// released the moment the entry is visible in the leaf, so a second
-// appender lands while the first is still uncommitted; with the
-// downgrade off (the pre-downgrade hold-to-commit protocol) the
-// sentinel stays held and the second appender queues behind the commit.
+// Liveness: the awaited sentinel lock is released the moment the entry
+// is visible in the leaf, so a second appender lands while the first is
+// still uncommitted.
 func TestIsolationAppendDowngradeNoPhantom(t *testing.T) {
-	for _, downgrade := range []bool{true, false} {
-		name := "downgrade"
-		if !downgrade {
-			name = "hold-to-commit"
+	db := openIsoDB(t, Serializable)
+	defer db.Close(context.Background())
+	if err := db.Put(ctx, "zz-a", []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+
+	// A serializable scan runs off the right edge: it S-locks
+	// "zz-a" and seals the end of the index with the sentinel.
+	scanOwner := db.kv.ids()
+	keys, err := db.kv.scanKeysLocked(ctx, scanOwner, "zz-", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 1 || keys[0] != "zz-a" {
+		t.Fatalf("preload scan = %v, want [zz-a]", keys)
+	}
+
+	// Appender past everything: must block behind the scan's
+	// sentinel lock.
+	tx, err := db.kv.txns.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("zz-b"), txn.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	inserted := make(chan error, 1)
+	go func() { inserted <- db.kv.putTx(ctx, tx, tx.ID(), tx, "zz-b", []byte("v1")) }()
+	select {
+	case err := <-inserted:
+		t.Fatalf("append crossed a scanned end-of-index gap: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// The scan ends; the append lands but does NOT commit.
+	db.kv.locks.ReleaseAll(scanOwner)
+	select {
+	case err := <-inserted:
+		if err != nil {
+			t.Fatalf("append after scan released: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			db := openIsoDB(t, Serializable)
-			defer db.Close(context.Background())
-			db.kv.noDowngrade = !downgrade
-			if err := db.Put("zz-a", []byte("v0")); err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
+	case <-time.After(5 * time.Second):
+		t.Fatal("append never unblocked after the scan released its locks")
+	}
+	if _, held := db.kv.locks.Held(tx.ID(), kvEOFRes); held {
+		t.Fatal("awaited sentinel gap lock still held after the entry became visible")
+	}
 
-			// A serializable scan runs off the right edge: it S-locks
-			// "zz-a" and seals the end of the index with the sentinel.
-			scanOwner := db.kv.ids()
-			keys, err := db.kv.scanKeysLocked(ctx, scanOwner, "zz-", 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(keys) != 1 || keys[0] != "zz-a" {
-				t.Fatalf("preload scan = %v, want [zz-a]", keys)
-			}
+	// No phantom after the downgrade: a new scan must block on the
+	// uncommitted key's own lock, not skip past it.
+	scanned := make(chan []string, 1)
+	go func() {
+		ks, err := db.ScanKeys(ctx, "zz-", 100)
+		if err != nil {
+			t.Errorf("scan across uncommitted append: %v", err)
+		}
+		scanned <- ks
+	}()
+	select {
+	case ks := <-scanned:
+		t.Fatalf("scan read across an uncommitted append: %v", ks)
+	case <-time.After(50 * time.Millisecond):
+	}
 
-			// Appender past everything: must block behind the scan's
-			// sentinel lock regardless of the downgrade setting.
-			tx, err := db.kv.txns.Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("zz-b"), txn.Exclusive); err != nil {
-				t.Fatal(err)
-			}
-			inserted := make(chan error, 1)
-			go func() { inserted <- db.kv.putTx(ctx, tx, tx.ID(), tx, "zz-b", []byte("v1")) }()
-			select {
-			case err := <-inserted:
-				t.Fatalf("append crossed a scanned end-of-index gap: %v", err)
-			case <-time.After(50 * time.Millisecond):
-			}
+	// Liveness: a second appender past the first one.
+	appended := make(chan error, 1)
+	go func() { appended <- db.Put(ctx, "zz-c", []byte("v2")) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatalf("second append: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second appender serialized behind an uncommitted appender's released gap lock")
+	}
 
-			// The scan ends; the append lands but does NOT commit.
-			db.kv.locks.ReleaseAll(scanOwner)
-			select {
-			case err := <-inserted:
-				if err != nil {
-					t.Fatalf("append after scan released: %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("append never unblocked after the scan released its locks")
-			}
-			if _, held := db.kv.locks.Held(tx.ID(), kvEOFRes); held == downgrade {
-				if downgrade {
-					t.Fatal("awaited sentinel gap lock still held after the entry became visible")
-				}
-				t.Fatal("hold-to-commit protocol released the awaited sentinel gap lock early")
-			}
-
-			// No phantom after the downgrade: a new scan must block on the
-			// uncommitted key's own lock, not skip past it.
-			scanned := make(chan []string, 1)
-			go func() {
-				ks, err := db.ScanKeys("zz-", 100)
-				if err != nil {
-					t.Errorf("scan across uncommitted append: %v", err)
-				}
-				scanned <- ks
-			}()
-			select {
-			case ks := <-scanned:
-				t.Fatalf("scan read across an uncommitted append: %v", ks)
-			case <-time.After(50 * time.Millisecond):
-			}
-
-			// Liveness split: a second appender past the first one.
-			appended := make(chan error, 1)
-			go func() { appended <- db.Put("zz-c", []byte("v2")) }()
-			if downgrade {
-				select {
-				case err := <-appended:
-					if err != nil {
-						t.Fatalf("second append with downgrade on: %v", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("second appender serialized behind an uncommitted appender's released gap lock")
-				}
-			} else {
-				select {
-				case err := <-appended:
-					t.Fatalf("second append crossed a commit-duration gap lock: %v", err)
-				case <-time.After(50 * time.Millisecond):
-				}
-			}
-
-			if err := db.kv.txns.Commit(tx); err != nil {
-				t.Fatal(err)
-			}
-			if !downgrade {
-				select {
-				case err := <-appended:
-					if err != nil {
-						t.Fatalf("second append after commit: %v", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("second appender never unblocked after commit")
-				}
-			}
-			var ks []string
-			select {
-			case ks = <-scanned:
-			case <-time.After(5 * time.Second):
-				t.Fatal("blocked scan never completed after commit")
-			}
-			saw := map[string]bool{}
-			for _, k := range ks {
-				if saw[k] {
-					t.Fatalf("scan returned duplicate key %q: %v", k, ks)
-				}
-				saw[k] = true
-			}
-			if !saw["zz-a"] || !saw["zz-b"] {
-				t.Fatalf("scan after commit = %v, want zz-a and zz-b present", ks)
-			}
-			final, err := db.ScanKeys("zz-", 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(final) != 3 || final[0] != "zz-a" || final[1] != "zz-b" || final[2] != "zz-c" {
-				t.Fatalf("final scan = %v, want [zz-a zz-b zz-c]", final)
-			}
-		})
+	if err := db.kv.txns.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	var ks []string
+	select {
+	case ks = <-scanned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked scan never completed after commit")
+	}
+	saw := map[string]bool{}
+	for _, k := range ks {
+		if saw[k] {
+			t.Fatalf("scan returned duplicate key %q: %v", k, ks)
+		}
+		saw[k] = true
+	}
+	if !saw["zz-a"] || !saw["zz-b"] {
+		t.Fatalf("scan after commit = %v, want zz-a and zz-b present", ks)
+	}
+	final, err := db.ScanKeys(ctx, "zz-", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final) != 3 || final[0] != "zz-a" || final[1] != "zz-b" || final[2] != "zz-c" {
+		t.Fatalf("final scan = %v, want [zz-a zz-b zz-c]", final)
 	}
 }
 
@@ -575,7 +541,7 @@ func TestIsolationWriteSkew(t *testing.T) {
 				g := g
 				go func() {
 					defer done.Done()
-					keys, err := db.ScanKeys(prefix, 100)
+					keys, err := db.ScanKeys(ctx, prefix, 100)
 					if err != nil {
 						t.Error(err)
 					}
@@ -588,14 +554,14 @@ func TestIsolationWriteSkew(t *testing.T) {
 					barrier.Done()
 					barrier.Wait() // both scanned before either writes
 					if count == 0 {
-						if err := db.Put(fmt.Sprintf("%sguard-%d", prefix, g), []byte("v")); err != nil {
+						if err := db.Put(ctx, fmt.Sprintf("%sguard-%d", prefix, g), []byte("v")); err != nil {
 							t.Error(err)
 						}
 					}
 				}()
 			}
 			done.Wait()
-			keys, err := db.ScanKeys(prefix, 100)
+			keys, err := db.ScanKeys(ctx, prefix, 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -667,7 +633,7 @@ func TestIsolationWriteSkew(t *testing.T) {
 				}()
 			}
 			done.Wait()
-			keys, err := db.ScanKeys(prefix, 100)
+			keys, err := db.ScanKeys(ctx, prefix, 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -694,7 +660,7 @@ func TestIsolationLostUpdate(t *testing.T) {
 	const writers, increments = 4, 25
 
 	readCounter := func(t *testing.T, db *DB) int {
-		v, err := db.Get("cnt")
+		v, err := db.Get(ctx, "cnt")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -710,7 +676,7 @@ func TestIsolationLostUpdate(t *testing.T) {
 		defer db.Close(context.Background())
 		lost := false
 		for round := 0; round < 10 && !lost; round++ {
-			if err := db.Put("cnt", []byte("0")); err != nil {
+			if err := db.Put(ctx, "cnt", []byte("0")); err != nil {
 				t.Fatal(err)
 			}
 			var wg sync.WaitGroup
@@ -719,14 +685,14 @@ func TestIsolationLostUpdate(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < increments; i++ {
-						v, err := db.Get("cnt")
+						v, err := db.Get(ctx, "cnt")
 						if err != nil {
 							t.Error(err)
 							return
 						}
 						n, _ := strconv.Atoi(string(v))
 						runtime.Gosched() // widen the read-to-write window
-						if err := db.Put("cnt", []byte(strconv.Itoa(n+1))); err != nil {
+						if err := db.Put(ctx, "cnt", []byte(strconv.Itoa(n+1))); err != nil {
 							t.Error(err)
 							return
 						}
@@ -746,7 +712,7 @@ func TestIsolationLostUpdate(t *testing.T) {
 	t.Run("serializable-prevents", func(t *testing.T) {
 		db := openIsoDB(t, Serializable)
 		defer db.Close(context.Background())
-		if err := db.Put("cnt", []byte("0")); err != nil {
+		if err := db.Put(ctx, "cnt", []byte("0")); err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()

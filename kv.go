@@ -131,12 +131,6 @@ type kvCore struct {
 
 	serializable bool // next-key locking on scans and writers
 
-	// noDowngrade disables the append gap-lock downgrade: when set, a
-	// next-key gap lock an inserter had to await off-latch stays held to
-	// commit (the pre-downgrade protocol) instead of being released the
-	// moment the new entry is visible in the leaf.
-	noDowngrade bool
-
 	// dead counts committed tombstone heads: index entries whose key is
 	// logically deleted but whose ghost entry anchors the version chain
 	// until vacuum reclaims it. Len subtracts it from the entry count.
@@ -154,8 +148,7 @@ type kvCore struct {
 	// file manager's logged free path for abandoned bulk pages.
 	log              *wal.Log
 	freePages        func([]storage.PageID) error
-	importChunkPages int  // pages between cancellation checks/flushes (0 = default)
-	importFastOff    bool // Options.DisableImportFastPath
+	importChunkPages int // pages between cancellation checks/flushes (0 = default)
 	importFallbacks  atomic.Uint64
 }
 
@@ -647,14 +640,6 @@ func (kv *kvCore) insertIndex(ctx context.Context, c access.TxnContext, owner ui
 	// never happened, so the key space the gap lock guarded is
 	// unchanged — exactly the instant-duration argument.
 	var kept []string
-	release := func() {
-		if kv.noDowngrade {
-			return // hold to commit; ReleaseAll drops them with the rest
-		}
-		for _, res := range kept {
-			_ = kv.locks.Release(owner, res)
-		}
-	}
 	for {
 		var pending, instant string
 		err := kv.idx.InsertTxGap(c, kv.key(k), rid, kv.gapLockHook(owner, &pending, &instant))
@@ -664,7 +649,9 @@ func (kv *kvCore) insertIndex(ctx context.Context, c access.TxnContext, owner ui
 			_ = kv.locks.Release(owner, instant)
 		}
 		if !errors.Is(err, errGapBlocked) {
-			release()
+			for _, res := range kept {
+				_ = kv.locks.Release(owner, res)
+			}
 			return err
 		}
 		_, held := kv.locks.Held(owner, pending)
@@ -1132,20 +1119,20 @@ func (kv *kvCore) lockMissGap(ctx context.Context, owner uint64, k string) error
 }
 
 // Len returns the number of live keys: index entries minus committed
-// tombstone ghosts (0 when the engine is poisoned — the in-memory count
-// is no more trustworthy than the pages then).
-func (kv *kvCore) Len() uint64 {
-	if kv.poisoned.Load() {
-		return 0
+// tombstone ghosts. A poisoned engine refuses — the in-memory count is
+// no more trustworthy than the pages then.
+func (kv *kvCore) Len(context.Context) (uint64, error) {
+	if err := kv.checkFailed(); err != nil {
+		return 0, err
 	}
 	n := kv.idx.Len()
 	if d := kv.dead.Load(); d > 0 {
 		if uint64(d) >= n {
-			return 0
+			return 0, nil
 		}
 		n -= uint64(d)
 	}
-	return n
+	return n, nil
 }
 
 // --- snapshot reads -----------------------------------------------------

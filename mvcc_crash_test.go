@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // runVersionChainWorkload builds deep version chains: a small key
@@ -31,7 +32,7 @@ func runVersionChainWorkload(db *DB, rounds, keySpace int, fault *storage.FaultD
 			}
 			k := fmt.Sprintf("chain-%03d", i)
 			if r%4 == 3 && i%5 == 0 {
-				if err := db.DeleteKey(k); err == nil {
+				if err := db.DeleteKey(ctx, k); err == nil {
 					delete(st.live, k)
 					st.deleted[k] = true
 					lastClock = db.kv.oracle.Clock()
@@ -39,7 +40,7 @@ func runVersionChainWorkload(db *DB, rounds, keySpace int, fault *storage.FaultD
 				continue
 			}
 			v := fmt.Sprintf("v-%d-%d", r, i)
-			if err := db.Put(k, []byte(v)); err == nil {
+			if err := db.Put(ctx, k, []byte(v)); err == nil {
 				st.live[k] = v
 				delete(st.deleted, k)
 				lastClock = db.kv.oracle.Clock()
@@ -56,13 +57,14 @@ func runVersionChainWorkload(db *DB, rounds, keySpace int, fault *storage.FaultD
 // from the locking path here) and that the commit clock resumed above
 // the last durable pre-crash stamp — a post-recovery commit must
 // never reuse a timestamp that already stamps recovered versions.
-func verifyRecoveredMVCC(t *testing.T, dataDev, logDev storage.Device, st *crashState, clockBefore uint64) {
+func verifyRecoveredMVCC(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir, st *crashState, clockBefore uint64) {
 	t.Helper()
 	db, err := Open(Options{
-		Device:       dataDev,
-		LogDevice:    logDev,
-		Granularity:  Monolithic,
-		BufferFrames: 64,
+		Device:          dataDev,
+		LogDir:          logDir,
+		WALSegmentBytes: crashSegmentBytes,
+		Granularity:     Monolithic,
+		BufferFrames:    64,
 	})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
@@ -72,14 +74,14 @@ func verifyRecoveredMVCC(t *testing.T, dataDev, logDev storage.Device, st *crash
 		t.Fatalf("commit clock after recovery = %d, want >= %d", got, clockBefore)
 	}
 	for k, want := range st.live {
-		got, err := db.Get(k)
+		got, err := db.Get(ctx, k)
 		if err != nil {
 			t.Fatalf("committed key %q lost after recovery: %v", k, err)
 		}
 		if string(got) != want {
 			t.Fatalf("committed key %q = %q, want %q", k, got, want)
 		}
-		sgot, err := db.GetSnapshot(k)
+		sgot, err := db.GetSnapshot(ctx, k)
 		if err != nil {
 			t.Fatalf("snapshot read of committed key %q after recovery: %v", k, err)
 		}
@@ -88,17 +90,17 @@ func verifyRecoveredMVCC(t *testing.T, dataDev, logDev storage.Device, st *crash
 		}
 	}
 	for k := range st.deleted {
-		if _, err := db.GetSnapshot(k); err == nil {
+		if _, err := db.GetSnapshot(ctx, k); err == nil {
 			t.Fatalf("committed delete of %q visible to a snapshot after recovery", k)
 		} else if !isNotFound(err) {
 			t.Fatalf("GetSnapshot(%q) after committed delete: %v", k, err)
 		}
 	}
-	if got, want := db.KVLen(), uint64(len(st.live)); got != want {
+	if got, want := kvLen(t, db), uint64(len(st.live)); got != want {
 		t.Fatalf("KVLen after recovery = %d, want %d", got, want)
 	}
 	// A fresh commit must stamp strictly above every recovered version.
-	if err := db.Put("clock-probe", []byte("post-crash")); err != nil {
+	if err := db.Put(ctx, "clock-probe", []byte("post-crash")); err != nil {
 		t.Fatalf("put after recovery: %v", err)
 	}
 	if got := db.kv.oracle.Clock(); got <= clockBefore {
@@ -112,14 +114,14 @@ func verifyRecoveredMVCC(t *testing.T, dataDev, logDev storage.Device, st *crash
 // (redo re-inserts versions and re-links prev pointers at their exact
 // RIDs) and the commit-timestamp clock.
 func TestKVCrashRecoveryVersionChains(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
-	db := openCrashDB(t, dataDev, logDev)
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openCrashDB(t, dataDev, logDir)
 	st, clock := runVersionChainWorkload(db, 12, 40, nil)
 	if len(st.live) == 0 || clock == 0 {
 		t.Fatal("workload committed nothing")
 	}
 	abandon(db)
-	verifyRecoveredMVCC(t, dataDev, logDev, st, clock)
+	verifyRecoveredMVCC(t, dataDev, logDir, st, clock)
 }
 
 // TestKVCrashRecoveryVersionChainsTornWrite crashes the data device
@@ -129,13 +131,13 @@ func TestKVCrashRecoveryVersionChains(t *testing.T) {
 func TestKVCrashRecoveryVersionChainsTornWrite(t *testing.T) {
 	for _, crashAfter := range []int{2, 13, 45} {
 		t.Run(fmt.Sprintf("crashAfter=%d", crashAfter), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
-			db := openCrashDB(t, fault, logDev)
+			db := openCrashDB(t, fault, logDir)
 			fault.CrashAfterWrites(crashAfter, storage.PageSize/2)
 			st, clock := runVersionChainWorkload(db, 12, 40, fault)
 			abandon(db)
-			verifyRecoveredMVCC(t, inner, logDev, st, clock)
+			verifyRecoveredMVCC(t, inner, logDir, st, clock)
 		})
 	}
 }
@@ -156,9 +158,9 @@ func TestCrashMidVacuum(t *testing.T) {
 		{0, 0}, {3, 0}, {17, 0}, {5, storage.PageSize / 2},
 	} {
 		t.Run(fmt.Sprintf("crashAfter=%d,tear=%d", tc.crashAfter, tc.tear), func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
-			db := openCrashDB(t, fault, logDev)
+			db := openCrashDB(t, fault, logDir)
 
 			// Four versions per key, then every third key deleted: the
 			// vacuum has both chains to truncate and whole keys to remove.
@@ -168,7 +170,7 @@ func TestCrashMidVacuum(t *testing.T) {
 				for i := 0; i < keys; i++ {
 					k := fmt.Sprintf("vac-%03d", i)
 					val := fmt.Sprintf("v%d-%03d", v, i)
-					if err := db.Put(k, []byte(val)); err != nil {
+					if err := db.Put(ctx, k, []byte(val)); err != nil {
 						t.Fatal(err)
 					}
 					st.live[k] = val
@@ -176,7 +178,7 @@ func TestCrashMidVacuum(t *testing.T) {
 			}
 			for i := 0; i < keys; i += 3 {
 				k := fmt.Sprintf("vac-%03d", i)
-				if err := db.DeleteKey(k); err != nil {
+				if err := db.DeleteKey(ctx, k); err != nil {
 					t.Fatal(err)
 				}
 				delete(st.live, k)
@@ -188,17 +190,18 @@ func TestCrashMidVacuum(t *testing.T) {
 			abandon(db)
 
 			db2, err := Open(Options{
-				Device:       inner,
-				LogDevice:    logDev,
-				Granularity:  Monolithic,
-				BufferFrames: 64,
+				Device:          inner,
+				LogDir:          logDir,
+				WALSegmentBytes: crashSegmentBytes,
+				Granularity:     Monolithic,
+				BufferFrames:    64,
 			})
 			if err != nil {
 				t.Fatalf("reopen after mid-vacuum crash: %v", err)
 			}
 			defer db2.Close(context.Background())
 			for k, want := range st.live {
-				got, err := db2.Get(k)
+				got, err := db2.Get(ctx, k)
 				if err != nil {
 					t.Fatalf("live key %q lost across mid-vacuum crash: %v", k, err)
 				}
@@ -207,13 +210,13 @@ func TestCrashMidVacuum(t *testing.T) {
 				}
 			}
 			for k := range st.deleted {
-				if _, err := db2.Get(k); err == nil {
+				if _, err := db2.Get(ctx, k); err == nil {
 					t.Fatalf("deleted key %q resurrected by mid-vacuum crash", k)
 				} else if !isNotFound(err) {
 					t.Fatalf("Get(%q): %v", k, err)
 				}
 			}
-			if got, want := db2.KVLen(), uint64(len(st.live)); got != want {
+			if got, want := kvLen(t, db2), uint64(len(st.live)); got != want {
 				t.Fatalf("KVLen after recovery = %d, want %d", got, want)
 			}
 			// A full pass over the recovered store must reach the fully

@@ -23,7 +23,7 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 	defer db.Close(context.Background())
 	ctx := context.Background()
 
-	if err := db.Put("k", []byte("v1")); err != nil {
+	if err := db.Put(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	tx, err := db.kv.txns.Begin()
@@ -48,10 +48,10 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if got, err := db.GetSnapshot("k"); err != nil || string(got) != "v1" {
+		if got, err := db.GetSnapshot(ctx, "k"); err != nil || string(got) != "v1" {
 			t.Errorf("GetSnapshot under uncommitted update = %q, %v; want v1", got, err)
 		}
-		if _, err := db.GetSnapshot("fresh"); !isNotFound(err) {
+		if _, err := db.GetSnapshot(ctx, "fresh"); !isNotFound(err) {
 			t.Errorf("GetSnapshot of uncommitted insert: %v, want not-found", err)
 		}
 	}()
@@ -64,10 +64,10 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 	if err := db.kv.txns.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.GetSnapshot("k"); err != nil || string(got) != "v2" {
+	if got, err := db.GetSnapshot(ctx, "k"); err != nil || string(got) != "v2" {
 		t.Fatalf("GetSnapshot after commit = %q, %v; want v2", got, err)
 	}
-	if got, err := db.GetSnapshot("fresh"); err != nil || string(got) != "new" {
+	if got, err := db.GetSnapshot(ctx, "fresh"); err != nil || string(got) != "new" {
 		t.Fatalf("GetSnapshot of committed insert = %q, %v; want new", got, err)
 	}
 }
@@ -79,16 +79,16 @@ func TestMVCCSnapshotTombstone(t *testing.T) {
 	db := openIsoDB(t, ReadCommitted)
 	defer db.Close(context.Background())
 
-	if err := db.Put("gone", []byte("was-here")); err != nil {
+	if err := db.Put(ctx, "gone", []byte("was-here")); err != nil {
 		t.Fatal(err)
 	}
 	// Pin a snapshot predating the delete.
 	old := db.kv.oracle.Snapshot()
 	defer old.Close()
-	if err := db.DeleteKey("gone"); err != nil {
+	if err := db.DeleteKey(ctx, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GetSnapshot("gone"); !isNotFound(err) {
+	if _, err := db.GetSnapshot(ctx, "gone"); !isNotFound(err) {
 		t.Fatalf("GetSnapshot after committed delete: %v, want not-found", err)
 	}
 	// The pinned snapshot still resolves through the tombstone to the
@@ -113,7 +113,7 @@ func TestMVCCSnapshotConsistentCut(t *testing.T) {
 	defer db.Close(context.Background())
 
 	for i := 0; i < 100; i++ {
-		if err := db.Put(fmt.Sprintf("sn-m-%04d", i), []byte("filler")); err != nil {
+		if err := db.Put(ctx, fmt.Sprintf("sn-m-%04d", i), []byte("filler")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestMVCCSnapshotConsistentCut(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if err := db.PutBatch(keys, vals); err != nil {
+			if err := db.PutBatch(ctx, keys, vals); err != nil {
 				t.Errorf("PutBatch: %v", err)
 			}
 		}()
@@ -143,7 +143,7 @@ func TestMVCCSnapshotConsistentCut(t *testing.T) {
 				scanning = false
 			default:
 			}
-			got, err := db.ScanKeysSnapshot("sn-", 100000)
+			got, err := db.ScanKeysSnapshot(ctx, "sn-", 100000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 	ctx := context.Background()
 
 	for _, k := range []string{"ww-1", "ww-2"} {
-		if err := db.Put(k, []byte("v0")); err != nil {
+		if err := db.Put(ctx, k, []byte("v0")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 	if err := db.kv.txns.Commit(survivor); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.Get(sk); err != nil || string(got) != "v1" {
+	if got, err := db.Get(ctx, sk); err != nil || string(got) != "v1" {
 		t.Fatalf("survivor's write = %q, %v; want v1", got, err)
 	}
 }
@@ -253,13 +253,13 @@ func TestMVCCVacuumReclaims(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("vac-%03d", i)
 		for v := 0; v < 4; v++ {
-			if err := db.Put(k, []byte(fmt.Sprintf("v%d", v))); err != nil {
+			if err := db.Put(ctx, k, []byte(fmt.Sprintf("v%d", v))); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for i := 0; i < keys; i += 2 {
-		if err := db.DeleteKey(fmt.Sprintf("vac-%03d", i)); err != nil {
+		if err := db.DeleteKey(ctx, fmt.Sprintf("vac-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,13 +288,13 @@ func TestMVCCVacuumReclaims(t *testing.T) {
 	if after != keys/2 {
 		t.Fatalf("heap holds %d cells after vacuum, want %d (one per live key)", after, keys/2)
 	}
-	if got := db.KVLen(); got != keys/2 {
+	if got := kvLen(t, db); got != keys/2 {
 		t.Fatalf("KVLen after vacuum = %d, want %d", got, keys/2)
 	}
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("vac-%03d", i)
-		got, err := db.Get(k)
-		sgot, serr := db.GetSnapshot(k)
+		got, err := db.Get(ctx, k)
+		sgot, serr := db.GetSnapshot(ctx, k)
 		if i%2 == 0 {
 			if !isNotFound(err) || !isNotFound(serr) {
 				t.Fatalf("deleted %q after vacuum: %v / %v", k, err, serr)
@@ -305,10 +305,10 @@ func TestMVCCVacuumReclaims(t *testing.T) {
 	}
 	// A reclaimed key is re-insertable (the gap protocol sees a clean
 	// absence, not a ghost).
-	if err := db.Put("vac-000", []byte("back")); err != nil {
+	if err := db.Put(ctx, "vac-000", []byte("back")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := db.Get("vac-000"); err != nil || string(got) != "back" {
+	if got, err := db.Get(ctx, "vac-000"); err != nil || string(got) != "back" {
 		t.Fatalf("reinsert after vacuum = %q, %v", got, err)
 	}
 }
@@ -321,20 +321,20 @@ func TestMVCCVacuumRespectsHorizon(t *testing.T) {
 	db := openIsoDB(t, ReadCommitted)
 	defer db.Close(context.Background())
 
-	if err := db.Put("pin", []byte("old")); err != nil {
+	if err := db.Put(ctx, "pin", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put("doomed", []byte("short-lived")); err != nil {
+	if err := db.Put(ctx, "doomed", []byte("short-lived")); err != nil {
 		t.Fatal(err)
 	}
 	snap := db.kv.oracle.Snapshot()
 	defer snap.Close()
 	for i := 0; i < 3; i++ {
-		if err := db.Put("pin", []byte(fmt.Sprintf("new-%d", i))); err != nil {
+		if err := db.Put(ctx, "pin", []byte(fmt.Sprintf("new-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.DeleteKey("doomed"); err != nil {
+	if err := db.DeleteKey(ctx, "doomed"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -355,7 +355,7 @@ func TestMVCCVacuumRespectsHorizon(t *testing.T) {
 		}
 	}
 	// Current reads see the new world.
-	if got, err := db.Get("pin"); err != nil || string(got) != "new-2" {
+	if got, err := db.Get(ctx, "pin"); err != nil || string(got) != "new-2" {
 		t.Fatalf("current read of pin = %q, %v", got, err)
 	}
 
@@ -409,7 +409,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 			for r := 0; !stop.Load(); r++ {
 				lo := fmt.Sprintf("pa-%d-%06d", w, r)
 				hi := fmt.Sprintf("pz-%d-%06d", w, r)
-				err := db.PutBatch([]string{lo, hi}, [][]byte{[]byte("v"), []byte("v")})
+				err := db.PutBatch(ctx, []string{lo, hi}, [][]byte{[]byte("v"), []byte("v")})
 				if err != nil && !IsConflict(err) {
 					t.Errorf("writer %d: %v", w, err)
 					return
@@ -421,7 +421,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 					// "pz present ⇒ pa present" an invariant.
 					old := r - 3
 					for _, k := range []string{fmt.Sprintf("pz-%d-%06d", w, old), fmt.Sprintf("pa-%d-%06d", w, old)} {
-						if err := db.DeleteKey(k); err != nil && !IsConflict(err) && !isNotFound(err) {
+						if err := db.DeleteKey(ctx, k); err != nil && !IsConflict(err) && !isNotFound(err) {
 							t.Errorf("writer %d delete: %v", w, err)
 							return
 						}
@@ -429,7 +429,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 				}
 				// Hot keys grow chains for the vacuum to chew through.
 				k := fmt.Sprintf("hot-%d", r%pairs)
-				if err := db.Put(k, []byte(fmt.Sprintf("w%d-r%d", w, r))); err != nil && !IsConflict(err) {
+				if err := db.Put(ctx, k, []byte(fmt.Sprintf("w%d-r%d", w, r))); err != nil && !IsConflict(err) {
 					t.Errorf("writer %d hot put: %v", w, err)
 					return
 				}
@@ -444,7 +444,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			keys, err := db.ScanKeysSnapshot("p", 100000)
+			keys, err := db.ScanKeysSnapshot(ctx, "p", 100000)
 			if err != nil {
 				t.Errorf("snapshot scan: %v", err)
 				return
@@ -471,7 +471,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			k := fmt.Sprintf("hot-%d", i%pairs)
-			if _, err := db.GetSnapshot(k); err != nil && !isNotFound(err) {
+			if _, err := db.GetSnapshot(ctx, k); err != nil && !isNotFound(err) {
 				t.Errorf("snapshot get %q: %v", k, err)
 				return
 			}
@@ -504,11 +504,11 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 	if _, err := db.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
-	live, err := db.ScanKeys("", 1<<20)
+	live, err := db.ScanKeys(ctx, "", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.KVLen(); got != uint64(len(live)) {
+	if got := kvLen(t, db); got != uint64(len(live)) {
 		t.Fatalf("KVLen = %d but scan found %d keys", got, len(live))
 	}
 	cells, err := db.kv.heap.Count()

@@ -43,53 +43,27 @@ var Granularities = []Granularity{Monolithic, Coarse, Layered, Fine}
 type Options struct {
 	// Device is the data device (nil = in-memory).
 	Device storage.Device
-	// LogDir holds the segmented WAL: numbered wal.NNNNNN segment files
-	// plus a manifest, reclaimed by fuzzy-checkpoint truncation. Takes
-	// precedence over LogDevice. Use wal.NewFileSegmentDir for an
-	// on-disk log, wal.NewMemSegmentDir for tests. When both LogDir and
-	// LogDevice are nil the WAL defaults to an in-memory segmented log.
+	// LogDir holds the WAL: numbered wal.NNNNNN segment files plus a
+	// manifest, reclaimed by fuzzy-checkpoint truncation. Use
+	// wal.NewFileSegmentDir for an on-disk log, wal.NewMemSegmentDir for
+	// tests (nil = a fresh in-memory directory).
 	LogDir wal.SegmentDir
-	// LogDevice is a single-file WAL (the legacy unbounded layout: no
-	// segment rollover, so checkpoints bound recovery time but never
-	// reclaim space). DisableWAL skips logging entirely.
-	LogDevice  storage.Device
+	// DisableWAL skips logging entirely.
 	DisableWAL bool
-	// WALSegmentBytes is the segment roll threshold for segmented logs
-	// (0 = 4 MiB). Once the recovery-begin LSN passes a segment's end,
-	// the segment file is deleted.
+	// WALSegmentBytes is the WAL's segment roll threshold (0 = 4 MiB).
+	// Once the recovery-begin LSN passes a segment's end, the segment
+	// file is deleted.
 	WALSegmentBytes int
 	// CheckpointInterval runs a background fuzzy checkpoint on this
 	// period, bounding both recovery time and total WAL size without
 	// quiescing writers (0 = no background checkpoints; DB.Checkpoint
 	// remains available).
 	CheckpointInterval time.Duration
-	// InlineCheckpointFlush makes every checkpoint flush its dirty-page
-	// snapshot on the caller before returning (the pre-flusher
-	// behaviour). By default checkpoints hand the snapshot to a
-	// dedicated background flusher goroutine — the ARIES "near-free"
-	// variant — which also opportunistically writes back cold dirty
-	// frames between checkpoints; DB.Checkpoint then returns as soon as
-	// the checkpoint record is durable, and DB.CheckpointSync waits for
-	// the flush and the truncation it licenses.
-	InlineCheckpointFlush bool
-	// DisableOptimisticDescent makes every B+tree insert take the
-	// exclusive top-down crab descent (the pre-optimistic behaviour)
-	// instead of the shared-latch descent with version validation.
-	DisableOptimisticDescent bool
-	// DisableAppendDowngrade keeps an inserter's awaited next-key gap
-	// locks until commit (the pre-downgrade behaviour) instead of
-	// releasing them the moment the new entry is visible in its leaf.
-	// Only meaningful at Serializable scan isolation.
-	DisableAppendDowngrade bool
 	// ImportChunkPages is how many bulk pages DB.Import writes between
 	// cancellation checks and pacing WAL flushes (0 = 64, about 256 KiB
 	// per chunk). Larger chunks shave a little flush overhead at the
 	// cost of cancellation latency and WAL-buffer memory.
 	ImportChunkPages int
-	// DisableImportFastPath makes DB.Import always take the per-key
-	// insert path (the pre-bulk-build behaviour), even on an empty
-	// store. The batch still loads atomically.
-	DisableImportFastPath bool
 	// VacuumInterval runs the background MVCC vacuum on this period:
 	// version chains are pruned to the oldest version any live or
 	// future snapshot can still resolve to, and fully-dead keys
@@ -126,9 +100,6 @@ type Options struct {
 	// instead of sleeping out the window. 0 defaults to 1; a negative
 	// value disables the gate (always hold the window).
 	WALCommitSiblings int
-	// WALSyncEveryFlush disables WAL group commit: every flush call
-	// issues its own device sync (the pre-group-commit baseline).
-	WALSyncEveryFlush bool
 	// Binding wraps every registered service with a communication
 	// mechanism (nil = in-process). Use a netbind.Binding via
 	// WrapService for remote deployments.
@@ -217,15 +188,11 @@ func Open(opts Options) (*DB, error) {
 	// transaction manager and access methods exist.
 	var recovered wal.RecoveryStats
 	if !opts.DisableWAL {
-		var l *wal.Log
-		switch {
-		case opts.LogDir != nil:
-			l, err = wal.OpenDir(opts.LogDir, opts.WALSegmentBytes)
-		case opts.LogDevice != nil:
-			l, err = wal.Open(opts.LogDevice)
-		default:
-			l, err = wal.OpenDir(wal.NewMemSegmentDir(), opts.WALSegmentBytes)
+		dir := opts.LogDir
+		if dir == nil {
+			dir = wal.NewMemSegmentDir()
 		}
+		l, err := wal.OpenDir(dir, opts.WALSegmentBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +211,6 @@ func Open(opts Options) (*DB, error) {
 			}
 		}
 		l.SetGroupWindow(opts.WALGroupWindow, opts.WALGroupBytes)
-		l.SetSyncEveryFlush(opts.WALSyncEveryFlush)
 		db.log = l
 	}
 
@@ -318,10 +284,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.kv.noDowngrade = opts.DisableAppendDowngrade
 	db.kv.importChunkPages = opts.ImportChunkPages
-	db.kv.importFastOff = opts.DisableImportFastPath
-	db.kv.idx.SetOptimisticDescent(!opts.DisableOptimisticDescent)
 	db.undo.Register(db.kv.idx)
 	// Tombstone-head accounting waits for loser rollback (above): only
 	// then is every head's tombstone flag settled.
@@ -346,7 +309,7 @@ func Open(opts Options) (*DB, error) {
 	if err := db.kernel.Start(ctx); err != nil {
 		return nil, err
 	}
-	if db.log != nil && !opts.InlineCheckpointFlush {
+	if db.log != nil {
 		db.txns.StartCheckpointFlusher()
 	}
 	if db.log != nil && opts.CheckpointInterval > 0 {
@@ -402,13 +365,12 @@ func (db *DB) CheckpointStatus() (failures uint64, lastErr error) {
 // Checkpoint takes a fuzzy checkpoint now: in-flight transactions and
 // concurrent writers are unaffected, recovery scans are bounded to the
 // log suffix, and WAL segments below the new recovery-begin LSN are
-// deleted. Returns the checkpoint record's LSN. With the background
-// flusher enabled (the default; see Options.InlineCheckpointFlush) the
-// call returns as soon as the checkpoint record is durable — the
-// dirty-page flush, the manifest advance and the segment truncation
-// complete asynchronously, and a background completion failure
-// surfaces as the error of the next checkpoint call. Use
-// CheckpointSync to wait for (and observe errors from) the completion.
+// deleted. Returns the checkpoint record's LSN. The call returns as
+// soon as the checkpoint record is durable — the dirty-page flush, the
+// manifest advance and the segment truncation complete on the
+// background flusher, and a background completion failure surfaces as
+// the error of the next checkpoint call. Use CheckpointSync to wait for
+// (and observe errors from) the completion.
 func (db *DB) Checkpoint() (wal.LSN, error) {
 	if db.txns == nil || db.log == nil {
 		return wal.ZeroLSN, txn.ErrNoWAL
@@ -526,26 +488,17 @@ func (db *DB) Exec(ctx context.Context, query string) (*sql.Result, error) {
 	return res, nil
 }
 
-// Put stores a key-value pair through the configured service path.
-func (db *DB) Put(key string, val []byte) error {
-	return db.kvPath.Put(context.Background(), key, val)
-}
-
-// PutContext is Put with a context bounding lock waits: a write blocked
-// behind a conflicting transaction aborts cleanly when ctx is done.
-func (db *DB) PutContext(ctx context.Context, key string, val []byte) error {
+// Put stores a key-value pair through the configured service path. The
+// context bounds lock waits: a write blocked behind a conflicting
+// transaction aborts cleanly when ctx is done.
+func (db *DB) Put(ctx context.Context, key string, val []byte) error {
 	return db.kvPath.Put(ctx, key, val)
 }
 
 // PutBatch stores several key-value pairs atomically under one
 // transaction through the configured service path: one WAL force per
 // batch, and all-or-nothing crash recovery.
-func (db *DB) PutBatch(keys []string, vals [][]byte) error {
-	return db.kvPath.PutBatch(context.Background(), keys, vals)
-}
-
-// PutBatchContext is PutBatch with a context bounding lock waits.
-func (db *DB) PutBatchContext(ctx context.Context, keys []string, vals [][]byte) error {
+func (db *DB) PutBatch(ctx context.Context, keys []string, vals [][]byte) error {
 	return db.kvPath.PutBatch(ctx, keys, vals)
 }
 
@@ -556,73 +509,45 @@ func (db *DB) PutBatchContext(ctx context.Context, keys []string, vals [][]byte)
 // any page is written. On an empty store the load takes the fast path:
 // version cells packed page-at-a-time with one WAL record per page, the
 // B+tree built bottom-up and published atomically by swapping the meta
-// root pointer. On a non-empty store (or with the fast path disabled)
-// it falls back to one atomic per-key transaction — see
-// ImportFallbacks. Either way the whole batch becomes visible at one
-// commit timestamp: a crash mid-import recovers to all of the keys or
-// none of them.
-func (db *DB) Import(keys []string, vals [][]byte) error {
-	return db.kvPath.Import(context.Background(), keys, vals)
-}
-
-// ImportContext is Import with a cancellation context: a cancel
-// observed mid-load rolls the whole import back and leaves no partial
-// state.
-func (db *DB) ImportContext(ctx context.Context, keys []string, vals [][]byte) error {
+// root pointer. On a non-empty store it falls back to one atomic
+// per-key transaction — see ImportFallbacks. Either way the whole batch
+// becomes visible at one commit timestamp: a crash mid-import recovers
+// to all of the keys or none of them, and a cancel observed mid-load
+// rolls the whole import back and leaves no partial state.
+func (db *DB) Import(ctx context.Context, keys []string, vals [][]byte) error {
 	return db.kvPath.Import(ctx, keys, vals)
 }
 
 // ImportFallbacks reports how many Import calls bypassed the bulk fast
-// path (non-empty store, DisableImportFastPath, WAL disabled, or a lost
-// race against a concurrent insert) and loaded per-key instead.
+// path (non-empty store, WAL disabled, or a lost race against a
+// concurrent insert) and loaded per-key instead.
 func (db *DB) ImportFallbacks() uint64 { return db.kv.ImportFallbacks() }
 
 // Get fetches a value through the configured service path.
-func (db *DB) Get(key string) ([]byte, error) {
-	return db.kvPath.Get(context.Background(), key)
-}
-
-// GetContext is Get with a context bounding lock waits.
-func (db *DB) GetContext(ctx context.Context, key string) ([]byte, error) {
+func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 	return db.kvPath.Get(ctx, key)
 }
 
 // DeleteKey removes a key through the configured service path.
-func (db *DB) DeleteKey(key string) error {
-	return db.kvPath.Delete(context.Background(), key)
-}
-
-// DeleteKeyContext is DeleteKey with a context bounding lock waits.
-func (db *DB) DeleteKeyContext(ctx context.Context, key string) error {
+func (db *DB) DeleteKey(ctx context.Context, key string) error {
 	return db.kvPath.Delete(ctx, key)
 }
 
 // ScanKeys returns up to n keys from key onward, at the isolation
 // level Options.ScanIsolation selected: read-committed scans are
 // lock-free best-effort views; serializable scans are next-key-locked
-// atomic snapshots and may return ErrConflict (retryable) when chosen
-// as a deadlock victim against concurrent writers.
-func (db *DB) ScanKeys(key string, n int) ([]string, error) {
-	return db.kvPath.Scan(context.Background(), key, n)
-}
-
-// ScanKeysContext is ScanKeys with a cancellation context bounding lock
-// waits (serializable scans block behind conflicting writers).
-func (db *DB) ScanKeysContext(ctx context.Context, key string, n int) ([]string, error) {
+// atomic snapshots that block behind conflicting writers (ctx bounds
+// the wait) and may return ErrConflict (retryable) when chosen as a
+// deadlock victim.
+func (db *DB) ScanKeys(ctx context.Context, key string, n int) ([]string, error) {
 	return db.kvPath.Scan(ctx, key, n)
 }
 
 // GetSnapshot reads key at one consistent MVCC snapshot: the newest
 // version committed before the call, without taking any key locks —
 // it never blocks behind writers and never sees their uncommitted
-// versions.
-func (db *DB) GetSnapshot(key string) ([]byte, error) {
-	return db.kvPath.GetSnapshot(context.Background(), key)
-}
-
-// GetSnapshotContext is GetSnapshot with a cancellation context (the
-// read itself is lock-free; the context bounds service-path hops).
-func (db *DB) GetSnapshotContext(ctx context.Context, key string) ([]byte, error) {
+// versions (the context bounds service-path hops only).
+func (db *DB) GetSnapshot(ctx context.Context, key string) ([]byte, error) {
 	return db.kvPath.GetSnapshot(ctx, key)
 }
 
@@ -630,13 +555,7 @@ func (db *DB) GetSnapshotContext(ctx context.Context, key string) ([]byte, error
 // consistent MVCC snapshot, regardless of Options.ScanIsolation: the
 // scan takes no key locks, never blocks behind writers, and never
 // returns ErrConflict.
-func (db *DB) ScanKeysSnapshot(key string, n int) ([]string, error) {
-	return db.kvPath.ScanKeysSnapshot(context.Background(), key, n)
-}
-
-// ScanKeysSnapshotContext is ScanKeysSnapshot with a cancellation
-// context.
-func (db *DB) ScanKeysSnapshotContext(ctx context.Context, key string, n int) ([]string, error) {
+func (db *DB) ScanKeysSnapshot(ctx context.Context, key string, n int) ([]string, error) {
 	return db.kvPath.ScanKeysSnapshot(ctx, key, n)
 }
 
@@ -659,7 +578,7 @@ func (db *DB) VacuumStatus() (vacuum.Stats, int, error) {
 }
 
 // KVLen returns the number of stored keys.
-func (db *DB) KVLen() uint64 { return db.kvPath.Len() }
+func (db *DB) KVLen(ctx context.Context) (uint64, error) { return db.kvPath.Len(ctx) }
 
 // SetLogRetention installs a min-shipped-LSN provider on the WAL:
 // checkpoint truncation keeps every segment at or above the reported

@@ -10,7 +10,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
+
+// ctx is the context of every test call that has no deadline or
+// cancellation of its own to exercise.
+var ctx = context.Background()
+
+// kvLen is db.KVLen with the error fatal.
+func kvLen(t testing.TB, db *DB) uint64 {
+	t.Helper()
+	n, err := db.KVLen(ctx)
+	if err != nil {
+		t.Fatalf("KVLen: %v", err)
+	}
+	return n
+}
 
 func openDB(t *testing.T, g Granularity) *DB {
 	t.Helper()
@@ -37,35 +52,35 @@ func TestKVAcrossGranularities(t *testing.T) {
 				t.Fatal("granularity")
 			}
 			for i := 0; i < 200; i++ {
-				if err := db.Put(fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if err := db.Put(ctx, fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			v, err := db.Get("k0042")
+			v, err := db.Get(ctx, "k0042")
 			if err != nil || string(v) != "v42" {
 				t.Fatalf("Get = %q, %v", v, err)
 			}
-			if _, err := db.Get("missing"); err == nil {
+			if _, err := db.Get(ctx, "missing"); err == nil {
 				t.Fatal("missing key must fail")
 			}
-			if err := db.DeleteKey("k0042"); err != nil {
+			if err := db.DeleteKey(ctx, "k0042"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := db.Get("k0042"); err == nil {
+			if _, err := db.Get(ctx, "k0042"); err == nil {
 				t.Fatal("deleted key must fail")
 			}
-			keys, err := db.ScanKeys("k0100", 5)
+			keys, err := db.ScanKeys(ctx, "k0100", 5)
 			if err != nil || len(keys) != 5 || keys[0] != "k0100" {
 				t.Fatalf("Scan = %v, %v", keys, err)
 			}
-			if db.KVLen() != 199 {
-				t.Fatalf("KVLen = %d", db.KVLen())
+			if kvLen(t, db) != 199 {
+				t.Fatalf("KVLen = %d", kvLen(t, db))
 			}
 			// Overwrite.
-			if err := db.Put("k0001", []byte("replaced")); err != nil {
+			if err := db.Put(ctx, "k0001", []byte("replaced")); err != nil {
 				t.Fatal(err)
 			}
-			v, _ = db.Get("k0001")
+			v, _ = db.Get(ctx, "k0001")
 			if string(v) != "replaced" {
 				t.Fatalf("overwrite = %q", v)
 			}
@@ -125,8 +140,11 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		}
 		return d
 	}
-	ctx := context.Background()
-	db, err := Open(Options{Device: openDev("data.db"), LogDevice: openDev("wal.db"), Granularity: Coarse})
+	logDir, err := wal.NewFileSegmentDir(dir + "/wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{Device: openDev("data.db"), LogDir: logDir, Granularity: Coarse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +154,14 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	if _, err := db.Exec(ctx, "INSERT INTO t VALUES (7)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put("key", []byte("value")); err != nil {
+	if err := db.Put(ctx, "key", []byte("value")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(Options{Device: openDev("data.db"), LogDevice: openDev("wal.db"), Granularity: Coarse})
+	db2, err := Open(Options{Device: openDev("data.db"), LogDir: logDir, Granularity: Coarse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +171,10 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatalf("rows = %v, %v", res, err)
 	}
 	// KV data and its index survive the reopen.
-	if db2.KVLen() != 1 {
-		t.Fatalf("KVLen = %d", db2.KVLen())
+	if kvLen(t, db2) != 1 {
+		t.Fatalf("KVLen = %d", kvLen(t, db2))
 	}
-	v, err := db2.Get("key")
+	v, err := db2.Get(ctx, "key")
 	if err != nil || string(v) != "value" {
 		t.Fatalf("Get after reopen = %q, %v", v, err)
 	}
@@ -245,7 +263,7 @@ func TestOpenBadGranularity(t *testing.T) {
 
 func TestKeyNotFoundError(t *testing.T) {
 	db := openDB(t, Monolithic)
-	_, err := db.Get("zzz")
+	_, err := db.Get(ctx, "zzz")
 	if !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -276,7 +294,7 @@ func TestDelayBindingProfile(t *testing.T) {
 		defer db.Close(context.Background())
 		start := time.Now()
 		for i := 0; i < 5; i++ {
-			if err := db.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			if err := db.Put(ctx, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -286,5 +304,15 @@ func TestDelayBindingProfile(t *testing.T) {
 	layered := mk(Layered)
 	if layered <= coarse {
 		t.Fatalf("layered (%v) must pay more hops than coarse (%v)", layered, coarse)
+	}
+}
+
+// TestKVLenSurfacesServiceFailure: a broken service path must read as
+// an error, not as an empty store.
+func TestKVLenSurfacesServiceFailure(t *testing.T) {
+	down := errors.New("service down")
+	c := NewKVClient(core.InvokerFunc(func(context.Context, string, any) (any, error) { return nil, down }))
+	if n, err := c.Len(ctx); !errors.Is(err, down) {
+		t.Fatalf("Len over a failing invoker = %d, %v; want the invoke error", n, err)
 	}
 }

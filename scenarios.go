@@ -115,10 +115,10 @@ func (b *kvEchoBackend) ScanKeysSnapshot(ctx context.Context, from string, n int
 	return b.Scan(ctx, from, n)
 }
 
-func (b *kvEchoBackend) Len() uint64 {
+func (b *kvEchoBackend) Len(context.Context) (uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return uint64(len(b.m))
+	return uint64(len(b.m)), nil
 }
 
 // ScenarioExtension reproduces Figure 5 (flexibility by extension): a
@@ -132,7 +132,7 @@ func ScenarioExtension(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 
 	run := func(phaseOps *int64) error {
 		for i := int64(0); i < int64(opsPerPhase); i++ {
-			if err := db.Put(key(int(i)), []byte("v")); err != nil {
+			if err := db.Put(ctx, key(int(i)), []byte("v")); err != nil {
 				res.Failures++
 				continue
 			}
@@ -226,9 +226,9 @@ func ScenarioSelection(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 		for i := 0; i < opsPerPhase; i++ {
 			var err error
 			if i%2 == 0 {
-				err = db.Put(key(i), []byte("v"))
+				err = db.Put(ctx, key(i), []byte("v"))
 			} else {
-				_, err = db.Get(key(i - 1))
+				_, err = db.Get(ctx, key(i-1))
 			}
 			if err != nil {
 				res.Failures++
@@ -336,7 +336,7 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 		p := req.(legacyScan)
 		return legacy.Scan(ctx, p.From, p.N)
 	})
-	lsvc.Handle("size", func(ctx context.Context, req any) (any, error) { return legacy.Len(), nil })
+	lsvc.Handle("size", func(ctx context.Context, req any) (any, error) { return legacy.Len(ctx) })
 	core.WithPing(lsvc)
 	if err := db.deploy(ctx, lsvc, map[string]string{"legacy": "true"}); err != nil {
 		return res, err
@@ -366,9 +366,9 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 		for i := 0; i < opsPerPhase; i++ {
 			var err error
 			if i%2 == 0 {
-				err = db.Put(key(i), []byte("v"))
+				err = db.Put(ctx, key(i), []byte("v"))
 			} else {
-				_, err = db.Get(key(i - 1))
+				_, err = db.Get(ctx, key(i-1))
 			}
 			if err != nil {
 				res.Failures++

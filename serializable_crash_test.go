@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // TestSerializableScanCrashRecovery kills the engine mid
@@ -28,14 +29,15 @@ func TestSerializableScanCrashRecovery(t *testing.T) {
 		{"kill9-torn-write", 35, storage.PageSize / 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inner, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+			inner, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 			fault := storage.NewFaultDevice(inner)
 			db, err := Open(Options{
-				Device:        fault,
-				LogDevice:     logDev,
-				Granularity:   Monolithic,
-				BufferFrames:  32, // small pool: eviction write-back mid-run
-				ScanIsolation: Serializable,
+				Device:          fault,
+				LogDir:          logDir,
+				WALSegmentBytes: crashSegmentBytes,
+				Granularity:     Monolithic,
+				BufferFrames:    32, // small pool: eviction write-back mid-run
+				ScanIsolation:   Serializable,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -43,7 +45,7 @@ func TestSerializableScanCrashRecovery(t *testing.T) {
 			fault.CrashAfterWrites(tc.crashAfter, tc.tear)
 			st := runConcurrentCrashWorkload(db, 6, 300, 25, fault)
 			abandon(db)
-			verifySerializableRecovered(t, inner, logDev, st)
+			verifySerializableRecovered(t, inner, logDir, st)
 		})
 	}
 }
@@ -53,13 +55,14 @@ func TestSerializableScanCrashRecovery(t *testing.T) {
 // "dies" with nothing flushed (no SyncMeta, no Close) while the lock
 // table is still populated in memory.
 func TestSerializableScanCrashRecoveryKill9(t *testing.T) {
-	dataDev, logDev := storage.NewMemDevice(), storage.NewMemDevice()
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
 	db, err := Open(Options{
-		Device:        dataDev,
-		LogDevice:     logDev,
-		Granularity:   Monolithic,
-		BufferFrames:  256,
-		ScanIsolation: Serializable,
+		Device:          dataDev,
+		LogDir:          logDir,
+		WALSegmentBytes: crashSegmentBytes,
+		Granularity:     Monolithic,
+		BufferFrames:    256,
+		ScanIsolation:   Serializable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,28 +72,29 @@ func TestSerializableScanCrashRecoveryKill9(t *testing.T) {
 		t.Fatal("workload committed nothing")
 	}
 	abandon(db)
-	verifySerializableRecovered(t, dataDev, logDev, st)
+	verifySerializableRecovered(t, dataDev, logDir, st)
 }
 
 // verifySerializableRecovered reopens the store at serializable
 // isolation, checks the committed state key by key, and then proves
 // liveness: scans and writes across previously scanned gaps complete
 // within a bounded context, and the lock table drains to empty.
-func verifySerializableRecovered(t *testing.T, dataDev, logDev storage.Device, st *crashState) {
+func verifySerializableRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir, st *crashState) {
 	t.Helper()
 	db, err := Open(Options{
-		Device:        dataDev,
-		LogDevice:     logDev,
-		Granularity:   Monolithic,
-		BufferFrames:  64,
-		ScanIsolation: Serializable,
+		Device:          dataDev,
+		LogDir:          logDir,
+		WALSegmentBytes: crashSegmentBytes,
+		Granularity:     Monolithic,
+		BufferFrames:    64,
+		ScanIsolation:   Serializable,
 	})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer db.Close(context.Background())
 	for k, want := range st.live {
-		got, err := db.Get(k)
+		got, err := db.Get(ctx, k)
 		if err != nil {
 			t.Fatalf("committed key %q lost after recovery: %v", k, err)
 		}
@@ -99,13 +103,13 @@ func verifySerializableRecovered(t *testing.T, dataDev, logDev storage.Device, s
 		}
 	}
 	for k := range st.deleted {
-		if _, err := db.Get(k); err == nil {
+		if _, err := db.Get(ctx, k); err == nil {
 			t.Fatalf("committed delete of %q resurrected after recovery", k)
 		} else if !isNotFound(err) {
 			t.Fatalf("Get(%q) after committed delete: %v", k, err)
 		}
 	}
-	if got, want := db.KVLen(), uint64(len(st.live)); got != want {
+	if got, want := kvLen(t, db), uint64(len(st.live)); got != want {
 		t.Fatalf("KVLen after recovery = %d, want %d", got, want)
 	}
 
@@ -113,28 +117,28 @@ func verifySerializableRecovered(t *testing.T, dataDev, logDev storage.Device, s
 	// leaked pre-crash lock would park one of these forever.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	keys, err := db.ScanKeysContext(ctx, "", 1_000_000)
+	keys, err := db.ScanKeys(ctx, "", 1_000_000)
 	if err != nil {
 		t.Fatalf("serializable scan after recovery: %v", err)
 	}
-	if uint64(len(keys)) != db.KVLen() {
-		t.Fatalf("post-recovery scan saw %d keys, want %d", len(keys), db.KVLen())
+	if uint64(len(keys)) != kvLen(t, db) {
+		t.Fatalf("post-recovery scan saw %d keys, want %d", len(keys), kvLen(t, db))
 	}
 	// Insert into an interior gap and past the end (the EOF sentinel
 	// gap every completed scan locked), delete an existing key (gap
 	// lock on its successor), then scan again.
-	if err := db.PutContext(ctx, "m-interior-gap", []byte("v")); err != nil {
+	if err := db.Put(ctx, "m-interior-gap", []byte("v")); err != nil {
 		t.Fatalf("put into scanned gap after recovery: %v", err)
 	}
-	if err := db.PutContext(ctx, "zzzz-past-the-end", []byte("v")); err != nil {
+	if err := db.Put(ctx, "zzzz-past-the-end", []byte("v")); err != nil {
 		t.Fatalf("append past end-of-index after recovery: %v", err)
 	}
 	if len(keys) > 0 {
-		if err := db.DeleteKeyContext(ctx, keys[0]); err != nil {
+		if err := db.DeleteKey(ctx, keys[0]); err != nil {
 			t.Fatalf("delete after recovery: %v", err)
 		}
 	}
-	again, err := db.ScanKeysContext(ctx, "", 1_000_000)
+	again, err := db.ScanKeys(ctx, "", 1_000_000)
 	if err != nil {
 		t.Fatalf("second serializable scan after recovery: %v", err)
 	}

@@ -242,7 +242,7 @@ type kvBackend interface {
 	Scan(ctx context.Context, from string, n int) ([]string, error)
 	GetSnapshot(ctx context.Context, k string) ([]byte, error)
 	ScanKeysSnapshot(ctx context.Context, from string, n int) ([]string, error)
-	Len() uint64
+	Len(ctx context.Context) (uint64, error)
 }
 
 // NewKVService exposes a KV backend as an Access service.
@@ -305,7 +305,7 @@ func NewKVService(name string, backend kvBackend) *core.BaseService {
 		return backend.ScanKeysSnapshot(ctx, r.Key, r.N)
 	})
 	s.Handle("len", func(ctx context.Context, req any) (any, error) {
-		return backend.Len(), nil
+		return backend.Len(ctx)
 	})
 	return core.WithPing(s)
 }
@@ -395,13 +395,16 @@ func (c *KVClient) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]
 }
 
 // Len implements kvBackend.
-func (c *KVClient) Len() uint64 {
-	out, err := c.inv.Invoke(bg, "len", nil)
+func (c *KVClient) Len(ctx context.Context) (uint64, error) {
+	out, err := c.inv.Invoke(ctx, "len", nil)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	n, _ := out.(uint64)
-	return n
+	n, ok := out.(uint64)
+	if !ok {
+		return 0, fmt.Errorf("sbdms: len returned %T", out)
+	}
+	return n, nil
 }
 
 // RecordContract is the record-level access interface (the middle hop
