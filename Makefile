@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/access/... ./internal/buffer/... ./internal/core/... \
             ./internal/index/... ./internal/storage/... ./internal/txn/... \
             ./internal/wal/...
 
-.PHONY: build test race bench bench-smoke crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint all
+.PHONY: build test race bench bench-smoke crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
 
 # Run a race-detector test selection at a GOMAXPROCS matrix:
 # single-proc forces the cooperative interleavings the scheduler
@@ -119,3 +119,16 @@ lint:
 		else echo "staticcheck not installed: skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 		else echo "govulncheck not installed: skipping"; fi
+
+# The sizes every subtraction PR reports, counted one way: Go lines
+# outside bench/ (non-test, test), fields of sbdms.Options, and flags of
+# the two commands that have any.
+FLAG_DEFS = 'flag\.(String|Int|Int64|Uint|Uint64|Bool|Duration|Float64)(Var)?\('
+
+counts:
+	@echo "non-test Go lines outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/:     $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "bench/ Go lines:                  $$(find ./bench -name '*.go' | xargs cat | wc -l)"
+	@echo "Options fields:                   $$(awk '/^type Options struct/,/^}/' sbdms.go | grep -cE '^[[:space:]]+[A-Z][A-Za-z]+[[:space:]]+[^[:space:]]')"
+	@echo "cmd/sbdms flags:                  $$(grep -cE $(FLAG_DEFS) cmd/sbdms/main.go)"
+	@echo "cmd/sbench flags:                 $$(grep -cE $(FLAG_DEFS) cmd/sbench/main.go)"

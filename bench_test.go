@@ -50,7 +50,7 @@ func runKVMix(b *testing.B, db *DB, mix workload.Mix) {
 		op := ops[i%len(ops)]
 		switch op.Kind {
 		case workload.OpRead:
-			if _, err := db.Get(ctx, op.Key); err != nil && !isNotFound(err) {
+			if _, err := db.Get(ctx, op.Key); err != nil && !IsKeyNotFound(err) {
 				b.Fatal(err)
 			}
 		case workload.OpWrite:

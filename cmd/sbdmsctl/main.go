@@ -43,6 +43,7 @@ func run(addr string, args []string) error {
 	ctx := context.Background()
 	client := netbind.NewClient(addr)
 	defer client.Close()
+	kv := sbdms.NewKVClient(client.InvokerFor("kv"))
 
 	switch args[0] {
 	case "services":
@@ -95,7 +96,7 @@ func run(addr string, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("get needs a key")
 		}
-		out, err := client.Call(ctx, "kv", "get", args[1])
+		out, err := kv.Get(ctx, args[1])
 		if err != nil {
 			return err
 		}
@@ -105,7 +106,7 @@ func run(addr string, args []string) error {
 		if len(args) < 3 {
 			return fmt.Errorf("put needs a key and a value")
 		}
-		if _, err := client.Call(ctx, "kv", "put", sbdms.KVPutRequest{Key: args[1], Val: []byte(args[2])}); err != nil {
+		if err := kv.Put(ctx, args[1], []byte(args[2])); err != nil {
 			return err
 		}
 		fmt.Println("OK")
@@ -120,13 +121,9 @@ func run(addr string, args []string) error {
 				return fmt.Errorf("scan limit %q: %w", args[2], err)
 			}
 		}
-		out, err := client.Call(ctx, "kv", "scan", sbdms.KVScanRequest{Key: args[1], N: n})
+		keys, err := kv.Scan(ctx, args[1], n)
 		if err != nil {
 			return err
-		}
-		keys, ok := out.([]string)
-		if !ok {
-			return fmt.Errorf("unexpected reply %T", out)
 		}
 		for _, k := range keys {
 			fmt.Println(k)

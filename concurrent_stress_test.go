@@ -152,7 +152,7 @@ func TestKVConcurrentSharedKeys(t *testing.T) {
 				default:
 					_, err = db.ScanKeys(ctx, "hot-", sharedKeys+1)
 				}
-				if err != nil && !isNotFound(err) && !IsConflict(err) {
+				if err != nil && !IsKeyNotFound(err) && !IsConflict(err) {
 					errs <- fmt.Errorf("w%d op %d on %s: %w", w, i, k, err)
 					return
 				}

@@ -88,7 +88,7 @@ func verifyRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir
 	for k := range st.deleted {
 		if _, err := db.Get(ctx, k); err == nil {
 			t.Fatalf("committed delete of %q resurrected after recovery", k)
-		} else if !isNotFound(err) {
+		} else if !IsKeyNotFound(err) {
 			t.Fatalf("Get(%q) after committed delete: %v", k, err)
 		}
 	}

@@ -91,7 +91,8 @@ func main() {
 	// A proximity-aware reference prefers the local provider.
 	ref := core.NewRef(a.db.Kernel().Registry(), sbdms.IfaceKV,
 		core.SelectByTag("node", "alpha", nil))
-	if _, err := ref.Invoke(ctx, "put", sbdms.KVPutRequest{Key: "k", Val: []byte("v")}); err != nil {
+	kv := sbdms.NewKVClient(ref)
+	if err := kv.Put(ctx, "k", []byte("v")); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("proximity selection served by: %s\n", ref.Current())
@@ -104,7 +105,7 @@ func main() {
 	// machines).
 	_ = a.db.Kernel().Registry().Deregister("kv@alpha")
 	ref.Invalidate()
-	if _, err := ref.Invoke(ctx, "put", sbdms.KVPutRequest{Key: "k2", Val: []byte("v2")}); err != nil {
+	if err := kv.Put(ctx, "k2", []byte("v2")); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after local failure, served by: %s (over TCP)\n", ref.Current())
@@ -116,11 +117,11 @@ func main() {
 	// provider directly.
 	clientB := netbind.NewClient(b.srv.Addr())
 	defer clientB.Close()
-	out, err := clientB.Call(ctx, "kv@beta", "get", "k2")
+	out, err := sbdms.NewKVClient(clientB.InvokerFor("kv@beta")).Get(ctx, "k2")
 	if err != nil {
 		log.Fatalf("beta did not receive the write: %v", err)
 	}
-	if string(out.([]byte)) != "v2" {
+	if string(out) != "v2" {
 		log.Fatalf("beta holds %q", out)
 	}
 	fmt.Println("write confirmed on beta — distributed composition works")

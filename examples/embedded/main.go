@@ -37,8 +37,7 @@ func main() {
 		db.Kernel().Registry().Len(), db.Pool().PoolSize())
 
 	// A standby KV service on "another device" (in-memory stand-in).
-	standby := newMemStore()
-	if err := deployStandby(ctx, db, standby); err != nil {
+	if err := deployStandby(ctx, db, sbdms.NewMemKV()); err != nil {
 		log.Fatal(err)
 	}
 
@@ -98,51 +97,7 @@ func currentProvider(db *sbdms.DB) string {
 	return "kv"
 }
 
-// memStore is the standby device's trivial KV backend.
-type memStore struct{ m map[string][]byte }
-
-func newMemStore() *memStore { return &memStore{m: map[string][]byte{}} }
-
-func (s *memStore) Put(_ context.Context, k string, v []byte) error { s.m[k] = v; return nil }
-func (s *memStore) PutBatch(_ context.Context, keys []string, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("embedded: %d keys, %d values", len(keys), len(vals))
-	}
-	for i, k := range keys {
-		s.m[k] = vals[i]
-	}
-	return nil
-}
-func (s *memStore) Import(ctx context.Context, keys []string, vals [][]byte) error {
-	return s.PutBatch(ctx, keys, vals)
-}
-func (s *memStore) Get(_ context.Context, k string) ([]byte, error) {
-	if v, ok := s.m[k]; ok {
-		return v, nil
-	}
-	return nil, fmt.Errorf("not found: %s", k)
-}
-func (s *memStore) Delete(_ context.Context, k string) error { delete(s.m, k); return nil }
-func (s *memStore) Scan(_ context.Context, from string, n int) ([]string, error) {
-	var out []string
-	for k := range s.m {
-		if k >= from && len(out) < n {
-			out = append(out, k)
-		}
-	}
-	return out, nil
-}
-
-// The standby holds one version per key, so snapshot reads degrade to
-// the plain operations.
-func (s *memStore) GetSnapshot(ctx context.Context, k string) ([]byte, error) { return s.Get(ctx, k) }
-func (s *memStore) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]string, error) {
-	return s.Scan(ctx, from, n)
-}
-
-func (s *memStore) Len(context.Context) (uint64, error) { return uint64(len(s.m)), nil }
-
-func deployStandby(ctx context.Context, db *sbdms.DB, backend *memStore) error {
+func deployStandby(ctx context.Context, db *sbdms.DB, backend sbdms.KVBackend) error {
 	svc := sbdms.NewKVService("kv-standby", backend)
 	if err := svc.Start(ctx); err != nil {
 		return err

@@ -46,13 +46,10 @@ func MeasureKV(db *DB, gen *workload.KVGen, nops int) KVMeasurement {
 		var err error
 		switch op.Kind {
 		case workload.OpRead:
-			_, err = db.Get(ctx, op.Key)
-			if err != nil && err.Error() != "" {
-				// Reads of never-written keys are expected misses, not
-				// failures, in a fresh store.
-				if isNotFound(err) {
-					err = nil
-				}
+			// Reads of never-written keys are expected misses, not
+			// failures, in a fresh store.
+			if _, err = db.Get(ctx, op.Key); IsKeyNotFound(err) {
+				err = nil
 			}
 		case workload.OpWrite:
 			err = db.Put(ctx, op.Key, op.Val)
@@ -72,31 +69,6 @@ func MeasureKV(db *DB, gen *workload.KVGen, nops int) KVMeasurement {
 		m.P99 = lat[len(lat)*99/100]
 	}
 	return m
-}
-
-func isNotFound(err error) bool {
-	for e := err; e != nil; {
-		if e == ErrKeyNotFound {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			// Remote errors arrive flattened to strings.
-			return containsNotFound(err.Error())
-		}
-		e = u.Unwrap()
-	}
-	return false
-}
-
-func containsNotFound(s string) bool {
-	const marker = "key not found"
-	for i := 0; i+len(marker) <= len(s); i++ {
-		if s[i:i+len(marker)] == marker {
-			return true
-		}
-	}
-	return false
 }
 
 // Preload inserts the full key space so that read-mostly mixes hit.

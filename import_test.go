@@ -235,7 +235,7 @@ func TestImportCancelLeavesNoState(t *testing.T) {
 	if got := kvLen(t, db); got != 0 {
 		t.Fatalf("KVLen after cancelled import = %d, want 0", got)
 	}
-	if _, err := db.Get(ctx, keys[0]); err == nil || !isNotFound(err) {
+	if _, err := db.Get(ctx, keys[0]); err == nil || !IsKeyNotFound(err) {
 		t.Fatalf("Get after cancelled import: %v, want not-found", err)
 	}
 	// Engine unharmed: the retry loads through the fast path.
@@ -315,7 +315,7 @@ func TestImportThenVacuum(t *testing.T) {
 		k := fmt.Sprintf("imp-%06d", i)
 		_, err := db.Get(ctx, k)
 		if i%2 == 0 {
-			if err == nil || !isNotFound(err) {
+			if err == nil || !IsKeyNotFound(err) {
 				t.Fatalf("deleted %q after vacuum: %v", k, err)
 			}
 		} else if err != nil {
@@ -413,7 +413,7 @@ func verifyImportAllOrNothing(t *testing.T, dataDev storage.Device, logDir wal.S
 	switch got := kvLen(t, db); got {
 	case 0:
 		for _, i := range []int{0, len(keys) / 2, len(keys) - 1} {
-			if _, err := db.Get(ctx, keys[i]); err == nil || !isNotFound(err) {
+			if _, err := db.Get(ctx, keys[i]); err == nil || !IsKeyNotFound(err) {
 				t.Fatalf("rolled-back import: Get(%q) = %v, want not-found", keys[i], err)
 			}
 		}

@@ -39,18 +39,6 @@ func TestRemoteNodeEndToEnd(t *testing.T) {
 		t.Fatalf("remote sql = %#v", out)
 	}
 
-	// KV over the wire.
-	if _, err := client.Call(ctx, "kv", "put", KVPutRequest{Key: "remote", Val: []byte("works")}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.Call(ctx, "kv", "get", "remote")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.([]byte)) != "works" {
-		t.Fatalf("remote get = %v", got)
-	}
-
 	// Coordinator status over the wire.
 	out, err = client.Call(ctx, "coordinator", core.OpCoordStatus, nil)
 	if err != nil {
@@ -119,11 +107,11 @@ func TestTwoNodeGossipAndRemoteSelection(t *testing.T) {
 	// a proximity selector would take with distinct names).
 	clientB := netbind.NewClient(srvB.Addr())
 	defer clientB.Close()
-	if _, err := clientB.Call(ctx, "kv", "put", KVPutRequest{Key: "on-b", Val: []byte("B")}); err != nil {
+	kvB := NewKVClient(clientB.InvokerFor("kv"))
+	if err := kvB.Put(ctx, "on-b", []byte("B")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := clientB.Call(ctx, "kv", "get", "on-b")
-	if err != nil || string(got.([]byte)) != "B" {
-		t.Fatalf("remote kv on B = %v, %v", got, err)
+	if got, err := kvB.Get(ctx, "on-b"); err != nil || string(got) != "B" {
+		t.Fatalf("remote kv on B = %q, %v", got, err)
 	}
 }

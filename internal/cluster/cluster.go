@@ -149,8 +149,7 @@ func (c *Cluster) Router() *Router { return c.router }
 // NewRouter returns a fresh router (own map cache) for tests that need
 // independently-staled clients.
 func (c *Cluster) NewRouter() *Router {
-	r := NewRouter(c.faults, c.router.fetch)
-	return r
+	return NewRouter(c.faults, c.router.fetch)
 }
 
 // Faults returns the fault-injection plane.

@@ -30,38 +30,13 @@ const (
 	IfaceRepl = "sbdms.cluster.Replication"
 )
 
-// Wire types. Every client request carries the shard-map epoch it was
-// planned under; nodes reject mismatches with ErrEpochChanged so a
-// multi-shard batch can never be split across two maps.
+// GetReq is the key request of the KV operation table; routed requests
+// are the table's sbdms.KV*Request family, each carrying the shard-map
+// epoch it was planned under.
+type GetReq = sbdms.KVKeyRequest
+
+// Replication wire types.
 type (
-	// PutReq writes one key.
-	PutReq struct {
-		Epoch uint64
-		Key   string
-		Val   []byte
-	}
-	// BatchReq writes many keys atomically on one shard (putBatch) or
-	// bulk-loads them (import).
-	BatchReq struct {
-		Epoch uint64
-		Keys  []string
-		Vals  [][]byte
-	}
-	// GetReq reads one key (get, getSnapshot).
-	GetReq struct {
-		Epoch uint64
-		Key   string
-	}
-	// ScanReq scans keys in order (scanKeys, scanSnapshot).
-	ScanReq struct {
-		Epoch uint64
-		From  string
-		N     int
-	}
-	// LenReq counts live keys on one shard.
-	LenReq struct {
-		Epoch uint64
-	}
 	// ApplyReq ships a batch of WAL records plus the leader's
 	// visibility frontier sampled before the batch was drained. UpTo
 	// is the leader's shipped log end through this delivery: a
@@ -90,11 +65,6 @@ type (
 )
 
 func init() {
-	netbind.RegisterType(PutReq{})
-	netbind.RegisterType(BatchReq{})
-	netbind.RegisterType(GetReq{})
-	netbind.RegisterType(ScanReq{})
-	netbind.RegisterType(LenReq{})
 	netbind.RegisterType(ApplyReq{})
 	netbind.RegisterType(ApplyReply{})
 	netbind.RegisterType(SeedReq{})
@@ -209,13 +179,6 @@ func (n *Node) SetFollowers(ids []NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.followers = append([]NodeID(nil), ids...)
-}
-
-// IsLeader reports the node's current role.
-func (n *Node) IsLeader() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leader
 }
 
 // DB exposes the running engine (nil on followers) for tests.
@@ -517,131 +480,10 @@ func (n *Node) Close(ctx context.Context) error {
 // --- services -----------------------------------------------------------
 
 func (n *Node) registerServices() {
-	kv := core.NewService(KVServiceName, &core.Contract{
-		Interface: IfaceShardKV,
-		Operations: []core.OpSpec{
-			{Name: "put", In: "cluster.PutReq", Out: "bool", Semantic: "kv.put"},
-			{Name: "putBatch", In: "cluster.BatchReq", Out: "bool", Semantic: "kv.putBatch"},
-			{Name: "import", In: "cluster.BatchReq", Out: "bool", Semantic: "kv.import"},
-			{Name: "get", In: "cluster.GetReq", Out: "[]byte", Semantic: "kv.get"},
-			{Name: "delete", In: "cluster.GetReq", Out: "bool", Semantic: "kv.delete"},
-			{Name: "scanKeys", In: "cluster.ScanReq", Out: "[]string", Semantic: "kv.scanKeys"},
-			{Name: "len", In: "cluster.LenReq", Out: "uint64", Semantic: "kv.len"},
-			{Name: "getSnapshot", In: "cluster.GetReq", Out: "[]byte", Semantic: "kv.getSnapshot"},
-			{Name: "scanSnapshot", In: "cluster.ScanReq", Out: "[]string", Semantic: "kv.scanKeysSnapshot"},
-		},
-		Description: core.Description{Summary: "epoch-guarded shard KV operations"},
-	})
-	kv.Handle("put", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(PutReq)
-		if !ok {
-			if p, okp := req.(*PutReq); okp {
-				r = *p
-			} else {
-				return nil, &core.RequestError{Op: "put", Want: "cluster request", Got: core.TypeName(req)}
-			}
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().Put(ctx, r.Key, r.Val) })
-	})
-	kv.Handle("putBatch", func(ctx context.Context, req any) (any, error) {
-		r, err := n.batchReq(req, "putBatch")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().PutBatch(ctx, r.Keys, r.Vals) })
-	})
-	kv.Handle("import", func(ctx context.Context, req any) (any, error) {
-		r, err := n.batchReq(req, "import")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().Import(ctx, r.Keys, r.Vals) })
-	})
-	kv.Handle("get", func(ctx context.Context, req any) (any, error) {
-		r, err := n.getReq(req, "get")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return n.DB().Get(ctx, r.Key)
-	})
-	kv.Handle("delete", func(ctx context.Context, req any) (any, error) {
-		r, err := n.getReq(req, "delete")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().DeleteKey(ctx, r.Key) })
-	})
-	kv.Handle("scanKeys", func(ctx context.Context, req any) (any, error) {
-		r, err := n.scanReq(req, "scanKeys")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return n.DB().ScanKeys(ctx, r.From, r.N)
-	})
-	kv.Handle("len", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(LenReq)
-		if !ok {
-			if p, okp := req.(*LenReq); okp {
-				r = *p
-			} else {
-				return nil, &core.RequestError{Op: "len", Want: "cluster request", Got: core.TypeName(req)}
-			}
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return n.DB().KVLen(ctx)
-	})
-	kv.Handle("getSnapshot", func(ctx context.Context, req any) (any, error) {
-		r, err := n.getReq(req, "getSnapshot")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.checkEpoch(r.Epoch); err != nil {
-			return nil, err
-		}
-		if reader := n.Reader(); reader != nil {
-			return reader.GetSnapshot(ctx, r.Key)
-		}
-		if db := n.DB(); db != nil {
-			return db.GetSnapshot(ctx, r.Key)
-		}
-		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
-	})
-	kv.Handle("scanSnapshot", func(ctx context.Context, req any) (any, error) {
-		r, err := n.scanReq(req, "scanSnapshot")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.checkEpoch(r.Epoch); err != nil {
-			return nil, err
-		}
-		if reader := n.Reader(); reader != nil {
-			return reader.ScanKeysSnapshot(ctx, r.From, r.N)
-		}
-		if db := n.DB(); db != nil {
-			return db.ScanKeysSnapshot(ctx, r.From, r.N)
-		}
-		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
-	})
+	contract := sbdms.KVContract()
+	contract.Interface = IfaceShardKV
+	contract.Description.Summary = "epoch-guarded shard KV operations"
+	kv := sbdms.ServeKV(core.NewService(KVServiceName, contract), n)
 
 	repl := core.NewService(ReplServiceName, &core.Contract{
 		Interface: IfaceRepl,
@@ -685,60 +527,41 @@ func (n *Node) registerServices() {
 	}
 }
 
-func (n *Node) batchReq(req any, op string) (BatchReq, error) {
-	switch r := req.(type) {
-	case BatchReq:
-		return r, nil
-	case *BatchReq:
-		return *r, nil
+// Acquire implements sbdms.KVProvider: the one guard in front of every
+// shardkv operation, decided by the operation's class alone. Every
+// class needs the node's epoch. Snapshot reads are served by whatever
+// state the node holds, a follower's replica first; locking reads and
+// writes need the leader's engine, and writes also hold the shared side
+// of the bootstrap write gate (see Node.wmu) until Release.
+func (n *Node) Acquire(op *sbdms.KVOp, epoch uint64) (sbdms.KVBackend, error) {
+	if cur := n.epoch.Load(); epoch != cur {
+		return nil, fmt.Errorf("%w (node at %d, request planned at %d)", ErrEpochChanged, cur, epoch)
 	}
-	return BatchReq{}, &core.RequestError{Op: op, Want: "cluster request", Got: core.TypeName(req)}
+	if op.Class == sbdms.KVSnapshotRead {
+		if reader := n.Reader(); reader != nil {
+			return reader, nil
+		}
+	}
+	n.mu.Lock()
+	leader, db := n.leader, n.db
+	n.mu.Unlock()
+	if !leader && op.Class != sbdms.KVSnapshotRead {
+		return nil, fmt.Errorf("%w: %s", ErrNotLeader, n.cfg.ID)
+	}
+	if db == nil {
+		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
+	}
+	if op.Class == sbdms.KVWrite {
+		n.wmu.RLock()
+	}
+	return db.KV(), nil
 }
 
-func (n *Node) getReq(req any, op string) (GetReq, error) {
-	switch r := req.(type) {
-	case GetReq:
-		return r, nil
-	case *GetReq:
-		return *r, nil
+// Release implements sbdms.KVProvider.
+func (n *Node) Release(op *sbdms.KVOp) {
+	if op.Class == sbdms.KVWrite {
+		n.wmu.RUnlock()
 	}
-	return GetReq{}, &core.RequestError{Op: op, Want: "cluster request", Got: core.TypeName(req)}
-}
-
-func (n *Node) scanReq(req any, op string) (ScanReq, error) {
-	switch r := req.(type) {
-	case ScanReq:
-		return r, nil
-	case *ScanReq:
-		return *r, nil
-	}
-	return ScanReq{}, &core.RequestError{Op: op, Want: "cluster request", Got: core.TypeName(req)}
-}
-
-func (n *Node) checkEpoch(e uint64) error {
-	if cur := n.epoch.Load(); e != cur {
-		return fmt.Errorf("%w (node at %d, request planned at %d)", ErrEpochChanged, cur, e)
-	}
-	return nil
-}
-
-// withWriteGate runs one client mutation under the shared side of the
-// bootstrap write gate (see Node.wmu).
-func (n *Node) withWriteGate(fn func() error) error {
-	n.wmu.RLock()
-	defer n.wmu.RUnlock()
-	return fn()
-}
-
-// guardWrite gates leader-only operations: right epoch AND leader role.
-func (n *Node) guardWrite(e uint64) error {
-	if err := n.checkEpoch(e); err != nil {
-		return err
-	}
-	if !n.IsLeader() {
-		return fmt.Errorf("%w: %s", ErrNotLeader, n.cfg.ID)
-	}
-	return nil
 }
 
 // handleApply appends shipped records to the follower's WAL copy,

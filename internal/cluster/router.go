@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -88,80 +87,77 @@ func (r *Router) withReplan(ctx context.Context, fn func(m *Map) error) error {
 	}
 }
 
-// Put writes one key through its shard leader.
-func (r *Router) Put(ctx context.Context, key string, val []byte) error {
-	return r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		_, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "put",
-			PutReq{Epoch: m.Epoch, Key: key, Val: val})
+// invoke sends one operation to shard s and types its reply. The
+// operation's class picks the replicas: a snapshot read tries the
+// shard's first follower before the leader, every other class goes to
+// the leader alone. Only reachability failures fall through to the next
+// target; epoch rejections and data errors are authoritative.
+func invoke[Req sbdms.KVRequest[Req], Rep any](ctx context.Context, r *Router, s Shard, op sbdms.KVOpOf[Req, Rep], req Req) (rep Rep, err error) {
+	targets := []NodeID{s.Leader}
+	if op.Class == sbdms.KVSnapshotRead && len(s.Followers) > 0 {
+		targets = []NodeID{s.Followers[0], s.Leader}
+	}
+	var boxed any = req
+	for _, t := range targets {
+		rep, err = op.Reply(r.transport.Invoke(ctx, t, KVServiceName, op.Name, boxed))
+		if sbdms.IsKeyNotFound(err) {
+			return rep, sbdms.ErrKeyNotFound // the sentinel, even if a binding flattened it
+		}
+		if err == nil || IsEpochChanged(err) {
+			break
+		}
+	}
+	return rep, err
+}
+
+// byKey routes a KVByKey operation to the shard owning key.
+func byKey[Req sbdms.KVRequest[Req], Rep any](ctx context.Context, r *Router, op sbdms.KVOpOf[Req, Rep], key string, req Req) (rep Rep, err error) {
+	err = r.withReplan(ctx, func(m *Map) error {
+		rep, err = invoke(ctx, r, m.Shards[m.ShardFor(key)], op, req.At(m.Epoch))
 		return err
 	})
+	return rep, err
+}
+
+// fanOut sends a KVFanOut operation to every shard and merges replies.
+func fanOut[Req sbdms.KVRequest[Req], Rep any](ctx context.Context, r *Router, op sbdms.KVOpOf[Req, Rep], req Req, merge func([]Rep) Rep) (out Rep, err error) {
+	err = r.withReplan(ctx, func(m *Map) error {
+		per, planned := make([]Rep, 0, len(m.Shards)), req.At(m.Epoch)
+		for _, s := range m.Shards {
+			rep, err := invoke(ctx, r, s, op, planned)
+			if err != nil {
+				return err
+			}
+			per = append(per, rep)
+		}
+		out = merge(per)
+		return nil
+	})
+	return out, err
+}
+
+// Put writes one key through its shard leader.
+func (r *Router) Put(ctx context.Context, key string, val []byte) error {
+	_, err := byKey(ctx, r, sbdms.KVPut, key, sbdms.KVPutRequest{Key: key, Val: val})
+	return err
 }
 
 // Delete removes one key through its shard leader.
 func (r *Router) Delete(ctx context.Context, key string) error {
-	return r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		_, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "delete",
-			GetReq{Epoch: m.Epoch, Key: key})
-		return mapNotFound(err)
-	})
+	_, err := byKey(ctx, r, sbdms.KVDelete, key, sbdms.KVKeyRequest{Key: key})
+	return err
 }
 
 // Get reads one key's latest committed value from its shard leader.
 func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
-	var out []byte
-	err := r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		res, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "get",
-			GetReq{Epoch: m.Epoch, Key: key})
-		if err != nil {
-			return mapNotFound(err)
-		}
-		out = asBytes(res)
-		return nil
-	})
-	return out, err
+	return byKey(ctx, r, sbdms.KVGet, key, sbdms.KVKeyRequest{Key: key})
 }
 
 // GetSnapshot reads one key at the shard's replicated frontier,
 // preferring a follower; an unreachable follower falls back to the
 // leader's snapshot path.
 func (r *Router) GetSnapshot(ctx context.Context, key string) ([]byte, error) {
-	var out []byte
-	err := r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		res, err := r.snapshotInvoke(ctx, s, "getSnapshot", GetReq{Epoch: m.Epoch, Key: key})
-		if err != nil {
-			return mapNotFound(err)
-		}
-		out = asBytes(res)
-		return nil
-	})
-	return out, err
-}
-
-// snapshotInvoke tries the shard's first follower, then the leader.
-func (r *Router) snapshotInvoke(ctx context.Context, s Shard, op string, req any) (any, error) {
-	targets := make([]NodeID, 0, 2)
-	if len(s.Followers) > 0 {
-		targets = append(targets, s.Followers[0])
-	}
-	targets = append(targets, s.Leader)
-	var lastErr error
-	for _, t := range targets {
-		res, err := r.transport.Invoke(ctx, t, KVServiceName, op, req)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		// Epoch rejections and data errors are authoritative — only
-		// reachability failures fall through to the next target.
-		if IsEpochChanged(err) || strings.Contains(err.Error(), sbdms.ErrKeyNotFound.Error()) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
+	return byKey(ctx, r, sbdms.KVGetSnapshot, key, sbdms.KVKeyRequest{Key: key})
 }
 
 // PutBatch writes a batch. Keys are grouped by owning shard under ONE
@@ -170,25 +166,25 @@ func (r *Router) snapshotInvoke(ctx context.Context, s Shard, op string, req any
 // (puts are idempotent upserts, so shards that already applied their
 // sub-batch simply converge).
 func (r *Router) PutBatch(ctx context.Context, keys []string, vals [][]byte) error {
-	return r.groupedWrite(ctx, "putBatch", keys, vals)
+	return r.groupedWrite(ctx, sbdms.KVPutBatch, keys, vals)
 }
 
 // Import bulk-loads a batch, grouped by shard like PutBatch.
 func (r *Router) Import(ctx context.Context, keys []string, vals [][]byte) error {
-	return r.groupedWrite(ctx, "import", keys, vals)
+	return r.groupedWrite(ctx, sbdms.KVImport, keys, vals)
 }
 
-func (r *Router) groupedWrite(ctx context.Context, op string, keys []string, vals [][]byte) error {
+func (r *Router) groupedWrite(ctx context.Context, op sbdms.KVOpOf[sbdms.KVBatchRequest, bool], keys []string, vals [][]byte) error {
 	if len(keys) != len(vals) {
 		return sbdms.ErrBatchMismatch
 	}
 	return r.withReplan(ctx, func(m *Map) error {
-		groups := make(map[int]*BatchReq)
+		groups := make(map[int]*sbdms.KVBatchRequest)
 		for i, k := range keys {
 			sid := m.ShardFor(k)
 			g := groups[sid]
 			if g == nil {
-				g = &BatchReq{Epoch: m.Epoch}
+				g = &sbdms.KVBatchRequest{Epoch: m.Epoch}
 				groups[sid] = g
 			}
 			g.Keys = append(g.Keys, k)
@@ -201,7 +197,7 @@ func (r *Router) groupedWrite(ctx context.Context, op string, keys []string, val
 		}
 		sort.Ints(sids)
 		for _, sid := range sids {
-			if _, err := r.transport.Invoke(ctx, m.Shards[sid].Leader, KVServiceName, op, *groups[sid]); err != nil {
+			if _, err := invoke(ctx, r, m.Shards[sid], op, *groups[sid]); err != nil {
 				return err
 			}
 		}
@@ -209,90 +205,32 @@ func (r *Router) groupedWrite(ctx context.Context, op string, keys []string, val
 	})
 }
 
-// ScanKeys merges each shard's ordered scan into one global in-order
+// Scan merges each shard's ordered scan into one global in-order
 // prefix of up to n keys starting at from.
-func (r *Router) ScanKeys(ctx context.Context, from string, n int) ([]string, error) {
-	var out []string
-	err := r.withReplan(ctx, func(m *Map) error {
-		per := make([][]string, 0, len(m.Shards))
-		for _, s := range m.Shards {
-			res, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "scanKeys",
-				ScanReq{Epoch: m.Epoch, From: from, N: n})
-			if err != nil {
-				return err
-			}
-			per = append(per, asStrings(res))
-		}
-		out = mergeSorted(per, n)
-		return nil
-	})
-	return out, err
+func (r *Router) Scan(ctx context.Context, from string, n int) ([]string, error) {
+	return r.scan(ctx, sbdms.KVScan, from, n)
 }
 
 // ScanKeysSnapshot merges per-shard snapshot scans (served at each
 // shard's replicated frontier, follower-first).
 func (r *Router) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]string, error) {
-	var out []string
-	err := r.withReplan(ctx, func(m *Map) error {
-		per := make([][]string, 0, len(m.Shards))
-		for _, s := range m.Shards {
-			res, err := r.snapshotInvoke(ctx, s, "scanSnapshot", ScanReq{Epoch: m.Epoch, From: from, N: n})
-			if err != nil {
-				return err
-			}
-			per = append(per, asStrings(res))
-		}
-		out = mergeSorted(per, n)
-		return nil
+	return r.scan(ctx, sbdms.KVScanSnapshot, from, n)
+}
+
+func (r *Router) scan(ctx context.Context, op sbdms.KVOpOf[sbdms.KVScanRequest, []string], from string, n int) ([]string, error) {
+	return fanOut(ctx, r, op, sbdms.KVScanRequest{Key: from, N: n}, func(per [][]string) []string {
+		return mergeSorted(per, n)
 	})
-	return out, err
 }
 
 // Len sums live key counts across shards.
 func (r *Router) Len(ctx context.Context) (uint64, error) {
-	var total uint64
-	err := r.withReplan(ctx, func(m *Map) error {
-		total = 0
-		for _, s := range m.Shards {
-			res, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "len", LenReq{Epoch: m.Epoch})
-			if err != nil {
-				return err
-			}
-			total += asUint64(res)
+	return fanOut(ctx, r, sbdms.KVLen, sbdms.KVLenRequest{}, func(per []uint64) (total uint64) {
+		for _, n := range per {
+			total += n
 		}
-		return nil
+		return total
 	})
-	return total, err
-}
-
-// mapNotFound converts a (possibly string-flattened) key-not-found
-// error back into the engine's typed sentinel.
-func mapNotFound(err error) error {
-	if err != nil && strings.Contains(err.Error(), sbdms.ErrKeyNotFound.Error()) {
-		return sbdms.ErrKeyNotFound
-	}
-	return err
-}
-
-func asBytes(res any) []byte {
-	if b, ok := res.([]byte); ok {
-		return b
-	}
-	return nil
-}
-
-func asStrings(res any) []string {
-	if s, ok := res.([]string); ok {
-		return s
-	}
-	return nil
-}
-
-func asUint64(res any) uint64 {
-	if v, ok := res.(uint64); ok {
-		return v
-	}
-	return 0
 }
 
 // mergeSorted merges already-sorted per-shard key lists into the first

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	sbdms "repro"
 )
 
 func testMap(epoch uint64, shards int) *Map {
@@ -101,10 +103,10 @@ func (s *epochStore) currentEpoch() uint64 {
 }
 
 func (s *epochStore) Invoke(_ context.Context, node NodeID, _, op string, req any) (any, error) {
-	if op != "putBatch" {
+	if op != sbdms.KVPutBatch.Name {
 		return nil, fmt.Errorf("epochStore: unexpected op %q", op)
 	}
-	r, ok := req.(BatchReq)
+	r, ok := req.(sbdms.KVBatchRequest)
 	if !ok {
 		return nil, fmt.Errorf("epochStore: unexpected request %T", req)
 	}
@@ -257,5 +259,31 @@ func TestRouterReplanExhaustion(t *testing.T) {
 	}
 	if !errors.Is(err, ErrEpochChanged) {
 		t.Fatalf("exhaustion error not typed: %v", err)
+	}
+}
+
+// mistyped answers every operation with a reply of the wrong type.
+type mistyped struct{}
+
+func (mistyped) Invoke(_ context.Context, _ NodeID, _, op string, _ any) (any, error) {
+	if op == sbdms.KVLen.Name {
+		return "three", nil
+	}
+	return []byte("not a key list"), nil
+}
+
+// TestRouterRejectsMistypedReplies: a reply of the wrong type is an
+// error, never "0 keys" or an empty result.
+func TestRouterRejectsMistypedReplies(t *testing.T) {
+	r := NewRouter(mistyped{}, func(context.Context) (*Map, error) { return testMap(1, 2), nil })
+	ctx := context.Background()
+	if n, err := r.Len(ctx); err == nil {
+		t.Errorf("Len over a string reply = %d, nil; want an error", n)
+	}
+	if keys, err := r.ScanKeysSnapshot(ctx, "", 10); err == nil {
+		t.Errorf("ScanKeysSnapshot over a []byte reply = %v, nil; want an error", keys)
+	}
+	if err := r.Put(ctx, "k", []byte("v")); err == nil {
+		t.Error("Put over a []byte reply = nil; want an error")
 	}
 }

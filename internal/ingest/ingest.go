@@ -72,11 +72,3 @@ func Prepare(keys []string, vals [][]byte, check func(k string, v []byte) error)
 	}
 	return b, nil
 }
-
-// Stats describes one completed import.
-type Stats struct {
-	Keys       int  // entries loaded
-	HeapPages  int  // packed version-cell pages written
-	IndexPages int  // bulk-built tree pages written
-	FastPath   bool // false: fell back to the per-key insert path
-}

@@ -43,13 +43,15 @@ var (
 )
 
 // IsConflict reports whether err is a retryable transaction conflict.
-// It matches by error string as well, because errors that crossed a
-// service binding (gob) arrive flattened.
-func IsConflict(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrConflict) || strings.Contains(err.Error(), "sbdms: transaction conflict")
+func IsConflict(err error) bool { return isErr(err, ErrConflict) }
+
+// IsKeyNotFound reports whether err is ErrKeyNotFound.
+func IsKeyNotFound(err error) bool { return isErr(err, ErrKeyNotFound) }
+
+// isErr matches target by value and, second, by its text: an error that
+// crossed a network binding (gob) arrives flattened to a string.
+func isErr(err, target error) bool {
+	return err != nil && (errors.Is(err, target) || strings.Contains(err.Error(), target.Error()))
 }
 
 // ScanIsolation selects the transactional strength of range scans

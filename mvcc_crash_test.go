@@ -92,7 +92,7 @@ func verifyRecoveredMVCC(t *testing.T, dataDev storage.Device, logDir wal.Segmen
 	for k := range st.deleted {
 		if _, err := db.GetSnapshot(ctx, k); err == nil {
 			t.Fatalf("committed delete of %q visible to a snapshot after recovery", k)
-		} else if !isNotFound(err) {
+		} else if !IsKeyNotFound(err) {
 			t.Fatalf("GetSnapshot(%q) after committed delete: %v", k, err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestCrashMidVacuum(t *testing.T) {
 			for k := range st.deleted {
 				if _, err := db2.Get(ctx, k); err == nil {
 					t.Fatalf("deleted key %q resurrected by mid-vacuum crash", k)
-				} else if !isNotFound(err) {
+				} else if !IsKeyNotFound(err) {
 					t.Fatalf("Get(%q): %v", k, err)
 				}
 			}

@@ -51,7 +51,7 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 		if got, err := db.GetSnapshot(ctx, "k"); err != nil || string(got) != "v1" {
 			t.Errorf("GetSnapshot under uncommitted update = %q, %v; want v1", got, err)
 		}
-		if _, err := db.GetSnapshot(ctx, "fresh"); !isNotFound(err) {
+		if _, err := db.GetSnapshot(ctx, "fresh"); !IsKeyNotFound(err) {
 			t.Errorf("GetSnapshot of uncommitted insert: %v, want not-found", err)
 		}
 	}()
@@ -88,7 +88,7 @@ func TestMVCCSnapshotTombstone(t *testing.T) {
 	if err := db.DeleteKey(ctx, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GetSnapshot(ctx, "gone"); !isNotFound(err) {
+	if _, err := db.GetSnapshot(ctx, "gone"); !IsKeyNotFound(err) {
 		t.Fatalf("GetSnapshot after committed delete: %v, want not-found", err)
 	}
 	// The pinned snapshot still resolves through the tombstone to the
@@ -296,7 +296,7 @@ func TestMVCCVacuumReclaims(t *testing.T) {
 		got, err := db.Get(ctx, k)
 		sgot, serr := db.GetSnapshot(ctx, k)
 		if i%2 == 0 {
-			if !isNotFound(err) || !isNotFound(serr) {
+			if !IsKeyNotFound(err) || !IsKeyNotFound(serr) {
 				t.Fatalf("deleted %q after vacuum: %v / %v", k, err, serr)
 			}
 		} else if err != nil || string(got) != "v3" || serr != nil || string(sgot) != "v3" {
@@ -421,7 +421,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 					// "pz present ⇒ pa present" an invariant.
 					old := r - 3
 					for _, k := range []string{fmt.Sprintf("pz-%d-%06d", w, old), fmt.Sprintf("pa-%d-%06d", w, old)} {
-						if err := db.DeleteKey(ctx, k); err != nil && !IsConflict(err) && !isNotFound(err) {
+						if err := db.DeleteKey(ctx, k); err != nil && !IsConflict(err) && !IsKeyNotFound(err) {
 							t.Errorf("writer %d delete: %v", w, err)
 							return
 						}
@@ -471,7 +471,7 @@ func TestMVCCStressSnapshotVacuum(t *testing.T) {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			k := fmt.Sprintf("hot-%d", i%pairs)
-			if _, err := db.GetSnapshot(ctx, k); err != nil && !isNotFound(err) {
+			if _, err := db.GetSnapshot(ctx, k); err != nil && !IsKeyNotFound(err) {
 				t.Errorf("snapshot get %q: %v", k, err)
 				return
 			}

@@ -12,8 +12,14 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrReplicaClosed is returned by reads on a closed ReplicaReader.
-var ErrReplicaClosed = errors.New("sbdms: replica reader closed")
+// Replica errors.
+var (
+	// ErrReplicaClosed is returned by reads on a closed ReplicaReader.
+	ErrReplicaClosed = errors.New("sbdms: replica reader closed")
+	// ErrReplicaReadOnly is returned by every KV operation of a
+	// ReplicaReader other than the two snapshot reads.
+	ErrReplicaReadOnly = errors.New("sbdms: replica reader serves snapshot reads only")
+)
 
 // ReplicaReader is the follower side of log-shipped replication: a
 // read-only engine over a bootstrap copy of a leader's data device.
@@ -30,6 +36,7 @@ var ErrReplicaClosed = errors.New("sbdms: replica reader closed")
 // Vacuum never runs here (no writers), so frontier-visible versions
 // are never reclaimed under a reader.
 type ReplicaReader struct {
+	leaderOnly
 	dev  storage.Device
 	disk *storage.DiskManager
 	pool *buffer.Manager
@@ -39,6 +46,21 @@ type ReplicaReader struct {
 	frontier atomic.Uint64 // commit-TS visibility frontier
 	applied  atomic.Uint64 // LSN end of the last applied record
 	closed   atomic.Bool
+}
+
+// leaderOnly refuses the locking reads and the writes, which makes a
+// ReplicaReader a KVBackend: a follower provides the KV contract with
+// only its snapshot-read class served.
+type leaderOnly struct{}
+
+func (leaderOnly) Put(context.Context, string, []byte) error          { return ErrReplicaReadOnly }
+func (leaderOnly) PutBatch(context.Context, []string, [][]byte) error { return ErrReplicaReadOnly }
+func (leaderOnly) Import(context.Context, []string, [][]byte) error   { return ErrReplicaReadOnly }
+func (leaderOnly) Delete(context.Context, string) error               { return ErrReplicaReadOnly }
+func (leaderOnly) Len(context.Context) (uint64, error)                { return 0, ErrReplicaReadOnly }
+func (leaderOnly) Get(context.Context, string) ([]byte, error)        { return nil, ErrReplicaReadOnly }
+func (leaderOnly) Scan(context.Context, string, int) ([]string, error) {
+	return nil, ErrReplicaReadOnly
 }
 
 // OpenReplicaReader opens a follower reader over dev, which must hold a

@@ -139,7 +139,7 @@ type DB struct {
 	// Service path handles (nil for Monolithic).
 	kvRef    *core.Ref
 	queryRef *core.Ref
-	kvPath   kvBackend
+	kvPath   KVBackend
 }
 
 // Open assembles and starts a database with the given options.
@@ -579,6 +579,10 @@ func (db *DB) VacuumStatus() (vacuum.Stats, int, error) {
 
 // KVLen returns the number of stored keys.
 func (db *DB) KVLen(ctx context.Context) (uint64, error) { return db.kvPath.Len(ctx) }
+
+// KV returns the configured service path as the backend the KV
+// operation table runs against.
+func (db *DB) KV() KVBackend { return db.kvPath }
 
 // SetLogRetention installs a min-shipped-LSN provider on the WAL:
 // checkpoint truncation keeps every segment at or above the reported

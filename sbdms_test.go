@@ -44,50 +44,6 @@ func openDB(t *testing.T, g Granularity) *DB {
 	return db
 }
 
-func TestKVAcrossGranularities(t *testing.T) {
-	for _, g := range Granularities {
-		t.Run(string(g), func(t *testing.T) {
-			db := openDB(t, g)
-			if db.Granularity() != g {
-				t.Fatal("granularity")
-			}
-			for i := 0; i < 200; i++ {
-				if err := db.Put(ctx, fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			v, err := db.Get(ctx, "k0042")
-			if err != nil || string(v) != "v42" {
-				t.Fatalf("Get = %q, %v", v, err)
-			}
-			if _, err := db.Get(ctx, "missing"); err == nil {
-				t.Fatal("missing key must fail")
-			}
-			if err := db.DeleteKey(ctx, "k0042"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.Get(ctx, "k0042"); err == nil {
-				t.Fatal("deleted key must fail")
-			}
-			keys, err := db.ScanKeys(ctx, "k0100", 5)
-			if err != nil || len(keys) != 5 || keys[0] != "k0100" {
-				t.Fatalf("Scan = %v, %v", keys, err)
-			}
-			if kvLen(t, db) != 199 {
-				t.Fatalf("KVLen = %d", kvLen(t, db))
-			}
-			// Overwrite.
-			if err := db.Put(ctx, "k0001", []byte("replaced")); err != nil {
-				t.Fatal(err)
-			}
-			v, _ = db.Get(ctx, "k0001")
-			if string(v) != "replaced" {
-				t.Fatalf("overwrite = %q", v)
-			}
-		})
-	}
-}
-
 func TestSQLAcrossGranularities(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range Granularities {

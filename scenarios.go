@@ -44,7 +44,9 @@ type kvEchoBackend struct {
 	m  map[string][]byte
 }
 
-func newMemKV() *kvEchoBackend { return &kvEchoBackend{m: make(map[string][]byte)} }
+// NewMemKV returns that stand-in: a mutex-guarded map, one version per
+// key, unordered best-effort scans.
+func NewMemKV() KVBackend { return &kvEchoBackend{m: make(map[string][]byte)} }
 
 func (b *kvEchoBackend) Put(_ context.Context, k string, v []byte) error {
 	b.mu.Lock()
@@ -210,7 +212,7 @@ func ScenarioSelection(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 	}
 	// Alternate provider of the same interface, pre-warmed with the
 	// same keys so reads succeed on both.
-	alt := newMemKV()
+	alt := NewMemKV()
 	altSvc := NewKVService("kv-standby", alt)
 	if err := db.deploy(ctx, altSvc, map[string]string{"role": "standby"}); err != nil {
 		return res, err
@@ -279,7 +281,7 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 	}
 	// A legacy storage service: same semantics, alien interface
 	// (different op names and payload shapes).
-	legacy := newMemKV()
+	legacy := NewMemKV()
 	legacyContract := &core.Contract{
 		Interface: "sbdms.legacy.Store",
 		Operations: []core.OpSpec{
@@ -344,6 +346,10 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 
 	// Transformation schemas bridging the payload shapes.
 	repo := db.kernel.Repository()
+	repo.PutTransform("sbdms.KVKeyRequest", "string", func(v any) (any, error) {
+		return v.(KVKeyRequest).Key, nil
+	})
+	repo.PutTransform("sbdms.KVLenRequest", "nil", func(any) (any, error) { return nil, nil })
 	repo.PutTransform("sbdms.KVPutRequest", "sbdms.legacyPut", func(v any) (any, error) {
 		r := v.(KVPutRequest)
 		return legacyPut{K: r.Key, V: r.Val}, nil
@@ -354,10 +360,6 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 	})
 	repo.PutTransform("sbdms.KVBatchRequest", "sbdms.legacyBatch", func(v any) (any, error) {
 		r := v.(KVBatchRequest)
-		return legacyBatch{Ks: r.Keys, Vs: r.Vals}, nil
-	})
-	repo.PutTransform("sbdms.KVImportRequest", "sbdms.legacyBatch", func(v any) (any, error) {
-		r := v.(KVImportRequest)
 		return legacyBatch{Ks: r.Keys, Vs: r.Vals}, nil
 	})
 

@@ -105,7 +105,7 @@ func verifySerializableRecovered(t *testing.T, dataDev storage.Device, logDir wa
 	for k := range st.deleted {
 		if _, err := db.Get(ctx, k); err == nil {
 			t.Fatalf("committed delete of %q resurrected after recovery", k)
-		} else if !isNotFound(err) {
+		} else if !IsKeyNotFound(err) {
 			t.Fatalf("Get(%q) after committed delete: %v", k, err)
 		}
 	}
