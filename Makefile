@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/access/... ./internal/buffer/... ./internal/core/... \
             ./internal/index/... ./internal/storage/... ./internal/txn/... \
             ./internal/wal/...
 
-.PHONY: build test race bench bench-smoke crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
+.PHONY: build test race bench bench-smoke bench-regress fuzz-short crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
 
 # Run a race-detector test selection at a GOMAXPROCS matrix:
 # single-proc forces the cooperative interleavings the scheduler
@@ -35,6 +35,24 @@ bench:
 # silently. This is the check that it still builds and passes.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The committed benchmark trail: BENCH_BASELINE.json is the merged
+# `-check 5 -json` output of the commit that last moved a number on
+# purpose (host block included). This target takes a fresh five-run set
+# and fails on any (workload, metric) row `-compare` calls regressed.
+# The -check exit status is ignored on purpose: it judges run-to-run
+# spread, which on a shared host trips timing cells by itself; those
+# rows come back `unresolved` from -compare and mean "run it again".
+bench-regress:
+	-bash bench/run.sh -check 5 -json .bench_build/regress.json
+	bash bench/run.sh -compare BENCH_BASELINE.json .bench_build/regress.json | tee .bench_build/regress.txt
+	@! grep -q ' regressed$$' .bench_build/regress.txt
+
+# Short fuzz pass over every fuzz target in the tree (go test takes one
+# -fuzz target per package run). The minimiser is capped: left alone it
+# spends a whole ten-second budget shrinking one 8 KiB full-page seed.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
 
 # Crash-recovery suite: kill -9, dropped write-backs, torn page writes,
 # batched transactions, and the mid-import sweeps (data-device, torn,

@@ -12,6 +12,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +32,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address for the TCP binding")
 	dataPath := flag.String("data", "", "data file (empty = in-memory)")
 	walDir := flag.String("wal-dir", "", "WAL directory (wal.NNNNNN segment files, truncated by checkpoints; empty = <data>.wal next to -data, or in-memory without -data)")
-	segBytes := flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold in bytes (0 = 4 MiB)")
+	segBytes := flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold in bytes (0 = 1 MiB)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period (0 = off); bounds recovery time and WAL size")
 	vacEvery := flag.Duration("vacuum-interval", 0, "background MVCC vacuum period (0 = off); reclaims dead versions behind the snapshot horizon")
 	granularity := flag.String("granularity", "layered", "service granularity: monolithic|coarse|layered|fine")
@@ -67,22 +68,32 @@ func main() {
 	}
 	if *importFile != "" {
 		if err := runImport(*importFile, *dataPath, *walDir, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "sbdms:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
 	if *clusterShards > 0 {
 		if err := runCluster(*clusterShards, *clusterFollowers, *clusterAsync, *frames, *segBytes, *ckptEvery); err != nil {
-			fmt.Fprintln(os.Stderr, "sbdms:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
 	if err := run(*addr, *dataPath, *walDir, opts, *peers, *gossipEvery); err != nil {
-		fmt.Fprintln(os.Stderr, "sbdms:", err)
-		os.Exit(1)
+		fail(err)
 	}
+}
+
+// oldFormatHint is the way out of wal.ErrFormat: there is one log
+// record format and no migration.
+const oldFormatHint = "this store's log was written by an older sbdms: dump its keys with the build that wrote it and reload them into a fresh -data/-wal-dir with `sbdms -import`"
+
+// fail reports err — and, where there is one, the way out — and exits.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "sbdms:", err)
+	if errors.Is(err, wal.ErrFormat) {
+		fmt.Fprintln(os.Stderr, "sbdms:", oldFormatHint)
+	}
+	os.Exit(1)
 }
 
 // openStore opens the database over the data file and WAL directory

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	sbdms "repro"
+	"repro/internal/wal"
 )
 
 // TestRestartKeepsAckedWrites: a node started with -data and no
@@ -38,5 +42,32 @@ func TestRestartKeepsAckedWrites(t *testing.T) {
 	defer db.Close(ctx)
 	if v, err := db.Get(ctx, "acked"); err != nil || string(v) != "v" {
 		t.Fatalf("acked write after restart = %q, %v", v, err)
+	}
+}
+
+// TestOldLogFormatIsRefusedWithTheWayOut: a store whose log directory
+// holds a segment in the previous record format does not open — the
+// typed error survives sbdms.Open, names the reload path, and the old
+// segment is left exactly as it was.
+func TestOldLogFormatIsRefusedWithTheWayOut(t *testing.T) {
+	data := filepath.Join(t.TempDir(), "node.db")
+	if err := os.Mkdir(data+".wal", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := make([]byte, 32+64)
+	copy(old, "1AWSMDBS") // "SBDMSWA1", little-endian
+	segPath := filepath.Join(data+".wal", "wal.000001")
+	if err := os.WriteFile(segPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := openStore(data, "", sbdms.Options{})
+	if !errors.Is(err, wal.ErrFormat) {
+		t.Fatalf("openStore over an old-format log: %v", err)
+	}
+	if !strings.Contains(oldFormatHint, "sbdms -import") {
+		t.Fatalf("hint %q does not name the reload path", oldFormatHint)
+	}
+	if got, rerr := os.ReadFile(segPath); rerr != nil || !bytes.Equal(got, old) {
+		t.Fatalf("old segment changed (read err %v)", rerr)
 	}
 }

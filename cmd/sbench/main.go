@@ -32,7 +32,7 @@ var (
 	flagSiblings    = flag.Int("wal-commit-siblings", 0, "min sibling txns to hold the group window (0 = gate at 1, <0 = no gate)")
 	flagShards      = flag.Int("shards", 0, "buffer pool shard count for g1/g5 (0 = auto)")
 	flagG1WAL       = flag.Bool("g1-wal", false, "run the G1 sweep with the WAL enabled (storage-vs-granularity ablation)")
-	flagSegBytes    = flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold for g1 (0 = 4 MiB)")
+	flagSegBytes    = flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold for g1 (0 = 1 MiB)")
 	flagCkptEvery   = flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period for g1 (0 = off)")
 	flagJSONDir     = flag.String("json", ".", "directory for BENCH_<EXP>.json reports (empty = disabled)")
 )

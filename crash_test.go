@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -248,5 +249,73 @@ func TestKVCrashRecoveryBatch(t *testing.T) {
 		}
 	}
 	abandon(db)
+	verifyRecovered(t, dataDev, logDir, st)
+}
+
+// TestKVCrashRecoveryLoserWithoutBeginRecord: no transaction logs a
+// begin record, so a crash leaves a loser whose first durable record is
+// an update. Analysis must open it there, redo must repeat its history
+// and the logical undo must take every one of its writes back, while
+// the committed keys beside them — on the same pages — survive; and the
+// transactions that only read left nothing in the log at all.
+func TestKVCrashRecoveryLoserWithoutBeginRecord(t *testing.T) {
+	dataDev, logDir := storage.NewMemDevice(), wal.NewMemSegmentDir()
+	db := openCrashDB(t, dataDev, logDir)
+	st := &crashState{live: map[string]string{}, deleted: map[string]bool{}}
+	for i := 0; i < 40; i++ {
+		k, v := fmt.Sprintf("kept-%02d", i), fmt.Sprintf("v-%d", i)
+		if err := db.Put(ctx, k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		st.live[k] = v
+	}
+	for i := 0; i < 40; i++ { // read-only transactions between the writes
+		if _, err := db.Get(ctx, fmt.Sprintf("kept-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	loser, err := db.kv.txns.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"kept-07", "loser-fresh-a", "kept-23", "loser-fresh-b"} {
+		if err := db.kv.locks.Acquire(ctx, loser.ID(), kvRes(k), txn.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.kv.putTx(ctx, loser, loser.ID(), loser, k, []byte("never committed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The loser's records are durable; its commit never happens.
+	if err := db.Log().Flush(db.Log().NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	first := map[uint64]wal.RecType{}
+	ended := map[uint64]bool{}
+	if err := db.Log().Iterate(wal.ZeroLSN, func(r *wal.Record) error {
+		if r.Type == wal.RecBegin {
+			t.Errorf("begin record at LSN %d", r.LSN)
+		}
+		if _, seen := first[r.Txn]; !seen && r.Type != wal.RecCheckpoint {
+			first[r.Txn] = r.Type
+		}
+		if r.Type == wal.RecCommit || r.Type == wal.RecAbort {
+			ended[r.Txn] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if first[loser.ID()] != wal.RecUpdate || ended[loser.ID()] {
+		t.Fatalf("loser %d: first record %v, ended %v", loser.ID(), first[loser.ID()], ended[loser.ID()])
+	}
+	for id, typ := range first {
+		if typ != wal.RecUpdate {
+			t.Fatalf("txn %d starts with a %v record", id, typ)
+		}
+	}
+	abandon(db)
+
 	verifyRecovered(t, dataDev, logDir, st)
 }

@@ -203,8 +203,10 @@ func TestHeapWALLogging(t *testing.T) {
 	if rec.Txn != 42 || rec.PageID != rid.Page || rec.Type != wal.RecUpdate {
 		t.Fatalf("rec = %+v", rec)
 	}
-	if len(rec.Before) != len(rec.After) || len(rec.Before) == 0 {
-		t.Fatalf("images: before %d after %d", len(rec.Before), len(rec.After))
+	// A heap insert is logically undone (delete the slot), so the record
+	// carries after bytes only.
+	if len(rec.After) == 0 || len(rec.Before) != 0 || !rec.LogicalUndo() {
+		t.Fatalf("images: before %d after %d undo %q", len(rec.Before), len(rec.After), rec.Undo)
 	}
 	// The after image contains the record bytes somewhere.
 	if !bytes.Contains(rec.After, []byte("logged")) {

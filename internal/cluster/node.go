@@ -263,6 +263,7 @@ func cloneRecord(rec *wal.Record) *wal.Record {
 	cp := *rec
 	cp.Before = append([]byte(nil), rec.Before...)
 	cp.After = append([]byte(nil), rec.After...)
+	cp.Runs = append([]wal.Run(nil), rec.Runs...)
 	cp.Undo = append([]byte(nil), rec.Undo...)
 	return &cp
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // rawStores: every direct mutation form the analyzer recognises.
@@ -77,4 +78,20 @@ func suppressedRestore(pool *buffer.Manager, id storage.PageID, before []byte) e
 	//lint:ignore walbeforemutate restoring the exact before image after a failed append is the WAL discipline, not a bypass of it
 	copy(f.Data, before)
 	return pool.Unpin(f.ID, true)
+}
+
+// replayRecord: applying a log record to a pinned frame through
+// wal.Record.Redo or UndoPhysical is the sanctioned replay path — the
+// record is the log entry, so the store is logged by construction and
+// needs no suppression. The same bytes copied by hand are a raw store.
+func replayRecord(pool *buffer.Manager, rec *wal.Record) error {
+	f, err := pool.PinLatched(rec.PageID, true)
+	if err != nil {
+		return err
+	}
+	p := f.Page()
+	rec.Redo(p)
+	rec.UndoPhysical(p)
+	copy(p.Data[rec.Offset:], rec.After) // want `raw store into pinned page bytes bypasses the WAL`
+	return pool.UnpinLatched(rec.PageID, true, true)
 }

@@ -13,7 +13,11 @@ import (
 // flush-ordering protocol depends on is never advanced. All mutations
 // flow through the logged helpers: access.MutatePage /
 // access.LogLatchedMutation / Heap.mutatePage (which append a
-// wal.RecUpdate before the store) or buffer.Manager.UpdatePage.
+// wal.RecUpdate before the store) or buffer.Manager.UpdatePage. Replaying
+// a record that is already in a log — recovery, a follower applying a
+// shipped record, a physical rollback — goes through wal.Record.Redo /
+// UndoPhysical, the only functions that copy record bytes into a page;
+// being calls, not stores, they pass without a suppression.
 //
 // The analyzer is intra-procedural by design: it flags stores whose
 // destination derives from a frame pinned in the same function.

@@ -108,8 +108,7 @@ func (r *Replica) Apply(rec *wal.Record) error {
 			return err
 		}
 		p := storage.WrapPage(rec.PageID, buf)
-		copy(p.Data[rec.Offset:int(rec.Offset)+len(rec.After)], rec.After)
-		p.SetLSN(uint64(rec.LSN))
+		rec.Redo(p)
 		if err := r.store.WritePage(rec.PageID, p.Data); err != nil {
 			return err
 		}

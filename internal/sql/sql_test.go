@@ -22,6 +22,12 @@ import (
 // transactions.
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
+	e, _ := newEngineAndLog(t)
+	return e
+}
+
+func newEngineAndLog(t *testing.T) (*Engine, *wal.Log) {
+	t.Helper()
 	d, err := storage.OpenDisk(storage.NewMemDevice())
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +50,7 @@ func newEngine(t *testing.T) *Engine {
 	e := NewEngine(fm, pool, cat, mgr)
 	e.SetWAL(l)
 	wireUndo(e, pool, l, mgr)
-	return e
+	return e, l
 }
 
 // wireUndo installs the logical-undo executor, as sbdms.Open does.

@@ -131,21 +131,3 @@ func (p *Page) VerifyChecksum() bool {
 
 // Checksum returns the stored checksum value.
 func (p *Page) Checksum() uint32 { return binary.LittleEndian.Uint32(p.Data[offChecksum:]) }
-
-// DiffRange returns the smallest [lo, hi) range over which a and b
-// differ ((0, 0) when they are identical). WAL writers use it to log
-// minimal physical before/after images of a page mutation.
-func DiffRange(a, b []byte) (int, int) {
-	lo := 0
-	for lo < len(a) && a[lo] == b[lo] {
-		lo++
-	}
-	if lo == len(a) {
-		return 0, 0
-	}
-	hi := len(a)
-	for hi > lo && a[hi-1] == b[hi-1] {
-		hi--
-	}
-	return lo, hi
-}

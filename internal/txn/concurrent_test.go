@@ -31,6 +31,14 @@ func TestConcurrentCommitsGroupCommit(t *testing.T) {
 					errCh <- err
 					return
 				}
+				// A transaction that logged nothing commits without a
+				// record or a flush; give each one an update to force.
+				rec := &wal.Record{Txn: tx.ID(), Type: wal.RecUpdate, PageID: 1, Offset: 64, After: []byte{1}, Undo: wal.UndoNone}
+				if _, err := l.Append(rec); err != nil {
+					errCh <- err
+					return
+				}
+				tx.Record(rec)
 				if err := m.Commit(tx); err != nil {
 					errCh <- err
 					return

@@ -57,8 +57,7 @@ type Txn struct {
 
 	mu        sync.Mutex
 	status    Status
-	firstLSN  wal.LSN // begin record (fuzzy checkpoints' ATT entry)
-	lastLSN   wal.LSN
+	lastLSN   wal.LSN // zero until the transaction logs its first record
 	undo      []*wal.Record
 	committed []func()
 	stamps    []func(ts uint64) error
@@ -179,9 +178,11 @@ type UndoHandler interface {
 	UndoRecord(tx access.TxnContext, rec *wal.Record) error
 }
 
-// Manager creates and finishes transactions. With a WAL attached,
-// begin/commit/abort are logged and commit forces the log; without one,
-// transactions still provide locking and in-memory undo.
+// Manager creates and finishes transactions. With a WAL attached, the
+// commit or abort of a transaction that logged something is itself
+// logged, and commit forces the log; a transaction that logged nothing
+// leaves no trace in it. Without a WAL, transactions still provide
+// locking and in-memory undo.
 type Manager struct {
 	log    *wal.Log          // may be nil
 	store  storage.PageStore // for undo application; may be nil without log
@@ -295,18 +296,12 @@ func (m *Manager) SystemHooksHeldLatches() access.SystemTxnHooks {
 	return h
 }
 
-// Begin starts a transaction, logging RecBegin when a WAL is attached.
+// Begin starts a transaction. Nothing is logged: the log opens a
+// transaction at its first update record (and so does recovery's
+// analysis), so one that never writes costs the log nothing.
 func (m *Manager) Begin() (*Txn, error) {
 	id := m.next.Add(1)
 	t := &Txn{id: id, mgr: m}
-	if m.log != nil {
-		lsn, err := m.log.Append(&wal.Record{Txn: id, Type: wal.RecBegin})
-		if err != nil {
-			return nil, err
-		}
-		t.firstLSN = lsn
-		t.lastLSN = lsn
-	}
 	m.mu.Lock()
 	m.active[id] = t
 	m.mu.Unlock()
@@ -314,7 +309,9 @@ func (m *Manager) Begin() (*Txn, error) {
 }
 
 // Commit finishes the transaction: RecCommit is logged and the log
-// flushed (durability), then all locks are released.
+// flushed (durability), then all locks are released. A transaction that
+// logged nothing and has no stamps or on-commit hooks pending skips
+// both — there is nothing to make durable.
 func (m *Manager) Commit(t *Txn) error { return m.commit(t, true) }
 
 // CommitLazy finishes the transaction without forcing the log: the
@@ -332,6 +329,11 @@ func (m *Manager) commit(t *Txn, flush bool) error {
 	// else. Only after the commit record is durable does Complete let
 	// the oracle's visibility frontier advance past the timestamp.
 	stamps := t.takeStamps()
+	if len(stamps) == 0 {
+		if done, err := m.commitIdle(t); done {
+			return err
+		}
+	}
 	var ts uint64
 	if len(stamps) > 0 {
 		ts = m.oracle.AllocateCommitTS()
@@ -372,6 +374,26 @@ func (m *Manager) commit(t *Txn, flush bool) error {
 		m.oracle.Complete(ts)
 	}
 	return nil
+}
+
+// commitIdle commits a transaction that has nothing for the log — no
+// record, no on-commit hook, no pre-set commit timestamp (the caller
+// checked for stamps) — by releasing its locks: no commit record, no
+// flush. It reports false, having touched nothing, for any other.
+func (m *Manager) commitIdle(t *Txn) (bool, error) {
+	t.mu.Lock()
+	if t.lastLSN != wal.ZeroLSN || len(t.committed) != 0 || t.commitTS != 0 {
+		t.mu.Unlock()
+		return false, nil
+	}
+	if t.status != StatusActive {
+		t.mu.Unlock()
+		return true, ErrTxnDone
+	}
+	t.status = StatusCommitted
+	t.mu.Unlock()
+	m.finish(t)
+	return true, nil
 }
 
 // takeCommittedPeek reports pending on-commit hooks without consuming
@@ -514,6 +536,11 @@ func (m *Manager) abort(t *Txn, latched bool) error {
 	undo := append([]*wal.Record(nil), t.undo...)
 	prev := t.lastLSN
 	t.mu.Unlock()
+	if prev == wal.ZeroLSN {
+		// Logged nothing: nothing to roll back, nothing to close in the log.
+		m.finish(t)
+		return nil
+	}
 
 	// An error anywhere below returns without finish(): the transaction
 	// stays registered and its locks stay held, deliberately. A failed
@@ -562,13 +589,15 @@ func (m *Manager) rollback(txnID uint64, recs []*wal.Record, prev wal.LSN, latch
 			}
 			prev = clr.LastLSN()
 		case m.store == nil:
-			// Log-only mode: a plain redo-only compensation record.
+			// Log-only mode: a plain redo-only compensation record that
+			// writes the before bytes back over the same runs.
 			lsn, err := m.log.Append(&wal.Record{
 				Txn:     txnID,
 				Type:    wal.RecUpdate,
 				PageID:  rec.PageID,
 				Offset:  rec.Offset,
-				After:   append([]byte(nil), rec.Before...),
+				After:   rec.Before,
+				Runs:    rec.Runs,
 				PrevLSN: prev,
 				Undo:    wal.UndoNone,
 			})
@@ -584,8 +613,7 @@ func (m *Manager) rollback(txnID uint64, recs []*wal.Record, prev wal.LSN, latch
 			// the held latches provide the same exclusion.
 			restore := func(p *storage.Page) error {
 				copy(buf, p.Data)
-				copy(p.Data[rec.Offset:int(rec.Offset)+len(rec.Before)], rec.Before)
-				p.SetLSN(uint64(rec.LSN))
+				rec.UndoPhysical(p)
 				if m.log != nil {
 					// The compensation goes through the same fence-
 					// checked append as forward mutations, so a rollback
@@ -743,16 +771,7 @@ func (m *Manager) checkpoint(syncWait bool) (wal.LSN, error) {
 	if err := m.takeFlushErr(); err != nil {
 		return wal.ZeroLSN, err
 	}
-	fence := m.log.BeginCheckpoint()
-
-	m.mu.Lock()
-	att := make([]wal.CkptTxn, 0, len(m.active))
-	for id, t := range m.active {
-		t.mu.Lock()
-		att = append(att, wal.CkptTxn{ID: id, First: t.firstLSN, Last: t.lastLSN})
-		t.mu.Unlock()
-	}
-	m.mu.Unlock()
+	fence, att := m.log.BeginCheckpoint()
 
 	var dpt []wal.CkptPage
 	tracker, _ := m.store.(dirtyTracker)
@@ -779,7 +798,7 @@ func (m *Manager) checkpoint(syncWait bool) (wal.LSN, error) {
 	}
 	recoveryBegin := fence
 	for _, t := range att {
-		if t.First != wal.ZeroLSN && t.First < recoveryBegin {
+		if t.First < recoveryBegin {
 			recoveryBegin = t.First
 		}
 	}

@@ -206,10 +206,11 @@ func TestTxnCommit(t *testing.T) {
 	if tx.Status() != StatusCommitted {
 		t.Fatalf("status = %v", tx.Status())
 	}
-	// Commit forces the log: begin, update, commit all durable.
+	// Commit forces the log: update and commit durable, and no begin
+	// record before them.
 	n := 0
 	_ = l.Iterate(wal.ZeroLSN, func(r *wal.Record) error { n++; return nil })
-	if n != 3 {
+	if n != 2 {
 		t.Fatalf("durable records = %d", n)
 	}
 	if got, err := h.Get(rid); err != nil || string(got) != "committed" {

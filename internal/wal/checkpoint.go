@@ -8,11 +8,13 @@ import (
 )
 
 // CkptTxn is one active-transaction-table entry of a fuzzy checkpoint:
-// a transaction in flight when the checkpoint's tables were gathered.
+// a transaction that had logged an update, and neither a commit nor an
+// abort record, when the checkpoint began. A transaction that logged
+// nothing has no entry.
 type CkptTxn struct {
 	ID    uint64
-	First LSN // the transaction's begin record
-	Last  LSN // its most recent record at snapshot time
+	First LSN // the transaction's first update record
+	Last  LSN // its most recent update record at snapshot time
 }
 
 // CkptPage is one dirty-page-table entry of a fuzzy checkpoint: a page

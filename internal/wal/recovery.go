@@ -190,15 +190,6 @@ func Recover(l *Log, store storage.PageStore) (RecoveryStats, error) {
 	}
 
 	buf := make([]byte, storage.PageSize)
-	apply := func(rec *Record, image []byte) error {
-		if err := readPageForRecovery(store, rec.PageID, buf, &st); err != nil {
-			return err
-		}
-		p := storage.WrapPage(rec.PageID, buf)
-		copy(p.Data[rec.Offset:int(rec.Offset)+len(image)], image)
-		p.SetLSN(uint64(rec.LSN))
-		return store.WritePage(rec.PageID, p.Data)
-	}
 
 	// Redo in log order, repeating history for every transaction.
 	for _, rec := range updates {
@@ -211,14 +202,14 @@ func Recover(l *Log, store storage.PageStore) (RecoveryStats, error) {
 		}
 		if s := status[rec.Txn]; (s == RecCommit || s == RecAbort) &&
 			rec.Offset == 0 && len(rec.After) > 0 && storage.PageType(rec.After[0]) == storage.PageTypeFree {
-			// A free marking the crash actually lost had to be
-			// replayed; only then is the allocator's list suspect
+			// The first run starts at the page's type byte and sets it
+			// to free. A free marking the crash actually lost had to
+			// be replayed; only then is the allocator's list suspect
 			// (counted here, after the already-applied check, so clean
 			// reopens never pay the free-list rebuild).
 			st.FreeImages++
 		}
-		copy(p.Data[rec.Offset:int(rec.Offset)+len(rec.After)], rec.After)
-		p.SetLSN(uint64(rec.LSN))
+		rec.Redo(p)
 		if err := store.WritePage(rec.PageID, p.Data); err != nil {
 			return st, fmt.Errorf("wal: redo: %w", err)
 		}
@@ -245,7 +236,12 @@ func Recover(l *Log, store storage.PageStore) (RecoveryStats, error) {
 			// rollback path skips these for the same reason.
 			continue
 		}
-		if err := apply(rec, rec.Before); err != nil {
+		if err := readPageForRecovery(store, rec.PageID, buf, &st); err != nil {
+			return st, fmt.Errorf("wal: undo read page %d: %w", rec.PageID, err)
+		}
+		p := storage.WrapPage(rec.PageID, buf)
+		rec.UndoPhysical(p)
+		if err := store.WritePage(rec.PageID, p.Data); err != nil {
 			return st, fmt.Errorf("wal: undo: %w", err)
 		}
 		st.Undone++

@@ -95,3 +95,65 @@ func TestRetentionNeverBlocksManifest(t *testing.T) {
 		t.Fatalf("recovery-begin %d did not advance to the checkpoint %d", rb, ckpt)
 	}
 }
+
+// TestActiveTxnTableFollowsTheLog: the table BeginCheckpoint returns
+// holds exactly the transactions with an update record and no commit or
+// abort record — the only ones whose history truncation must keep. A
+// transaction that never logged is unknown to the log and holds nothing.
+func TestActiveTxnTableFollowsTheLog(t *testing.T) {
+	l, err := OpenDir(NewMemSegmentDir(), minSegmentBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func(txn uint64) LSN {
+		lsn, err := l.Append(&Record{Txn: txn, Type: RecUpdate, PageID: 7, After: make([]byte, 512), Undo: UndoNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	end := func(txn uint64, typ RecType) {
+		if _, err := l.Append(&Record{Txn: txn, Type: typ}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := update(1)
+	update(2)
+	last := update(1)
+	end(2, RecCommit)
+	update(3)
+	end(3, RecAbort)
+	end(4, RecCommit) // committed without ever logging an update
+
+	fence, att := l.BeginCheckpoint()
+	if len(att) != 1 || att[0] != (CkptTxn{ID: 1, First: first, Last: last}) {
+		t.Fatalf("ATT = %+v, want txn 1 [%d, %d]", att, first, last)
+	}
+	if fence != l.NextLSN() {
+		t.Fatalf("fence %d, log tail %d", fence, l.NextLSN())
+	}
+	end(1, RecCommit)
+	if _, att := l.BeginCheckpoint(); len(att) != 0 {
+		t.Fatalf("ATT after every txn ended: %+v", att)
+	}
+
+	// With nothing open, a checkpoint that names its own LSN as
+	// recovery-begin truncates every full segment behind it.
+	for txn := uint64(10); l.SegmentCount() < 4; txn++ {
+		update(txn)
+		end(txn, RecCommit)
+		if err := l.Flush(l.NextLSN()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fence, att = l.BeginCheckpoint()
+	if len(att) != 0 {
+		t.Fatalf("ATT = %+v", att)
+	}
+	if err := l.CompleteCheckpoint(fence, fence); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.SegmentCount(); n != 1 {
+		t.Fatalf("%d segments survive a checkpoint with no open txn", n)
+	}
+}

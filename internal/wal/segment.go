@@ -15,6 +15,22 @@ import (
 	"repro/internal/storage"
 )
 
+// CodedError is a failure with a stable number: one code, one documented
+// message, so the failure survives any boundary that can carry an
+// integer. Match it with errors.Is against its sentinel.
+type CodedError struct {
+	Code int
+	Msg  string
+}
+
+func (e *CodedError) Error() string { return fmt.Sprintf("wal: E%d: %s", e.Code, e.Msg) }
+
+// ErrFormat is returned by OpenDir when a segment was written in an
+// older record format. There is one record format and no migration: the
+// directory is left exactly as found, and the store has to be reloaded
+// (sbdms -import) into a fresh one.
+var ErrFormat = &CodedError{Code: 1101, Msg: "log segment written in an older record format"}
+
 // ErrSegmentGone is returned when an Iterate caller races segment
 // truncation: the requested range was reclaimed by a checkpoint. Log
 // shippers should restart from OldestLSN.
@@ -95,7 +111,8 @@ func decodeManifest(buf []byte) (m manifest, ok bool, err error) {
 // single monotonically increasing address space across truncation.
 const (
 	segHeaderSize = 32
-	segMagic      = 0x5342444d53574131 // "SBDMSWA1"
+	segMagic      = 0x5342444d53574132 // "SBDMSWA2": multi-run update records
+	segMagicV1    = 0x5342444d53574131 // "SBDMSWA1": single-span records, refused
 )
 
 func encodeSegHeader(seq uint64, base LSN) []byte {

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/storage"
@@ -435,5 +438,48 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte{1, 2, 3}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short payload err = %v", err)
+	}
+}
+
+// TestOpenRefusesOldSegmentFormat: a directory whose segment carries the
+// previous format's magic is refused with ErrFormat, and left byte for
+// byte as it was found — nothing dropped, truncated or created.
+func TestOpenRefusesOldSegmentFormat(t *testing.T) {
+	dir := NewMemSegmentDir()
+	dev := segDev(t, dir, 1)
+	old := make([]byte, segHeaderSize+100) // a WA1 header and some records
+	binary.LittleEndian.PutUint64(old[0:], segMagicV1)
+	binary.LittleEndian.PutUint64(old[8:], 1)
+	binary.LittleEndian.PutUint64(old[16:], segHeaderSize)
+	binary.LittleEndian.PutUint32(old[24:], crc32.Checksum(old[:24], crcTable))
+	for i := segHeaderSize; i < len(old); i++ {
+		old[i] = byte(i)
+	}
+	if _, err := dev.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := OpenDir(dir, 0)
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("OpenDir over a WA1 segment: %v", err)
+	}
+	var coded *CodedError
+	if !errors.As(err, &coded) || coded.Code != 1101 {
+		t.Fatalf("error %v carries no code", err)
+	}
+	got := make([]byte, len(old))
+	if size, _ := dev.Size(); size != int64(len(old)) {
+		t.Fatalf("segment is %d bytes after the refusal, was %d", size, len(old))
+	}
+	if _, err := dev.ReadAt(got, 0); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("segment bytes changed (read err %v)", err)
+	}
+	if seqs, _ := dir.ListSegments(); len(seqs) != 1 || dir.Removed() != 0 {
+		t.Fatalf("segments after the refusal: %v, %d removed", seqs, dir.Removed())
+	}
+	if m, _ := dir.OpenManifest(); m != nil {
+		if size, _ := m.Size(); size != 0 {
+			t.Fatalf("a manifest of %d bytes was written", size)
+		}
 	}
 }

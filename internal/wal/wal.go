@@ -69,26 +69,42 @@ func (t RecType) String() string {
 	}
 }
 
-// Record is one log record. Update records carry a physical
-// before/after image of a byte range within a page; checkpoint records
-// carry the encoded transaction and dirty-page tables in After.
+// Run is one contiguous byte range of a page that an update record
+// changes: Len bytes starting at page offset Off.
+type Run struct {
+	Off, Len uint16
+}
+
+// Record is one log record. An update record carries the bytes of a
+// page that changed as an ordered list of runs: After holds the new
+// bytes of every run back to back, Runs says where each stretch goes.
+// Commit and checkpoint records have no runs and use After as their
+// payload (commit timestamp, encoded checkpoint tables).
 type Record struct {
-	LSN     LSN // assigned by Append
-	Txn     uint64
-	Type    RecType
-	PageID  storage.PageID
-	Offset  uint16 // byte offset within the page
+	LSN    LSN // assigned by Append
+	Txn    uint64
+	Type   RecType
+	PageID storage.PageID
+	// Offset is the page offset of the first run. A record with nil Runs
+	// and a non-empty After is the one-run record (Offset, len(After)) —
+	// the shape of a full-page image and of hand-built records.
+	Offset uint16
+	// Before holds the old bytes of every run, laid out like After. It
+	// is present iff Undo is empty: only a physically undoable record
+	// is ever rolled back from its before bytes, so a record with a
+	// logical descriptor or the redo-only marker carries none.
 	Before  []byte
 	After   []byte
+	Runs    []Run
 	PrevLSN LSN // previous record of the same transaction
 	// Undo is an opaque logical-undo descriptor attached by the access
 	// layer. Empty means the record is physically undoable (restore the
-	// before image); UndoNone marks a redo-only record (a compensation
+	// before bytes); UndoNone marks a redo-only record (a compensation
 	// logged while rolling a logical operation back); anything else
 	// names the inverse operation (delete the inserted key, re-insert
 	// the deleted record, ...) that the access methods execute to undo
 	// it. Logical undo is what makes rollback safe once transactions
-	// interleave on shared pages: restoring a stale before image would
+	// interleave on shared pages: restoring stale before bytes would
 	// wipe the bytes concurrent committed transactions wrote next to
 	// ours, while re-running the inverse operation under page latches
 	// touches exactly the entry being undone.
@@ -97,6 +113,61 @@ type Record struct {
 	// read back via Iterate (not persisted); log shippers use it as
 	// their resume watermark.
 	End LSN
+}
+
+// runs returns the record's run table, spelling out the implicit single
+// run of a record built from Offset and After alone.
+func (r *Record) runs() []Run {
+	if r.Runs != nil || len(r.After) == 0 || r.Type != RecUpdate {
+		return r.Runs
+	}
+	return []Run{{Off: r.Offset, Len: uint16(len(r.After))}}
+}
+
+// Redo applies the record to a page image — every run's after bytes at
+// its offset — and stamps the page with the record's LSN. It is the one
+// place redo touches page bytes: crash recovery, the log-shipping
+// replica and the follower read path all replay through it.
+func (r *Record) Redo(p *storage.Page) {
+	r.apply(p, r.After)
+}
+
+// UndoPhysical restores the before bytes of every run and stamps the
+// page with the record's LSN. Only records with an empty Undo carry
+// before bytes; on any other record it changes nothing but the LSN.
+func (r *Record) UndoPhysical(p *storage.Page) {
+	r.apply(p, r.Before)
+}
+
+func (r *Record) apply(p *storage.Page, image []byte) {
+	for _, run := range r.runs() {
+		if len(image) < int(run.Len) {
+			break
+		}
+		copy(p.Data[run.Off:], image[:run.Len])
+		image = image[run.Len:]
+	}
+	p.SetLSN(uint64(r.LSN))
+}
+
+// check reports whether the record can be encoded into something
+// readRecord accepts: runs inside the page that add up to After, and
+// before bytes — if any — of the same length.
+func (r *Record) check() error {
+	total := 0
+	for _, run := range r.runs() {
+		if int(run.Off)+int(run.Len) > storage.PageSize {
+			return fmt.Errorf("wal: run [%d,+%d) leaves the page", run.Off, run.Len)
+		}
+		total += int(run.Len)
+	}
+	if r.Type == RecUpdate && total != len(r.After) {
+		return fmt.Errorf("wal: runs cover %d bytes, After holds %d", total, len(r.After))
+	}
+	if len(r.Before) != 0 && len(r.Before) != len(r.After) {
+		return fmt.Errorf("wal: %d before bytes beside %d after bytes", len(r.Before), len(r.After))
+	}
+	return nil
 }
 
 // UndoNone is the redo-only undo descriptor: the record is never
@@ -115,8 +186,10 @@ func (r *Record) LogicalUndo() bool {
 }
 
 // DefaultSegmentBytes is the roll threshold used when OpenDir is given
-// a non-positive segment size.
-const DefaultSegmentBytes = 4 << 20
+// a non-positive segment size. Segments are the unit of checkpoint
+// truncation, of shipper retention and of a follower's bootstrap copy;
+// at the ~650 bytes a small write logs, 1 MiB is some 1,500 of them.
+const DefaultSegmentBytes = 1 << 20
 
 // minSegmentBytes floors configured segment sizes so a single full
 // page image always fits comfortably in one segment.
@@ -160,6 +233,13 @@ type Log struct {
 	recoveryBegin LSN // where the next recovery scan starts
 	fence         LSN // full-page-write fence (page LSN below it => log a full image)
 
+	// open is the active-transaction table: every transaction with an
+	// update record in the log and no commit or abort record yet, with
+	// its first and latest LSN. Kept under the mutex that assigns LSNs,
+	// so BeginCheckpoint reads a table exactly consistent with its
+	// fence; a transaction that logged nothing is never in it.
+	open map[uint64]CkptTxn
+
 	// Group commit state.
 	flushDone      *sync.Cond // broadcast when a flush round completes
 	syncing        bool       // a leader is writing/syncing off-lock
@@ -192,7 +272,7 @@ type Log struct {
 // records are truncated away). segmentBytes sets the roll threshold;
 // <= 0 selects DefaultSegmentBytes.
 func OpenDir(dir SegmentDir, segmentBytes int) (*Log, error) {
-	l := &Log{dir: dir, segmentBytes: segmentBytes}
+	l := &Log{dir: dir, segmentBytes: segmentBytes, open: make(map[uint64]CkptTxn)}
 	if l.segmentBytes <= 0 {
 		l.segmentBytes = DefaultSegmentBytes
 	} else if l.segmentBytes < minSegmentBytes {
@@ -331,6 +411,10 @@ func (l *Log) openSegments() error {
 			hdr := make([]byte, segHeaderSize)
 			if _, err := dev.ReadAt(hdr, 0); err != nil {
 				return fmt.Errorf("wal: reading segment %d header: %w", seq, err)
+			}
+			if binary.LittleEndian.Uint64(hdr) == segMagicV1 {
+				// Before anything is dropped, truncated or created.
+				return fmt.Errorf("%w: segment %d", ErrFormat, seq)
 			}
 			hseq, base, ok := decodeSegHeader(hdr)
 			r.headerOK = ok && hseq == seq
@@ -549,40 +633,48 @@ func (l *Log) Syncs() uint64 {
 	return l.syncs
 }
 
-// encode appends the wire form of rec (excluding LSN assignment) to dst.
-// Layout: u32 len | u32 crc | u64 txn | u8 type | u64 page | u16 off |
-// u32 blen | before | u32 alen | after | u64 prevLSN | u16 ulen | undo.
-// len covers everything after the len field itself. The trailing undo
-// descriptor is optional on read (records written before logical undo
-// existed simply end after prevLSN).
-func encode(dst []byte, rec *Record) []byte {
-	body := make([]byte, 0, 37+len(rec.Before)+len(rec.After)+len(rec.Undo))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], rec.Txn)
-	body = append(body, tmp[:]...)
-	body = append(body, byte(rec.Type))
-	binary.LittleEndian.PutUint64(tmp[:], uint64(rec.PageID))
-	body = append(body, tmp[:]...)
-	binary.LittleEndian.PutUint16(tmp[:2], rec.Offset)
-	body = append(body, tmp[:2]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(rec.Before)))
-	body = append(body, tmp[:4]...)
-	body = append(body, rec.Before...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(rec.After)))
-	body = append(body, tmp[:4]...)
-	body = append(body, rec.After...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(rec.PrevLSN))
-	body = append(body, tmp[:]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(rec.Undo)))
-	body = append(body, tmp[:2]...)
-	body = append(body, rec.Undo...)
+// Record wire layout, after the u32 length that frames it (the length
+// covers everything that follows it):
+//
+//	u32 crc | u64 txn | u8 type | u8 flags | u64 page | u64 prevLSN |
+//	u16 ulen | u16 nruns | nruns x (u16 off, u16 len) | undo | after | before
+//
+// after is the runs' new bytes back to back (for a record without runs,
+// its payload); before is present, and as long as after, iff flagBefore
+// is set.
+const (
+	recFixedSize = 4 + 8 + 1 + 1 + 8 + 8 + 2 + 2 // crc through nruns
+	// minRecordSize is the smallest value a record's length field can
+	// hold: a record with no runs, no undo descriptor and no bytes.
+	minRecordSize = recFixedSize
+	flagBefore    = 1
+)
 
-	crc := crc32.Checksum(body, crcTable)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(body))+4) // len includes crc
-	dst = append(dst, tmp[:4]...)
-	binary.LittleEndian.PutUint32(tmp[:4], crc)
-	dst = append(dst, tmp[:4]...)
-	return append(dst, body...)
+// encode appends the wire form of rec (excluding LSN assignment) to dst.
+func encode(dst []byte, rec *Record) []byte {
+	runs := rec.runs()
+	start := len(dst)
+	var hdr [4 + recFixedSize]byte
+	binary.LittleEndian.PutUint64(hdr[8:], rec.Txn)
+	hdr[16] = byte(rec.Type)
+	if len(rec.Before) > 0 {
+		hdr[17] = flagBefore
+	}
+	binary.LittleEndian.PutUint64(hdr[18:], uint64(rec.PageID))
+	binary.LittleEndian.PutUint64(hdr[26:], uint64(rec.PrevLSN))
+	binary.LittleEndian.PutUint16(hdr[34:], uint16(len(rec.Undo)))
+	binary.LittleEndian.PutUint16(hdr[36:], uint16(len(runs)))
+	dst = append(dst, hdr[:]...)
+	for _, run := range runs {
+		dst = binary.LittleEndian.AppendUint16(dst, run.Off)
+		dst = binary.LittleEndian.AppendUint16(dst, run.Len)
+	}
+	dst = append(dst, rec.Undo...)
+	dst = append(dst, rec.After...)
+	dst = append(dst, rec.Before...)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], crcTable))
+	return dst
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -598,70 +690,88 @@ func (s *segment) readRecord(lsn, limit LSN) (*Record, LSN, error) {
 		return nil, 0, ErrTornTail
 	}
 	if _, err := s.dev.ReadAt(lenBuf[:], int64(off)); err != nil {
-		if errors.Is(err, storage.ErrClosed) {
-			// The segment was truncated away under a concurrent reader.
-			return nil, 0, fmt.Errorf("%w: segment %d", ErrSegmentGone, s.seq)
-		}
-		return nil, 0, fmt.Errorf("%w: %v", ErrTornTail, err)
+		return nil, 0, s.readErr(err)
 	}
 	total := binary.LittleEndian.Uint32(lenBuf[:])
-	if total < 4+35 || off+4+uint64(total) > devLimit {
+	if total < minRecordSize || off+4+uint64(total) > devLimit {
 		return nil, 0, ErrTornTail
 	}
 	payload := make([]byte, total)
 	if _, err := s.dev.ReadAt(payload, int64(off+4)); err != nil {
-		if errors.Is(err, storage.ErrClosed) {
-			return nil, 0, fmt.Errorf("%w: segment %d", ErrSegmentGone, s.seq)
-		}
-		return nil, 0, fmt.Errorf("%w: %v", ErrTornTail, err)
+		return nil, 0, s.readErr(err)
 	}
-	wantCRC := binary.LittleEndian.Uint32(payload)
+	rec, err := decode(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec.LSN = lsn
+	rec.End = lsn + LSN(4+total)
+	return rec, rec.End, nil
+}
+
+// readErr classifies a device read failure inside a segment.
+func (s *segment) readErr(err error) error {
+	if errors.Is(err, storage.ErrClosed) {
+		// The segment was truncated away under a concurrent reader.
+		return fmt.Errorf("%w: segment %d", ErrSegmentGone, s.seq)
+	}
+	return fmt.Errorf("%w: %v", ErrTornTail, err)
+}
+
+// decode parses one record from payload — the bytes its length field
+// frames, at least minRecordSize of them. The record's Undo, After and
+// Before alias payload, which the caller hands over.
+func decode(payload []byte) (*Record, error) {
 	body := payload[4:]
-	if crc32.Checksum(body, crcTable) != wantCRC {
-		return nil, 0, ErrCorrupt
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(payload) {
+		return nil, ErrCorrupt
 	}
-	rec := &Record{LSN: lsn}
-	rec.Txn = binary.LittleEndian.Uint64(body)
-	rec.Type = RecType(body[8])
-	rec.PageID = storage.PageID(binary.LittleEndian.Uint64(body[9:]))
-	rec.Offset = binary.LittleEndian.Uint16(body[17:])
-	blen := binary.LittleEndian.Uint32(body[19:])
-	p := 23
-	if p+int(blen) > len(body) {
-		return nil, 0, ErrCorrupt
+	rec := &Record{
+		Txn:     binary.LittleEndian.Uint64(body),
+		Type:    RecType(body[8]),
+		PageID:  storage.PageID(binary.LittleEndian.Uint64(body[10:])),
+		PrevLSN: LSN(binary.LittleEndian.Uint64(body[18:])),
 	}
-	rec.Before = append([]byte(nil), body[p:p+int(blen)]...)
-	p += int(blen)
-	if p+4 > len(body) {
-		return nil, 0, ErrCorrupt
+	ulen := int(binary.LittleEndian.Uint16(body[26:]))
+	nruns := int(binary.LittleEndian.Uint16(body[28:]))
+	rest := body[recFixedSize-4:]
+	if len(rest) < 4*nruns+ulen {
+		return nil, ErrCorrupt
 	}
-	alen := binary.LittleEndian.Uint32(body[p:])
-	p += 4
-	if p+int(alen)+8 > len(body) {
-		return nil, 0, ErrCorrupt
-	}
-	rec.After = append([]byte(nil), body[p:p+int(alen)]...)
-	p += int(alen)
-	rec.PrevLSN = LSN(binary.LittleEndian.Uint64(body[p:]))
-	p += 8
-	if p+2 <= len(body) {
-		ulen := int(binary.LittleEndian.Uint16(body[p:]))
-		p += 2
-		if p+ulen > len(body) {
-			return nil, 0, ErrCorrupt
+	if nruns > 0 {
+		rec.Runs = make([]Run, nruns)
+		for i := range rec.Runs {
+			rec.Runs[i] = Run{Off: binary.LittleEndian.Uint16(rest), Len: binary.LittleEndian.Uint16(rest[2:])}
+			rest = rest[4:]
 		}
-		if ulen > 0 {
-			rec.Undo = append([]byte(nil), body[p:p+ulen]...)
-		}
+		rec.Offset = rec.Runs[0].Off
 	}
-	next := lsn + LSN(4+total)
-	rec.End = next
-	return rec, next, nil
+	if ulen > 0 {
+		rec.Undo, rest = rest[:ulen:ulen], rest[ulen:]
+	}
+	if body[9]&flagBefore != 0 {
+		half := len(rest) / 2
+		rec.Before, rest = rest[half:], rest[:half:half]
+	}
+	if len(rest) > 0 {
+		rec.After = rest
+	}
+	if rec.check() != nil {
+		return nil, ErrCorrupt
+	}
+	return rec, nil
 }
 
 // Append buffers a record and returns its assigned LSN. The record is
-// durable only after Flush covers the LSN.
+// durable only after Flush covers the LSN. Before bytes beside an undo
+// descriptor are dropped: nothing would ever read them.
 func (l *Log) Append(rec *Record) (LSN, error) {
+	if len(rec.Undo) > 0 {
+		rec.Before = nil
+	}
+	if err := rec.check(); err != nil {
+		return ZeroLSN, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appendLocked(rec), nil
@@ -672,6 +782,17 @@ func (l *Log) appendLocked(rec *Record) LSN {
 	rec.LSN = lsn
 	l.buf = encode(l.buf, rec)
 	l.nextLSN = LSN(l.bufStart + uint64(len(l.buf)))
+	switch rec.Type {
+	case RecUpdate:
+		t, open := l.open[rec.Txn]
+		if !open {
+			t = CkptTxn{ID: rec.Txn, First: lsn}
+		}
+		t.Last = lsn
+		l.open[rec.Txn] = t
+	case RecCommit, RecAbort:
+		delete(l.open, rec.Txn)
+	}
 	if l.appendObs != nil {
 		rec.End = l.nextLSN
 		l.appendObs(rec)
@@ -679,43 +800,97 @@ func (l *Log) appendLocked(rec *Record) LSN {
 	return lsn
 }
 
+// runGap is how many equal bytes end a run: two changes closer than
+// this share one run (a run costs four bytes of table), changes at
+// least this far apart get a run each.
+const runGap = 16
+
+// diffRuns returns the runs over which the equally long a and b differ,
+// in ascending offset order; nil when they are identical.
+func diffRuns(a, b []byte) []Run {
+	var runs []Run
+	n := len(a)
+	for i := 0; i < n; {
+		for i+8 <= n && binary.LittleEndian.Uint64(a[i:]) == binary.LittleEndian.Uint64(b[i:]) {
+			i += 8
+		}
+		for i < n && a[i] == b[i] {
+			i++
+		}
+		if i == n {
+			break
+		}
+		start, end := i, i+1 // end: one past the last differing byte seen
+		for i++; i < n && i-end < runGap; i++ {
+			if a[i] != b[i] {
+				end = i + 1
+			}
+		}
+		runs = append(runs, Run{Off: uint16(start), Len: uint16(end - start)})
+	}
+	return runs
+}
+
+// fill sets the record's runs and copies their bytes out of the two
+// page images (the before bytes only for a physically undoable record);
+// nil runs select the whole page.
+func (r *Record) fill(runs []Run, before, after []byte) {
+	if runs == nil {
+		runs = []Run{{Off: 0, Len: storage.PageSize}}
+	}
+	total := 0
+	for _, run := range runs {
+		total += int(run.Len)
+	}
+	gather := func(image []byte) []byte {
+		out := make([]byte, 0, total)
+		for _, run := range runs {
+			out = append(out, image[run.Off:int(run.Off)+int(run.Len)]...)
+		}
+		return out
+	}
+	r.Runs, r.Offset, r.After = runs, runs[0].Off, gather(after)
+	if len(r.Undo) == 0 {
+		r.Before = gather(before)
+	}
+}
+
 // AppendPageUpdate appends an update record for the page transition
-// before -> after (both full page images), choosing between a minimal
-// diff and a full page image under the log mutex: if the page's prior
-// image predates the full-page-write fence (its LSN is below the fence
-// installed by the last checkpoint — or it was never logged at all),
-// the full image is logged. Deciding under the same mutex that assigns
-// the LSN is what makes the fence race-free: every record at or above a
-// checkpoint's fence was appended by a caller that saw that fence, so
-// the first post-checkpoint record for any page is always a full image
-// and torn pages stay rebuildable after old segments are truncated.
+// before -> after (both full page images): the byte runs that changed,
+// or — if the page's prior image predates the full-page-write fence
+// (its LSN is below the fence installed by the last checkpoint, or it
+// was never logged at all) — the whole page as one run. The runs are
+// computed before the log mutex is taken; the fence test is repeated
+// under the same mutex that assigns the LSN, which is what makes the
+// fence race-free: every record at or above a checkpoint's fence was
+// appended by a caller that saw that fence, so the first post-checkpoint
+// record for any page is always a full image and torn pages stay
+// rebuildable after old segments are truncated.
 //
-// Returns nil (no error) when before and after are identical.
+// Returns nil (no error) when before and after are identical and the
+// page is above the fence.
 //
 // undo optionally attaches a logical-undo descriptor (or the UndoNone
 // redo-only marker for compensation records); nil selects physical
-// before-image undo, which is only sound when no concurrent transaction
-// can interleave records on the same page (system transactions holding
-// the page latch or a structure-wide lock for their whole lifetime).
+// undo from before bytes, which is only sound when no concurrent
+// transaction can interleave records on the same page (system
+// transactions holding the page latch or a structure-wide lock for
+// their whole lifetime). Only then does the record carry before bytes.
 func (l *Log) AppendPageUpdate(txnID uint64, prevLSN LSN, pid storage.PageID, before, after, undo []byte) (*Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lo, hi := 0, len(before)
-	if LSN(storage.WrapPage(pid, before).LSN()) >= l.fence {
-		lo, hi = storage.DiffRange(before, after)
-		if lo == hi {
+	pageLSN := LSN(storage.WrapPage(pid, before).LSN())
+	rec := &Record{Txn: txnID, Type: RecUpdate, PageID: pid, PrevLSN: prevLSN, Undo: undo}
+	var runs []Run // nil: the whole page
+	full := pageLSN < l.FullPageFence()
+	if !full {
+		if runs = diffRuns(before, after); runs == nil {
 			return nil, nil
 		}
 	}
-	rec := &Record{
-		Txn:     txnID,
-		Type:    RecUpdate,
-		PageID:  pid,
-		Offset:  uint16(lo),
-		Before:  append([]byte(nil), before[lo:hi]...),
-		After:   append([]byte(nil), after[lo:hi]...),
-		PrevLSN: prevLSN,
-		Undo:    undo,
+	rec.fill(runs, before, after)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !full && pageLSN < l.fence {
+		rec.fill(nil, before, after) // a checkpoint began since the test above
 	}
 	l.appendLocked(rec)
 	return rec, nil
@@ -960,16 +1135,23 @@ func (l *Log) ActiveSegment() uint64 {
 // --- checkpoints --------------------------------------------------------
 
 // BeginCheckpoint starts a fuzzy checkpoint: it advances the full-page-
-// write fence to the current NextLSN and returns that LSN. From this
+// write fence to the current NextLSN and returns that LSN together with
+// the active-transaction table as of the same instant. From this
 // moment, the first mutation of any page whose image predates the fence
 // logs a full page image (see AppendPageUpdate), so once the checkpoint
 // completes and older segments are truncated, any page a future crash
-// can tear still has a full image inside the retained log suffix.
-func (l *Log) BeginCheckpoint() LSN {
+// can tear still has a full image inside the retained log suffix. Every
+// record below the fence that a later rollback could need belongs to a
+// transaction in the returned table.
+func (l *Log) BeginCheckpoint() (LSN, []CkptTxn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.fence = l.nextLSN
-	return l.fence
+	att := make([]CkptTxn, 0, len(l.open))
+	for _, t := range l.open {
+		att = append(att, t)
+	}
+	return l.fence, att
 }
 
 // CompleteCheckpoint persists the checkpoint in the manifest — the
@@ -1067,7 +1249,7 @@ func (l *Log) writeManifestLocked() error {
 // snapshots the active-transaction and dirty-page tables and computes
 // the true recovery-begin LSN without quiescing anything.
 func (l *Log) Checkpoint() (LSN, error) {
-	l.BeginCheckpoint()
+	_, _ = l.BeginCheckpoint()
 	lsn, err := l.Append(&Record{Type: RecCheckpoint})
 	if err != nil {
 		return ZeroLSN, err

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -170,35 +171,44 @@ func TestRecTypeString(t *testing.T) {
 	}
 }
 
-// Property: any batch of records round-trips through append/flush/iterate.
+// Property: any batch of one-run records round-trips through
+// append/flush/iterate, with before bytes (physical) and without.
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(specs []struct {
-		Txn    uint64
-		Page   uint16
-		Off    uint8
-		Before []byte
-		After  []byte
+		Txn      uint64
+		Page     uint16
+		Off      uint8
+		After    []byte
+		Physical bool
 	}) bool {
 		l, err := OpenDir(NewMemSegmentDir(), 0)
 		if err != nil {
 			return false
 		}
+		var want []*Record
 		for _, s := range specs {
-			if _, err := l.Append(&Record{
-				Txn: s.Txn, Type: RecUpdate, PageID: storage.PageID(s.Page),
-				Offset: uint16(s.Off), Before: s.Before, After: s.After,
-			}); err != nil {
+			rec := &Record{Txn: s.Txn, Type: RecUpdate, PageID: storage.PageID(s.Page), After: s.After}
+			if len(s.After) > 0 {
+				rec.Offset = uint16(s.Off) // an offset is only stored with a run
+			}
+			if s.Physical {
+				rec.Before = bytes.Repeat([]byte{0xB4}, len(s.After))
+			} else {
+				rec.Undo = []byte("inverse")
+			}
+			if _, err := l.Append(rec); err != nil {
 				return false
 			}
+			want = append(want, rec)
 		}
 		if err := l.Flush(l.NextLSN()); err != nil {
 			return false
 		}
 		i := 0
 		err = l.Iterate(ZeroLSN, func(r *Record) error {
-			s := specs[i]
-			if r.Txn != s.Txn || r.PageID != storage.PageID(s.Page) || r.Offset != uint16(s.Off) ||
-				string(r.Before) != string(s.Before) || string(r.After) != string(s.After) {
+			w := want[i]
+			if r.Txn != w.Txn || r.PageID != w.PageID || r.Offset != w.Offset ||
+				!bytes.Equal(r.Before, w.Before) || !bytes.Equal(r.After, w.After) || !bytes.Equal(r.Undo, w.Undo) {
 				return errors.New("mismatch")
 			}
 			i++

@@ -118,8 +118,8 @@ func (r *ReplicaReader) ApplyBatch(recs []*wal.Record, frontier uint64) error {
 
 // applyUpdateLocked replays one page-update record into the replica's
 // pool, exactly as recovery redo would: skip if the page already
-// carries the effect (pageLSN at or past the record), else copy the
-// after-image at its offset and advance the page LSN. The guard makes
+// carries the effect (pageLSN at or past the record), else apply the
+// record's runs and advance the page LSN (wal.Record.Redo). The guard makes
 // apply idempotent, which covers both shipped redeliveries and records
 // straddling a bootstrap image (the image may or may not already hold
 // effects logged concurrently with the bootstrap flush).
@@ -135,9 +135,7 @@ func (r *ReplicaReader) applyUpdateLocked(rec *wal.Record) error {
 	if p.LSN() >= uint64(rec.LSN) {
 		return r.pool.UnpinLatched(rec.PageID, true, false)
 	}
-	//lint:ignore walbeforemutate replaying an already-logged record shipped from the leader is redo, not an unlogged mutation
-	copy(p.Data[rec.Offset:int(rec.Offset)+len(rec.After)], rec.After)
-	p.SetLSN(uint64(rec.LSN))
+	rec.Redo(p)
 	return r.pool.UnpinLatched(rec.PageID, true, true)
 }
 

@@ -50,7 +50,7 @@ type Options struct {
 	LogDir wal.SegmentDir
 	// DisableWAL skips logging entirely.
 	DisableWAL bool
-	// WALSegmentBytes is the WAL's segment roll threshold (0 = 4 MiB).
+	// WALSegmentBytes is the WAL's segment roll threshold (0 = 1 MiB).
 	// Once the recovery-begin LSN passes a segment's end, the segment
 	// file is deleted.
 	WALSegmentBytes int

@@ -272,3 +272,67 @@ func TestKVLenSurfacesServiceFailure(t *testing.T) {
 		t.Fatalf("Len over a failing invoker = %d, %v; want the invoke error", n, err)
 	}
 }
+
+// TestReadsLeaveNoWALTrace: through the service path, statements and KV
+// operations that change nothing append no log record and force no
+// sync — the log moves only for writes, once per write.
+func TestReadsLeaveNoWALTrace(t *testing.T) {
+	db, err := Open(Options{Device: storage.NewMemDevice()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(ctx)
+	for _, q := range []string{
+		"CREATE TABLE orders (id INT, cust INT, amount INT)",
+		"CREATE INDEX orders_id ON orders (id)",
+		"INSERT INTO orders VALUES (1, 10, 100), (2, 10, 250), (3, 11, 75)",
+	} {
+		if _, err := db.Exec(ctx, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if err := db.Put(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	next, syncs := db.Log().NextLSN(), db.Log().Syncs()
+
+	for i := 0; i < 1000; i++ {
+		res, err := db.Exec(ctx, "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust = 10")
+		if err != nil || res.Rows[0][0].Int != 2 || res.Rows[0][1].Int != 350 {
+			t.Fatalf("aggregate = %v, %v", res, err)
+		}
+	}
+	for _, q := range []string{"BEGIN", "SELECT amount FROM orders WHERE id = 2", "COMMIT"} {
+		if _, err := db.Exec(ctx, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := db.Get(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.GetSnapshot(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ScanKeys(ctx, "", 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Get(ctx, "absent"); !IsKeyNotFound(err) {
+			t.Fatal(err)
+		}
+	}
+	if db.Log().NextLSN() != next || db.Log().Syncs() != syncs {
+		t.Fatalf("reads moved the log: tail %d -> %d, syncs %d -> %d",
+			next, db.Log().NextLSN(), syncs, db.Log().Syncs())
+	}
+
+	if _, err := db.Exec(ctx, "INSERT INTO orders VALUES (4, 11, 5)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(ctx, "k", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Log().Syncs() - syncs; got != 2 {
+		t.Fatalf("two writes forced the log %d times", got)
+	}
+}
