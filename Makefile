@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/access/... ./internal/buffer/... ./internal/core/... \
             ./internal/index/... ./internal/storage/... ./internal/txn/... \
             ./internal/wal/...
 
-.PHONY: build test race bench bench-smoke bench-regress fuzz-short crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
+.PHONY: build test race bench bench-smoke sbench-smoke bench-regress fuzz-short crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
 
 # Run a race-detector test selection at a GOMAXPROCS matrix:
 # single-proc forces the cooperative interleavings the scheduler
@@ -16,7 +16,7 @@ define gomaxprocsMatrix
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run $(1) $(2)
 endef
 
-all: vet lint build test bench-smoke
+all: vet lint build test bench-smoke sbench-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,15 @@ bench:
 # silently. This is the check that it still builds and passes.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# cmd/sbench has no test file: this runs the experiments that open a
+# database through sbdms.Open (F1, F2, G1) at toy sizes, writing no
+# BENCH_<EXP>.json, so an Options or flag change cannot break the paper
+# harness silently.
+sbench-smoke:
+	$(GO) run ./cmd/sbench -exp f1 -ops 400 -keys 100 -json ''
+	$(GO) run ./cmd/sbench -exp f2 -ops 400 -keys 100 -json ''
+	$(GO) run ./cmd/sbench -exp g1 -ops 400 -keys 100 -json ''
 
 # The committed benchmark trail: BENCH_BASELINE.json is the merged
 # `-check 5 -json` output of the commit that last moved a number on

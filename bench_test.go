@@ -28,7 +28,6 @@ func benchDB(b *testing.B, g Granularity, binding core.Binding) *DB {
 		Granularity:  g,
 		BufferFrames: 512,
 		Binding:      binding,
-		DisableWAL:   true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -271,7 +270,6 @@ func BenchmarkG2_Embedded_SmallPool(b *testing.B) {
 	db, err := Open(Options{
 		Granularity:  Coarse,
 		BufferFrames: 8, // embedded-scale memory
-		DisableWAL:   true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -410,7 +408,6 @@ func benchPolicy(b *testing.B, policy string) {
 		Granularity:  Monolithic,
 		BufferFrames: 32, // small pool so policy matters
 		BufferPolicy: policy,
-		DisableWAL:   true,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -46,7 +46,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated peer addresses for registry gossip")
 	gossipEvery := flag.Duration("gossip", 2*time.Second, "gossip interval")
 	importFile := flag.String("import", "", "bulk-load key<TAB>value lines from this file (- = stdin), print stats and exit instead of serving")
-	importChunk := flag.Int("import-chunk-pages", 0, "pages per import cancellation/flush chunk (0 = 64)")
 	clusterShards := flag.Int("cluster-shards", 0, "serve an in-process demo cluster with this many hash-partitioned shards instead of a single node (0 = off)")
 	clusterFollowers := flag.Int("cluster-followers", 1, "WAL-shipped followers per shard for -cluster-shards")
 	clusterAsync := flag.Bool("cluster-async", false, "async-commit WAL mode: ack once a follower holds the record, before the leader's local fsync")
@@ -64,7 +63,6 @@ func main() {
 		CheckpointInterval: *ckptEvery,
 		VacuumInterval:     *vacEvery,
 		ScanIsolation:      sbdms.ScanIsolation(*scanIsolation),
-		ImportChunkPages:   *importChunk,
 	}
 	if *importFile != "" {
 		if err := runImport(*importFile, *dataPath, *walDir, opts); err != nil {

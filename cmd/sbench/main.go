@@ -31,7 +31,6 @@ var (
 	flagGroupBytes  = flag.Int("wal-group-bytes", 0, "end the WAL group window early past this many pending bytes")
 	flagSiblings    = flag.Int("wal-commit-siblings", 0, "min sibling txns to hold the group window (0 = gate at 1, <0 = no gate)")
 	flagShards      = flag.Int("shards", 0, "buffer pool shard count for g1/g5 (0 = auto)")
-	flagG1WAL       = flag.Bool("g1-wal", false, "run the G1 sweep with the WAL enabled (storage-vs-granularity ablation)")
 	flagSegBytes    = flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold for g1 (0 = 1 MiB)")
 	flagCkptEvery   = flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period for g1 (0 = off)")
 	flagJSONDir     = flag.String("json", ".", "directory for BENCH_<EXP>.json reports (empty = disabled)")
@@ -140,7 +139,6 @@ func measure(g sbdms.Granularity, binding core.Binding, bindName string, mix wor
 		Granularity:  g,
 		BufferFrames: 512,
 		Binding:      binding,
-		DisableWAL:   true,
 	})
 	if err != nil {
 		return sbdms.KVMeasurement{}, err
@@ -184,7 +182,7 @@ func runF1(ops, keys int) error {
 func runF2(ops, keys int) error {
 	header("F2 — Figure 2: layered composition, SQL through the Data Service")
 	ctx := context.Background()
-	db, err := sbdms.Open(sbdms.Options{Granularity: sbdms.Layered, DisableWAL: true})
+	db, err := sbdms.Open(sbdms.Options{Granularity: sbdms.Layered})
 	if err != nil {
 		return err
 	}
@@ -234,7 +232,7 @@ func runF2(ops, keys int) error {
 
 func runScenario(name string, run func(context.Context, *sbdms.DB, int) (sbdms.ScenarioResult, error), ops int) error {
 	ctx := context.Background()
-	db, err := sbdms.Open(sbdms.Options{Granularity: sbdms.Coarse, DisableWAL: true})
+	db, err := sbdms.Open(sbdms.Options{Granularity: sbdms.Coarse})
 	if err != nil {
 		return err
 	}
@@ -285,15 +283,14 @@ func runG1(ops, keys int) error {
 	} {
 		st := sbdms.SweepStorage{
 			BufferShards:       *flagShards,
-			EnableWAL:          *flagG1WAL,
 			WALGroupWindow:     *flagGroupWindow,
 			WALGroupBytes:      *flagGroupBytes,
 			WALCommitSiblings:  *flagSiblings,
 			WALSegmentBytes:    *flagSegBytes,
 			CheckpointInterval: *flagCkptEvery,
 		}
-		fmt.Printf("-- workload: %s, %d zipfian keys (shards=%d wal=%t window=%v) --\n",
-			mix.name, keys, *flagShards, *flagG1WAL, *flagGroupWindow)
+		fmt.Printf("-- workload: %s, %d zipfian keys (shards=%d window=%v) --\n",
+			mix.name, keys, *flagShards, *flagGroupWindow)
 		ms, err := sbdms.GranularitySweepStorage(mix.m, keys, ops, 1, st)
 		if err != nil {
 			return err
@@ -321,7 +318,7 @@ func runG2(ops, keys int) error {
 		{"small footprint (8 frames, coarse)  ", 8, sbdms.Coarse},
 	} {
 		db, err := sbdms.Open(sbdms.Options{
-			Granularity: cfg.g, BufferFrames: cfg.frames, DisableWAL: true,
+			Granularity: cfg.g, BufferFrames: cfg.frames,
 		})
 		if err != nil {
 			return err

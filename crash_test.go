@@ -125,10 +125,8 @@ func openCrashDB(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir) *D
 // is deliberately dropped.
 func abandon(db *DB) {
 	_ = db.Kernel().Stop(context.Background())
-	if db.txns != nil {
-		err := db.txns.StopCheckpointFlusher()
-		_ = err // crash simulation: flush errors are expected here
-	}
+	err := db.txns.StopCheckpointFlusher()
+	_ = err // crash simulation: flush errors are expected here
 }
 
 // TestKVCrashRecoveryKill9 is the acceptance scenario: a pure-KV
@@ -283,7 +281,7 @@ func TestKVCrashRecoveryLoserWithoutBeginRecord(t *testing.T) {
 		if err := db.kv.locks.Acquire(ctx, loser.ID(), kvRes(k), txn.Exclusive); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.kv.putTx(ctx, loser, loser.ID(), loser, k, []byte("never committed")); err != nil {
+		if err := db.kv.putTx(ctx, loser, k, []byte("never committed")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,6 @@ func main() {
 	db, err := sbdms.Open(sbdms.Options{
 		Granularity:  sbdms.Coarse,
 		BufferFrames: 8,
-		DisableWAL:   true,
 		Coordinator: core.CoordinatorConfig{
 			ProbePeriod:  20 * time.Millisecond,
 			ProbeTimeout: 100 * time.Millisecond,

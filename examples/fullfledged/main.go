@@ -98,26 +98,24 @@ func main() {
 	fmt.Printf("procedure: 21.5C = %.1fF\n", out[0][0].Float)
 
 	// --- Replication extension ---------------------------------------------
-	if db.Log() != nil {
-		replicaDisk, err := storage.OpenDisk(storage.NewMemDevice())
-		if err != nil {
-			log.Fatal(err)
-		}
-		replica := replicate.NewReplica("replica-1", replicaDisk)
-		shipper := replicate.NewShipper(db.Log())
-		shipper.Attach(replica)
-		if _, err := db.Exec(ctx, "INSERT INTO sensors VALUES (3, 'attic')"); err != nil {
-			log.Fatal(err)
-		}
-		if err := db.Log().Flush(db.Log().NextLSN()); err != nil {
-			log.Fatal(err)
-		}
-		n, err := shipper.Ship()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("replication: shipped %d log records, replica lag=%d bytes\n", n, shipper.Lag(replica))
+	replicaDisk, err := storage.OpenDisk(storage.NewMemDevice())
+	if err != nil {
+		log.Fatal(err)
 	}
+	replica := replicate.NewReplica("replica-1", replicaDisk)
+	shipper := replicate.NewShipper(db.Log())
+	shipper.Attach(replica)
+	if _, err := db.Exec(ctx, "INSERT INTO sensors VALUES (3, 'attic')"); err != nil {
+		log.Fatal(err)
+	}
+	if err := db.Log().Flush(db.Log().NextLSN()); err != nil {
+		log.Fatal(err)
+	}
+	n, err := shipper.Ship()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("replication: shipped %d log records, replica lag=%d bytes\n", n, shipper.Lag(replica))
 
 	// --- Live adaptation (Figure 7) ------------------------------------------
 	res, err := sbdms.ScenarioAdaptation(ctx, db, 200)

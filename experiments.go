@@ -133,9 +133,6 @@ type SweepStorage struct {
 	BufferFrames int
 	// BufferShards overrides the pool's lock-stripe count (0 = auto).
 	BufferShards int
-	// EnableWAL turns logging on for the sweep; the WAL fields below
-	// only apply when set. The classic G1 sweep runs unlogged.
-	EnableWAL bool
 	// WALGroupWindow, WALGroupBytes, WALCommitSiblings,
 	// WALSegmentBytes and CheckpointInterval mirror the same fields of
 	// Options.
@@ -150,7 +147,7 @@ type SweepStorage struct {
 // under the local binding and under a per-hop delay calibrated from the
 // real TCP round-trip, one measurement per cell. The storage knobs cross
 // the paper's granularity axis with the storage concurrency axis; the
-// zero SweepStorage is the classic unlogged sweep.
+// zero SweepStorage is the classic sweep (512 frames, in-memory log).
 func GranularitySweepStorage(mix workload.Mix, keys, nops int, seed int64, st SweepStorage) ([]KVMeasurement, error) {
 	rtt, err := MeasureTCPRoundTrip(200)
 	if err != nil {
@@ -174,7 +171,6 @@ func GranularitySweepStorage(mix workload.Mix, keys, nops int, seed int64, st Sw
 				BufferFrames:       frames,
 				BufferShards:       st.BufferShards,
 				Binding:            binding.bind,
-				DisableWAL:         !st.EnableWAL,
 				WALGroupWindow:     st.WALGroupWindow,
 				WALGroupBytes:      st.WALGroupBytes,
 				WALCommitSiblings:  st.WALCommitSiblings,

@@ -50,10 +50,10 @@ var (
 )
 
 // defaultImportChunkPages is how many bulk pages are written between
-// cancellation checks and pacing flushes when Options.ImportChunkPages
-// is zero: 64 pages ≈ 256 KiB of new data per check keeps both the
-// cancellation latency and the WAL's in-memory tail small against the
-// multi-second scale of a large import.
+// cancellation checks and pacing flushes: 64 pages ≈ 256 KiB of new
+// data per check keeps both the cancellation latency and the WAL's
+// in-memory tail small against the multi-second scale of a large
+// import.
 const defaultImportChunkPages = 64
 
 // importCheck enforces the engine's size limits on one pair, wrapping
@@ -69,8 +69,8 @@ func (kv *kvCore) importCheck(k string, v []byte) error {
 }
 
 // ImportFallbacks returns how many imports could not use the fast path
-// (non-empty tree, unlogged mode, or a lost install race) and went
-// through the per-key insert path instead.
+// (non-empty tree, or a lost install race) and went through the per-key
+// insert path instead.
 func (kv *kvCore) ImportFallbacks() uint64 { return kv.importFallbacks.Load() }
 
 // Import bulk-loads a batch of keys: validated and sorted up front
@@ -91,7 +91,7 @@ func (kv *kvCore) Import(ctx context.Context, keys []string, vals [][]byte) erro
 	if len(b.Keys) == 0 {
 		return nil
 	}
-	if kv.txns == nil || kv.idx.Len() > 0 {
+	if kv.idx.Len() > 0 {
 		return kv.importFallback(ctx, b)
 	}
 	installed, err := kv.importFast(ctx, b)
@@ -108,12 +108,12 @@ func (kv *kvCore) Import(ctx context.Context, keys []string, vals [][]byte) erro
 // paths.
 func (kv *kvCore) importFallback(ctx context.Context, b *ingest.Batch) error {
 	kv.importFallbacks.Add(1)
-	return kv.run(ctx, b.Keys, func(tx *txn.Txn, owner uint64, st stamper) error {
+	return kv.run(ctx, b.Keys, func(tx *txn.Txn) error {
 		for i := range b.Keys {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := kv.putTx(ctx, tx, owner, st, b.Keys[i], b.Vals[i]); err != nil {
+			if err := kv.putTx(ctx, tx, b.Keys[i], b.Vals[i]); err != nil {
 				return err
 			}
 		}
@@ -156,14 +156,10 @@ func (kv *kvCore) importFast(ctx context.Context, b *ingest.Batch) (installed bo
 		return false, cause
 	}
 
-	chunk := kv.importChunkPages
-	if chunk <= 0 {
-		chunk = defaultImportChunkPages
-	}
 	sinceCheck := 0
 	paceChunk := func() error {
 		sinceCheck++
-		if sinceCheck < chunk {
+		if sinceCheck < kv.importChunkPages {
 			return nil
 		}
 		sinceCheck = 0

@@ -177,55 +177,39 @@ func TestImportErrorMatrix(t *testing.T) {
 	}
 }
 
-// TestImportFallbacks: a non-empty store and a disabled WAL must both
-// route through the per-key path — counted, and
-// still correct (including overwrites of existing keys).
+// TestImportFallbacks: a non-empty store must route through the per-key
+// path — counted, and still correct (including overwrites of existing
+// keys).
 func TestImportFallbacks(t *testing.T) {
-	t.Run("nonEmptyTree", func(t *testing.T) {
-		db, err := Open(Options{Granularity: Monolithic, BufferFrames: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close(context.Background())
-		if err := db.Put(ctx, "imp-000001", []byte("old")); err != nil {
-			t.Fatal(err)
-		}
-		keys, vals := importTestBatch(50, 3)
-		if err := db.Import(ctx, keys, vals); err != nil {
-			t.Fatalf("import: %v", err)
-		}
-		if got := db.ImportFallbacks(); got != 1 {
-			t.Fatalf("ImportFallbacks = %d, want 1", got)
-		}
-		// The import overwrote the pre-existing key.
-		verifyImported(t, db, keys, vals)
-	})
-	t.Run("unlogged", func(t *testing.T) {
-		db, err := Open(Options{Granularity: Monolithic, BufferFrames: 32, DisableWAL: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close(context.Background())
-		keys, vals := importTestBatch(50, 5)
-		if err := db.Import(ctx, keys, vals); err != nil {
-			t.Fatalf("import: %v", err)
-		}
-		if got := db.ImportFallbacks(); got != 1 {
-			t.Fatalf("ImportFallbacks = %d, want 1", got)
-		}
-		verifyImported(t, db, keys, vals)
-	})
+	db, err := Open(Options{Granularity: Monolithic, BufferFrames: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(context.Background())
+	if err := db.Put(ctx, "imp-000001", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	keys, vals := importTestBatch(50, 3)
+	if err := db.Import(ctx, keys, vals); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if got := db.ImportFallbacks(); got != 1 {
+		t.Fatalf("ImportFallbacks = %d, want 1", got)
+	}
+	// The import overwrote the pre-existing key.
+	verifyImported(t, db, keys, vals)
 }
 
 // TestImportCancelLeavesNoState: a cancellation observed mid-load rolls
 // the whole import back — no keys, no count, and the freed pages leave
 // the engine fully reusable (the next import fast-paths again).
 func TestImportCancelLeavesNoState(t *testing.T) {
-	db, err := Open(Options{Granularity: Monolithic, BufferFrames: 64, ImportChunkPages: 1})
+	db, err := Open(Options{Granularity: Monolithic, BufferFrames: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close(context.Background())
+	db.kv.importChunkPages = 1
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel() // chunk pacing observes this after the first page
 	keys, vals := importTestBatch(2000, 6)
@@ -329,11 +313,12 @@ func TestImportThenVacuum(t *testing.T) {
 // every committed key must survive, and no snapshot may ever observe a
 // partial import — the imported range appears as one atomic cut.
 func TestImportConcurrentWriters(t *testing.T) {
-	db, err := Open(Options{Granularity: Monolithic, BufferFrames: 128, ImportChunkPages: 2})
+	db, err := Open(Options{Granularity: Monolithic, BufferFrames: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close(context.Background())
+	db.kv.importChunkPages = 2
 	const nImp, nPut = 2000, 200
 	keys, vals := importTestBatch(nImp, 11)
 	done := make(chan error, 2)
@@ -500,14 +485,14 @@ func TestKVCrashRecoveryMidImportWALCrash(t *testing.T) {
 				Granularity:     Monolithic,
 				BufferFrames:    64,
 				WALSegmentBytes: crashSegmentBytes,
-				// One-page chunks force frequent WAL flushes, spreading
-				// the import across many log writes so the sweep hits
-				// genuinely different prefixes.
-				ImportChunkPages: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One-page chunks force frequent WAL flushes, spreading the
+			// import across many log writes so the sweep hits genuinely
+			// different prefixes.
+			db.kv.importChunkPages = 1
 			keys, vals := importTestBatch(importCrashN, 60)
 			gate.mu.Lock()
 			gate.arm, gate.tear = int64(crashAfter), 20*(crashAfter%2)

@@ -34,23 +34,20 @@ type Kernel struct {
 	started  bool
 }
 
+// eventHistory is how many events the kernel's bus retains.
+const eventHistory = 1024
+
 // KernelOption customises kernel construction.
 type KernelOption func(*kernelOptions)
 
 type kernelOptions struct {
 	coordCfg  CoordinatorConfig
-	histN     int
 	coordName string
 }
 
 // WithCoordinatorConfig overrides the coordinator configuration.
 func WithCoordinatorConfig(cfg CoordinatorConfig) KernelOption {
 	return func(o *kernelOptions) { o.coordCfg = cfg }
-}
-
-// WithEventHistory sets how many events the bus retains.
-func WithEventHistory(n int) KernelOption {
-	return func(o *kernelOptions) { o.histN = n }
 }
 
 // WithCoordinatorName names the kernel coordinator service.
@@ -61,11 +58,11 @@ func WithCoordinatorName(name string) KernelOption {
 // NewKernel assembles a kernel with its coordinator registered in the
 // registry (the coordinator is a service like any other).
 func NewKernel(opts ...KernelOption) *Kernel {
-	o := kernelOptions{coordCfg: DefaultCoordinatorConfig(), histN: 1024, coordName: "coordinator"}
+	o := kernelOptions{coordCfg: DefaultCoordinatorConfig(), coordName: "coordinator"}
 	for _, f := range opts {
 		f(&o)
 	}
-	bus := NewEventBus(o.histN)
+	bus := NewEventBus(eventHistory)
 	reg := NewRegistry(bus)
 	repo := NewRepository()
 	rm := NewResourceManager(bus)

@@ -55,24 +55,27 @@ type Engine struct {
 	fm   *storage.FileManager
 	pool *buffer.Manager
 	cat  *catalog.Catalog
-	txns *txn.Manager // may be nil: no locking/durability
+	txns *txn.Manager
+	wal  *wal.Log // applied to every heap and B+tree the engine opens
 
 	mu      sync.RWMutex
 	heaps   map[string]*access.HeapFile
 	trees   map[storage.PageID]*index.BTree
 	current *txn.Txn // session transaction from BEGIN
-	wal     *wal.Log
 	undoex  *undo.Executor
 	failed  error // fatal engine fault; all further statements refused
 }
 
-// NewEngine assembles an engine over an opened storage stack.
-func NewEngine(fm *storage.FileManager, pool *buffer.Manager, cat *catalog.Catalog, txns *txn.Manager) *Engine {
+// NewEngine assembles an engine over an opened storage stack: every
+// statement runs under a transaction of txns, and every heap and B+tree
+// the engine opens logs to l (the log txns was built over).
+func NewEngine(fm *storage.FileManager, pool *buffer.Manager, cat *catalog.Catalog, txns *txn.Manager, l *wal.Log) *Engine {
 	return &Engine{
 		fm:    fm,
 		pool:  pool,
 		cat:   cat,
 		txns:  txns,
+		wal:   l,
 		heaps: make(map[string]*access.HeapFile),
 		trees: make(map[storage.PageID]*index.BTree),
 	}
@@ -84,20 +87,6 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Pool exposes the engine's buffer manager (monitoring services read
 // its statistics).
 func (e *Engine) Pool() *buffer.Manager { return e.pool }
-
-// SetWAL attaches a write-ahead log applied to every heap and B+tree
-// the engine opens (call once at startup, before any statement runs).
-func (e *Engine) SetWAL(l *wal.Log) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.wal = l
-	for _, h := range e.heaps {
-		h.SetLog(l)
-	}
-	for _, t := range e.trees {
-		t.SetLog(l)
-	}
-}
 
 // SetUndo attaches the logical-undo executor; every tree the engine
 // opens registers with it so rollbacks (live and post-crash) run
@@ -115,25 +104,12 @@ func (e *Engine) SetUndo(ex *undo.Executor) {
 // system transactions, logged free path and undo registry. Callers hold
 // e.mu.
 func (e *Engine) configureTreeLocked(t *index.BTree) {
-	if e.wal != nil {
-		t.SetLog(e.wal)
-	}
-	if e.txns != nil {
-		t.SetSystemTxns(e.txns.SystemHooksHeldLatches())
-	}
+	t.SetLog(e.wal)
+	t.SetSystemTxns(e.txns.SystemHooksHeldLatches())
 	t.SetFreer(e.fm.FreePagesLogged)
 	if e.undoex != nil {
 		e.undoex.Register(t)
 	}
-}
-
-// txc converts the concrete transaction into the access-layer logging
-// hook, avoiding a typed-nil interface when tx is nil.
-func txc(tx *txn.Txn) access.TxnContext {
-	if tx == nil {
-		return nil
-	}
-	return tx
 }
 
 func (e *Engine) heap(t *catalog.Table) (*access.HeapFile, error) {
@@ -156,12 +132,8 @@ func (e *Engine) heapLocked(t *catalog.Table) (*access.HeapFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.wal != nil {
-		h.SetLog(e.wal)
-	}
-	if e.txns != nil {
-		h.SetSystemTxns(e.txns.SystemHooks())
-	}
+	h.SetLog(e.wal)
+	h.SetSystemTxns(e.txns.SystemHooks())
 	e.heaps[t.HeapFile] = h
 	return h, nil
 }
@@ -200,7 +172,7 @@ func (e *Engine) poison(err error) error {
 
 // ExecuteStmt executes a parsed statement. DML and SELECT run under the
 // session transaction when one is open, otherwise under a per-statement
-// auto-commit transaction (when a transaction manager is attached).
+// auto-commit transaction.
 func (e *Engine) ExecuteStmt(ctx context.Context, st Statement) (*Result, error) {
 	e.mu.RLock()
 	if ferr := e.failed; ferr != nil {
@@ -252,9 +224,6 @@ func (e *Engine) stmtTxn() (*txn.Txn, bool, error) {
 	if cur != nil {
 		return cur, false, nil
 	}
-	if e.txns == nil {
-		return nil, false, nil
-	}
 	tx, err := e.txns.Begin()
 	if err != nil {
 		return nil, false, err
@@ -305,9 +274,6 @@ func selectTables(s *Select) []string {
 }
 
 func (e *Engine) lockTables(ctx context.Context, tx *txn.Txn, tables []string, mode txn.LockMode) error {
-	if tx == nil {
-		return nil
-	}
 	for _, t := range tables {
 		if err := tx.Lock(ctx, "table:"+strings.ToLower(t), mode); err != nil {
 			return err
@@ -319,9 +285,6 @@ func (e *Engine) lockTables(ctx context.Context, tx *txn.Txn, tables []string, m
 // --- session transactions ---
 
 func (e *Engine) begin() (*Result, error) {
-	if e.txns == nil {
-		return nil, fmt.Errorf("sql: engine has no transaction manager")
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.current != nil {
@@ -337,13 +300,13 @@ func (e *Engine) begin() (*Result, error) {
 
 func (e *Engine) commitSession() (*Result, error) {
 	e.mu.Lock()
-	tx := e.current
+	cur := e.current
 	e.current = nil
 	e.mu.Unlock()
-	if tx == nil {
+	if cur == nil {
 		return nil, ErrNoActiveTxn
 	}
-	if err := e.txns.Commit(tx); err != nil {
+	if err := e.txns.Commit(cur); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil
@@ -351,13 +314,13 @@ func (e *Engine) commitSession() (*Result, error) {
 
 func (e *Engine) rollbackSession() (*Result, error) {
 	e.mu.Lock()
-	tx := e.current
+	cur := e.current
 	e.current = nil
 	e.mu.Unlock()
-	if tx == nil {
+	if cur == nil {
 		return nil, ErrNoActiveTxn
 	}
-	if err := e.txns.Abort(tx); err != nil {
+	if err := e.txns.Abort(cur); err != nil {
 		return nil, e.poison(err)
 	}
 	return &Result{}, nil
@@ -610,13 +573,12 @@ func (e *Engine) insertRow(h *access.HeapFile, indexes []openIndex, tx *txn.Txn,
 	if err != nil {
 		return err
 	}
-	c := txc(tx)
 	for k, ix := range indexes {
 		key := access.EncodeKey(row[ix.colIdx])
-		if err := ix.tree.InsertTx(c, key, rid); err != nil {
+		if err := ix.tree.InsertTx(tx, key, rid); err != nil {
 			// Roll back the partial work of this row, still under tx.
 			for j := 0; j < k; j++ {
-				_, _ = indexes[j].tree.DeleteTx(c, access.EncodeKey(row[indexes[j].colIdx]), rid)
+				_, _ = indexes[j].tree.DeleteTx(tx, access.EncodeKey(row[indexes[j].colIdx]), rid)
 			}
 			_ = h.Delete(tx, rid)
 			return err
@@ -734,10 +696,10 @@ func (e *Engine) runUpdate(ctx context.Context, s *Update, tx *txn.Txn) (*Result
 			if string(oldKey) == string(newKey) && nrid == rid {
 				continue
 			}
-			if _, err := ix.tree.DeleteTx(txc(tx), oldKey, rid); err != nil {
+			if _, err := ix.tree.DeleteTx(tx, oldKey, rid); err != nil {
 				return nil, err
 			}
-			if err := ix.tree.InsertTx(txc(tx), newKey, nrid); err != nil {
+			if err := ix.tree.InsertTx(tx, newKey, nrid); err != nil {
 				return nil, err
 			}
 		}
@@ -768,7 +730,7 @@ func (e *Engine) runDelete(ctx context.Context, s *Delete, tx *txn.Txn) (*Result
 		}
 		for _, ix := range indexes {
 			key := access.EncodeKey(rows[k][ix.colIdx])
-			if _, err := ix.tree.DeleteTx(txc(tx), key, rid); err != nil {
+			if _, err := ix.tree.DeleteTx(tx, key, rid); err != nil {
 				return nil, err
 			}
 		}

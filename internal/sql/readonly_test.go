@@ -53,8 +53,7 @@ func TestReadOnlyStatementsLeaveTheLogAlone(t *testing.T) {
 // a writer nor sees one of its statements half applied.
 func TestReadOnlyTxnStillLocks(t *testing.T) {
 	reader, _ := newEngineAndLog(t)
-	writer := NewEngine(reader.fm, reader.pool, reader.cat, reader.txns)
-	writer.SetWAL(reader.wal)
+	writer := NewEngine(reader.fm, reader.pool, reader.cat, reader.txns, reader.wal)
 	writer.SetUndo(reader.undoex)
 	ctx := context.Background()
 	mustExec(t, reader, "CREATE TABLE t (a INT)")

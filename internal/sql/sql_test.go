@@ -47,8 +47,7 @@ func newEngineAndLog(t *testing.T) (*Engine, *wal.Log) {
 	}
 	pool.SetBeforeEvict(l.BeforeEvict())
 	mgr := txn.NewManager(l, pool)
-	e := NewEngine(fm, pool, cat, mgr)
-	e.SetWAL(l)
+	e := NewEngine(fm, pool, cat, mgr, l)
 	wireUndo(e, pool, l, mgr)
 	return e, l
 }
@@ -446,8 +445,7 @@ func TestEnginePersistenceAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		mgr := txn.NewManager(l, pool)
-		e := NewEngine(fm, pool, cat, mgr)
-		e.SetWAL(l)
+		e := NewEngine(fm, pool, cat, mgr, l)
 		wireUndo(e, pool, l, mgr)
 		return e
 	}
@@ -484,8 +482,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	// wires it, so recovery can reach the table's pages.
 	fm.SetLogger(mgr.PageLogger())
 	cat, _ := catalog.Open(fm, pool)
-	e := NewEngine(fm, pool, cat, mgr)
-	e.SetWAL(l)
+	e := NewEngine(fm, pool, cat, mgr, l)
 	wireUndo(e, pool, l, mgr)
 	mustExec(t, e, "CREATE TABLE kv (k TEXT, v INT)")
 	mustExec(t, e, "INSERT INTO kv VALUES ('committed', 1)")
@@ -513,8 +510,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(fm2, pool2, cat2, txn.NewManager(l2, pool2))
-	e2.SetWAL(l2)
+	e2 := NewEngine(fm2, pool2, cat2, txn.NewManager(l2, pool2), l2)
 	r := mustExec(t, e2, "SELECT k FROM kv")
 	if len(r.Rows) != 1 || r.Rows[0][0].Str != "committed" {
 		t.Fatalf("recovered rows = %v", r.Rows)
@@ -525,12 +521,14 @@ func TestLockingBetweenSessions(t *testing.T) {
 	// Two engines over the same storage share a txn manager: writer
 	// blocks writer.
 	d, _ := storage.OpenDisk(storage.NewMemDevice())
+	l, _ := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	pool := buffer.New(d, 128, buffer.NewLRU())
+	pool.SetBeforeEvict(l.BeforeEvict())
 	fm, _ := storage.OpenFileManager(pool)
 	cat, _ := catalog.Open(fm, pool)
-	mgr := txn.NewManager(nil, pool)
-	e1 := NewEngine(fm, pool, cat, mgr)
-	e2 := NewEngine(fm, pool, cat, mgr)
+	mgr := txn.NewManager(l, pool)
+	e1 := NewEngine(fm, pool, cat, mgr, l)
+	e2 := NewEngine(fm, pool, cat, mgr, l)
 	mustExec(t, e1, "CREATE TABLE t (a INT)")
 	mustExec(t, e1, "BEGIN")
 	mustExec(t, e1, "INSERT INTO t VALUES (1)")

@@ -18,8 +18,6 @@ import (
 var (
 	// ErrTxnDone is returned for operations on a finished transaction.
 	ErrTxnDone = errors.New("txn: transaction already finished")
-	// ErrNoWAL is returned by Checkpoint without an attached log.
-	ErrNoWAL = errors.New("txn: no WAL attached")
 	// ErrNoUndoHandler is returned when a rollback meets a logical undo
 	// descriptor but no handler was installed.
 	ErrNoUndoHandler = errors.New("txn: no logical undo handler installed")
@@ -178,14 +176,13 @@ type UndoHandler interface {
 	UndoRecord(tx access.TxnContext, rec *wal.Record) error
 }
 
-// Manager creates and finishes transactions. With a WAL attached, the
-// commit or abort of a transaction that logged something is itself
-// logged, and commit forces the log; a transaction that logged nothing
-// leaves no trace in it. Without a WAL, transactions still provide
-// locking and in-memory undo.
+// Manager creates and finishes transactions over one log. The commit or
+// abort of a transaction that logged something is itself logged, and
+// commit forces the log; a transaction that logged nothing leaves no
+// trace in it.
 type Manager struct {
-	log    *wal.Log          // may be nil
-	store  storage.PageStore // for undo application; may be nil without log
+	log    *wal.Log
+	store  storage.PageStore // for undo application and checkpoint flushes; may be nil (log-only)
 	locks  *LockManager
 	oracle *Oracle
 	next   atomic.Uint64
@@ -229,8 +226,9 @@ type ckptJob struct {
 	done          chan error
 }
 
-// NewManager creates a transaction manager. log and store may be nil
-// for lock-only operation.
+// NewManager creates a transaction manager over log. store may be nil
+// for log-only operation: rollback then appends compensation records
+// without restoring pages, and checkpoints have no pages to flush.
 func NewManager(log *wal.Log, store storage.PageStore) *Manager {
 	return &Manager{
 		log:    log,
@@ -259,9 +257,9 @@ func (m *Manager) undoHandler() UndoHandler {
 }
 
 // ReserveID hands out a transaction-id-space identifier without
-// starting a transaction. Lock-only sessions (read locks for unlogged
-// point reads) use it so their lock owners never collide with real
-// transactions.
+// starting a transaction. Lock-only sessions (the shared key lock of a
+// point read, a vacuum pass's per-key locks) use it so their lock owners
+// never collide with real transactions.
 func (m *Manager) ReserveID() uint64 { return m.next.Add(1) }
 
 // SystemHooks adapts the manager into the access-layer system
@@ -421,9 +419,6 @@ func (m *Manager) CommitAppend(t *Txn) (wal.LSN, error) {
 	prev := t.lastLSN
 	ts := t.commitTS
 	t.mu.Unlock()
-	if m.log == nil {
-		return wal.ZeroLSN, nil
-	}
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit, PrevLSN: prev}
 	if ts != 0 {
 		// Embed the commit timestamp so recovery can restore the
@@ -441,14 +436,12 @@ func (m *Manager) CommitAppend(t *Txn) (wal.LSN, error) {
 // its durability is in doubt, so the engine must treat itself as
 // failed (the KV core poisons itself) rather than proceed.
 func (m *Manager) FinishCommit(t *Txn, lsn wal.LSN) error {
-	if m.log != nil {
-		if fn := m.commitDurability.Load(); fn != nil {
-			if err := (*fn)(lsn + 1); err != nil {
-				return err
-			}
-		} else if err := m.log.Flush(lsn + 1); err != nil {
+	if fn := m.commitDurability.Load(); fn != nil {
+		if err := (*fn)(lsn + 1); err != nil {
 			return err
 		}
+	} else if err := m.log.Flush(lsn + 1); err != nil {
+		return err
 	}
 	m.finish(t)
 	for _, f := range t.takeCommitted() {
@@ -553,10 +546,8 @@ func (m *Manager) abort(t *Txn, latched bool) error {
 	if err != nil {
 		return err
 	}
-	if m.log != nil {
-		if _, err := m.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAbort, PrevLSN: prev}); err != nil {
-			return err
-		}
+	if _, err := m.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAbort, PrevLSN: prev}); err != nil {
+		return err
 	}
 	m.finish(t)
 	return nil
@@ -565,9 +556,6 @@ func (m *Manager) abort(t *Txn, latched bool) error {
 // rollback undoes recs in reverse order on behalf of txnID, returning
 // the LSN chain tail for the closing RecAbort.
 func (m *Manager) rollback(txnID uint64, recs []*wal.Record, prev wal.LSN, latched bool) (wal.LSN, error) {
-	if m.store == nil && m.log == nil {
-		return prev, nil
-	}
 	clr := &clrContext{id: txnID}
 	buf := make([]byte, storage.PageSize)
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -614,20 +602,17 @@ func (m *Manager) rollback(txnID uint64, recs []*wal.Record, prev wal.LSN, latch
 			restore := func(p *storage.Page) error {
 				copy(buf, p.Data)
 				rec.UndoPhysical(p)
-				if m.log != nil {
-					// The compensation goes through the same fence-
-					// checked append as forward mutations, so a rollback
-					// touching a page for the first time after a
-					// checkpoint still logs the full image torn-page
-					// rebuild depends on.
-					cr, err := m.log.AppendPageUpdate(txnID, prev, rec.PageID, buf, p.Data, nil)
-					if err != nil {
-						return err
-					}
-					if cr != nil {
-						prev = cr.LSN
-						p.SetLSN(uint64(cr.LSN))
-					}
+				// The compensation goes through the same fence-checked
+				// append as forward mutations, so a rollback touching a
+				// page for the first time after a checkpoint still logs
+				// the full image torn-page rebuild depends on.
+				cr, err := m.log.AppendPageUpdate(txnID, prev, rec.PageID, buf, p.Data, nil)
+				if err != nil {
+					return err
+				}
+				if cr != nil {
+					prev = cr.LSN
+					p.SetLSN(uint64(cr.LSN))
 				}
 				return nil
 			}
@@ -663,9 +648,6 @@ func (m *Manager) rollback(txnID uint64, recs []*wal.Record, prev wal.LSN, latch
 func (m *Manager) UndoLosers(losers []wal.LoserTxn) error {
 	if len(losers) == 0 {
 		return nil
-	}
-	if m.log == nil {
-		return ErrNoWAL
 	}
 	for _, lt := range losers {
 		prev := wal.ZeroLSN
@@ -763,9 +745,6 @@ func (m *Manager) Checkpoint() (wal.LSN, error) { return m.checkpoint(true) }
 func (m *Manager) CheckpointAsync() (wal.LSN, error) { return m.checkpoint(false) }
 
 func (m *Manager) checkpoint(syncWait bool) (wal.LSN, error) {
-	if m.log == nil {
-		return wal.ZeroLSN, ErrNoWAL
-	}
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 	if err := m.takeFlushErr(); err != nil {

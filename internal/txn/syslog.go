@@ -7,14 +7,8 @@ import (
 
 // PageLogger exposes the manager as a storage.PageLogger, so the file
 // manager can WAL-log directory, page-allocation and free-list
-// mutations under system transactions. Returns nil when no WAL is
-// attached.
-func (m *Manager) PageLogger() storage.PageLogger {
-	if m.log == nil {
-		return nil
-	}
-	return sysLogger{m}
-}
+// mutations under system transactions.
+func (m *Manager) PageLogger() storage.PageLogger { return sysLogger{m} }
 
 type sysLogger struct{ m *Manager }
 

@@ -301,21 +301,6 @@ func TestTxnLockIntegration(t *testing.T) {
 	}
 }
 
-func TestTxnWithoutWAL(t *testing.T) {
-	m := NewManager(nil, nil)
-	tx, err := m.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	tx2, _ := m.Begin()
-	if err := m.Abort(tx2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	if StatusActive.String() != "active" || StatusCommitted.String() != "committed" ||
 		StatusAborted.String() != "aborted" || Status(9).String() != "status(9)" {
@@ -439,11 +424,6 @@ func TestFuzzyCheckpointWithActiveTxn(t *testing.T) {
 	}
 	if err := m.Commit(tx); err != nil {
 		t.Fatal(err)
-	}
-	// Without a WAL, checkpointing fails cleanly.
-	m2 := NewManager(nil, nil)
-	if _, err := m2.Checkpoint(); !errors.Is(err, ErrNoWAL) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

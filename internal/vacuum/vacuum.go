@@ -76,20 +76,15 @@ const maxChain = 1 << 20
 type Config struct {
 	Heap  *access.HeapFile
 	Index *index.BTree
-	Locks *txn.LockManager
-	// Txns, when set, runs each key's reclamation as a WAL-logged
-	// transaction. Nil means unlogged mode: mutations apply
-	// immediately with no undo (matching the engine's DisableWAL
-	// semantics).
-	Txns   *txn.Manager
-	Oracle *txn.Oracle
+	// Txns runs each key's reclamation as a WAL-logged transaction. Its
+	// lock manager holds the per-key X locks — under ids reserved from
+	// it, owned by the vacuum pass rather than the reclamation
+	// transaction and released only after that transaction's outcome
+	// settles — and its oracle supplies the horizon.
+	Txns *txn.Manager
 	// Resource maps an index key to its lock-manager resource name —
 	// it must agree exactly with the naming the writers use.
 	Resource func(key []byte) (string, error)
-	// NextID allocates lock-owner ids for the per-key X locks (the
-	// locks are owned by the vacuum pass, not by the reclamation
-	// transaction, and released only after its outcome settles).
-	NextID func() uint64
 	// ScanFrom is the lowest index key of the keyspace.
 	ScanFrom []byte
 	// OnKeyRemoved, if set, is called once per whole-key removal,
@@ -104,14 +99,10 @@ func (c Config) validate() error {
 		return errors.New("vacuum: nil heap")
 	case c.Index == nil:
 		return errors.New("vacuum: nil index")
-	case c.Locks == nil:
-		return errors.New("vacuum: nil lock manager")
-	case c.Oracle == nil:
-		return errors.New("vacuum: nil oracle")
+	case c.Txns == nil:
+		return errors.New("vacuum: nil transaction manager")
 	case c.Resource == nil:
 		return errors.New("vacuum: nil resource mapping")
-	case c.NextID == nil:
-		return errors.New("vacuum: nil id allocator")
 	}
 	return nil
 }
@@ -157,7 +148,7 @@ func Run(c Config) (Stats, error) {
 	if err := c.validate(); err != nil {
 		return st, err
 	}
-	st.Horizon = c.Oracle.Horizon()
+	st.Horizon = c.Txns.Oracle().Horizon()
 
 	// Sweep: collect candidate keys. The pre-filter reads only the
 	// chain head, without any lock — a stale verdict is fine, because
@@ -209,12 +200,13 @@ func Run(c Config) (Stats, error) {
 
 // vacuumKey reclaims one key's dead versions under its exclusive lock.
 func (c Config) vacuumKey(key []byte, res string, st *Stats) error {
-	owner := c.NextID()
-	if !c.Locks.TryAcquire(owner, res, txn.Exclusive) {
+	locks := c.Txns.Locks()
+	owner := c.Txns.ReserveID()
+	if !locks.TryAcquire(owner, res, txn.Exclusive) {
 		st.SkippedBusy++
 		return nil
 	}
-	defer c.Locks.ReleaseAll(owner)
+	defer locks.ReleaseAll(owner)
 
 	// Re-read under the lock: the chain is now stable (writers need
 	// this X lock) and fully committed.
@@ -283,23 +275,9 @@ func (c Config) vacuumKey(key []byte, res string, st *Stats) error {
 	return c.truncate(chain, keep, st)
 }
 
-// begin opens the reclamation transaction (nil in unlogged mode — the
-// explicit nils avoid a typed-nil TxnContext).
-func (c Config) begin() (*txn.Txn, access.TxnContext, error) {
-	if c.Txns == nil {
-		return nil, nil, nil
-	}
-	tx, err := c.Txns.Begin()
-	if err != nil {
-		return nil, nil, err
-	}
-	return tx, tx, nil
-}
-
+// finish settles one key's reclamation transaction: abort on a failed
+// step, lazy commit otherwise.
 func (c Config) finish(tx *txn.Txn, opErr error) error {
-	if tx == nil {
-		return opErr
-	}
 	if opErr != nil {
 		if aerr := c.Txns.Abort(tx); aerr != nil {
 			return fmt.Errorf("%w (abort: %v)", opErr, aerr)
@@ -317,12 +295,12 @@ func (c Config) finish(tx *txn.Txn, opErr error) error {
 // the key, which is exactly the answer its tombstone head already
 // dictated.
 func (c Config) removeKey(key []byte, chain []version, st *Stats) error {
-	tx, ctx, err := c.begin()
+	tx, err := c.Txns.Begin()
 	if err != nil {
 		return err
 	}
 	err = func() error {
-		ok, err := c.Index.DeleteTx(ctx, key, chain[0].rid)
+		ok, err := c.Index.DeleteTx(tx, key, chain[0].rid)
 		if err != nil {
 			return err
 		}
@@ -330,7 +308,7 @@ func (c Config) removeKey(key []byte, chain []version, st *Stats) error {
 			return fmt.Errorf("vacuum: index entry for %q vanished under its exclusive lock", key)
 		}
 		for _, v := range chain {
-			if err := c.Heap.Delete(ctx, v.rid); err != nil {
+			if err := c.Heap.Delete(tx, v.rid); err != nil {
 				return err
 			}
 		}
@@ -352,17 +330,17 @@ func (c Config) removeKey(key []byte, chain []version, st *Stats) error {
 // no reader can walk into a slot this transaction is about to free,
 // and recovery's redo repeats the same order.
 func (c Config) truncate(chain []version, keep int, st *Stats) error {
-	tx, ctx, err := c.begin()
+	tx, err := c.Txns.Begin()
 	if err != nil {
 		return err
 	}
 	err = func() error {
 		none := access.EncodePrevRID(access.RID{})
-		if err := c.Heap.StampBytes(ctx, chain[keep].rid, access.VersionPrevOff, none); err != nil {
+		if err := c.Heap.StampBytes(tx, chain[keep].rid, access.VersionPrevOff, none); err != nil {
 			return err
 		}
 		for _, v := range chain[keep+1:] {
-			if err := c.Heap.Delete(ctx, v.rid); err != nil {
+			if err := c.Heap.Delete(tx, v.rid); err != nil {
 				return err
 			}
 		}

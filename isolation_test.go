@@ -191,7 +191,7 @@ func TestIsolationPhantomSerializable(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	owner := db.kv.ids() // one lock owner = one reading transaction
+	owner := db.kv.txns.ReserveID() // one lock owner = one reading transaction
 	first, err := db.kv.scanKeysLocked(ctx, owner, "rng-", 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		// Model an in-flight writer holding the gap: X on the successor
 		// of absent "b", under an owner id that never commits here.
 		ctx := context.Background()
-		owner := db.kv.ids()
+		owner := db.kv.txns.ReserveID()
 		if err := db.kv.locks.Acquire(ctx, owner, kvRes("c"), txn.Exclusive); err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 		// hold it: an insert of "b" must block on its instant next-key
 		// X of the same successor until the reader's locks drain.
 		ctx := context.Background()
-		reader := db.kv.ids()
+		reader := db.kv.txns.ReserveID()
 		if err := db.kv.lockMissGap(ctx, reader, "b"); err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestIsolationGetMissGapLock(t *testing.T) {
 			}
 		}
 		ctx := context.Background()
-		owner := db.kv.ids()
+		owner := db.kv.txns.ReserveID()
 		if err := db.kv.locks.Acquire(ctx, owner, kvRes("c"), txn.Exclusive); err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestIsolationInsertKeepsScanLockOnSuccessor(t *testing.T) {
 	if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("aa"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.putTx(ctx, tx, tx.ID(), tx, "aa", []byte("v")); err != nil {
+	if err := db.kv.putTx(ctx, tx, "aa", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// A concurrent delete of the successor must stay blocked until the
@@ -423,7 +423,7 @@ func TestIsolationAppendDowngradeNoPhantom(t *testing.T) {
 
 	// A serializable scan runs off the right edge: it S-locks
 	// "zz-a" and seals the end of the index with the sentinel.
-	scanOwner := db.kv.ids()
+	scanOwner := db.kv.txns.ReserveID()
 	keys, err := db.kv.scanKeysLocked(ctx, scanOwner, "zz-", 100)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +442,7 @@ func TestIsolationAppendDowngradeNoPhantom(t *testing.T) {
 		t.Fatal(err)
 	}
 	inserted := make(chan error, 1)
-	go func() { inserted <- db.kv.putTx(ctx, tx, tx.ID(), tx, "zz-b", []byte("v1")) }()
+	go func() { inserted <- db.kv.putTx(ctx, tx, "zz-b", []byte("v1")) }()
 	select {
 	case err := <-inserted:
 		t.Fatalf("append crossed a scanned end-of-index gap: %v", err)
@@ -623,7 +623,7 @@ func TestIsolationWriteSkew(t *testing.T) {
 						_ = db.kv.txns.Abort(tx) // deadlock victim: serial outcome preserved
 						return
 					}
-					if err := db.kv.putTx(ctx, tx, tx.ID(), tx, gk, []byte("v")); err != nil {
+					if err := db.kv.putTx(ctx, tx, gk, []byte("v")); err != nil {
 						_ = db.kv.txns.Abort(tx)
 						return
 					}
@@ -771,7 +771,7 @@ func TestIsolationLostUpdate(t *testing.T) {
 							}
 							return
 						}
-						if err := db.kv.putTx(ctx, tx, tx.ID(), tx, "cnt", []byte(strconv.Itoa(n+1))); err != nil {
+						if err := db.kv.putTx(ctx, tx, "cnt", []byte(strconv.Itoa(n+1))); err != nil {
 							if abortRetry(err) {
 								continue
 							}

@@ -120,15 +120,15 @@ func normalizeIsolation(iso ScanIsolation) (ScanIsolation, error) {
 // which is what keeps rollbacks of concurrent transactions from
 // fighting over reused slots.
 type kvCore struct {
-	heap  *access.HeapFile
-	idx   *index.BTree
-	txns  *txn.Manager     // nil = unlogged (WAL disabled)
-	locks *txn.LockManager // per-key 2PL; never nil
-	ids   func() uint64    // lock-owner ids for non-transactional ops
+	heap *access.HeapFile
+	idx  *index.BTree
+	txns *txn.Manager
 
-	// oracle allocates commit timestamps and hands out snapshot read
-	// points. Logged mode shares the transaction manager's oracle (so
-	// recovery can reseed its clock); unlogged mode runs a private one.
+	// locks (per-key 2PL) and oracle (commit timestamps, snapshot read
+	// points) are the transaction manager's own, so every transaction,
+	// lock-only reader and vacuum pass meets in one lock table and
+	// recovery can reseed the one clock.
+	locks  *txn.LockManager
 	oracle *txn.Oracle
 
 	serializable bool // next-key locking on scans and writers
@@ -146,11 +146,11 @@ type kvCore struct {
 	failed   error // fatal engine fault; all further operations refused
 
 	// Bulk-ingest fast path (import.go). log is the WAL handle for
-	// chunk pacing flushes (nil in unlogged mode); freePages is the
-	// file manager's logged free path for abandoned bulk pages.
+	// chunk pacing flushes; freePages is the file manager's logged free
+	// path for abandoned bulk pages.
 	log              *wal.Log
 	freePages        func([]storage.PageID) error
-	importChunkPages int // pages between cancellation checks/flushes (0 = default)
+	importChunkPages int // pages between cancellation checks/flushes; tests shrink it
 	importFallbacks  atomic.Uint64
 }
 
@@ -159,55 +159,50 @@ func newKVCore(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager,
 	if err != nil {
 		return nil, err
 	}
-	idx, metaPid, persistedDead, err := openKVIndex(fm, pool, txns, log, name+".meta")
+	var (
+		idx           *index.BTree
+		metaPid       storage.PageID
+		persistedDead uint64
+	)
+	if metaFile := name + ".meta"; fm.Exists(metaFile) {
+		idx, metaPid, persistedDead, err = openKVIndex(fm, pool, metaFile)
+	} else {
+		idx, metaPid, err = createKVIndex(fm, pool, txns, log, metaFile)
+	}
 	if err != nil {
 		return nil, err
 	}
-	kv := &kvCore{heap: heap, idx: idx, serializable: iso == Serializable, metaPid: metaPid, pool: pool}
-	kv.freePages = fm.FreePagesLogged
-	idx.SetFreer(fm.FreePagesLogged)
-	if txns != nil {
-		kv.locks = txns.Locks()
-		kv.ids = txns.ReserveID
-		kv.oracle = txns.Oracle()
-	} else {
-		lm := txn.NewLockManager()
-		var ctr atomic.Uint64
-		kv.locks = lm
-		kv.ids = func() uint64 { return ctr.Add(1) }
-		kv.oracle = txn.NewOracle()
+	kv := &kvCore{
+		heap: heap, idx: idx, txns: txns, locks: txns.Locks(), oracle: txns.Oracle(), log: log,
+		serializable: iso == Serializable, metaPid: metaPid, pool: pool,
+		freePages: fm.FreePagesLogged, importChunkPages: defaultImportChunkPages,
 	}
-	kv.deadStale = true
-	if log != nil && txns != nil {
-		kv.log = log
-		heap.SetLog(log)
-		idx.SetLog(log)
-		heap.SetSystemTxns(txns.SystemHooks())
-		// Trees hold every touched page latch across their structure
-		// modifications, so their rollback must not re-latch.
-		idx.SetSystemTxns(txns.SystemHooksHeldLatches())
-		kv.txns = txns
-		// Per-operation entry counts are not logged (they would
-		// serialise every writer on the metadata page). Trust the
-		// persisted count only when the previous shutdown synced it
-		// (clean flag, consumed here); otherwise — or when recovery
-		// repaired anything — rebuild it from the leaf chain. The dead
-		// (tombstone-head) count rides the same gate, except that its
-		// rebuild must wait for loser rollback (recountDead, called by
-		// the opener) because tombstone-ness of a head is only decided
-		// once in-flight deletes are rolled back.
-		clean, err := idx.ConsumeCleanFlag()
-		if err != nil {
+	idx.SetFreer(fm.FreePagesLogged)
+	heap.SetLog(log)
+	idx.SetLog(log)
+	heap.SetSystemTxns(txns.SystemHooks())
+	// Trees hold every touched page latch across their structure
+	// modifications, so their rollback must not re-latch.
+	idx.SetSystemTxns(txns.SystemHooksHeldLatches())
+	// Per-operation entry counts are not logged (they would serialise
+	// every writer on the metadata page). Trust the persisted count only
+	// when the previous shutdown synced it (clean flag, consumed here);
+	// otherwise — or when recovery repaired anything — rebuild it from
+	// the leaf chain. The dead (tombstone-head) count rides the same
+	// gate, except that its rebuild must wait for loser rollback
+	// (recountDead, called by the opener) because tombstone-ness of a
+	// head is only decided once in-flight deletes are rolled back.
+	clean, err := idx.ConsumeCleanFlag()
+	if err != nil {
+		return nil, err
+	}
+	if recount || !clean {
+		if err := idx.Recount(); err != nil {
 			return nil, err
 		}
-		if recount || !clean {
-			if err := idx.Recount(); err != nil {
-				return nil, err
-			}
-		} else {
-			kv.dead.Store(int64(persistedDead))
-			kv.deadStale = false
-		}
+		kv.deadStale = true
+	} else {
+		kv.dead.Store(int64(persistedDead))
 	}
 	return kv, nil
 }
@@ -239,8 +234,8 @@ func (kv *kvCore) syncDead() error {
 
 // recountDead rebuilds the tombstone-head count from the live index.
 // The opener calls it after loser rollback whenever the persisted count
-// could not be trusted (unclean shutdown, recovery repairs, unlogged
-// mode): only then is every head's tombstone flag settled.
+// could not be trusted (unclean shutdown, recovery repairs): only then
+// is every head's tombstone flag settled.
 func (kv *kvCore) recountDead() error {
 	if !kv.deadStale {
 		return nil
@@ -271,38 +266,57 @@ func (kv *kvCore) recountDead() error {
 	return nil
 }
 
-// openKVIndex opens the KV B+tree, persisting its metadata page id in a
-// one-page file so the index survives restarts. The pointer page also
+// openReplicaKV opens an existing keyspace for the lock-free snapshot
+// reads alone (getSnapshotAt, scanKeysSnapshotAt): a follower's view,
+// which applies shipped records instead of running transactions, so it
+// has no transaction manager or log and writes nothing here.
+func openReplicaKV(fm *storage.FileManager, pool *buffer.Manager, name string) (*kvCore, error) {
+	heap, err := access.OpenHeap(name, fm, pool)
+	if err != nil {
+		return nil, err
+	}
+	idx, _, _, err := openKVIndex(fm, pool, name+".meta")
+	if err != nil {
+		return nil, err
+	}
+	return &kvCore{heap: heap, idx: idx}, nil
+}
+
+// openKVIndex opens the KV B+tree through the one-page file that
+// persists its metadata page id across restarts. The pointer page also
 // carries the tombstone-head count at payload[8:16] (synced on clean
 // close, trusted only behind the index clean flag).
-func openKVIndex(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager, log *wal.Log, metaFile string) (*index.BTree, storage.PageID, uint64, error) {
-	if fm.Exists(metaFile) {
-		pid, err := fm.FirstPage(metaFile)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		f, err := pool.Pin(pid)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		metaID := storage.PageID(binary.LittleEndian.Uint64(f.Page().Payload()))
-		dead := binary.LittleEndian.Uint64(f.Page().Payload()[8:])
-		if err := pool.Unpin(pid, false); err != nil {
-			return nil, 0, 0, err
-		}
-		idx, err := index.Open(pool, metaID)
-		return idx, pid, dead, err
-	}
-	idx, metaID, err := index.Create(pool, true)
+func openKVIndex(fm *storage.FileManager, pool *buffer.Manager, metaFile string) (*index.BTree, storage.PageID, uint64, error) {
+	pid, err := fm.FirstPage(metaFile)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if err := fm.Create(metaFile); err != nil {
+	f, err := pool.Pin(pid)
+	if err != nil {
 		return nil, 0, 0, err
+	}
+	metaID := storage.PageID(binary.LittleEndian.Uint64(f.Page().Payload()))
+	dead := binary.LittleEndian.Uint64(f.Page().Payload()[8:])
+	if err := pool.Unpin(pid, false); err != nil {
+		return nil, 0, 0, err
+	}
+	idx, err := index.Open(pool, metaID)
+	return idx, pid, dead, err
+}
+
+// createKVIndex creates the KV B+tree and the pointer file openKVIndex
+// finds it through.
+func createKVIndex(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager, log *wal.Log, metaFile string) (*index.BTree, storage.PageID, error) {
+	idx, metaID, err := index.Create(pool, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := fm.Create(metaFile); err != nil {
+		return nil, 0, err
 	}
 	pid, err := fm.AppendPage(metaFile, storage.PageTypeRaw)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	// The pointer write must be WAL-logged: the directory entry for
 	// metaFile is logged by the file manager's system transaction, so
@@ -314,23 +328,19 @@ func openKVIndex(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manage
 		binary.LittleEndian.PutUint64(p.Payload(), uint64(metaID))
 		return nil
 	}
-	if txns != nil && log != nil {
-		sys := txns.SystemHooks()
-		stx, err := sys.Begin()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := access.MutatePage(pool, log, stx, pid, write); err != nil {
-			_ = sys.Abort(stx)
-			return nil, 0, 0, err
-		}
-		if err := sys.Commit(stx); err != nil {
-			return nil, 0, 0, err
-		}
-	} else if err := pool.UpdatePage(pid, write); err != nil {
-		return nil, 0, 0, err
+	sys := txns.SystemHooks()
+	stx, err := sys.Begin()
+	if err != nil {
+		return nil, 0, err
 	}
-	return idx, pid, 0, nil
+	if err := access.MutatePage(pool, log, stx, pid, write); err != nil {
+		_ = sys.Abort(stx)
+		return nil, 0, err
+	}
+	if err := sys.Commit(stx); err != nil {
+		return nil, 0, err
+	}
+	return idx, pid, nil
 }
 
 func (kv *kvCore) key(k string) []byte { return access.EncodeKey(access.NewString(k)) }
@@ -411,39 +421,15 @@ func decodeKV(cell []byte) (string, []byte, error) {
 	return k, cell[2+klen+4 : 2+klen+4+vlen], nil
 }
 
-// stamper receives the deferred begin-timestamp writes of a mutation:
-// each registered function rewrites one new version's begin field with
-// the commit timestamp, atomically making every version of the
-// transaction visible at the same point in commit order. In logged mode
-// the transaction itself is the stamper (the stamps run inside commit,
-// WAL-logged with field undo); unlogged mode collects them in a
-// stampSet and runs them as soon as the operation succeeds.
-type stamper interface {
-	OnCommitTS(func(ts uint64) error)
-}
-
-type stampSet struct{ fns []func(uint64) error }
-
-func (s *stampSet) OnCommitTS(f func(uint64) error) { s.fns = append(s.fns, f) }
-
-// registerStamp defers stamping rid's begin field until the commit
-// timestamp is known.
-func (kv *kvCore) registerStamp(tx *txn.Txn, st stamper, rid access.RID) {
-	c := txctx(tx)
-	st.OnCommitTS(func(ts uint64) error {
-		return kv.heap.StampBytes(c, rid, access.VersionBeginOff, access.EncodeBeginTS(ts))
+// registerStamp defers stamping rid's begin field until tx's commit
+// timestamp is known. The stamps run inside commit, WAL-logged with
+// field undo, each rewriting one new version's begin field — which
+// makes every version of the transaction visible at the same point in
+// commit order.
+func (kv *kvCore) registerStamp(tx *txn.Txn, rid access.RID) {
+	tx.OnCommitTS(func(ts uint64) error {
+		return kv.heap.StampBytes(tx, rid, access.VersionBeginOff, access.EncodeBeginTS(ts))
 	})
-}
-
-// onOutcome runs f when the mutation's outcome is decided: at commit in
-// logged mode (and never on abort), immediately in unlogged mode (which
-// has no rollback to wait out).
-func onOutcome(tx *txn.Txn, f func()) {
-	if tx != nil {
-		tx.OnCommitted(f)
-		return
-	}
-	f()
 }
 
 // --- failure guard ------------------------------------------------------
@@ -481,8 +467,9 @@ func conflictWrap(err error) error {
 	return err
 }
 
-// lockKeys acquires exclusive key locks in sorted order (fewer
-// deadlocks between multi-key batches; singles are unaffected).
+// sortedUnique returns keys sorted and deduplicated: run takes its
+// exclusive key locks in that order, so concurrent multi-key batches
+// cannot deadlock each other (singles are unaffected).
 func sortedUnique(keys []string) []string {
 	if len(keys) <= 1 {
 		return keys
@@ -503,41 +490,14 @@ func sortedUnique(keys []string) []string {
 // keys. A failed op is rolled back logically (inverse operations under
 // page latches); a successful op commits through the group-commit path
 // — concurrent committers coalesce into one log sync. Locks are
-// released only once the outcome is durable (strict 2PL). op receives
-// the lock-owner id next-key gap locks are taken under (the
-// transaction's id, or a reserved id in unlogged mode).
-func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn, owner uint64, st stamper) error) error {
+// released only once the outcome is durable (strict 2PL). op's
+// transaction is also the owner its next-key gap locks are taken under
+// (tx.ID()) and the collector of its version stamps, which run inside
+// commit, after the commit timestamp is allocated, while undo is still
+// possible.
+func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn) error) error {
 	if err := kv.checkFailed(); err != nil {
 		return err
-	}
-	if kv.txns == nil {
-		// Unlogged: key locks still serialise conflicting operations,
-		// there is just no undo or durability. Version stamps run as
-		// soon as the operation succeeds, before the locks release, so
-		// a snapshot reader still sees each operation atomically.
-		id := kv.ids()
-		defer kv.locks.ReleaseAll(id)
-		for _, k := range sortedUnique(keys) {
-			if err := kv.locks.Acquire(ctx, id, kvRes(k), txn.Exclusive); err != nil {
-				return conflictWrap(err)
-			}
-		}
-		// conflictWrap also covers gap-lock deadlocks inside op (next-key
-		// locking at serializable isolation): they are retryable too.
-		st := &stampSet{}
-		if err := conflictWrap(op(nil, id, st)); err != nil {
-			return err
-		}
-		if len(st.fns) > 0 {
-			ts := kv.oracle.AllocateCommitTS()
-			for _, f := range st.fns {
-				if err := f(ts); err != nil {
-					return kv.poison(fmt.Errorf("sbdms: kv engine offline after failed version stamp: %w", err))
-				}
-			}
-			kv.oracle.Complete(ts)
-		}
-		return nil
 	}
 	tx, err := kv.txns.Begin()
 	if err != nil {
@@ -555,10 +515,7 @@ func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn, o
 			return abort(conflictWrap(err))
 		}
 	}
-	// The transaction doubles as the stamper: stamps run inside commit,
-	// after the commit timestamp is allocated, while undo is still
-	// possible.
-	if err := op(tx, tx.ID(), tx); err != nil {
+	if err := op(tx); err != nil {
 		// A deadlock on a gap lock inside op (next-key locking) is as
 		// retryable as one on the key locks above.
 		return abort(conflictWrap(err))
@@ -567,15 +524,6 @@ func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn, o
 		return kv.poison(fmt.Errorf("sbdms: kv engine offline after failed commit: %w", err))
 	}
 	return nil
-}
-
-// txctx converts the concrete transaction into the access-layer hook,
-// avoiding a typed-nil interface when tx is nil.
-func txctx(tx *txn.Txn) access.TxnContext {
-	if tx == nil {
-		return nil
-	}
-	return tx
 }
 
 // errGapBlocked is returned by a next-key GapCheck whose conditional
@@ -632,10 +580,11 @@ func (kv *kvCore) gapLockHook(owner uint64, pending, instant *string) index.GapC
 // visibly the end-of-index sentinel) from serializing on each other's
 // commit latency. Upgrades of locks the owner already held (a
 // transactional scan's S on the successor) are never released here.
-func (kv *kvCore) insertIndex(ctx context.Context, c access.TxnContext, owner uint64, k string, rid access.RID) error {
+func (kv *kvCore) insertIndex(ctx context.Context, tx *txn.Txn, k string, rid access.RID) error {
 	if !kv.serializable {
-		return kv.idx.InsertTx(c, kv.key(k), rid)
+		return kv.idx.InsertTx(tx, kv.key(k), rid)
 	}
+	owner := tx.ID()
 	// kept collects the fresh gap locks awaited off-latch. On exit they
 	// are released whatever the outcome: on success the entry is in the
 	// leaf (scans serialize on its key lock), on failure the insert
@@ -644,7 +593,7 @@ func (kv *kvCore) insertIndex(ctx context.Context, c access.TxnContext, owner ui
 	var kept []string
 	for {
 		var pending, instant string
-		err := kv.idx.InsertTxGap(c, kv.key(k), rid, kv.gapLockHook(owner, &pending, &instant))
+		err := kv.idx.InsertTxGap(tx, kv.key(k), rid, kv.gapLockHook(owner, &pending, &instant))
 		if instant != "" {
 			// Instant duration: the entry is in the index, so scans now
 			// meet the key's own (transaction-duration) lock instead.
@@ -674,32 +623,32 @@ func (kv *kvCore) insertIndex(ctx context.Context, c access.TxnContext, owner ui
 }
 
 // putTx stores (or replaces) a key under tx; the caller holds the key's
-// exclusive lock. owner is the id gap locks are taken under.
+// exclusive lock. Gap locks are taken under the transaction's id.
 //
 // A put never overwrites: it appends a new version cell whose begin
 // field carries the uncommitted mark (readers skip it) and whose prev
 // field links the old head, then repoints the key's index entry to the
 // new cell in place. The begin field is stamped with the commit
-// timestamp via st when the outcome is decided. Only a brand-new key
+// timestamp when tx commits. Only a brand-new key
 // inserts an index entry — and therefore only inserts need the
 // serializable next-key gap protocol; replacing the head of an existing
 // entry (including a tombstone ghost) never changes the key space.
-func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, owner uint64, st stamper, k string, v []byte) error {
-	c := txctx(tx)
+func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, k string, v []byte) error {
+	owner := tx.ID()
 	rec := encodeKV(k, v)
 	rids, err := kv.idx.Search(kv.key(k))
 	if err != nil {
 		return err
 	}
 	if len(rids) == 0 {
-		rid, err := kv.heap.Insert(c, access.EncodeVersion(access.VersionMeta{Begin: access.VersionMark | owner}, rec))
+		rid, err := kv.heap.Insert(tx, access.EncodeVersion(access.VersionMeta{Begin: access.VersionMark | owner}, rec))
 		if err != nil {
 			return err
 		}
-		if err := kv.insertIndex(ctx, c, owner, k, rid); err != nil {
+		if err := kv.insertIndex(ctx, tx, k, rid); err != nil {
 			return err
 		}
-		kv.registerStamp(tx, st, rid)
+		kv.registerStamp(tx, rid)
 		return nil
 	}
 	old := rids[0]
@@ -711,24 +660,24 @@ func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, owner uint64, st stamp
 	if err != nil {
 		return err
 	}
-	nrid, err := kv.heap.Insert(c, access.EncodeVersion(access.VersionMeta{Begin: access.VersionMark | owner, Prev: old}, rec))
+	nrid, err := kv.heap.Insert(tx, access.EncodeVersion(access.VersionMeta{Begin: access.VersionMark | owner, Prev: old}, rec))
 	if err != nil {
 		return err
 	}
-	ok, err := kv.idx.RepointTx(c, kv.key(k), old, nrid)
+	ok, err := kv.idx.RepointTx(tx, kv.key(k), old, nrid)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("%w: index entry for %q vanished under its exclusive lock", errBadKVRecord, k)
 	}
-	kv.registerStamp(tx, st, nrid)
+	kv.registerStamp(tx, nrid)
 	if oldMeta.Tombstone() {
 		// Resurrecting a deleted key: its ghost entry goes live again.
 		// (An uncommitted tombstone head is necessarily our own — the
 		// key's exclusive lock rules out other writers — so the paired
 		// dead++ of that delete nets out at commit.)
-		onOutcome(tx, func() { kv.dead.Add(-1) })
+		tx.OnCommitted(func() { kv.dead.Add(-1) })
 	}
 	return nil
 }
@@ -743,8 +692,7 @@ func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, owner uint64, st stamp
 // removes the entry once no snapshot can see any version of the key.
 // Because the key space never shrinks here, deletes need no next-key
 // gap lock at serializable isolation.
-func (kv *kvCore) deleteTx(ctx context.Context, tx *txn.Txn, owner uint64, st stamper, k string) error {
-	c := txctx(tx)
+func (kv *kvCore) deleteTx(tx *txn.Txn, k string) error {
 	rids, err := kv.idx.Search(kv.key(k))
 	if err != nil {
 		return err
@@ -766,47 +714,46 @@ func (kv *kvCore) deleteTx(ctx context.Context, tx *txn.Txn, owner uint64, st st
 		// in this batch — the exclusive lock rules out anyone else's).
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, k)
 	}
-	nrid, err := kv.heap.Insert(c, access.EncodeVersion(access.VersionMeta{
-		Begin: access.VersionMark | owner,
+	nrid, err := kv.heap.Insert(tx, access.EncodeVersion(access.VersionMeta{
+		Begin: access.VersionMark | tx.ID(),
 		Prev:  old,
 		Flags: access.VersionTombstone,
 	}, nil))
 	if err != nil {
 		return err
 	}
-	ok, err := kv.idx.RepointTx(c, kv.key(k), old, nrid)
+	ok, err := kv.idx.RepointTx(tx, kv.key(k), old, nrid)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("%w: index entry for %q vanished under its exclusive lock", errBadKVRecord, k)
 	}
-	kv.registerStamp(tx, st, nrid)
-	onOutcome(tx, func() { kv.dead.Add(1) })
+	kv.registerStamp(tx, nrid)
+	tx.OnCommitted(func() { kv.dead.Add(1) })
 	return nil
 }
 
-// Put stores (or replaces) a key, durably when the WAL is enabled.
+// Put stores (or replaces) a key: when it returns nil the write is
+// durable.
 func (kv *kvCore) Put(ctx context.Context, k string, v []byte) error {
-	return kv.run(ctx, []string{k}, func(tx *txn.Txn, owner uint64, st stamper) error {
-		return kv.putTx(ctx, tx, owner, st, k, v)
+	return kv.run(ctx, []string{k}, func(tx *txn.Txn) error {
+		return kv.putTx(ctx, tx, k, v)
 	})
 }
 
 // PutBatch stores several keys under one transaction: one WAL force
 // for the whole batch, and after a crash either all of the batch's
-// keys are recovered or none. Locks are acquired in sorted key order,
-// so concurrent batches cannot deadlock each other. With the WAL
-// disabled there is no undo, so a mid-batch failure leaves the earlier
-// keys applied (unlogged mode trades the atomicity guarantee away
-// along with durability).
+// keys are recovered or none; a mid-batch failure rolls the earlier
+// keys back. Locks are acquired in sorted key order, so concurrent
+// batches cannot deadlock each other.
 func (kv *kvCore) PutBatch(ctx context.Context, keys []string, vals [][]byte) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("%w: %d keys, %d values", ErrBatchMismatch, len(keys), len(vals))
 	}
-	return kv.run(ctx, keys, func(tx *txn.Txn, owner uint64, st stamper) error {
+	return kv.run(ctx, keys, func(tx *txn.Txn) error {
 		for i := range keys {
-			if err := kv.putTx(ctx, tx, owner, st, keys[i], vals[i]); err != nil {
+			if err := kv.putTx(ctx, tx, keys[i], vals[i]); err != nil {
 				return err
 			}
 		}
@@ -822,7 +769,7 @@ func (kv *kvCore) Get(ctx context.Context, k string) ([]byte, error) {
 	if err := kv.checkFailed(); err != nil {
 		return nil, err
 	}
-	id := kv.ids()
+	id := kv.txns.ReserveID()
 	if err := kv.locks.Acquire(ctx, id, kvRes(k), txn.Shared); err != nil {
 		return nil, conflictWrap(err)
 	}
@@ -891,37 +838,11 @@ func (kv *kvCore) headVersion(rid access.RID) (access.VersionMeta, []byte, error
 	}
 }
 
-// Delete removes a key.
+// Delete removes a key. A miss is ErrKeyNotFound and, like any
+// transaction that wrote nothing, leaves no record in the log.
 func (kv *kvCore) Delete(ctx context.Context, k string) error {
-	// In logged mode, pre-check existence under a shared lock so a miss
-	// stays a read-only operation instead of paying a begin/abort WAL
-	// round trip. deleteTx re-checks under the exclusive lock.
-	if kv.txns != nil {
-		if err := kv.checkFailed(); err != nil {
-			return err
-		}
-		id := kv.ids()
-		absent, err := func() (bool, error) {
-			if err := kv.locks.Acquire(ctx, id, kvRes(k), txn.Shared); err != nil {
-				return false, conflictWrap(err)
-			}
-			defer kv.locks.ReleaseAll(id)
-			rids, err := kv.idx.Search(kv.key(k))
-			if err != nil || len(rids) == 0 {
-				return len(rids) == 0 && err == nil, err
-			}
-			meta, _, err := kv.headVersion(rids[0])
-			if err != nil {
-				return false, err
-			}
-			return meta.Tombstone(), nil
-		}()
-		if err == nil && absent {
-			return fmt.Errorf("%w: %q", ErrKeyNotFound, k)
-		}
-	}
-	return kv.run(ctx, []string{k}, func(tx *txn.Txn, owner uint64, st stamper) error {
-		return kv.deleteTx(ctx, tx, owner, st, k)
+	return kv.run(ctx, []string{k}, func(tx *txn.Txn) error {
+		return kv.deleteTx(tx, k)
 	})
 }
 
@@ -944,7 +865,7 @@ func (kv *kvCore) Scan(ctx context.Context, from string, n int) ([]string, error
 		return nil, err
 	}
 	if kv.serializable {
-		id := kv.ids()
+		id := kv.txns.ReserveID()
 		defer kv.locks.ReleaseAll(id)
 		out, err := kv.scanKeysLocked(ctx, id, from, n)
 		if err != nil {
@@ -1288,16 +1209,14 @@ var errStopScan = errors.New("sbdms: stop scan")
 // --- vacuum ------------------------------------------------------------
 
 // vacuumConfig wires the version scavenger to this keyspace: same
-// heap, index, lock naming and oracle the writers use, so the
-// vacuum's per-key X locks and horizon computation compose with the
-// engine's own protocols.
+// heap, index, lock naming and transaction manager (lock table, oracle)
+// the writers use, so the vacuum's per-key X locks and horizon
+// computation compose with the engine's own protocols.
 func (kv *kvCore) vacuumConfig() vacuum.Config {
 	return vacuum.Config{
-		Heap:   kv.heap,
-		Index:  kv.idx,
-		Locks:  kv.locks,
-		Txns:   kv.txns,
-		Oracle: kv.oracle,
+		Heap:  kv.heap,
+		Index: kv.idx,
+		Txns:  kv.txns,
 		Resource: func(key []byte) (string, error) {
 			k, err := decodeKeyBytes(key)
 			if err != nil {
@@ -1305,7 +1224,6 @@ func (kv *kvCore) vacuumConfig() vacuum.Config {
 			}
 			return kvRes(k), nil
 		},
-		NextID:   kv.ids,
 		ScanFrom: kv.key(""),
 		// A removed key takes its committed tombstone head with it:
 		// the ghost counter must drop with the index entry or Len

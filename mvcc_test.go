@@ -36,10 +36,10 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 	if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("fresh"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.putTx(ctx, tx, tx.ID(), tx, "k", []byte("v2")); err != nil {
+	if err := db.kv.putTx(ctx, tx, "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.putTx(ctx, tx, tx.ID(), tx, "fresh", []byte("new")); err != nil {
+	if err := db.kv.putTx(ctx, tx, "fresh", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,7 +227,7 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 	if second := <-results; second.err != nil {
 		t.Fatalf("survivor's lock wait failed: %v", second.err)
 	}
-	if err := db.kv.putTx(ctx, survivor, survivor.ID(), survivor, sk, []byte("v1")); err != nil {
+	if err := db.kv.putTx(ctx, survivor, sk, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.kv.txns.Commit(survivor); err != nil {

@@ -81,7 +81,7 @@ func OpenReplicaReader(dev storage.Device, frames int) (*ReplicaReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	kv, err := newKVCore(fm, pool, nil, nil, "__kv__", false, ReadCommitted)
+	kv, err := openReplicaKV(fm, pool, "__kv__")
 	if err != nil {
 		return nil, err
 	}

@@ -48,8 +48,6 @@ type Options struct {
 	// wal.NewFileSegmentDir for an on-disk log, wal.NewMemSegmentDir for
 	// tests (nil = a fresh in-memory directory).
 	LogDir wal.SegmentDir
-	// DisableWAL skips logging entirely.
-	DisableWAL bool
 	// WALSegmentBytes is the WAL's segment roll threshold (0 = 1 MiB).
 	// Once the recovery-begin LSN passes a segment's end, the segment
 	// file is deleted.
@@ -59,11 +57,6 @@ type Options struct {
 	// quiescing writers (0 = no background checkpoints; DB.Checkpoint
 	// remains available).
 	CheckpointInterval time.Duration
-	// ImportChunkPages is how many bulk pages DB.Import writes between
-	// cancellation checks and pacing WAL flushes (0 = 64, about 256 KiB
-	// per chunk). Larger chunks shave a little flush overhead at the
-	// cost of cancellation latency and WAL-buffer memory.
-	ImportChunkPages int
 	// VacuumInterval runs the background MVCC vacuum on this period:
 	// version chains are pruned to the oldest version any live or
 	// future snapshot can still resolve to, and fully-dead keys
@@ -107,8 +100,6 @@ type Options struct {
 	// Coordinator tunes the kernel coordinator; zero value uses
 	// defaults.
 	Coordinator core.CoordinatorConfig
-	// EventHistory bounds the kernel event history (default 1024).
-	EventHistory int
 }
 
 // DB is a running SBDMS instance: a kernel hosting the composed
@@ -153,9 +144,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.Device == nil {
 		opts.Device = storage.NewMemDevice()
 	}
-	if opts.EventHistory <= 0 {
-		opts.EventHistory = 1024
-	}
 	iso, err := normalizeIsolation(opts.ScanIsolation)
 	if err != nil {
 		return nil, err
@@ -168,15 +156,12 @@ func Open(opts Options) (*DB, error) {
 	if coordCfg == (core.CoordinatorConfig{}) {
 		coordCfg = core.DefaultCoordinatorConfig()
 	}
-	db.kernel = core.NewKernel(
-		core.WithCoordinatorConfig(coordCfg),
-		core.WithEventHistory(opts.EventHistory),
-	)
+	db.kernel = core.NewKernel(core.WithCoordinatorConfig(coordCfg))
 
-	// With a WAL, a torn disk-metadata write is salvageable: the page
-	// count is re-derived from the device size and page content rebuilt
-	// from the log during recovery below.
-	disk, err := storage.OpenDisk(opts.Device, storage.WithMetaSalvage(!opts.DisableWAL))
+	// A torn disk-metadata write is salvageable: the page count is
+	// re-derived from the device size and page content rebuilt from the
+	// log during recovery below.
+	disk, err := storage.OpenDisk(opts.Device, storage.WithMetaSalvage(true))
 	if err != nil {
 		return nil, err
 	}
@@ -186,33 +171,28 @@ func Open(opts Options) (*DB, error) {
 	// redo repeats history; in-flight transactions with logical undo
 	// descriptors are collected here and rolled back below, once the
 	// transaction manager and access methods exist.
-	var recovered wal.RecoveryStats
-	if !opts.DisableWAL {
-		dir := opts.LogDir
-		if dir == nil {
-			dir = wal.NewMemSegmentDir()
-		}
-		l, err := wal.OpenDir(dir, opts.WALSegmentBytes)
-		if err != nil {
-			return nil, err
-		}
-		st, err := wal.Recover(l, disk)
-		if err != nil {
-			return nil, fmt.Errorf("sbdms: recovery: %w", err)
-		}
-		recovered = st
-		if st.Changed() || st.FreeImages > 0 {
-			// An actual crash was repaired, or the retained log holds
-			// free markings whose allocator list-links may not all
-			// have reached the device: relink every durably free-marked
-			// page so frees are reclaimed instead of leaked.
-			if _, err := disk.RebuildFreeList(); err != nil {
-				return nil, fmt.Errorf("sbdms: rebuilding free list: %w", err)
-			}
-		}
-		l.SetGroupWindow(opts.WALGroupWindow, opts.WALGroupBytes)
-		db.log = l
+	dir := opts.LogDir
+	if dir == nil {
+		dir = wal.NewMemSegmentDir()
 	}
+	db.log, err = wal.OpenDir(dir, opts.WALSegmentBytes)
+	if err != nil {
+		return nil, err
+	}
+	recovered, err := wal.Recover(db.log, disk)
+	if err != nil {
+		return nil, fmt.Errorf("sbdms: recovery: %w", err)
+	}
+	if recovered.Changed() || recovered.FreeImages > 0 {
+		// An actual crash was repaired, or the retained log holds free
+		// markings whose allocator list-links may not all have reached
+		// the device: relink every durably free-marked page so frees are
+		// reclaimed instead of leaked.
+		if _, err := disk.RebuildFreeList(); err != nil {
+			return nil, fmt.Errorf("sbdms: rebuilding free list: %w", err)
+		}
+	}
+	db.log.SetGroupWindow(opts.WALGroupWindow, opts.WALGroupBytes)
 
 	// The page store under the buffer pool: native disk, or — in the
 	// fine profile — the disk service reached through the registry.
@@ -221,7 +201,7 @@ func Open(opts Options) (*DB, error) {
 		if err := db.deploy(ctx, NewDiskService("disk", disk), nil); err != nil {
 			return nil, err
 		}
-		lower = NewPageStoreClient(db.kernel.Ref(IfaceDisk, nil))
+		lower = NewPageStoreClient(ctx, db.kernel.Ref(IfaceDisk, nil))
 	}
 
 	if opts.BufferShards > 0 {
@@ -229,9 +209,7 @@ func Open(opts Options) (*DB, error) {
 	} else {
 		db.pool = buffer.New(lower, opts.BufferFrames, buffer.NewPolicy(opts.BufferPolicy))
 	}
-	if db.log != nil {
-		db.pool.SetBeforeEvict(db.log.BeforeEvict())
-	}
+	db.pool.SetBeforeEvict(db.log.BeforeEvict())
 	fm, err := storage.OpenFileManager(db.pool)
 	if err != nil {
 		return nil, err
@@ -261,21 +239,16 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("sbdms: rolling back in-flight transactions: %w", err)
 		}
 	}
-	if db.log != nil {
-		// Lone committers skip the group window unless enough sibling
-		// transactions are in flight to make batching worthwhile
-		// (SetCommitSiblings resolves the knob: 0 = gate at 1 sibling,
-		// negative = always hold the window).
-		db.log.SetCommitSiblings(opts.WALCommitSiblings, func() int { return db.txns.ActiveCount() - 1 })
-	}
+	// Lone committers skip the group window unless enough sibling
+	// transactions are in flight to make batching worthwhile
+	// (SetCommitSiblings resolves the knob: 0 = gate at 1 sibling,
+	// negative = always hold the window).
+	db.log.SetCommitSiblings(opts.WALCommitSiblings, func() int { return db.txns.ActiveCount() - 1 })
 	cat, err := catalog.Open(fm, db.pool)
 	if err != nil {
 		return nil, err
 	}
-	db.engine = sql.NewEngine(fm, db.pool, cat, db.txns)
-	if db.log != nil {
-		db.engine.SetWAL(db.log)
-	}
+	db.engine = sql.NewEngine(fm, db.pool, cat, db.txns, db.log)
 	db.engine.SetUndo(db.undo)
 	// The KV index recounts its entries unless the previous shutdown
 	// was provably clean (SyncMeta's clean flag) AND recovery repaired
@@ -284,7 +257,6 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.kv.importChunkPages = opts.ImportChunkPages
 	db.undo.Register(db.kv.idx)
 	// Tombstone-head accounting waits for loser rollback (above): only
 	// then is every head's tombstone flag settled.
@@ -294,13 +266,8 @@ func Open(opts Options) (*DB, error) {
 	// Make the freshly formatted (or recovered) store durable before
 	// accepting traffic: every later mutation is WAL-logged, so this
 	// baseline is the only state recovery ever has to read from disk.
-	if db.log != nil {
-		if err := db.log.Flush(db.log.NextLSN()); err != nil {
-			return nil, err
-		}
-		if err := db.pool.FlushAll(); err != nil {
-			return nil, err
-		}
+	if err := db.Flush(); err != nil {
+		return nil, err
 	}
 
 	if err := db.composeServices(ctx); err != nil {
@@ -309,10 +276,8 @@ func Open(opts Options) (*DB, error) {
 	if err := db.kernel.Start(ctx); err != nil {
 		return nil, err
 	}
-	if db.log != nil {
-		db.txns.StartCheckpointFlusher()
-	}
-	if db.log != nil && opts.CheckpointInterval > 0 {
+	db.txns.StartCheckpointFlusher()
+	if opts.CheckpointInterval > 0 {
 		db.ckptStop = make(chan struct{})
 		db.ckptDone = make(chan struct{})
 		go db.checkpointLoop(opts.CheckpointInterval)
@@ -372,9 +337,6 @@ func (db *DB) CheckpointStatus() (failures uint64, lastErr error) {
 // the error of the next checkpoint call. Use CheckpointSync to wait for
 // (and observe errors from) the completion.
 func (db *DB) Checkpoint() (wal.LSN, error) {
-	if db.txns == nil || db.log == nil {
-		return wal.ZeroLSN, txn.ErrNoWAL
-	}
 	return db.txns.CheckpointAsync()
 }
 
@@ -383,9 +345,6 @@ func (db *DB) Checkpoint() (wal.LSN, error) {
 // has advanced, and dead WAL segments are deleted. Flush or manifest
 // errors are returned here rather than deferred to a later call.
 func (db *DB) CheckpointSync() (wal.LSN, error) {
-	if db.txns == nil || db.log == nil {
-		return wal.ZeroLSN, txn.ErrNoWAL
-	}
 	return db.txns.Checkpoint()
 }
 
@@ -458,7 +417,7 @@ func (db *DB) Engine() *sql.Engine { return db.engine }
 // Pool exposes the buffer manager (for monitoring and resizing).
 func (db *DB) Pool() *buffer.Manager { return db.pool }
 
-// Log exposes the write-ahead log (nil when disabled).
+// Log exposes the write-ahead log.
 func (db *DB) Log() *wal.Log { return db.log }
 
 // Txns exposes the transaction manager.
@@ -519,8 +478,8 @@ func (db *DB) Import(ctx context.Context, keys []string, vals [][]byte) error {
 }
 
 // ImportFallbacks reports how many Import calls bypassed the bulk fast
-// path (non-empty store, WAL disabled, or a lost race against a
-// concurrent insert) and loaded per-key instead.
+// path (non-empty store, or a lost race against a concurrent insert)
+// and loaded per-key instead.
 func (db *DB) ImportFallbacks() uint64 { return db.kv.ImportFallbacks() }
 
 // Get fetches a value through the configured service path.
@@ -589,19 +548,13 @@ func (db *DB) KV() KVBackend { return db.kvPath }
 // LSN, so replication shippers (internal/replicate) that lag behind the
 // checkpoint cadence resume from their watermark instead of hitting
 // ErrSegmentGone and restarting from a full copy. Pass the shipper's
-// Shipped method; nil clears the hook. No-op without a WAL.
-func (db *DB) SetLogRetention(fn func() wal.LSN) {
-	if db.log != nil {
-		db.log.SetRetention(fn)
-	}
-}
+// Shipped method; nil clears the hook.
+func (db *DB) SetLogRetention(fn func() wal.LSN) { db.log.SetRetention(fn) }
 
 // Flush makes all buffered data durable.
 func (db *DB) Flush() error {
-	if db.log != nil {
-		if err := db.log.Flush(db.log.NextLSN()); err != nil {
-			return err
-		}
+	if err := db.log.Flush(db.log.NextLSN()); err != nil {
+		return err
 	}
 	return db.pool.FlushAll()
 }
@@ -620,17 +573,13 @@ func (db *DB) Close(ctx context.Context) error {
 	// Drain the background checkpoint flusher before the final flush:
 	// every enqueued completion runs, and a sticky background failure
 	// surfaces here instead of being lost with the process.
-	if db.txns != nil {
-		if err := db.txns.StopCheckpointFlusher(); err != nil {
-			return err
-		}
+	if err := db.txns.StopCheckpointFlusher(); err != nil {
+		return err
 	}
 	// Persist the KV index entry count (not WAL-logged per operation)
 	// before the final flush so a clean reopen needs no recount.
-	if db.kv != nil {
-		if err := db.kv.Close(); err != nil {
-			return err
-		}
+	if err := db.kv.Close(); err != nil {
+		return err
 	}
 	if err := db.Flush(); err != nil {
 		return err

@@ -273,66 +273,83 @@ func TestKVLenSurfacesServiceFailure(t *testing.T) {
 	}
 }
 
-// TestReadsLeaveNoWALTrace: through the service path, statements and KV
+// TestReadsLeaveNoWALTrace: at every granularity, statements and KV
 // operations that change nothing append no log record and force no
 // sync — the log moves only for writes, once per write.
 func TestReadsLeaveNoWALTrace(t *testing.T) {
-	db, err := Open(Options{Device: storage.NewMemDevice()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close(ctx)
-	for _, q := range []string{
-		"CREATE TABLE orders (id INT, cust INT, amount INT)",
-		"CREATE INDEX orders_id ON orders (id)",
-		"INSERT INTO orders VALUES (1, 10, 100), (2, 10, 250), (3, 11, 75)",
-	} {
-		if _, err := db.Exec(ctx, q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-	}
-	if err := db.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	next, syncs := db.Log().NextLSN(), db.Log().Syncs()
+	for _, g := range Granularities {
+		t.Run(string(g), func(t *testing.T) {
+			db, err := Open(Options{Device: storage.NewMemDevice(), Granularity: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close(ctx)
+			for _, q := range []string{
+				"CREATE TABLE orders (id INT, cust INT, amount INT)",
+				"CREATE INDEX orders_id ON orders (id)",
+				"INSERT INTO orders VALUES (1, 10, 100), (2, 10, 250), (3, 11, 75)",
+			} {
+				if _, err := db.Exec(ctx, q); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
+			if err := db.Put(ctx, "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put(ctx, "gone", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DeleteKey(ctx, "gone"); err != nil {
+				t.Fatal(err)
+			}
+			next, syncs := db.Log().NextLSN(), db.Log().Syncs()
 
-	for i := 0; i < 1000; i++ {
-		res, err := db.Exec(ctx, "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust = 10")
-		if err != nil || res.Rows[0][0].Int != 2 || res.Rows[0][1].Int != 350 {
-			t.Fatalf("aggregate = %v, %v", res, err)
-		}
-	}
-	for _, q := range []string{"BEGIN", "SELECT amount FROM orders WHERE id = 2", "COMMIT"} {
-		if _, err := db.Exec(ctx, q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := db.Get(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.GetSnapshot(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.ScanKeys(ctx, "", 10); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Get(ctx, "absent"); !IsKeyNotFound(err) {
-			t.Fatal(err)
-		}
-	}
-	if db.Log().NextLSN() != next || db.Log().Syncs() != syncs {
-		t.Fatalf("reads moved the log: tail %d -> %d, syncs %d -> %d",
-			next, db.Log().NextLSN(), syncs, db.Log().Syncs())
-	}
+			for i := 0; i < 1000; i++ {
+				res, err := db.Exec(ctx, "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust = 10")
+				if err != nil || res.Rows[0][0].Int != 2 || res.Rows[0][1].Int != 350 {
+					t.Fatalf("aggregate = %v, %v", res, err)
+				}
+			}
+			for _, q := range []string{"BEGIN", "SELECT amount FROM orders WHERE id = 2", "COMMIT"} {
+				if _, err := db.Exec(ctx, q); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				if _, err := db.Get(ctx, "k"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.GetSnapshot(ctx, "k"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.ScanKeys(ctx, "", 10); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Get(ctx, "absent"); !IsKeyNotFound(err) {
+					t.Fatal(err)
+				}
+				// A Delete that finds nothing — no index entry, or only a
+				// tombstone — is a transaction that wrote nothing.
+				for _, k := range []string{"absent", "gone"} {
+					if err := db.DeleteKey(ctx, k); !IsKeyNotFound(err) {
+						t.Fatalf("Delete(%q) = %v, want ErrKeyNotFound", k, err)
+					}
+				}
+			}
+			if db.Log().NextLSN() != next || db.Log().Syncs() != syncs {
+				t.Fatalf("reads moved the log: tail %d -> %d, syncs %d -> %d",
+					next, db.Log().NextLSN(), syncs, db.Log().Syncs())
+			}
 
-	if _, err := db.Exec(ctx, "INSERT INTO orders VALUES (4, 11, 5)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put(ctx, "k", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Log().Syncs() - syncs; got != 2 {
-		t.Fatalf("two writes forced the log %d times", got)
+			if _, err := db.Exec(ctx, "INSERT INTO orders VALUES (4, 11, 5)"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put(ctx, "k", []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Log().Syncs() - syncs; got != 2 {
+				t.Fatalf("two writes forced the log %d times", got)
+			}
+		})
 	}
 }

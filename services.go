@@ -103,20 +103,20 @@ func NewDiskService(name string, store storage.PageStore) *core.BaseService {
 // stacked over a *service* instead of a local disk — the composition
 // mechanism behind the layered and fine granularity profiles.
 type PageStoreClient struct {
+	ctx context.Context
 	inv core.Invoker
 }
 
 // NewPageStoreClient wraps an invoker (usually a late-bound *core.Ref
-// to IfaceDisk).
-func NewPageStoreClient(inv core.Invoker) *PageStoreClient {
-	return &PageStoreClient{inv: inv}
+// to IfaceDisk). storage.PageStore's methods carry no context, so every
+// page call the client makes runs under ctx, the opener's.
+func NewPageStoreClient(ctx context.Context, inv core.Invoker) *PageStoreClient {
+	return &PageStoreClient{ctx: ctx, inv: inv}
 }
-
-var bg = context.Background()
 
 // Allocate implements storage.PageStore.
 func (c *PageStoreClient) Allocate() (storage.PageID, error) {
-	out, err := c.inv.Invoke(bg, "allocate", nil)
+	out, err := c.inv.Invoke(c.ctx, "allocate", nil)
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
@@ -129,13 +129,13 @@ func (c *PageStoreClient) Allocate() (storage.PageID, error) {
 
 // Deallocate implements storage.PageStore.
 func (c *PageStoreClient) Deallocate(id storage.PageID) error {
-	_, err := c.inv.Invoke(bg, "deallocate", id)
+	_, err := c.inv.Invoke(c.ctx, "deallocate", id)
 	return err
 }
 
 // ReadPage implements storage.PageStore.
 func (c *PageStoreClient) ReadPage(id storage.PageID, buf []byte) error {
-	out, err := c.inv.Invoke(bg, "readPage", PageReadRequest{Page: id})
+	out, err := c.inv.Invoke(c.ctx, "readPage", PageReadRequest{Page: id})
 	if err != nil {
 		return err
 	}
@@ -149,13 +149,13 @@ func (c *PageStoreClient) ReadPage(id storage.PageID, buf []byte) error {
 
 // WritePage implements storage.PageStore.
 func (c *PageStoreClient) WritePage(id storage.PageID, data []byte) error {
-	_, err := c.inv.Invoke(bg, "writePage", PageWriteRequest{Page: id, Data: data})
+	_, err := c.inv.Invoke(c.ctx, "writePage", PageWriteRequest{Page: id, Data: data})
 	return err
 }
 
 // NumPages implements storage.PageStore.
 func (c *PageStoreClient) NumPages() uint64 {
-	out, err := c.inv.Invoke(bg, "numPages", nil)
+	out, err := c.inv.Invoke(c.ctx, "numPages", nil)
 	if err != nil {
 		return 0
 	}
@@ -165,7 +165,7 @@ func (c *PageStoreClient) NumPages() uint64 {
 
 // Sync implements storage.PageStore.
 func (c *PageStoreClient) Sync() error {
-	_, err := c.inv.Invoke(bg, "sync", nil)
+	_, err := c.inv.Invoke(c.ctx, "sync", nil)
 	return err
 }
 
