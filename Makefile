@@ -5,7 +5,7 @@ RACE_PKGS = ./internal/access/... ./internal/buffer/... ./internal/core/... \
             ./internal/index/... ./internal/storage/... ./internal/txn/... \
             ./internal/wal/...
 
-.PHONY: build test race bench bench-smoke sbench-smoke bench-regress fuzz-short crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
+.PHONY: build test race bench bench-smoke sbench-smoke examples-smoke bench-regress fuzz-short crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
 
 # Run a race-detector test selection at a GOMAXPROCS matrix:
 # single-proc forces the cooperative interleavings the scheduler
@@ -16,7 +16,7 @@ define gomaxprocsMatrix
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run $(1) $(2)
 endef
 
-all: vet lint build test bench-smoke sbench-smoke
+all: vet lint build test bench-smoke sbench-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -36,14 +36,21 @@ bench:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# cmd/sbench has no test file: this runs the experiments that open a
-# database through sbdms.Open (F1, F2, G1) at toy sizes, writing no
-# BENCH_<EXP>.json, so an Options or flag change cannot break the paper
-# harness silently.
+# cmd/sbench has no test file: this runs every paper experiment (F1,
+# F2, F5-F7, G1-G5) at toy sizes, writing no BENCH_<EXP>.json, so an
+# Options, flag or kernel change cannot break the paper harness
+# silently.
 sbench-smoke:
-	$(GO) run ./cmd/sbench -exp f1 -ops 400 -keys 100 -json ''
-	$(GO) run ./cmd/sbench -exp f2 -ops 400 -keys 100 -json ''
-	$(GO) run ./cmd/sbench -exp g1 -ops 400 -keys 100 -json ''
+	$(GO) run ./cmd/sbench -exp all -ops 400 -keys 100 -json ''
+
+# The examples have no test files: this runs each one. embedded and
+# distributed exit non-zero when their failover scenario does not
+# happen; every example exits non-zero on an engine error.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/embedded
+	$(GO) run ./examples/fullfledged
+	$(GO) run ./examples/distributed
 
 # The committed benchmark trail: BENCH_BASELINE.json is the merged
 # `-check 5 -json` output of the commit that last moved a number on

@@ -1,8 +1,8 @@
 // Embedded: the small-footprint scenario of Section 4 — a device with a
 // tiny buffer pool and a simulated battery. When the battery runs low,
-// the monitoring service raises a low-resource alert and the
-// coordinator redirects the workload to a standby service so "the
-// system [stays] operational".
+// the device raises a low-resource alert and the coordinator redirects
+// the workload to a standby service so "the system [stays]
+// operational".
 package main
 
 import (
@@ -13,13 +13,19 @@ import (
 
 	sbdms "repro"
 	"repro/internal/core"
-	"repro/internal/monitor"
+)
+
+// Simulated battery: every operation drains one unit, and the alert
+// fires once when a quarter of the capacity is left.
+const (
+	batteryCap = 300
+	lowWater   = 0.25
 )
 
 func main() {
 	ctx := context.Background()
 
-	// Small footprint: 8 buffer frames, no WAL, coarse decomposition.
+	// Small footprint: 8 buffer frames, coarse decomposition.
 	db, err := sbdms.Open(sbdms.Options{
 		Granularity:  sbdms.Coarse,
 		BufferFrames: 8,
@@ -40,44 +46,42 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The simulated device: 300 battery units, alert at 25% remaining.
-	// On alert, a monitoring service publishes a low-resource event
-	// attributed to the primary kv service; the kernel coordinator
-	// steers the workload away (Figure 6 machinery, Section 4 trigger).
-	dev := monitor.NewDevice(monitor.DeviceConfig{
-		Name: "edge-device", BatteryCap: 300, OpCost: 1, LowWater: 0.25,
-		OnLow: func(resource string, remaining float64) {
-			fmt.Printf("!! low %s alert at %.0f%% — redirecting workload\n", resource, remaining*100)
-			db.Kernel().Bus().Publish(core.Event{
-				Type:    core.EventLowResources,
-				Subject: resource,
-				Attrs:   map[string]string{"service": "kv"},
-			})
-		},
-	})
-
-	// Drive a workload; every op drains the battery.
-	lat := monitor.NewLatencyRecorder(4096)
+	// Drive a workload; every op drains the battery. On the alert the
+	// device publishes a low-resource event attributed to the primary kv
+	// service, and the kernel coordinator steers the workload away
+	// (Figure 6 machinery, Section 4 trigger).
+	battery, alerted := batteryCap, false
 	served := map[string]int{}
+	var elapsed time.Duration
 	for i := 0; i < 400; i++ {
-		if !dev.DoOp() {
+		if battery == 0 {
 			fmt.Println("battery exhausted — halting local ops")
 			break
+		}
+		battery--
+		if remaining := float64(battery) / batteryCap; remaining <= lowWater && !alerted {
+			alerted = true
+			fmt.Printf("!! low battery alert at %.0f%% — redirecting workload\n", remaining*100)
+			db.Kernel().Bus().Publish(core.Event{
+				Type:    core.EventLowResources,
+				Subject: "battery",
+				Attrs:   map[string]string{"service": "kv"},
+			})
 		}
 		key := fmt.Sprintf("reading-%03d", i%64)
 		start := time.Now()
 		err := db.Put(ctx, key, []byte(fmt.Sprintf("%d", i)))
-		lat.Record(time.Since(start))
+		elapsed += time.Since(start)
 		if err != nil {
 			log.Fatalf("op %d: %v", i, err)
 		}
 		served[currentProvider(db)]++
 		time.Sleep(200 * time.Microsecond) // let the coordinator breathe
 	}
-	remaining, capn := dev.Battery()
-	fmt.Printf("battery: %.0f/%.0f units left after %d ops\n", remaining, capn, dev.Ops())
+	ops := batteryCap - battery
+	fmt.Printf("battery: %d/%d units left after %d ops\n", battery, batteryCap, ops)
 	fmt.Printf("ops served by provider: %v\n", served)
-	fmt.Printf("latency: %v\n", lat.Summarize())
+	fmt.Printf("mean put latency: %v\n", elapsed/time.Duration(ops))
 	if served["kv-standby"] == 0 {
 		log.Fatal("expected the standby to take over after the alert")
 	}

@@ -13,17 +13,17 @@ var (
 	ErrNoAdaptation = errors.New("core: no adaptation possible")
 )
 
-// OpMapping maps one required operation onto a target operation,
-// optionally converting request and response payloads with
-// transformation schemas from the repository.
-type OpMapping struct {
+// opMapping maps one required operation onto a target operation,
+// converting request and response payloads with transformation schemas
+// from the repository (the identity when the types already agree).
+type opMapping struct {
 	// TargetOp is the operation invoked on the adapted service.
 	TargetOp string
 	// MapIn converts the caller's request into the target's request
-	// type; nil means identity.
+	// type.
 	MapIn TransformFunc
 	// MapOut converts the target's response into the caller's expected
-	// response type; nil means identity.
+	// response type.
 	MapOut TransformFunc
 }
 
@@ -37,19 +37,7 @@ type Adaptor struct {
 	name     string
 	required *Contract
 	target   Invoker
-	mappings map[string]OpMapping
-}
-
-// NewAdaptor builds an adaptor exposing the required contract on top of
-// target, using explicit operation mappings (the "manually created by
-// the developer" path). Every operation of required must be mapped.
-func NewAdaptor(name string, required *Contract, target Invoker, mappings map[string]OpMapping) (*Adaptor, error) {
-	for _, op := range required.Operations {
-		if _, ok := mappings[op.Name]; !ok {
-			return nil, fmt.Errorf("%w: operation %q unmapped", ErrNoAdaptation, op.Name)
-		}
-	}
-	return &Adaptor{name: name, required: required, target: target, mappings: mappings}, nil
+	mappings map[string]opMapping
 }
 
 // GenerateAdaptor automatically derives an adaptor from the required
@@ -62,7 +50,7 @@ func GenerateAdaptor(name string, required, provided *Contract, target Invoker, 
 	if required == nil || provided == nil {
 		return nil, fmt.Errorf("%w: missing contract", ErrNoAdaptation)
 	}
-	mappings := make(map[string]OpMapping, len(required.Operations))
+	mappings := make(map[string]opMapping, len(required.Operations))
 	for _, want := range required.Operations {
 		got, ok := provided.OpBySemantic(want.Semantic)
 		if !ok {
@@ -82,7 +70,7 @@ func GenerateAdaptor(name string, required, provided *Contract, target Invoker, 
 			return nil, fmt.Errorf("%w: no transformation schema %s -> %s for operation %s result",
 				ErrNoAdaptation, got.Out, want.Out, want.Name)
 		}
-		mappings[want.Name] = OpMapping{TargetOp: got.Name, MapIn: mapIn, MapOut: mapOut}
+		mappings[want.Name] = opMapping{TargetOp: got.Name, MapIn: mapIn, MapOut: mapOut}
 	}
 	return &Adaptor{name: name, required: required, target: target, mappings: mappings}, nil
 }
@@ -111,33 +99,17 @@ func (a *Adaptor) Invoke(ctx context.Context, op string, req any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("adaptor %s: %w: %q", a.name, ErrUnknownOp, op)
 	}
-	in := req
-	var err error
-	if m.MapIn != nil {
-		in, err = m.MapIn(req)
-		if err != nil {
-			return nil, fmt.Errorf("adaptor %s: mapping request for %s: %w", a.name, op, err)
-		}
+	in, err := m.MapIn(req)
+	if err != nil {
+		return nil, fmt.Errorf("adaptor %s: mapping request for %s: %w", a.name, op, err)
 	}
 	out, err := a.target.Invoke(ctx, m.TargetOp, in)
 	if err != nil {
 		return nil, err
 	}
-	if m.MapOut != nil {
-		out, err = m.MapOut(out)
-		if err != nil {
-			return nil, fmt.Errorf("adaptor %s: mapping response for %s: %w", a.name, op, err)
-		}
+	out, err = m.MapOut(out)
+	if err != nil {
+		return nil, fmt.Errorf("adaptor %s: mapping response for %s: %w", a.name, op, err)
 	}
 	return out, nil
-}
-
-// MappedOps returns the required-op -> target-op mapping, for
-// diagnostics and tests.
-func (a *Adaptor) MappedOps() map[string]string {
-	out := make(map[string]string, len(a.mappings))
-	for k, v := range a.mappings {
-		out[k] = v.TargetOp
-	}
-	return out
 }

@@ -69,19 +69,16 @@ type Component struct {
 // Instance returns the instantiated service, or nil before deployment.
 func (c *Component) Instance() Service { return c.instance }
 
-// Refs returns the wired references, or nil before deployment.
-func (c *Component) Refs() map[string]*Ref { return c.refs }
-
 // instantiate wires references against the registry and creates the
-// service instance. Architecture properties are layered under the
-// component's own properties so assertions can see both.
-func (c *Component) instantiate(reg *Registry, arch *Properties) (Service, error) {
+// service instance. The enclosing composite's properties are layered
+// under the component's own, which win.
+func (c *Component) instantiate(reg *Registry, compositeProps map[string]string) (Service, error) {
 	if c.Impl == nil {
 		return nil, fmt.Errorf("core: component %s has no implementation", c.Name)
 	}
 	props := NewProperties()
-	if arch != nil {
-		props.Merge(arch)
+	for k, v := range compositeProps {
+		props.Set(k, v)
 	}
 	for k, v := range c.Properties {
 		props.Set(k, v)
@@ -138,16 +135,6 @@ func (cp *Composite) AddComposite(child *Composite) *Composite {
 	return cp
 }
 
-// ComponentCount returns the number of components including nested
-// composites.
-func (cp *Composite) ComponentCount() int {
-	n := len(cp.Components)
-	for _, child := range cp.Composites {
-		n += child.ComponentCount()
-	}
-	return n
-}
-
 // Walk visits every component depth-first in deployment order.
 func (cp *Composite) Walk(f func(path string, c *Component) error) error {
 	for _, c := range cp.Components {
@@ -160,21 +147,6 @@ func (cp *Composite) Walk(f func(path string, c *Component) error) error {
 			return f(cp.Name+"/"+path, c)
 		}); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// FindComponent locates a component by name anywhere in the tree.
-func (cp *Composite) FindComponent(name string) *Component {
-	for _, c := range cp.Components {
-		if c.Name == name {
-			return c
-		}
-	}
-	for _, child := range cp.Composites {
-		if c := child.FindComponent(name); c != nil {
-			return c
 		}
 	}
 	return nil

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
-
 // OpSpec describes one operation of a service interface: its name, the
 // contract names of its input and output payloads, and an optional
 // semantic tag. Semantic tags are the hook used by automatic adaptor
@@ -13,82 +7,41 @@ import (
 // semantic tag are considered functionally equivalent even if their
 // names and payload types differ.
 type OpSpec struct {
-	Name     string `json:"name"`
-	In       string `json:"in"`
-	Out      string `json:"out"`
-	Semantic string `json:"semantic,omitempty"`
-	Doc      string `json:"doc,omitempty"`
+	Name     string
+	In       string
+	Out      string
+	Semantic string
+	Doc      string
 }
 
 // Description is the descriptive part of a service contract: a human
-// summary plus machine-readable data-type and operation semantics used
-// during adaptor generation and service discovery.
+// summary of what the service does.
 type Description struct {
-	Summary   string            `json:"summary,omitempty"`
-	DataTypes map[string]string `json:"dataTypes,omitempty"`
+	Summary string
 }
 
-// Assertion is a single policy precondition over architecture or
-// component properties: Property Op Value, e.g. {"buffer.frames", ">=", "8"}.
-type Assertion struct {
-	Property string `json:"property"`
-	Op       string `json:"op"` // "==", "!=", ">=", "<=", ">", "<"
-	Value    string `json:"value"`
-}
-
-// Policy captures the conditions of interaction of a service: interfaces
-// it depends on, assertions that must hold before it may be invoked, a
-// concurrency bound, and whether the service may be disabled in
-// small-footprint profiles (Section 4).
-type Policy struct {
-	Dependencies  []string    `json:"dependencies,omitempty"`
-	Preconditions []Assertion `json:"preconditions,omitempty"`
-	MaxConcurrent int         `json:"maxConcurrent,omitempty"` // 0 = unlimited
-	Disableable   bool        `json:"disableable,omitempty"`
-}
-
-// Quality is the functional-quality description of a service. The
-// coordinator and selectors use it to rank otherwise equivalent
-// providers (flexibility by selection, Section 3.5).
+// Quality is the functional-quality description of a service
+// (Section 3.5), advertised through the registry alongside the
+// interface.
 type Quality struct {
 	// LatencyClass is a coarse cost class: "memory" < "disk" < "network".
-	LatencyClass string `json:"latencyClass,omitempty"`
+	LatencyClass string
 	// Availability is the advertised availability in [0,1].
-	Availability float64 `json:"availability,omitempty"`
-	// ThroughputOps is the advertised sustainable operations/second.
-	ThroughputOps float64 `json:"throughputOps,omitempty"`
+	Availability float64
 	// CostFactor is a relative cost weight; lower is preferred.
-	CostFactor float64 `json:"costFactor,omitempty"`
-}
-
-// LatencyClassRank orders latency classes from cheapest to most
-// expensive. Unknown classes rank last.
-func LatencyClassRank(class string) int {
-	switch class {
-	case "memory":
-		return 0
-	case "disk":
-		return 1
-	case "network":
-		return 2
-	default:
-		return 3
-	}
+	CostFactor float64
 }
 
 // Contract is the service contract of Section 3.2: interface name,
-// operations, description, policy and quality. Contracts are the only
+// operations, description and quality. Contracts are the only
 // knowledge callers have about a service; implementations stay hidden.
 type Contract struct {
 	// Interface is the logical interface name, e.g. "sbdms.storage.Disk".
 	// Multiple services may implement the same interface.
-	Interface string `json:"interface"`
-	// Version is a free-form version tag.
-	Version     string      `json:"version,omitempty"`
-	Operations  []OpSpec    `json:"operations"`
-	Description Description `json:"description,omitempty"`
-	Policy      Policy      `json:"policy,omitempty"`
-	Quality     Quality     `json:"quality,omitempty"`
+	Interface   string
+	Operations  []OpSpec
+	Description Description
+	Quality     Quality
 }
 
 // Clone returns a deep copy of the contract.
@@ -98,14 +51,6 @@ func (c *Contract) Clone() *Contract {
 	}
 	cp := *c
 	cp.Operations = append([]OpSpec(nil), c.Operations...)
-	cp.Policy.Dependencies = append([]string(nil), c.Policy.Dependencies...)
-	cp.Policy.Preconditions = append([]Assertion(nil), c.Policy.Preconditions...)
-	if c.Description.DataTypes != nil {
-		cp.Description.DataTypes = make(map[string]string, len(c.Description.DataTypes))
-		for k, v := range c.Description.DataTypes {
-			cp.Description.DataTypes[k] = v
-		}
-	}
 	return &cp
 }
 
@@ -131,68 +76,4 @@ func (c *Contract) OpBySemantic(tag string) (OpSpec, bool) {
 		}
 	}
 	return OpSpec{}, false
-}
-
-// Satisfies reports whether a service with contract c can serve callers
-// that require contract req through the same interface: every required
-// operation must exist with identical name and payload types. This is
-// the check behind flexibility by selection — substitution without
-// adaptation.
-func (c *Contract) Satisfies(req *Contract) bool {
-	if c == nil || req == nil {
-		return false
-	}
-	for _, want := range req.Operations {
-		got, ok := c.Op(want.Name)
-		if !ok || got.In != want.In || got.Out != want.Out {
-			return false
-		}
-	}
-	return true
-}
-
-// Document renders the contract as its open-format service description
-// document (JSON; the stdlib stand-in for WSDL/WS-Policy, see DESIGN.md).
-func (c *Contract) Document() ([]byte, error) {
-	cp := c.Clone()
-	sort.Slice(cp.Operations, func(i, j int) bool { return cp.Operations[i].Name < cp.Operations[j].Name })
-	return json.MarshalIndent(cp, "", "  ")
-}
-
-// ParseContract parses a service description document produced by
-// Document.
-func ParseContract(doc []byte) (*Contract, error) {
-	var c Contract
-	if err := json.Unmarshal(doc, &c); err != nil {
-		return nil, fmt.Errorf("core: parsing contract document: %w", err)
-	}
-	if c.Interface == "" {
-		return nil, fmt.Errorf("core: contract document missing interface name")
-	}
-	return &c, nil
-}
-
-// Validate checks structural well-formedness of a contract.
-func (c *Contract) Validate() error {
-	if c.Interface == "" {
-		return fmt.Errorf("core: contract has empty interface name")
-	}
-	seen := make(map[string]bool, len(c.Operations))
-	for _, op := range c.Operations {
-		if op.Name == "" {
-			return fmt.Errorf("core: contract %s has an unnamed operation", c.Interface)
-		}
-		if seen[op.Name] {
-			return fmt.Errorf("core: contract %s declares operation %q twice", c.Interface, op.Name)
-		}
-		seen[op.Name] = true
-	}
-	for _, a := range c.Policy.Preconditions {
-		switch a.Op {
-		case "==", "!=", ">=", "<=", ">", "<":
-		default:
-			return fmt.Errorf("core: contract %s has precondition with unknown comparator %q", c.Interface, a.Op)
-		}
-	}
-	return nil
 }

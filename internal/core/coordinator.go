@@ -75,11 +75,11 @@ type ReleaseResourcesRequest struct {
 
 // CoordStatus is the coordinator's status response.
 type CoordStatus struct {
-	ManagedRefs   int
-	RequiredIfcs  []string
-	AvoidedSvcs   []string
-	Adaptations   int
-	Switches      int
+	ManagedRefs  int
+	RequiredIfcs []string
+	AvoidedSvcs  []string
+	Adaptations  int
+	Switches     int
 }
 
 // NewCoordinator creates a coordinator bound to the kernel's registry,
@@ -156,16 +156,6 @@ func (c *Coordinator) Manage(refs ...*Ref) {
 		for name := range c.avoided {
 			r.Avoid(name, true)
 		}
-	}
-}
-
-// Require marks an interface as required even without a managed ref
-// (e.g. workflow steps).
-func (c *Coordinator) Require(ifaces ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, i := range ifaces {
-		c.required[i] = true
 	}
 }
 

@@ -26,6 +26,17 @@ func deployEchoPair(t *testing.T) (*Kernel, *Ref) {
 	return k, k.Ref("test.Echo", nil)
 }
 
+// deployedService returns the running instance a kernel registered
+// under name.
+func deployedService(t *testing.T, k *Kernel, name string) *BaseService {
+	t.Helper()
+	reg, err := k.Registry().Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg.Invoker.(*BaseService)
+}
+
 func TestCoordinatorSelectionOnFailure(t *testing.T) {
 	ctx := context.Background()
 	k, ref := deployEchoPair(t)
@@ -34,8 +45,7 @@ func TestCoordinatorSelectionOnFailure(t *testing.T) {
 	}
 	// Fail the primary; a probe sweep must remove it and selection must
 	// switch to the backup without adaptation.
-	prim, _ := k.Component("primary")
-	prim.Instance().(*BaseService).SetState(StateFailed)
+	deployedService(t, k, "primary").SetState(StateFailed)
 	failed := k.Coordinator().ProbeOnce(ctx)
 	if len(failed) != 1 || failed[0] != "primary" {
 		t.Fatalf("failed = %v", failed)
@@ -85,8 +95,7 @@ func TestCoordinatorAdaptationOnFailure(t *testing.T) {
 	if out, _ := ref.Invoke(ctx, "echo", "x"); out != "primary:x" {
 		t.Fatal("primary must serve first")
 	}
-	prim, _ := k.Component("primary")
-	prim.Instance().(*BaseService).SetState(StateFailed)
+	deployedService(t, k, "primary").SetState(StateFailed)
 	k.Coordinator().ProbeOnce(ctx)
 
 	out, err := ref.Invoke(ctx, "echo", "x")
@@ -121,8 +130,7 @@ func TestCoordinatorRepairNoCandidate(t *testing.T) {
 	defer k.Stop(ctx)
 	ref := k.Ref("test.Echo", nil)
 	_ = ref
-	only, _ := k.Component("only")
-	only.Instance().(*BaseService).SetState(StateFailed)
+	deployedService(t, k, "only").SetState(StateFailed)
 	k.Coordinator().ProbeOnce(ctx)
 	// Nothing to adapt to: interface stays uncovered.
 	if _, err := ref.Invoke(ctx, "echo", "x"); !errors.Is(err, ErrNotFound) {
@@ -207,8 +215,7 @@ func TestCoordinatorOperationalLoopDetectsFailure(t *testing.T) {
 	if out, _ := ref.Invoke(ctx, "echo", "x"); out != "primary:x" {
 		t.Fatal("primary must serve first")
 	}
-	prim, _ := k.Component("primary")
-	prim.Instance().(*BaseService).SetState(StateFailed)
+	deployedService(t, k, "primary").SetState(StateFailed)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		out, err := ref.Invoke(ctx, "echo", "x")
@@ -257,51 +264,6 @@ func TestCoordinatorLowResourceEventSteersLoad(t *testing.T) {
 	t.Fatal("low-resource alert did not steer load within 2s")
 }
 
-func TestResourceManagerBudgets(t *testing.T) {
-	bus := NewEventBus(32)
-	rm := NewResourceManager(bus)
-	rm.DefineResource(ResourceBudget{Name: "mem", Capacity: 10, LowWatermark: 0.2})
-	if err := rm.Acquire("mem", 7); err != nil {
-		t.Fatal(err)
-	}
-	used, capn, err := rm.Usage("mem")
-	if err != nil || used != 7 || capn != 10 {
-		t.Fatalf("usage = %d/%d, %v", used, capn, err)
-	}
-	// Crossing the watermark fires exactly one low event.
-	if err := rm.Acquire("mem", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.Acquire("mem", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.Acquire("mem", 1); !errors.Is(err, ErrResourceExhausted) {
-		t.Fatalf("over-budget err = %v", err)
-	}
-	counts := bus.CountByType()
-	if counts[EventLowResources] != 1 {
-		t.Fatalf("low events = %d, want 1", counts[EventLowResources])
-	}
-	// Releasing past the watermark fires recovery.
-	rm.Release("mem", 8)
-	counts = bus.CountByType()
-	if counts[EventResourcesReleased] != 1 {
-		t.Fatalf("release events = %d, want 1", counts[EventResourcesReleased])
-	}
-	// Over-release clamps at zero.
-	rm.Release("mem", 100)
-	used, _, _ = rm.Usage("mem")
-	if used != 0 {
-		t.Fatalf("used = %d after over-release", used)
-	}
-	if err := rm.Acquire("nosuch", 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("unknown resource err = %v", err)
-	}
-	if got := rm.Resources(); len(got) != 1 || got[0] != "mem" {
-		t.Fatalf("Resources = %v", got)
-	}
-}
-
 func TestResourceManagerServiceStates(t *testing.T) {
 	bus := NewEventBus(32)
 	rm := NewResourceManager(bus)
@@ -314,11 +276,10 @@ func TestResourceManagerServiceStates(t *testing.T) {
 	if counts[EventServiceDegraded] != 1 || counts[EventServiceRecovered] != 1 || counts[EventServiceFailed] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if st, ok := rm.ServiceState("svc"); !ok || st != StateFailed {
+	if st, ok := rm.states["svc"]; !ok || st != StateFailed {
 		t.Fatalf("state = %v, %v", st, ok)
 	}
-	states := rm.ServiceStates()
-	if len(states) != 1 || states["svc"] != StateFailed {
-		t.Fatalf("states = %v", states)
+	if len(rm.states) != 1 {
+		t.Fatalf("states = %v", rm.states)
 	}
 }

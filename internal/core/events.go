@@ -19,12 +19,9 @@ const (
 	EventServiceDegraded     EventType = "service.degraded"
 	EventServiceRecovered    EventType = "service.recovered"
 	EventLowResources        EventType = "resource.low"
-	EventResourcesReleased   EventType = "resource.released"
 	EventAdaptorCreated      EventType = "adaptor.created"
 	EventReconfigured        EventType = "architecture.reconfigured"
-	EventPropertyChanged     EventType = "property.changed"
 	EventComponentDeployed   EventType = "component.deployed"
-	EventComponentUndeployed EventType = "component.undeployed"
 	EventWorkflowSwitched    EventType = "workflow.switched"
 )
 
@@ -54,8 +51,8 @@ type busSub struct {
 	filter func(Event) bool
 }
 
-// NewEventBus creates a bus retaining the last histN events for late
-// subscribers and diagnostics (0 keeps no history).
+// NewEventBus creates a bus retaining the last histN events for
+// CountByType (0 keeps no history).
 func NewEventBus(histN int) *EventBus {
 	return &EventBus{subs: make(map[int]*busSub), histN: histN}
 }
@@ -131,13 +128,6 @@ func (b *EventBus) SubscribeTypes(buf int, types ...EventType) (<-chan Event, fu
 		set[t] = true
 	}
 	return b.Subscribe(buf, func(ev Event) bool { return len(set) == 0 || set[ev.Type] })
-}
-
-// History returns a copy of the retained event history.
-func (b *EventBus) History() []Event {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return append([]Event(nil), b.hist...)
 }
 
 // CountByType tallies retained history events by type; used by tests

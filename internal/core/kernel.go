@@ -15,18 +15,16 @@ var (
 )
 
 // Kernel hosts a running SBDMS architecture: it owns the registry,
-// repository, resource manager, event bus, workflow set and coordinator,
-// and drives the two phases of Section 3.3 — the setup phase (process
-// composition and service configuration) and the operational phase
-// (monitoring and reconfiguration).
+// repository, resource manager, event bus and coordinator, and drives
+// the two phases of Section 3.3 — the setup phase (process composition
+// and service configuration) and the operational phase (monitoring and
+// reconfiguration).
 type Kernel struct {
 	bus       *EventBus
 	registry  *Registry
 	repo      *Repository
 	resources *ResourceManager
-	workflows *WorkflowSet
 	coord     *Coordinator
-	arch      *Properties
 
 	mu       sync.Mutex
 	deployed []*Component // in start order, for reverse-order stop
@@ -41,8 +39,7 @@ const eventHistory = 1024
 type KernelOption func(*kernelOptions)
 
 type kernelOptions struct {
-	coordCfg  CoordinatorConfig
-	coordName string
+	coordCfg CoordinatorConfig
 }
 
 // WithCoordinatorConfig overrides the coordinator configuration.
@@ -50,15 +47,10 @@ func WithCoordinatorConfig(cfg CoordinatorConfig) KernelOption {
 	return func(o *kernelOptions) { o.coordCfg = cfg }
 }
 
-// WithCoordinatorName names the kernel coordinator service.
-func WithCoordinatorName(name string) KernelOption {
-	return func(o *kernelOptions) { o.coordName = name }
-}
-
 // NewKernel assembles a kernel with its coordinator registered in the
 // registry (the coordinator is a service like any other).
 func NewKernel(opts ...KernelOption) *Kernel {
-	o := kernelOptions{coordCfg: DefaultCoordinatorConfig(), coordName: "coordinator"}
+	o := kernelOptions{coordCfg: DefaultCoordinatorConfig()}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -71,11 +63,9 @@ func NewKernel(opts ...KernelOption) *Kernel {
 		registry:  reg,
 		repo:      repo,
 		resources: rm,
-		workflows: NewWorkflowSet(),
-		arch:      NewProperties(),
 		byName:    make(map[string]*Component),
 	}
-	k.coord = NewCoordinator(o.coordName, o.coordCfg, reg, repo, rm, bus)
+	k.coord = NewCoordinator("coordinator", o.coordCfg, reg, repo, rm, bus)
 	return k
 }
 
@@ -85,21 +75,11 @@ func (k *Kernel) Registry() *Registry { return k.registry }
 // Repository returns the kernel's service repository.
 func (k *Kernel) Repository() *Repository { return k.repo }
 
-// Resources returns the kernel's resource manager.
-func (k *Kernel) Resources() *ResourceManager { return k.resources }
-
 // Bus returns the kernel's event bus.
 func (k *Kernel) Bus() *EventBus { return k.bus }
 
-// Workflows returns the kernel's workflow set.
-func (k *Kernel) Workflows() *WorkflowSet { return k.workflows }
-
 // Coordinator returns the kernel coordinator service.
 func (k *Kernel) Coordinator() *Coordinator { return k.coord }
-
-// Arch returns the architecture properties (Section 3.6), settable by
-// users and monitoring services.
-func (k *Kernel) Arch() *Properties { return k.arch }
 
 // Deploy runs the setup phase for a composite: components are
 // instantiated depth-first in declaration order, their contracts are
@@ -130,20 +110,9 @@ func (k *Kernel) deployComponent(ctx context.Context, c *Component, compositePro
 	}
 	k.mu.Unlock()
 
-	arch := k.arch.Clone()
-	for kk, v := range compositeProps {
-		if _, set := c.Properties[kk]; !set {
-			arch.Set(kk, v)
-		}
-	}
-	svc, err := c.instantiate(k.registry, arch)
+	svc, err := c.instantiate(k.registry, compositeProps)
 	if err != nil {
 		return err
-	}
-	// Policy preconditions gate deployment against architecture state.
-	if violated, ok := k.checkPolicy(svc.Contract()); !ok {
-		return fmt.Errorf("core: component %s policy precondition violated: %s %s %s",
-			c.Name, violated.Property, violated.Op, violated.Value)
 	}
 	if err := k.repo.PutContract(svc.Contract()); err != nil {
 		return fmt.Errorf("core: storing contract for %s: %w", c.Name, err)
@@ -164,44 +133,6 @@ func (k *Kernel) deployComponent(ctx context.Context, c *Component, compositePro
 	k.mu.Unlock()
 	k.resources.SetServiceState(svc.Name(), StateRunning)
 	k.bus.Publish(Event{Type: EventComponentDeployed, Subject: c.Name})
-	return nil
-}
-
-func (k *Kernel) checkPolicy(c *Contract) (Assertion, bool) {
-	if c == nil {
-		return Assertion{}, true
-	}
-	return k.arch.CheckPreconditions(c.Policy)
-}
-
-// Undeploy stops and deregisters a deployed component's service. When
-// the service's policy marks it disableable, this is how small-footprint
-// profiles shed functionality (Section 4).
-func (k *Kernel) Undeploy(ctx context.Context, name string) error {
-	k.mu.Lock()
-	c, ok := k.byName[name]
-	if ok {
-		delete(k.byName, name)
-		for i, d := range k.deployed {
-			if d == c {
-				k.deployed = append(k.deployed[:i], k.deployed[i+1:]...)
-				break
-			}
-		}
-	}
-	k.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: component %s", ErrNotFound, name)
-	}
-	svc := c.Instance()
-	if svc != nil {
-		_ = k.registry.Deregister(svc.Name())
-		if err := svc.Stop(ctx); err != nil {
-			return err
-		}
-		k.resources.SetServiceState(svc.Name(), StateStopped)
-	}
-	k.bus.Publish(Event{Type: EventComponentUndeployed, Subject: name})
 	return nil
 }
 
@@ -247,25 +178,6 @@ func (k *Kernel) Stop(ctx context.Context) error {
 		}
 	}
 	return firstErr
-}
-
-// Deployed returns the names of deployed components in start order.
-func (k *Kernel) Deployed() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]string, len(k.deployed))
-	for i, c := range k.deployed {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// Component returns a deployed component by name.
-func (k *Kernel) Component(name string) (*Component, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	c, ok := k.byName[name]
-	return c, ok
 }
 
 // Ref creates a late-bound reference resolved through the kernel

@@ -1,13 +1,12 @@
 // Package core implements the SBDMS service kernel: services, contracts,
-// registries, repositories, coordinators, resource managers, adaptors,
-// workflows and the SCA-style component/composite model described in
+// registries, repositories, coordinators, resource managers, adaptors
+// and the SCA-style component/composite model described in
 // "Architectural Concerns for Flexible Data Management" (Subasu et al.,
 // EDBT 2008 SETMDM).
 //
 // The kernel is deliberately independent of any particular database
-// functionality: storage, access, data and extension services are built
-// on top of it (see the internal/storage, internal/access, internal/sql
-// and extension packages) and wired together through composites.
+// functionality: the storage, access and data services of the root
+// package are built on top of it and reached through its registry.
 package core
 
 import (
@@ -47,20 +46,6 @@ func TypeName(v any) string {
 		return "nil"
 	}
 	t := reflect.TypeOf(v)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t.PkgPath() == "" {
-		return t.String()
-	}
-	return t.PkgPath() + "." + t.Name()
-}
-
-// TypeNameOf returns the contract name of a reflect.Type.
-func TypeNameOf(t reflect.Type) string {
-	if t == nil {
-		return "nil"
-	}
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}

@@ -1,22 +1,14 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"sync"
-)
+import "sync"
 
-// Properties is the property mechanism of Section 3.6: a typed-access
-// string map read by components at instantiation to customise their
-// behaviour, and by the running architecture ("architecture properties")
-// to signal state such as low resources or removed components. It is
-// safe for concurrent use and supports change subscriptions so that
-// coordinator services can react to property updates.
+// Properties is the property mechanism of Section 3.6: a string map
+// read by components at instantiation to customise their behaviour. A
+// component sees its composite's properties overlaid by its own. It is
+// safe for concurrent use.
 type Properties struct {
 	mu     sync.RWMutex
 	values map[string]string
-	subs   []func(key, value string)
 }
 
 // NewProperties creates an empty property set.
@@ -24,50 +16,12 @@ func NewProperties() *Properties {
 	return &Properties{values: make(map[string]string)}
 }
 
-// PropertiesFrom creates a property set from a plain map.
-func PropertiesFrom(m map[string]string) *Properties {
-	p := NewProperties()
-	for k, v := range m {
-		p.values[k] = v
-	}
-	return p
-}
-
-// Clone returns an independent copy with no subscribers.
-func (p *Properties) Clone() *Properties {
-	if p == nil {
-		return NewProperties()
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	cp := NewProperties()
-	for k, v := range p.values {
-		cp.values[k] = v
-	}
-	return cp
-}
-
-// Set stores a property and notifies subscribers.
+// Set stores a property.
 func (p *Properties) Set(key, value string) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.values[key] = value
-	subs := append(make([]func(string, string), 0, len(p.subs)), p.subs...)
-	p.mu.Unlock()
-	for _, f := range subs {
-		f(key, value)
-	}
 }
-
-// SetInt stores an integer property.
-func (p *Properties) SetInt(key string, v int64) { p.Set(key, strconv.FormatInt(v, 10)) }
-
-// SetFloat stores a float property.
-func (p *Properties) SetFloat(key string, v float64) {
-	p.Set(key, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// SetBool stores a boolean property.
-func (p *Properties) SetBool(key string, v bool) { p.Set(key, strconv.FormatBool(v)) }
 
 // Get returns the property value and whether it is present.
 func (p *Properties) Get(key string) (string, bool) {
@@ -83,155 +37,4 @@ func (p *Properties) String(key, def string) string {
 		return v
 	}
 	return def
-}
-
-// Int returns the property parsed as int64, or def when absent or
-// malformed.
-func (p *Properties) Int(key string, def int64) int64 {
-	v, ok := p.Get(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return def
-	}
-	return n
-}
-
-// Float returns the property parsed as float64, or def.
-func (p *Properties) Float(key string, def float64) float64 {
-	v, ok := p.Get(key)
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return def
-	}
-	return f
-}
-
-// Bool returns the property parsed as bool, or def.
-func (p *Properties) Bool(key string, def bool) bool {
-	v, ok := p.Get(key)
-	if !ok {
-		return def
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return def
-	}
-	return b
-}
-
-// Delete removes a property. Subscribers are notified with an empty
-// value.
-func (p *Properties) Delete(key string) {
-	p.mu.Lock()
-	delete(p.values, key)
-	subs := append(make([]func(string, string), 0, len(p.subs)), p.subs...)
-	p.mu.Unlock()
-	for _, f := range subs {
-		f(key, "")
-	}
-}
-
-// Subscribe registers a callback invoked on every Set/Delete. The
-// callback must not block.
-func (p *Properties) Subscribe(f func(key, value string)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.subs = append(p.subs, f)
-}
-
-// Keys returns the sorted property keys.
-func (p *Properties) Keys() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	keys := make([]string, 0, len(p.values))
-	for k := range p.values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Len returns the number of properties.
-func (p *Properties) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.values)
-}
-
-// Merge copies all properties from other into p.
-func (p *Properties) Merge(other *Properties) {
-	if other == nil {
-		return
-	}
-	other.mu.RLock()
-	pairs := make(map[string]string, len(other.values))
-	for k, v := range other.values {
-		pairs[k] = v
-	}
-	other.mu.RUnlock()
-	for k, v := range pairs {
-		p.Set(k, v)
-	}
-}
-
-// EvalAssertion evaluates a single policy assertion against the
-// property set. Numeric comparison is attempted first; if either side
-// does not parse as a number, string comparison is used for ==/!= and
-// lexicographic order for the inequalities.
-func (p *Properties) EvalAssertion(a Assertion) (bool, error) {
-	have, ok := p.Get(a.Property)
-	if !ok {
-		return false, nil
-	}
-	ln, lerr := strconv.ParseFloat(have, 64)
-	rn, rerr := strconv.ParseFloat(a.Value, 64)
-	if lerr == nil && rerr == nil {
-		switch a.Op {
-		case "==":
-			return ln == rn, nil
-		case "!=":
-			return ln != rn, nil
-		case ">=":
-			return ln >= rn, nil
-		case "<=":
-			return ln <= rn, nil
-		case ">":
-			return ln > rn, nil
-		case "<":
-			return ln < rn, nil
-		}
-	}
-	switch a.Op {
-	case "==":
-		return have == a.Value, nil
-	case "!=":
-		return have != a.Value, nil
-	case ">=":
-		return have >= a.Value, nil
-	case "<=":
-		return have <= a.Value, nil
-	case ">":
-		return have > a.Value, nil
-	case "<":
-		return have < a.Value, nil
-	}
-	return false, fmt.Errorf("core: unknown assertion comparator %q", a.Op)
-}
-
-// CheckPreconditions evaluates every precondition of a policy and
-// returns the first violated assertion, if any.
-func (p *Properties) CheckPreconditions(pol Policy) (Assertion, bool) {
-	for _, a := range pol.Preconditions {
-		ok, err := p.EvalAssertion(a)
-		if err != nil || !ok {
-			return a, false
-		}
-	}
-	return Assertion{}, true
 }

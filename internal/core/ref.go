@@ -23,45 +23,6 @@ func SelectFirst(cands []*Registration) *Registration {
 	return cands[0]
 }
 
-// SelectLowestCost picks the candidate whose quality description
-// advertises the lowest cost factor, breaking ties by latency class
-// then name.
-func SelectLowestCost(cands []*Registration) *Registration {
-	var best *Registration
-	for _, c := range cands {
-		if best == nil || less(c, best) {
-			best = c
-		}
-	}
-	return best
-}
-
-func less(a, b *Registration) bool {
-	qa, qb := a.Contract.Quality, b.Contract.Quality
-	if qa.CostFactor != qb.CostFactor {
-		return qa.CostFactor < qb.CostFactor
-	}
-	ra, rb := LatencyClassRank(qa.LatencyClass), LatencyClassRank(qb.LatencyClass)
-	if ra != rb {
-		return ra < rb
-	}
-	return a.Name < b.Name
-}
-
-// SelectHighestAvailability prefers the candidate advertising the
-// highest availability, ties broken by cost.
-func SelectHighestAvailability(cands []*Registration) *Registration {
-	var best *Registration
-	for _, c := range cands {
-		if best == nil ||
-			c.Contract.Quality.Availability > best.Contract.Quality.Availability ||
-			(c.Contract.Quality.Availability == best.Contract.Quality.Availability && less(c, best)) {
-			best = c
-		}
-	}
-	return best
-}
-
 // SelectByTag prefers candidates whose tag matches the wanted value
 // (e.g. node locality for the Section 4 distributed scenario), falling
 // back to the next selector for ties or when no candidate matches.
@@ -83,27 +44,6 @@ func SelectByTag(key, value string, next Selector) Selector {
 	}
 }
 
-// SelectAvoid excludes a named provider, then applies the next
-// selector; coordinators use it to steer load away from services that
-// requested resource release (Section 3.7, Figure 6).
-func SelectAvoid(name string, next Selector) Selector {
-	if next == nil {
-		next = SelectFirst
-	}
-	return func(cands []*Registration) *Registration {
-		var rest []*Registration
-		for _, c := range cands {
-			if c.Name != name {
-				rest = append(rest, c)
-			}
-		}
-		if len(rest) > 0 {
-			return next(rest)
-		}
-		return next(cands)
-	}
-}
-
 // Ref is a late-bound service reference: it resolves a provider of an
 // interface through the registry at call time and caches the choice
 // until the registry changes or the provider fails. Late binding is
@@ -113,16 +53,18 @@ func SelectAvoid(name string, next Selector) Selector {
 type Ref struct {
 	registry *Registry
 	iface    string
-
-	mu       sync.RWMutex
 	selector Selector
-	avoid    map[string]bool
+
+	mu    sync.RWMutex
+	avoid map[string]bool
 
 	cached atomic.Pointer[Registration]
 	// cacheEnabled=false forces a registry lookup on every call; the
 	// G4 ablation benchmark measures the difference.
 	cacheEnabled bool
-	gen          atomic.Uint64 // bumped to invalidate the cache
+	// gen counts invalidations, so a resolution that raced one does not
+	// cache a choice made on stale avoidance or registry state.
+	gen atomic.Uint64
 }
 
 // NewRef creates a late-bound reference to any provider of iface in the
@@ -145,18 +87,6 @@ func NewUncachedRef(registry *Registry, iface string, sel Selector) *Ref {
 
 // Interface returns the required interface name.
 func (r *Ref) Interface() string { return r.iface }
-
-// SetSelector replaces the selection strategy and invalidates the
-// cached resolution.
-func (r *Ref) SetSelector(sel Selector) {
-	if sel == nil {
-		sel = SelectFirst
-	}
-	r.mu.Lock()
-	r.selector = sel
-	r.mu.Unlock()
-	r.Invalidate()
-}
 
 // Avoid steers the reference away from a named provider (it will only
 // be used when no alternative exists). Passing avoid=false removes the
@@ -186,9 +116,9 @@ func (r *Ref) Resolve() (*Registration, error) {
 			return reg, nil
 		}
 	}
+	gen := r.gen.Load()
 	cands := r.registry.Discover(r.iface)
 	r.mu.RLock()
-	sel := r.selector
 	if len(r.avoid) > 0 && len(cands) > 0 {
 		var rest []*Registration
 		for _, c := range cands {
@@ -201,12 +131,17 @@ func (r *Ref) Resolve() (*Registration, error) {
 		}
 	}
 	r.mu.RUnlock()
-	reg := sel(cands)
+	reg := r.selector(cands)
 	if reg == nil {
 		return nil, fmt.Errorf("%w: no provider for interface %s", ErrNotFound, r.iface)
 	}
 	if r.cacheEnabled {
 		r.cached.Store(reg)
+		// An Invalidate since gen was read may have steered away from
+		// reg; its Store(nil) could have landed before ours.
+		if r.gen.Load() != gen {
+			r.cached.CompareAndSwap(reg, nil)
+		}
 	}
 	return reg, nil
 }

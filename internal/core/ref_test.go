@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -122,47 +123,63 @@ func TestSelectors(t *testing.T) {
 	if got := SelectFirst(cands); got.Name != "exp" {
 		t.Fatalf("SelectFirst = %s", got.Name)
 	}
-	if got := SelectLowestCost(cands); got.Name != "chp" {
-		t.Fatalf("SelectLowestCost = %s", got.Name)
-	}
-	if got := SelectHighestAvailability(cands); got.Name != "mid" {
-		t.Fatalf("SelectHighestAvailability = %s", got.Name)
-	}
 	if got := SelectByTag("node", "near", nil)(cands); got.Name != "mid" {
 		t.Fatalf("SelectByTag = %s", got.Name)
 	}
-	if got := SelectByTag("node", "nowhere", SelectLowestCost)(cands); got.Name != "chp" {
+	if got := SelectByTag("node", "nowhere", nil)(cands); got.Name != "exp" {
 		t.Fatalf("SelectByTag fallback = %s", got.Name)
 	}
-	if got := SelectAvoid("exp", nil)(cands); got.Name != "mid" {
-		t.Fatalf("SelectAvoid = %s", got.Name)
-	}
-	if got := SelectAvoid("only", nil)([]*Registration{mk("only", 1, 1, "memory", nil)}); got.Name != "only" {
-		t.Fatalf("SelectAvoid sole-candidate fallback = %s", got.Name)
-	}
-	if SelectFirst(nil) != nil || SelectLowestCost(nil) != nil || SelectHighestAvailability(nil) != nil {
+	if SelectFirst(nil) != nil || SelectByTag("node", "near", nil)(nil) != nil {
 		t.Fatal("selectors must return nil on empty candidates")
 	}
 }
 
-func TestRefSetSelector(t *testing.T) {
+// An invalidation that lands while a resolution is between Discover and
+// caching its choice must win: the next call re-resolves instead of
+// reusing the provider the invalidation steered away from.
+func TestRefInvalidateDuringResolve(t *testing.T) {
+	ctx := context.Background()
+	r, _ := registryWith(t, map[string]string{"a": "test.Echo", "b": "test.Echo"})
+	inSelector := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	ref := NewRef(r, "test.Echo", func(cands []*Registration) *Registration {
+		once.Do(func() {
+			close(inSelector)
+			<-release
+		})
+		return SelectFirst(cands)
+	})
+	racing := make(chan any)
+	go func() {
+		out, _ := ref.Invoke(ctx, "echo", "x")
+		racing <- out
+	}()
+	<-inSelector
+	ref.Avoid("a", true)
+	close(release)
+	if out := <-racing; out != "a:x" {
+		t.Fatalf("racing call = %v, want a:x (it resolved before the avoid)", out)
+	}
+	if out, _ := ref.Invoke(ctx, "echo", "x"); out != "b:x" {
+		t.Fatalf("call after Avoid(a) = %v, want b:x", out)
+	}
+}
+
+// A cached Ref.Invoke is the hop every kernel call makes: it must not
+// allocate beyond what the provider's handler does (here nothing).
+func TestRefInvokeAllocs(t *testing.T) {
 	ctx := context.Background()
 	r := NewRegistry(nil)
-	cheap := newEchoService(t, "zcheap", "test.Echo")
-	cheap.Contract().Quality.CostFactor = 1
-	costly := newEchoService(t, "acostly", "test.Echo")
-	costly.Contract().Quality.CostFactor = 10
-	for _, s := range []*BaseService{cheap, costly} {
-		if err := r.RegisterService(s, nil); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.RegisterService(newIdentityService(t), nil); err != nil {
+		t.Fatal(err)
 	}
 	ref := NewRef(r, "test.Echo", nil)
-	if out, _ := ref.Invoke(ctx, "echo", "x"); out != "acostly:x" {
-		t.Fatalf("default selection = %v", out)
+	var req any = "x"
+	if _, err := ref.Invoke(ctx, "echo", req); err != nil {
+		t.Fatal(err)
 	}
-	ref.SetSelector(SelectLowestCost)
-	if out, _ := ref.Invoke(ctx, "echo", "x"); out != "zcheap:x" {
-		t.Fatalf("after SetSelector = %v", out)
+	if n := testing.AllocsPerRun(1000, func() { _, _ = ref.Invoke(ctx, "echo", req) }); n != 0 {
+		t.Fatalf("cached Ref.Invoke allocates %.1f per call, want 0", n)
 	}
 }

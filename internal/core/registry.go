@@ -180,19 +180,6 @@ func (r *Registry) Discover(iface string) []*Registration {
 	return out
 }
 
-// Interfaces returns the sorted list of interfaces with at least one
-// live provider.
-func (r *Registry) Interfaces() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byIface))
-	for iface := range r.byIface {
-		out = append(out, iface)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // All returns every live registration sorted by name.
 func (r *Registry) All() []*Registration {
 	r.mu.RLock()
@@ -218,13 +205,6 @@ func (r *Registry) Len() int {
 		}
 	}
 	return n
-}
-
-// Clock returns the registry's current logical clock.
-func (r *Registry) Clock() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.clock
 }
 
 // Snapshot returns copies of every entry (including tombstones) with

@@ -29,8 +29,8 @@ func TestRegistryRegisterLookupDiscover(t *testing.T) {
 	if len(cands) != 2 || cands[0].Name != "a" || cands[1].Name != "b" {
 		t.Fatalf("Discover = %v", names(cands))
 	}
-	if got := r.Interfaces(); len(got) != 2 || got[0] != "test.Echo" || got[1] != "test.Other" {
-		t.Fatalf("Interfaces = %v", got)
+	if got := r.Discover("test.Other"); len(got) != 1 || got[0].Name != "c" {
+		t.Fatalf("Discover(test.Other) = %v", names(got))
 	}
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
@@ -183,7 +183,8 @@ func TestRegistrySnapshotSince(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clock := r.Clock()
+	snap := r.Snapshot(0)
+	clock := snap[len(snap)-1].Version
 	if clock != 5 {
 		t.Fatalf("clock = %d", clock)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -39,8 +38,8 @@ func NewRepository() *Repository {
 
 // PutContract stores (or replaces) the schema for an interface.
 func (r *Repository) PutContract(c *Contract) error {
-	if err := c.Validate(); err != nil {
-		return err
+	if c.Interface == "" {
+		return fmt.Errorf("core: contract has empty interface name")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -57,18 +56,6 @@ func (r *Repository) GetContract(iface string) (*Contract, error) {
 		return nil, fmt.Errorf("%w: contract %s", ErrNotFound, iface)
 	}
 	return c.Clone(), nil
-}
-
-// Contracts returns all stored interface names, sorted.
-func (r *Repository) Contracts() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.contracts))
-	for k := range r.contracts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PutTransform registers a transformation schema converting payloads of
@@ -89,12 +76,4 @@ func (r *Repository) Transform(from, to string) (TransformFunc, bool) {
 	defer r.mu.RUnlock()
 	f, ok := r.transforms[transformKey{from, to}]
 	return f, ok
-}
-
-// TransformCount reports the number of registered (non-identity)
-// transformation schemas.
-func (r *Repository) TransformCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.transforms)
 }

@@ -1,155 +1,21 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-)
-
-// Resource management errors.
-var (
-	// ErrResourceExhausted is returned when an acquisition exceeds the
-	// resource budget.
-	ErrResourceExhausted = errors.New("core: resource exhausted")
-)
-
-// ResourceBudget describes one named, bounded resource (memory frames,
-// battery units, worker slots ...). LowWatermark is the fraction of
-// capacity remaining below which a low-resource event fires (Section 4:
-// "In case of a low resource alert ... the SBDMS architecture can
-// direct the workload to other devices").
-type ResourceBudget struct {
-	Name         string
-	Capacity     int64
-	LowWatermark float64 // e.g. 0.1 fires when <10% remains
-}
-
-type resourceState struct {
-	budget ResourceBudget
-	used   int64
-	lowSet bool
-}
+import "sync"
 
 // ResourceManager is the resource management process of Section 3.1:
-// it tracks service working states, manages bounded resources, and
-// publishes notifications (low-resource alerts, releases) on the event
-// bus for coordinator services to act upon.
+// it tracks service working states and publishes their transitions
+// (failure, degradation, recovery) on the event bus for coordinator
+// services to act upon.
 type ResourceManager struct {
-	mu        sync.Mutex
-	resources map[string]*resourceState
-	states    map[string]State // service working states, by service name
-	bus       *EventBus
+	mu     sync.Mutex
+	states map[string]State // service working states, by service name
+	bus    *EventBus
 }
 
 // NewResourceManager creates a resource manager publishing to bus
 // (which may be nil).
 func NewResourceManager(bus *EventBus) *ResourceManager {
-	return &ResourceManager{
-		resources: make(map[string]*resourceState),
-		states:    make(map[string]State),
-		bus:       bus,
-	}
-}
-
-// DefineResource declares (or redefines) a bounded resource.
-func (rm *ResourceManager) DefineResource(b ResourceBudget) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	prev := rm.resources[b.Name]
-	st := &resourceState{budget: b}
-	if prev != nil {
-		st.used = prev.used
-	}
-	rm.resources[b.Name] = st
-}
-
-// Acquire reserves n units of a resource, failing with
-// ErrResourceExhausted when the budget would be exceeded. Crossing the
-// low watermark publishes EventLowResources once until usage recedes.
-func (rm *ResourceManager) Acquire(name string, n int64) error {
-	rm.mu.Lock()
-	st, ok := rm.resources[name]
-	if !ok {
-		rm.mu.Unlock()
-		return fmt.Errorf("%w: resource %s", ErrNotFound, name)
-	}
-	if st.used+n > st.budget.Capacity {
-		rm.mu.Unlock()
-		return fmt.Errorf("%w: %s (used %d + %d > cap %d)",
-			ErrResourceExhausted, name, st.used, n, st.budget.Capacity)
-	}
-	st.used += n
-	fireLow := rm.checkLowLocked(st)
-	rm.mu.Unlock()
-	if fireLow {
-		rm.publish(EventLowResources, name, fmt.Sprintf("usage %d/%d", st.used, st.budget.Capacity))
-	}
-	return nil
-}
-
-// Release returns n units of a resource. Over-release clamps to zero.
-// When usage recedes above the watermark, EventResourcesReleased is
-// published so coordinators can undo load-shedding measures.
-func (rm *ResourceManager) Release(name string, n int64) {
-	rm.mu.Lock()
-	st, ok := rm.resources[name]
-	if !ok {
-		rm.mu.Unlock()
-		return
-	}
-	st.used -= n
-	if st.used < 0 {
-		st.used = 0
-	}
-	recovered := false
-	if st.lowSet {
-		remaining := float64(st.budget.Capacity-st.used) / float64(st.budget.Capacity)
-		if remaining > st.budget.LowWatermark {
-			st.lowSet = false
-			recovered = true
-		}
-	}
-	used, capn := st.used, st.budget.Capacity
-	rm.mu.Unlock()
-	if recovered {
-		rm.publish(EventResourcesReleased, name, fmt.Sprintf("usage %d/%d", used, capn))
-	}
-}
-
-func (rm *ResourceManager) checkLowLocked(st *resourceState) bool {
-	if st.budget.Capacity <= 0 || st.lowSet {
-		return false
-	}
-	remaining := float64(st.budget.Capacity-st.used) / float64(st.budget.Capacity)
-	if remaining <= st.budget.LowWatermark {
-		st.lowSet = true
-		return true
-	}
-	return false
-}
-
-// Usage returns (used, capacity) for a resource.
-func (rm *ResourceManager) Usage(name string) (int64, int64, error) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	st, ok := rm.resources[name]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: resource %s", ErrNotFound, name)
-	}
-	return st.used, st.budget.Capacity, nil
-}
-
-// Resources returns the sorted names of defined resources.
-func (rm *ResourceManager) Resources() []string {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	out := make([]string, 0, len(rm.resources))
-	for k := range rm.resources {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return &ResourceManager{states: make(map[string]State), bus: bus}
 }
 
 // SetServiceState records a service working state and publishes
@@ -172,25 +38,6 @@ func (rm *ResourceManager) SetServiceState(service string, st State) {
 			rm.publish(EventServiceRecovered, service, "state "+st.String())
 		}
 	}
-}
-
-// ServiceState returns the recorded working state of a service.
-func (rm *ResourceManager) ServiceState(service string) (State, bool) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	st, ok := rm.states[service]
-	return st, ok
-}
-
-// ServiceStates returns a snapshot of all recorded working states.
-func (rm *ResourceManager) ServiceStates() map[string]State {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	out := make(map[string]State, len(rm.states))
-	for k, v := range rm.states {
-		out[k] = v
-	}
-	return out
 }
 
 func (rm *ResourceManager) publish(t EventType, subject, detail string) {

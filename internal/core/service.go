@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // State is the lifecycle state of a service. Resource management
@@ -54,9 +53,6 @@ var (
 	// ErrNotRunning is returned when a service is invoked outside the
 	// running or degraded states.
 	ErrNotRunning = errors.New("core: service not running")
-	// ErrOverloaded is returned when a service's MaxConcurrent policy
-	// bound is exceeded.
-	ErrOverloaded = errors.New("core: service overloaded")
 )
 
 // Service is the atomic architectural unit: a named provider of a
@@ -76,45 +72,19 @@ type Service interface {
 	State() State
 }
 
-// OpStats aggregates invocation statistics for one operation of a
-// service. Monitoring and coordinator services read these to assess
-// functional service properties (Section 3.1).
-type OpStats struct {
-	Calls    uint64
-	Errors   uint64
-	TotalDur time.Duration
-}
-
-// Mean returns the mean call duration, or zero if no calls were made.
-func (o OpStats) Mean() time.Duration {
-	if o.Calls == 0 {
-		return 0
-	}
-	return o.TotalDur / time.Duration(o.Calls)
-}
-
 // BaseService is the standard Service implementation used throughout
-// SBDMS. It dispatches operations to registered handlers, tracks
-// lifecycle state atomically, enforces the contract's concurrency
-// policy, and collects per-operation statistics.
+// SBDMS. It dispatches operations to registered handlers and tracks
+// lifecycle state atomically.
 type BaseService struct {
 	name     string
 	contract *Contract
 	state    atomic.Int32
-	inflight atomic.Int64
 
 	mu       sync.RWMutex
 	handlers map[string]Handler
-	stats    map[string]*opCounters
 
 	onStart func(ctx context.Context) error
 	onStop  func(ctx context.Context) error
-}
-
-type opCounters struct {
-	calls  atomic.Uint64
-	errs   atomic.Uint64
-	durNS  atomic.Int64
 }
 
 // NewService creates a service with the given instance name and
@@ -125,7 +95,6 @@ func NewService(name string, contract *Contract) *BaseService {
 		name:     name,
 		contract: contract,
 		handlers: make(map[string]Handler),
-		stats:    make(map[string]*opCounters),
 	}
 	s.state.Store(int32(StateCreated))
 	return s
@@ -156,7 +125,6 @@ func (s *BaseService) Handle(op string, h Handler) *BaseService {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[op] = h
-	s.stats[op] = &opCounters{}
 	return s
 }
 
@@ -206,56 +174,21 @@ func (s *BaseService) Stop(ctx context.Context) error {
 }
 
 // Invoke implements Invoker. It rejects calls outside running/degraded
-// states, enforces the MaxConcurrent policy and records statistics.
+// states and dispatches to the operation's handler.
 func (s *BaseService) Invoke(ctx context.Context, op string, req any) (any, error) {
 	switch s.State() {
 	case StateRunning, StateDegraded:
 	default:
 		return nil, fmt.Errorf("service %s, operation %s: %w (state %s)", s.name, op, ErrNotRunning, s.State())
 	}
-	if maxc := s.contract.Policy.MaxConcurrent; maxc > 0 {
-		if s.inflight.Add(1) > int64(maxc) {
-			s.inflight.Add(-1)
-			return nil, fmt.Errorf("service %s: %w", s.name, ErrOverloaded)
-		}
-		defer s.inflight.Add(-1)
-	}
 	s.mu.RLock()
 	h := s.handlers[op]
-	c := s.stats[op]
 	s.mu.RUnlock()
 	if h == nil {
 		return nil, fmt.Errorf("service %s: %w: %q", s.name, ErrUnknownOp, op)
 	}
-	start := time.Now()
-	resp, err := h(ctx, req)
-	if c != nil {
-		c.calls.Add(1)
-		c.durNS.Add(int64(time.Since(start)))
-		if err != nil {
-			c.errs.Add(1)
-		}
-	}
-	return resp, err
+	return h(ctx, req)
 }
-
-// Stats returns a snapshot of per-operation statistics.
-func (s *BaseService) Stats() map[string]OpStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]OpStats, len(s.stats))
-	for op, c := range s.stats {
-		out[op] = OpStats{
-			Calls:    c.calls.Load(),
-			Errors:   c.errs.Load(),
-			TotalDur: time.Duration(c.durNS.Load()),
-		}
-	}
-	return out
-}
-
-// Inflight reports the number of invocations currently executing.
-func (s *BaseService) Inflight() int64 { return s.inflight.Load() }
 
 // Ping is the conventional health-check operation name. Services built
 // with NewPingableService answer it automatically.

@@ -423,10 +423,6 @@ func (db *DB) Log() *wal.Log { return db.log }
 // Txns exposes the transaction manager.
 func (db *DB) Txns() *txn.Manager { return db.txns }
 
-// FileManager exposes the file manager (extension services build their
-// own heaps with it).
-func (db *DB) FileManager() *storage.FileManager { return db.fm }
-
 // Granularity reports the active profile.
 func (db *DB) Granularity() Granularity { return db.opts.Granularity }
 
