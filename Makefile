@@ -37,11 +37,12 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # cmd/sbench has no test file: this runs every paper experiment (F1,
-# F2, F5-F7, G1-G5) at toy sizes, writing no BENCH_<EXP>.json, so an
-# Options, flag or kernel change cannot break the paper harness
-# silently.
+# F2, F5-F7, G1-G5) at toy sizes, so an Options, flag or kernel change
+# cannot break the paper harness silently. Reports go to a throwaway
+# directory, so a row that does not encode as JSON fails here too.
 sbench-smoke:
-	$(GO) run ./cmd/sbench -exp all -ops 400 -keys 100 -json ''
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		$(GO) run ./cmd/sbench -exp all -ops 400 -keys 100 -json "$$dir"
 
 # The examples have no test files: this runs each one. embedded and
 # distributed exit non-zero when their failover scenario does not

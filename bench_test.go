@@ -12,7 +12,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -401,25 +400,6 @@ func newNoopService(b *testing.B, name string) *core.BaseService {
 	return s
 }
 
-// --- ablation: buffer replacement policies under zipfian KV -------------
-
-func benchPolicy(b *testing.B, policy string) {
-	db, err := Open(Options{
-		Granularity:  Monolithic,
-		BufferFrames: 32, // small pool so policy matters
-		BufferPolicy: policy,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = db.Close(context.Background()) })
-	runKVMix(b, db, workload.MixB)
-}
-
-func BenchmarkAblation_BufferPolicy_LRU(b *testing.B)   { benchPolicy(b, "lru") }
-func BenchmarkAblation_BufferPolicy_Clock(b *testing.B) { benchPolicy(b, "clock") }
-func BenchmarkAblation_BufferPolicy_TwoQ(b *testing.B)  { benchPolicy(b, "2q") }
-
 // --- contended buffer pool: sharded vs single-mutex baseline -----------
 // Parallel Pin/Unpin from a fixed number of goroutines over a page set
 // larger than the pool, so the pool mutex (or shard mutexes) sit on the
@@ -430,7 +410,7 @@ func benchBufferContention(b *testing.B, nshards, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := buffer.NewSharded(disk, 512, nshards, "lru")
+	pool := buffer.NewSharded(disk, 512, nshards)
 	const npages = 2048
 	ids := make([]storage.PageID, npages)
 	for i := range ids {
@@ -470,8 +450,8 @@ func BenchmarkBufferContention_Sharded_G4(b *testing.B)     { benchBufferContent
 func BenchmarkBufferContention_Sharded_G16(b *testing.B)    { benchBufferContention(b, 8, 16) }
 
 // --- contended WAL commit: group commit ---------------------------------
-// N committers run begin/commit transactions against a file-backed log
-// (real fsync); concurrent committers share one sync.
+// N committers each append a commit record and flush it, against a
+// file-backed log (real fsync); concurrent committers share one sync.
 
 func benchWALCommit(b *testing.B, committers int) {
 	dir, err := wal.NewFileSegmentDir(filepath.Join(b.TempDir(), "wal"))
@@ -482,26 +462,25 @@ func benchWALCommit(b *testing.B, committers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mgr := txn.NewManager(l, nil)
 	per := b.N/committers + 1
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for w := 0; w < committers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(id uint64) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				t, err := mgr.Begin()
+				lsn, err := l.Append(&wal.Record{Txn: id, Type: wal.RecCommit})
 				if err != nil {
 					b.Error(err)
 					return
 				}
-				if err := mgr.Commit(t); err != nil {
+				if err := l.Flush(lsn + 1); err != nil {
 					b.Error(err)
 					return
 				}
 			}
-		}()
+		}(uint64(w + 1))
 	}
 	wg.Wait()
 	b.StopTimer()

@@ -37,11 +37,6 @@ func main() {
 	vacEvery := flag.Duration("vacuum-interval", 0, "background MVCC vacuum period (0 = off); reclaims dead versions behind the snapshot horizon")
 	granularity := flag.String("granularity", "layered", "service granularity: monolithic|coarse|layered|fine")
 	frames := flag.Int("frames", 256, "buffer pool frames")
-	policy := flag.String("policy", "lru", "buffer replacement policy: lru|clock|2q")
-	shards := flag.Int("shards", 0, "buffer pool lock-stripe count (0 = auto, 1 = single mutex)")
-	groupWindow := flag.Duration("wal-group-window", 0, "WAL group-commit window (0 = coalesce without waiting)")
-	groupBytes := flag.Int("wal-group-bytes", 0, "end the WAL group window early past this many pending bytes")
-	commitSiblings := flag.Int("wal-commit-siblings", 0, "min sibling txns to hold the group window open (0 = 1, <0 = always hold)")
 	scanIsolation := flag.String("scan-isolation", "read-committed", "range-scan isolation: read-committed|serializable (serializable = next-key locking, phantom-free scans)")
 	peers := flag.String("peers", "", "comma-separated peer addresses for registry gossip")
 	gossipEvery := flag.Duration("gossip", 2*time.Second, "gossip interval")
@@ -54,11 +49,6 @@ func main() {
 	opts := sbdms.Options{
 		Granularity:        sbdms.Granularity(*granularity),
 		BufferFrames:       *frames,
-		BufferPolicy:       *policy,
-		BufferShards:       *shards,
-		WALGroupWindow:     *groupWindow,
-		WALGroupBytes:      *groupBytes,
-		WALCommitSiblings:  *commitSiblings,
 		WALSegmentBytes:    *segBytes,
 		CheckpointInterval: *ckptEvery,
 		VacuumInterval:     *vacEvery,
@@ -238,8 +228,8 @@ func run(addr, dataPath, walDir string, opts sbdms.Options, peers string, gossip
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("sbdms: serving %d services at %s (granularity=%s, policy=%s, shards=%d)\n",
-		db.Kernel().Registry().Len(), srv.Addr(), db.Granularity(), db.Pool().PolicyName(), db.Pool().NumShards())
+	fmt.Printf("sbdms: serving %d services at %s (granularity=%s, shards=%d)\n",
+		db.Kernel().Registry().Len(), srv.Addr(), db.Granularity(), db.Pool().NumShards())
 	for _, reg := range db.Kernel().Registry().All() {
 		fmt.Printf("  service %-24s interface %s\n", reg.Name, reg.Interface)
 	}

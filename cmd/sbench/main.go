@@ -21,20 +21,11 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
-var (
-	flagGroupWindow = flag.Duration("wal-group-window", 0, "WAL group-commit window for g1/g5 (0 = coalesce without waiting)")
-	flagGroupBytes  = flag.Int("wal-group-bytes", 0, "end the WAL group window early past this many pending bytes")
-	flagSiblings    = flag.Int("wal-commit-siblings", 0, "min sibling txns to hold the group window (0 = gate at 1, <0 = no gate)")
-	flagShards      = flag.Int("shards", 0, "buffer pool shard count for g1/g5 (0 = auto)")
-	flagSegBytes    = flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold for g1 (0 = 1 MiB)")
-	flagCkptEvery   = flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period for g1 (0 = off)")
-	flagJSONDir     = flag.String("json", ".", "directory for BENCH_<EXP>.json reports (empty = disabled)")
-)
+var flagJSONDir = flag.String("json", ".", "directory for BENCH_<EXP>.json reports (empty = disabled)")
 
 // benchRows accumulates the structured rows of the experiment
 // currently running; main flushes them to BENCH_<EXP>.json after each
@@ -281,17 +272,8 @@ func runG1(ops, keys int) error {
 		{"read-mostly (YCSB-B)", workload.MixB},
 		{"update-heavy (YCSB-A)", workload.MixA},
 	} {
-		st := sbdms.SweepStorage{
-			BufferShards:       *flagShards,
-			WALGroupWindow:     *flagGroupWindow,
-			WALGroupBytes:      *flagGroupBytes,
-			WALCommitSiblings:  *flagSiblings,
-			WALSegmentBytes:    *flagSegBytes,
-			CheckpointInterval: *flagCkptEvery,
-		}
-		fmt.Printf("-- workload: %s, %d zipfian keys (shards=%d window=%v) --\n",
-			mix.name, keys, *flagShards, *flagGroupWindow)
-		ms, err := sbdms.GranularitySweepStorage(mix.m, keys, ops, 1, st)
+		fmt.Printf("-- workload: %s, %d zipfian keys --\n", mix.name, keys)
+		ms, err := sbdms.GranularitySweep(mix.m, keys, ops, 1)
 		if err != nil {
 			return err
 		}
@@ -445,9 +427,9 @@ func runG4(ops, keys int) error {
 }
 
 // runG5 measures the storage engine's internal scalability: contended
-// Pin/Unpin on the sharded buffer pool vs the single-mutex baseline,
-// and concurrent transaction commits under WAL group commit. Tune with
-// -shards, -wal-group-window and -wal-group-bytes.
+// Pin/Unpin on the automatically sharded buffer pool vs the
+// single-mutex baseline, and concurrent committers under WAL group
+// commit, each appending a commit record and flushing it.
 func runG5(ops, keys int) error {
 	header("G5 — storage concurrency: sharded buffer pool + WAL group commit")
 
@@ -455,18 +437,16 @@ func runG5(ops, keys int) error {
 	const frames = 512
 	const npages = 2048
 	fmt.Printf("-- buffer pool: %d frames, %d pages, zipf-free uniform touches --\n", frames, npages)
-	for _, sh := range []int{1, *flagShards} {
+	for _, single := range []bool{true, false} {
 		disk, err := storage.OpenDisk(storage.NewMemDevice())
 		if err != nil {
 			return err
 		}
 		var pool *buffer.Manager
-		if sh == 1 {
-			pool = buffer.NewSharded(disk, frames, 1, "lru")
-		} else if sh > 1 {
-			pool = buffer.NewSharded(disk, frames, sh, "lru")
+		if single {
+			pool = buffer.NewSharded(disk, frames, 1) // single-mutex baseline
 		} else {
-			pool = buffer.New(disk, frames, buffer.NewLRU())
+			pool = buffer.New(disk, frames, nil) // automatic stripe count
 		}
 		ids := make([]storage.PageID, npages)
 		for i := range ids {
@@ -516,7 +496,7 @@ func runG5(ops, keys int) error {
 	}
 
 	// Part 2: concurrent committers against a file-backed WAL.
-	fmt.Printf("-- WAL commit: file-backed log, group window=%v bytes=%d --\n", *flagGroupWindow, *flagGroupBytes)
+	fmt.Println("-- WAL commit: file-backed log, one commit record per commit --")
 	dir, err := os.MkdirTemp("", "sbench-g5")
 	if err != nil {
 		return err
@@ -531,11 +511,6 @@ func runG5(ops, keys int) error {
 		if err != nil {
 			return err
 		}
-		l.SetGroupWindow(*flagGroupWindow, *flagGroupBytes)
-		mgr := txn.NewManager(l, nil)
-		// commit_siblings gate: lone committers skip the window. The
-		// knob convention matches sbdms.Options.
-		l.SetCommitSiblings(*flagSiblings, func() int { return mgr.ActiveCount() - 1 })
 		per := ops / 10 / g
 		if per < 1 {
 			per = 1
@@ -545,20 +520,20 @@ func runG5(ops, keys int) error {
 		errs := make(chan error, g)
 		for w := 0; w < g; w++ {
 			wg.Add(1)
-			go func() {
+			go func(id uint64) {
 				defer wg.Done()
 				for i := 0; i < per; i++ {
-					t, err := mgr.Begin()
+					lsn, err := l.Append(&wal.Record{Txn: id, Type: wal.RecCommit})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if err := mgr.Commit(t); err != nil {
+					if err := l.Flush(lsn + 1); err != nil {
 						errs <- err
 						return
 					}
 				}
-			}()
+			}(uint64(w + 1))
 		}
 		wg.Wait()
 		close(errs)

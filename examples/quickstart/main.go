@@ -72,6 +72,6 @@ func main() {
 
 	// Buffer pool statistics via the monitoring surface.
 	st := db.Pool().Stats()
-	fmt.Printf("\nbuffer pool: hits=%d misses=%d hitRate=%.1f%% policy=%s\n",
-		st.Hits, st.Misses, st.HitRate()*100, db.Pool().PolicyName())
+	fmt.Printf("\nbuffer pool: hits=%d misses=%d hitRate=%.1f%%\n",
+		st.Hits, st.Misses, st.HitRate()*100)
 }

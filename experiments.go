@@ -124,38 +124,14 @@ func MeasureTCPRoundTrip(n int) (time.Duration, error) {
 	return time.Since(start) / time.Duration(n), nil
 }
 
-// SweepStorage carries the storage-concurrency knobs of a granularity
-// sweep, so experiment G1 can ablate storage configuration (buffer
-// sharding, WAL group commit) against service granularity instead of
-// holding storage fixed.
-type SweepStorage struct {
-	// BufferFrames sizes the pool (0 = 512, the classic G1 setting).
-	BufferFrames int
-	// BufferShards overrides the pool's lock-stripe count (0 = auto).
-	BufferShards int
-	// WALGroupWindow, WALGroupBytes, WALCommitSiblings,
-	// WALSegmentBytes and CheckpointInterval mirror the same fields of
-	// Options.
-	WALGroupWindow     time.Duration
-	WALGroupBytes      int
-	WALCommitSiblings  int
-	WALSegmentBytes    int
-	CheckpointInterval time.Duration
-}
-
-// GranularitySweepStorage runs experiment G1: every granularity profile
-// under the local binding and under a per-hop delay calibrated from the
-// real TCP round-trip, one measurement per cell. The storage knobs cross
-// the paper's granularity axis with the storage concurrency axis; the
-// zero SweepStorage is the classic sweep (512 frames, in-memory log).
-func GranularitySweepStorage(mix workload.Mix, keys, nops int, seed int64, st SweepStorage) ([]KVMeasurement, error) {
+// GranularitySweep runs experiment G1: every granularity profile under
+// the local binding and under a per-hop delay calibrated from the real
+// TCP round-trip, one measurement per cell, each over a 512-frame pool
+// and an in-memory log.
+func GranularitySweep(mix workload.Mix, keys, nops int, seed int64) ([]KVMeasurement, error) {
 	rtt, err := MeasureTCPRoundTrip(200)
 	if err != nil {
 		return nil, err
-	}
-	frames := st.BufferFrames
-	if frames <= 0 {
-		frames = 512
 	}
 	var out []KVMeasurement
 	for _, binding := range []struct {
@@ -166,17 +142,7 @@ func GranularitySweepStorage(mix workload.Mix, keys, nops int, seed int64, st Sw
 		{fmt.Sprintf("tcp(%v)", rtt.Round(time.Microsecond)), core.DelayBinding{Delay: rtt}},
 	} {
 		for _, g := range Granularities {
-			db, err := Open(Options{
-				Granularity:        g,
-				BufferFrames:       frames,
-				BufferShards:       st.BufferShards,
-				Binding:            binding.bind,
-				WALGroupWindow:     st.WALGroupWindow,
-				WALGroupBytes:      st.WALGroupBytes,
-				WALCommitSiblings:  st.WALCommitSiblings,
-				WALSegmentBytes:    st.WALSegmentBytes,
-				CheckpointInterval: st.CheckpointInterval,
-			})
+			db, err := Open(Options{Granularity: g, BufferFrames: 512, Binding: binding.bind})
 			if err != nil {
 				return nil, err
 			}

@@ -53,7 +53,7 @@ func TestGranularitySweepSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep opens 8 databases")
 	}
-	ms, err := GranularitySweepStorage(workload.MixB, 200, 500, 1, SweepStorage{})
+	ms, err := GranularitySweep(workload.MixB, 200, 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func BenchmarkPinUnpinContended(b *testing.B) {
 				}
 				ids[i] = id
 			}
-			m := NewSharded(store, npages, nshards, "lru")
+			m := NewSharded(store, npages, nshards)
 			// Warm the pool so the loop measures contention, not I/O.
 			for _, id := range ids {
 				if _, err := m.Pin(id); err != nil {

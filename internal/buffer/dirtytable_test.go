@@ -21,7 +21,7 @@ func memStore(t *testing.T) *storage.DiskManager {
 // drops entries once the page is flushed.
 func TestDirtyPageTableTracksRecLSN(t *testing.T) {
 	store := memStore(t)
-	m := NewSharded(store, 16, 4, "lru")
+	m := NewSharded(store, 16, 4)
 	id, err := store.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestDirtyPageTableTracksRecLSN(t *testing.T) {
 // the truncation horizon to zero.
 func TestDirtyPageTableUnloggedWrites(t *testing.T) {
 	store := memStore(t)
-	m := NewSharded(store, 8, 2, "lru")
+	m := NewSharded(store, 8, 2)
 	id, err := store.Allocate()
 	if err != nil {
 		t.Fatal(err)

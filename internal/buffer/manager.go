@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -66,12 +65,10 @@ type frame struct {
 	valid bool
 	// latch is the page latch: short-term physical mutual exclusion
 	// over the frame bytes, acquired AFTER pinning (a pinned page
-	// cannot be evicted, so the latch pointer stays bound to the page
-	// for the whole hold). Shared for readers, exclusive for mutators;
-	// the access layer crabs these latches down B+tree descents. A
-	// pointer so that frame structs can be moved by Resize while a
-	// latch is held on a pinned frame.
-	latch *sync.RWMutex
+	// cannot be evicted, so the latch stays bound to the page for the
+	// whole hold). Shared for readers, exclusive for mutators; the
+	// access layer crabs these latches down B+tree descents.
+	latch sync.RWMutex
 	// recLSN is the LSN of the first log record that dirtied the page
 	// since it was last clean (0 until the first logged mutation, or
 	// when the dirt is unlogged). Fuzzy checkpoints snapshot it into
@@ -91,19 +88,13 @@ type shard struct {
 	frames []frame
 	table  map[storage.PageID]int
 	free   []int
-	policy Policy
+	policy *Policy
 	stats  Stats
 
 	// beforeEvict, when set, is called with (pageID, pageLSN) before a
 	// dirty page is written back; the WAL uses it to enforce
 	// write-ahead ordering.
 	beforeEvict func(storage.PageID, uint64) error
-
-	// retired is set (under mu) when a Resize re-sharded the pool and
-	// this stripe no longer owns any frames: a caller that resolved
-	// the stripe through an older shardSet must drop the lock and
-	// re-resolve through the current one.
-	retired bool
 
 	// hand is the clock position of WriteBackCold's opportunistic
 	// write-back sweep: successive calls resume where the last one
@@ -137,34 +128,17 @@ type paddedShard struct {
 // benchmarks that record the stripe layout.
 func ShardStride() int { return shardStride }
 
-// shardSet is one immutable generation of the pool's stripe layout:
-// the shard array and the page-to-shard mask. Resize may replace the
-// whole set (re-sharding); readers resolve pages through an atomic
-// pointer and re-resolve when they catch a retired stripe.
-type shardSet struct {
-	shards []*shard
-	mask   uint64 // len(shards)-1; shard count is a power of two
-}
-
 // Manager is the buffer manager service: a bounded cache of page
 // frames over a storage.PageStore, partitioned into lock-striped
 // shards so that independent pages can be pinned and unpinned without
-// contending on one global mutex. It itself implements
-// storage.PageStore so that file managers and access methods can be
-// stacked over it transparently (services composed over services).
+// contending on one global mutex. The stripe array is fixed at
+// construction. Manager itself implements storage.PageStore so that
+// file managers and access methods can be stacked over it
+// transparently (services composed over services).
 type Manager struct {
-	store      storage.PageStore
-	policyName string
-	set        atomic.Pointer[shardSet]
-
-	// hookMu guards hook, the write-ahead callback that re-sharding
-	// must copy onto freshly built stripes.
-	hookMu sync.Mutex
-	hook   func(storage.PageID, uint64) error
-
-	// resizeMu serialises Resize calls (each locks every stripe of the
-	// current generation; two interleaved would deadlock).
-	resizeMu sync.Mutex
+	store  storage.PageStore
+	shards []paddedShard
+	mask   uint64 // len(shards)-1; shard count is a power of two
 }
 
 // Shard-count defaults: one stripe per minFramesPerShard frames, so
@@ -198,35 +172,19 @@ func floorPow2(n int) int {
 }
 
 // New creates a buffer manager with nframes frames over store, with an
-// automatically chosen shard count. The supplied policy instance is
-// used for the first shard; additional shards get fresh instances of
-// the same named policy. A custom Policy implementation that NewPolicy
-// cannot reconstruct by name keeps the pool at a single shard, so the
-// supplied instance governs every frame exactly as before sharding
-// (note Resize still resets policy state via NewPolicy, as it always
-// has).
-func New(store storage.PageStore, nframes int, policy Policy) *Manager {
-	if policy == nil {
-		policy = NewLRU()
-	}
+// automatically chosen shard count. Every stripe starts a fresh LRU
+// state; the policy argument is ignored (see NewPolicy).
+func New(store storage.PageStore, nframes int, _ *Policy) *Manager {
 	if nframes < 1 {
 		nframes = 1
 	}
-	nshards := defaultShards(nframes)
-	if !knownPolicy(policy.Name()) {
-		nshards = 1
-	}
-	m := newManager(store, nframes, nshards, policy.Name())
-	m.policyName = policy.Name()
-	m.set.Load().shards[0].policy = policy
-	return m
+	return newManager(store, nframes, defaultShards(nframes))
 }
 
 // NewSharded creates a buffer manager with an explicit shard count
-// (rounded down to a power of two and clamped to [1, nframes]) and a
-// replacement policy selected by name for every shard. nshards=1 is
-// the single-mutex baseline.
-func NewSharded(store storage.PageStore, nframes, nshards int, policyName string) *Manager {
+// (rounded down to a power of two and clamped to [1, nframes]).
+// nshards=1 is the single-mutex baseline.
+func NewSharded(store storage.PageStore, nframes, nshards int) *Manager {
 	if nframes < 1 {
 		nframes = 1
 	}
@@ -236,124 +194,81 @@ func NewSharded(store storage.PageStore, nframes, nshards int, policyName string
 	if nshards > nframes {
 		nshards = nframes
 	}
-	return newManager(store, nframes, floorPow2(nshards), policyName)
+	return newManager(store, nframes, floorPow2(nshards))
 }
 
-func newManager(store storage.PageStore, nframes, nshards int, policyName string) *Manager {
-	m := &Manager{
-		store:      store,
-		policyName: NewPolicy(policyName).Name(),
-	}
+func newManager(store storage.PageStore, nframes, nshards int) *Manager {
 	// One contiguous allocation at a fixed line-multiple stride with a
 	// spare line of padding per shard, so stripes never false-share
 	// regardless of the base address alignment and the layout is
 	// reproducible for the contention benchmarks.
-	backing := make([]paddedShard, nshards)
-	set := &shardSet{shards: make([]*shard, nshards), mask: uint64(nshards - 1)}
+	m := &Manager{store: store, shards: make([]paddedShard, nshards), mask: uint64(nshards - 1)}
 	base, rem := nframes/nshards, nframes%nshards
-	for i := range set.shards {
+	for i := range m.shards {
 		n := base
 		if i < rem {
 			n++
 		}
-		s := &backing[i].shard
+		s := &m.shards[i].shard
 		s.store = store
 		s.frames = make([]frame, n)
 		s.table = make(map[storage.PageID]int, n)
-		s.policy = NewPolicy(m.policyName)
+		s.policy = NewLRU()
 		for fi := range s.frames {
 			s.frames[fi].data = make([]byte, storage.PageSize)
-			s.frames[fi].latch = new(sync.RWMutex)
 			s.free = append(s.free, fi)
 		}
-		set.shards[i] = s
 	}
-	m.set.Store(set)
 	return m
 }
 
-// shardFor maps a page to its stripe (in the current generation) with
-// a Fibonacci hash, so that sequentially allocated pages spread across
-// shards. The result is only stable under the stripe's own lock with
-// retired unset — mutating callers go through lockShard.
+// shardFor maps a page to its stripe with a Fibonacci hash, so that
+// sequentially allocated pages spread across shards.
 func (m *Manager) shardFor(id storage.PageID) *shard {
-	set := m.set.Load()
-	return set.shards[shardIdx(id, set.mask)]
-}
-
-// shardIdx maps a page to a stripe index under the given mask with a
-// Fibonacci hash, so that sequentially allocated pages spread evenly.
-func shardIdx(id storage.PageID, mask uint64) uint64 {
 	h := uint64(id) * 0x9e3779b97f4a7c15
-	return (h >> 32) & mask
+	return &m.shards[(h>>32)&m.mask].shard
 }
 
-// lockShard returns the stripe owning id, locked. When a concurrent
-// Resize retired the stripe between the lookup and the lock, the
-// lookup retries against the new generation.
+// lockShard returns the stripe owning id, locked.
 func (m *Manager) lockShard(id storage.PageID) *shard {
-	for {
-		s := m.shardFor(id)
-		s.mu.Lock()
-		if !s.retired {
-			return s
-		}
-		s.mu.Unlock()
-	}
+	s := m.shardFor(id)
+	s.mu.Lock()
+	return s
 }
 
-// eachShardLocked runs fn over every stripe of the live generation,
-// locking each in turn. When a Resize retires the generation
-// mid-walk, the walk restarts over the new one — reset (optional)
-// runs before each attempt so accumulating callers can start over.
-func (m *Manager) eachShardLocked(reset func(), fn func(s *shard) error) error {
-retry:
-	for {
-		set := m.set.Load()
-		if reset != nil {
-			reset()
+// eachShardLocked runs fn over every stripe, locking each in turn, and
+// stops at the first error.
+func (m *Manager) eachShardLocked(fn func(s *shard) error) error {
+	for i := range m.shards {
+		s := &m.shards[i].shard
+		s.mu.Lock()
+		err := fn(s)
+		s.mu.Unlock()
+		if err != nil {
+			return err
 		}
-		for _, s := range set.shards {
-			s.mu.Lock()
-			if s.retired {
-				s.mu.Unlock()
-				continue retry
-			}
-			err := fn(s)
-			s.mu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
 	}
+	return nil
 }
 
 // SetBeforeEvict installs the write-ahead hook invoked before dirty
-// write-back. Re-sharding carries it onto new stripes.
+// write-back.
 func (m *Manager) SetBeforeEvict(f func(storage.PageID, uint64) error) {
-	m.hookMu.Lock()
-	m.hook = f
-	m.hookMu.Unlock()
-	_ = m.eachShardLocked(nil, func(s *shard) error {
+	_ = m.eachShardLocked(func(s *shard) error {
 		s.beforeEvict = f
 		return nil
 	})
 }
 
-// PolicyName reports the active replacement policy.
-func (m *Manager) PolicyName() string { return m.policyName }
-
 // NumShards returns the number of lock stripes.
-func (m *Manager) NumShards() int { return len(m.set.Load().shards) }
+func (m *Manager) NumShards() int { return len(m.shards) }
 
 // PoolSize returns the total number of frames across all shards.
 func (m *Manager) PoolSize() int {
 	total := 0
-	_ = m.eachShardLocked(func() { total = 0 }, func(s *shard) error {
-		total += len(s.frames)
-		return nil
-	})
+	for i := range m.shards {
+		total += len(m.shards[i].frames)
+	}
 	return total
 }
 
@@ -361,7 +276,7 @@ func (m *Manager) PoolSize() int {
 // shards.
 func (m *Manager) Stats() Stats {
 	var agg Stats
-	_ = m.eachShardLocked(func() { agg = Stats{} }, func(s *shard) error {
+	_ = m.eachShardLocked(func(s *shard) error {
 		agg.add(s.stats)
 		return nil
 	})
@@ -369,12 +284,10 @@ func (m *Manager) Stats() Stats {
 }
 
 // ShardStats returns a per-shard snapshot of the pool counters, for
-// monitoring stripe balance. After a re-sharding Resize the counters
-// of dissolved stripes live on, aggregated into stripe 0 of the new
-// layout.
+// monitoring stripe balance.
 func (m *Manager) ShardStats() []Stats {
-	var out []Stats
-	_ = m.eachShardLocked(func() { out = out[:0] }, func(s *shard) error {
+	out := make([]Stats, 0, len(m.shards))
+	_ = m.eachShardLocked(func(s *shard) error {
 		out = append(out, s.stats)
 		return nil
 	})
@@ -537,7 +450,7 @@ func (m *Manager) pinWithLatch(id storage.PageID) (*Frame, *sync.RWMutex, error)
 		f.pins++
 		s.stats.Hits++
 		s.policy.Touched(fi)
-		latch := f.latch
+		latch := &f.latch
 		s.mu.Unlock()
 		return &Frame{ID: id, Data: f.data}, latch, nil
 	}
@@ -560,7 +473,7 @@ func (m *Manager) pinWithLatch(id storage.PageID) (*Frame, *sync.RWMutex, error)
 	f.recLSN = 0
 	s.table[id] = fi
 	s.policy.Inserted(fi)
-	latch := f.latch
+	latch := &f.latch
 	s.mu.Unlock()
 	return &Frame{ID: id, Data: f.data}, latch, nil
 }
@@ -610,7 +523,7 @@ func (m *Manager) NewPageLatched(t storage.PageType) (*Frame, error) {
 		_ = m.Unpin(f.ID, false)
 		return nil, fmt.Errorf("buffer: fresh page %d vanished", f.ID)
 	}
-	latch := s.frames[fi].latch
+	latch := &s.frames[fi].latch
 	s.mu.Unlock()
 	latch.Lock()
 	return f, nil
@@ -637,7 +550,7 @@ func (m *Manager) UpdatePage(id storage.PageID, fn func(p *storage.Page) error) 
 // minimum recLSN to advance the WAL truncation horizon.
 func (m *Manager) DirtyPages() []storage.DirtyPageInfo {
 	var out []storage.DirtyPageInfo
-	_ = m.eachShardLocked(func() { out = out[:0] }, func(s *shard) error {
+	_ = m.eachShardLocked(func(s *shard) error {
 		for fi := range s.frames {
 			f := &s.frames[fi]
 			if f.valid && f.dirty {
@@ -717,7 +630,7 @@ func (m *Manager) WriteBackCold(max int) (int, error) {
 		return 0, nil
 	}
 	written := 0
-	err := m.eachShardLocked(func() { written = 0 }, func(s *shard) error {
+	err := m.eachShardLocked(func(s *shard) error {
 		n := len(s.frames)
 		for scanned := 0; scanned < n && written < max; scanned++ {
 			if s.hand >= n {
@@ -755,7 +668,7 @@ func (m *Manager) FlushPage(id storage.PageID) error {
 // FlushAll writes back every dirty resident page, shard by shard, and
 // syncs the store.
 func (m *Manager) FlushAll() error {
-	err := m.eachShardLocked(nil, func(s *shard) error {
+	err := m.eachShardLocked(func(s *shard) error {
 		for fi := range s.frames {
 			if s.frames[fi].valid && s.frames[fi].dirty {
 				if err := s.flushFrameLocked(fi); err != nil {
@@ -787,276 +700,6 @@ func (m *Manager) PinCount(id storage.PageID) int {
 		return s.frames[fi].pins
 	}
 	return 0
-}
-
-// Resize changes the total pool size at runtime. Sizes of at least one
-// frame per stripe are repacked in place: each stripe keeps at least
-// one frame and at least its pinned pages, borrowing slack from
-// lightly pinned stripes. When n is below the stripe count, or the
-// pinned pages are too skewed for the current stripes, the pool
-// re-shards instead of refusing: a new stripe generation (the largest
-// power-of-two count that fits n and the pinned layout, down to one)
-// is built, resident frames move across — live pins and held page
-// latches stay valid because the frame's latch pointer and data slice
-// travel with it — unpinned overflow is flushed and dropped, and the
-// old stripes are retired. Resize fails with ErrPinned only when more
-// than n pages are pinned outright. This is how the coordinator
-// honours low-memory alerts (Section 3.7: component properties
-// adjusted "according to the current architecture constraints").
-func (m *Manager) Resize(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	m.resizeMu.Lock()
-	defer m.resizeMu.Unlock()
-	// Only Resize swaps the set and resizeMu is held, so this load is
-	// the canonical current generation.
-	shards := m.set.Load().shards
-	for _, s := range shards {
-		s.mu.Lock()
-	}
-	defer func() {
-		for _, s := range shards {
-			s.mu.Unlock()
-		}
-	}()
-
-	pinned := make([]int, len(shards))
-	totalPinned := 0
-	for i, s := range shards {
-		for fi := range s.frames {
-			if s.frames[fi].valid && s.frames[fi].pins > 0 {
-				pinned[i]++
-			}
-		}
-		totalPinned += pinned[i]
-	}
-	if totalPinned > n {
-		return fmt.Errorf("%w: %d pinned > %d frames", ErrPinned, totalPinned, n)
-	}
-	if n >= len(shards) {
-		if targets, ok := splitTargets(n, pinned); ok {
-			for i, s := range shards {
-				if err := s.resizeLocked(targets[i], m.policyName); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return m.reshardLocked(shards, n)
-}
-
-// splitTargets distributes n frames over the stripes: an even split,
-// raised to each stripe's pinned-page count where the share falls
-// short, with the excess borrowed back from stripes that have slack
-// above max(pinned, 1). ok is false when the pinned layout cannot fit
-// n frames at this stripe count (Σ max(pinnedᵢ, 1) > n), in which
-// case Resize re-shards to fewer stripes.
-func splitTargets(n int, pinned []int) (targets []int, ok bool) {
-	ns := len(pinned)
-	base, rem := n/ns, n%ns
-	targets = make([]int, ns)
-	need := 0
-	for i := range targets {
-		targets[i] = base
-		if i < rem {
-			targets[i]++
-		}
-		if pinned[i] > targets[i] {
-			need += pinned[i] - targets[i]
-			targets[i] = pinned[i]
-		}
-	}
-	for i := range targets {
-		if need == 0 {
-			break
-		}
-		floor := pinned[i]
-		if floor < 1 {
-			floor = 1
-		}
-		if slack := targets[i] - floor; slack > 0 {
-			take := slack
-			if take > need {
-				take = need
-			}
-			targets[i] -= take
-			need -= take
-		}
-	}
-	return targets, need == 0
-}
-
-// reshardLocked rebuilds the pool as a fresh stripe generation of n
-// total frames; the caller holds every stripe lock of the old
-// generation. The new stripe count is the largest power of two, at
-// most the old count and at most n, whose pinned-page distribution
-// fits n frames — one stripe always does, since totalPinned <= n was
-// already checked. Resident frames move across by value (latch
-// pointer and data slice travel with the frame, keeping live pins and
-// held latches valid); unpinned frames that no longer fit are flushed
-// through the write-ahead hook and dropped. On success the new
-// generation is installed and the old stripes retired; on a
-// write-back error the old generation stays in force untouched.
-func (m *Manager) reshardLocked(old []*shard, n int) error {
-	var resident []frame
-	for _, s := range old {
-		for fi := range s.frames {
-			if s.frames[fi].valid {
-				resident = append(resident, s.frames[fi])
-			}
-		}
-	}
-
-	ns := len(old)
-	if n < ns {
-		ns = n
-	}
-	ns = floorPow2(ns)
-	var targets []int
-	var mask uint64
-	for {
-		mask = uint64(ns - 1)
-		cnt := make([]int, ns)
-		for i := range resident {
-			if resident[i].pins > 0 {
-				cnt[shardIdx(resident[i].id, mask)]++
-			}
-		}
-		var ok bool
-		if targets, ok = splitTargets(n, cnt); ok {
-			break
-		}
-		ns /= 2
-	}
-
-	m.hookMu.Lock()
-	hook := m.hook
-	m.hookMu.Unlock()
-
-	backing := make([]paddedShard, ns)
-	set := &shardSet{shards: make([]*shard, ns), mask: mask}
-	for i := range set.shards {
-		s := &backing[i].shard
-		s.store = m.store
-		s.frames = make([]frame, 0, targets[i])
-		s.table = make(map[storage.PageID]int, targets[i])
-		s.policy = NewPolicy(m.policyName)
-		s.beforeEvict = hook
-		set.shards[i] = s
-	}
-
-	// Place pinned frames first (they cannot be dropped and are what
-	// the targets were sized for), then fill the remaining room with
-	// unpinned residents. Unpinned overflow is flushed and dropped;
-	// a flush that half-succeeds before an error is harmless, the old
-	// frame stays dirty and is written again later.
-	var agg Stats
-	for _, s := range old {
-		agg.add(s.stats)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i := range resident {
-			f := &resident[i]
-			if (f.pins > 0) == (pass == 1) {
-				continue
-			}
-			si := shardIdx(f.id, mask)
-			s := set.shards[si]
-			if len(s.frames) < targets[si] {
-				s.table[f.id] = len(s.frames)
-				s.frames = append(s.frames, *f)
-				continue
-			}
-			if f.dirty {
-				if hook != nil {
-					lsn := storage.WrapPage(f.id, f.data).LSN()
-					if err := hook(f.id, lsn); err != nil {
-						return fmt.Errorf("buffer: write-ahead hook for page %d: %w", f.id, err)
-					}
-				}
-				if err := m.store.WritePage(f.id, f.data); err != nil {
-					return err
-				}
-				agg.Flushes++
-			}
-			agg.Evictions++
-		}
-	}
-
-	for i, s := range set.shards {
-		for len(s.frames) < targets[i] {
-			s.free = append(s.free, len(s.frames))
-			s.frames = append(s.frames, frame{data: make([]byte, storage.PageSize), latch: new(sync.RWMutex)})
-		}
-		for fi := range s.frames {
-			if s.frames[fi].valid {
-				s.policy.Inserted(fi)
-			}
-		}
-	}
-	// The counters of dissolved stripes live on, aggregated into
-	// stripe 0 of the new layout (see ShardStats).
-	set.shards[0].stats = agg
-
-	m.set.Store(set)
-	for _, s := range old {
-		s.retired = true
-	}
-	return nil
-}
-
-// resizeLocked resizes one shard to n frames; the shard lock is held.
-func (s *shard) resizeLocked(n int, policyName string) error {
-	if n == len(s.frames) {
-		return nil
-	}
-	if n > len(s.frames) {
-		for i := len(s.frames); i < n; i++ {
-			s.frames = append(s.frames, frame{data: make([]byte, storage.PageSize), latch: new(sync.RWMutex)})
-			s.free = append(s.free, i)
-		}
-		return nil
-	}
-	// Evict every unpinned frame, compacting pinned/valid frames to the
-	// front of the new, smaller pool.
-	for fi := range s.frames {
-		if s.frames[fi].valid && s.frames[fi].pins == 0 {
-			if s.frames[fi].dirty {
-				if err := s.flushFrameLocked(fi); err != nil {
-					return err
-				}
-			}
-			delete(s.table, s.frames[fi].id)
-			s.policy.Removed(fi)
-			s.frames[fi].valid = false
-			s.stats.Evictions++
-		}
-	}
-	old := s.frames
-	s.frames = make([]frame, n)
-	s.free = s.free[:0]
-	s.table = make(map[storage.PageID]int, n)
-	next := 0
-	for i := range old {
-		if old[i].valid {
-			s.frames[next] = old[i]
-			s.table[old[i].id] = next
-			next++
-		}
-	}
-	for i := next; i < n; i++ {
-		s.frames[i].data = make([]byte, storage.PageSize)
-		s.frames[i].latch = new(sync.RWMutex)
-		s.free = append(s.free, i)
-	}
-	// Replacement policy state refers to old frame indices; reset it.
-	s.policy = NewPolicy(policyName)
-	for i := 0; i < next; i++ {
-		s.policy.Inserted(i)
-	}
-	return nil
 }
 
 // --- storage.PageStore implementation over the pool ---

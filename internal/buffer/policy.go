@@ -1,44 +1,32 @@
 // Package buffer implements the buffer manager service of the SBDMS
 // storage layer (the Buffer Manager of Figures 5-7): a fixed pool of
 // page frames over any storage.PageStore, with pin/unpin semantics,
-// dirty-page write-back, pluggable replacement policies and a WAL hook
+// dirty-page write-back, LRU replacement per lock stripe and a WAL hook
 // so that dirty pages are never evicted ahead of their log records.
 package buffer
 
 import "container/list"
 
-// Policy is a page replacement policy over frame indices. Policies are
-// not safe for concurrent use; the manager serialises access. Distinct
-// policies make "the same task done in different ways" concrete — the
-// flexibility-by-selection ablation benchmarks swap them.
-type Policy interface {
-	// Name identifies the policy ("lru", "clock", "2q").
-	Name() string
-	// Inserted notifies that frame f now holds a freshly loaded page.
-	Inserted(f int)
-	// Touched notifies that frame f was accessed (pinned).
-	Touched(f int)
-	// Removed notifies that frame f was evicted or invalidated.
-	Removed(f int)
-	// Victim picks a frame to evict among frames for which evictable
-	// returns true, or -1 when none qualifies.
-	Victim(evictable func(int) bool) int
-}
-
-// lruPolicy evicts the least recently used frame.
-type lruPolicy struct {
+// Policy is one stripe's page replacement state: least recently used
+// over frame indices. It is not safe for concurrent use; the manager
+// serialises access under the stripe mutex.
+type Policy struct {
 	order *list.List // front = most recent
 	elem  map[int]*list.Element
 }
 
-// NewLRU creates a least-recently-used replacement policy.
-func NewLRU() Policy {
-	return &lruPolicy{order: list.New(), elem: make(map[int]*list.Element)}
+// NewLRU creates an empty least-recently-used replacement state.
+func NewLRU() *Policy {
+	return &Policy{order: list.New(), elem: make(map[int]*list.Element)}
 }
 
-func (p *lruPolicy) Name() string { return "lru" }
+// NewPolicy returns NewLRU(); name is ignored. It stays only because
+// the bench/ module still calls it; stage 3-0 deletes it together with
+// New's policy argument and wal.Log.WindowSkips.
+func NewPolicy(name string) *Policy { return NewLRU() }
 
-func (p *lruPolicy) Inserted(f int) {
+// Inserted notifies that frame f now holds a freshly loaded page.
+func (p *Policy) Inserted(f int) {
 	if e, ok := p.elem[f]; ok {
 		p.order.MoveToFront(e)
 		return
@@ -46,16 +34,20 @@ func (p *lruPolicy) Inserted(f int) {
 	p.elem[f] = p.order.PushFront(f)
 }
 
-func (p *lruPolicy) Touched(f int) { p.Inserted(f) }
+// Touched notifies that frame f was accessed (pinned).
+func (p *Policy) Touched(f int) { p.Inserted(f) }
 
-func (p *lruPolicy) Removed(f int) {
+// Removed notifies that frame f was evicted or invalidated.
+func (p *Policy) Removed(f int) {
 	if e, ok := p.elem[f]; ok {
 		p.order.Remove(e)
 		delete(p.elem, f)
 	}
 }
 
-func (p *lruPolicy) Victim(evictable func(int) bool) int {
+// Victim picks the least recently used frame among those for which
+// evictable returns true, or -1 when none qualifies.
+func (p *Policy) Victim(evictable func(int) bool) int {
 	for e := p.order.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(int)
 		if evictable(f) {
@@ -63,164 +55,4 @@ func (p *lruPolicy) Victim(evictable func(int) bool) int {
 		}
 	}
 	return -1
-}
-
-// clockPolicy is the classic second-chance clock.
-type clockPolicy struct {
-	frames []int // frame ids in ring order
-	ref    map[int]bool
-	pos    map[int]int // frame -> ring slot
-	hand   int
-}
-
-// NewClock creates a second-chance (clock) replacement policy.
-func NewClock() Policy {
-	return &clockPolicy{ref: make(map[int]bool), pos: make(map[int]int)}
-}
-
-func (p *clockPolicy) Name() string { return "clock" }
-
-func (p *clockPolicy) Inserted(f int) {
-	if _, ok := p.pos[f]; !ok {
-		p.pos[f] = len(p.frames)
-		p.frames = append(p.frames, f)
-	}
-	p.ref[f] = true
-}
-
-func (p *clockPolicy) Touched(f int) { p.ref[f] = true }
-
-func (p *clockPolicy) Removed(f int) {
-	i, ok := p.pos[f]
-	if !ok {
-		return
-	}
-	last := len(p.frames) - 1
-	p.frames[i] = p.frames[last]
-	p.pos[p.frames[i]] = i
-	p.frames = p.frames[:last]
-	delete(p.pos, f)
-	delete(p.ref, f)
-	if p.hand > last {
-		p.hand = 0
-	}
-}
-
-func (p *clockPolicy) Victim(evictable func(int) bool) int {
-	n := len(p.frames)
-	if n == 0 {
-		return -1
-	}
-	// Two full sweeps guarantee termination: the first clears reference
-	// bits, the second must find any evictable frame.
-	for i := 0; i < 2*n; i++ {
-		if p.hand >= len(p.frames) {
-			p.hand = 0
-		}
-		f := p.frames[p.hand]
-		p.hand++
-		if !evictable(f) {
-			continue
-		}
-		if p.ref[f] {
-			p.ref[f] = false
-			continue
-		}
-		return f
-	}
-	return -1
-}
-
-// twoQPolicy is a simplified 2Q: newly inserted frames enter a FIFO
-// probation queue (A1); a second access promotes them to the main LRU
-// (Am). Victims come from A1 first, protecting the hot set from scans.
-type twoQPolicy struct {
-	a1     *list.List // FIFO, front = newest
-	am     *list.List // LRU, front = most recent
-	a1Elem map[int]*list.Element
-	amElem map[int]*list.Element
-}
-
-// NewTwoQ creates a simplified 2Q replacement policy.
-func NewTwoQ() Policy {
-	return &twoQPolicy{
-		a1: list.New(), am: list.New(),
-		a1Elem: make(map[int]*list.Element),
-		amElem: make(map[int]*list.Element),
-	}
-}
-
-func (p *twoQPolicy) Name() string { return "2q" }
-
-func (p *twoQPolicy) Inserted(f int) {
-	if _, ok := p.a1Elem[f]; ok {
-		return
-	}
-	if _, ok := p.amElem[f]; ok {
-		return
-	}
-	p.a1Elem[f] = p.a1.PushFront(f)
-}
-
-func (p *twoQPolicy) Touched(f int) {
-	if e, ok := p.amElem[f]; ok {
-		p.am.MoveToFront(e)
-		return
-	}
-	if e, ok := p.a1Elem[f]; ok {
-		// Second access: promote to the main queue.
-		p.a1.Remove(e)
-		delete(p.a1Elem, f)
-		p.amElem[f] = p.am.PushFront(f)
-		return
-	}
-	p.amElem[f] = p.am.PushFront(f)
-}
-
-func (p *twoQPolicy) Removed(f int) {
-	if e, ok := p.a1Elem[f]; ok {
-		p.a1.Remove(e)
-		delete(p.a1Elem, f)
-	}
-	if e, ok := p.amElem[f]; ok {
-		p.am.Remove(e)
-		delete(p.amElem, f)
-	}
-}
-
-func (p *twoQPolicy) Victim(evictable func(int) bool) int {
-	for e := p.a1.Back(); e != nil; e = e.Prev() {
-		if f := e.Value.(int); evictable(f) {
-			return f
-		}
-	}
-	for e := p.am.Back(); e != nil; e = e.Prev() {
-		if f := e.Value.(int); evictable(f) {
-			return f
-		}
-	}
-	return -1
-}
-
-// knownPolicy reports whether NewPolicy can construct the named policy
-// (rather than falling back to LRU).
-func knownPolicy(name string) bool {
-	switch name {
-	case "lru", "clock", "2q":
-		return true
-	}
-	return false
-}
-
-// NewPolicy constructs a policy by name, defaulting to LRU for unknown
-// names. Components use this to honour their "buffer.policy" property.
-func NewPolicy(name string) Policy {
-	switch name {
-	case "clock":
-		return NewClock()
-	case "2q":
-		return NewTwoQ()
-	default:
-		return NewLRU()
-	}
 }

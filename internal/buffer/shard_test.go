@@ -16,24 +16,21 @@ func TestShardedConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSharded(d, 256, 8, "clock")
+	m := NewSharded(d, 256, 8)
 	if m.NumShards() != 8 {
 		t.Fatalf("NumShards = %d, want 8", m.NumShards())
 	}
 	if m.PoolSize() != 256 {
 		t.Fatalf("PoolSize = %d, want 256", m.PoolSize())
 	}
-	if m.PolicyName() != "clock" {
-		t.Fatalf("PolicyName = %s", m.PolicyName())
-	}
 	if got := len(m.ShardStats()); got != 8 {
 		t.Fatalf("ShardStats len = %d", got)
 	}
 	// Shard counts are clamped and rounded to powers of two.
-	if s := NewSharded(d, 256, 7, "lru").NumShards(); s != 4 {
+	if s := NewSharded(d, 256, 7).NumShards(); s != 4 {
 		t.Fatalf("7 shards rounded to %d, want 4", s)
 	}
-	if s := NewSharded(d, 2, 16, "lru").NumShards(); s != 2 {
+	if s := NewSharded(d, 2, 16).NumShards(); s != 2 {
 		t.Fatalf("shards clamped to %d, want 2 (nframes)", s)
 	}
 	// The automatic default keeps small pools single-striped.
@@ -50,7 +47,7 @@ func TestShardedPagesSpreadAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSharded(d, 256, 8, "lru")
+	m := NewSharded(d, 256, 8)
 	seen := make(map[*shard]int)
 	for i := 0; i < 256; i++ {
 		id, err := d.Allocate()
@@ -74,7 +71,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSharded(d, 64, 4, "lru")
+	m := NewSharded(d, 64, 4)
 	ids := allocPages(t, d, 32)
 	for _, id := range ids {
 		f, err := m.Pin(id)
@@ -105,251 +102,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 }
 
-func TestShardedResizeBorrowsForPinSkew(t *testing.T) {
-	d, err := storage.OpenDisk(storage.NewMemDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewSharded(d, 64, 4, "lru")
-	// Find pages that all hash to one shard, and pin more of them than
-	// an even post-shrink split would allow.
-	target := m.set.Load().shards[0]
-	var pinnedIDs []storage.PageID
-	for len(pinnedIDs) < 5 {
-		id, err := d.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.shardFor(id) != target {
-			continue
-		}
-		if _, err := m.Pin(id); err != nil {
-			t.Fatal(err)
-		}
-		pinnedIDs = append(pinnedIDs, id)
-	}
-	// Shrink to 12 frames over 4 shards: an even split gives 3 per
-	// shard, but shard 0 holds 5 pins and must borrow slack.
-	if err := m.Resize(12); err != nil {
-		t.Fatalf("Resize with skewed pins: %v", err)
-	}
-	if m.PoolSize() != 12 {
-		t.Fatalf("PoolSize = %d, want 12", m.PoolSize())
-	}
-	for _, id := range pinnedIDs {
-		if m.PinCount(id) != 1 {
-			t.Fatalf("pinned page %d lost its frame", id)
-		}
-		_ = m.Unpin(id, false)
-	}
-	// Total pins beyond the new size still fail.
-	if err := m.Resize(64); err != nil {
-		t.Fatal(err)
-	}
-	var held []storage.PageID
-	for i := 0; i < 8; i++ {
-		id, err := d.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Pin(id); err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, id)
-	}
-	if err := m.Resize(4); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Resize below pinned count: err = %v", err)
-	}
-	for _, id := range held {
-		_ = m.Unpin(id, false)
-	}
-}
-
-// TestResizeReshardsBelowShardCount: shrinking below one frame per
-// stripe dissolves stripes instead of refusing, while live pins and
-// held page latches stay valid across the generation swap and evicted
-// overflow is flushed, not lost.
-func TestResizeReshardsBelowShardCount(t *testing.T) {
-	d, err := storage.OpenDisk(storage.NewMemDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewSharded(d, 64, 8, "lru")
-	ids := allocPages(t, d, 16)
-	for _, id := range ids {
-		f, err := m.Pin(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binaryPutID(f.Page().Payload(), uint64(id))
-		if err := m.Unpin(id, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pinID := ids[0]
-	if _, err := m.Pin(pinID); err != nil {
-		t.Fatal(err)
-	}
-	latchID := ids[1]
-	lf, err := m.PinLatched(latchID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := m.Stats()
-	if err := m.Resize(3); err != nil {
-		t.Fatalf("Resize(3) on 8 stripes: %v", err)
-	}
-	if m.PoolSize() != 3 {
-		t.Fatalf("PoolSize = %d, want 3", m.PoolSize())
-	}
-	if got := m.NumShards(); got > 3 {
-		t.Fatalf("NumShards = %d after Resize(3), want a dissolved layout", got)
-	}
-	after := m.Stats()
-	if after.Hits < before.Hits || after.Misses < before.Misses {
-		t.Fatalf("stats lost in re-shard: before %+v after %+v", before, after)
-	}
-	if m.PinCount(pinID) != 1 {
-		t.Fatalf("pinned page %d lost its frame in re-shard", pinID)
-	}
-	// The latch acquired on the old generation still guards the moved
-	// frame; mutate through it and release via the new generation.
-	binaryPutID(lf.Page().Payload(), uint64(latchID))
-	if err := m.UnpinLatched(latchID, true, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unpin(pinID, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, storage.PageSize)
-	for _, id := range ids {
-		if err := d.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := binaryGetID(storage.WrapPage(id, buf).Payload()); got != uint64(id) {
-			t.Fatalf("page %d lost its payload across re-shard (stamp %d)", id, got)
-		}
-	}
-}
-
-// TestResizeReshardsOnPinSkew: pins that no split over the current
-// stripes can fit are repacked by dissolving stripes rather than
-// refused with ErrPinned.
-func TestResizeReshardsOnPinSkew(t *testing.T) {
-	d, err := storage.OpenDisk(storage.NewMemDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewSharded(d, 64, 4, "lru")
-	target := m.set.Load().shards[0]
-	var pinnedIDs []storage.PageID
-	for len(pinnedIDs) < 3 {
-		id, err := d.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.shardFor(id) != target {
-			continue
-		}
-		if _, err := m.Pin(id); err != nil {
-			t.Fatal(err)
-		}
-		pinnedIDs = append(pinnedIDs, id)
-	}
-	// 4 frames over 4 stripes leaves no slack for 3 pins on one
-	// stripe (every other stripe needs a frame of its own).
-	if err := m.Resize(4); err != nil {
-		t.Fatalf("Resize with skew beyond stripe slack: %v", err)
-	}
-	if m.PoolSize() != 4 {
-		t.Fatalf("PoolSize = %d, want 4", m.PoolSize())
-	}
-	if m.NumShards() >= 4 {
-		t.Fatalf("NumShards = %d, want re-shard below 4", m.NumShards())
-	}
-	for _, id := range pinnedIDs {
-		if m.PinCount(id) != 1 {
-			t.Fatalf("pinned page %d lost its frame", id)
-		}
-		if err := m.Unpin(id, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The shrunken pool still serves traffic.
-	if _, err := m.Pin(pinnedIDs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unpin(pinnedIDs[0], false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReshardConcurrentSwap races pin traffic against generation
-// swaps (run with -race): every round shrinks an 8-stripe pool below
-// one frame per stripe mid-flight, then grows it back.
-func TestReshardConcurrentSwap(t *testing.T) {
-	d, err := storage.OpenDisk(storage.NewMemDevice())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := allocPages(t, d, 64)
-	for r := 0; r < 10; r++ {
-		m := NewSharded(d, 64, 8, "lru")
-		var wg sync.WaitGroup
-		errCh := make(chan error, 8)
-		stop := make(chan struct{})
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					id := ids[rng.Intn(len(ids))]
-					if _, err := m.Pin(id); err != nil {
-						if errors.Is(err, ErrPoolExhausted) {
-							continue
-						}
-						errCh <- err
-						return
-					}
-					if err := m.Unpin(id, false); err != nil {
-						errCh <- err
-						return
-					}
-					_ = m.Stats()
-				}
-			}(int64(r*8 + w + 1))
-		}
-		if err := m.Resize(5); err != nil && !errors.Is(err, ErrPinned) {
-			t.Fatal(err)
-		}
-		if err := m.Resize(64); err != nil && !errors.Is(err, ErrPinned) {
-			t.Fatal(err)
-		}
-		close(stop)
-		wg.Wait()
-		close(errCh)
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			if pc := m.PinCount(id); pc != 0 {
-				t.Fatalf("page %d ends with pin count %d", id, pc)
-			}
-		}
-	}
-}
-
-// TestShardedConcurrentStress hammers Pin/Unpin/NewPage/Stats/Resize
+// TestShardedConcurrentStress hammers Pin/Unpin/NewPage/Stats
 // from many goroutines across shards (run with -race), then checks
 // pin-count and stats invariants.
 func TestShardedConcurrentStress(t *testing.T) {
@@ -357,7 +110,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSharded(d, 256, 8, "lru")
+	m := NewSharded(d, 256, 8)
 	const npages = 512
 	ids := make([]storage.PageID, npages)
 	for i := range ids {
@@ -393,13 +146,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 						return
 					}
 				case 1:
-					// Resize under load; ErrPinned is a legal outcome.
-					n := 128 + rng.Intn(256)
-					if err := m.Resize(n); err != nil && !errors.Is(err, ErrPinned) {
-						errCh <- err
-						return
-					}
-				case 2:
 					_ = m.Stats()
 					_ = m.ShardStats()
 				default:

@@ -26,7 +26,7 @@ var durabilityMethods = []struct {
 	pkg, typ string
 	methods  []string
 }{
-	{walPath, "Log", []string{"Append", "AppendPageUpdate", "Flush", "FlushNoWindow", "Checkpoint"}},
+	{walPath, "Log", []string{"Append", "AppendPageUpdate", "Flush", "Checkpoint"}},
 	{txnPath, "Manager", []string{"Commit", "CommitLazy", "CommitAppend", "FinishCommit", "Abort", "Checkpoint", "CheckpointAsync", "StopCheckpointFlusher"}},
 	{txnPath, "LockManager", []string{"Acquire", "TryAcquire"}},
 	{txnPath, "Txn", []string{"Lock"}},

@@ -404,11 +404,10 @@ func (t *Txn) takeCommittedPeek() []func() {
 
 // CommitAppend moves the transaction to committed and appends its
 // commit record WITHOUT forcing the log or deregistering it: the
-// transaction keeps counting as in flight (so the commit_siblings gate
-// sees concurrent committers) until FinishCommit forces durability and
-// releases it. Callers that commit while holding an engine lock use
-// the pair to keep commit ordering under the lock but pay the log
-// force outside it.
+// transaction keeps counting as in flight until FinishCommit forces
+// durability and releases it. Callers that commit while holding an
+// engine lock use the pair to keep commit ordering under the lock but
+// pay the log force outside it.
 func (m *Manager) CommitAppend(t *Txn) (wal.LSN, error) {
 	t.mu.Lock()
 	if t.status != StatusActive {

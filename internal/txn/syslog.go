@@ -23,10 +23,9 @@ func (s sysLogger) Begin() (storage.PageTxn, error) {
 
 // Flush implements storage.PageLogger: it forces everything appended so
 // far (the file manager calls it before returning freed pages to the
-// allocator). No group window: the caller holds the file-manager lock,
-// and commit-batching latency must not stall page traffic.
+// allocator).
 func (s sysLogger) Flush() error {
-	return s.m.log.FlushNoWindow(s.m.log.NextLSN())
+	return s.m.log.Flush(s.m.log.NextLSN())
 }
 
 // pageTxn adapts a Txn to storage.PageTxn.

@@ -10,8 +10,8 @@ import (
 )
 
 // countingDir is a MemSegmentDir whose segment devices count Sync calls
-// (one counter across segments) and optionally slow them down to widen
-// the group-commit window, the way a real fsync would.
+// (one counter across segments) and optionally slow them down, the way
+// a real fsync would, so followers arrive while a leader is syncing.
 type countingDir struct {
 	*MemSegmentDir
 	syncs     atomic.Uint64
@@ -92,91 +92,6 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 	}
 	if uint64(seen) != commits {
 		t.Fatalf("iterated %d records, want %d", seen, commits)
-	}
-}
-
-// TestGroupWindowBatchesBurst checks that a non-zero window batches a
-// burst of committers into very few syncs.
-func TestGroupWindowBatchesBurst(t *testing.T) {
-	dev := &countingDir{MemSegmentDir: NewMemSegmentDir()}
-	l, err := OpenDir(dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetGroupWindow(2*time.Millisecond, 1<<20)
-	opened := dev.syncs.Load()
-
-	const committers = 8
-	var wg sync.WaitGroup
-	for c := 0; c < committers; c++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			lsn, _ := l.Append(&Record{Txn: id, Type: RecCommit})
-			_ = l.Flush(lsn + 1)
-		}(uint64(c + 1))
-	}
-	wg.Wait()
-	if syncs := dev.syncs.Load() - opened; syncs >= committers {
-		t.Fatalf("windowed group commit used %d syncs for %d commits", syncs, committers)
-	}
-}
-
-// TestGroupBytesEndsWindowEarly: once groupBytes are pending, the
-// leader must not wait out the rest of the window.
-func TestGroupBytesEndsWindowEarly(t *testing.T) {
-	l, err := OpenDir(NewMemSegmentDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetGroupWindow(500*time.Millisecond, 1)
-	lsn, err := l.Append(&Record{Txn: 1, Type: RecCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := l.Flush(lsn + 1); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > 250*time.Millisecond {
-		t.Fatalf("flush took %v despite byte trigger already met", el)
-	}
-}
-
-// TestEvictFlushClosesWindowEarly: a write-ahead (eviction-path) flush
-// arriving while a leader holds a long group window open must close
-// the window early instead of waiting it out — the caller holds a
-// buffer shard lock.
-func TestEvictFlushClosesWindowEarly(t *testing.T) {
-	l, err := OpenDir(NewMemSegmentDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetGroupWindow(500*time.Millisecond, 0)
-	lsn, err := l.Append(&Record{Txn: 1, Type: RecCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	done := make(chan error, 1)
-	go func() { done <- l.Flush(lsn + 1) }() // windowed leader
-	time.Sleep(10 * time.Millisecond)        // let it enter the window
-	lsn2, err := l.Append(&Record{Txn: 2, Type: RecUpdate, PageID: 1, Offset: 32,
-		Before: []byte("a"), After: []byte("b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.BeforeEvict()(1, uint64(lsn2)); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > 250*time.Millisecond {
-		t.Fatalf("eviction flush waited %v behind a 500ms window", el)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if l.DurableBoundary() <= lsn2 {
-		t.Fatal("eviction flush returned before its record was durable")
 	}
 }
 
@@ -281,44 +196,5 @@ func TestFlushErrorRestoresPending(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Fatalf("iterated %d records, want 3", seen)
-	}
-}
-
-// TestCommitSiblingsGateSkipsWindow checks the Postgres-style
-// commit_siblings gate: a lone committer must not sleep out a long
-// group window, while a committer with siblings in flight still holds
-// it open to batch them.
-func TestCommitSiblingsGateSkipsWindow(t *testing.T) {
-	l, err := OpenDir(NewMemSegmentDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetGroupWindow(500*time.Millisecond, 0)
-	siblings := 0
-	l.SetCommitSiblings(1, func() int { return siblings })
-
-	// Lone committer: the gate skips the 500ms window entirely.
-	lsn, _ := l.Append(&Record{Txn: 1, Type: RecCommit})
-	start := time.Now()
-	if err := l.Flush(lsn + 1); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("lone committer waited %v behind the gated window", el)
-	}
-	if l.WindowSkips() == 0 {
-		t.Fatal("gate did not record the skipped window")
-	}
-
-	// With siblings reported, the window is held open again.
-	l.SetGroupWindow(30*time.Millisecond, 0)
-	siblings = 3
-	lsn, _ = l.Append(&Record{Txn: 2, Type: RecCommit})
-	start = time.Now()
-	if err := l.Flush(lsn + 1); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 20*time.Millisecond {
-		t.Fatalf("windowed flush with siblings returned in %v, want >= ~30ms", el)
 	}
 }

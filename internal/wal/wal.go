@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -215,8 +214,9 @@ func (s *segment) devOff(lsn LSN) int64 {
 // Flush uses group commit: concurrent callers coalesce onto a single
 // leader that performs one device sync covering every LSN requested so
 // far, while followers wait for the covering sync instead of issuing
-// their own. SetGroupWindow additionally holds the leader open for a
-// short time/size window so bursts of committers share one sync.
+// their own. The leader syncs as soon as it takes the round: the
+// batching comes from committers that arrive while its sync is in
+// flight, never from a deliberate delay.
 type Log struct {
 	mu           sync.Mutex
 	dir          SegmentDir
@@ -241,17 +241,11 @@ type Log struct {
 	open map[uint64]CkptTxn
 
 	// Group commit state.
-	flushDone      *sync.Cond // broadcast when a flush round completes
-	syncing        bool       // a leader is writing/syncing off-lock
-	evictWaiters   int        // no-window callers waiting on the leader
-	groupWindow    time.Duration
-	groupBytes     int
-	commitSiblings int        // min other in-flight txns to hold the window
-	siblingsFn     func() int // reports other in-flight transactions
-	syncs          uint64     // device syncs issued by Flush
-	windowSkips    uint64     // windows skipped by the siblings gate
-	rolls          uint64     // segment rollovers performed
-	rollFails      uint64     // rollover attempts that failed (retried)
+	flushDone *sync.Cond // broadcast when a flush round completes
+	syncing   bool       // a leader is writing/syncing off-lock
+	syncs     uint64     // device syncs issued by Flush
+	rolls     uint64     // segment rollovers performed
+	rollFails uint64     // rollover attempts that failed (retried)
 
 	// retainFn, when set, reports the minimum LSN an external consumer
 	// (a replication shipper) still needs; checkpoint truncation keeps
@@ -567,62 +561,11 @@ func (l *Log) Rolls() uint64 {
 	return l.rolls
 }
 
-// SetGroupWindow tunes group commit: a flush leader holds the log
-// open for up to the window before syncing, so concurrent committers
-// batch into one device sync; the window ends as soon as maxBytes are
-// pending. window=0 (the default) syncs immediately; maxBytes<=0
-// means the full window is always waited out.
-func (l *Log) SetGroupWindow(window time.Duration, maxBytes int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.groupWindow = window
-	l.groupBytes = maxBytes
-}
-
-// SetCommitSiblings installs a Postgres-style commit_siblings gate on
-// the group window: a flush leader only holds the window open when fn
-// reports at least minSiblings other transactions in flight, so a lone
-// committer syncs immediately instead of sleeping out the window.
-// minSiblings follows the user-facing knob convention everywhere the
-// gate is configured: 0 selects the default gate of 1 sibling, a
-// negative value (or fn == nil) disables the gate so the window is
-// always held. fn is called with the log mutex held and must not call
-// back into the log.
-func (l *Log) SetCommitSiblings(minSiblings int, fn func() int) {
-	if minSiblings == 0 {
-		minSiblings = 1
-	} else if minSiblings < 0 {
-		minSiblings = 0 // disabled
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.commitSiblings = minSiblings
-	l.siblingsFn = fn
-}
-
-// WindowSkips returns how many flush rounds skipped the group window
-// because too few sibling transactions were in flight.
-func (l *Log) WindowSkips() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.windowSkips
-}
-
-// holdWindowLocked reports whether a flush leader should hold the group
-// window open, consulting the commit_siblings gate.
-func (l *Log) holdWindowLocked() bool {
-	if l.groupWindow <= 0 {
-		return false
-	}
-	if l.commitSiblings <= 0 || l.siblingsFn == nil {
-		return true
-	}
-	if l.siblingsFn() >= l.commitSiblings {
-		return true
-	}
-	l.windowSkips++
-	return false
-}
+// WindowSkips always returns 0: the log has no group-commit window
+// to skip. It stays only because the bench/ module still reads it;
+// stage 3-0 deletes it together with buffer.NewPolicy and the policy
+// argument of buffer.New.
+func (l *Log) WindowSkips() uint64 { return 0 }
 
 // Syncs returns the number of device syncs issued by Flush so far.
 // Under group commit this is typically far below the number of
@@ -902,17 +845,7 @@ func (l *Log) AppendPageUpdate(txnID uint64, prevLSN LSN, pid storage.PageID, be
 // and issuing one device sync — or waits for an in-flight leader whose
 // sync covers its LSN (group commit). The leader performs I/O outside
 // the log lock, so appends proceed concurrently.
-func (l *Log) Flush(upTo LSN) error { return l.flush(upTo, true) }
-
-// FlushNoWindow is Flush without the group-commit window: callers that
-// hold an engine lock (file-manager frees, page eviction) must not
-// stall unrelated traffic for commit-batching latency.
-func (l *Log) FlushNoWindow(upTo LSN) error { return l.flush(upTo, false) }
-
-// flush implements Flush. allowWindow=false skips the group window:
-// the buffer manager's eviction hook flushes while holding a shard
-// lock, and must not stall page traffic for the commit-batching delay.
-func (l *Log) flush(upTo LSN, allowWindow bool) error {
+func (l *Log) Flush(upTo LSN) error {
 	l.mu.Lock()
 	for {
 		if l.flushed >= upTo {
@@ -922,40 +855,9 @@ func (l *Log) flush(upTo LSN, allowWindow bool) error {
 		if !l.syncing {
 			break // become the leader
 		}
-		if !allowWindow {
-			// An eviction-path caller is queued behind this round; the
-			// leader's window loop sees the count and closes early.
-			l.evictWaiters++
-			l.flushDone.Wait()
-			l.evictWaiters--
-		} else {
-			l.flushDone.Wait()
-		}
+		l.flushDone.Wait()
 	}
 	l.syncing = true
-	if allowWindow && l.holdWindowLocked() {
-		// Hold the group open so concurrent committers join this
-		// round. Appends only need l.mu, which we release; the window
-		// ends early once groupBytes are pending or an eviction-path
-		// flush is waiting on this round.
-		deadline := time.Now().Add(l.groupWindow)
-		slice := l.groupWindow / 8
-		if slice < time.Duration(50)*time.Microsecond {
-			slice = 50 * time.Microsecond
-		}
-		for l.evictWaiters == 0 && (l.groupBytes <= 0 || len(l.buf) < l.groupBytes) {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				break
-			}
-			if slice > remain {
-				slice = remain
-			}
-			l.mu.Unlock()
-			time.Sleep(slice)
-			l.mu.Lock()
-		}
-	}
 	// Take ownership of the pending bytes; appends continue into a
 	// fresh buffer at the advanced offset while we do I/O. The whole
 	// pending buffer belongs to the active segment: rolls only happen
@@ -1315,10 +1217,7 @@ func (l *Log) FullPageFence() LSN {
 func (l *Log) BeforeEvict() func(storage.PageID, uint64) error {
 	return func(id storage.PageID, pageLSN uint64) error {
 		if LSN(pageLSN) >= l.DurableBoundary() {
-			// No group window here: the caller holds a buffer shard
-			// lock, and batching latency belongs to commits, not to
-			// page eviction.
-			return l.flush(LSN(pageLSN)+1, false)
+			return l.Flush(LSN(pageLSN) + 1)
 		}
 		return nil
 	}

@@ -76,7 +76,7 @@ func OpenReplicaReader(dev storage.Device, frames int) (*ReplicaReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sbdms: replica device: %w", err)
 	}
-	pool := buffer.New(disk, frames, buffer.NewPolicy(""))
+	pool := buffer.New(disk, frames, nil)
 	fm, err := storage.OpenFileManager(pool)
 	if err != nil {
 		return nil, err

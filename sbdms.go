@@ -75,24 +75,6 @@ type Options struct {
 	Granularity Granularity
 	// BufferFrames sizes the buffer pool (default 256).
 	BufferFrames int
-	// BufferPolicy selects the replacement policy: lru, clock, 2q.
-	BufferPolicy string
-	// BufferShards overrides the buffer pool's lock-stripe count
-	// (0 = automatic, scaled to the pool size; 1 = single-mutex pool).
-	BufferShards int
-	// WALGroupWindow holds a WAL flush leader open for this window so
-	// concurrent committers share one device sync (0 = sync as soon as
-	// the leader runs; coalescing of concurrent callers still applies).
-	WALGroupWindow time.Duration
-	// WALGroupBytes ends the group window early once this many bytes
-	// are pending (0 = time window only).
-	WALGroupBytes int
-	// WALCommitSiblings is the Postgres-style commit_siblings gate: a
-	// group window is only held open when at least this many other
-	// transactions are in flight, so a lone committer syncs immediately
-	// instead of sleeping out the window. 0 defaults to 1; a negative
-	// value disables the gate (always hold the window).
-	WALCommitSiblings int
 	// Binding wraps every registered service with a communication
 	// mechanism (nil = in-process). Use a netbind.Binding via
 	// WrapService for remote deployments.
@@ -192,7 +174,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("sbdms: rebuilding free list: %w", err)
 		}
 	}
-	db.log.SetGroupWindow(opts.WALGroupWindow, opts.WALGroupBytes)
 
 	// The page store under the buffer pool: native disk, or — in the
 	// fine profile — the disk service reached through the registry.
@@ -204,11 +185,7 @@ func Open(opts Options) (*DB, error) {
 		lower = NewPageStoreClient(ctx, db.kernel.Ref(IfaceDisk, nil))
 	}
 
-	if opts.BufferShards > 0 {
-		db.pool = buffer.NewSharded(lower, opts.BufferFrames, opts.BufferShards, opts.BufferPolicy)
-	} else {
-		db.pool = buffer.New(lower, opts.BufferFrames, buffer.NewPolicy(opts.BufferPolicy))
-	}
+	db.pool = buffer.New(lower, opts.BufferFrames, nil)
 	db.pool.SetBeforeEvict(db.log.BeforeEvict())
 	fm, err := storage.OpenFileManager(db.pool)
 	if err != nil {
@@ -239,11 +216,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("sbdms: rolling back in-flight transactions: %w", err)
 		}
 	}
-	// Lone committers skip the group window unless enough sibling
-	// transactions are in flight to make batching worthwhile
-	// (SetCommitSiblings resolves the knob: 0 = gate at 1 sibling,
-	// negative = always hold the window).
-	db.log.SetCommitSiblings(opts.WALCommitSiblings, func() int { return db.txns.ActiveCount() - 1 })
 	cat, err := catalog.Open(fm, db.pool)
 	if err != nil {
 		return nil, err
@@ -414,7 +386,7 @@ func (db *DB) Kernel() *core.Kernel { return db.kernel }
 // Engine exposes the native SQL engine (the monolithic baseline path).
 func (db *DB) Engine() *sql.Engine { return db.engine }
 
-// Pool exposes the buffer manager (for monitoring and resizing).
+// Pool exposes the buffer manager (for monitoring).
 func (db *DB) Pool() *buffer.Manager { return db.pool }
 
 // Log exposes the write-ahead log.

@@ -225,17 +225,6 @@ func TestKeyNotFoundError(t *testing.T) {
 	}
 }
 
-func TestBufferPolicyOption(t *testing.T) {
-	db, err := Open(Options{Granularity: Monolithic, BufferPolicy: "clock"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close(context.Background())
-	if db.Pool().PolicyName() != "clock" {
-		t.Fatalf("policy = %s", db.Pool().PolicyName())
-	}
-}
-
 func TestDelayBindingProfile(t *testing.T) {
 	// A binding applied to every service adds per-hop latency:
 	// layered (2 hops) must be slower than coarse (1 hop).

@@ -165,7 +165,6 @@ func ScenarioExtension(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 					"hits":      fmt.Sprint(st.Hits),
 					"misses":    fmt.Sprint(st.Misses),
 					"evictions": fmt.Sprint(st.Evictions),
-					"policy":    db.Pool().PolicyName(),
 					"frames":    fmt.Sprint(db.Pool().PoolSize()),
 				}, nil
 			})
@@ -194,7 +193,7 @@ func ScenarioExtension(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 		return res, fmt.Errorf("extension not invocable: %w", err)
 	}
 	if m, ok := out.(map[string]string); ok {
-		res.ServedBy = "page-coordinator (policy=" + m["policy"] + ")"
+		res.ServedBy = "page-coordinator (frames=" + m["frames"] + ")"
 	}
 	res.Events = db.Kernel().Bus().CountByType()
 	return res, nil
