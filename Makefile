@@ -3,7 +3,7 @@ GO ?= go
 # Concurrency-heavy packages that must stay clean under the race detector.
 RACE_PKGS = ./internal/access/... ./internal/buffer/... ./internal/core/... \
             ./internal/index/... ./internal/storage/... ./internal/txn/... \
-            ./internal/wal/...
+            ./internal/wal/... ./internal/netbind/...
 
 .PHONY: build test race bench bench-smoke sbench-smoke examples-smoke bench-regress fuzz-short crash checkpoint-crash stress isolation mvcc cluster cluster-short vet lint counts all
 

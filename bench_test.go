@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/netbind"
 	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -245,22 +245,20 @@ func BenchmarkG1_Granularity_Fine_UpdateHeavy(b *testing.B) {
 	benchGranularity(b, Fine, workload.MixA)
 }
 
-// TCP-calibrated per-hop cost (see MeasureTCPRoundTrip).
+// Every service behind its own loopback netbind hop (see netbind.Binding).
+
+func benchTCPHop(b *testing.B, g Granularity) {
+	wire := &netbind.Binding{}
+	b.Cleanup(func() { _ = wire.Close() }) // runs after benchDB's db.Close
+	runKVMix(b, benchDB(b, g, wire), workload.MixB)
+}
 
 func BenchmarkG1_Granularity_Coarse_TCPHop(b *testing.B) {
-	rtt, err := MeasureTCPRoundTrip(100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runKVMix(b, benchDB(b, Coarse, core.DelayBinding{Delay: rtt}), workload.MixB)
+	benchTCPHop(b, Coarse)
 }
 
 func BenchmarkG1_Granularity_Layered_TCPHop(b *testing.B) {
-	rtt, err := MeasureTCPRoundTrip(100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runKVMix(b, benchDB(b, Layered, core.DelayBinding{Delay: rtt}), workload.MixB)
+	benchTCPHop(b, Layered)
 }
 
 // --- G2: embedded / small-footprint profile ----------------------------
@@ -287,34 +285,22 @@ func BenchmarkG3_Proximity_NoSelection(b *testing.B) {
 	benchProximity(b, false)
 }
 
-// benchProximity registers a near (fast) and far (slow) provider; with
-// proximity selection on, the tag-aware selector finds the near one.
+// benchProximity calls experiment G3's store: with proximity selection
+// on, the tag-aware selector finds the in-process provider instead of
+// the one a loopback netbind hop away.
 func benchProximity(b *testing.B, selectNear bool) {
 	ctx := context.Background()
-	reg := core.NewRegistry(nil)
-	mk := func(name, node string, delay time.Duration) {
-		s := core.NewService(name, &core.Contract{
-			Interface:  "bench.Store",
-			Operations: []core.OpSpec{{Name: "get", In: "string", Out: "string"}},
-		})
-		s.Handle("get", func(ctx context.Context, req any) (any, error) {
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			return "v", nil
-		})
-		_ = s.Start(ctx)
-		if err := reg.RegisterService(s, map[string]string{"node": node}); err != nil {
-			b.Fatal(err)
-		}
+	wire := &netbind.Binding{}
+	b.Cleanup(func() { _ = wire.Close() })
+	reg, err := ProximityRegistry(ctx, wire)
+	if err != nil {
+		b.Fatal(err)
 	}
-	mk("a-far-store", "far", 200*time.Microsecond)
-	mk("b-near-store", "near", 0)
 	var sel core.Selector
 	if selectNear {
 		sel = core.SelectByTag("node", "near", nil)
 	}
-	ref := core.NewRef(reg, "bench.Store", sel)
+	ref := core.NewRef(reg, "g3.Store", sel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ref.Invoke(ctx, "get", "k"); err != nil {

@@ -20,6 +20,7 @@ import (
 	sbdms "repro"
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/netbind"
 	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -125,27 +126,6 @@ func header(title string) {
 	fmt.Println("=== " + title + " ===")
 }
 
-func measure(g sbdms.Granularity, binding core.Binding, bindName string, mix workload.Mix, keys, ops int) (sbdms.KVMeasurement, error) {
-	db, err := sbdms.Open(sbdms.Options{
-		Granularity:  g,
-		BufferFrames: 512,
-		Binding:      binding,
-	})
-	if err != nil {
-		return sbdms.KVMeasurement{}, err
-	}
-	defer db.Close(context.Background())
-	if err := sbdms.Preload(db, keys, 100); err != nil {
-		return sbdms.KVMeasurement{}, err
-	}
-	gen := workload.NewKV(workload.KVConfig{Seed: 1, Keys: keys, Mix: mix, Zipfian: true})
-	m := sbdms.MeasureKV(db, gen, ops)
-	if bindName != "" {
-		m.Binding = bindName
-	}
-	return m, nil
-}
-
 // runF1 reproduces Figure 1: the same engine as monolith, component
 // system and service architecture.
 func runF1(ops, keys int) error {
@@ -156,7 +136,7 @@ func runF1(ops, keys int) error {
 			sbdms.Coarse:     "component DBMS (static service)",
 			sbdms.Layered:    "service-based DBMS (late binding)",
 		}[g]
-		m, err := measure(g, nil, "", workload.MixB, keys, ops)
+		m, err := sbdms.MeasureProfile(g, false, workload.MixB, keys, ops, 1)
 		if err != nil {
 			return err
 		}
@@ -262,7 +242,8 @@ func runF7(ops, keys int) error {
 	return runScenario("f7", sbdms.ScenarioAdaptation, ops/20)
 }
 
-// runG1 is the headline granularity x binding sweep.
+// runG1 is the headline granularity x binding sweep: every profile in
+// process and with every service behind its own loopback netbind hop.
 func runG1(ops, keys int) error {
 	header("G1 — granularity x binding sweep (paper Section 5 future work)")
 	for _, mix := range []struct {
@@ -272,17 +253,18 @@ func runG1(ops, keys int) error {
 		{"read-mostly (YCSB-B)", workload.MixB},
 		{"update-heavy (YCSB-A)", workload.MixA},
 	} {
-		fmt.Printf("-- workload: %s, %d zipfian keys --\n", mix.name, keys)
-		ms, err := sbdms.GranularitySweep(mix.m, keys, ops, 1)
+		ms, rtt, err := sbdms.GranularitySweep(mix.m, keys, ops, 1)
 		if err != nil {
 			return err
 		}
+		fmt.Printf("-- workload: %s, %d zipfian keys, echo RTT %v --\n", mix.name, keys, rtt.Round(time.Microsecond))
 		for _, m := range ms {
 			fmt.Println(m)
 			record(struct {
-				Workload string `json:"workload"`
+				Workload string        `json:"workload"`
+				EchoRTT  time.Duration `json:"echoRttNs"`
 				sbdms.KVMeasurement
-			}{mix.name, m})
+			}{mix.name, rtt, m})
 		}
 	}
 	return nil
@@ -325,29 +307,16 @@ func runG2(ops, keys int) error {
 	return nil
 }
 
-// runG3 measures client-proximity selection.
+// runG3 measures client-proximity selection between two providers of
+// one service: "near" in process, "far" one loopback netbind hop away.
 func runG3(ops, keys int) error {
 	header("G3 — client-proximity selection (Section 4 distributed scenario)")
 	ctx := context.Background()
-	mkReg := func() *core.Registry {
-		reg := core.NewRegistry(nil)
-		mk := func(name, node string, delay time.Duration) {
-			s := core.NewService(name, &core.Contract{
-				Interface:  "g3.Store",
-				Operations: []core.OpSpec{{Name: "get", In: "string", Out: "string"}},
-			})
-			s.Handle("get", func(ctx context.Context, req any) (any, error) {
-				if delay > 0 {
-					time.Sleep(delay)
-				}
-				return "v", nil
-			})
-			_ = s.Start(ctx)
-			_ = reg.RegisterService(s, map[string]string{"node": node})
-		}
-		mk("a-far-store", "far", 300*time.Microsecond)
-		mk("b-near-store", "near", 5*time.Microsecond)
-		return reg
+	wire := &netbind.Binding{}
+	defer wire.Close()
+	reg, err := sbdms.ProximityRegistry(ctx, wire)
+	if err != nil {
+		return err
 	}
 	n := ops / 4
 	for _, c := range []struct {
@@ -357,7 +326,7 @@ func runG3(ops, keys int) error {
 		{"without proximity selection (first provider)", nil},
 		{"with proximity selection (node=near tag)    ", core.SelectByTag("node", "near", nil)},
 	} {
-		ref := core.NewRef(mkReg(), "g3.Store", c.sel)
+		ref := core.NewRef(reg, "g3.Store", c.sel)
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			if _, err := ref.Invoke(ctx, "get", "k"); err != nil {
@@ -365,7 +334,7 @@ func runG3(ops, keys int) error {
 			}
 		}
 		el := time.Since(start)
-		fmt.Printf("%s %6d calls  mean=%v\n", c.label, n, (el / time.Duration(n)).Round(time.Microsecond))
+		fmt.Printf("%s %6d calls  mean=%v\n", c.label, n, (el / time.Duration(n)).Round(10*time.Nanosecond))
 		record(struct {
 			Label  string        `json:"label"`
 			Calls  int           `json:"calls"`

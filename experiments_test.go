@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netbind"
 	"repro/internal/workload"
 )
 
@@ -53,33 +54,43 @@ func TestGranularitySweepSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep opens 8 databases")
 	}
-	ms, err := GranularitySweep(workload.MixB, 200, 500, 1)
+	ms, rtt, err := GranularitySweep(workload.MixB, 200, 500, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rtt <= 0 {
+		t.Fatalf("echo RTT = %v", rtt)
 	}
 	if len(ms) != 2*len(Granularities) {
 		t.Fatalf("cells = %d", len(ms))
 	}
-	// Local cells must be much faster than delay-bound cells for any
-	// service-based profile.
 	byKey := map[string]KVMeasurement{}
 	for _, m := range ms {
-		key := string(m.Granularity)
-		if m.Binding == "local" {
-			byKey["local/"+key] = m
-		} else {
-			byKey["tcp/"+key] = m
+		if m.Failures != 0 {
+			t.Fatalf("failures: %v", m)
+		}
+		byKey[m.Binding+"/"+string(m.Granularity)] = m
+	}
+	// Every KV op crosses the kv boundary from Coarse on and the record
+	// boundary from Layered on; Fine adds a disk call per pool miss or
+	// dirty write-back.
+	for g, want := range map[Granularity]float64{Monolithic: 0, Coarse: 1, Layered: 2, Fine: 2} {
+		local, wire := byKey["local/"+string(g)], byKey[netbind.Protocol+"/"+string(g)]
+		if local.HopsPerOp != 0 {
+			t.Errorf("%s local: hops/op = %v, want 0", g, local.HopsPerOp)
+		}
+		if wire.HopsPerOp < want || (g != Fine && wire.HopsPerOp != want) {
+			t.Errorf("%s over the wire: hops/op = %v, want %v", g, wire.HopsPerOp, want)
+		}
+		// Local cells must be faster than wire cells for any
+		// service-based profile.
+		if g != Monolithic && local.OpsPerSec <= wire.OpsPerSec {
+			t.Errorf("%s: local %.0f <= wire %.0f op/s", g, local.OpsPerSec, wire.OpsPerSec)
 		}
 	}
-	for _, g := range []Granularity{Coarse, Layered, Fine} {
-		local, tcp := byKey["local/"+string(g)], byKey["tcp/"+string(g)]
-		if local.OpsPerSec <= tcp.OpsPerSec {
-			t.Fatalf("%s: local %.0f <= tcp %.0f op/s", g, local.OpsPerSec, tcp.OpsPerSec)
-		}
-	}
-	// Monolithic must beat layered under the TCP binding (the paper's
+	// Monolithic must beat layered over the wire (the paper's
 	// granularity tradeoff).
-	if byKey["tcp/monolithic"].OpsPerSec <= byKey["tcp/layered"].OpsPerSec {
-		t.Fatal("granularity tradeoff shape missing under TCP binding")
+	if byKey[netbind.Protocol+"/monolithic"].OpsPerSec <= byKey[netbind.Protocol+"/layered"].OpsPerSec {
+		t.Fatal("granularity tradeoff shape missing over the wire")
 	}
 }

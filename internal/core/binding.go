@@ -1,58 +1,19 @@
 package core
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // Binding separates how a service is reached from what it does
 // (Section 3.6: "a binding separates the communication from the
 // functionality"). A binding wraps an Invoker with a communication
-// mechanism; LocalBinding is the in-process mechanism, and
+// mechanism: an unbound service is reached in process, and
 // internal/netbind provides a TCP/gob mechanism. Custom protocols plug
 // in by implementing this interface.
 type Binding interface {
 	// Bind wraps target with the binding's communication mechanism.
 	Bind(target Invoker) Invoker
-	// Protocol names the communication protocol, e.g. "local", "tcp+gob".
+	// Protocol names the communication protocol, e.g. "tcp+gob".
 	Protocol() string
 }
-
-// LocalBinding is the zero-overhead in-process binding.
-type LocalBinding struct{}
-
-// Bind implements Binding: local bindings are pass-through.
-func (LocalBinding) Bind(target Invoker) Invoker { return target }
-
-// Protocol implements Binding.
-func (LocalBinding) Protocol() string { return "local" }
-
-// DelayBinding injects a fixed per-call latency; the experiment harness
-// uses it to simulate network round-trips deterministically (e.g. the
-// client-proximity study G3) without real sockets.
-type DelayBinding struct {
-	// Delay is added to every invocation.
-	Delay time.Duration
-}
-
-// Bind implements Binding.
-func (b DelayBinding) Bind(target Invoker) Invoker {
-	return InvokerFunc(func(ctx context.Context, op string, req any) (any, error) {
-		if b.Delay > 0 {
-			t := time.NewTimer(b.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			}
-		}
-		return target.Invoke(ctx, op, req)
-	})
-}
-
-// Protocol implements Binding.
-func (b DelayBinding) Protocol() string { return "delay" }
 
 // BoundService wraps a service so that its Invoke path goes through a
 // binding while lifecycle methods pass through. Registering a bound

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 )
 
 // retained counts the events a bus still holds in its history.
@@ -90,29 +88,33 @@ func TestPropertiesTypedAccess(t *testing.T) {
 	}
 }
 
+// countingBinding is a test binding that counts the calls routed
+// through it.
+type countingBinding struct{ calls *int }
+
+func (b countingBinding) Bind(target Invoker) Invoker {
+	return InvokerFunc(func(ctx context.Context, op string, req any) (any, error) {
+		*b.calls++
+		return target.Invoke(ctx, op, req)
+	})
+}
+
+func (countingBinding) Protocol() string { return "counting" }
+
 func TestBindings(t *testing.T) {
 	ctx := context.Background()
 	s := newEchoService(t, "svc", "test.Echo")
-	local := BindService(s, LocalBinding{})
-	out, err := local.Invoke(ctx, "echo", "x")
+	var calls int
+	bound := BindService(s, countingBinding{&calls})
+	out, err := bound.Invoke(ctx, "echo", "x")
 	if err != nil || out != "svc:x" {
-		t.Fatalf("local binding: %v, %v", out, err)
+		t.Fatalf("bound invoke: %v, %v", out, err)
 	}
-	if (LocalBinding{}).Protocol() != "local" {
-		t.Fatal("protocol name")
+	if calls != 1 {
+		t.Fatalf("binding saw %d calls, want 1", calls)
 	}
-	delayed := BindService(s, DelayBinding{Delay: 5 * time.Millisecond})
-	start := time.Now()
-	if _, err := delayed.Invoke(ctx, "echo", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("delay binding must add latency")
-	}
-	// Context cancellation interrupts the delay.
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := delayed.Invoke(cctx, "echo", "x"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
+	// Lifecycle methods pass through to the service itself.
+	if bound.Name() != "svc" || bound.State() != StateRunning {
+		t.Fatalf("bound service = %s in state %v", bound.Name(), bound.State())
 	}
 }

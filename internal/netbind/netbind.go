@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -295,9 +296,6 @@ type Client struct {
 // NewClient creates a client for addr (lazy dial).
 func NewClient(addr string) *Client { return &Client{addr: addr} }
 
-// Addr returns the remote address.
-func (c *Client) Addr() string { return c.addr }
-
 func (c *Client) ensureLocked() error {
 	if c.closed {
 		return ErrClosed
@@ -459,24 +457,68 @@ func (g *Gossiper) Stop() {
 	}
 }
 
-// Binding implements core.Binding by round-tripping local invocations
-// through a real TCP connection to a loopback server — the honest cost
-// model for "remote service" in the granularity experiments.
+// Binding implements core.Binding over a real wire: Bind serves the
+// target on a loopback server of its own and returns that server's
+// client, so every call through the bound invoker is one TCP round trip
+// with gob framing. Each bound service gets its own server and client,
+// so a handler that calls another bound service (Layered's kv → record
+// hop) never waits on the connection it is being served from. The zero
+// value is ready to use; Close stops every server and client Bind
+// started.
 type Binding struct {
-	client  *Client
-	service string
+	calls   atomic.Int64
+	mu      sync.Mutex
+	started []interface{ Close() error } // each bound target's client and server
 }
 
-// NewBinding wires a binding that reaches the named service via the
-// client.
-func NewBinding(client *Client, service string) *Binding {
-	return &Binding{client: client, service: service}
-}
-
-// Bind implements core.Binding (the target is ignored: calls go over
-// the wire to the service registered remotely under the same name).
+// Bind implements core.Binding. If the target cannot be served, every
+// call through the returned invoker fails with that error.
 func (b *Binding) Bind(target core.Invoker) core.Invoker {
-	return b.client.InvokerFor(b.service)
+	remote, err := b.serve(target)
+	return core.InvokerFunc(func(ctx context.Context, op string, req any) (any, error) {
+		b.calls.Add(1)
+		if err != nil {
+			return nil, err
+		}
+		return remote.Invoke(ctx, op, req)
+	})
+}
+
+// serve registers target in a registry of its own, serves that
+// registry on loopback and returns a client invoker for it.
+func (b *Binding) serve(target core.Invoker) (core.Invoker, error) {
+	const name = "bound"
+	reg := core.NewRegistry(nil)
+	if err := reg.Register(&core.Registration{
+		Name: name, Interface: name, Contract: &core.Contract{Interface: name}, Invoker: target,
+	}); err != nil {
+		return nil, err
+	}
+	srv, err := Serve(reg, "")
+	if err != nil {
+		return nil, err
+	}
+	c := NewClient(srv.Addr())
+	b.mu.Lock()
+	b.started = append(b.started, c, srv)
+	b.mu.Unlock()
+	return c.InvokerFor(name), nil
+}
+
+// Calls reports how many calls have been made through the invokers Bind
+// returned.
+func (b *Binding) Calls() int64 { return b.calls.Load() }
+
+// Close stops every client and server Bind started; later calls through
+// a bound invoker fail with ErrClosed.
+func (b *Binding) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var errs []error
+	for _, c := range b.started {
+		errs = append(errs, c.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Protocol implements core.Binding.

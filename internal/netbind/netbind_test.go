@@ -220,16 +220,46 @@ func TestGossiperLoop(t *testing.T) {
 }
 
 func TestNetBinding(t *testing.T) {
-	_, srv := serve(t, newEchoService(t, "svc", "test.Echo"))
-	c := NewClient(srv.Addr())
-	defer c.Close()
-	b := NewBinding(c, "svc")
+	ctx := context.Background()
+	b := &Binding{}
 	if b.Protocol() != Protocol {
 		t.Fatal("protocol name")
 	}
-	inv := b.Bind(nil)
-	out, err := inv.Invoke(context.Background(), "echo", "x")
-	if err != nil || out != "svc:x" {
+	inner := b.Bind(newEchoService(t, "inner", "test.Echo"))
+	// outer's handler calls inner through its own bound invoker: a
+	// nested hop, each side over a connection of its own.
+	outerSvc := core.NewService("outer", echoContract("test.Outer"))
+	outerSvc.Handle("echo", func(ctx context.Context, req any) (any, error) {
+		out, err := inner.Invoke(ctx, "echo", req)
+		if err != nil {
+			return nil, err
+		}
+		return "outer:" + out.(string), nil
+	})
+	if err := outerSvc.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	outer := b.Bind(outerSvc)
+
+	out, err := inner.Invoke(ctx, "echo", "x")
+	if err != nil || out != "inner:x" {
 		t.Fatalf("bound invoke = %v, %v", out, err)
+	}
+	out, err = outer.Invoke(ctx, "echo", "y")
+	if err != nil || out != "outer:inner:y" {
+		t.Fatalf("nested bound invoke = %v, %v", out, err)
+	}
+	if got := b.Calls(); got != 3 {
+		t.Fatalf("Calls() = %d, want 3 (one direct, two nested)", got)
+	}
+	if _, err := inner.Invoke(ctx, "nope", nil); !errors.Is(err, ErrRemote) {
+		t.Fatalf("unknown op over the wire: err = %v, want ErrRemote", err)
+	}
+
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inner.Invoke(ctx, "echo", "x"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close: err = %v, want ErrClosed", err)
 	}
 }

@@ -76,8 +76,8 @@ type Options struct {
 	// BufferFrames sizes the buffer pool (default 256).
 	BufferFrames int
 	// Binding wraps every registered service with a communication
-	// mechanism (nil = in-process). Use a netbind.Binding via
-	// WrapService for remote deployments.
+	// mechanism (nil = in-process). &netbind.Binding{} puts each
+	// service behind its own loopback TCP hop; close it after the DB.
 	Binding core.Binding
 	// Coordinator tunes the kernel coordinator; zero value uses
 	// defaults.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netbind"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -225,30 +226,64 @@ func TestKeyNotFoundError(t *testing.T) {
 	}
 }
 
-func TestDelayBindingProfile(t *testing.T) {
-	// A binding applied to every service adds per-hop latency:
-	// layered (2 hops) must be slower than coarse (1 hop).
-	mk := func(g Granularity) time.Duration {
-		db, err := Open(Options{
-			Granularity: g,
-			Binding:     core.DelayBinding{Delay: 2 * time.Millisecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close(context.Background())
-		start := time.Now()
-		for i := 0; i < 5; i++ {
-			if err := db.Put(ctx, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+// TestWireBindingProfile: every profile over a real loopback wire
+// returns what the in-process DB returns, and a warm Get makes exactly
+// one binding call per service boundary it crosses.
+func TestWireBindingProfile(t *testing.T) {
+	hops := map[Granularity]int64{Monolithic: 0, Coarse: 1, Layered: 2, Fine: 2}
+	for _, g := range Granularities {
+		t.Run(string(g), func(t *testing.T) {
+			wire := &netbind.Binding{}
+			defer wire.Close()
+			// No periodic probes: each would be a binding call.
+			opts := Options{Granularity: g, Coordinator: core.CoordinatorConfig{ProbeTimeout: time.Second}}
+			local, err := Open(opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		return time.Since(start)
-	}
-	coarse := mk(Coarse)
-	layered := mk(Layered)
-	if layered <= coarse {
-		t.Fatalf("layered (%v) must pay more hops than coarse (%v)", layered, coarse)
+			defer local.Close(ctx)
+			opts.Binding = wire
+			remote, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close(ctx) // before wire.Close: defers run last-in first-out
+
+			// transcript runs the same operations on a DB and renders
+			// every result.
+			transcript := func(db *DB) string {
+				var out []string
+				for i := 0; i < 5; i++ {
+					out = append(out, fmt.Sprint(db.Put(ctx, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))))
+				}
+				v, err := db.Get(ctx, "k3")
+				out = append(out, fmt.Sprintf("%s %v", v, err))
+				_, err = db.Get(ctx, "missing")
+				out = append(out, fmt.Sprint(IsKeyNotFound(err)))
+				keys, err := db.ScanKeys(ctx, "k1", 3)
+				out = append(out, fmt.Sprint(keys, err))
+				out = append(out, fmt.Sprint(db.DeleteKey(ctx, "k2")))
+				_, err = db.Get(ctx, "k2")
+				out = append(out, fmt.Sprint(IsKeyNotFound(err)))
+				keys, err = db.ScanKeys(ctx, "", 10)
+				out = append(out, fmt.Sprint(keys, err))
+				return strings.Join(out, "\n")
+			}
+			if want, got := transcript(local), transcript(remote); got != want {
+				t.Fatalf("over the wire:\n%s\nin process:\n%s", got, want)
+			}
+
+			// Warm Get: Coarse crosses the kv boundary; Layered's kv
+			// handler makes the nested record hop; Fine's disk boundary
+			// stays quiet on a pool hit.
+			before := wire.Calls()
+			if v, err := remote.Get(ctx, "k1"); err != nil || string(v) != "v1" {
+				t.Fatalf("Get = %q, %v", v, err)
+			}
+			if got := wire.Calls() - before; got != hops[g] {
+				t.Fatalf("warm Get made %d binding calls, want %d", got, hops[g])
+			}
+		})
 	}
 }
 
