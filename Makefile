@@ -70,6 +70,7 @@ bench-regress:
 # spends a whole ten-second budget shrinking one 8 KiB full-page seed.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeView$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
 
 # Crash-recovery suite: kill -9, dropped write-backs, torn page writes,
 # batched transactions, and the mid-import sweeps (data-device, torn,

@@ -38,7 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +52,7 @@ import (
 var (
 	// ErrDuplicateKey is returned by unique indexes on key collision.
 	ErrDuplicateKey = errors.New("index: duplicate key")
-	// ErrCorrupt is returned when a node fails to decode.
+	// ErrCorrupt is returned when a node page fails to parse.
 	ErrCorrupt = errors.New("index: corrupt node")
 	// ErrKeyTooLarge is returned for keys exceeding MaxKeySize; the
 	// bound is what lets crabbing writers prove an ancestor can absorb
@@ -278,7 +278,13 @@ func (t *BTree) Recount() error {
 // 0x00 0x00 terminator and the big-endian RID, yielding a byte string
 // whose order is (key, rid) with no prefix ambiguity.
 func compositeKey(key []byte, rid access.RID) []byte {
-	out := make([]byte, 0, len(key)+14)
+	out := append(appendEscaped(make([]byte, 0, len(key)+14), key), 0x00, 0x00)
+	out = binary.BigEndian.AppendUint64(out, uint64(rid.Page))
+	return binary.BigEndian.AppendUint16(out, rid.Slot)
+}
+
+// appendEscaped appends key with each 0x00 escaped as 0x00 0xFF.
+func appendEscaped(out, key []byte) []byte {
 	for _, b := range key {
 		if b == 0x00 {
 			out = append(out, 0x00, 0xFF)
@@ -286,19 +292,27 @@ func compositeKey(key []byte, rid access.RID) []byte {
 			out = append(out, b)
 		}
 	}
-	out = append(out, 0x00, 0x00)
-	var tail [10]byte
-	binary.BigEndian.PutUint64(tail[:8], uint64(rid.Page))
-	binary.BigEndian.PutUint16(tail[8:], rid.Slot)
-	return append(out, tail[:]...)
+	return out
+}
+
+// ridOf reads the RID from a composite key's fixed-width suffix.
+func ridOf(ck []byte) (access.RID, error) {
+	if len(ck) < 12 {
+		return access.RID{}, fmt.Errorf("%w: composite key too short", ErrCorrupt)
+	}
+	s := ck[len(ck)-10:]
+	return access.RID{
+		Page: storage.PageID(binary.BigEndian.Uint64(s)),
+		Slot: binary.BigEndian.Uint16(s[8:]),
+	}, nil
 }
 
 // splitComposite recovers the user key and RID from a composite key.
 func splitComposite(ck []byte) ([]byte, access.RID, error) {
-	if len(ck) < 12 {
-		return nil, access.RID{}, fmt.Errorf("%w: composite key too short", ErrCorrupt)
+	rid, err := ridOf(ck)
+	if err != nil {
+		return nil, access.RID{}, err
 	}
-	ridPart := ck[len(ck)-10:]
 	body := ck[:len(ck)-12] // strip rid and terminator
 	key := make([]byte, 0, len(body))
 	for i := 0; i < len(body); i++ {
@@ -312,32 +326,23 @@ func splitComposite(ck []byte) ([]byte, access.RID, error) {
 		}
 		key = append(key, body[i])
 	}
-	rid := access.RID{
-		Page: storage.PageID(binary.BigEndian.Uint64(ridPart[:8])),
-		Slot: binary.BigEndian.Uint16(ridPart[8:]),
-	}
 	return key, rid, nil
 }
 
 // keyPrefixBounds returns [lo, hi) composite bounds covering every rid
-// of the exact user key.
+// of the exact user key. Both share one allocation.
 func keyPrefixBounds(key []byte) (lo, hi []byte) {
-	base := make([]byte, 0, len(key)+2)
-	for _, b := range key {
-		if b == 0x00 {
-			base = append(base, 0x00, 0xFF)
-		} else {
-			base = append(base, b)
-		}
-	}
-	lo = append(append([]byte(nil), base...), 0x00, 0x00)
-	hi = append(append([]byte(nil), base...), 0x00, 0x01)
-	return lo, hi
+	n := len(key) + bytes.Count(key, []byte{0x00}) + 2
+	buf := append(appendEscaped(make([]byte, 0, 2*n), key), 0x00, 0x00)
+	buf = append(append(buf, buf[:n-1]...), 0x01)
+	return buf[:n:n], buf[n:]
 }
 
 // --- node representation -----------------------------------------------
 
-// node is the decoded form of a tree page.
+// node is the mutable decoded form of a tree page, built only where a
+// page is about to be rewritten (decode→mutate→encode). Every read goes
+// through view, the one parser of the payload; encode is its writer.
 //
 // Leaf payload:    u8 1 | u16 n | n * (u16 len | composite key)
 // Internal payload: u8 0 | u16 n | u64 child0 | n * (u16 len | key | u64 child)
@@ -402,63 +407,164 @@ func (n *node) encode(p *storage.Page) error {
 	return nil
 }
 
-func decodeNode(p *storage.Page) (*node, error) {
+// maxNodeEntries bounds the entries of one node page: the smallest entry
+// is a 2-byte length prefix plus the 12-byte terminator-and-RID suffix
+// every composite key ends in.
+const maxNodeEntries = storage.PayloadSize / 14
+
+// view reads a latched node page in place. parse makes one
+// bounds-checked pass over the length prefixes and records where each
+// key starts; keys and child ids are then slices and loads of the frame
+// itself, never copies. The array is fixed-size so a view lives on its
+// caller's stack: a latch costs no heap allocation.
+type view struct {
+	pl         []byte
+	leaf       bool
+	n          int // entries
+	end        int // payload bytes in use
+	next, prev storage.PageID
+	off        [maxNodeEntries]uint16 // off[i]: first byte of key i
+}
+
+// parse reads p's layout into v. A count above maxNodeEntries or a
+// length that runs past the payload is ErrCorrupt.
+func (v *view) parse(p *storage.Page) error {
 	pl := p.Payload()
-	n := &node{id: p.ID, leaf: pl[0] == 1, next: p.Next(), prev: p.Prev()}
+	v.pl, v.leaf, v.n = pl, pl[0] == 1, 0
+	v.next, v.prev = p.Next(), p.Prev()
 	cnt := int(binary.LittleEndian.Uint16(pl[1:]))
+	if cnt > maxNodeEntries {
+		return fmt.Errorf("%w: page %d holds %d entries", ErrCorrupt, p.ID, cnt)
+	}
 	off := 3
-	if !n.leaf {
-		if off+8 > len(pl) {
-			return nil, fmt.Errorf("%w: page %d truncated", ErrCorrupt, p.ID)
-		}
-		n.children = append(n.children, storage.PageID(binary.LittleEndian.Uint64(pl[off:])))
+	if !v.leaf {
 		off += 8
 	}
 	for i := 0; i < cnt; i++ {
 		if off+2 > len(pl) {
-			return nil, fmt.Errorf("%w: page %d truncated", ErrCorrupt, p.ID)
+			return fmt.Errorf("%w: page %d truncated", ErrCorrupt, p.ID)
 		}
 		klen := int(binary.LittleEndian.Uint16(pl[off:]))
 		off += 2
 		if off+klen > len(pl) {
-			return nil, fmt.Errorf("%w: page %d truncated key", ErrCorrupt, p.ID)
+			return fmt.Errorf("%w: page %d truncated key", ErrCorrupt, p.ID)
 		}
-		n.keys = append(n.keys, append([]byte(nil), pl[off:off+klen]...))
+		v.off[i] = uint16(off)
 		off += klen
-		if !n.leaf {
+		if !v.leaf {
 			if off+8 > len(pl) {
-				return nil, fmt.Errorf("%w: page %d truncated child", ErrCorrupt, p.ID)
+				return fmt.Errorf("%w: page %d truncated child", ErrCorrupt, p.ID)
 			}
-			n.children = append(n.children, storage.PageID(binary.LittleEndian.Uint64(pl[off:])))
 			off += 8
 		}
 	}
-	return n, nil
+	v.n, v.end = cnt, off
+	return nil
+}
+
+// key returns entry i's key as a capped slice of the frame: valid only
+// while the latch is held, and never to be written through.
+func (v *view) key(i int) []byte {
+	o := int(v.off[i])
+	e := o + int(binary.LittleEndian.Uint16(v.pl[o-2:]))
+	return v.pl[o:e:e]
+}
+
+// child returns the id of child i of an internal node (0 <= i <= n).
+func (v *view) child(i int) storage.PageID {
+	o := 3
+	if i > 0 {
+		k := v.key(i - 1)
+		o = int(v.off[i-1]) + len(k)
+	}
+	return storage.PageID(binary.LittleEndian.Uint64(v.pl[o:]))
+}
+
+// search returns the first position whose key is >= ck, or > ck when
+// after is set.
+func (v *view) search(ck []byte, after bool) int {
+	lo, hi := 0, v.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := bytes.Compare(v.key(m), ck); c < 0 || (after && c == 0) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// lowerBound returns the position ck has, or would be inserted at.
+func (v *view) lowerBound(ck []byte) int { return v.search(ck, false) }
+
+// childIndex returns the index of the child whose subtree covers ck.
+func (v *view) childIndex(ck []byte) int { return v.search(ck, true) }
+
+// has reports whether the entry at pos is exactly ck.
+func (v *view) has(pos int, ck []byte) bool {
+	return pos < v.n && bytes.Equal(v.key(pos), ck)
+}
+
+// decodeNode copies the parsed page into a mutable node. The keys share
+// one buffer, copied off the frame because encode rewrites it.
+func (v *view) decodeNode(id storage.PageID) *node {
+	n := &node{id: id, leaf: v.leaf, next: v.next, prev: v.prev, keys: make([][]byte, v.n)}
+	buf := bytes.Clone(v.pl[:v.end])
+	for i := range n.keys {
+		o := int(v.off[i])
+		e := o + len(v.key(i))
+		n.keys[i] = buf[o:e:e]
+	}
+	n.children = v.children()
+	return n
+}
+
+// children copies out an internal node's child ids (nil for a leaf).
+func (v *view) children() []storage.PageID {
+	if v.leaf {
+		return nil
+	}
+	ids := make([]storage.PageID, v.n+1)
+	for i := range ids {
+		ids[i] = v.child(i)
+	}
+	return ids
 }
 
 // --- latched node references -------------------------------------------
 
-// nref is one latched, decoded node.
+// nref is one latched node: its view, plus the mutable node once a
+// writer asks for it. Readers keep nrefs on the stack.
 type nref struct {
 	id    storage.PageID
 	f     *buffer.Frame
-	n     *node
+	n     *node // built by mut, only where the page is rewritten
 	excl  bool
 	dirty bool
+	v     view
 }
 
-// latch pins+latches the page and decodes it.
-func (t *BTree) latch(id storage.PageID, excl bool) (*nref, error) {
+// mut returns the node's mutable copy, decoding it on first use.
+func (r *nref) mut() *node {
+	if r.n == nil {
+		r.n = r.v.decodeNode(r.id)
+	}
+	return r.n
+}
+
+// latch pins+latches page id into r and parses it in place.
+func (t *BTree) latch(r *nref, id storage.PageID, excl bool) error {
 	f, err := t.pool.PinLatched(id, excl)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n, err := decodeNode(f.Page())
-	if err != nil {
+	if err := r.v.parse(f.Page()); err != nil {
 		_ = t.pool.UnpinLatched(id, excl, false)
-		return nil, err
+		return err
 	}
-	return &nref{id: id, f: f, n: n, excl: excl}, nil
+	r.id, r.f, r.n, r.excl, r.dirty = id, f, nil, excl, false
+	return nil
 }
 
 // unlatch releases the node. Safe on nil.
@@ -469,22 +575,33 @@ func (t *BTree) unlatch(r *nref) {
 	_ = t.pool.UnpinLatched(r.id, r.excl, r.dirty)
 }
 
-// write re-encodes the node into its latched frame and logs the
-// transition under tx with the given undo supplier. Interior-node
-// writes bump the node's descent version slot under the X latch:
-// optimistic descents validate against it after taking their leaf
-// latch. (A physical abort of the system transaction restores the
-// bytes without un-bumping — the counter stays monotone, so a stale
-// bump can only force a spurious fallback.)
+// other returns the slot of pair that cur does not occupy: crabbing
+// descents latch the next level into it before releasing cur.
+func other(pair *[2]nref, cur *nref) *nref {
+	if cur == &pair[0] {
+		return &pair[1]
+	}
+	return &pair[0]
+}
+
+// write re-encodes the node into its latched frame, logs the transition
+// under tx with the given undo supplier, and re-parses the view so later
+// reads through r see the new layout. Interior-node writes bump the
+// node's descent version slot under the X latch: optimistic descents
+// validate against it after taking their leaf latch. (A physical abort
+// of the system transaction restores the bytes without un-bumping — the
+// counter stays monotone, so a stale bump can only force a spurious
+// fallback.)
 func (t *BTree) write(tx access.TxnContext, r *nref, undo func() []byte) error {
 	err := access.LogLatchedMutation(t.getLog(), tx, r.f, undo, r.n.encode)
-	if err == nil {
-		r.dirty = true
-		if !r.n.leaf {
-			t.versSlot(r.id).Add(1)
-		}
+	if err != nil {
+		return err
 	}
-	return err
+	r.dirty = true
+	if !r.n.leaf {
+		t.versSlot(r.id).Add(1)
+	}
+	return r.v.parse(r.f.Page())
 }
 
 // metaLatch pins+latches the metadata page and returns the frame and
@@ -507,33 +624,35 @@ func (t *BTree) metaUnlatch(excl, dirty bool) {
 }
 
 // descendToLeaf crabs shared latches from the root down to the leaf
-// that covers ck (leftmost leaf for nil), returning it latched shared.
-func (t *BTree) descendToLeaf(ck []byte) (*nref, error) {
-	metaF, rootID, err := t.metaLatch(false)
+// that covers ck (leftmost leaf for nil), leaving it latched shared in
+// leaf.
+func (t *BTree) descendToLeaf(leaf *nref, ck []byte) error {
+	_, rootID, err := t.metaLatch(false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	_ = metaF
-	cur, err := t.latch(rootID, false)
+	var pair [2]nref
+	cur := &pair[0]
+	err = t.latch(cur, rootID, false)
 	t.metaUnlatch(false, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for !cur.n.leaf {
-		var childID storage.PageID
-		if ck == nil {
-			childID = cur.n.children[0]
-		} else {
-			childID = cur.n.children[childIndex(cur.n, ck)]
+	for !cur.v.leaf {
+		i := 0
+		if ck != nil {
+			i = cur.v.childIndex(ck)
 		}
-		child, err := t.latch(childID, false)
+		child := other(&pair, cur)
+		err := t.latch(child, cur.v.child(i), false)
 		t.unlatch(cur)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cur = child
 	}
-	return cur, nil
+	*leaf = *cur
+	return nil
 }
 
 // --- system transactions for structure modifications -------------------
@@ -579,27 +698,20 @@ func (t *BTree) newNodeLatched(stx access.TxnContext, leaf bool) (*nref, error) 
 
 // --- safety bounds ------------------------------------------------------
 
-// safeForLeaf reports whether inserting ck cannot overflow the leaf.
-func safeForLeaf(n *node, ck []byte) bool {
-	return n.encodedSize()+2+len(ck) <= storage.PayloadSize
+// safeForLeaf reports whether a leaf using used payload bytes can take
+// ck without overflowing.
+func safeForLeaf(used int, ck []byte) bool {
+	return used+2+len(ck) <= storage.PayloadSize
 }
 
-// safeForInternal reports whether the internal node can absorb any
-// separator a child split could push into it (separator length is
-// bounded by MaxKeySize).
-func safeForInternal(n *node) bool {
-	return n.encodedSize()+2+MaxKeySize+8 <= storage.PayloadSize
-}
-
-func (t *BTree) safeFor(n *node, ck []byte) bool {
-	if n.leaf {
-		return safeForLeaf(n, ck)
+// safeFor reports whether the node can absorb an insert of ck: a leaf
+// the key itself, an internal node any separator a child split could
+// push into it (separator length is bounded by MaxKeySize).
+func (v *view) safeFor(ck []byte) bool {
+	if v.leaf {
+		return safeForLeaf(v.end, ck)
 	}
-	return safeForInternal(n)
-}
-
-func childIndex(n *node, ck []byte) int {
-	return sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(ck, n.keys[i]) < 0 })
+	return v.end+2+MaxKeySize+8 <= storage.PayloadSize
 }
 
 // --- operations ---------------------------------------------------------
@@ -676,22 +788,24 @@ func (t *BTree) InsertTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 // (inserted=false for an exact duplicate). Gap-hook errors propagate
 // verbatim, exactly as on the crab path.
 func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RID, ck []byte, gap GapCheck) (inserted, fellback bool, err error) {
-	metaF, rootID, err := t.metaLatch(false)
+	_, rootID, err := t.metaLatch(false)
 	if err != nil {
 		return false, false, err
 	}
-	_ = metaF
 	pSlot := t.versSlot(t.metaID)
 	pv := pSlot.Load()
-	cur, err := t.latch(rootID, false)
+	var pair [2]nref
+	cur := &pair[0]
+	err = t.latch(cur, rootID, false)
 	t.metaUnlatch(false, false)
 	if err != nil {
 		return false, false, err
 	}
-	for !cur.n.leaf {
+	for !cur.v.leaf {
 		slot := t.versSlot(cur.id)
 		v := slot.Load()
-		child, err := t.latch(cur.n.children[childIndex(cur.n, ck)], false)
+		child := other(&pair, cur)
+		err := t.latch(child, cur.v.child(cur.v.childIndex(ck)), false)
 		t.unlatch(cur)
 		if err != nil {
 			return false, false, err
@@ -699,19 +813,18 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 		pSlot, pv = slot, v
 		cur = child
 	}
-	leafID := cur.id
-	t.unlatch(cur)
-	leaf, err := t.latch(leafID, true)
-	if err != nil {
+	leaf := cur
+	t.unlatch(leaf)
+	if err := t.latch(leaf, leaf.id, true); err != nil {
 		return false, false, err
 	}
-	if pSlot.Load() != pv || !leaf.n.leaf || !safeForLeaf(leaf.n, ck) {
+	if pSlot.Load() != pv || !leaf.v.leaf || !leaf.v.safeFor(ck) {
 		t.unlatch(leaf)
 		t.fallbacks.Add(1)
 		return false, true, nil
 	}
-	pos := sort.Search(len(leaf.n.keys), func(i int) bool { return bytes.Compare(leaf.n.keys[i], ck) >= 0 })
-	if pos < len(leaf.n.keys) && bytes.Equal(leaf.n.keys[pos], ck) {
+	pos := leaf.v.lowerBound(ck)
+	if leaf.v.has(pos, ck) {
 		t.unlatch(leaf)
 		return false, false, nil // exact duplicate (same key+rid): no-op
 	}
@@ -721,10 +834,7 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 			return false, false, err
 		}
 	}
-	leaf.n.keys = append(leaf.n.keys, nil)
-	copy(leaf.n.keys[pos+1:], leaf.n.keys[pos:])
-	leaf.n.keys[pos] = ck
-	err = t.write(tx, leaf, func() []byte { return undoIndexInsert(t.metaID, key, rid) })
+	err = t.insertAt(tx, leaf, pos, key, rid, ck)
 	t.unlatch(leaf)
 	if err != nil {
 		return false, false, err
@@ -735,17 +845,19 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 // insertAttempt runs one exclusive crab descent. done=false means a
 // root split was performed and the descent must restart.
 func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, ck []byte, gap GapCheck) (done, inserted bool, err error) {
-	metaF, rootID, err := t.metaLatch(false)
+	_, rootID, err := t.metaLatch(false)
 	if err != nil {
 		return false, false, err
 	}
-	_ = metaF
-	cur, err := t.latch(rootID, true)
-	if err != nil {
+	// cur and child occupy the two slots of pair, except that a split may
+	// hand back its heap-allocated right half; both slots are free then.
+	var pair [2]nref
+	cur := &pair[0]
+	if err := t.latch(cur, rootID, true); err != nil {
 		t.metaUnlatch(false, false)
 		return false, false, err
 	}
-	if !t.safeFor(cur.n, ck) {
+	if !cur.v.safeFor(ck) {
 		// The root itself must split: restart the latch acquisition
 		// with the meta page held exclusively so the root pointer can
 		// be swapped.
@@ -758,14 +870,14 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 	}
 	t.metaUnlatch(false, false)
 
-	for !cur.n.leaf {
-		i := childIndex(cur.n, ck)
-		child, err := t.latch(cur.n.children[i], true)
-		if err != nil {
+	for !cur.v.leaf {
+		i := cur.v.childIndex(ck)
+		child := other(&pair, cur)
+		if err := t.latch(child, cur.v.child(i), true); err != nil {
 			t.unlatch(cur)
 			return false, false, err
 		}
-		if !t.safeFor(child.n, ck) {
+		if !child.v.safeFor(ck) {
 			// Preemptive split: cur is safe (invariant), so it can
 			// absorb the separator without propagating further up.
 			right, sep, err := t.splitChild(cur, child, i)
@@ -785,8 +897,8 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 		cur = child
 	}
 
-	pos := sort.Search(len(cur.n.keys), func(i int) bool { return bytes.Compare(cur.n.keys[i], ck) >= 0 })
-	if pos < len(cur.n.keys) && bytes.Equal(cur.n.keys[pos], ck) {
+	pos := cur.v.lowerBound(ck)
+	if cur.v.has(pos, ck) {
 		t.unlatch(cur)
 		return true, false, nil // exact duplicate (same key+rid): no-op
 	}
@@ -796,15 +908,20 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 			return false, false, err
 		}
 	}
-	cur.n.keys = append(cur.n.keys, nil)
-	copy(cur.n.keys[pos+1:], cur.n.keys[pos:])
-	cur.n.keys[pos] = ck
-	err = t.write(tx, cur, func() []byte { return undoIndexInsert(t.metaID, key, rid) })
+	err = t.insertAt(tx, cur, pos, key, rid, ck)
 	t.unlatch(cur)
 	if err != nil {
 		return false, false, err
 	}
 	return true, true, nil
+}
+
+// insertAt puts ck at position pos of the X-latched leaf r, logged under
+// tx with the logical undo that deletes (key, rid) again.
+func (t *BTree) insertAt(tx access.TxnContext, r *nref, pos int, key []byte, rid access.RID, ck []byte) error {
+	n := r.mut()
+	n.keys = slices.Insert(n.keys, pos, ck)
+	return t.write(tx, r, func() []byte { return undoIndexInsert(t.metaID, key, rid) })
 }
 
 // splitChild splits child (latched exclusively) into (child, right),
@@ -822,12 +939,9 @@ func (t *BTree) splitChild(parent, child *nref, i int) (*nref, []byte, error) {
 	}
 	right, oldNext, sep, err := t.splitNode(stx, child)
 	if err == nil {
-		parent.n.keys = append(parent.n.keys, nil)
-		copy(parent.n.keys[i+1:], parent.n.keys[i:])
-		parent.n.keys[i] = sep
-		parent.n.children = append(parent.n.children, 0)
-		copy(parent.n.children[i+2:], parent.n.children[i+1:])
-		parent.n.children[i+1] = right.id
+		p := parent.mut()
+		p.keys = slices.Insert(p.keys, i, sep)
+		p.children = slices.Insert(p.children, i+1, right.id)
 		err = t.write(stx, parent, nil)
 	}
 	ferr := t.smoFinish(stx, sys, err)
@@ -846,27 +960,30 @@ func (t *BTree) splitChild(parent, child *nref, i int) (*nref, []byte, error) {
 // Leaf splits maintain the chain links; latching the old next leaf is
 // a left-to-right acquisition, consistent with every traversal.
 func (t *BTree) splitNode(stx access.TxnContext, n *nref) (right, oldNext *nref, sep []byte, err error) {
-	right, err = t.newNodeLatched(stx, n.n.leaf)
+	right, err = t.newNodeLatched(stx, n.v.leaf)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	fail := func(err error) (*nref, *nref, []byte, error) {
 		return right, oldNext, nil, err
 	}
-	if n.n.leaf {
-		mid := len(n.n.keys) / 2
-		right.n.keys = append(right.n.keys, n.n.keys[mid:]...)
-		n.n.keys = n.n.keys[:mid]
-		next := n.n.next
-		right.n.next = next
-		right.n.prev = n.id
-		n.n.next = right.id
+	nn, rn := n.mut(), right.n
+	mid := len(nn.keys) / 2
+	if nn.leaf {
+		rn.keys = append(rn.keys, nn.keys[mid:]...)
+		nn.keys = nn.keys[:mid]
+		next := nn.next
+		rn.next = next
+		rn.prev = n.id
+		nn.next = right.id
 		if next != storage.InvalidPageID {
 			// Latch the neighbour BEFORE any write, so a failure can
 			// roll the whole modification back under held latches.
-			if oldNext, err = t.latch(next, true); err != nil {
+			on := new(nref)
+			if err := t.latch(on, next, true); err != nil {
 				return fail(err)
 			}
+			oldNext = on
 		}
 		if err := t.write(stx, right, nil); err != nil {
 			return fail(err)
@@ -875,19 +992,18 @@ func (t *BTree) splitNode(stx access.TxnContext, n *nref) (right, oldNext *nref,
 			return fail(err)
 		}
 		if oldNext != nil {
-			oldNext.n.prev = right.id
+			oldNext.mut().prev = right.id
 			if err := t.write(stx, oldNext, nil); err != nil {
 				return fail(err)
 			}
 		}
-		sep = append([]byte(nil), right.n.keys[0]...)
+		sep = append([]byte(nil), rn.keys[0]...)
 	} else {
-		mid := len(n.n.keys) / 2
-		sep = append([]byte(nil), n.n.keys[mid]...)
-		right.n.keys = append(right.n.keys, n.n.keys[mid+1:]...)
-		right.n.children = append(right.n.children, n.n.children[mid+1:]...)
-		n.n.keys = n.n.keys[:mid]
-		n.n.children = n.n.children[:mid+1]
+		sep = append([]byte(nil), nn.keys[mid]...)
+		rn.keys = append(rn.keys, nn.keys[mid+1:]...)
+		rn.children = append(rn.children, nn.children[mid+1:]...)
+		nn.keys = nn.keys[:mid]
+		nn.children = nn.children[:mid+1]
 		if err := t.write(stx, right, nil); err != nil {
 			return fail(err)
 		}
@@ -907,26 +1023,26 @@ func (t *BTree) splitRoot(ck []byte) error {
 	if err != nil {
 		return err
 	}
-	root, err := t.latch(rootID, true)
-	if err != nil {
+	var root nref
+	if err := t.latch(&root, rootID, true); err != nil {
 		t.metaUnlatch(true, false)
 		return err
 	}
-	if t.safeFor(root.n, ck) {
+	if root.v.safeFor(ck) {
 		// Another writer split it first.
-		t.unlatch(root)
+		t.unlatch(&root)
 		t.metaUnlatch(true, false)
 		return nil
 	}
 	stx, sys, err := t.smoBegin()
 	if err != nil {
-		t.unlatch(root)
+		t.unlatch(&root)
 		t.metaUnlatch(true, false)
 		return err
 	}
 	var right, oldNext, newRoot *nref
 	var sep []byte
-	right, oldNext, sep, err = t.splitNode(stx, root)
+	right, oldNext, sep, err = t.splitNode(stx, &root)
 	if err == nil {
 		newRoot, err = t.newNodeLatched(stx, false)
 	}
@@ -955,24 +1071,46 @@ func (t *BTree) splitRoot(ck []byte) error {
 	t.unlatch(newRoot)
 	t.unlatch(oldNext)
 	t.unlatch(right)
-	t.unlatch(root)
+	t.unlatch(&root)
 	t.metaUnlatch(true, dirtyMeta)
 	return err
 }
 
-// Search returns every RID stored under the exact key.
+// Search returns every RID stored under the exact key. Each RID is read
+// straight from its entry's suffix under the shared leaf latch.
 func (t *BTree) Search(key []byte) ([]access.RID, error) {
 	lo, hi := keyPrefixBounds(key)
 	var out []access.RID
-	err := t.rangeScan(lo, hi, func(ck []byte) error {
-		_, rid, err := splitComposite(ck)
-		if err != nil {
-			return err
+	var leaf nref
+	if err := t.descendToLeaf(&leaf, lo); err != nil {
+		return nil, err
+	}
+	for {
+		for i := leaf.v.lowerBound(lo); i < leaf.v.n; i++ {
+			ck := leaf.v.key(i)
+			if bytes.Compare(ck, hi) >= 0 {
+				t.unlatch(&leaf)
+				return out, nil
+			}
+			rid, err := ridOf(ck)
+			if err != nil {
+				t.unlatch(&leaf)
+				return nil, err
+			}
+			out = append(out, rid)
 		}
-		out = append(out, rid)
-		return nil
-	})
-	return out, err
+		// The window reached the end of the leaf: the key's entries may
+		// continue in the right sibling (a descent by the bare prefix
+		// lands one leaf left of a separator holding the key).
+		next := leaf.v.next
+		t.unlatch(&leaf)
+		if next == storage.InvalidPageID {
+			return out, nil
+		}
+		if err := t.latch(&leaf, next, false); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Delete removes (key, rid) and reports whether it was present.
@@ -997,26 +1135,22 @@ func (t *BTree) DeleteTx(tx access.TxnContext, key []byte, rid access.RID) (bool
 // returned verbatim.
 func (t *BTree) DeleteTxGap(tx access.TxnContext, key []byte, rid access.RID, gap GapCheck) (bool, error) {
 	ck := compositeKey(key, rid)
-	leaf, err := t.descendToLeaf(ck)
-	if err != nil {
-		return false, err
-	}
-	id := leaf.id
-	t.unlatch(leaf)
-	cur, err := t.latch(id, true)
+	var pair [2]nref
+	cur, err := t.relatchLeaf(&pair, ck)
 	if err != nil {
 		return false, err
 	}
 	for {
-		pos := sort.Search(len(cur.n.keys), func(i int) bool { return bytes.Compare(cur.n.keys[i], ck) >= 0 })
-		if pos < len(cur.n.keys) && bytes.Equal(cur.n.keys[pos], ck) {
+		pos := cur.v.lowerBound(ck)
+		if cur.v.has(pos, ck) {
 			if gap != nil {
 				if err := t.gapCheckAt(cur, pos+1, gap); err != nil {
 					t.unlatch(cur)
 					return false, err
 				}
 			}
-			cur.n.keys = append(cur.n.keys[:pos], cur.n.keys[pos+1:]...)
+			n := cur.mut()
+			n.keys = slices.Delete(n.keys, pos, pos+1)
 			err := t.write(tx, cur, func() []byte { return undoIndexDelete(t.metaID, key, rid) })
 			t.unlatch(cur)
 			if err != nil {
@@ -1027,18 +1161,43 @@ func (t *BTree) DeleteTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 		}
 		// Not here. Only worth chasing right if the key could have been
 		// moved by a split: ck sorts after everything in this leaf.
-		if cur.n.next == storage.InvalidPageID ||
-			(len(cur.n.keys) > 0 && bytes.Compare(ck, cur.n.keys[len(cur.n.keys)-1]) < 0) {
-			t.unlatch(cur)
-			return false, nil
-		}
-		next, err := t.latch(cur.n.next, true)
-		t.unlatch(cur)
-		if err != nil {
+		if cur, err = t.chaseRight(&pair, cur, ck); cur == nil {
 			return false, err
 		}
-		cur = next
 	}
+}
+
+// relatchLeaf descends shared to the leaf covering ck and re-latches it
+// exclusively in one slot of pair, for a writer that mutates one entry.
+func (t *BTree) relatchLeaf(pair *[2]nref, ck []byte) (*nref, error) {
+	cur := &pair[0]
+	if err := t.descendToLeaf(cur, ck); err != nil {
+		return nil, err
+	}
+	t.unlatch(cur)
+	if err := t.latch(cur, cur.id, true); err != nil {
+		return nil, err
+	}
+	return cur, nil
+}
+
+// chaseRight moves an exclusive search for ck from cur to its right
+// sibling, latch-coupled, when ck sorts after every key of cur (only then
+// can a concurrent split have moved it right). It returns nil, with cur
+// released, when the search ends there.
+func (t *BTree) chaseRight(pair *[2]nref, cur *nref, ck []byte) (*nref, error) {
+	if cur.v.next == storage.InvalidPageID ||
+		(cur.v.n > 0 && bytes.Compare(ck, cur.v.key(cur.v.n-1)) < 0) {
+		t.unlatch(cur)
+		return nil, nil
+	}
+	next := other(pair, cur)
+	err := t.latch(next, cur.v.next, true)
+	t.unlatch(cur)
+	if err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // RepointTx replaces the RID suffix of the unique tree's entry for key
@@ -1062,35 +1221,22 @@ func (t *BTree) RepointTx(tx access.TxnContext, key []byte, oldRID, newRID acces
 	if len(ckNew) > MaxKeySize {
 		return false, fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLarge, len(ckNew), MaxKeySize)
 	}
-	leaf, err := t.descendToLeaf(ckOld)
-	if err != nil {
-		return false, err
-	}
-	id := leaf.id
-	t.unlatch(leaf)
-	cur, err := t.latch(id, true)
+	var pair [2]nref
+	cur, err := t.relatchLeaf(&pair, ckOld)
 	if err != nil {
 		return false, err
 	}
 	for {
-		pos := sort.Search(len(cur.n.keys), func(i int) bool { return bytes.Compare(cur.n.keys[i], ckOld) >= 0 })
-		if pos < len(cur.n.keys) && bytes.Equal(cur.n.keys[pos], ckOld) {
-			cur.n.keys[pos] = ckNew
+		pos := cur.v.lowerBound(ckOld)
+		if cur.v.has(pos, ckOld) {
+			cur.mut().keys[pos] = ckNew
 			err := t.write(tx, cur, func() []byte { return undoIndexRepoint(t.metaID, key, oldRID, newRID) })
 			t.unlatch(cur)
 			return err == nil, err
 		}
-		if cur.n.next == storage.InvalidPageID ||
-			(len(cur.n.keys) > 0 && bytes.Compare(ckOld, cur.n.keys[len(cur.n.keys)-1]) < 0) {
-			t.unlatch(cur)
-			return false, nil
-		}
-		next, err := t.latch(cur.n.next, true)
-		t.unlatch(cur)
-		if err != nil {
+		if cur, err = t.chaseRight(&pair, cur, ckOld); cur == nil {
 			return false, err
 		}
-		cur = next
 	}
 }
 
@@ -1136,17 +1282,18 @@ func (t *BTree) RangeLatched(lo []byte, fn func(key []byte, rid access.RID, eof 
 	if lo != nil {
 		clo, _ = keyPrefixBounds(lo)
 	}
-	leaf, err := t.descendToLeaf(clo)
-	if err != nil {
+	var pair [2]nref
+	leaf := &pair[0]
+	if err := t.descendToLeaf(leaf, clo); err != nil {
 		return err
 	}
 	for {
 		start := 0
 		if clo != nil {
-			start = sort.Search(len(leaf.n.keys), func(i int) bool { return bytes.Compare(leaf.n.keys[i], clo) >= 0 })
+			start = leaf.v.lowerBound(clo)
 		}
-		for i := start; i < len(leaf.n.keys); i++ {
-			key, rid, err := splitComposite(leaf.n.keys[i])
+		for i := start; i < leaf.v.n; i++ {
+			key, rid, err := splitComposite(leaf.v.key(i))
 			if err == nil {
 				err = fn(key, rid, false)
 			}
@@ -1155,7 +1302,7 @@ func (t *BTree) RangeLatched(lo []byte, fn func(key []byte, rid access.RID, eof 
 				return err
 			}
 		}
-		if leaf.n.next == storage.InvalidPageID {
+		if leaf.v.next == storage.InvalidPageID {
 			err := fn(nil, access.RID{}, true)
 			t.unlatch(leaf)
 			return err
@@ -1164,7 +1311,8 @@ func (t *BTree) RangeLatched(lo []byte, fn func(key []byte, rid access.RID, eof 
 		// (left-to-right, same order as splits — no deadlock), closing
 		// the window where an insert could land in this leaf's tail gap
 		// unseen by both this call and the next.
-		next, err := t.latch(leaf.n.next, false)
+		next := other(&pair, leaf)
+		err := t.latch(next, leaf.v.next, false)
 		t.unlatch(leaf)
 		if err != nil {
 			return err
@@ -1189,18 +1337,18 @@ type GapCheck func(key []byte, rid access.RID, eof bool) error
 // preceding leaf, so the returned entry is the true successor for as
 // long as that latch is held.
 func (t *BTree) successorFrom(id storage.PageID) (ck []byte, eof bool, err error) {
+	var r nref
 	for id != storage.InvalidPageID {
-		r, err := t.latch(id, false)
-		if err != nil {
+		if err := t.latch(&r, id, false); err != nil {
 			return nil, false, err
 		}
-		if len(r.n.keys) > 0 {
-			ck = append([]byte(nil), r.n.keys[0]...)
-			t.unlatch(r)
+		if r.v.n > 0 {
+			ck = append([]byte(nil), r.v.key(0)...)
+			t.unlatch(&r)
 			return ck, false, nil
 		}
-		id = r.n.next
-		t.unlatch(r)
+		id = r.v.next
+		t.unlatch(&r)
 	}
 	return nil, true, nil
 }
@@ -1209,14 +1357,14 @@ func (t *BTree) successorFrom(id storage.PageID) (ck []byte, eof bool, err error
 // (falling through to the chain when pos is past the last entry) and
 // runs the hook on it.
 func (t *BTree) gapCheckAt(cur *nref, pos int, gap GapCheck) error {
-	if pos < len(cur.n.keys) {
-		key, rid, err := splitComposite(cur.n.keys[pos])
+	if pos < cur.v.n {
+		key, rid, err := splitComposite(cur.v.key(pos))
 		if err != nil {
 			return err
 		}
 		return gap(key, rid, false)
 	}
-	ck, eof, err := t.successorFrom(cur.n.next)
+	ck, eof, err := t.successorFrom(cur.v.next)
 	if err != nil {
 		return err
 	}
@@ -1230,40 +1378,46 @@ func (t *BTree) gapCheckAt(cur *nref, pos int, gap GapCheck) error {
 	return gap(key, rid, false)
 }
 
-// rangeScan walks composite keys in [clo, chi) (nil = unbounded).
+// rangeScan walks composite keys in [clo, chi) (nil = unbounded). Each
+// leaf's window is copied into one reused buffer before the latch is
+// released, so fn runs off-latch; ck is valid only during its call.
 func (t *BTree) rangeScan(clo, chi []byte, fn func(ck []byte) error) error {
-	leaf, err := t.descendToLeaf(clo)
-	if err != nil {
+	var leaf nref
+	if err := t.descendToLeaf(&leaf, clo); err != nil {
 		return err
 	}
+	var buf []byte
+	var ends []int
 	for {
-		// Copy the window out, then release the latch before callbacks.
 		start := 0
 		if clo != nil {
-			start = sort.Search(len(leaf.n.keys), func(i int) bool { return bytes.Compare(leaf.n.keys[i], clo) >= 0 })
+			start = leaf.v.lowerBound(clo)
 		}
-		var batch [][]byte
+		buf, ends = buf[:0], ends[:0]
 		done := false
-		for i := start; i < len(leaf.n.keys); i++ {
-			if chi != nil && bytes.Compare(leaf.n.keys[i], chi) >= 0 {
+		for i := start; i < leaf.v.n; i++ {
+			k := leaf.v.key(i)
+			if chi != nil && bytes.Compare(k, chi) >= 0 {
 				done = true
 				break
 			}
-			batch = append(batch, leaf.n.keys[i])
+			buf = append(buf, k...)
+			ends = append(ends, len(buf))
 		}
-		next := leaf.n.next
-		t.unlatch(leaf)
-		for _, ck := range batch {
-			if err := fn(ck); err != nil {
+		next := leaf.v.next
+		t.unlatch(&leaf)
+		b := 0
+		for _, e := range ends {
+			if err := fn(buf[b:e:e]); err != nil {
 				return err
 			}
+			b = e
 		}
 		if done || next == storage.InvalidPageID {
 			return nil
 		}
 		clo = nil // subsequent leaves start at 0
-		leaf, err = t.latch(next, false)
-		if err != nil {
+		if err := t.latch(&leaf, next, false); err != nil {
 			return err
 		}
 	}
@@ -1271,19 +1425,21 @@ func (t *BTree) rangeScan(clo, chi []byte, fn func(ck []byte) error) error {
 
 // Height returns the tree height (1 for a lone leaf).
 func (t *BTree) Height() (int, error) {
-	metaF, rootID, err := t.metaLatch(false)
+	_, rootID, err := t.metaLatch(false)
 	if err != nil {
 		return 0, err
 	}
-	_ = metaF
-	cur, err := t.latch(rootID, false)
+	var pair [2]nref
+	cur := &pair[0]
+	err = t.latch(cur, rootID, false)
 	t.metaUnlatch(false, false)
 	if err != nil {
 		return 0, err
 	}
 	h := 1
-	for !cur.n.leaf {
-		child, err := t.latch(cur.n.children[0], false)
+	for !cur.v.leaf {
+		child := other(&pair, cur)
+		err := t.latch(child, cur.v.child(0), false)
 		t.unlatch(cur)
 		if err != nil {
 			return 0, err
@@ -1326,18 +1482,15 @@ func (t *BTree) Drop() error {
 }
 
 func (t *BTree) collect(id storage.PageID, out *[]storage.PageID) error {
-	r, err := t.latch(id, false)
-	if err != nil {
+	var r nref
+	if err := t.latch(&r, id, false); err != nil {
 		return err
 	}
-	children := append([]storage.PageID(nil), r.n.children...)
-	leaf := r.n.leaf
-	t.unlatch(r)
-	if !leaf {
-		for _, c := range children {
-			if err := t.collect(c, out); err != nil {
-				return err
-			}
+	children := r.v.children()
+	t.unlatch(&r)
+	for _, c := range children {
+		if err := t.collect(c, out); err != nil {
+			return err
 		}
 	}
 	*out = append(*out, id)

@@ -106,7 +106,7 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 			return storage.InvalidPageID, pages, ErrUnsorted
 		}
 		prev = ck
-		if len(cur.n.keys) > 0 && !safeForLeaf(cur.n, ck) {
+		if len(cur.n.keys) > 0 && !safeForLeaf(cur.n.encodedSize(), ck) {
 			next, err := alloc(true)
 			if err != nil {
 				t.unlatch(cur)
@@ -188,8 +188,8 @@ func (t *BTree) InstallRoot(tx access.TxnContext, newRoot storage.PageID, count 
 	if err != nil {
 		return storage.InvalidPageID, nil, err
 	}
-	old, err := t.latch(rootID, true)
-	if err != nil {
+	var old nref
+	if err := t.latch(&old, rootID, true); err != nil {
 		t.metaUnlatch(true, false)
 		return storage.InvalidPageID, nil, err
 	}
@@ -198,8 +198,8 @@ func (t *BTree) InstallRoot(tx access.TxnContext, newRoot storage.PageID, count 
 	// a non-empty leaf) or is queued behind the meta latch and will see
 	// the new root. A non-leaf root or any entry means the fast-path
 	// precondition evaporated.
-	if !old.n.leaf || len(old.n.keys) != 0 || t.count.Load() != 0 {
-		t.unlatch(old)
+	if !old.v.leaf || old.v.n != 0 || t.count.Load() != 0 {
+		t.unlatch(&old)
 		t.metaUnlatch(true, false)
 		return storage.InvalidPageID, nil, ErrTreeNotEmpty
 	}
@@ -210,7 +210,7 @@ func (t *BTree) InstallRoot(tx access.TxnContext, newRoot storage.PageID, count 
 		return nil
 	})
 	if err != nil {
-		t.unlatch(old)
+		t.unlatch(&old)
 		t.metaUnlatch(true, false)
 		return storage.InvalidPageID, nil, err
 	}
@@ -219,7 +219,7 @@ func (t *BTree) InstallRoot(tx access.TxnContext, newRoot storage.PageID, count 
 	// pointer fails validation and retries.
 	t.versSlot(t.metaID).Add(1)
 	t.count.Store(int64(count))
-	t.unlatch(old)
+	t.unlatch(&old)
 	return rootID, func() { t.metaUnlatch(true, true) }, nil
 }
 
