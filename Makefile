@@ -128,7 +128,7 @@ mvcc:
 # partition heal without split-brain, duplicated/dropped/delayed
 # shipments), router epoch-replan property tests, WAL shipping and
 # bootstrap fidelity, and the adverse-network netbind tests.
-CLUSTER_RUN = 'TestCluster|TestRouter|TestShardFor|TestServer|TestFollowerWAL|TestShip|TestAppendObserver|TestSnapshotSegments'
+CLUSTER_RUN = 'TestCluster|TestRouter|TestShardFor|TestServer|TestFollowerWAL|TestAppendObserver|TestSnapshotSegments'
 CLUSTER_PKGS = . ./internal/cluster/... ./internal/netbind/... ./internal/replicate/... ./internal/wal/...
 
 cluster:

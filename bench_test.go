@@ -179,8 +179,8 @@ func BenchmarkF6_Selection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Failures != 0 {
-			b.Fatalf("failures: %d", res.Failures)
+		if res.Failures != 0 || res.LostAcked != 0 || res.StaleReads != 0 {
+			b.Fatal(res)
 		}
 		b.StopTimer()
 		_ = db.Close(ctx)
@@ -200,6 +200,9 @@ func BenchmarkF7_Adaptation(b *testing.B) {
 		}
 		if res.OpsAfter == 0 {
 			b.Fatal("system stopped operating")
+		}
+		if res.Failures != 0 || res.LostAcked != 0 || res.StaleReads != 0 {
+			b.Fatal(res)
 		}
 		b.StopTimer()
 		_ = db.Close(ctx)

@@ -224,6 +224,12 @@ func runScenario(name string, run func(context.Context, *sbdms.DB, int) (sbdms.S
 		AvailabilityPct float64 `json:"availabilityPct"`
 		sbdms.ScenarioResult
 	}{name, avail, res})
+	// A flexibility figure holds only if the clients kept being served
+	// and kept their data across the change.
+	if res.Failures != 0 || res.LostAcked != 0 || res.StaleReads != 0 {
+		return fmt.Errorf("%s: failures=%d lostAcked=%d staleReads=%d across the change",
+			name, res.Failures, res.LostAcked, res.StaleReads)
+	}
 	return nil
 }
 

@@ -41,8 +41,9 @@ func main() {
 	fmt.Printf("embedded profile: %d services, %d buffer frames\n",
 		db.Kernel().Registry().Len(), db.Pool().PoolSize())
 
-	// A standby KV service on "another device" (in-memory stand-in).
-	if err := deployStandby(ctx, db, sbdms.NewMemKV()); err != nil {
+	// A standby KV service over the same store: the direct path the
+	// coordinator can steer the workload to without losing data.
+	if err := db.DeployStandby(ctx, "kv-standby", map[string]string{"node": "standby"}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -52,6 +53,7 @@ func main() {
 	// (Figure 6 machinery, Section 4 trigger).
 	battery, alerted := batteryCap, false
 	served := map[string]int{}
+	beforeAlert := 0 // readings acked before the alert
 	var elapsed time.Duration
 	for i := 0; i < 400; i++ {
 		if battery == 0 {
@@ -68,12 +70,14 @@ func main() {
 				Attrs:   map[string]string{"service": "kv"},
 			})
 		}
-		key := fmt.Sprintf("reading-%03d", i%64)
 		start := time.Now()
-		err := db.Put(ctx, key, []byte(fmt.Sprintf("%d", i)))
+		err := db.Put(ctx, reading(i), []byte(fmt.Sprint(i)))
 		elapsed += time.Since(start)
 		if err != nil {
 			log.Fatalf("op %d: %v", i, err)
+		}
+		if !alerted {
+			beforeAlert++
 		}
 		served[currentProvider(db)]++
 		time.Sleep(200 * time.Microsecond) // let the coordinator breathe
@@ -85,8 +89,19 @@ func main() {
 	if served["kv-standby"] == 0 {
 		log.Fatal("expected the standby to take over after the alert")
 	}
+	// The redirect moved the service, not the data: every reading
+	// acked before the alert reads back through the standby.
+	for i := 0; i < beforeAlert; i++ {
+		if v, err := db.Get(ctx, reading(i)); err != nil || string(v) != fmt.Sprint(i) {
+			log.Fatalf("after the redirect %s = %q, %v; want %d", reading(i), v, err, i)
+		}
+	}
+	fmt.Printf("all %d readings acked before the alert read back\n", beforeAlert)
 	fmt.Println("workload redirected successfully — system stayed operational")
 }
+
+// reading names the key of the i-th sensor reading.
+func reading(i int) string { return fmt.Sprintf("reading-%03d", i) }
 
 // currentProvider asks the coordinator which providers are avoided to
 // infer who serves (simplified introspection for the demo).
@@ -98,12 +113,4 @@ func currentProvider(db *sbdms.DB) string {
 		}
 	}
 	return "kv"
-}
-
-func deployStandby(ctx context.Context, db *sbdms.DB, backend sbdms.KVBackend) error {
-	svc := sbdms.NewKVService("kv-standby", backend)
-	if err := svc.Start(ctx); err != nil {
-		return err
-	}
-	return db.Kernel().Registry().RegisterService(svc, map[string]string{"node": "standby-device"})
 }

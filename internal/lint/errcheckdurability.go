@@ -40,14 +40,12 @@ var durabilityMethods = []struct {
 	// Replication ack/apply entry points: these results ARE the
 	// durability story behind an async-commit ack. A discarded
 	// FollowerWAL.Append/Sync error acks a record the follower never
-	// persisted; a discarded Apply/ApplyBatch error advances a frontier
-	// over effects that were not applied; a discarded Ship error hides
-	// the ErrSnapshotNeeded signal that triggers a re-bootstrap; a
-	// discarded ReplicaReader.Flush error promotes over an incomplete
-	// device image.
+	// persisted, or hides the ErrSnapshotNeeded signal that triggers a
+	// re-bootstrap; a discarded ApplyBatch error advances a frontier
+	// over effects that were not applied; a discarded
+	// ReplicaReader.Flush error promotes over an incomplete device
+	// image.
 	{replicatePath, "FollowerWAL", []string{"Append", "Sync"}},
-	{replicatePath, "Replica", []string{"Apply"}},
-	{replicatePath, "Shipper", []string{"Ship"}},
 	{rootPath, "ReplicaReader", []string{"ApplyBatch", "Flush"}},
 }
 

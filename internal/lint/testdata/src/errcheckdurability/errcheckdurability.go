@@ -52,24 +52,19 @@ func bulkIngest(tx *txn.Txn, h *access.HeapFile, t *index.BTree, recs [][]byte, 
 // durability story behind an async-commit ack — a discarded result
 // here acks a record no follower persisted or advances a frontier over
 // unapplied effects.
-func replicationDiscards(fw *replicate.FollowerWAL, rep *replicate.Replica, sh *replicate.Shipper, rr *sbdms.ReplicaReader, rec *wal.Record, recs []*wal.Record) {
-	fw.Append(rec)         // want `result of \(FollowerWAL\)\.Append discarded`
+func replicationDiscards(fw *replicate.FollowerWAL, rr *sbdms.ReplicaReader, rec *wal.Record, recs []*wal.Record) {
+	_, _ = fw.Append(rec)  // want `result of \(FollowerWAL\)\.Append discarded`
 	fw.Sync()              // want `result of \(FollowerWAL\)\.Sync discarded`
-	rep.Apply(rec)         // want `result of \(Replica\)\.Apply discarded`
-	_, _ = sh.Ship()       // want `result of \(Shipper\)\.Ship discarded`
 	rr.ApplyBatch(recs, 0) // want `result of \(ReplicaReader\)\.ApplyBatch discarded`
 	defer rr.Flush()       // want `result of \(ReplicaReader\)\.Flush discarded`
 }
 
 // replicationChecked: the same calls with their outcomes handled.
-func replicationChecked(fw *replicate.FollowerWAL, sh *replicate.Shipper, rr *sbdms.ReplicaReader, rec *wal.Record, recs []*wal.Record) error {
+func replicationChecked(fw *replicate.FollowerWAL, rr *sbdms.ReplicaReader, rec *wal.Record, recs []*wal.Record) error {
 	if appended, err := fw.Append(rec); err != nil || !appended {
 		return err
 	}
 	if err := fw.Sync(); err != nil {
-		return err
-	}
-	if _, err := sh.Ship(); err != nil {
 		return err
 	}
 	if err := rr.ApplyBatch(recs, 0); err != nil {

@@ -1,3 +1,9 @@
+// Package replicate holds the follower side of the cluster's WAL
+// shipping: a full-state Bootstrap of a leader (data-device image plus
+// live log segments) and a FollowerWAL that keeps a byte-identical copy
+// of the leader's log, so promotion is ordinary crash recovery. The
+// cluster (internal/cluster) ships the records and applies their page
+// effects through sbdms.ReplicaReader.
 package replicate
 
 import (
@@ -11,12 +17,11 @@ import (
 )
 
 // ErrSnapshotNeeded is returned when a follower cannot be brought up to
-// date by tailing the live log: either the shipper hit truncated
-// history (ErrSegmentGone under a checkpoint race) or the follower
-// reported a gap between its contiguous log end and the next shipped
-// record. The cure is a full-state Bootstrap: copy the leader's data
-// device and live log segments, then resume tailing from the snapshot's
-// durable boundary.
+// date by tailing the live log: the follower got a record past a gap
+// after its contiguous log end, as when a checkpoint truncated the
+// history it still needed (wal.ErrSegmentGone on the leader). The cure
+// is a full-state Bootstrap: copy the leader's data device and live log
+// segments, then resume tailing from the snapshot's durable boundary.
 var ErrSnapshotNeeded = errors.New("replicate: follower needs full-state snapshot")
 
 // Bootstrap is a full-state snapshot of a leader: the raw data-device

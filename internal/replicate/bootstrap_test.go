@@ -1,11 +1,9 @@
 package replicate
 
-// The full-state bootstrap path and its typed failure mode. The
-// regression pinned here: a Ship racing checkpoint truncation must
-// surface an error matching BOTH wal.ErrSegmentGone (naming the race)
-// and ErrSnapshotNeeded (naming the cure) — callers branch on the
-// latter to trigger a bootstrap instead of crashing or retrying a
-// permanent gap forever.
+// The full-state bootstrap path and its typed failure mode: a follower
+// that cannot tail the live log any more gets ErrSnapshotNeeded, which
+// callers branch on to trigger a bootstrap instead of crashing or
+// retrying a permanent gap forever.
 
 import (
 	"errors"
@@ -153,43 +151,15 @@ func TestFollowerWALByteFidelity(t *testing.T) {
 	}
 }
 
-// TestShipTruncationRaceIsTypedSnapshotNeeded is the ErrSegmentGone
-// race regression: a shipper whose resume point was truncated away by a
-// checkpoint must fail with an error matching both sentinels, so the
-// caller takes the bootstrap path.
-func TestShipTruncationRaceIsTypedSnapshotNeeded(t *testing.T) {
+// TestFollowerWALReseedAfterTruncation: a follower whose resume point
+// a checkpoint truncated away cannot tail on — reading the log from its
+// Next fails with wal.ErrSegmentGone, and appending the oldest record
+// still held is a gap typed ErrSnapshotNeeded. The cure works:
+// snapshot, reseed a follower WAL, resume tailing from the snapshot's
+// boundary.
+func TestFollowerWALReseedAfterTruncation(t *testing.T) {
 	l := openTestLog(t)
 	appendFlushed(t, l, 8, 0x11)
-
-	s := NewShipper(l)
-	r := NewReplica("lagger", newSinkStore())
-	s.Attach(r)
-	if _, err := s.Ship(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run the log far ahead — several segments — and checkpoint with NO
-	// retention hook: truncation removes the shipper's resume segment.
-	for l.SegmentCount() < 4 {
-		appendFlushed(t, l, 8, 0x22)
-	}
-	if _, err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := s.Ship()
-	if err == nil {
-		t.Fatal("ship across truncated history succeeded; want typed failure")
-	}
-	if !errors.Is(err, wal.ErrSegmentGone) {
-		t.Fatalf("ship error does not name the race (wal.ErrSegmentGone): %v", err)
-	}
-	if !errors.Is(err, ErrSnapshotNeeded) {
-		t.Fatalf("ship error does not name the cure (ErrSnapshotNeeded): %v", err)
-	}
-
-	// The cure works: snapshot, reseed a follower WAL, resume tailing
-	// from the snapshot boundary.
 	boot, err := Snapshot(storage.NewMemDevice(), l)
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +168,36 @@ func TestShipTruncationRaceIsTypedSnapshotNeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Run the log far ahead — several segments — and checkpoint with NO
+	// retention hook: truncation removes the follower's resume segment.
+	for l.SegmentCount() < 4 {
+		appendFlushed(t, l, 8, 0x22)
+	}
+	if _, err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Iterate(fw.Next(), func(*wal.Record) error { return nil }); !errors.Is(err, wal.ErrSegmentGone) {
+		t.Fatalf("reading from the truncated resume point: err = %v, want wal.ErrSegmentGone", err)
+	}
+	if _, err := fw.Append(collectFrom(t, l, l.OldestLSN())[0]); !errors.Is(err, ErrSnapshotNeeded) {
+		t.Fatalf("appending across truncated history: err = %v, want ErrSnapshotNeeded", err)
+	}
+
+	boot, err = Snapshot(storage.NewMemDevice(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err = OpenFollowerWAL(wal.NewMemSegmentDir(), boot)
+	if err != nil {
+		t.Fatal(err)
+	}
 	appendFlushed(t, l, 2, 0x33)
-	for _, rec := range collectFrom(t, l, boot.Durable) {
+	recs := collectFrom(t, l, boot.Durable)
+	if len(recs) != 2 {
+		t.Fatalf("got %d post-snapshot records, want 2", len(recs))
+	}
+	for _, rec := range recs {
 		if ok, err := fw.Append(rec); err != nil || !ok {
 			t.Fatalf("post-bootstrap append LSN %d = (%v, %v)", rec.LSN, ok, err)
 		}

@@ -513,10 +513,10 @@ func (db *DB) KV() KVBackend { return db.kvPath }
 
 // SetLogRetention installs a min-shipped-LSN provider on the WAL:
 // checkpoint truncation keeps every segment at or above the reported
-// LSN, so replication shippers (internal/replicate) that lag behind the
-// checkpoint cadence resume from their watermark instead of hitting
-// ErrSegmentGone and restarting from a full copy. Pass the shipper's
-// Shipped method; nil clears the hook.
+// LSN, so a cluster leader's shipper (internal/cluster) whose followers
+// lag behind the checkpoint cadence resumes from its low-water mark
+// instead of hitting ErrSegmentGone and re-bootstrapping them from a
+// full copy. nil clears the hook.
 func (db *DB) SetLogRetention(fn func() wal.LSN) { db.log.SetRetention(fn) }
 
 // Flush makes all buffered data durable.

@@ -144,9 +144,7 @@ func TestScenarioExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failures != 0 {
-		t.Fatalf("failures = %d", res.Failures)
-	}
+	assertKeptData(t, res)
 	if res.OpsBefore != 300 || res.OpsDuring != 300 || res.OpsAfter != 300 {
 		t.Fatalf("ops = %+v", res)
 	}
@@ -161,18 +159,52 @@ func TestScenarioExtension(t *testing.T) {
 	}
 }
 
+// scenarioProfiles are the deployments the selection and adaptation
+// scenarios must keep the clients' data on: in process, and Layered
+// with every service behind its own loopback wire.
+var scenarioProfiles = []struct {
+	name string
+	g    Granularity
+	wire bool
+}{{"coarse", Coarse, false}, {"layered", Layered, false}, {"layered-netbind", Layered, true}}
+
+// openScenarioDB opens g as openDB does; with wire set, every service
+// is served over netbind, and the binding closes after the DB.
+func openScenarioDB(t *testing.T, g Granularity, wire bool) *DB {
+	t.Helper()
+	if !wire {
+		return openDB(t, g)
+	}
+	b := &netbind.Binding{}
+	t.Cleanup(func() { _ = b.Close() })
+	db, err := Open(Options{Granularity: g, BufferFrames: 64, Binding: b,
+		Coordinator: core.CoordinatorConfig{ProbeTimeout: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close(context.Background()) })
+	return db
+}
+
+// assertKeptData: every client operation was served, every read saw
+// the last acked value, and every acked key read back.
+func assertKeptData(t *testing.T, res ScenarioResult) {
+	t.Helper()
+	if res.LostAcked != 0 || res.StaleReads != 0 || res.Failures != 0 {
+		t.Fatalf("lostAcked=%d staleReads=%d failures=%d (%s)", res.LostAcked, res.StaleReads, res.Failures, res)
+	}
+}
+
 func TestScenarioSelection(t *testing.T) {
 	ctx := context.Background()
-	for _, g := range []Granularity{Coarse, Layered} {
-		t.Run(string(g), func(t *testing.T) {
-			db := openDB(t, g)
+	for _, p := range scenarioProfiles {
+		t.Run(p.name, func(t *testing.T) {
+			db := openScenarioDB(t, p.g, p.wire)
 			res, err := ScenarioSelection(ctx, db, 200)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Failures != 0 {
-				t.Fatalf("failures = %d", res.Failures)
-			}
+			assertKeptData(t, res)
 			if res.ServedBy != "kv-standby" {
 				t.Fatalf("ServedBy = %q, want kv-standby during release", res.ServedBy)
 			}
@@ -190,15 +222,16 @@ func TestScenarioSelection(t *testing.T) {
 
 func TestScenarioAdaptation(t *testing.T) {
 	ctx := context.Background()
-	for _, g := range []Granularity{Coarse, Layered} {
-		t.Run(string(g), func(t *testing.T) {
-			db := openDB(t, g)
+	for _, p := range scenarioProfiles {
+		t.Run(p.name, func(t *testing.T) {
+			db := openScenarioDB(t, p.g, p.wire)
 			res, err := ScenarioAdaptation(ctx, db, 200)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The system continues to operate (Figure 7), served
-			// through a generated adaptor.
+			// The system continues to operate on its data (Figure 7),
+			// served through a generated adaptor.
+			assertKeptData(t, res)
 			if res.OpsDuring == 0 || res.OpsAfter == 0 {
 				t.Fatalf("ops = %+v", res)
 			}

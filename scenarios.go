@@ -2,9 +2,8 @@ package sbdms
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -13,14 +12,25 @@ import (
 // ScenarioResult reports one flexibility scenario run (Figures 5-7):
 // operation counts before/during/after the architectural change, the
 // service-unavailability window observed by clients, and whether the
-// system kept serving throughout.
+// clients kept their data across the change. Every phase writes fresh
+// keys and reads keys acked in earlier phases, and after the last
+// phase every acked key is read back, so a switch to a provider that
+// does not serve the clients' data shows as StaleReads and LostAcked,
+// not as an unnoticed success.
 type ScenarioResult struct {
 	Name string
-	// OpsBefore/During/After count successful client operations in the
+	// OpsBefore/During/After count client operations served in the
 	// three phases.
 	OpsBefore, OpsDuring, OpsAfter int64
-	// Failures counts client operations that returned errors.
+	// Failures counts client operations that returned an error other
+	// than a missing key.
 	Failures int64
+	// StaleReads counts phase reads that returned anything other than
+	// the key's last acked value, a missing key included.
+	StaleReads int64 `json:"staleReads"`
+	// LostAcked counts acked keys whose read-back after the last phase
+	// did not return the last acked value.
+	LostAcked int64 `json:"lostAcked"`
 	// ReconfigTime is how long the architecture took to restore
 	// service after the triggering event.
 	ReconfigTime time.Duration
@@ -32,95 +42,80 @@ type ScenarioResult struct {
 
 // String renders the result as the experiment harness prints it.
 func (r ScenarioResult) String() string {
-	return fmt.Sprintf("%s: before=%d during=%d after=%d failures=%d reconfig=%v servedBy=%s",
-		r.Name, r.OpsBefore, r.OpsDuring, r.OpsAfter, r.Failures, r.ReconfigTime, r.ServedBy)
+	return fmt.Sprintf("%s: before=%d during=%d after=%d failures=%d staleReads=%d lostAcked=%d reconfig=%v servedBy=%s",
+		r.Name, r.OpsBefore, r.OpsDuring, r.OpsAfter, r.Failures, r.StaleReads, r.LostAcked, r.ReconfigTime, r.ServedBy)
 }
 
-// kvEchoBackend is a trivial in-memory KV used as an alternate provider
-// in the scenarios (a stand-in "other service providing the same
-// functionality", Section 3.6).
-type kvEchoBackend struct {
-	mu sync.Mutex
-	m  map[string][]byte
+// phaseDriver is the client workload of every flexibility scenario.
+// Phase p writes the fresh keys <name>-p<p>-<j>, each several times
+// with a per-key sequence value; from the second phase on it
+// alternates those writes with reads of keys acked in earlier phases.
+type phaseDriver struct {
+	ctx   context.Context
+	db    *DB
+	res   *ScenarioResult
+	ops   int
+	phase int
+	keys  []string          // every key written, in first-write order
+	acked map[string]string // key -> last acked value
+	reads int               // reads issued, to spread them over the keys
 }
 
-// NewMemKV returns that stand-in: a mutex-guarded map, one version per
-// key, unordered best-effort scans.
-func NewMemKV() KVBackend { return &kvEchoBackend{m: make(map[string][]byte)} }
-
-func (b *kvEchoBackend) Put(_ context.Context, k string, v []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[k] = append([]byte(nil), v...)
-	return nil
+func newPhaseDriver(ctx context.Context, db *DB, res *ScenarioResult, opsPerPhase int) *phaseDriver {
+	return &phaseDriver{ctx: ctx, db: db, res: res, ops: opsPerPhase, acked: make(map[string]string)}
 }
 
-func (b *kvEchoBackend) PutBatch(_ context.Context, keys []string, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("%w: %d keys, %d values", ErrBatchMismatch, len(keys), len(vals))
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, k := range keys {
-		b.m[k] = append([]byte(nil), vals[i]...)
-	}
-	return nil
-}
-
-// Import on the stand-in provider is a plain PutBatch: the map has no
-// tree to bulk-build, and duplicate keys simply overwrite.
-func (b *kvEchoBackend) Import(ctx context.Context, keys []string, vals [][]byte) error {
-	return b.PutBatch(ctx, keys, vals)
-}
-
-func (b *kvEchoBackend) Get(_ context.Context, k string) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if v, ok := b.m[k]; ok {
-		return v, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, k)
-}
-
-func (b *kvEchoBackend) Delete(_ context.Context, k string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.m, k)
-	return nil
-}
-
-// Scan returns an unordered best-effort view: the stand-in provider is
-// a plain map and serves read-committed-style scans regardless of the
-// engine's ScanIsolation — scenario availability checks only count
-// operations, they never assert snapshot semantics across providers.
-func (b *kvEchoBackend) Scan(_ context.Context, from string, n int) ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for k := range b.m {
-		if k >= from && len(out) < n {
-			out = append(out, k)
+// run drives one phase and adds the operations served to *served.
+func (d *phaseDriver) run(served *int64) {
+	earlier := d.keys
+	perPhase := max(1, d.ops/4)
+	writes := 0
+	for i := 0; i < d.ops; i++ {
+		if len(earlier) > 0 && i%2 == 1 {
+			k := earlier[d.reads%len(earlier)]
+			d.reads++
+			if d.check(k, &d.res.StaleReads) {
+				*served++
+			}
+			continue
 		}
+		k := fmt.Sprintf("%s-p%d-%d", d.res.Name, d.phase, writes%perPhase)
+		v := fmt.Sprintf("%s#%d", k, writes/perPhase+1)
+		if writes < perPhase {
+			d.keys = append(d.keys, k)
+		}
+		writes++
+		if err := d.db.Put(d.ctx, k, []byte(v)); err != nil {
+			delete(d.acked, k) // the write's outcome is unknown
+			d.res.Failures++
+			continue
+		}
+		d.acked[k] = v
+		*served++
 	}
-	return out, nil
+	d.phase++
 }
 
-// GetSnapshot on the stand-in provider is a plain Get: the map holds a
-// single version per key, so the latest committed state is the only
-// snapshot it can serve.
-func (b *kvEchoBackend) GetSnapshot(ctx context.Context, k string) ([]byte, error) {
-	return b.Get(ctx, k)
+// readBack reads every acked key after the last phase.
+func (d *phaseDriver) readBack() {
+	for _, k := range d.keys {
+		d.check(k, &d.res.LostAcked)
+	}
 }
 
-// ScanKeysSnapshot likewise degrades to the best-effort Scan.
-func (b *kvEchoBackend) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]string, error) {
-	return b.Scan(ctx, from, n)
-}
-
-func (b *kvEchoBackend) Len(context.Context) (uint64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return uint64(len(b.m)), nil
+// check reads k and reports whether the read was served. A served
+// value other than the last acked one, a missing key included, counts
+// in *wrong.
+func (d *phaseDriver) check(k string, wrong *int64) bool {
+	v, err := d.db.Get(d.ctx, k)
+	if err != nil && !IsKeyNotFound(err) {
+		d.res.Failures++
+		return false
+	}
+	if want, ok := d.acked[k]; ok && (err != nil || string(v) != want) {
+		*wrong++
+	}
+	return true
 }
 
 // ScenarioExtension reproduces Figure 5 (flexibility by extension): a
@@ -130,21 +125,8 @@ func (b *kvEchoBackend) Len(context.Context) (uint64, error) {
 // service is discoverable and invocable afterwards.
 func ScenarioExtension(ctx context.Context, db *DB, opsPerPhase int) (ScenarioResult, error) {
 	res := ScenarioResult{Name: "F5-extension"}
-	key := func(i int) string { return fmt.Sprintf("ext-%06d", i%512) }
-
-	run := func(phaseOps *int64) error {
-		for i := int64(0); i < int64(opsPerPhase); i++ {
-			if err := db.Put(ctx, key(int(i)), []byte("v")); err != nil {
-				res.Failures++
-				continue
-			}
-			atomic.AddInt64(phaseOps, 1)
-		}
-		return nil
-	}
-	if err := run(&res.OpsBefore); err != nil {
-		return res, err
-	}
+	d := newPhaseDriver(ctx, db, &res, opsPerPhase)
+	d.run(&res.OpsBefore)
 
 	// Runtime extension: deploy the Page Coordinator component.
 	start := time.Now()
@@ -171,21 +153,16 @@ func ScenarioExtension(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 			return core.WithPing(s), nil
 		}),
 	}
-	var during int64
 	done := make(chan error, 1)
 	go func() { done <- db.Kernel().DeployComponent(ctx, pageCoord) }()
-	if err := run(&during); err != nil {
-		return res, err
-	}
+	d.run(&res.OpsDuring)
 	if err := <-done; err != nil {
 		return res, err
 	}
-	res.OpsDuring = during
 	res.ReconfigTime = time.Since(start)
 
-	if err := run(&res.OpsAfter); err != nil {
-		return res, err
-	}
+	d.run(&res.OpsAfter)
+	d.readBack()
 	// The new functionality is available for reuse.
 	ref := db.Kernel().Ref("sbdms.storage.PageCoordinator", nil)
 	out, err := ref.Invoke(ctx, "bufferStats", nil)
@@ -201,44 +178,17 @@ func ScenarioExtension(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 
 // ScenarioSelection reproduces Figure 6 (flexibility by selection): the
 // primary KV provider asks the coordinator to release resources; the
-// coordinator steers clients to an alternate provider of the same
-// interface, then readmits the primary. The check: zero failed client
-// operations across the switch.
+// coordinator steers clients to a standby provider of the same
+// interface over the same store, then readmits the primary. The check:
+// no failed client operation and no lost or stale data across the
+// switch.
 func ScenarioSelection(ctx context.Context, db *DB, opsPerPhase int) (ScenarioResult, error) {
 	res := ScenarioResult{Name: "F6-selection"}
-	if db.kvRef == nil {
-		return res, fmt.Errorf("sbdms: selection scenario needs a service-based profile")
-	}
-	// Alternate provider of the same interface, pre-warmed with the
-	// same keys so reads succeed on both.
-	alt := NewMemKV()
-	altSvc := NewKVService("kv-standby", alt)
-	if err := db.deploy(ctx, altSvc, map[string]string{"role": "standby"}); err != nil {
+	if err := db.DeployStandby(ctx, "kv-standby", map[string]string{"role": "standby"}); err != nil {
 		return res, err
 	}
-	key := func(i int) string { return fmt.Sprintf("sel-%06d", i%256) }
-	for i := 0; i < 256; i++ {
-		if err := alt.Put(ctx, key(i), []byte("warm")); err != nil {
-			return res, err
-		}
-	}
-
-	run := func(phase *int64) {
-		for i := 0; i < opsPerPhase; i++ {
-			var err error
-			if i%2 == 0 {
-				err = db.Put(ctx, key(i), []byte("v"))
-			} else {
-				_, err = db.Get(ctx, key(i-1))
-			}
-			if err != nil {
-				res.Failures++
-				continue
-			}
-			*phase++
-		}
-	}
-	run(&res.OpsBefore)
+	d := newPhaseDriver(ctx, db, &res, opsPerPhase)
+	d.run(&res.OpsBefore)
 
 	// Figure 6: "Release Resources" on the coordinator.
 	start := time.Now()
@@ -251,7 +201,7 @@ func ScenarioSelection(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 		return res, err
 	}
 	res.ReconfigTime = time.Since(start)
-	run(&res.OpsDuring)
+	d.run(&res.OpsDuring)
 	if _, err := db.kvRef.Resolve(); err != nil {
 		return res, err
 	}
@@ -262,57 +212,79 @@ func ScenarioSelection(ctx context.Context, db *DB, opsPerPhase int) (ScenarioRe
 		core.ReleaseResourcesRequest{Service: primary, Restore: true}); err != nil {
 		return res, err
 	}
-	run(&res.OpsAfter)
+	d.run(&res.OpsAfter)
+	d.readBack()
 	res.Events = db.Kernel().Bus().CountByType()
 	return res, nil
 }
 
+// DeployStandby deploys a second KV provider, name, over the engine's
+// own store: the direct path with no record hop. The coordinator can
+// steer clients to it when the primary releases its resources (Figure
+// 6); releasing the primary then releases its service stack, not the
+// data. Like every service of the profile, the standby goes through
+// the configured binding and stores its contract in the repository.
+func (db *DB) DeployStandby(ctx context.Context, name string, tags map[string]string) error {
+	if db.kvRef == nil {
+		return fmt.Errorf("sbdms: a standby provider needs a service-based profile")
+	}
+	return db.deploy(ctx, NewKVService(name, db.kv), tags)
+}
+
+// Payloads of the legacy store's alien interface (Figure 7), registered
+// with gob so the store and its generated adaptor work over a network
+// binding.
+type (
+	legacyPut struct {
+		K string
+		V []byte
+	}
+	legacyScan struct {
+		From string
+		N    int
+	}
+	legacyBatch struct {
+		Ks []string
+		Vs [][]byte
+	}
+)
+
+func init() {
+	gob.Register(legacyPut{})
+	gob.Register(legacyScan{})
+	gob.Register(legacyBatch{})
+}
+
 // ScenarioAdaptation reproduces Figure 7 (flexibility by adaptation):
 // the only KV provider fails; no same-interface alternate exists, but a
-// legacy store with a DIFFERENT interface does. The coordinator
-// generates an adaptor service around it and re-registers the
-// interface. The check: clients keep operating after a bounded
-// reconfiguration window, served through the adaptor.
+// legacy service over the same store with a DIFFERENT interface does.
+// The coordinator generates an adaptor service around it and
+// re-registers the interface. The check: clients keep operating on
+// their data after a bounded reconfiguration window, served through
+// the adaptor.
 func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioResult, error) {
 	res := ScenarioResult{Name: "F7-adaptation"}
 	if db.kvRef == nil {
 		return res, fmt.Errorf("sbdms: adaptation scenario needs a service-based profile")
 	}
-	// A legacy storage service: same semantics, alien interface
-	// (different op names and payload shapes).
-	legacy := NewMemKV()
+	// A legacy storage service: the engine's store under an alien
+	// interface (different op names and payload shapes).
 	legacyContract := &core.Contract{
 		Interface: "sbdms.legacy.Store",
 		Operations: []core.OpSpec{
 			{Name: "fetch", In: "string", Out: "[]byte", Semantic: "kv.get"},
 			{Name: "store", In: "sbdms.legacyPut", Out: "bool", Semantic: "kv.put"},
 			{Name: "storeMany", In: "sbdms.legacyBatch", Out: "bool", Semantic: "kv.putBatch"},
-			// Bulk loads degrade to a plain batch store: the legacy map
-			// has no tree to build, but the semantic is satisfied.
 			{Name: "loadAll", In: "sbdms.legacyBatch", Out: "bool", Semantic: "kv.import"},
 			{Name: "remove", In: "string", Out: "bool", Semantic: "kv.delete"},
 			{Name: "list", In: "sbdms.legacyScan", Out: "[]string", Semantic: "kv.scan"},
-			// The legacy store is single-version: its current state IS
-			// its newest stable snapshot, so the snapshot-read semantics
-			// map onto plain (lock-free) reads under alien names.
 			{Name: "peek", In: "string", Out: "[]byte", Semantic: "kv.getSnapshot"},
 			{Name: "listStable", In: "sbdms.legacyScan", Out: "[]string", Semantic: "kv.scanSnapshot"},
 			{Name: "size", In: "nil", Out: "uint64", Semantic: "kv.len"},
 		},
 		Description: core.Description{Summary: "legacy store with incompatible interface (Figure 7)"},
 	}
-	type legacyPut struct {
-		K string
-		V []byte
-	}
-	type legacyScan struct {
-		From string
-		N    int
-	}
-	type legacyBatch struct {
-		Ks []string
-		Vs [][]byte
-	}
+	legacy := db.kv
 	lsvc := core.NewService("legacy-store", legacyContract)
 	lsvc.Handle("fetch", func(ctx context.Context, req any) (any, error) { return legacy.Get(ctx, req.(string)) })
 	lsvc.Handle("store", func(ctx context.Context, req any) (any, error) {
@@ -332,10 +304,10 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 		p := req.(legacyScan)
 		return legacy.Scan(ctx, p.From, p.N)
 	})
-	lsvc.Handle("peek", func(ctx context.Context, req any) (any, error) { return legacy.Get(ctx, req.(string)) })
+	lsvc.Handle("peek", func(ctx context.Context, req any) (any, error) { return legacy.GetSnapshot(ctx, req.(string)) })
 	lsvc.Handle("listStable", func(ctx context.Context, req any) (any, error) {
 		p := req.(legacyScan)
-		return legacy.Scan(ctx, p.From, p.N)
+		return legacy.ScanKeysSnapshot(ctx, p.From, p.N)
 	})
 	lsvc.Handle("size", func(ctx context.Context, req any) (any, error) { return legacy.Len(ctx) })
 	core.WithPing(lsvc)
@@ -362,23 +334,8 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 		return legacyBatch{Ks: r.Keys, Vs: r.Vals}, nil
 	})
 
-	key := func(i int) string { return fmt.Sprintf("adp-%06d", i%256) }
-	run := func(phase *int64) {
-		for i := 0; i < opsPerPhase; i++ {
-			var err error
-			if i%2 == 0 {
-				err = db.Put(ctx, key(i), []byte("v"))
-			} else {
-				_, err = db.Get(ctx, key(i-1))
-			}
-			if err != nil {
-				res.Failures++
-				continue
-			}
-			*phase++
-		}
-	}
-	run(&res.OpsBefore)
+	d := newPhaseDriver(ctx, db, &res, opsPerPhase)
+	d.run(&res.OpsBefore)
 
 	// Fail every same-interface KV provider ("Page Manager not
 	// available").
@@ -403,12 +360,13 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 	db.kernel.Coordinator().ProbeOnce(ctx)
 	res.ReconfigTime = time.Since(start)
 
-	run(&res.OpsDuring)
+	d.run(&res.OpsDuring)
 	if _, err := db.kvRef.Resolve(); err != nil {
 		return res, err
 	}
 	res.ServedBy = db.kvRef.Current()
-	run(&res.OpsAfter)
+	d.run(&res.OpsAfter)
+	d.readBack()
 	res.Events = db.Kernel().Bus().CountByType()
 	return res, nil
 }
