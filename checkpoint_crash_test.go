@@ -477,20 +477,19 @@ func mergeCrashState(st, part *crashState) {
 	}
 }
 
-// TestKVCrashRecoveryBackgroundWritebackBeforeCheckpoint crashes inside
-// the window the background checkpoint flusher opens: cold dirty pages
-// are written back opportunistically between checkpoints, then the
-// system dies BEFORE any checkpoint record covers them. The write-back
-// shares eviction's write-ahead hook, so every persisted page's log
-// records are durable first, and the dirty-page table forgets a page
-// (clearing its recLSN) only after its bytes land — a checkpoint
-// snapshotted after the write-back can therefore never advance
-// recovery-begin past a mutation that exists only in the log. Here no
-// such checkpoint ever runs: the manifest still names the baseline
-// checkpoint, and recovery must replay the whole suffix across the
-// written-back pages — including one whose in-flight write the crash
-// tore in half.
-func TestKVCrashRecoveryBackgroundWritebackBeforeCheckpoint(t *testing.T) {
+// TestKVCrashRecoveryEvictedPageBeforeCheckpoint crashes inside the
+// window between checkpoints: the 8-frame pool writes dirty pages back
+// on eviction, then the system dies BEFORE any checkpoint record covers
+// them. Eviction goes through the write-ahead hook, so every persisted
+// page's log records are durable first, and the dirty-page table
+// forgets a page (clearing its recLSN) only after its bytes land — a
+// checkpoint snapshotted after the write-back can therefore never
+// advance recovery-begin past a mutation that exists only in the log.
+// Here no such checkpoint ever runs: the manifest still names the
+// baseline checkpoint, and recovery must replay the whole suffix across
+// the written-back pages — including one whose in-flight write the
+// crash tore in half.
+func TestKVCrashRecoveryEvictedPageBeforeCheckpoint(t *testing.T) {
 	dataDev := storage.NewMemDevice()
 	logDir := wal.NewMemSegmentDir()
 	db := openSegmentedCrashDB(t, dataDev, logDir)
@@ -498,68 +497,62 @@ func TestKVCrashRecoveryBackgroundWritebackBeforeCheckpoint(t *testing.T) {
 	// History plus a clean baseline checkpoint, so recovery has a fence
 	// to fall back to and truncation has already discarded old segments.
 	st := runKVCrashWorkload(db, 300, 80, 61, nil)
-	if _, err := db.CheckpointSync(); err != nil {
+	baseline, err := db.CheckpointSync()
+	if err != nil {
 		t.Fatalf("baseline checkpoint: %v", err)
 	}
 	st2 := runKVCrashWorkload(db, 200, 80, 67, nil)
 	mergeCrashState(st, st2)
+	abandon(db)
 
-	// The flusher's opportunistic pass, forced deterministically: every
-	// cold (unpinned) dirty frame is written back.
-	before := db.Pool().DirtyPages()
-	if len(before) == 0 {
-		t.Fatal("workload left no dirty pages to write back")
-	}
-	n, err := db.Pool().WriteBackCold(1 << 20)
+	// The victim is a page eviction wrote back after the baseline: its
+	// on-device LSN is above the checkpoint, and no later checkpoint
+	// covers it. Its write is "in flight" at the crash and gets torn.
+	size, err := dataDev.Size()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("cold write-back wrote nothing")
-	}
-
-	// Pick a page the pass wrote back (dirty before, clean after): its
-	// write is "in flight" at the crash and gets torn below.
-	stillDirty := map[storage.PageID]bool{}
-	for _, d := range db.Pool().DirtyPages() {
-		stillDirty[d.ID] = true
-	}
 	victim := storage.InvalidPageID
-	for _, d := range before {
-		if d.RecLSN > 0 && !stillDirty[d.ID] {
-			victim = d.ID
+	buf := make([]byte, storage.PageSize)
+	for off := int64(storage.PageSize); off+storage.PageSize <= size; off += storage.PageSize {
+		if _, err := dataDev.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		id := storage.PageID(off / storage.PageSize)
+		if storage.WrapPage(id, buf).LSN() > uint64(baseline) {
+			victim = id
 			break
 		}
 	}
-	abandon(db)
-	if victim != storage.InvalidPageID {
-		junk := make([]byte, storage.PageSize/2)
-		for i := range junk {
-			junk[i] = 0x5A
-		}
-		if _, err := dataDev.WriteAt(junk, int64(victim)*storage.PageSize+storage.PageSize/2); err != nil {
-			t.Fatal(err)
-		}
-		if !tornPageOnDevice(t, dataDev) {
-			t.Fatal("victim page still verifies; the tear did nothing")
-		}
+	if victim == storage.InvalidPageID {
+		t.Fatal("no page was evicted after the baseline checkpoint; the pool never wrote back")
+	}
+	junk := make([]byte, storage.PageSize/2)
+	for i := range junk {
+		junk[i] = 0x5A
+	}
+	if _, err := dataDev.WriteAt(junk, int64(victim)*storage.PageSize+storage.PageSize/2); err != nil {
+		t.Fatal(err)
+	}
+	if !tornPageOnDevice(t, dataDev) {
+		t.Fatal("victim page still verifies; the tear did nothing")
 	}
 
 	// Recovery replays from the baseline checkpoint's recovery-begin:
 	// the suffix's full page images rebuild the torn victim, redo is
-	// idempotent over the pages the write-back already persisted, and
-	// nothing committed is lost.
+	// idempotent over the pages eviction already persisted, and nothing
+	// committed is lost.
 	verifyRecovered(t, dataDev, logDir, st)
 }
 
-// TestKVCrashRecoveryAsyncCheckpointWithoutCompletion covers the other
-// edge of the background window: an asynchronous checkpoint's record is
-// durable in the log and the call has returned, but the device dies
-// before the background flusher can flush the dirty-page snapshot.
-// CompleteCheckpoint never runs, so the manifest must NOT advance past
-// a snapshot that never became durable, truncation must not discard the
-// history recovery still needs, and reopening falls back to the
-// previous checkpoint.
+// TestKVCrashRecoveryAsyncCheckpointWithoutCompletion covers the edge
+// of the background flusher's window: an asynchronous checkpoint's
+// record is durable in the log and the call has returned, but the
+// device dies before the background flusher can flush the dirty-page
+// snapshot. CompleteCheckpoint never runs, so the manifest must NOT
+// advance past a snapshot that never became durable, truncation must
+// not discard the history recovery still needs, and reopening falls
+// back to the previous checkpoint.
 func TestKVCrashRecoveryAsyncCheckpointWithoutCompletion(t *testing.T) {
 	inner := storage.NewMemDevice()
 	fault := storage.NewFaultDevice(inner)

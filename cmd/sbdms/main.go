@@ -25,6 +25,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/netbind"
 	"repro/internal/storage"
+	"repro/internal/vacuum"
 	"repro/internal/wal"
 )
 
@@ -33,8 +34,8 @@ func main() {
 	dataPath := flag.String("data", "", "data file (empty = in-memory)")
 	walDir := flag.String("wal-dir", "", "WAL directory (wal.NNNNNN segment files, truncated by checkpoints; empty = <data>.wal next to -data, or in-memory without -data)")
 	segBytes := flag.Int("wal-segment-bytes", 0, "WAL segment roll threshold in bytes (0 = 1 MiB)")
-	ckptEvery := flag.Duration("checkpoint-interval", 0, "background fuzzy-checkpoint period (0 = off); bounds recovery time and WAL size")
-	vacEvery := flag.Duration("vacuum-interval", 0, "background MVCC vacuum period (0 = off); reclaims dead versions behind the snapshot horizon")
+	ckptEvery := flag.Duration("checkpoint-interval", 0, "fuzzy-checkpoint period (0 = off); bounds recovery time and WAL size")
+	vacEvery := flag.Duration("vacuum-interval", 0, "MVCC vacuum period (0 = off); reclaims dead versions behind the snapshot horizon")
 	granularity := flag.String("granularity", "layered", "service granularity: monolithic|coarse|layered|fine")
 	frames := flag.Int("frames", 256, "buffer pool frames")
 	scanIsolation := flag.String("scan-isolation", "read-committed", "range-scan isolation: read-committed|serializable (serializable = next-key locking, phantom-free scans)")
@@ -47,12 +48,10 @@ func main() {
 	flag.Parse()
 
 	opts := sbdms.Options{
-		Granularity:        sbdms.Granularity(*granularity),
-		BufferFrames:       *frames,
-		WALSegmentBytes:    *segBytes,
-		CheckpointInterval: *ckptEvery,
-		VacuumInterval:     *vacEvery,
-		ScanIsolation:      sbdms.ScanIsolation(*scanIsolation),
+		Granularity:     sbdms.Granularity(*granularity),
+		BufferFrames:    *frames,
+		WALSegmentBytes: *segBytes,
+		ScanIsolation:   sbdms.ScanIsolation(*scanIsolation),
 	}
 	if *importFile != "" {
 		if err := runImport(*importFile, *dataPath, *walDir, opts); err != nil {
@@ -61,12 +60,12 @@ func main() {
 		return
 	}
 	if *clusterShards > 0 {
-		if err := runCluster(*clusterShards, *clusterFollowers, *clusterAsync, *frames, *segBytes, *ckptEvery); err != nil {
+		if err := runCluster(*clusterShards, *clusterFollowers, *clusterAsync, *frames, *segBytes, *ckptEvery, *vacEvery); err != nil {
 			fail(err)
 		}
 		return
 	}
-	if err := run(*addr, *dataPath, *walDir, opts, *peers, *gossipEvery); err != nil {
+	if err := run(*addr, *dataPath, *walDir, opts, *peers, *gossipEvery, *ckptEvery, *vacEvery); err != nil {
 		fail(err)
 	}
 }
@@ -82,6 +81,58 @@ func fail(err error) {
 		fmt.Fprintln(os.Stderr, "sbdms:", oldFormatHint)
 	}
 	os.Exit(1)
+}
+
+// engine is what housekeep drives; *sbdms.DB is one.
+type engine interface {
+	Checkpoint() (wal.LSN, error)
+	Vacuum() (vacuum.Stats, error)
+}
+
+// housekeep runs checkpoints and vacuum passes over engines() on their
+// periods (0 = never) and returns the function that stops them, waiting
+// out a pass in flight. The engine runs no periodic work of its own: a
+// deployed process is the one place a wall clock belongs. engines is
+// re-read on every tick, so a cluster's leader set may change under it.
+// A failed pass is logged and retried on the next tick.
+func housekeep(ckptEvery, vacEvery time.Duration, engines func() []engine) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ckpt, stopCkpt := ticks(ckptEvery)
+		defer stopCkpt()
+		vac, stopVac := ticks(vacEvery)
+		defer stopVac()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ckpt:
+				for _, e := range engines() {
+					if _, err := e.Checkpoint(); err != nil {
+						fmt.Fprintln(os.Stderr, "sbdms: checkpoint:", err)
+					}
+				}
+			case <-vac:
+				for _, e := range engines() {
+					if _, err := e.Vacuum(); err != nil {
+						fmt.Fprintln(os.Stderr, "sbdms: vacuum:", err)
+					}
+				}
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
+// ticks returns the channel of a ticker with period d — nil, which is
+// never ready, when d <= 0 — and the function that stops it.
+func ticks(d time.Duration) (<-chan time.Time, func()) {
+	if d <= 0 {
+		return nil, func() {}
+	}
+	t := time.NewTicker(d)
+	return t.C, t.Stop
 }
 
 // openStore opens the database over the data file and WAL directory
@@ -177,21 +228,29 @@ func runImport(file, dataPath, walDir string, opts sbdms.Options) error {
 // over its own netbind TCP listener, writes routed by key hash through
 // an epoch-aware router. A smoke write/read proves the data path before
 // the process parks on the signal handler.
-func runCluster(shards, followers int, async bool, frames, segBytes int, ckptEvery time.Duration) error {
+func runCluster(shards, followers int, async bool, frames, segBytes int, ckptEvery, vacEvery time.Duration) error {
 	ctx := context.Background()
 	c, err := cluster.New(cluster.Config{
-		Shards:             shards,
-		Followers:          followers,
-		AsyncCommit:        async,
-		UseNetbind:         true,
-		Frames:             frames,
-		WALSegmentBytes:    segBytes,
-		CheckpointInterval: ckptEvery,
+		Shards:          shards,
+		Followers:       followers,
+		AsyncCommit:     async,
+		UseNetbind:      true,
+		Frames:          frames,
+		WALSegmentBytes: segBytes,
 	})
 	if err != nil {
 		return err
 	}
 	defer c.Close(ctx)
+	defer housekeep(ckptEvery, vacEvery, func() []engine {
+		var leaders []engine
+		for _, sh := range c.Map().Shards {
+			if db := c.Node(sh.Leader).DB(); db != nil {
+				leaders = append(leaders, db)
+			}
+		}
+		return leaders
+	})()
 
 	m := c.Map()
 	fmt.Printf("sbdms: cluster epoch %d — %d shards x (1 leader + %d followers), async-commit=%t\n",
@@ -216,12 +275,13 @@ func runCluster(shards, followers int, async bool, frames, segBytes int, ckptEve
 	return nil
 }
 
-func run(addr, dataPath, walDir string, opts sbdms.Options, peers string, gossipEvery time.Duration) error {
+func run(addr, dataPath, walDir string, opts sbdms.Options, peers string, gossipEvery, ckptEvery, vacEvery time.Duration) error {
 	db, err := openStore(dataPath, walDir, opts)
 	if err != nil {
 		return err
 	}
 	defer db.Close(context.Background())
+	defer housekeep(ckptEvery, vacEvery, func() []engine { return []engine{db} })()
 
 	srv, err := netbind.Serve(db.Kernel().Registry(), addr)
 	if err != nil {

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	sbdms "repro"
+	"repro/internal/storage"
+	"repro/internal/vacuum"
 	"repro/internal/wal"
 )
 
@@ -69,5 +74,69 @@ func TestOldLogFormatIsRefusedWithTheWayOut(t *testing.T) {
 	}
 	if got, rerr := os.ReadFile(segPath); rerr != nil || !bytes.Equal(got, old) {
 		t.Fatalf("old segment changed (read err %v)", rerr)
+	}
+}
+
+// reclaimCounter is a housekept engine that tallies what its vacuum
+// passes reclaimed.
+type reclaimCounter struct {
+	*sbdms.DB
+	reclaimed atomic.Int64
+}
+
+func (r *reclaimCounter) Vacuum() (vacuum.Stats, error) {
+	st, err := r.DB.Vacuum()
+	r.reclaimed.Add(int64(st.VersionsReclaimed))
+	return st, err
+}
+
+// TestHousekeepCheckpointsAndVacuums: the engine runs no periodic work
+// of its own, so on a served node -checkpoint-interval and
+// -vacuum-interval are all that bound the log and the version chains.
+// Driven on a short period over a file-backed store with small log
+// segments, housekeep must truncate the log (its oldest segment
+// advances) and reclaim every superseded version, and every key must
+// still read its newest value.
+func TestHousekeepCheckpointsAndVacuums(t *testing.T) {
+	ctx := context.Background()
+	data := filepath.Join(t.TempDir(), "node.db")
+	db, err := openStore(data, "", sbdms.Options{WALSegmentBytes: 2 * storage.PageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(ctx)
+
+	const keys, versions = 20, 5
+	for v := 0; v < versions; v++ {
+		for i := 0; i < keys; i++ {
+			if err := db.Put(ctx, fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%d", v))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	oldest := db.Log().OldestSegment()
+	if db.Log().ActiveSegment() == oldest {
+		t.Fatalf("the writes filled one segment only: nothing for a checkpoint to truncate")
+	}
+
+	e := &reclaimCounter{DB: db}
+	stop := housekeep(5*time.Millisecond, 5*time.Millisecond, func() []engine { return []engine{e} })
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Log().OldestSegment() == oldest || e.reclaimed.Load() < keys*(versions-1) {
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatalf("after 10s: oldest segment %d (was %d), %d of %d superseded versions reclaimed",
+				db.Log().OldestSegment(), oldest, e.reclaimed.Load(), keys*(versions-1))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+
+	want := fmt.Sprintf("v%d", versions-1)
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("k%02d", i)
+		if v, err := db.Get(ctx, k); err != nil || string(v) != want {
+			t.Fatalf("%s after housekeeping = %q, %v; want %q", k, v, err, want)
+		}
 	}
 }

@@ -94,3 +94,34 @@ func TestGranularitySweepSmall(t *testing.T) {
 		t.Fatal("granularity tradeoff shape missing over the wire")
 	}
 }
+
+// TestFineHopsRepeatAtSameSeed: with no timer in the engine, a G1 cell's
+// hop count is a function of the workload alone. Fine crosses the wire
+// for every buffer miss and dirty write-back, so anything the engine
+// did on its own clock would show here as run-to-run drift.
+func TestFineHopsRepeatAtSameSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 20,000-op runs over loopback TCP")
+	}
+	const keys, ops, seed = 2000, 20000, 7
+	for _, mix := range []struct {
+		name string
+		mix  workload.Mix
+	}{{"YCSB-B", workload.MixB}, {"YCSB-A", workload.MixA}} {
+		var hops [2]float64
+		for run := range hops {
+			m, err := MeasureProfile(Fine, true, mix.mix, keys, ops, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Failures != 0 {
+				t.Fatalf("%s run %d: %d failures", mix.name, run, m.Failures)
+			}
+			hops[run] = m.HopsPerOp
+		}
+		if hops[0] != hops[1] {
+			t.Errorf("%s: fine hops/op %v then %v at the same seed", mix.name, hops[0], hops[1])
+		}
+		t.Logf("%s: fine hops/op %v", mix.name, hops[0])
+	}
+}

@@ -114,10 +114,10 @@ func TestRowEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeRowErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{1},                // short header
-		{1, 0},             // one column, no data
-		{1, 0, 99},         // unknown type
-		{1, 0, byte(TypeInt), 1, 2}, // truncated int
+		{1},                                     // short header
+		{1, 0},                                  // one column, no data
+		{1, 0, 99},                              // unknown type
+		{1, 0, byte(TypeInt), 1, 2},             // truncated int
 		append(EncodeRow(Row{NewInt(1)}), 0xFF), // trailing bytes
 	}
 	for i, b := range cases {

@@ -95,12 +95,6 @@ type shard struct {
 	// dirty page is written back; the WAL uses it to enforce
 	// write-ahead ordering.
 	beforeEvict func(storage.PageID, uint64) error
-
-	// hand is the clock position of WriteBackCold's opportunistic
-	// write-back sweep: successive calls resume where the last one
-	// stopped, so cold dirty frames are drained round-robin instead of
-	// the same prefix being rewritten every pass.
-	hand int
 }
 
 // shardStride rounds each shard up to a whole number of cache lines
@@ -614,56 +608,6 @@ func (m *Manager) flushUnpinned(id storage.PageID) error {
 
 // flushPinWait bounds how long FlushPages waits for a pin to drain.
 const flushPinWait = 2 * time.Second
-
-// WriteBackCold opportunistically writes back up to max unpinned dirty
-// frames, clock-ordered per stripe (each stripe keeps a persistent
-// hand, so successive sweeps drain different frames instead of
-// rewriting the same prefix). Pinned frames are skipped outright — the
-// pin holder may be mutating the bytes outside the shard lock — and
-// every write-back goes through the write-ahead hook, exactly like an
-// eviction. The store is NOT synced: write-backs here only shrink the
-// next checkpoint's dirty-page snapshot, and the durability point that
-// licenses WAL truncation remains the checkpoint flush's own sync.
-// Returns how many frames were written.
-func (m *Manager) WriteBackCold(max int) (int, error) {
-	if max <= 0 {
-		return 0, nil
-	}
-	written := 0
-	err := m.eachShardLocked(func(s *shard) error {
-		n := len(s.frames)
-		for scanned := 0; scanned < n && written < max; scanned++ {
-			if s.hand >= n {
-				s.hand = 0
-			}
-			fi := s.hand
-			s.hand++
-			f := &s.frames[fi]
-			if f.valid && f.dirty && f.pins == 0 {
-				if err := s.flushFrameLocked(fi); err != nil {
-					return err
-				}
-				written++
-			}
-		}
-		return nil
-	})
-	return written, err
-}
-
-// FlushPage writes the page back if it is resident and dirty.
-func (m *Manager) FlushPage(id storage.PageID) error {
-	s := m.lockShard(id)
-	defer s.mu.Unlock()
-	fi, ok := s.table[id]
-	if !ok {
-		return nil
-	}
-	if s.frames[fi].dirty {
-		return s.flushFrameLocked(fi)
-	}
-	return nil
-}
 
 // FlushAll writes back every dirty resident page, shard by shard, and
 // syncs the store.

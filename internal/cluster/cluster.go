@@ -23,9 +23,8 @@ type Config struct {
 	// netbind clients instead of direct in-process invocation.
 	UseNetbind bool
 	// Node engine knobs (0 = engine defaults).
-	Frames             int
-	WALSegmentBytes    int
-	CheckpointInterval time.Duration
+	Frames          int
+	WALSegmentBytes int
 }
 
 // Cluster assembles N shards of leader+followers over a fault-injectable
@@ -81,7 +80,6 @@ func New(cfg Config) (*Cluster, error) {
 			ID: sh.Leader, Shard: s,
 			AsyncCommit: cfg.AsyncCommit, AckTimeout: cfg.AckTimeout,
 			Frames: cfg.Frames, WALSegmentBytes: cfg.WALSegmentBytes,
-			CheckpointInterval: cfg.CheckpointInterval,
 		}
 		leader, err := NewLeaderNode(nodeCfg, c.faults)
 		if err != nil {

@@ -84,11 +84,11 @@ type NodeConfig struct {
 	// lies about durability.
 	AsyncCommit bool
 	AckTimeout  time.Duration
-	// Frames sizes the buffer pool; WALSegmentBytes the log segments;
-	// CheckpointInterval the background checkpointer (0 = manual).
-	Frames             int
-	WALSegmentBytes    int
-	CheckpointInterval time.Duration
+	// Frames sizes the buffer pool; WALSegmentBytes the log segments.
+	// A node never checkpoints or vacuums on its own: whoever owns the
+	// workload calls Checkpoint and Vacuum on the leader's DB.
+	Frames          int
+	WALSegmentBytes int
 	// HeartbeatInterval paces record-free frontier shipments while the
 	// queue is idle (default 25ms). Heartbeats are what make a lagging
 	// follower converge without new writes: one that missed a dropped
@@ -181,7 +181,7 @@ func (n *Node) SetFollowers(ids []NodeID) {
 	n.followers = append([]NodeID(nil), ids...)
 }
 
-// DB exposes the running engine (nil on followers) for tests.
+// DB exposes the running engine (nil on followers).
 func (n *Node) DB() *sbdms.DB {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -201,12 +201,11 @@ func (n *Node) Reader() *sbdms.ReplicaReader {
 // async-commit durability hook.
 func (n *Node) openEngine(dev *storage.FaultDevice, dir wal.SegmentDir) error {
 	db, err := sbdms.Open(sbdms.Options{
-		Device:             dev,
-		LogDir:             dir,
-		WALSegmentBytes:    n.cfg.WALSegmentBytes,
-		CheckpointInterval: n.cfg.CheckpointInterval,
-		BufferFrames:       n.cfg.Frames,
-		Granularity:        sbdms.Monolithic,
+		Device:          dev,
+		LogDir:          dir,
+		WALSegmentBytes: n.cfg.WALSegmentBytes,
+		BufferFrames:    n.cfg.Frames,
+		Granularity:     sbdms.Monolithic,
 	})
 	if err != nil {
 		return err

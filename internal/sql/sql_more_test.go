@@ -115,7 +115,7 @@ func TestIndexRangeBoundsWithResidual(t *testing.T) {
 		{"SELECT COUNT(*) FROM r WHERE k <= 10", 11},
 		{"SELECT COUNT(*) FROM r WHERE k > 95", 4},
 		{"SELECT COUNT(*) FROM r WHERE k >= 95", 5},
-		{"SELECT COUNT(*) FROM r WHERE 50 = k", 1},              // reversed operands
+		{"SELECT COUNT(*) FROM r WHERE 50 = k", 1},                // reversed operands
 		{"SELECT COUNT(*) FROM r WHERE k < 10 AND tag = 't1'", 5}, // residual filter
 	}
 	for _, c := range cases {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/storage"
@@ -826,28 +825,10 @@ func (m *Manager) completeCheckpoint(job ckptJob) error {
 	return m.log.CompleteCheckpoint(job.lsn, job.recoveryBegin)
 }
 
-// coldWriter is the optional buffer-pool surface the flusher uses to
-// opportunistically write back cold dirty frames between checkpoints
-// (buffer.Manager implements it).
-type coldWriter interface {
-	WriteBackCold(max int) (int, error)
-}
-
-// Write-back pacing of the background flusher while idle: a small
-// clock-ordered batch per tick keeps the next checkpoint's dirty-page
-// snapshot (and therefore its flush) short without saturating the
-// device.
-const (
-	coldWritebackTick  = 100 * time.Millisecond
-	coldWritebackBatch = 64
-)
-
 // StartCheckpointFlusher starts the background checkpoint flusher.
 // While it runs, CheckpointAsync returns after forcing the checkpoint
-// record and the flusher advances recovery-begin behind it; between
-// jobs the flusher opportunistically writes back cold dirty frames
-// (clock-ordered per stripe) so checkpoint snapshots stay small.
-// No-op if already started.
+// record and the flusher advances recovery-begin behind it. The flusher
+// runs enqueued completions and nothing else. No-op if already started.
 func (m *Manager) StartCheckpointFlusher() {
 	m.flusherMu.Lock()
 	defer m.flusherMu.Unlock()
@@ -910,12 +891,9 @@ func (m *Manager) setFlushErr(err error) {
 }
 
 // flusherLoop is the background flusher: checkpoint completions in
-// enqueue order, cold write-backs while idle, drain on stop.
+// enqueue order, drain on stop.
 func (m *Manager) flusherLoop(ch chan ckptJob, stop, done chan struct{}) {
 	defer close(done)
-	cold, _ := m.store.(coldWriter)
-	ticker := time.NewTicker(coldWritebackTick)
-	defer ticker.Stop()
 	run := func(job ckptJob) {
 		err := m.completeCheckpoint(job)
 		if job.done != nil {
@@ -928,15 +906,6 @@ func (m *Manager) flusherLoop(ch chan ckptJob, stop, done chan struct{}) {
 		select {
 		case job := <-ch:
 			run(job)
-		case <-ticker.C:
-			if cold != nil {
-				// A failed write-back is retried by nature (the frame
-				// stays dirty); it is sticky-reported so the operator
-				// sees a dying device, but never blocks checkpoints.
-				if _, err := cold.WriteBackCold(coldWritebackBatch); err != nil {
-					m.setFlushErr(err)
-				}
-			}
 		case <-stop:
 			for {
 				select {

@@ -60,8 +60,6 @@ package vacuum
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/index"
@@ -107,10 +105,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Stats reports what one pass (or, accumulated, a Runner's lifetime)
-// did.
+// Stats reports what one pass did.
 type Stats struct {
-	Horizon    uint64 // reclamation horizon of the (last) pass
+	Horizon    uint64 // reclamation horizon of the pass
 	Keys       int    // index entries examined
 	Candidates int    // entries whose chains might hold dead versions
 	// SkippedBusy counts candidates whose key lock was held (a writer
@@ -122,16 +119,6 @@ type Stats struct {
 	SkippedUncommitted int
 	KeysRemoved        int // whole keys (ghost entry + full chain) removed
 	VersionsReclaimed  int // heap slots freed, including removed keys'
-}
-
-func (s *Stats) add(o Stats) {
-	s.Horizon = o.Horizon
-	s.Keys += o.Keys
-	s.Candidates += o.Candidates
-	s.SkippedBusy += o.SkippedBusy
-	s.SkippedUncommitted += o.SkippedUncommitted
-	s.KeysRemoved += o.KeysRemoved
-	s.VersionsReclaimed += o.VersionsReclaimed
 }
 
 type version struct {
@@ -351,69 +338,4 @@ func (c Config) truncate(chain []version, keep int, st *Stats) error {
 	}
 	st.VersionsReclaimed += len(chain) - keep - 1
 	return nil
-}
-
-// Runner drives periodic vacuum passes in the background.
-type Runner struct {
-	cfg   Config
-	every time.Duration
-
-	stop chan struct{}
-	done chan struct{}
-
-	mu      sync.Mutex
-	totals  Stats
-	passes  int
-	lastErr error
-}
-
-// NewRunner builds a runner; Start launches it.
-func NewRunner(cfg Config, every time.Duration) *Runner {
-	return &Runner{
-		cfg:   cfg,
-		every: every,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-}
-
-// Start launches the background loop.
-func (r *Runner) Start() {
-	go r.loop()
-}
-
-// Stop halts the loop and waits for an in-flight pass to finish.
-func (r *Runner) Stop() {
-	close(r.stop)
-	<-r.done
-}
-
-// loop runs passes on a fixed period until Stop. A failed pass is
-// recorded (Totals) and retried next tick — transient contention must
-// not kill the scavenger.
-func (r *Runner) loop() {
-	defer close(r.done)
-	t := time.NewTicker(r.every)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			st, err := Run(r.cfg)
-			r.mu.Lock()
-			r.totals.add(st)
-			r.passes++
-			r.lastErr = err
-			r.mu.Unlock()
-		}
-	}
-}
-
-// Totals reports accumulated stats, the pass count, and the last
-// pass's error (nil when it succeeded).
-func (r *Runner) Totals() (Stats, int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totals, r.passes, r.lastErr
 }

@@ -3,8 +3,6 @@ package sbdms
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
@@ -52,17 +50,6 @@ type Options struct {
 	// Once the recovery-begin LSN passes a segment's end, the segment
 	// file is deleted.
 	WALSegmentBytes int
-	// CheckpointInterval runs a background fuzzy checkpoint on this
-	// period, bounding both recovery time and total WAL size without
-	// quiescing writers (0 = no background checkpoints; DB.Checkpoint
-	// remains available).
-	CheckpointInterval time.Duration
-	// VacuumInterval runs the background MVCC vacuum on this period:
-	// version chains are pruned to the oldest version any live or
-	// future snapshot can still resolve to, and fully-dead keys
-	// (committed tombstones below the horizon) leave the index (0 = no
-	// background vacuum; DB.Vacuum remains available).
-	VacuumInterval time.Duration
 	// ScanIsolation selects the isolation level of KV range scans
 	// (default ReadCommitted, the historical behaviour). Serializable
 	// turns on next-key locking: scans become atomic snapshots —
@@ -99,15 +86,6 @@ type DB struct {
 
 	engine *sql.Engine
 	kv     *kvCore
-
-	ckptStop chan struct{} // stops the background checkpointer
-	ckptDone chan struct{}
-
-	vac *vacuum.Runner // background MVCC vacuum (nil when disabled)
-
-	ckptMu    sync.Mutex
-	ckptFails uint64 // background checkpoints that returned an error
-	ckptErr   error  // most recent background checkpoint error
 
 	// Service path handles (nil for Monolithic).
 	kvRef    *core.Ref
@@ -249,54 +227,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.txns.StartCheckpointFlusher()
-	if opts.CheckpointInterval > 0 {
-		db.ckptStop = make(chan struct{})
-		db.ckptDone = make(chan struct{})
-		go db.checkpointLoop(opts.CheckpointInterval)
-	}
-	if opts.VacuumInterval > 0 {
-		db.vac = vacuum.NewRunner(db.kv.vacuumConfig(), opts.VacuumInterval)
-		db.vac.Start()
-	}
 	return db, nil
-}
-
-// checkpointLoop runs fuzzy checkpoints on a fixed period until Close.
-// Errors are tolerated per tick (a busy device retries next round) but
-// counted and kept: persistent checkpoint failure means the WAL has
-// stopped shrinking, and operators must be able to see that
-// (CheckpointStatus) instead of discovering a full disk.
-func (db *DB) checkpointLoop(every time.Duration) {
-	defer close(db.ckptDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.ckptStop:
-			return
-		case <-t.C:
-			if _, err := db.Checkpoint(); err != nil {
-				db.ckptMu.Lock()
-				db.ckptFails++
-				db.ckptErr = err
-				db.ckptMu.Unlock()
-			} else {
-				db.ckptMu.Lock()
-				db.ckptErr = nil
-				db.ckptMu.Unlock()
-			}
-		}
-	}
-}
-
-// CheckpointStatus reports the background checkpointer's health: how
-// many ticks have failed since Open, and the error from the most
-// recent tick (nil after a success). A persistently non-nil error
-// means log truncation has stalled and the WAL is growing.
-func (db *DB) CheckpointStatus() (failures uint64, lastErr error) {
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	return db.ckptFails, db.ckptErr
 }
 
 // Checkpoint takes a fuzzy checkpoint now: in-flight transactions and
@@ -487,21 +418,12 @@ func (db *DB) ScanKeysSnapshot(ctx context.Context, key string, n int) ([]string
 }
 
 // Vacuum runs one synchronous MVCC reclamation pass over the KV
-// keyspace (independent of any background runner): dead versions —
-// those no live or future snapshot can resolve to — are unlinked and
-// their heap slots freed, and fully-dead keys leave the index.
+// keyspace: dead versions — those no live or future snapshot can
+// resolve to — are unlinked and their heap slots freed, and fully-dead
+// keys leave the index. The engine never vacuums on its own: the
+// caller that owns the workload decides when.
 func (db *DB) Vacuum() (vacuum.Stats, error) {
 	return db.kv.Vacuum()
-}
-
-// VacuumStatus reports the background vacuum's accumulated stats,
-// pass count and last error. Zero values when no background vacuum is
-// configured.
-func (db *DB) VacuumStatus() (vacuum.Stats, int, error) {
-	if db.vac == nil {
-		return vacuum.Stats{}, 0, nil
-	}
-	return db.vac.Totals()
 }
 
 // KVLen returns the number of stored keys.
@@ -529,15 +451,6 @@ func (db *DB) Flush() error {
 
 // Close flushes and stops the instance.
 func (db *DB) Close(ctx context.Context) error {
-	if db.vac != nil {
-		db.vac.Stop()
-		db.vac = nil
-	}
-	if db.ckptStop != nil {
-		close(db.ckptStop)
-		<-db.ckptDone
-		db.ckptStop = nil
-	}
 	// Drain the background checkpoint flusher before the final flush:
 	// every enqueued completion runs, and a sticky background failure
 	// surfaces here instead of being lost with the process.
