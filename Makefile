@@ -71,6 +71,7 @@ bench-regress:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeView$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeEdits$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
 
 # Crash-recovery suite: kill -9, dropped write-backs, torn page writes,
 # batched transactions, and the mid-import sweeps (data-device, torn,

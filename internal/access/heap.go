@@ -25,14 +25,6 @@ type RID struct {
 // String implements fmt.Stringer.
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
-// Less orders RIDs (page, then slot).
-func (r RID) Less(o RID) bool {
-	if r.Page != o.Page {
-		return r.Page < o.Page
-	}
-	return r.Slot < o.Slot
-}
-
 // TxnContext is the minimal transactional hook a heap file needs: the
 // transaction id for log records and a callback to register each update
 // (for undo and LSN chaining). internal/txn provides the real
@@ -55,17 +47,11 @@ type CompensationContext interface {
 	Compensating() bool
 }
 
-// committedHook is the optional TxnContext surface for deferring work
-// until the transaction's commit record is durable.
-type committedHook interface {
-	OnCommitted(func())
-}
-
 // SystemTxnHooks supplies short system transactions to access methods:
-// self-contained, WAL-logged page mutations (deferred slot purges,
-// B+tree structure modifications) that commit independently of the user
-// transaction that triggered them. internal/txn provides the
-// implementation; a zero value means unlogged operation.
+// self-contained, WAL-logged page mutations (B+tree structure
+// modifications) that commit independently of the user transaction
+// that triggered them. internal/txn provides the implementation; a
+// zero value means unlogged operation.
 type SystemTxnHooks struct {
 	Begin  func() (TxnContext, error)
 	Commit func(TxnContext) error
@@ -91,7 +77,6 @@ type HeapFile struct {
 
 	mu       sync.Mutex
 	log      *wal.Log
-	sys      SystemTxnHooks
 	freeHint []storage.PageID // pages with reclaimed space
 
 	appendMu sync.Mutex // serialises chain growth
@@ -116,24 +101,10 @@ func (h *HeapFile) SetLog(l *wal.Log) {
 	h.log = l
 }
 
-// SetSystemTxns attaches the system-transaction hooks used for deferred
-// slot purges.
-func (h *HeapFile) SetSystemTxns(s SystemTxnHooks) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sys = s
-}
-
 func (h *HeapFile) getLog() *wal.Log {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.log
-}
-
-func (h *HeapFile) getSys() SystemTxnHooks {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sys
 }
 
 // Name returns the file name.
@@ -312,30 +283,22 @@ func (h *HeapFile) Insert(tx TxnContext, rec []byte) (RID, error) {
 			return rid, nil
 		}
 	}
-	pid, err := h.fm.AppendPage(h.name, storage.PageTypeHeap)
-	if err != nil {
-		return RID{}, err
-	}
-	var rid RID
-	err = h.mutatePage(tx, pid, func() []byte { return UndoHeapInsert(rid) }, func(p *storage.Page) error {
-		sp := Slotted(p)
-		if sp.NumSlots() == 0 && sp.cellStart() == 0 {
-			sp = InitSlotted(p)
-		}
-		slot, err := sp.Insert(rec)
-		if err != nil {
-			return err
-		}
-		rid = RID{Page: pid, Slot: uint16(slot)}
-		return nil
-	})
-	if err != nil {
-		return RID{}, err
-	}
 	// The file manager WAL-logs the directory update and chain links of
-	// the appended page under a system transaction, so recovery reaches
-	// this page without any eager flush here.
-	return rid, nil
+	// an appended page under a system transaction, so recovery reaches
+	// it without any eager flush here.
+	for {
+		pid, err := h.fm.AppendPage(h.name, storage.PageTypeHeap)
+		if err != nil {
+			return RID{}, err
+		}
+		// The fresh page is the chain tail from here on, so inserters
+		// that do not hold appendMu may fill it first: then grow again.
+		// (Its zeroed payload formats itself: the full-page Insert's
+		// compaction of a page with no cells resets its free space.)
+		if rid, ok, err := try(pid); err != nil || ok {
+			return rid, err
+		}
+	}
 }
 
 func (h *HeapFile) hintSnapshot() []storage.PageID {
@@ -418,8 +381,9 @@ func (h *HeapFile) StampBytes(tx TxnContext, rid RID, off int, val []byte) error
 // is only rollback-safe when the caller's locking prevents any OTHER
 // transaction from inserting into this heap while the deleting
 // transaction is live (table-level X locks): otherwise the freed slot
-// could be reused before an abort restores it. Per-key callers use
-// DeleteDeferred instead.
+// could be reused before an abort restores it. The per-key store never
+// deletes a live version: the vacuum reclaims chain slots only once no
+// snapshot can reach them.
 func (h *HeapFile) Delete(tx TxnContext, rid RID) error {
 	var old []byte
 	err := h.mutatePage(tx, rid.Page, func() []byte { return UndoHeapDelete(rid, old) }, func(p *storage.Page) error {
@@ -436,71 +400,6 @@ func (h *HeapFile) Delete(tx TxnContext, rid RID) error {
 	}
 	h.NoteFree(rid.Page)
 	return nil
-}
-
-// DeleteDeferred removes the record at rid only once tx's commit is
-// durable: the transaction itself leaves the slot untouched (so abort
-// has nothing to restore and no other transaction can steal the slot),
-// and the actual purge runs post-commit under a short system
-// transaction. A crash between the commit and the purge leaks the
-// slot: the record is unreachable (its index entry is gone) but stays
-// live in the page — nothing reclaims it until a vacuum exists (see
-// ROADMAP); the cost is bounded at one slot per crash. Without a
-// transaction (unlogged mode) the delete happens immediately.
-func (h *HeapFile) DeleteDeferred(tx TxnContext, rid RID) error {
-	hook, ok := tx.(committedHook)
-	if tx == nil || !ok {
-		return h.mutatePage(tx, rid.Page, nil, func(p *storage.Page) error {
-			return Slotted(p).Delete(int(rid.Slot))
-		})
-	}
-	hook.OnCommitted(func() { _ = h.purge(rid) })
-	return nil
-}
-
-// purge deletes a slot under a lazily-committed system transaction.
-// The record carries a LOGICAL undo (restore the cell), not physical:
-// the page latch is released before the system transaction's lazy
-// commit record enters the log, so a concurrent user record can
-// interleave on the page — a crash catching that window would
-// otherwise restore a stale before image over committed bytes. With
-// logical undo, an in-flight purge is rolled back by re-inserting
-// exactly its own cell.
-func (h *HeapFile) purge(rid RID) error {
-	sys := h.getSys()
-	var stx TxnContext
-	if sys.Begin != nil {
-		var err error
-		if stx, err = sys.Begin(); err != nil {
-			return err
-		}
-	}
-	var old []byte
-	err := h.mutatePage(stx, rid.Page, func() []byte { return UndoHeapDelete(rid, old) }, func(p *storage.Page) error {
-		sp := Slotted(p)
-		cur, err := sp.Cell(int(rid.Slot))
-		if errors.Is(err, ErrNoSlot) {
-			return nil // already purged
-		}
-		if err != nil {
-			return err
-		}
-		old = append([]byte(nil), cur...)
-		return sp.Delete(int(rid.Slot))
-	})
-	if stx != nil {
-		if err != nil {
-			_ = sys.Abort(stx)
-			return err
-		}
-		if cerr := sys.Commit(stx); cerr != nil {
-			return cerr
-		}
-	}
-	if err == nil {
-		h.NoteFree(rid.Page)
-	}
-	return err
 }
 
 // UpdateInPlace overwrites the record at rid without moving it, keeping

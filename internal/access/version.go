@@ -57,10 +57,6 @@ type VersionMeta struct {
 // timestamp (its writer's commit record is durable, or being forced).
 func (m VersionMeta) Committed() bool { return m.Begin&VersionMark == 0 }
 
-// TxnID returns the writing transaction's id for an uncommitted
-// version (meaningless on committed ones).
-func (m VersionMeta) TxnID() uint64 { return m.Begin &^ VersionMark }
-
 // Tombstone reports whether the version records a deletion.
 func (m VersionMeta) Tombstone() bool { return m.Flags&VersionTombstone != 0 }
 

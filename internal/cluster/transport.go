@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netbind"
@@ -14,8 +13,8 @@ import (
 
 // Transport delivers one service invocation to one cluster node. The
 // production transport is netbind (TCP + gob); tests wrap any transport
-// in a FaultTransport to inject drops, delays, duplicates, partitions,
-// and node kills deterministically.
+// in a FaultTransport to inject drops, duplicates, partitions and node
+// kills deterministically.
 type Transport interface {
 	Invoke(ctx context.Context, node NodeID, service, op string, req any) (any, error)
 }
@@ -143,7 +142,6 @@ type FaultTransport struct {
 	isolated map[NodeID]bool
 	dropNext map[NodeID]int
 	dupNext  map[NodeID]int
-	delay    map[NodeID]time.Duration
 	dropped  uint64
 	dupes    uint64
 }
@@ -156,24 +154,16 @@ func NewFaultTransport(inner Transport) *FaultTransport {
 		isolated: make(map[NodeID]bool),
 		dropNext: make(map[NodeID]int),
 		dupNext:  make(map[NodeID]int),
-		delay:    make(map[NodeID]time.Duration),
 	}
 }
 
-// Kill marks node dead: every invocation to it fails with ErrNodeDown
-// until Revive. Pair it with crashing the node's FaultDevices for a
+// Kill marks node dead: every later invocation to it fails with
+// ErrNodeDown. Pair it with crashing the node's FaultDevices for a
 // full kill -9.
 func (t *FaultTransport) Kill(node NodeID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.killed[node] = true
-}
-
-// Revive clears a kill (the node rejoins empty and re-bootstraps).
-func (t *FaultTransport) Revive(node NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.killed, node)
 }
 
 // Isolate partitions the listed nodes away: invocations to them fail
@@ -209,17 +199,6 @@ func (t *FaultTransport) DuplicateNext(node NodeID, n int) {
 	t.dupNext[node] = n
 }
 
-// SetDelay sleeps every invocation to node by d (0 clears).
-func (t *FaultTransport) SetDelay(node NodeID, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d <= 0 {
-		delete(t.delay, node)
-		return
-	}
-	t.delay[node] = d
-}
-
 // Dropped returns how many invocations injected loss has eaten.
 func (t *FaultTransport) Dropped() uint64 {
 	t.mu.Lock()
@@ -235,7 +214,7 @@ func (t *FaultTransport) Duplicated() uint64 {
 }
 
 // Invoke implements Transport, applying armed faults in order: kill,
-// partition, drop, delay, duplicate.
+// partition, drop, duplicate.
 func (t *FaultTransport) Invoke(ctx context.Context, node NodeID, service, op string, req any) (any, error) {
 	t.mu.Lock()
 	switch {
@@ -252,7 +231,6 @@ func (t *FaultTransport) Invoke(ctx context.Context, node NodeID, service, op st
 		t.mu.Unlock()
 		return nil, fmt.Errorf("%w: to %s", ErrDropped, node)
 	}
-	d := t.delay[node]
 	dup := false
 	if n := t.dupNext[node]; n > 0 {
 		t.dupNext[node] = n - 1
@@ -261,13 +239,6 @@ func (t *FaultTransport) Invoke(ctx context.Context, node NodeID, service, op st
 	}
 	t.mu.Unlock()
 
-	if d > 0 {
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	if dup {
 		// First delivery: the receiver sees the request twice; the
 		// caller only observes the second reply (redelivery semantics).

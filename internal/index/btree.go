@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -125,12 +124,8 @@ func Create(pool *buffer.Manager, unique bool) (*BTree, storage.PageID, error) {
 		_ = pool.Unpin(meta.ID, false)
 		return nil, 0, err
 	}
-	root := &node{id: rootF.ID, leaf: true}
-	if err := root.encode(rootF.Page()); err != nil {
-		_ = pool.Unpin(rootF.ID, false)
-		_ = pool.Unpin(meta.ID, false)
-		return nil, 0, err
-	}
+	var root view
+	root.format(rootF.Page(), true, storage.InvalidPageID)
 	if err := pool.Unpin(rootF.ID, true); err != nil {
 		_ = pool.Unpin(meta.ID, false)
 		return nil, 0, err
@@ -338,84 +333,25 @@ func keyPrefixBounds(key []byte) (lo, hi []byte) {
 	return buf[:n:n], buf[n:]
 }
 
-// --- node representation -----------------------------------------------
-
-// node is the mutable decoded form of a tree page, built only where a
-// page is about to be rewritten (decode→mutate→encode). Every read goes
-// through view, the one parser of the payload; encode is its writer.
-//
-// Leaf payload:    u8 1 | u16 n | n * (u16 len | composite key)
-// Internal payload: u8 0 | u16 n | u64 child0 | n * (u16 len | key | u64 child)
-// Leaf sibling links use the page header next/prev fields.
-type node struct {
-	id       storage.PageID
-	leaf     bool
-	keys     [][]byte
-	children []storage.PageID // internal: len(keys)+1
-	next     storage.PageID   // leaf chain
-	prev     storage.PageID
-}
-
-func (n *node) encodedSize() int {
-	sz := 3
-	if n.leaf {
-		for _, k := range n.keys {
-			sz += 2 + len(k)
-		}
-		return sz
-	}
-	sz += 8
-	for _, k := range n.keys {
-		sz += 2 + len(k) + 8
-	}
-	return sz
-}
-
-func (n *node) encode(p *storage.Page) error {
-	if n.encodedSize() > storage.PayloadSize {
-		return fmt.Errorf("%w: node %d overflow (%d bytes)", ErrCorrupt, n.id, n.encodedSize())
-	}
-	p.SetType(storage.PageTypeIndex)
-	p.SetNext(n.next)
-	p.SetPrev(n.prev)
-	pl := p.Payload()
-	if n.leaf {
-		pl[0] = 1
-	} else {
-		pl[0] = 0
-	}
-	binary.LittleEndian.PutUint16(pl[1:], uint16(len(n.keys)))
-	off := 3
-	if !n.leaf {
-		var c0 storage.PageID
-		if len(n.children) > 0 {
-			c0 = n.children[0]
-		}
-		binary.LittleEndian.PutUint64(pl[off:], uint64(c0))
-		off += 8
-	}
-	for i, k := range n.keys {
-		binary.LittleEndian.PutUint16(pl[off:], uint16(len(k)))
-		off += 2
-		copy(pl[off:], k)
-		off += len(k)
-		if !n.leaf {
-			binary.LittleEndian.PutUint64(pl[off:], uint64(n.children[i+1]))
-			off += 8
-		}
-	}
-	return nil
-}
+// --- node pages ---------------------------------------------------------
 
 // maxNodeEntries bounds the entries of one node page: the smallest entry
 // is a 2-byte length prefix plus the 12-byte terminator-and-RID suffix
 // every composite key ends in.
 const maxNodeEntries = storage.PayloadSize / 14
 
-// view reads a latched node page in place. parse makes one
-// bounds-checked pass over the length prefixes and records where each
-// key starts; keys and child ids are then slices and loads of the frame
-// itself, never copies. The array is fixed-size so a view lives on its
+// view is the one representation of a latched node page, whose payload
+// is (leaf sibling links use the page header next/prev fields):
+//
+//	leaf:     u8 1 | u16 n | n * (u16 len | composite key)
+//	internal: u8 0 | u16 n | u64 child0 | n * (u16 len | key | u64 child)
+//
+// parse makes one bounds-checked pass over the length prefixes and
+// records where each key starts; keys and child ids are then slices and
+// loads of the frame itself, never copies. format, insert, remove,
+// appendFrom, truncate and repoint edit the page in place and keep the
+// view in step; on a latched frame they run only inside BTree.write's
+// logged mutation. The array is fixed-size so a view lives on its
 // caller's stack: a latch costs no heap allocation.
 type view struct {
 	pl         []byte
@@ -424,6 +360,98 @@ type view struct {
 	end        int // payload bytes in use
 	next, prev storage.PageID
 	off        [maxNodeEntries]uint16 // off[i]: first byte of key i
+}
+
+// format lays out an empty node on p, without sibling links, and points
+// v at it.
+func (v *view) format(p *storage.Page, leaf bool, child0 storage.PageID) {
+	p.SetType(storage.PageTypeIndex)
+	p.SetNext(storage.InvalidPageID)
+	p.SetPrev(storage.InvalidPageID)
+	pl := p.Payload()
+	pl[0], v.end = 1, 3
+	if !leaf {
+		pl[0], v.end = 0, 11
+		binary.LittleEndian.PutUint64(pl[3:], uint64(child0))
+	}
+	v.pl, v.leaf, v.next, v.prev = pl, leaf, storage.InvalidPageID, storage.InvalidPageID
+	v.setCount(0, v.end)
+}
+
+// setCount records n entries ending at payload offset end.
+func (v *view) setCount(n, end int) {
+	v.n, v.end = n, end
+	binary.LittleEndian.PutUint16(v.pl[1:], uint16(n))
+}
+
+// start returns the offset of entry i's length prefix (v.end for i == n).
+func (v *view) start(i int) int {
+	if i == v.n {
+		return v.end
+	}
+	return int(v.off[i]) - 2
+}
+
+// width returns the payload bytes of an entry with a klen-byte key.
+func (v *view) width(klen int) int {
+	if v.leaf {
+		return 2 + klen
+	}
+	return 2 + klen + 8
+}
+
+// insert writes ck (with child, its right-hand child id, in an internal
+// node) as entry i, shifting the entries from i up. An entry that would
+// overflow the payload is ErrCorrupt, and nothing is written.
+func (v *view) insert(i int, ck []byte, child storage.PageID) error {
+	w := v.width(len(ck))
+	if v.end+w > len(v.pl) || v.n == maxNodeEntries {
+		return fmt.Errorf("%w: node overflow (%d bytes)", ErrCorrupt, v.end+w)
+	}
+	at := v.start(i)
+	copy(v.pl[at+w:], v.pl[at:v.end])
+	binary.LittleEndian.PutUint16(v.pl[at:], uint16(len(ck)))
+	copy(v.pl[at+2:], ck)
+	if !v.leaf {
+		binary.LittleEndian.PutUint64(v.pl[at+2+len(ck):], uint64(child))
+	}
+	for j := v.n; j > i; j-- {
+		v.off[j] = v.off[j-1] + uint16(w)
+	}
+	v.off[i] = uint16(at + 2)
+	v.setCount(v.n+1, v.end+w)
+	return nil
+}
+
+// remove deletes entry i (with its right-hand child), closing the gap.
+func (v *view) remove(i int) {
+	at, w := v.start(i), v.width(len(v.key(i)))
+	copy(v.pl[at:], v.pl[at+w:v.end])
+	for j := i; j < v.n-1; j++ {
+		v.off[j] = v.off[j+1] - uint16(w)
+	}
+	v.setCount(v.n-1, v.end-w)
+}
+
+// appendFrom appends entries [i, src.n) of src, a node of the same kind,
+// in one copy of their bytes.
+func (v *view) appendFrom(src *view, i int) {
+	s := src.start(i)
+	for j := i; j < src.n; j++ {
+		v.off[v.n+j-i] = uint16(int(src.off[j]) - s + v.end)
+	}
+	copy(v.pl[v.end:], src.pl[s:src.end])
+	v.setCount(v.n+src.n-i, v.end+src.end-s)
+}
+
+// truncate drops the entries from i up; their bytes stay past the end.
+func (v *view) truncate(i int) { v.setCount(i, v.start(i)) }
+
+// repoint overwrites entry i's fixed-width RID suffix with rid.
+func (v *view) repoint(i int, rid access.RID) {
+	k := v.key(i)
+	binary.BigEndian.PutUint64(k[len(k)-10:], uint64(rid.Page))
+	binary.BigEndian.PutUint16(k[len(k)-2:], rid.Slot)
 }
 
 // parse reads p's layout into v. A count above maxNodeEntries or a
@@ -463,7 +491,7 @@ func (v *view) parse(p *storage.Page) error {
 }
 
 // key returns entry i's key as a capped slice of the frame: valid only
-// while the latch is held, and never to be written through.
+// while the latch is held, and written through only by an edit.
 func (v *view) key(i int) []byte {
 	o := int(v.off[i])
 	e := o + int(binary.LittleEndian.Uint16(v.pl[o-2:]))
@@ -506,20 +534,6 @@ func (v *view) has(pos int, ck []byte) bool {
 	return pos < v.n && bytes.Equal(v.key(pos), ck)
 }
 
-// decodeNode copies the parsed page into a mutable node. The keys share
-// one buffer, copied off the frame because encode rewrites it.
-func (v *view) decodeNode(id storage.PageID) *node {
-	n := &node{id: id, leaf: v.leaf, next: v.next, prev: v.prev, keys: make([][]byte, v.n)}
-	buf := bytes.Clone(v.pl[:v.end])
-	for i := range n.keys {
-		o := int(v.off[i])
-		e := o + len(v.key(i))
-		n.keys[i] = buf[o:e:e]
-	}
-	n.children = v.children()
-	return n
-}
-
 // children copies out an internal node's child ids (nil for a leaf).
 func (v *view) children() []storage.PageID {
 	if v.leaf {
@@ -534,23 +548,14 @@ func (v *view) children() []storage.PageID {
 
 // --- latched node references -------------------------------------------
 
-// nref is one latched node: its view, plus the mutable node once a
-// writer asks for it. Readers keep nrefs on the stack.
+// nref is one latched node and its view. Readers and writers keep nrefs
+// on the stack.
 type nref struct {
 	id    storage.PageID
 	f     *buffer.Frame
-	n     *node // built by mut, only where the page is rewritten
 	excl  bool
 	dirty bool
 	v     view
-}
-
-// mut returns the node's mutable copy, decoding it on first use.
-func (r *nref) mut() *node {
-	if r.n == nil {
-		r.n = r.v.decodeNode(r.id)
-	}
-	return r.n
 }
 
 // latch pins+latches page id into r and parses it in place.
@@ -563,7 +568,7 @@ func (t *BTree) latch(r *nref, id storage.PageID, excl bool) error {
 		_ = t.pool.UnpinLatched(id, excl, false)
 		return err
 	}
-	r.id, r.f, r.n, r.excl, r.dirty = id, f, nil, excl, false
+	r.id, r.f, r.excl, r.dirty = id, f, excl, false
 	return nil
 }
 
@@ -584,24 +589,24 @@ func other(pair *[2]nref, cur *nref) *nref {
 	return &pair[0]
 }
 
-// write re-encodes the node into its latched frame, logs the transition
-// under tx with the given undo supplier, and re-parses the view so later
-// reads through r see the new layout. Interior-node writes bump the
+// write runs edit on r's latched frame as one mutation logged under tx
+// with the given undo supplier, and re-parses the view so later reads
+// through r see the new layout. Interior-node writes bump the
 // node's descent version slot under the X latch: optimistic descents
 // validate against it after taking their leaf latch. (A physical abort
 // of the system transaction restores the bytes without un-bumping — the
 // counter stays monotone, so a stale bump can only force a spurious
 // fallback.)
-func (t *BTree) write(tx access.TxnContext, r *nref, undo func() []byte) error {
-	err := access.LogLatchedMutation(t.getLog(), tx, r.f, undo, r.n.encode)
-	if err != nil {
+func (t *BTree) write(tx access.TxnContext, r *nref, undo func() []byte, edit func(p *storage.Page) error) error {
+	if err := access.LogLatchedMutation(t.getLog(), tx, r.f, undo, edit); err != nil {
 		return err
 	}
 	r.dirty = true
-	if !r.n.leaf {
+	err := r.v.parse(r.f.Page())
+	if !r.v.leaf {
 		t.versSlot(r.id).Add(1)
 	}
-	return r.v.parse(r.f.Page())
+	return err
 }
 
 // metaLatch pins+latches the metadata page and returns the frame and
@@ -688,8 +693,9 @@ func (t *BTree) newNodeLatched(stx access.TxnContext, leaf bool) (*nref, error) 
 	if err != nil {
 		return nil, err
 	}
-	r := &nref{id: f.ID, f: f, n: &node{id: f.ID, leaf: leaf}, excl: true, dirty: true}
-	if err := t.write(stx, r, nil); err != nil {
+	r := &nref{id: f.ID, f: f, excl: true, dirty: true}
+	format := func(p *storage.Page) error { r.v.format(p, leaf, storage.InvalidPageID); return nil }
+	if err := t.write(stx, r, nil, format); err != nil {
 		t.unlatch(r)
 		return nil, err
 	}
@@ -919,9 +925,9 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 // insertAt puts ck at position pos of the X-latched leaf r, logged under
 // tx with the logical undo that deletes (key, rid) again.
 func (t *BTree) insertAt(tx access.TxnContext, r *nref, pos int, key []byte, rid access.RID, ck []byte) error {
-	n := r.mut()
-	n.keys = slices.Insert(n.keys, pos, ck)
-	return t.write(tx, r, func() []byte { return undoIndexInsert(t.metaID, key, rid) })
+	return t.write(tx, r, func() []byte { return undoIndexInsert(t.metaID, key, rid) }, func(*storage.Page) error {
+		return r.v.insert(pos, ck, storage.InvalidPageID)
+	})
 }
 
 // splitChild splits child (latched exclusively) into (child, right),
@@ -939,10 +945,7 @@ func (t *BTree) splitChild(parent, child *nref, i int) (*nref, []byte, error) {
 	}
 	right, oldNext, sep, err := t.splitNode(stx, child)
 	if err == nil {
-		p := parent.mut()
-		p.keys = slices.Insert(p.keys, i, sep)
-		p.children = slices.Insert(p.children, i+1, right.id)
-		err = t.write(stx, parent, nil)
+		err = t.write(stx, parent, nil, func(*storage.Page) error { return parent.v.insert(i, sep, right.id) })
 	}
 	ferr := t.smoFinish(stx, sys, err)
 	t.unlatch(oldNext)
@@ -964,52 +967,46 @@ func (t *BTree) splitNode(stx access.TxnContext, n *nref) (right, oldNext *nref,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fail := func(err error) (*nref, *nref, []byte, error) {
-		return right, oldNext, nil, err
+	// The right node takes entries [lo, n): a leaf's upper half, or an
+	// internal node's entries past the separator it pushes up, whose
+	// right-hand child becomes the new node's child0.
+	leaf, mid, next := n.v.leaf, n.v.n/2, n.v.next
+	lo, child0 := mid, storage.InvalidPageID
+	if !leaf {
+		lo, child0 = mid+1, n.v.child(mid+1)
 	}
-	nn, rn := n.mut(), right.n
-	mid := len(nn.keys) / 2
-	if nn.leaf {
-		rn.keys = append(rn.keys, nn.keys[mid:]...)
-		nn.keys = nn.keys[:mid]
-		next := nn.next
-		rn.next = next
-		rn.prev = n.id
-		nn.next = right.id
-		if next != storage.InvalidPageID {
-			// Latch the neighbour BEFORE any write, so a failure can
-			// roll the whole modification back under held latches.
-			on := new(nref)
-			if err := t.latch(on, next, true); err != nil {
-				return fail(err)
+	if leaf && next != storage.InvalidPageID {
+		// Latch the neighbour BEFORE any write, so a failure can
+		// roll the whole modification back under held latches.
+		oldNext = new(nref)
+		if err := t.latch(oldNext, next, true); err != nil {
+			return right, nil, nil, err
+		}
+	}
+	sep = bytes.Clone(n.v.key(mid))
+	err = t.write(stx, right, nil, func(p *storage.Page) error {
+		right.v.format(p, leaf, child0)
+		if leaf {
+			p.SetNext(next)
+			p.SetPrev(n.id)
+		}
+		right.v.appendFrom(&n.v, lo)
+		return nil
+	})
+	if err == nil {
+		err = t.write(stx, n, nil, func(p *storage.Page) error {
+			if leaf {
+				p.SetNext(right.id)
 			}
-			oldNext = on
-		}
-		if err := t.write(stx, right, nil); err != nil {
-			return fail(err)
-		}
-		if err := t.write(stx, n, nil); err != nil {
-			return fail(err)
-		}
-		if oldNext != nil {
-			oldNext.mut().prev = right.id
-			if err := t.write(stx, oldNext, nil); err != nil {
-				return fail(err)
-			}
-		}
-		sep = append([]byte(nil), rn.keys[0]...)
-	} else {
-		sep = append([]byte(nil), nn.keys[mid]...)
-		rn.keys = append(rn.keys, nn.keys[mid+1:]...)
-		rn.children = append(rn.children, nn.children[mid+1:]...)
-		nn.keys = nn.keys[:mid]
-		nn.children = nn.children[:mid+1]
-		if err := t.write(stx, right, nil); err != nil {
-			return fail(err)
-		}
-		if err := t.write(stx, n, nil); err != nil {
-			return fail(err)
-		}
+			n.v.truncate(mid)
+			return nil
+		})
+	}
+	if err == nil && oldNext != nil {
+		err = t.write(stx, oldNext, nil, func(p *storage.Page) error { p.SetPrev(right.id); return nil })
+	}
+	if err != nil {
+		return right, oldNext, nil, err
 	}
 	return right, oldNext, sep, nil
 }
@@ -1047,9 +1044,10 @@ func (t *BTree) splitRoot(ck []byte) error {
 		newRoot, err = t.newNodeLatched(stx, false)
 	}
 	if err == nil {
-		newRoot.n.keys = [][]byte{sep}
-		newRoot.n.children = []storage.PageID{root.id, right.id}
-		err = t.write(stx, newRoot, nil)
+		err = t.write(stx, newRoot, nil, func(p *storage.Page) error {
+			newRoot.v.format(p, false, root.id)
+			return newRoot.v.insert(0, sep, right.id)
+		})
 	}
 	dirtyMeta := false
 	if err == nil {
@@ -1149,9 +1147,8 @@ func (t *BTree) DeleteTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 					return false, err
 				}
 			}
-			n := cur.mut()
-			n.keys = slices.Delete(n.keys, pos, pos+1)
-			err := t.write(tx, cur, func() []byte { return undoIndexDelete(t.metaID, key, rid) })
+			undo := func() []byte { return undoIndexDelete(t.metaID, key, rid) }
+			err := t.write(tx, cur, undo, func(*storage.Page) error { cur.v.remove(pos); return nil })
 			t.unlatch(cur)
 			if err != nil {
 				return false, err
@@ -1216,10 +1213,9 @@ func (t *BTree) chaseRight(pair *[2]nref, cur *nref, ck []byte) (*nref, error) {
 // leave the target further right). Reports false when no entry for
 // (key, oldRID) exists.
 func (t *BTree) RepointTx(tx access.TxnContext, key []byte, oldRID, newRID access.RID) (bool, error) {
-	ckOld := compositeKey(key, oldRID)
-	ckNew := compositeKey(key, newRID)
-	if len(ckNew) > MaxKeySize {
-		return false, fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLarge, len(ckNew), MaxKeySize)
+	ckOld := compositeKey(key, oldRID) // as long as the repointed key
+	if len(ckOld) > MaxKeySize {
+		return false, fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLarge, len(ckOld), MaxKeySize)
 	}
 	var pair [2]nref
 	cur, err := t.relatchLeaf(&pair, ckOld)
@@ -1229,8 +1225,8 @@ func (t *BTree) RepointTx(tx access.TxnContext, key []byte, oldRID, newRID acces
 	for {
 		pos := cur.v.lowerBound(ckOld)
 		if cur.v.has(pos, ckOld) {
-			cur.mut().keys[pos] = ckNew
-			err := t.write(tx, cur, func() []byte { return undoIndexRepoint(t.metaID, key, oldRID, newRID) })
+			undo := func() []byte { return undoIndexRepoint(t.metaID, key, oldRID, newRID) }
+			err := t.write(tx, cur, undo, func(*storage.Page) error { cur.v.repoint(pos, newRID); return nil })
 			t.unlatch(cur)
 			return err == nil, err
 		}

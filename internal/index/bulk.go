@@ -66,19 +66,27 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 		id  storage.PageID
 	}
 
-	alloc := func(leaf bool) (*nref, error) {
+	alloc := func() (*nref, error) {
 		f, err := t.pool.NewPageLatched(storage.PageTypeIndex)
 		if err != nil {
 			return nil, err
 		}
 		pages = append(pages, f.ID)
-		return &nref{id: f.ID, f: f, n: &node{id: f.ID, leaf: leaf}, excl: true}, nil
+		return &nref{id: f.ID, f: f, excl: true}, nil
 	}
-	// seal encodes and logs the finished node in one record (its only
-	// write — unlike newNodeLatched there is no separate empty-birth
-	// record, halving the WAL bytes per page) and releases the latch.
+	// Each node is staged off the pool, then sealed: copied onto its
+	// frame in one logged record (its only write — unlike newNodeLatched
+	// there is no separate empty-birth record, halving the WAL bytes per
+	// page) and released.
+	stage := storage.NewPage(storage.InvalidPageID, storage.PageTypeIndex)
+	var sv view
 	seal := func(r *nref) error {
-		err := t.write(tx, r, nil)
+		err := t.write(tx, r, nil, func(p *storage.Page) error {
+			p.SetNext(stage.Next())
+			p.SetPrev(stage.Prev())
+			copy(p.Payload(), sv.pl[:sv.end])
+			return nil
+		})
 		t.unlatch(r)
 		if err == nil && pageDone != nil {
 			err = pageDone()
@@ -90,10 +98,11 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 	// The next leaf is allocated before the current one is sealed so the
 	// forward link is known at write time.
 	var level []sealed
-	cur, err := alloc(true)
+	cur, err := alloc()
 	if err != nil {
 		return storage.InvalidPageID, pages, err
 	}
+	sv.format(stage, true, storage.InvalidPageID)
 	var prev []byte
 	for _, it := range items {
 		ck := compositeKey(it.Key, it.RID)
@@ -106,24 +115,28 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 			return storage.InvalidPageID, pages, ErrUnsorted
 		}
 		prev = ck
-		if len(cur.n.keys) > 0 && !safeForLeaf(cur.n.encodedSize(), ck) {
-			next, err := alloc(true)
+		if sv.n > 0 && !safeForLeaf(sv.end, ck) {
+			next, err := alloc()
 			if err != nil {
 				t.unlatch(cur)
 				return storage.InvalidPageID, pages, err
 			}
-			cur.n.next = next.id
-			next.n.prev = cur.id
-			level = append(level, sealed{sep: cur.n.keys[0], id: cur.id})
+			stage.SetNext(next.id)
+			level = append(level, sealed{sep: bytes.Clone(sv.key(0)), id: cur.id})
 			if err := seal(cur); err != nil {
 				t.unlatch(next)
 				return storage.InvalidPageID, pages, err
 			}
+			sv.format(stage, true, storage.InvalidPageID)
+			stage.SetPrev(cur.id)
 			cur = next
 		}
-		cur.n.keys = append(cur.n.keys, ck)
+		if err := sv.insert(sv.n, ck, storage.InvalidPageID); err != nil {
+			t.unlatch(cur)
+			return storage.InvalidPageID, pages, err
+		}
 	}
-	level = append(level, sealed{sep: cur.n.keys[0], id: cur.id})
+	level = append(level, sealed{sep: bytes.Clone(sv.key(0)), id: cur.id})
 	if err := seal(cur); err != nil {
 		return storage.InvalidPageID, pages, err
 	}
@@ -132,32 +145,31 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 	// first key of each child's subtree, matching splitNode's choice).
 	// One max-size separator of slack is left per node so a future
 	// insert descent does not have to split it immediately.
-	hasRoom := func(n *node, sep []byte) bool {
-		return n.encodedSize()+2+len(sep)+8+(2+MaxKeySize+8) <= storage.PayloadSize
-	}
 	for len(level) > 1 {
 		var next []sealed
-		cur, err := alloc(false)
+		cur, err := alloc()
 		if err != nil {
 			return storage.InvalidPageID, pages, err
 		}
-		cur.n.children = []storage.PageID{level[0].id}
+		sv.format(stage, false, level[0].id)
 		first := level[0].sep
 		for _, e := range level[1:] {
-			if len(cur.n.keys) > 0 && !hasRoom(cur.n, e.sep) {
+			if sv.n > 0 && sv.end+sv.width(len(e.sep))+sv.width(MaxKeySize) > storage.PayloadSize {
 				next = append(next, sealed{sep: first, id: cur.id})
 				if err := seal(cur); err != nil {
 					return storage.InvalidPageID, pages, err
 				}
-				if cur, err = alloc(false); err != nil {
+				if cur, err = alloc(); err != nil {
 					return storage.InvalidPageID, pages, err
 				}
-				cur.n.children = []storage.PageID{e.id}
+				sv.format(stage, false, e.id)
 				first = e.sep
 				continue
 			}
-			cur.n.keys = append(cur.n.keys, e.sep)
-			cur.n.children = append(cur.n.children, e.id)
+			if err := sv.insert(sv.n, e.sep, e.id); err != nil {
+				t.unlatch(cur)
+				return storage.InvalidPageID, pages, err
+			}
 		}
 		next = append(next, sealed{sep: first, id: cur.id})
 		if err := seal(cur); err != nil {

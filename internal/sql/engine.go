@@ -133,7 +133,6 @@ func (e *Engine) heapLocked(t *catalog.Table) (*access.HeapFile, error) {
 		return nil, err
 	}
 	h.SetLog(e.wal)
-	h.SetSystemTxns(e.txns.SystemHooks())
 	e.heaps[t.HeapFile] = h
 	return h, nil
 }
@@ -145,15 +144,6 @@ func (e *Engine) Execute(ctx context.Context, src string) (*Result, error) {
 		return nil, err
 	}
 	return e.ExecuteStmt(ctx, st)
-}
-
-// MustExec is a test/demo helper: Execute or panic.
-func (e *Engine) MustExec(ctx context.Context, src string) *Result {
-	r, err := e.Execute(ctx, src)
-	if err != nil {
-		panic(fmt.Sprintf("sql: %q: %v", src, err))
-	}
-	return r
 }
 
 // poison takes the engine offline: after a rollback that failed midway

@@ -44,14 +44,6 @@ func (d *FaultDevice) CrashAfterWrites(n int, tearBytes int) {
 	d.tear = tearBytes
 }
 
-// Disarm cancels a pending crash (a crash that already happened is
-// permanent).
-func (d *FaultDevice) Disarm() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.arm = -1
-}
-
 // Crashed reports whether the crash point has been reached.
 func (d *FaultDevice) Crashed() bool {
 	d.mu.Lock()
@@ -72,9 +64,6 @@ func (d *FaultDevice) Dropped() uint64 {
 	defer d.mu.Unlock()
 	return d.dropped
 }
-
-// Inner returns the wrapped device (reopen it to simulate a restart).
-func (d *FaultDevice) Inner() Device { return d.inner }
 
 // ReadAt implements io.ReaderAt; a crashed device fails every read.
 func (d *FaultDevice) ReadAt(p []byte, off int64) (int, error) {

@@ -113,15 +113,6 @@ func (t *Txn) takeStamps() []func(ts uint64) error {
 	return out
 }
 
-// CommitTS returns the commit timestamp stamped on the transaction's
-// versions (0 when the transaction registered no stamps or has not
-// committed).
-func (t *Txn) CommitTS() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.commitTS
-}
-
 // SetCommitTS pre-stamps the transaction with an externally allocated
 // commit timestamp. Bulk ingest writes its version cells with the
 // commit timestamp already in the begin field (no per-version stamping
@@ -263,7 +254,7 @@ func (m *Manager) ReserveID() uint64 { return m.next.Add(1) }
 
 // SystemHooks adapts the manager into the access-layer system
 // transaction interface: short WAL-logged page mutations (B+tree
-// structure modifications, deferred slot purges) that begin and commit
+// structure modifications) that begin and commit
 // independently of any user transaction. Commits are lazy — WAL
 // ordering makes them durable before any dependent user commit is
 // acknowledged.

@@ -173,14 +173,3 @@ func (o *Oracle) Horizon() uint64 {
 	}
 	return h
 }
-
-// ActiveSnapshots reports how many snapshot registrations are live.
-func (o *Oracle) ActiveSnapshots() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	n := 0
-	for _, c := range o.snaps {
-		n += c
-	}
-	return n
-}

@@ -183,7 +183,6 @@ func testEngine(t *testing.T) (*Manager, *access.HeapFile, *buffer.Manager, *wal
 	ex := undo.NewExecutor(pool, l)
 	ex.SetSystemTxns(m.SystemHooksHeldLatches())
 	m.SetUndoHandler(ex)
-	h.SetSystemTxns(m.SystemHooks())
 	return m, h, pool, l
 }
 

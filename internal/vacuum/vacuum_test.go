@@ -73,7 +73,6 @@ func newKeyspace(t *testing.T, frames int) *keyspace {
 		t.Fatal(err)
 	}
 	h.SetLog(l)
-	h.SetSystemTxns(m.SystemHooks())
 	idx, _, err := index.Create(pool, true)
 	if err != nil {
 		t.Fatal(err)

@@ -180,7 +180,6 @@ func newKVCore(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager,
 	idx.SetFreer(fm.FreePagesLogged)
 	heap.SetLog(log)
 	idx.SetLog(log)
-	heap.SetSystemTxns(txns.SystemHooks())
 	// Trees hold every touched page latch across their structure
 	// modifications, so their rollback must not re-latch.
 	idx.SetSystemTxns(txns.SystemHooksHeldLatches())

@@ -44,7 +44,6 @@ type ReplicaReader struct {
 
 	mu       sync.RWMutex  // apply batches (W) vs snapshot reads (R)
 	frontier atomic.Uint64 // commit-TS visibility frontier
-	applied  atomic.Uint64 // LSN end of the last applied record
 	closed   atomic.Bool
 }
 
@@ -102,13 +101,6 @@ func (r *ReplicaReader) ApplyBatch(recs []*wal.Record, frontier uint64) error {
 				return err
 			}
 		}
-		end := rec.End
-		if end == 0 {
-			end = rec.LSN + 1
-		}
-		if uint64(end) > r.applied.Load() {
-			r.applied.Store(uint64(end))
-		}
 	}
 	if frontier > r.frontier.Load() {
 		r.frontier.Store(frontier)
@@ -142,9 +134,6 @@ func (r *ReplicaReader) applyUpdateLocked(rec *wal.Record) error {
 // Frontier returns the replicated visibility frontier: the commit
 // timestamp snapshot reads are served at.
 func (r *ReplicaReader) Frontier() uint64 { return r.frontier.Load() }
-
-// AppliedLSN returns the end LSN of the last applied record.
-func (r *ReplicaReader) AppliedLSN() wal.LSN { return wal.LSN(r.applied.Load()) }
 
 // GetSnapshot reads k at the replicated frontier. Uncommitted and
 // not-yet-replicated versions are invisible; a visible tombstone is
