@@ -70,6 +70,7 @@ bench-regress:
 # spends a whole ten-second budget shrinking one 8 KiB full-page seed.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointMeta$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeView$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeEdits$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
 
@@ -87,9 +88,9 @@ crash:
 # after segment truncation (full-page-write rebuild), crash during
 # segment rollover, bounded-WAL proof, free-list reclamation, and the
 # windows around a checkpoint (a page evicted with no covering
-# checkpoint record; async checkpoint record without completion).
+# checkpoint record; a checkpoint whose snapshot flush fails).
 checkpoint-crash:
-	$(GO) test -race -run 'TestKVCrashRecoveryMidFuzzyCheckpoint|TestKVCrashRecoveryTornPageAfterTruncation|TestKVCrashRecoveryMidSegmentRollover|TestKVCrashRecoveryEvictedPage|TestKVCrashRecoveryAsyncCheckpoint|TestKVWALBoundedBySegmentTruncation|TestFreedPagesReclaimed|TestFuzzyCheckpoint' \
+	$(GO) test -race -run 'TestKVCrashRecoveryMidFuzzyCheckpoint|TestKVCrashRecoveryTornPageAfterTruncation|TestKVCrashRecoveryMidSegmentRollover|TestKVCrashRecoveryEvictedPage|TestKVCrashRecoveryCheckpointFlushFails|TestCheckpointFlushErrorReturnedToCaller|TestKVWALBoundedBySegmentTruncation|TestFreedPagesReclaimed|TestFuzzyCheckpoint' \
 		-count=1 . ./internal/txn/...
 
 # Concurrent stress suite under the race detector, at a GOMAXPROCS

@@ -2,6 +2,7 @@ package sbdms
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -201,7 +202,7 @@ func TestKVCrashRecoveryMidFuzzyCheckpoint(t *testing.T) {
 				// the crashing checkpoint has a predecessor to fall back
 				// to and truncation is already in play.
 				st := runKVCrashWorkload(db, 250, 80, int64(crashAfter)+7, nil)
-				if _, err := db.CheckpointSync(); err != nil {
+				if _, err := db.Checkpoint(); err != nil {
 					t.Fatalf("baseline checkpoint: %v", err)
 				}
 				st2 := runKVCrashWorkload(db, 250, 80, int64(crashAfter)+13, nil)
@@ -219,7 +220,7 @@ func TestKVCrashRecoveryMidFuzzyCheckpoint(t *testing.T) {
 				// Phase 2: the data device dies during the checkpoint's
 				// dirty-page flush.
 				fault.CrashAfterWrites(crashAfter, tear)
-				if _, err := db.CheckpointSync(); err == nil && fault.Crashed() {
+				if _, err := db.Checkpoint(); err == nil && fault.Crashed() {
 					t.Fatal("checkpoint reported success on a dead device")
 				}
 				abandon(db)
@@ -245,7 +246,7 @@ func TestKVCrashRecoveryTornPageAfterTruncation(t *testing.T) {
 	// old segments (with the pages' original first-touch full images)
 	// are gone.
 	st := runKVCrashWorkload(db, 400, 100, 31, nil)
-	if _, err := db.CheckpointSync(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Log().OldestSegment() == 1 {
@@ -382,7 +383,7 @@ func TestFuzzyCheckpointUnderConcurrentTraffic(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		if _, err := db.CheckpointSync(); err != nil {
+		if _, err := db.Checkpoint(); err != nil {
 			t.Errorf("checkpoint %d under traffic: %v", i, err)
 			break
 		}
@@ -428,7 +429,7 @@ func TestKVWALBoundedBySegmentTruncation(t *testing.T) {
 				st.deleted[k] = true
 			}
 		}
-		if _, err := db.CheckpointSync(); err != nil {
+		if _, err := db.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint round %d: %v", round, err)
 		}
 		if n := uint64(db.Log().SegmentCount()); n > maxSegments {
@@ -497,7 +498,7 @@ func TestKVCrashRecoveryEvictedPageBeforeCheckpoint(t *testing.T) {
 	// History plus a clean baseline checkpoint, so recovery has a fence
 	// to fall back to and truncation has already discarded old segments.
 	st := runKVCrashWorkload(db, 300, 80, 61, nil)
-	baseline, err := db.CheckpointSync()
+	baseline, err := db.Checkpoint()
 	if err != nil {
 		t.Fatalf("baseline checkpoint: %v", err)
 	}
@@ -545,22 +546,21 @@ func TestKVCrashRecoveryEvictedPageBeforeCheckpoint(t *testing.T) {
 	verifyRecovered(t, dataDev, logDir, st)
 }
 
-// TestKVCrashRecoveryAsyncCheckpointWithoutCompletion covers the edge
-// of the background flusher's window: an asynchronous checkpoint's
-// record is durable in the log and the call has returned, but the
-// device dies before the background flusher can flush the dirty-page
-// snapshot. CompleteCheckpoint never runs, so the manifest must NOT
+// TestKVCrashRecoveryCheckpointFlushFails covers a checkpoint whose
+// record is durable in the log but whose dirty-page snapshot cannot be
+// flushed: the data device dies first. The call must return that flush
+// error itself, CompleteCheckpoint never runs, so the manifest must NOT
 // advance past a snapshot that never became durable, truncation must
 // not discard the history recovery still needs, and reopening falls
 // back to the previous checkpoint.
-func TestKVCrashRecoveryAsyncCheckpointWithoutCompletion(t *testing.T) {
+func TestKVCrashRecoveryCheckpointFlushFails(t *testing.T) {
 	inner := storage.NewMemDevice()
 	fault := storage.NewFaultDevice(inner)
 	logDir := wal.NewMemSegmentDir()
 	db := openSegmentedCrashDB(t, fault, logDir)
 
 	st := runKVCrashWorkload(db, 250, 80, 71, nil)
-	if _, err := db.CheckpointSync(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatalf("baseline checkpoint: %v", err)
 	}
 	oldest := db.Log().OldestSegment()
@@ -570,14 +570,14 @@ func TestKVCrashRecoveryAsyncCheckpointWithoutCompletion(t *testing.T) {
 		t.Fatal("workload left no dirty pages; the checkpoint has nothing to flush")
 	}
 
-	// The data device dies, then an async checkpoint is requested: its
-	// records land in the (healthy) log and the call returns success,
-	// but the background flush of the snapshot hits the dead device.
+	// The data device dies, then a checkpoint is requested: its record
+	// lands in the (healthy) log, but the snapshot flush hits the dead
+	// device and the call returns that error.
 	fault.CrashAfterWrites(0, 0)
-	if _, err := db.Checkpoint(); err != nil {
-		t.Fatalf("async checkpoint enqueue: %v", err)
+	if _, err := db.Checkpoint(); !errors.Is(err, storage.ErrInjectedCrash) {
+		t.Fatalf("checkpoint over a dead data device = %v, want %v", err, storage.ErrInjectedCrash)
 	}
-	abandon(db) // drains the flusher; its completion fails on the dead device
+	abandon(db)
 	if got := db.Log().OldestSegment(); got != oldest {
 		t.Fatalf("truncation advanced (%d -> %d) on a checkpoint whose snapshot never flushed", oldest, got)
 	}

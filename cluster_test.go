@@ -297,10 +297,10 @@ func TestClusterFollowerCatchUpAcrossTruncation(t *testing.T) {
 	// (the ship queue drained — deliveries failed — so retention does
 	// not pin them).
 	db := c.Node(leader).DB()
-	if _, err := db.CheckpointSync(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if _, err := db.CheckpointSync(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 

@@ -36,9 +36,8 @@ func TestRestartKeepsAckedWrites(t *testing.T) {
 	if err := db.Put(ctx, "acked", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	// kill -9: stop the background goroutines, flush and close nothing.
+	// kill -9: stop the kernel's services, flush and close nothing.
 	_ = db.Kernel().Stop(ctx)
-	_ = db.Txns().StopCheckpointFlusher()
 
 	db, err = openStore(data, "", opts)
 	if err != nil {

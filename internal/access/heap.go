@@ -125,53 +125,28 @@ func MutatePage(pool *buffer.Manager, log *wal.Log, tx TxnContext, pid storage.P
 // undo is evaluated after fn succeeded (so it can reference slot
 // numbers fn assigned) and attached to the log record. A tx that
 // implements CompensationContext forces the redo-only marker instead.
-// It is the one WAL-logging protocol shared by every pool-based access
-// method (heap files, B+trees).
+// It pins pid exclusively around LogLatchedMutation, the one
+// WAL-logging protocol of every pool-based access method (heap files,
+// B+trees), and marks the page dirty only if that succeeded.
 func MutatePageUndo(pool *buffer.Manager, log *wal.Log, tx TxnContext, pid storage.PageID, undo func() []byte, fn func(p *storage.Page) error) error {
 	f, err := pool.PinLatched(pid, true)
 	if err != nil {
 		return err
 	}
-	page := f.Page()
-	logging := log != nil && tx != nil
-	var before []byte
-	if logging {
-		before = append([]byte(nil), page.Data...)
-	}
-	if err := fn(page); err != nil {
+	if err := LogLatchedMutation(log, tx, f, undo, fn); err != nil {
 		_ = pool.UnpinLatched(pid, true, false)
 		return err
-	}
-	if logging {
-		var desc []byte
-		if c, ok := tx.(CompensationContext); ok && c.Compensating() {
-			desc = wal.UndoNone
-		} else if undo != nil {
-			desc = undo()
-		}
-		rec, err := log.AppendPageUpdate(tx.ID(), tx.LastLSN(), pid, before, page.Data, desc)
-		if err != nil {
-			// The mutation could not be logged: put the page back
-			// exactly as it was (we hold the latch and the before
-			// image), so the failure leaves no unlogged change behind.
-			//lint:ignore walbeforemutate restoring the exact before image after a failed append is the WAL discipline, not a bypass of it
-			copy(page.Data, before)
-			_ = pool.UnpinLatched(pid, true, false)
-			return err
-		}
-		if rec != nil {
-			page.SetLSN(uint64(rec.LSN))
-			tx.Record(rec)
-		}
 	}
 	return pool.UnpinLatched(pid, true, true)
 }
 
 // LogLatchedMutation applies fn to a frame the caller already holds
-// exclusively latched, and logs the transition exactly like
-// MutatePageUndo. The caller remains responsible for marking the frame
-// dirty when it unlatches. B+tree crabbing uses it: latches are
-// acquired by the descent, not per mutation.
+// exclusively latched and logs the transition: the before image, the
+// undo descriptor (the redo-only marker under a CompensationContext),
+// one update record, the page LSN stamp and tx.Record. The caller
+// remains responsible for marking the frame dirty when it unlatches.
+// B+tree crabbing calls it directly, since the descent acquires the
+// latches; MutatePageUndo wraps it in a pin for one page.
 func LogLatchedMutation(log *wal.Log, tx TxnContext, f *buffer.Frame, undo func() []byte, fn func(p *storage.Page) error) error {
 	page := f.Page()
 	logging := log != nil && tx != nil

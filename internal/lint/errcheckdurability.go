@@ -27,7 +27,7 @@ var durabilityMethods = []struct {
 	methods  []string
 }{
 	{walPath, "Log", []string{"Append", "AppendPageUpdate", "Flush", "Checkpoint"}},
-	{txnPath, "Manager", []string{"Commit", "CommitLazy", "CommitAppend", "FinishCommit", "Abort", "Checkpoint", "CheckpointAsync", "StopCheckpointFlusher"}},
+	{txnPath, "Manager", []string{"Commit", "CommitLazy", "CommitAppend", "FinishCommit", "Abort", "Checkpoint"}},
 	{txnPath, "LockManager", []string{"Acquire", "TryAcquire"}},
 	{txnPath, "Txn", []string{"Lock"}},
 	{bufferPath, "Manager", []string{"FlushAll", "FlushPages"}},

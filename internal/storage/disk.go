@@ -88,17 +88,11 @@ type DiskManager struct {
 	pageCount uint64 // pages allocated so far, excluding meta page 0
 	freeHead  PageID
 	closed    bool
-	verify    bool
 	salvage   bool
 }
 
 // DiskOption configures a disk manager.
 type DiskOption func(*DiskManager)
-
-// WithChecksumVerify enables checksum verification on every read.
-func WithChecksumVerify(on bool) DiskOption {
-	return func(d *DiskManager) { d.verify = on }
-}
 
 // WithMetaSalvage makes OpenDisk tolerate a torn or unreadable metadata
 // page: instead of failing, the page count is conservatively derived
@@ -111,7 +105,7 @@ func WithMetaSalvage(on bool) DiskOption {
 
 // OpenDisk opens (or initialises) a disk manager on a device.
 func OpenDisk(dev Device, opts ...DiskOption) (*DiskManager, error) {
-	d := &DiskManager{dev: dev, verify: true}
+	d := &DiskManager{dev: dev}
 	for _, o := range opts {
 		o(d)
 	}
@@ -286,7 +280,7 @@ func (d *DiskManager) ReadPage(id PageID, buf []byte) error {
 	if err := d.checkIDLocked(id); err != nil {
 		return err
 	}
-	return d.readLocked(id, buf, d.verify)
+	return d.readLocked(id, buf, true)
 }
 
 func (d *DiskManager) readLocked(id PageID, buf []byte, verify bool) error {
@@ -335,7 +329,7 @@ func (d *DiskManager) UpdatePage(id PageID, fn func(p *Page) error) error {
 		return err
 	}
 	buf := make([]byte, PageSize)
-	if err := d.readLocked(id, buf, d.verify); err != nil {
+	if err := d.readLocked(id, buf, true); err != nil {
 		return err
 	}
 	p := WrapPage(id, buf)

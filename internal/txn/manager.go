@@ -187,33 +187,9 @@ type Manager struct {
 	// truncated.
 	ckptMu sync.Mutex
 
-	// Background checkpoint flusher (the ARIES "near-free" variant).
-	// When started, checkpoint completions — the DPT-snapshot flush and
-	// the manifest write that advances recovery-begin — run on one
-	// dedicated goroutine in enqueue order, so CheckpointAsync returns
-	// as soon as the checkpoint record is forced. flusherMu guards the
-	// channel pointer and the sticky completion error; jobs are only
-	// ever sent while it is held, so StopCheckpointFlusher can nil the
-	// channel without racing a send.
-	flusherMu   sync.Mutex
-	flusherCh   chan ckptJob
-	flusherStop chan struct{}
-	flusherDone chan struct{}
-	flushErr    error
-
 	// commitDurability, when set, replaces the local log force in
 	// FinishCommit (async commit). See SetCommitDurability.
 	commitDurability atomic.Pointer[func(upTo wal.LSN) error]
-}
-
-// ckptJob is one checkpoint completion handed to the background
-// flusher: flush the DPT snapshot, then persist the manifest. done is
-// non-nil when a synchronous caller waits for the outcome.
-type ckptJob struct {
-	lsn           wal.LSN
-	recoveryBegin wal.LSN
-	pages         []storage.PageID
-	done          chan error
 }
 
 // NewManager creates a transaction manager over log. store may be nil
@@ -720,25 +696,9 @@ type dirtyTracker interface {
 // gather, so its transaction was still registered at the earlier ATT
 // gather and its first LSN holds the bound. The scan is bounded and the
 // truncated history is provably dead.
-func (m *Manager) Checkpoint() (wal.LSN, error) { return m.checkpoint(true) }
-
-// CheckpointAsync takes the same fuzzy checkpoint but returns as soon
-// as the checkpoint record is durable (steps 1–3): the DPT-snapshot
-// flush and the manifest write run on the background flusher, so the
-// caller never stalls behind page write-backs. Requires a started
-// flusher — without one it degrades to the synchronous Checkpoint. A
-// background completion failure is sticky and surfaces as the error of
-// the NEXT checkpoint call (and of StopCheckpointFlusher), with the
-// previous manifest left in force — no truncation happened, which is
-// always safe.
-func (m *Manager) CheckpointAsync() (wal.LSN, error) { return m.checkpoint(false) }
-
-func (m *Manager) checkpoint(syncWait bool) (wal.LSN, error) {
+func (m *Manager) Checkpoint() (wal.LSN, error) {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
-	if err := m.takeFlushErr(); err != nil {
-		return wal.ZeroLSN, err
-	}
 	fence, att := m.log.BeginCheckpoint()
 
 	var dpt []wal.CkptPage
@@ -760,9 +720,25 @@ func (m *Manager) checkpoint(syncWait bool) (wal.LSN, error) {
 		return wal.ZeroLSN, err
 	}
 
-	ids := make([]storage.PageID, len(dpt))
-	for i, d := range dpt {
-		ids[i] = d.Page
+	// Flush the snapshot, then persist the manifest. The flush is what
+	// licenses truncation: once every page dirty at the snapshot is
+	// durably on disk, no record below the recovery-begin LSN is needed
+	// for redo, and any page a later crash tears was re-dirtied after
+	// the fence — so a full image for it sits above the fence in the
+	// retained log. Completions run under ckptMu, so a manifest can
+	// never regress to an older checkpoint's recovery-begin.
+	if tracker != nil {
+		ids := make([]storage.PageID, len(dpt))
+		for i, d := range dpt {
+			ids[i] = d.Page
+		}
+		if err := tracker.FlushPages(ids); err != nil {
+			return wal.ZeroLSN, err
+		}
+	} else if m.store != nil {
+		if err := m.store.Sync(); err != nil {
+			return wal.ZeroLSN, err
+		}
 	}
 	recoveryBegin := fence
 	for _, t := range att {
@@ -770,144 +746,10 @@ func (m *Manager) checkpoint(syncWait bool) (wal.LSN, error) {
 			recoveryBegin = t.First
 		}
 	}
-
-	// Completion — flush the snapshot, then persist the manifest. The
-	// flush is what licenses truncation: once every page dirty at the
-	// snapshot is durably on disk, no record below the recovery-begin
-	// LSN is needed for redo, and any page a later crash tears was
-	// re-dirtied after the fence — so a full image for it sits above
-	// the fence in the retained log. Completions are totally ordered:
-	// either every one runs on the flusher goroutine in enqueue order
-	// (jobs enqueued under ckptMu), or — with no flusher — inline here
-	// under ckptMu. A manifest can therefore never regress to an older
-	// checkpoint's recovery-begin.
-	job := ckptJob{lsn: lsn, recoveryBegin: recoveryBegin, pages: ids}
-	if syncWait {
-		job.done = make(chan error, 1)
-	}
-	if m.enqueueCkpt(job) {
-		if !syncWait {
-			return lsn, nil
-		}
-		if err := <-job.done; err != nil {
-			return wal.ZeroLSN, err
-		}
-		return lsn, nil
-	}
-	if err := m.completeCheckpoint(job); err != nil {
+	if err := m.log.CompleteCheckpoint(lsn, recoveryBegin); err != nil {
 		return wal.ZeroLSN, err
 	}
 	return lsn, nil
-}
-
-// completeCheckpoint flushes a checkpoint's DPT snapshot and persists
-// the manifest (recovery-begin advance + segment truncation).
-func (m *Manager) completeCheckpoint(job ckptJob) error {
-	tracker, _ := m.store.(dirtyTracker)
-	if tracker != nil {
-		if err := tracker.FlushPages(job.pages); err != nil {
-			return err
-		}
-	} else if m.store != nil {
-		if err := m.store.Sync(); err != nil {
-			return err
-		}
-	}
-	return m.log.CompleteCheckpoint(job.lsn, job.recoveryBegin)
-}
-
-// StartCheckpointFlusher starts the background checkpoint flusher.
-// While it runs, CheckpointAsync returns after forcing the checkpoint
-// record and the flusher advances recovery-begin behind it. The flusher
-// runs enqueued completions and nothing else. No-op if already started.
-func (m *Manager) StartCheckpointFlusher() {
-	m.flusherMu.Lock()
-	defer m.flusherMu.Unlock()
-	if m.flusherCh != nil {
-		return
-	}
-	m.flusherCh = make(chan ckptJob, 8)
-	m.flusherStop = make(chan struct{})
-	m.flusherDone = make(chan struct{})
-	go m.flusherLoop(m.flusherCh, m.flusherStop, m.flusherDone)
-}
-
-// StopCheckpointFlusher drains and stops the background flusher:
-// every enqueued checkpoint completion still runs before it returns.
-// It returns any sticky background completion error (also surfaced by
-// the next checkpoint call). No-op if not running.
-func (m *Manager) StopCheckpointFlusher() error {
-	m.flusherMu.Lock()
-	ch, stop, done := m.flusherCh, m.flusherStop, m.flusherDone
-	m.flusherCh = nil
-	m.flusherMu.Unlock()
-	if ch == nil {
-		return nil
-	}
-	close(stop)
-	<-done
-	m.flusherMu.Lock()
-	defer m.flusherMu.Unlock()
-	err := m.flushErr
-	m.flushErr = nil
-	return err
-}
-
-// enqueueCkpt hands a completion to the flusher, reporting false when
-// no flusher is running (the caller completes inline).
-func (m *Manager) enqueueCkpt(job ckptJob) bool {
-	m.flusherMu.Lock()
-	defer m.flusherMu.Unlock()
-	if m.flusherCh == nil {
-		return false
-	}
-	m.flusherCh <- job
-	return true
-}
-
-func (m *Manager) takeFlushErr() error {
-	m.flusherMu.Lock()
-	defer m.flusherMu.Unlock()
-	err := m.flushErr
-	m.flushErr = nil
-	return err
-}
-
-func (m *Manager) setFlushErr(err error) {
-	m.flusherMu.Lock()
-	if m.flushErr == nil {
-		m.flushErr = err
-	}
-	m.flusherMu.Unlock()
-}
-
-// flusherLoop is the background flusher: checkpoint completions in
-// enqueue order, drain on stop.
-func (m *Manager) flusherLoop(ch chan ckptJob, stop, done chan struct{}) {
-	defer close(done)
-	run := func(job ckptJob) {
-		err := m.completeCheckpoint(job)
-		if job.done != nil {
-			job.done <- err
-		} else if err != nil {
-			m.setFlushErr(err)
-		}
-	}
-	for {
-		select {
-		case job := <-ch:
-			run(job)
-		case <-stop:
-			for {
-				select {
-				case job := <-ch:
-					run(job)
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // ActiveCount returns the number of in-flight transactions.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,7 +162,13 @@ func testEngine(t *testing.T) (*Manager, *access.HeapFile, *buffer.Manager, *wal
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := buffer.New(d, 32, buffer.NewLRU())
+	return testEngineOn(t, d)
+}
+
+// testEngineOn builds heap + wal + txn manager over store.
+func testEngineOn(t *testing.T, store storage.PageStore) (*Manager, *access.HeapFile, *buffer.Manager, *wal.Log) {
+	t.Helper()
+	pool := buffer.New(store, 32, buffer.NewLRU())
 	fm, err := storage.OpenFileManager(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -465,6 +472,76 @@ func TestFuzzyCheckpointBoundsRecoveryScan(t *testing.T) {
 	}
 	if st.Committed != 1 {
 		t.Fatalf("committed = %d", st.Committed)
+	}
+}
+
+// healableStore fails every page write and sync while down is set.
+type healableStore struct {
+	storage.PageStore
+	down atomic.Bool
+}
+
+var errStoreDown = errors.New("store down")
+
+func (s *healableStore) WritePage(id storage.PageID, data []byte) error {
+	if s.down.Load() {
+		return errStoreDown
+	}
+	return s.PageStore.WritePage(id, data)
+}
+
+func (s *healableStore) Sync() error {
+	if s.down.Load() {
+		return errStoreDown
+	}
+	return s.PageStore.Sync()
+}
+
+// TestCheckpointFlushErrorReturnedToCaller: a checkpoint whose snapshot
+// flush fails returns that error and leaves the manifest — recovery-begin
+// and the last checkpoint — where it was. Once the store heals, the next
+// checkpoint succeeds and advances recovery-begin: no failure is held
+// back for a later call.
+func TestCheckpointFlushErrorReturnedToCaller(t *testing.T) {
+	d, err := storage.OpenDisk(storage.NewMemDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &healableStore{PageStore: d}
+	m, h, pool, l := testEngineOn(t, store)
+	tx, _ := m.Begin()
+	if _, err := h.Insert(tx, []byte("dirty at checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.DirtyPages()) == 0 {
+		t.Fatal("no dirty pages: the checkpoint would have nothing to flush")
+	}
+	begin, last := l.RecoveryBegin(), l.LastCheckpoint()
+
+	store.down.Store(true)
+	if _, err := m.Checkpoint(); !errors.Is(err, errStoreDown) {
+		t.Fatalf("checkpoint over a failing store = %v, want %v", err, errStoreDown)
+	}
+	if rb, ck := l.RecoveryBegin(), l.LastCheckpoint(); rb != begin || ck != last {
+		t.Fatalf("failed checkpoint moved the manifest: recovery begin %d -> %d, checkpoint %d -> %d", begin, rb, last, ck)
+	}
+
+	store.down.Store(false)
+	ck, err := m.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint on the healed store: %v", err)
+	}
+	if l.LastCheckpoint() != ck {
+		t.Fatalf("checkpoint = %d, want %d", l.LastCheckpoint(), ck)
+	}
+	if rb := l.RecoveryBegin(); rb <= begin {
+		t.Fatalf("recovery begin %d did not advance past %d", rb, begin)
+	}
+	if n := len(pool.DirtyPages()); n != 0 {
+		t.Fatalf("%d pages still dirty after a completed checkpoint", n)
 	}
 }
 

@@ -226,30 +226,24 @@ func Open(opts Options) (*DB, error) {
 	if err := db.kernel.Start(ctx); err != nil {
 		return nil, err
 	}
-	db.txns.StartCheckpointFlusher()
 	return db, nil
 }
 
 // Checkpoint takes a fuzzy checkpoint now: in-flight transactions and
 // concurrent writers are unaffected, recovery scans are bounded to the
 // log suffix, and WAL segments below the new recovery-begin LSN are
-// deleted. Returns the checkpoint record's LSN. The call returns as
-// soon as the checkpoint record is durable — the dirty-page flush, the
-// manifest advance and the segment truncation complete on the
-// background flusher, and a background completion failure surfaces as
-// the error of the next checkpoint call. Use CheckpointSync to wait for
-// (and observe errors from) the completion.
+// deleted. Returns the checkpoint record's LSN. Every step runs on the
+// caller: when it returns, the dirty-page snapshot is on disk and
+// recovery-begin has advanced, and a flush or manifest error is this
+// call's error. A caller that wants the flush off its request path runs
+// Checkpoint on a goroutine of its own.
 func (db *DB) Checkpoint() (wal.LSN, error) {
-	return db.txns.CheckpointAsync()
-}
-
-// CheckpointSync takes a fuzzy checkpoint and waits for its completion:
-// when it returns, the dirty-page snapshot is on disk, recovery-begin
-// has advanced, and dead WAL segments are deleted. Flush or manifest
-// errors are returned here rather than deferred to a later call.
-func (db *DB) CheckpointSync() (wal.LSN, error) {
 	return db.txns.Checkpoint()
 }
+
+// CheckpointSync is Checkpoint under its older name, kept only because
+// the frozen bench/ module calls it; stage 3-0 deletes it.
+func (db *DB) CheckpointSync() (wal.LSN, error) { return db.Checkpoint() }
 
 // wrap applies the configured binding to a service.
 func (db *DB) wrap(s core.Service) core.Invoker {
@@ -451,12 +445,6 @@ func (db *DB) Flush() error {
 
 // Close flushes and stops the instance.
 func (db *DB) Close(ctx context.Context) error {
-	// Drain the background checkpoint flusher before the final flush:
-	// every enqueued completion runs, and a sticky background failure
-	// surfaces here instead of being lost with the process.
-	if err := db.txns.StopCheckpointFlusher(); err != nil {
-		return err
-	}
 	// Persist the KV index entry count (not WAL-logged per operation)
 	// before the final flush so a clean reopen needs no recount.
 	if err := db.kv.Close(); err != nil {
