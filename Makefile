@@ -103,13 +103,14 @@ STRESS_PKGS = . ./internal/access/... ./internal/index/... ./internal/txn/...
 stress:
 	$(call gomaxprocsMatrix,$(STRESS_RUN),$(STRESS_PKGS))
 
-# Isolation & fairness suite under the race detector, at a GOMAXPROCS
-# matrix: anomaly tests (torn atomic batches, phantoms, write skew,
-# lost updates) asserting each anomaly OCCURS at read-committed and is
-# IMPOSSIBLE at serializable; lock-manager FIFO fairness, grant-order
-# and no-barging tests; kill -9 mid-serializable-scan crash recovery
-# (no orphan gap locks, serially consistent replay).
-ISOLATION_RUN = 'TestIsolation|TestSerializableScan|TestLockFairness|TestLockFIFO|TestLockNoBarging|TestTryAcquire'
+# Multi-op anomaly & lock fairness suite under the race detector, at a
+# GOMAXPROCS matrix: every KV op is a one-op transaction and every scan
+# a consistent cut (torn batches are `make mvcc`'s), so the anomaly
+# tests pin what spans two ops — a phantom between two scans, write
+# skew across a scan then a put, lost updates across an unlocked get
+# then a put, none when the key lock is held to commit; lock-manager
+# FIFO fairness, grant-order and no-barging tests.
+ISOLATION_RUN = 'TestIsolation|TestLockFairness|TestLockFIFO|TestLockNoBarging|TestTryAcquire'
 ISOLATION_PKGS = . ./internal/txn/...
 
 isolation:

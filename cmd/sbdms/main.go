@@ -38,7 +38,6 @@ func main() {
 	vacEvery := flag.Duration("vacuum-interval", 0, "MVCC vacuum period (0 = off); reclaims dead versions behind the snapshot horizon")
 	granularity := flag.String("granularity", "layered", "service granularity: monolithic|coarse|layered|fine")
 	frames := flag.Int("frames", 256, "buffer pool frames")
-	scanIsolation := flag.String("scan-isolation", "read-committed", "range-scan isolation: read-committed|serializable (serializable = next-key locking, phantom-free scans)")
 	peers := flag.String("peers", "", "comma-separated peer addresses for registry gossip")
 	gossipEvery := flag.Duration("gossip", 2*time.Second, "gossip interval")
 	importFile := flag.String("import", "", "bulk-load key<TAB>value lines from this file (- = stdin), print stats and exit instead of serving")
@@ -51,7 +50,6 @@ func main() {
 		Granularity:     sbdms.Granularity(*granularity),
 		BufferFrames:    *frames,
 		WALSegmentBytes: *segBytes,
-		ScanIsolation:   sbdms.ScanIsolation(*scanIsolation),
 	}
 	if *importFile != "" {
 		if err := runImport(*importFile, *dataPath, *walDir, opts); err != nil {

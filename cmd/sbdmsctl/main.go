@@ -8,7 +8,7 @@
 //	sbdmsctl -addr host:7070 sql "SELECT ..."    # run SQL via the query service
 //	sbdmsctl -addr host:7070 get <key>           # KV get via the kv service
 //	sbdmsctl -addr host:7070 put <key> <value>   # KV put
-//	sbdmsctl -addr host:7070 scan <from> [n]     # KV range scan (node's -scan-isolation applies)
+//	sbdmsctl -addr host:7070 scan <from> [n]     # KV range scan (one MVCC snapshot)
 //	sbdmsctl -addr host:7070 status              # coordinator status
 package main
 

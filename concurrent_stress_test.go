@@ -249,6 +249,16 @@ func TestKVLockWaitContextCancellation(t *testing.T) {
 	if _, err := db.Get(ctx2, "k"); err == nil {
 		t.Fatal("blocked get returned before cancellation")
 	}
+	// A Get of an absent neighbour locks only its own key, and a scan
+	// locks nothing: neither waits behind the blocker.
+	ctx3, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel3()
+	if _, err := db.Get(ctx3, "j"); !IsKeyNotFound(err) {
+		t.Fatalf("Get of an absent key beside a locked one = %v, want not-found", err)
+	}
+	if keys, err := db.ScanKeys(ctx3, "", 10); err != nil || len(keys) != 1 || keys[0] != "k" {
+		t.Fatalf("ScanKeys beside a locked key = %q, %v; want [k]", keys, err)
+	}
 	db.Txns().Locks().ReleaseAll(blocker)
 	// The engine is unharmed: the aborted put left no trace.
 	got, err := db.Get(ctx, "k")

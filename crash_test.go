@@ -63,7 +63,9 @@ func runKVCrashWorkload(db *DB, nops, keySpace int, seed int64, crashed func() b
 // verifyRecovered reopens the store from the surviving data device and
 // log directory and asserts that recovery succeeds, every committed key
 // is readable with its committed value, every committed delete stays
-// deleted, and the index count matches.
+// deleted, the index count matches, a full scan returns exactly that
+// many keys, and no lock outlives the operations that took it (locks
+// are volatile: a crash aborts every pre-crash owner).
 func verifyRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir, st *crashState) {
 	t.Helper()
 	db, err := Open(Options{
@@ -95,6 +97,16 @@ func verifyRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir
 	}
 	if got, want := kvLen(t, db), uint64(len(st.live)); got != want {
 		t.Fatalf("KVLen after recovery = %d, want %d", got, want)
+	}
+	keys, err := db.ScanKeys(ctx, "", 1_000_000)
+	if err != nil {
+		t.Fatalf("scan after recovery: %v", err)
+	}
+	if got, want := uint64(len(keys)), kvLen(t, db); got != want {
+		t.Fatalf("post-recovery scan saw %d keys, want %d", got, want)
+	}
+	if got := db.kv.locks.Locked(); got != 0 {
+		t.Fatalf("lock table not drained after recovery checks: %d resources still locked", got)
 	}
 }
 
@@ -277,7 +289,7 @@ func TestKVCrashRecoveryLoserWithoutBeginRecord(t *testing.T) {
 		if err := db.kv.locks.Acquire(ctx, loser.ID(), kvRes(k), txn.Exclusive); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.kv.putTx(ctx, loser, k, []byte("never committed")); err != nil {
+		if err := db.kv.putTx(loser, k, []byte("never committed")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -113,7 +113,7 @@ func (kv *kvCore) importFallback(ctx context.Context, b *ingest.Batch) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := kv.putTx(ctx, tx, b.Keys[i], b.Vals[i]); err != nil {
+			if err := kv.putTx(tx, b.Keys[i], b.Vals[i]); err != nil {
 				return err
 			}
 		}
@@ -189,15 +189,6 @@ func (kv *kvCore) importFast(ctx context.Context, b *ingest.Batch) (installed bo
 	bulkPages = append(bulkPages, idxPages...)
 	if err != nil {
 		return rollback(err)
-	}
-
-	if kv.serializable {
-		// A serializable scan that ran off the (empty) tree's right edge
-		// S-locked the end-of-index sentinel; the import fills that gap,
-		// so it must conflict exactly like a per-key insert would.
-		if err := tx.Lock(ctx, kvEOFRes, txn.Exclusive); err != nil {
-			return rollback(conflictWrap(err))
-		}
 	}
 
 	oldRoot, release, err := kv.idx.InstallRoot(tx, root, uint64(len(items)))

@@ -233,7 +233,7 @@ func TestImportCancelLeavesNoState(t *testing.T) {
 }
 
 // TestImportGranularities drives the import op through every service
-// decomposition profile, including the serializable isolation variant.
+// decomposition profile.
 func TestImportGranularities(t *testing.T) {
 	for _, g := range Granularities {
 		t.Run(string(g), func(t *testing.T) {
@@ -249,21 +249,6 @@ func TestImportGranularities(t *testing.T) {
 			verifyImported(t, db, keys, vals)
 		})
 	}
-	t.Run("serializable", func(t *testing.T) {
-		db, err := Open(Options{Granularity: Monolithic, BufferFrames: 64, ScanIsolation: Serializable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close(context.Background())
-		keys, vals := importTestBatch(500, 8)
-		if err := db.Import(ctx, keys, vals); err != nil {
-			t.Fatalf("import: %v", err)
-		}
-		verifyImported(t, db, keys, vals)
-		if ks, err := db.ScanKeys(ctx, "", 600); err != nil || len(ks) != 500 {
-			t.Fatalf("serializable scan after import: %d keys, %v", len(ks), err)
-		}
-	})
 }
 
 // TestImportThenVacuum: vacuum over an imported range reclaims deleted

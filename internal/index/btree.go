@@ -734,16 +734,6 @@ func (t *BTree) Insert(key []byte, rid access.RID) error {
 // uniqueness must hold a key-level lock across the operation — the
 // tree serialises conflicting page access, not conflicting keys.
 func (t *BTree) InsertTx(tx access.TxnContext, key []byte, rid access.RID) error {
-	return t.InsertTxGap(tx, key, rid, nil)
-}
-
-// InsertTxGap is InsertTx with a next-key hook for serializable range
-// scans: just before the leaf mutation, gap (when non-nil) runs under
-// the exclusive leaf latch with the entry that will follow (key, rid)
-// in the index. An error from the hook abandons the insert (no
-// mutation; preemptive splits performed on the way down stand — they
-// are independent system transactions) and is returned verbatim.
-func (t *BTree) InsertTxGap(tx access.TxnContext, key []byte, rid access.RID, gap GapCheck) error {
 	ck := compositeKey(key, rid)
 	if len(ck) > MaxKeySize {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLarge, len(ck), MaxKeySize)
@@ -765,12 +755,12 @@ func (t *BTree) InsertTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 	}
 	// One optimistic shot per insert: when validation fails or the leaf
 	// needs a split, finish under the X-crab protocol.
-	inserted, fellback, err := t.insertOptimistic(tx, key, rid, ck, gap)
+	inserted, fellback, err := t.insertOptimistic(tx, key, rid, ck)
 	if err != nil {
 		return err
 	}
 	for done := !fellback; !done; {
-		if done, inserted, err = t.insertAttempt(tx, key, rid, ck, gap); err != nil {
+		if done, inserted, err = t.insertAttempt(tx, key, rid, ck); err != nil {
 			return err
 		}
 	}
@@ -791,9 +781,8 @@ func (t *BTree) InsertTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 // latched leaf still covers ck. Validation failure — or a leaf that
 // would need a split — falls back (fellback=true) without mutating
 // anything; fellback=false with nil err means the insert is complete
-// (inserted=false for an exact duplicate). Gap-hook errors propagate
-// verbatim, exactly as on the crab path.
-func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RID, ck []byte, gap GapCheck) (inserted, fellback bool, err error) {
+// (inserted=false for an exact duplicate).
+func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RID, ck []byte) (inserted, fellback bool, err error) {
 	_, rootID, err := t.metaLatch(false)
 	if err != nil {
 		return false, false, err
@@ -834,12 +823,6 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 		t.unlatch(leaf)
 		return false, false, nil // exact duplicate (same key+rid): no-op
 	}
-	if gap != nil {
-		if err := t.gapCheckAt(leaf, pos, gap); err != nil {
-			t.unlatch(leaf)
-			return false, false, err
-		}
-	}
 	err = t.insertAt(tx, leaf, pos, key, rid, ck)
 	t.unlatch(leaf)
 	if err != nil {
@@ -850,7 +833,7 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 
 // insertAttempt runs one exclusive crab descent. done=false means a
 // root split was performed and the descent must restart.
-func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, ck []byte, gap GapCheck) (done, inserted bool, err error) {
+func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, ck []byte) (done, inserted bool, err error) {
 	_, rootID, err := t.metaLatch(false)
 	if err != nil {
 		return false, false, err
@@ -907,12 +890,6 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 	if cur.v.has(pos, ck) {
 		t.unlatch(cur)
 		return true, false, nil // exact duplicate (same key+rid): no-op
-	}
-	if gap != nil {
-		if err := t.gapCheckAt(cur, pos, gap); err != nil {
-			t.unlatch(cur)
-			return false, false, err
-		}
 	}
 	err = t.insertAt(tx, cur, pos, key, rid, ck)
 	t.unlatch(cur)
@@ -1122,16 +1099,6 @@ func (t *BTree) Delete(key []byte, rid access.RID) (bool, error) {
 // key right between the shared descent and the exclusive re-latch, the
 // delete follows the chain right — splits only ever move keys right.
 func (t *BTree) DeleteTx(tx access.TxnContext, key []byte, rid access.RID) (bool, error) {
-	return t.DeleteTxGap(tx, key, rid, nil)
-}
-
-// DeleteTxGap is DeleteTx with a next-key hook for serializable range
-// scans: when the entry is found, gap (when non-nil) runs under the
-// exclusive leaf latch with the entry's successor BEFORE the removal,
-// so the caller can lock the gap the delete is about to widen. An
-// error from the hook abandons the delete (no mutation) and is
-// returned verbatim.
-func (t *BTree) DeleteTxGap(tx access.TxnContext, key []byte, rid access.RID, gap GapCheck) (bool, error) {
 	ck := compositeKey(key, rid)
 	var pair [2]nref
 	cur, err := t.relatchLeaf(&pair, ck)
@@ -1141,12 +1108,6 @@ func (t *BTree) DeleteTxGap(tx access.TxnContext, key []byte, rid access.RID, ga
 	for {
 		pos := cur.v.lowerBound(ck)
 		if cur.v.has(pos, ck) {
-			if gap != nil {
-				if err := t.gapCheckAt(cur, pos+1, gap); err != nil {
-					t.unlatch(cur)
-					return false, err
-				}
-			}
 			undo := func() []byte { return undoIndexDelete(t.metaID, key, rid) }
 			err := t.write(tx, cur, undo, func(*storage.Page) error { cur.v.remove(pos); return nil })
 			t.unlatch(cur)
@@ -1201,8 +1162,8 @@ func (t *BTree) chaseRight(pair *[2]nref, cur *nref, ck []byte) (*nref, error) {
 // — (key, oldRID) becomes (key, newRID) — in place, logging the leaf
 // mutation with a logical undo (repoint back). The version-chained KV
 // core uses it to swing a key's index entry onto a freshly appended
-// head version without a delete+insert pair (which would open a
-// phantom gap for serializable scans and double-log the leaf).
+// head version without a delete+insert pair (which would briefly drop
+// the key from concurrent scans and double-log the leaf).
 //
 // In-place replacement preserves the leaf's sort invariant: the tree
 // is unique, so the entry's neighbours belong to other user keys and
@@ -1256,122 +1217,6 @@ func (t *BTree) Range(lo, hi []byte, fn func(key []byte, rid access.RID) error) 
 		}
 		return fn(key, rid)
 	})
-}
-
-// RangeLatched walks entries with key >= lo (nil = from the start) in
-// key order, invoking fn UNDER the covering leaf's shared latch for
-// each entry, and once more with eof=true (nil key) under the last
-// leaf's latch when the index is exhausted. Unlike Range, consecutive
-// leaves are latch-coupled (the next leaf is latched before the current
-// one is released), so between two consecutive fn calls no writer can
-// slip an entry into the gap — the property next-key locking scans
-// need: the successor is surfaced, and can be locked, before the leaf
-// latch that proves it IS the successor is released.
-//
-// fn must not block on anything a latch holder could wait on (in
-// particular it must only take locks conditionally — TryAcquire, never
-// Acquire) and must not re-enter the tree. Returning a non-nil error
-// releases the latch and aborts the walk with that error; callers
-// restart a new walk after resolving whatever made fn bail out.
-func (t *BTree) RangeLatched(lo []byte, fn func(key []byte, rid access.RID, eof bool) error) error {
-	var clo []byte
-	if lo != nil {
-		clo, _ = keyPrefixBounds(lo)
-	}
-	var pair [2]nref
-	leaf := &pair[0]
-	if err := t.descendToLeaf(leaf, clo); err != nil {
-		return err
-	}
-	for {
-		start := 0
-		if clo != nil {
-			start = leaf.v.lowerBound(clo)
-		}
-		for i := start; i < leaf.v.n; i++ {
-			key, rid, err := splitComposite(leaf.v.key(i))
-			if err == nil {
-				err = fn(key, rid, false)
-			}
-			if err != nil {
-				t.unlatch(leaf)
-				return err
-			}
-		}
-		if leaf.v.next == storage.InvalidPageID {
-			err := fn(nil, access.RID{}, true)
-			t.unlatch(leaf)
-			return err
-		}
-		// Latch-couple onto the next leaf BEFORE releasing this one
-		// (left-to-right, same order as splits — no deadlock), closing
-		// the window where an insert could land in this leaf's tail gap
-		// unseen by both this call and the next.
-		next := other(&pair, leaf)
-		err := t.latch(next, leaf.v.next, false)
-		t.unlatch(leaf)
-		if err != nil {
-			return err
-		}
-		clo = nil
-		leaf = next
-	}
-}
-
-// GapCheck is the next-key hook of InsertTxGap/DeleteTxGap: it runs
-// under the exclusive latch of the leaf about to be mutated, with the
-// mutation point's successor entry (eof=true, nil key at end of index).
-// It must not block (conditional lock attempts only); a non-nil return
-// abandons the attempt without mutating anything, and the error is
-// surfaced to the caller, which typically waits for the lock off-latch
-// and retries.
-type GapCheck func(key []byte, rid access.RID, eof bool) error
-
-// successorFrom walks the leaf chain from id (shared latches, coupled
-// left-to-right past empty leaves) and returns the first entry, or
-// eof=true if the chain ends. The caller keeps its own latch on the
-// preceding leaf, so the returned entry is the true successor for as
-// long as that latch is held.
-func (t *BTree) successorFrom(id storage.PageID) (ck []byte, eof bool, err error) {
-	var r nref
-	for id != storage.InvalidPageID {
-		if err := t.latch(&r, id, false); err != nil {
-			return nil, false, err
-		}
-		if r.v.n > 0 {
-			ck = append([]byte(nil), r.v.key(0)...)
-			t.unlatch(&r)
-			return ck, false, nil
-		}
-		id = r.v.next
-		t.unlatch(&r)
-	}
-	return nil, true, nil
-}
-
-// gapCheckAt resolves the successor of position pos in the latched leaf
-// (falling through to the chain when pos is past the last entry) and
-// runs the hook on it.
-func (t *BTree) gapCheckAt(cur *nref, pos int, gap GapCheck) error {
-	if pos < cur.v.n {
-		key, rid, err := splitComposite(cur.v.key(pos))
-		if err != nil {
-			return err
-		}
-		return gap(key, rid, false)
-	}
-	ck, eof, err := t.successorFrom(cur.v.next)
-	if err != nil {
-		return err
-	}
-	if eof {
-		return gap(nil, access.RID{}, true)
-	}
-	key, rid, err := splitComposite(ck)
-	if err != nil {
-		return err
-	}
-	return gap(key, rid, false)
 }
 
 // rangeScan walks composite keys in [clo, chi) (nil = unbounded). Each

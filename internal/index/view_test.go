@@ -299,9 +299,6 @@ func TestCorruptNodeErrors(t *testing.T) {
 		"Range": func() error {
 			return tr.Range(nil, nil, func([]byte, access.RID) error { return nil })
 		},
-		"RangeLatched": func() error {
-			return tr.RangeLatched(nil, func([]byte, access.RID, bool) error { return nil })
-		},
 		"InsertTx": func() error {
 			return tr.InsertTx(nil, key, access.RID{Page: r.Page + 1})
 		},

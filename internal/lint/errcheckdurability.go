@@ -20,8 +20,7 @@ var ErrcheckDurabilityAnalyzer = &Analyzer{
 }
 
 // durabilityMethods lists the (type, methods) pairs whose results are
-// load-bearing. (*LockManager).Release is deliberately absent: the
-// instant-lock paths drop its error on purpose after a TryAcquire race.
+// load-bearing.
 var durabilityMethods = []struct {
 	pkg, typ string
 	methods  []string

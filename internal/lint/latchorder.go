@@ -14,15 +14,11 @@ import (
 // lock-manager call under a latch — callers that are refused must
 // release their latches first and retry with the blocking Acquire.
 //
-// Two checks:
-//
-//  1. Within a function, after a latching acquire (PinLatched,
-//     NewPageLatched, or the B+tree crabbing helpers) and before the
-//     matching release, calls to LockManager.Acquire or Txn.Lock are
-//     flagged.
-//  2. Function literals that run under leaf latches — GapCheck hooks
-//     and RangeLatched/InsertTxGap/DeleteTxGap callbacks — must not
-//     contain blocking Acquire/Lock calls at all.
+// The check: within a function, after a latching acquire (PinLatched,
+// NewPageLatched, or the B+tree crabbing helpers) and before the
+// matching release, calls to LockManager.Acquire or Txn.Lock are
+// flagged. No index API runs a caller's function under a latch, so a
+// function body is the whole scope a latch can be held across.
 var LatchOrderAnalyzer = &Analyzer{
 	Name: "latchorder",
 	Doc: "no blocking LockManager.Acquire or Txn.Lock while a page latch is held; " +
@@ -68,10 +64,10 @@ func isBlockingLock(info *types.Info, call *ast.CallExpr) (name string, ok bool)
 func runLatchOrder(pass *Pass) error {
 	info := pass.TypesInfo
 
-	// Check 1: source-order latch counting per function body. Deferred
-	// releases deliberately do not decrement — a latch released only by
-	// defer is held at every blocking call that follows, which is
-	// exactly the condition being flagged.
+	// Source-order latch counting per function body. Deferred releases
+	// deliberately do not decrement — a latch released only by defer is
+	// held at every blocking call that follows, which is exactly the
+	// condition being flagged.
 	checkBody := func(body *ast.BlockStmt) {
 		held := 0
 		inspectShallow(body, func(n ast.Node) bool {
@@ -96,97 +92,8 @@ func runLatchOrder(pass *Pass) error {
 		})
 	}
 
-	// Check 2: collect function literals that execute under leaf
-	// latches, then forbid blocking calls anywhere inside them
-	// (including nested literals).
-	var underLatch []*ast.FuncLit
-	collectCalls := func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			v, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(info, v)
-			if isMethodOn(fn, indexPath, "BTree", "RangeLatched") ||
-				isMethodOn(fn, indexPath, "BTree", "InsertTxGap") ||
-				isMethodOn(fn, indexPath, "BTree", "DeleteTxGap") {
-				for _, arg := range v.Args {
-					if lit, isLit := ast.Unparen(arg).(*ast.FuncLit); isLit {
-						underLatch = append(underLatch, lit)
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// collectGapLits finds literals that become index.GapCheck values:
-	// returned from a function whose declared result type is GapCheck
-	// (gap-lock hook constructors) or assigned to a GapCheck variable.
-	// Such a literal runs under the leaf latch at its eventual call
-	// site even though no latch is visible at its definition.
-	collectGapLits := func(ft *ast.FuncType, body *ast.BlockStmt) {
-		var gapResult []bool
-		if ft.Results != nil {
-			for _, field := range ft.Results.List {
-				isGap := false
-				if tv, ok := info.Types[field.Type]; ok {
-					isGap = isNamedType(tv.Type, indexPath, "GapCheck")
-				}
-				n := len(field.Names)
-				if n == 0 {
-					n = 1
-				}
-				for i := 0; i < n; i++ {
-					gapResult = append(gapResult, isGap)
-				}
-			}
-		}
-		inspectShallow(body, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.ReturnStmt:
-				for i, res := range v.Results {
-					if lit, ok := ast.Unparen(res).(*ast.FuncLit); ok &&
-						i < len(gapResult) && gapResult[i] {
-						underLatch = append(underLatch, lit)
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range v.Rhs {
-					lit, ok := ast.Unparen(rhs).(*ast.FuncLit)
-					if !ok || i >= len(v.Lhs) {
-						continue
-					}
-					if obj := objOf(info, v.Lhs[i]); obj != nil && isNamedType(obj.Type(), indexPath, "GapCheck") {
-						underLatch = append(underLatch, lit)
-					}
-				}
-			}
-			return true
-		})
-	}
-
 	for _, f := range pass.Files {
-		funcBodies(f, func(ft *ast.FuncType, body *ast.BlockStmt) {
-			checkBody(body)
-			collectGapLits(ft, body)
-		})
-		collectCalls(f)
-	}
-
-	for _, lit := range underLatch {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, blocking := isBlockingLock(info, call); blocking {
-				pass.Reportf(call.Pos(),
-					"blocking %s inside a callback that runs under a leaf latch: "+
-						"use TryAcquire and retry off-latch on refusal", name)
-			}
-			return true
-		})
+		funcBodies(f, func(_ *ast.FuncType, body *ast.BlockStmt) { checkBody(body) })
 	}
 	return nil
 }

@@ -90,13 +90,6 @@ func checkedResults(ctx context.Context, log *wal.Log, mgr *txn.Manager, lm *txn
 	return mgr.Commit(tx)
 }
 
-// releaseIsExempt: (*LockManager).Release is deliberately outside the
-// table — the instant-lock paths drop its error after a TryAcquire
-// race on purpose.
-func releaseIsExempt(lm *txn.LockManager) {
-	lm.Release(1, "r")
-}
-
 // suppressedDiscard: a justified suppression is honoured.
 func suppressedDiscard(log *wal.Log) {
 	//lint:ignore errcheckdurability the shutdown path flushes best-effort; the later fsync of the close decides durability

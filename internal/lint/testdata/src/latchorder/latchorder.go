@@ -6,9 +6,7 @@ package latchorder
 import (
 	"context"
 
-	"repro/internal/access"
 	"repro/internal/buffer"
-	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -58,45 +56,6 @@ func releasesFirst(ctx context.Context, pool *buffer.Manager, lm *txn.LockManage
 		return err
 	}
 	return lm.Acquire(ctx, 1, "r", txn.Shared)
-}
-
-// scanCallback: RangeLatched runs its callback under the leaf latch,
-// so a blocking Acquire inside it is flagged wherever it hides.
-func scanCallback(ctx context.Context, t *index.BTree, lm *txn.LockManager) error {
-	return t.RangeLatched(nil, func(key []byte, rid access.RID, eof bool) error {
-		return lm.Acquire(ctx, 1, string(key), txn.Shared) // want `blocking LockManager\.Acquire inside a callback that runs under a leaf latch`
-	})
-}
-
-// goodScanCallback: the conditional form with an off-latch retry
-// contract produces nothing.
-func goodScanCallback(t *index.BTree, lm *txn.LockManager) error {
-	return t.RangeLatched(nil, func(key []byte, rid access.RID, eof bool) error {
-		if !lm.TryAcquire(1, string(key), txn.Shared) {
-			return context.Canceled // caller drops latches and retries
-		}
-		return nil
-	})
-}
-
-// gapHookConstructor: a literal returned as an index.GapCheck runs
-// under the leaf latch at its eventual call site.
-func gapHookConstructor(ctx context.Context, lm *txn.LockManager) index.GapCheck {
-	return func(key []byte, rid access.RID, eof bool) error {
-		if lm.TryAcquire(1, "g", txn.Exclusive) {
-			return nil
-		}
-		return lm.Acquire(ctx, 1, "g", txn.Exclusive) // want `blocking LockManager\.Acquire inside a callback that runs under a leaf latch`
-	}
-}
-
-// gapHookAssigned: same through an assignment to a GapCheck variable.
-func gapHookAssigned(ctx context.Context, tx *txn.Txn) index.GapCheck {
-	var g index.GapCheck
-	g = func(key []byte, rid access.RID, eof bool) error {
-		return tx.Lock(ctx, "g", txn.Shared) // want `blocking Txn\.Lock inside a callback that runs under a leaf latch`
-	}
-	return g
 }
 
 // suppressedBlock: a justified suppression is honoured.

@@ -17,8 +17,6 @@ var (
 	// ErrDeadlock is returned to the transaction chosen as deadlock
 	// victim; the caller must abort it.
 	ErrDeadlock = errors.New("txn: deadlock detected")
-	// ErrNotHeld is returned when releasing a lock that is not held.
-	ErrNotHeld = errors.New("txn: lock not held")
 )
 
 // LockMode is the requested access mode.
@@ -322,16 +320,18 @@ func (lm *LockManager) cycleFromLocked(start uint64) bool {
 }
 
 // Release drops txn's lock on the resource and admits whatever the FIFO
-// queue allows next.
+// queue allows next. The engine releases only through ReleaseAll, at the
+// end of a transaction; Release is the one-lock form that bench/'s
+// lock-pair probe times.
 func (lm *LockManager) Release(txn uint64, resource string) error {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	st := lm.locks[resource]
 	if st == nil {
-		return fmt.Errorf("%w: %s", ErrNotHeld, resource)
+		return fmt.Errorf("txn: lock %s not held", resource)
 	}
 	if _, ok := st.holders[txn]; !ok {
-		return fmt.Errorf("%w: %s by txn %d", ErrNotHeld, resource, txn)
+		return fmt.Errorf("txn: lock %s not held by txn %d", resource, txn)
 	}
 	delete(st.holders, txn)
 	lm.grantLocked(resource, st)

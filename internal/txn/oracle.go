@@ -1,9 +1,14 @@
 package txn
 
 import (
-	"sort"
+	"context"
+	"errors"
 	"sync"
 )
+
+// ErrHalted fails a SnapshotFresh whose wait can never end: the engine
+// went offline leaving a commit timestamp in doubt (Halt).
+var ErrHalted = errors.New("txn: oracle halted: a commit was left in doubt")
 
 // Oracle allocates monotonically increasing commit timestamps and
 // tracks which of them are still outstanding (allocated but not yet
@@ -30,6 +35,9 @@ type Oracle struct {
 	clock       uint64              // last allocated commit timestamp
 	outstanding map[uint64]struct{} // allocated, not yet completed
 	snaps       map[uint64]int      // snapshot readTS -> refcount
+	done        uint64              // newest completed timestamp
+	halted      bool                // Halt was called
+	wake        chan struct{}       // closed by the next Complete or Halt; nil while no SnapshotFresh waits
 }
 
 // NewOracle creates a timestamp oracle with the clock at zero.
@@ -82,7 +90,29 @@ func (o *Oracle) AllocateCommitTS() uint64 {
 func (o *Oracle) Complete(ts uint64) {
 	o.mu.Lock()
 	delete(o.outstanding, ts)
+	if ts > o.done {
+		o.done = ts
+	}
+	o.wakeLocked()
 	o.mu.Unlock()
+}
+
+// Halt ends every SnapshotFresh wait, now and later, with ErrHalted.
+// The engine calls it when it goes offline: a commit whose durability
+// is in doubt leaves its timestamp outstanding for good, and a wait
+// for it would never end.
+func (o *Oracle) Halt() {
+	o.mu.Lock()
+	o.halted = true
+	o.wakeLocked()
+	o.mu.Unlock()
+}
+
+func (o *Oracle) wakeLocked() {
+	if o.wake != nil {
+		close(o.wake)
+		o.wake = nil
+	}
 }
 
 // visibleLocked computes the snapshot frontier with o.mu held.
@@ -112,10 +142,6 @@ func (o *Oracle) VisibleTS() uint64 {
 type Snapshot struct {
 	// ReadTS is the snapshot's visibility bound.
 	ReadTS uint64
-	// ActiveTxns lists the commit timestamps that were allocated but
-	// not yet complete when the snapshot was taken (all above ReadTS);
-	// diagnostics only — visibility needs just ReadTS.
-	ActiveTxns []uint64
 
 	o      *Oracle
 	closed bool
@@ -128,13 +154,40 @@ func (o *Oracle) Snapshot() *Snapshot {
 	o.mu.Lock()
 	ts := o.visibleLocked()
 	o.snaps[ts]++
-	var act []uint64
-	for t := range o.outstanding {
-		act = append(act, t)
-	}
 	o.mu.Unlock()
-	sort.Slice(act, func(i, j int) bool { return act[i] < act[j] })
-	return &Snapshot{ReadTS: ts, ActiveTxns: act, o: o}
+	return &Snapshot{ReadTS: ts, o: o}
+}
+
+// SnapshotFresh registers a read view that holds every commit completed
+// before the call. Snapshot's frontier trails the oldest commit still
+// in flight, and a commit with a newer timestamp can complete — and be
+// acknowledged — before that one does; SnapshotFresh first waits for
+// the commits in flight below the newest completed timestamp. ctx
+// bounds the wait.
+func (o *Oracle) SnapshotFresh(ctx context.Context) (*Snapshot, error) {
+	o.mu.Lock()
+	target := o.done
+	for o.visibleLocked() < target {
+		if o.halted {
+			o.mu.Unlock()
+			return nil, ErrHalted
+		}
+		if o.wake == nil {
+			o.wake = make(chan struct{})
+		}
+		wake := o.wake
+		o.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		o.mu.Lock()
+	}
+	ts := o.visibleLocked()
+	o.snaps[ts]++
+	o.mu.Unlock()
+	return &Snapshot{ReadTS: ts, o: o}, nil
 }
 
 // Close deregisters the snapshot, releasing its hold on the vacuum

@@ -33,18 +33,17 @@
 // The vacuum takes each key's exclusive lock, conditionally
 // (TryAcquire), before touching its chain, and skips keys it cannot
 // lock. That excludes writers (which hold the X lock while their
-// version is uncommitted) and serializable scanners (which hold S
-// locks on returned keys and on ghost entries sealing their next-key
-// gaps). Under the X lock every version in the chain is committed, so
-// the pivot computation is stable. Snapshot readers take no locks at
-// all — they may race a reclamation and land on a freed slot, which
-// the KV layer's bounded retry handles (the safety argument above
-// guarantees the version they were after was unreachable anyway).
+// version is uncommitted) and point reads (which hold an S lock while
+// they read the head). Under the X lock every version in the chain is
+// committed, so the pivot computation is stable. Snapshot readers —
+// every scan among them — take no locks at all: they may race a
+// reclamation and land on a freed slot, which the KV layer's bounded
+// retry handles (the safety argument above guarantees the version they
+// were after was unreachable anyway).
 //
-// Removing a whole-key ghost needs no gap locks even at serializable
-// isolation: the ghost is invisible to every read path, so deleting
-// its index entry does not change the visible key space; a scanner's
-// next-key lock simply lands on the following entry instead.
+// Removing a whole-key ghost changes no visible key space: the ghost
+// is invisible to every read path, so deleting its index entry is safe
+// under the key's X lock alone.
 //
 // # Crash safety
 //
@@ -111,7 +110,7 @@ type Stats struct {
 	Keys       int    // index entries examined
 	Candidates int    // entries whose chains might hold dead versions
 	// SkippedBusy counts candidates whose key lock was held (a writer
-	// or serializable scanner was active); they stay for a later pass.
+	// or a point read was active); they stay for a later pass.
 	SkippedBusy int
 	// SkippedUncommitted counts chains where an uncommitted version
 	// surfaced despite the X lock. That indicates a protocol violation

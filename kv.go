@@ -10,7 +10,6 @@
 package sbdms
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -54,42 +53,6 @@ func isErr(err, target error) bool {
 	return err != nil && (errors.Is(err, target) || strings.Contains(err.Error(), target.Error()))
 }
 
-// ScanIsolation selects the transactional strength of range scans
-// (Options.ScanIsolation).
-type ScanIsolation string
-
-// Scan isolation levels.
-const (
-	// ReadCommitted scans take no key locks: they read each leaf
-	// atomically under its shared latch but may observe keys of
-	// concurrent not-yet-committed transactions and torn views of
-	// atomic batches (phantoms). The default, and the PR-4 behaviour.
-	ReadCommitted ScanIsolation = "read-committed"
-	// Serializable scans use ARIES/IM-style next-key locking: the scan
-	// S-locks every returned key plus the key just past the range end
-	// (or an end-of-index sentinel), holding them until the scan (or
-	// the owning transaction) completes, while writers take next-key
-	// gap locks before inserting into or deleting from a range. Every
-	// scan is then equivalent to an atomic snapshot: phantoms and torn
-	// batch views are impossible, at the cost of scans blocking
-	// conflicting writers (and vice versa) and of retryable
-	// ErrConflict deadlock aborts.
-	Serializable ScanIsolation = "serializable"
-)
-
-// normalizeIsolation maps the zero value to the default and rejects
-// unknown levels.
-func normalizeIsolation(iso ScanIsolation) (ScanIsolation, error) {
-	switch iso {
-	case "":
-		return ReadCommitted, nil
-	case ReadCommitted, Serializable:
-		return iso, nil
-	default:
-		return "", fmt.Errorf("sbdms: unknown scan isolation %q", iso)
-	}
-}
-
 // kvCore is the native key-value engine: a heap file for values plus a
 // unique B+tree index on keys. It is the workhorse behind the KV
 // service at every granularity; what changes between profiles is how
@@ -101,15 +64,10 @@ func normalizeIsolation(iso ScanIsolation) (ScanIsolation, error) {
 // held until the transaction's outcome is durable); page-level
 // consistency below comes from the B+tree's latch crabbing and the
 // heap's page latches. Deadlock victims abort with ErrConflict and can
-// simply be retried. Scan isolation is selectable (Options.
-// ScanIsolation): at read-committed (the default) scans take no key
-// locks — they may observe keys of concurrent not-yet-committed
-// transactions (which can still abort), and keys inserted or deleted
-// while the scan runs may or may not appear. At serializable, scans
-// take next-key locks (S on every returned key plus the successor past
-// the range end) and writers take gap locks on the successor of every
-// key they insert or delete, so each scan is an atomic snapshot — no
-// phantoms, no torn views of atomic batches.
+// simply be retried. Scans take no key locks at all: every scan reads
+// one MVCC snapshot, an atomic cut of the key space that holds every
+// write acknowledged before the scan began and none of a transaction
+// still in flight.
 //
 // Every mutation runs under a transaction (one per operation, one per
 // batch) so the heap, the B+tree and — via the file manager's system
@@ -130,8 +88,6 @@ type kvCore struct {
 	// recovery can reseed the one clock.
 	locks  *txn.LockManager
 	oracle *txn.Oracle
-
-	serializable bool // next-key locking on scans and writers
 
 	// dead counts committed tombstone heads: index entries whose key is
 	// logically deleted but whose ghost entry anchors the version chain
@@ -154,7 +110,7 @@ type kvCore struct {
 	importFallbacks  atomic.Uint64
 }
 
-func newKVCore(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager, log *wal.Log, name string, recount bool, iso ScanIsolation) (*kvCore, error) {
+func newKVCore(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager, log *wal.Log, name string, recount bool) (*kvCore, error) {
 	heap, err := access.OpenHeap(name, fm, pool)
 	if err != nil {
 		return nil, err
@@ -174,7 +130,7 @@ func newKVCore(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager,
 	}
 	kv := &kvCore{
 		heap: heap, idx: idx, txns: txns, locks: txns.Locks(), oracle: txns.Oracle(), log: log,
-		serializable: iso == Serializable, metaPid: metaPid, pool: pool,
+		metaPid: metaPid, pool: pool,
 		freePages: fm.FreePagesLogged, importChunkPages: defaultImportChunkPages,
 	}
 	idx.SetFreer(fm.FreePagesLogged)
@@ -347,13 +303,6 @@ func (kv *kvCore) key(k string) []byte { return access.EncodeKey(access.NewStrin
 // kvRes names a key's lock-manager resource.
 func kvRes(k string) string { return "kv/" + k }
 
-// kvEOFRes is the end-of-index sentinel resource: serializable scans
-// that run off the right edge of the index S-lock it, and inserts of a
-// key with no successor X-lock it, so "append past everything" still
-// conflicts with "scanned to the end". The "\x00" keeps it disjoint
-// from every kvRes name ("kv/...").
-const kvEOFRes = "kv\x00eof"
-
 // stringKeyTag is the type byte access.EncodeKey prefixes string keys
 // with; decodeKeyBytes uses it to recover the user key from an index
 // entry without a heap read.
@@ -366,19 +315,6 @@ func decodeKeyBytes(enc []byte) (string, error) {
 		return "", fmt.Errorf("%w: index key with tag %v", errBadKVRecord, enc)
 	}
 	return string(enc[1:]), nil
-}
-
-// gapRes names the lock resource of a successor surfaced by a B+tree
-// gap hook (the end-of-index sentinel for eof).
-func gapRes(nextKey []byte, eof bool) (string, error) {
-	if eof {
-		return kvEOFRes, nil
-	}
-	k, err := decodeKeyBytes(nextKey)
-	if err != nil {
-		return "", err
-	}
-	return kvRes(k), nil
 }
 
 // --- record codec -------------------------------------------------------
@@ -446,13 +382,16 @@ func (kv *kvCore) checkFailed() error {
 // fails (the device died mid-way) leaves the pool holding pages with
 // unrecovered uncommitted bytes, and further commits would legitimise
 // them in the log. Refusing all further operations keeps the WAL
-// trustworthy, so a restart recovers exactly the committed state.
+// trustworthy, so a restart recovers exactly the committed state. The
+// oracle is halted too: a commit left in doubt keeps its timestamp
+// outstanding, and no scan may wait for it.
 func (kv *kvCore) poison(err error) error {
 	kv.failedMu.Lock()
 	defer kv.failedMu.Unlock()
 	if kv.failed == nil {
 		kv.failed = err
 		kv.poisoned.Store(true)
+		kv.oracle.Halt()
 	}
 	return kv.failed
 }
@@ -490,10 +429,9 @@ func sortedUnique(keys []string) []string {
 // page latches); a successful op commits through the group-commit path
 // — concurrent committers coalesce into one log sync. Locks are
 // released only once the outcome is durable (strict 2PL). op's
-// transaction is also the owner its next-key gap locks are taken under
-// (tx.ID()) and the collector of its version stamps, which run inside
-// commit, after the commit timestamp is allocated, while undo is still
-// possible.
+// transaction is also the collector of its version stamps, which run
+// inside commit, after the commit timestamp is allocated, while undo is
+// still possible.
 func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn) error) error {
 	if err := kv.checkFailed(); err != nil {
 		return err
@@ -515,9 +453,7 @@ func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn) e
 		}
 	}
 	if err := op(tx); err != nil {
-		// A deadlock on a gap lock inside op (next-key locking) is as
-		// retryable as one on the key locks above.
-		return abort(conflictWrap(err))
+		return abort(err)
 	}
 	if err := kv.txns.Commit(tx); err != nil {
 		return kv.poison(fmt.Errorf("sbdms: kv engine offline after failed commit: %w", err))
@@ -525,114 +461,17 @@ func (kv *kvCore) run(ctx context.Context, keys []string, op func(tx *txn.Txn) e
 	return nil
 }
 
-// errGapBlocked is returned by a next-key GapCheck whose conditional
-// lock attempt failed: the caller must drop its latches, wait for the
-// recorded lock off-latch, and retry the whole tree operation (the
-// successor may have changed by then).
-var errGapBlocked = errors.New("sbdms: next-key lock busy")
-
-// gapLockHook builds the next-key GapCheck shared by insertIndex and
-// deleteIndex: it X-locks the successor for owner, conditionally (the
-// hook runs under a leaf latch — it must never block). A lock the hook
-// had to take FRESH is recorded in *instant when the caller wants to
-// release it right after the mutation; an upgrade of an S the owner
-// already holds (a transactional scan's read lock on the successor) is
-// NEVER recorded there — the sole-holder upgrade grant itself proves no
-// other scanner has read across the gap, and the lock must survive to
-// commit or the owner's scan would lose its read lock with it.
-func (kv *kvCore) gapLockHook(owner uint64, pending, instant *string) index.GapCheck {
-	return func(nextKey []byte, _ access.RID, eof bool) error {
-		res, err := gapRes(nextKey, eof)
-		if err != nil {
-			return err
-		}
-		m, held := kv.locks.Held(owner, res)
-		if held && m == txn.Exclusive {
-			return nil // already ours: a batch neighbour, a delete's gap lock, or a prior blocked attempt
-		}
-		if !kv.locks.TryAcquire(owner, res, txn.Exclusive) {
-			*pending = res
-			return errGapBlocked
-		}
-		if instant != nil && !held {
-			*instant = res
-		}
-		return nil
-	}
-}
-
-// insertIndex adds (k, rid) to the index. At serializable isolation the
-// insert takes an ARIES/IM next-key lock: the successor of the new key
-// is X-locked under the leaf latch for the INSTANT of the insert, which
-// conflicts with (and only with) a scan that has already read across
-// the gap the new key lands in. When the conditional attempt fails the
-// leaf latch is dropped, the lock is awaited off-latch and the insert
-// retried.
-//
-// Gap locks awaited off-latch are kept across retries (livelock
-// avoidance — see below) but, like the conditionally-granted instant
-// lock, they are only needed until the new entry is visible in the
-// leaf: from that point a scan reaching the gap meets the key's own
-// transaction-duration lock instead. So once the insert lands, every
-// gap lock this call acquired FRESH is released — the append gap-lock
-// downgrade, which keeps concurrent appenders to the same gap (most
-// visibly the end-of-index sentinel) from serializing on each other's
-// commit latency. Upgrades of locks the owner already held (a
-// transactional scan's S on the successor) are never released here.
-func (kv *kvCore) insertIndex(ctx context.Context, tx *txn.Txn, k string, rid access.RID) error {
-	if !kv.serializable {
-		return kv.idx.InsertTx(tx, kv.key(k), rid)
-	}
-	owner := tx.ID()
-	// kept collects the fresh gap locks awaited off-latch. On exit they
-	// are released whatever the outcome: on success the entry is in the
-	// leaf (scans serialize on its key lock), on failure the insert
-	// never happened, so the key space the gap lock guarded is
-	// unchanged — exactly the instant-duration argument.
-	var kept []string
-	for {
-		var pending, instant string
-		err := kv.idx.InsertTxGap(tx, kv.key(k), rid, kv.gapLockHook(owner, &pending, &instant))
-		if instant != "" {
-			// Instant duration: the entry is in the index, so scans now
-			// meet the key's own (transaction-duration) lock instead.
-			_ = kv.locks.Release(owner, instant)
-		}
-		if !errors.Is(err, errGapBlocked) {
-			for _, res := range kept {
-				_ = kv.locks.Release(owner, res)
-			}
-			return err
-		}
-		_, held := kv.locks.Held(owner, pending)
-		if lerr := kv.locks.Acquire(ctx, owner, pending, txn.Exclusive); lerr != nil {
-			return lerr // aborting: ReleaseAll reclaims everything
-		}
-		if !held {
-			kept = append(kept, pending)
-		}
-		// KEEP the lock across the retry (the Held fast path accepts
-		// it; it releases above once the insert lands, or with the
-		// owner's locks at commit). Releasing before retrying would
-		// hand it straight back to the scan stream and livelock the
-		// writer: under sustained scans there is always a next S
-		// request queued, so the conditional attempt would fail
-		// forever.
-	}
-}
-
 // putTx stores (or replaces) a key under tx; the caller holds the key's
-// exclusive lock. Gap locks are taken under the transaction's id.
+// exclusive lock.
 //
 // A put never overwrites: it appends a new version cell whose begin
 // field carries the uncommitted mark (readers skip it) and whose prev
 // field links the old head, then repoints the key's index entry to the
 // new cell in place. The begin field is stamped with the commit
-// timestamp when tx commits. Only a brand-new key
-// inserts an index entry — and therefore only inserts need the
-// serializable next-key gap protocol; replacing the head of an existing
-// entry (including a tombstone ghost) never changes the key space.
-func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, k string, v []byte) error {
+// timestamp when tx commits. Only a brand-new key inserts an index
+// entry; replacing the head of an existing entry (including a tombstone
+// ghost) never changes the key space.
+func (kv *kvCore) putTx(tx *txn.Txn, k string, v []byte) error {
 	owner := tx.ID()
 	rec := encodeKV(k, v)
 	rids, err := kv.idx.Search(kv.key(k))
@@ -644,7 +483,7 @@ func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, k string, v []byte) er
 		if err != nil {
 			return err
 		}
-		if err := kv.insertIndex(ctx, tx, k, rid); err != nil {
+		if err := kv.idx.InsertTx(tx, kv.key(k), rid); err != nil {
 			return err
 		}
 		kv.registerStamp(tx, rid)
@@ -687,10 +526,8 @@ func (kv *kvCore) putTx(ctx context.Context, tx *txn.Txn, k string, v []byte) er
 // A delete appends a bare tombstone version linking the old head and
 // repoints the index entry to it — the entry itself stays, anchoring
 // the version chain for snapshot readers and standing in as the ghost
-// record that blocks resurrection while scans hold its S lock. Vacuum
-// removes the entry once no snapshot can see any version of the key.
-// Because the key space never shrinks here, deletes need no next-key
-// gap lock at serializable isolation.
+// record a Get's S lock blocks resurrection through. Vacuum removes the
+// entry once no snapshot can see any version of the key.
 func (kv *kvCore) deleteTx(tx *txn.Txn, k string) error {
 	rids, err := kv.idx.Search(kv.key(k))
 	if err != nil {
@@ -737,7 +574,7 @@ func (kv *kvCore) deleteTx(tx *txn.Txn, k string) error {
 // durable.
 func (kv *kvCore) Put(ctx context.Context, k string, v []byte) error {
 	return kv.run(ctx, []string{k}, func(tx *txn.Txn) error {
-		return kv.putTx(ctx, tx, k, v)
+		return kv.putTx(tx, k, v)
 	})
 }
 
@@ -752,7 +589,7 @@ func (kv *kvCore) PutBatch(ctx context.Context, keys []string, vals [][]byte) er
 	}
 	return kv.run(ctx, keys, func(tx *txn.Txn) error {
 		for i := range keys {
-			if err := kv.putTx(ctx, tx, keys[i], vals[i]); err != nil {
+			if err := kv.putTx(tx, keys[i], vals[i]); err != nil {
 				return err
 			}
 		}
@@ -778,25 +615,7 @@ func (kv *kvCore) Get(ctx context.Context, k string) ([]byte, error) {
 		return nil, err
 	}
 	if len(rids) == 0 {
-		if kv.serializable {
-			// A miss must be as repeatable as a hit. The key's own S lock
-			// (held above) only conflicts with writers of k itself AFTER
-			// they lock the key — but "k is absent" is a fact about the
-			// GAP, and the gap is guarded by its successor. Lock it like a
-			// one-key scan would, then re-check: the lock may have been
-			// awaited off-latch behind an in-flight writer whose outcome
-			// (e.g. a delete's rollback) can materialise k.
-			if err := kv.lockMissGap(ctx, id, k); err != nil {
-				return nil, conflictWrap(err)
-			}
-			rids, err = kv.idx.Search(kv.key(k))
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(rids) == 0 {
-			return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, k)
-		}
+		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, k)
 	}
 	meta, rest, err := kv.headVersion(rids[0])
 	if err != nil {
@@ -804,9 +623,7 @@ func (kv *kvCore) Get(ctx context.Context, k string) ([]byte, error) {
 	}
 	if meta.Tombstone() {
 		// A ghost entry: the key is deleted. The S lock held on the key
-		// itself already blocks a resurrection until we return, so no
-		// gap lock is needed for miss repeatability — the ghost IS the
-		// lockable record.
+		// blocks a resurrection until we return.
 		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, k)
 	}
 	_, v, err := decodeKV(rest)
@@ -846,198 +663,21 @@ func (kv *kvCore) Delete(ctx context.Context, k string) error {
 }
 
 // Scan returns up to n keys starting at (inclusive) the given key, in
-// order. Its guarantees follow the configured isolation level:
-//
-//   - read-committed (default): no key locks. The scan is
-//     non-transactional — keys of in-flight transactions may appear and
-//     later abort, keys inserted or deleted while the scan runs may or
-//     may not appear, records whose deferred removal lands mid-scan and
-//     index entries whose slot was already reused are skipped.
-//   - serializable: next-key locking. The scan S-locks each returned
-//     key plus the successor past the range end (end-of-index sentinel
-//     at the right edge), all held until the scan returns, and writers
-//     gap-lock the successor of every inserted/deleted key — the result
-//     is an atomic snapshot. Conflicting writers block the scan (and a
-//     deadlock surfaces as retryable ErrConflict).
+// order, read like ScanKeysSnapshot but at a fresh snapshot: one that
+// holds every write acknowledged before the call (it may wait for
+// commits in flight, never for a lock). The result is an atomic,
+// phantom-free cut that never blocks a writer and never returns
+// ErrConflict.
 func (kv *kvCore) Scan(ctx context.Context, from string, n int) ([]string, error) {
 	if err := kv.checkFailed(); err != nil {
 		return nil, err
 	}
-	if kv.serializable {
-		id := kv.txns.ReserveID()
-		defer kv.locks.ReleaseAll(id)
-		out, err := kv.scanKeysLocked(ctx, id, from, n)
-		if err != nil {
-			return nil, conflictWrap(err)
-		}
-		return out, nil
-	}
-	var out []string
-	err := kv.idx.Range(kv.key(from), nil, func(key []byte, rid access.RID) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if len(out) >= n {
-			return errStopScan
-		}
-		cell, err := kv.heap.Get(rid)
-		if err != nil {
-			if errors.Is(err, access.ErrNoSlot) {
-				return nil // vacuumed under the scan: skip
-			}
-			return err
-		}
-		meta, rest, err := access.DecodeVersion(cell)
-		if err != nil {
-			return err
-		}
-		if meta.Tombstone() {
-			return nil // deleted (possibly by an in-flight delete): skip
-		}
-		k, _, err := decodeKV(rest)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(kv.key(k), key) {
-			// The slot was purged and reused by another key between the
-			// index read and the heap read: the index entry we followed
-			// is gone. Skip it, exactly like the deleted-slot case.
-			return nil
-		}
-		out = append(out, k)
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopScan) {
+	snap, err := kv.oracle.SnapshotFresh(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// scanKeysLocked is the serializable scan body: a next-key-locked walk
-// whose S locks are taken under the covering leaf latch (conditionally
-// — TryAcquire never blocks a latch holder) and belong to owner when it
-// returns. The CALLER releases them: the public Scan drops them as the
-// scan completes (the scan is its own transaction), while a
-// transactional caller holds them to commit for full strict 2PL.
-//
-// When a conditional lock attempt fails — the entry is X-locked by an
-// in-flight writer — the leaf latch is dropped, the lock is awaited
-// off-latch, and the walk RESTARTS from just after the last returned
-// key: the blocker may have been an uncommitted delete whose rollback
-// restores a key inside the gap the scan was about to cross, so the
-// whole gap must be re-read once the outcome is decided. Keys already
-// returned are S-locked and therefore stable; restarts never revisit
-// them.
-func (kv *kvCore) scanKeysLocked(ctx context.Context, owner uint64, from string, n int) ([]string, error) {
-	var out []string
-	lo := kv.key(from)
-	skip, haveSkip := "", false // last returned key ("" is a legal key: flag, not sentinel)
-	for {
-		var pending string
-		err := kv.idx.RangeLatched(lo, func(key []byte, rid access.RID, eof bool) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if eof {
-				// Ran off the right edge: seal the range end with the
-				// end-of-index sentinel so a later append still conflicts.
-				if !kv.locks.TryAcquire(owner, kvEOFRes, txn.Shared) {
-					pending = kvEOFRes
-					return errGapBlocked
-				}
-				return errStopScan
-			}
-			k, err := decodeKeyBytes(key)
-			if err != nil {
-				return err
-			}
-			if haveSkip && k == skip {
-				return nil // restart cursor: already returned and locked
-			}
-			if !kv.locks.TryAcquire(owner, kvRes(k), txn.Shared) {
-				pending = kvRes(k)
-				return errGapBlocked
-			}
-			// Ghost check under the granted S lock (so the head is
-			// committed): a tombstone-headed entry is a deleted key.
-			// It is skipped but its lock is KEPT — the locked ghost
-			// seals its gap against resurrection exactly like a
-			// returned key's lock, so it does not count toward n.
-			meta, _, err := kv.headVersion(rid)
-			if err != nil {
-				if errors.Is(err, access.ErrNoSlot) {
-					return nil // vacuumed just before we locked it
-				}
-				return err
-			}
-			if meta.Tombstone() {
-				return nil
-			}
-			if len(out) >= n {
-				// The (n+1)th key: the next-key lock sealing the range
-				// end. Locked but not returned.
-				return errStopScan
-			}
-			out = append(out, k)
-			return nil
-		})
-		if errors.Is(err, errGapBlocked) {
-			if lerr := kv.locks.Acquire(ctx, owner, pending, txn.Shared); lerr != nil {
-				return nil, lerr
-			}
-			if len(out) > 0 {
-				lo, skip, haveSkip = kv.key(out[len(out)-1]), out[len(out)-1], true
-			} else {
-				lo, skip, haveSkip = kv.key(from), "", false
-			}
-			continue
-		}
-		if err != nil && !errors.Is(err, errStopScan) {
-			return nil, err
-		}
-		return out, nil
-	}
-}
-
-// lockMissGap seals a serializable Get of an ABSENT key: it S-locks
-// the miss position's successor (or the end-of-index sentinel when k
-// would sort past everything), exactly the next-key lock a one-key
-// scan starting at k would take. An insert of k must X-lock that same
-// successor for the instant of its insert, so the insert blocks until
-// this reader's locks drain — without this lock, two Gets of a missing
-// key in one serializable transaction could disagree. The lock is
-// taken conditionally under the leaf latch; on refusal the latch is
-// dropped, the lock awaited off-latch, and the probe retried, because
-// the successor may have changed while we waited (TryAcquire's
-// held-strongly fast path accepts the kept lock on the retry).
-func (kv *kvCore) lockMissGap(ctx context.Context, owner uint64, k string) error {
-	for {
-		var pending string
-		err := kv.idx.RangeLatched(kv.key(k), func(key []byte, _ access.RID, eof bool) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res, err := gapRes(key, eof)
-			if err != nil {
-				return err
-			}
-			if !kv.locks.TryAcquire(owner, res, txn.Shared) {
-				pending = res
-				return errGapBlocked
-			}
-			return errStopScan
-		})
-		if errors.Is(err, errGapBlocked) {
-			if lerr := kv.locks.Acquire(ctx, owner, pending, txn.Shared); lerr != nil {
-				return lerr
-			}
-			continue
-		}
-		if err != nil && !errors.Is(err, errStopScan) {
-			return err
-		}
-		return nil
-	}
+	defer snap.Close()
+	return kv.scanKeysSnapshotAt(ctx, from, n, snap.ReadTS)
 }
 
 // Len returns the number of live keys: index entries minus committed

@@ -19,8 +19,9 @@ import (
 type KVClass uint8
 
 const (
-	// KVLockingRead reads the latest committed state under key locks:
-	// only a shard leader serves it.
+	// KVLockingRead reads the leader's latest committed state: get
+	// under its key lock, scan at a fresh snapshot, len from the live
+	// count. Only a shard leader serves it.
 	KVLockingRead KVClass = iota
 	// KVWrite mutates: leader only, inside the leader's bootstrap write gate.
 	KVWrite
@@ -91,8 +92,8 @@ func (r KVLenRequest) epoch() uint64   { return r.Epoch }
 
 // KVBackend is what the operations run against: the native core, a
 // further service hop (KVClient) or a follower's ReplicaReader. The
-// context bounds lock waits inside the engine (per-key 2PL, next-key
-// locks at serializable isolation) as well as service hops.
+// context bounds lock waits inside the engine (per-key 2PL) as well as
+// service hops.
 type KVBackend interface {
 	Put(ctx context.Context, k string, v []byte) error
 	PutBatch(ctx context.Context, keys []string, vals [][]byte) error
@@ -181,10 +182,12 @@ func (o KVOpOf[Req, Rep]) Invoke(ctx context.Context, inv core.Invoker, req Req)
 	return o.Reply(inv.Invoke(ctx, o.Name, req))
 }
 
-// Scan honours the engine's ScanIsolation (atomic and phantom-free at
-// serializable, best-effort at read-committed); the snapshot reads take
-// no key locks at any level. Import sorts the batch and loads it as one
-// transaction at one commit timestamp, bottom-up into an empty store.
+// Scan and scanSnapshot both return an atomic, phantom-free MVCC cut
+// read without key locks. Scan's cut holds every write acknowledged
+// before the call and is the leader's; scanSnapshot's is the newest
+// stable one, which a follower may serve. Import sorts the batch and
+// loads it as one transaction at one commit timestamp, bottom-up into
+// an empty store.
 var (
 	KVGet = defKVOp("get", "sbdms.KVKeyRequest", "[]byte", KVLockingRead, KVByKey,
 		func(ctx context.Context, b KVBackend, r KVKeyRequest) ([]byte, error) { return b.Get(ctx, r.Key) })

@@ -123,6 +123,7 @@ func kvScript(t *testing.T, kv sbdms.KVBackend, settle func()) []string {
 	say("put: %s", errClass(kv.Put(ctx, key(10), []byte("ten"))))
 	say("put overwrite: %s", errClass(kv.Put(ctx, key(0), []byte("replaced"))))
 	say("put empty value: %s", errClass(kv.Put(ctx, key(13), nil)))
+	say("put empty key: %s", errClass(kv.Put(ctx, "", []byte("empty"))))
 	say("putBatch: %s", errClass(kv.PutBatch(ctx, []string{key(11), key(12)}, [][]byte{[]byte("eleven"), []byte("twelve")})))
 	say("putBatch mismatch: %s", errClass(kv.PutBatch(ctx, []string{"x", "y"}, [][]byte{[]byte("1")})))
 	say("delete: %s", errClass(kv.Delete(ctx, key(1))))
@@ -133,6 +134,12 @@ func kvScript(t *testing.T, kv sbdms.KVBackend, settle func()) []string {
 	}
 	scan, err := kv.Scan(ctx, key(3), 4)
 	say("scan: %v %s", scan, errClass(err))
+	// "" is a legal key and sorts first: a scan from "" returns it.
+	scan, err = kv.Scan(ctx, "", 2)
+	say("scan from empty key: %q %s", scan, errClass(err))
+	if err == nil && (len(scan) != 2 || scan[0] != "" || scan[1] != key(0)) {
+		t.Errorf("scan from \"\" = %q, want [\"\" %q]", scan, key(0))
+	}
 	n, err := kv.Len(ctx)
 	say("len: %d %s", n, errClass(err))
 

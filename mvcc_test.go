@@ -16,10 +16,10 @@ import (
 
 // TestMVCCSnapshotIgnoresUncommitted: a snapshot read resolves a key's
 // version chain past a concurrent transaction's uncommitted version to
-// the newest committed one, and does not see uncommitted inserts at
-// all — without blocking on the writer's lock.
+// the newest committed one, and neither a point read nor a scan sees
+// uncommitted inserts — without blocking on the writer's locks.
 func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
+	db := openIsoDB(t)
 	defer db.Close(context.Background())
 	ctx := context.Background()
 
@@ -36,10 +36,10 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 	if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("fresh"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.putTx(ctx, tx, "k", []byte("v2")); err != nil {
+	if err := db.kv.putTx(tx, "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.putTx(ctx, tx, "fresh", []byte("new")); err != nil {
+	if err := db.kv.putTx(tx, "fresh", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,6 +53,9 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 		}
 		if _, err := db.GetSnapshot(ctx, "fresh"); !IsKeyNotFound(err) {
 			t.Errorf("GetSnapshot of uncommitted insert: %v, want not-found", err)
+		}
+		if keys, err := db.ScanKeys(ctx, "", 10); err != nil || len(keys) != 1 || keys[0] != "k" {
+			t.Errorf("ScanKeys under uncommitted insert = %q, %v; want [k]", keys, err)
 		}
 	}()
 	select {
@@ -76,7 +79,7 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 // snapshot hides the key; versions below the tombstone stay readable
 // for older snapshots until vacuumed.
 func TestMVCCSnapshotTombstone(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
+	db := openIsoDB(t)
 	defer db.Close(context.Background())
 
 	if err := db.Put(ctx, "gone", []byte("was-here")); err != nil {
@@ -103,21 +106,50 @@ func TestMVCCSnapshotTombstone(t *testing.T) {
 	}
 }
 
-// TestMVCCSnapshotConsistentCut: a snapshot scan must see an atomic
-// batch entirely or not at all, even while batches commit under it.
-// This is the same workload whose read-committed scan provably tears
-// (TestIsolationTornBatchReadCommitted) — the snapshot path must stay
-// clean WITHOUT next-key locks, at read-committed configuration.
+// TestMVCCSnapshotConsistentCut: a scan must see an atomic batch
+// entirely or not at all, even while batches commit under it, and
+// without blocking on the batch's key locks. Both scan entry points read
+// one MVCC snapshot: ScanKeysSnapshot, and ScanKeys, the scan of the
+// kvops table, `sbdmsctl scan` and the cluster router.
 func TestMVCCSnapshotConsistentCut(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
-	defer db.Close(context.Background())
+	for _, sc := range []struct {
+		name string
+		scan func(db *DB, from string, n int) ([]string, error)
+	}{
+		{"ScanKeysSnapshot", func(db *DB, from string, n int) ([]string, error) { return db.ScanKeysSnapshot(ctx, from, n) }},
+		{"ScanKeys", func(db *DB, from string, n int) ([]string, error) { return db.ScanKeys(ctx, from, n) }},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			db := openIsoDB(t)
+			defer db.Close(context.Background())
+			torn, landed := runTornBatchRounds(t, db, func(from string, n int) ([]string, error) {
+				return sc.scan(db, from, n)
+			})
+			if torn > 0 {
+				t.Fatalf("%d snapshot scans saw half an atomic batch", torn)
+			}
+			if landed == 0 {
+				t.Log("no scan landed inside an in-flight batch; consistency not exercised this run")
+			}
+		})
+	}
+}
 
+// runTornBatchRounds drives atomic PutBatches — each one's first and
+// last keys at opposite ends of a filler range, with 30 keys between, so
+// a batch takes long enough for a scan to land inside it — against a
+// full-range scanner. A scan that reports one endpoint of a batch but
+// not the other has read a state no serial execution produces, and the
+// scan begun after PutBatch returned must list the batch. It returns
+// the torn scans and the scans that saw an in-flight batch cleanly
+// absent.
+func runTornBatchRounds(t *testing.T, db *DB, scan func(from string, n int) ([]string, error)) (torn, landed int) {
+	t.Helper()
 	for i := 0; i < 100; i++ {
 		if err := db.Put(ctx, fmt.Sprintf("sn-m-%04d", i), []byte("filler")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	torn, landed := 0, 0
 	for r := 0; r < 200 && landed < 25; r++ {
 		lo := fmt.Sprintf("sn-a-%06d", r)
 		hi := fmt.Sprintf("sn-z-%06d", r)
@@ -143,7 +175,7 @@ func TestMVCCSnapshotConsistentCut(t *testing.T) {
 				scanning = false
 			default:
 			}
-			got, err := db.ScanKeysSnapshot(ctx, "sn-", 100000)
+			got, err := scan("sn-", 100000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,18 +188,74 @@ func TestMVCCSnapshotConsistentCut(t *testing.T) {
 					sawHi = true
 				}
 			}
-			if sawLo != sawHi {
+			switch {
+			case sawLo != sawHi:
 				torn++
-			} else if !sawLo {
+			case !sawLo && !scanning:
+				t.Errorf("round %d: a scan begun after PutBatch returned missed the batch", r)
+			case !sawLo:
 				landed++ // scanned while the batch was still in flight
 			}
 		}
 	}
-	if torn > 0 {
-		t.Fatalf("%d snapshot scans saw half an atomic batch", torn)
+	return torn, landed
+}
+
+// TestMVCCScanHoldsAckedWrites: a commit can be acknowledged while a
+// commit holding an older timestamp is still in flight, and the
+// snapshot frontier trails that older one. ScanKeys must still list
+// the acknowledged write. Its context bounds the wait, and if the
+// engine goes offline with the older commit in doubt, a scan waiting
+// for it fails instead of hanging.
+func TestMVCCScanHoldsAckedWrites(t *testing.T) {
+	db := openIsoDB(t)
+	defer db.Close(context.Background())
+	scan := func() <-chan error {
+		res := make(chan error, 1)
+		go func() {
+			keys, err := db.ScanKeys(ctx, "", 10)
+			if err == nil && (len(keys) != 1 || keys[0] != "acked") {
+				err = fmt.Errorf("ScanKeys = %q, want [acked]", keys)
+			}
+			res <- err
+		}()
+		return res
 	}
-	if landed == 0 {
-		t.Log("no scan landed inside an in-flight batch; consistency not exercised this run")
+	wait := func(res <-chan error) error {
+		select {
+		case err := <-res:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("ScanKeys never returned")
+			return nil
+		}
+	}
+
+	inflight := db.kv.oracle.AllocateCommitTS() // an older commit still forcing its log
+	if err := db.Put(ctx, "acked", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	res := scan()
+	time.Sleep(20 * time.Millisecond)
+	db.kv.oracle.Complete(inflight)
+	if err := wait(res); err != nil {
+		t.Fatal(err)
+	}
+
+	inflight = db.kv.oracle.AllocateCommitTS()
+	if err := db.Put(ctx, "acked", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, err := db.ScanKeys(short, "", 10); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ScanKeys behind an in-flight commit under a 20ms context: %v, want deadline exceeded", err)
+	}
+	res = scan()
+	time.Sleep(20 * time.Millisecond)
+	db.kv.poison(errors.New("commit left in doubt"))
+	if err := wait(res); err == nil {
+		t.Fatal("ScanKeys succeeded while an older commit was left in doubt")
 	}
 }
 
@@ -178,7 +266,7 @@ func TestMVCCSnapshotConsistentCut(t *testing.T) {
 // keys in opposite orders still deadlock, and the victim aborts with a
 // retryable conflict while the survivor commits.
 func TestMVCCWriteWriteConflictAborts(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
+	db := openIsoDB(t)
 	defer db.Close(context.Background())
 	ctx := context.Background()
 
@@ -227,7 +315,7 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 	if second := <-results; second.err != nil {
 		t.Fatalf("survivor's lock wait failed: %v", second.err)
 	}
-	if err := db.kv.putTx(ctx, survivor, sk, []byte("v1")); err != nil {
+	if err := db.kv.putTx(survivor, sk, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.kv.txns.Commit(survivor); err != nil {
@@ -246,7 +334,7 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 // heap slot count equals live key count afterwards, and reads are
 // unaffected.
 func TestMVCCVacuumReclaims(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
+	db := openIsoDB(t)
 	defer db.Close(context.Background())
 
 	const keys = 40
@@ -318,7 +406,7 @@ func TestMVCCVacuumReclaims(t *testing.T) {
 // versions readable; after the snapshot closes, a second pass reclaims
 // them.
 func TestMVCCVacuumRespectsHorizon(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
+	db := openIsoDB(t)
 	defer db.Close(context.Background())
 
 	if err := db.Put(ctx, "pin", []byte("old")); err != nil {
@@ -384,7 +472,7 @@ func TestMVCCVacuumRespectsHorizon(t *testing.T) {
 // half an atomic pair; snapshot gets must always return a value some
 // commit actually wrote; the engine must end consistent.
 func TestMVCCStressSnapshotVacuum(t *testing.T) {
-	db := openIsoDB(t, ReadCommitted)
+	db := openIsoDB(t)
 	defer db.Close(context.Background())
 
 	const (

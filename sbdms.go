@@ -50,14 +50,6 @@ type Options struct {
 	// Once the recovery-begin LSN passes a segment's end, the segment
 	// file is deleted.
 	WALSegmentBytes int
-	// ScanIsolation selects the isolation level of KV range scans
-	// (default ReadCommitted, the historical behaviour). Serializable
-	// turns on next-key locking: scans become atomic snapshots —
-	// phantom-free — and writers take gap locks on the successor of
-	// every inserted or deleted key. The knob applies at every service
-	// granularity: the scan path of the KV/record services reaches the
-	// same native core.
-	ScanIsolation ScanIsolation
 	// Granularity selects the service decomposition (default Layered).
 	Granularity Granularity
 	// BufferFrames sizes the buffer pool (default 256).
@@ -104,11 +96,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.Device == nil {
 		opts.Device = storage.NewMemDevice()
 	}
-	iso, err := normalizeIsolation(opts.ScanIsolation)
-	if err != nil {
-		return nil, err
-	}
-	opts.ScanIsolation = iso
 	ctx := context.Background()
 
 	db := &DB{opts: opts}
@@ -203,7 +190,7 @@ func Open(opts Options) (*DB, error) {
 	// The KV index recounts its entries unless the previous shutdown
 	// was provably clean (SyncMeta's clean flag) AND recovery repaired
 	// nothing.
-	db.kv, err = newKVCore(fm, db.pool, db.txns, db.log, "__kv__", recovered.Changed(), opts.ScanIsolation)
+	db.kv, err = newKVCore(fm, db.pool, db.txns, db.log, "__kv__", recovered.Changed())
 	if err != nil {
 		return nil, err
 	}
@@ -385,12 +372,13 @@ func (db *DB) DeleteKey(ctx context.Context, key string) error {
 	return db.kvPath.Delete(ctx, key)
 }
 
-// ScanKeys returns up to n keys from key onward, at the isolation
-// level Options.ScanIsolation selected: read-committed scans are
-// lock-free best-effort views; serializable scans are next-key-locked
-// atomic snapshots that block behind conflicting writers (ctx bounds
-// the wait) and may return ErrConflict (retryable) when chosen as a
-// deadlock victim.
+// ScanKeys returns up to n keys from key onward as of one consistent
+// MVCC snapshot that holds every write acknowledged before the call:
+// the scan takes no key locks, never blocks writers, and never returns
+// ErrConflict. It may wait for commits in flight (ctx bounds the wait).
+// It is the scan row of the KV table, leader-only in a cluster;
+// ScanKeysSnapshot reads the newest stable cut without waiting, as a
+// snapshot-class row a follower may serve.
 func (db *DB) ScanKeys(ctx context.Context, key string, n int) ([]string, error) {
 	return db.kvPath.Scan(ctx, key, n)
 }
@@ -404,9 +392,8 @@ func (db *DB) GetSnapshot(ctx context.Context, key string) ([]byte, error) {
 }
 
 // ScanKeysSnapshot returns up to n keys from key onward as of one
-// consistent MVCC snapshot, regardless of Options.ScanIsolation: the
-// scan takes no key locks, never blocks behind writers, and never
-// returns ErrConflict.
+// consistent MVCC snapshot: the scan takes no key locks, never blocks
+// behind writers, and never returns ErrConflict.
 func (db *DB) ScanKeysSnapshot(ctx context.Context, key string, n int) ([]string, error) {
 	return db.kvPath.ScanKeysSnapshot(ctx, key, n)
 }
