@@ -23,6 +23,7 @@ import (
 
 	sbdms "repro"
 	"repro/internal/cluster"
+	"repro/internal/index"
 	"repro/internal/netbind"
 	"repro/internal/storage"
 	"repro/internal/vacuum"
@@ -68,14 +69,15 @@ func main() {
 	}
 }
 
-// oldFormatHint is the way out of wal.ErrFormat: there is one log
-// record format and no migration.
-const oldFormatHint = "this store's log was written by an older sbdms: dump its keys with the build that wrote it and reload them into a fresh -data/-wal-dir with `sbdms -import`"
+// oldFormatHint is the way out of wal.ErrFormat and index.ErrFormat:
+// there is one log record format, one B+tree page format and no
+// migration.
+const oldFormatHint = "this store was written by an older sbdms: dump its keys with the build that wrote it and reload them into a fresh -data/-wal-dir with `sbdms -import`"
 
 // fail reports err — and, where there is one, the way out — and exits.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "sbdms:", err)
-	if errors.Is(err, wal.ErrFormat) {
+	if errors.Is(err, wal.ErrFormat) || errors.Is(err, index.ErrFormat) {
 		fmt.Fprintln(os.Stderr, "sbdms:", oldFormatHint)
 	}
 	os.Exit(1)

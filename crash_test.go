@@ -105,7 +105,7 @@ func verifyRecovered(t *testing.T, dataDev storage.Device, logDir wal.SegmentDir
 	if got, want := uint64(len(keys)), kvLen(t, db); got != want {
 		t.Fatalf("post-recovery scan saw %d keys, want %d", got, want)
 	}
-	if got := db.kv.locks.Locked(); got != 0 {
+	if got := db.kv.txns.Locks().Locked(); got != 0 {
 		t.Fatalf("lock table not drained after recovery checks: %d resources still locked", got)
 	}
 }
@@ -286,7 +286,7 @@ func TestKVCrashRecoveryLoserWithoutBeginRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"kept-07", "loser-fresh-a", "kept-23", "loser-fresh-b"} {
-		if err := db.kv.locks.Acquire(ctx, loser.ID(), kvRes(k), txn.Exclusive); err != nil {
+		if err := loser.Lock(ctx, kvRes(k), txn.Exclusive); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.kv.putTx(loser, k, []byte("never committed")); err != nil {

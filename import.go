@@ -17,8 +17,9 @@ package sbdms
 // to every snapshot) until the commit record — which embeds it, via
 // Txn.SetCommitTS, so recovery reseeds the oracle's clock above it — is
 // durable. The cost is that the oracle's visibility frontier trails at
-// ts-1 for the import's duration: concurrent commits stay durably
-// committed but snapshot-invisible until the import completes.
+// ts-1 for the import's duration: concurrent commits are durable but
+// not acknowledged until the import completes, because a commit is
+// acknowledged only once every older timestamp has completed.
 //
 // The fast path requires an EMPTY tree (checked once cheaply up front
 // and again under the meta latch at install). A non-empty tree — or a
@@ -218,5 +219,5 @@ func (kv *kvCore) importFast(ctx context.Context, b *ingest.Batch) (installed bo
 		return false, kv.poison(fmt.Errorf("sbdms: kv engine offline after failed import commit: %w", err))
 	}
 	kv.oracle.Complete(ts)
-	return true, nil
+	return true, kv.oracle.WaitVisible(ts)
 }

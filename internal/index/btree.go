@@ -51,7 +51,8 @@ import (
 var (
 	// ErrDuplicateKey is returned by unique indexes on key collision.
 	ErrDuplicateKey = errors.New("index: duplicate key")
-	// ErrCorrupt is returned when a node page fails to parse.
+	// ErrCorrupt is returned when a node page's header, or a slot or
+	// length an operation reads, fails its bounds check.
 	ErrCorrupt = errors.New("index: corrupt node")
 	// ErrKeyTooLarge is returned for keys exceeding MaxKeySize; the
 	// bound is what lets crabbing writers prove an ancestor can absorb
@@ -59,7 +60,28 @@ var (
 	ErrKeyTooLarge = errors.New("index: key too large")
 )
 
-const indexMagic = 0x5342444d53425431 // "SBDMSBT1"
+// ErrFormat is returned when a tree's metadata page carries the magic of
+// the packed node format of earlier builds. There is one node format and
+// no migration: the store has to be reloaded (sbdms -import) into a
+// fresh one.
+var ErrFormat = &wal.CodedError{Code: 1102, Msg: "B+tree written in an older node page format"}
+
+const (
+	indexMagic   = 0x5342444d53425432 // "SBDMSBT2": slot-directory nodes
+	indexMagicV1 = 0x5342444d53425431 // "SBDMSBT1": packed nodes
+)
+
+// checkMagic reports whether the metadata payload pl of page id belongs
+// to a tree in this build's format.
+func checkMagic(pl []byte, id storage.PageID) error {
+	switch binary.LittleEndian.Uint64(pl) {
+	case indexMagic:
+		return nil
+	case indexMagicV1:
+		return fmt.Errorf("%w: meta page %d", ErrFormat, id)
+	}
+	return fmt.Errorf("%w: bad meta magic on page %d", ErrCorrupt, id)
+}
 
 // MaxKeySize bounds the composite key length (user key escaped +
 // terminator + RID suffix). With 4 KiB pages this keeps internal-node
@@ -146,8 +168,8 @@ func Open(pool *buffer.Manager, metaID storage.PageID) (*BTree, error) {
 	}
 	defer pool.UnpinLatched(metaID, false, false)
 	pl := f.Page().Payload()
-	if binary.LittleEndian.Uint64(pl) != indexMagic {
-		return nil, fmt.Errorf("%w: bad meta magic on page %d", ErrCorrupt, metaID)
+	if err := checkMagic(pl, metaID); err != nil {
+		return nil, err
 	}
 	t := &BTree{
 		pool:   pool,
@@ -333,219 +355,6 @@ func keyPrefixBounds(key []byte) (lo, hi []byte) {
 	return buf[:n:n], buf[n:]
 }
 
-// --- node pages ---------------------------------------------------------
-
-// maxNodeEntries bounds the entries of one node page: the smallest entry
-// is a 2-byte length prefix plus the 12-byte terminator-and-RID suffix
-// every composite key ends in.
-const maxNodeEntries = storage.PayloadSize / 14
-
-// view is the one representation of a latched node page, whose payload
-// is (leaf sibling links use the page header next/prev fields):
-//
-//	leaf:     u8 1 | u16 n | n * (u16 len | composite key)
-//	internal: u8 0 | u16 n | u64 child0 | n * (u16 len | key | u64 child)
-//
-// parse makes one bounds-checked pass over the length prefixes and
-// records where each key starts; keys and child ids are then slices and
-// loads of the frame itself, never copies. format, insert, remove,
-// appendFrom, truncate and repoint edit the page in place and keep the
-// view in step; on a latched frame they run only inside BTree.write's
-// logged mutation. The array is fixed-size so a view lives on its
-// caller's stack: a latch costs no heap allocation.
-type view struct {
-	pl         []byte
-	leaf       bool
-	n          int // entries
-	end        int // payload bytes in use
-	next, prev storage.PageID
-	off        [maxNodeEntries]uint16 // off[i]: first byte of key i
-}
-
-// format lays out an empty node on p, without sibling links, and points
-// v at it.
-func (v *view) format(p *storage.Page, leaf bool, child0 storage.PageID) {
-	p.SetType(storage.PageTypeIndex)
-	p.SetNext(storage.InvalidPageID)
-	p.SetPrev(storage.InvalidPageID)
-	pl := p.Payload()
-	pl[0], v.end = 1, 3
-	if !leaf {
-		pl[0], v.end = 0, 11
-		binary.LittleEndian.PutUint64(pl[3:], uint64(child0))
-	}
-	v.pl, v.leaf, v.next, v.prev = pl, leaf, storage.InvalidPageID, storage.InvalidPageID
-	v.setCount(0, v.end)
-}
-
-// setCount records n entries ending at payload offset end.
-func (v *view) setCount(n, end int) {
-	v.n, v.end = n, end
-	binary.LittleEndian.PutUint16(v.pl[1:], uint16(n))
-}
-
-// start returns the offset of entry i's length prefix (v.end for i == n).
-func (v *view) start(i int) int {
-	if i == v.n {
-		return v.end
-	}
-	return int(v.off[i]) - 2
-}
-
-// width returns the payload bytes of an entry with a klen-byte key.
-func (v *view) width(klen int) int {
-	if v.leaf {
-		return 2 + klen
-	}
-	return 2 + klen + 8
-}
-
-// insert writes ck (with child, its right-hand child id, in an internal
-// node) as entry i, shifting the entries from i up. An entry that would
-// overflow the payload is ErrCorrupt, and nothing is written.
-func (v *view) insert(i int, ck []byte, child storage.PageID) error {
-	w := v.width(len(ck))
-	if v.end+w > len(v.pl) || v.n == maxNodeEntries {
-		return fmt.Errorf("%w: node overflow (%d bytes)", ErrCorrupt, v.end+w)
-	}
-	at := v.start(i)
-	copy(v.pl[at+w:], v.pl[at:v.end])
-	binary.LittleEndian.PutUint16(v.pl[at:], uint16(len(ck)))
-	copy(v.pl[at+2:], ck)
-	if !v.leaf {
-		binary.LittleEndian.PutUint64(v.pl[at+2+len(ck):], uint64(child))
-	}
-	for j := v.n; j > i; j-- {
-		v.off[j] = v.off[j-1] + uint16(w)
-	}
-	v.off[i] = uint16(at + 2)
-	v.setCount(v.n+1, v.end+w)
-	return nil
-}
-
-// remove deletes entry i (with its right-hand child), closing the gap.
-func (v *view) remove(i int) {
-	at, w := v.start(i), v.width(len(v.key(i)))
-	copy(v.pl[at:], v.pl[at+w:v.end])
-	for j := i; j < v.n-1; j++ {
-		v.off[j] = v.off[j+1] - uint16(w)
-	}
-	v.setCount(v.n-1, v.end-w)
-}
-
-// appendFrom appends entries [i, src.n) of src, a node of the same kind,
-// in one copy of their bytes.
-func (v *view) appendFrom(src *view, i int) {
-	s := src.start(i)
-	for j := i; j < src.n; j++ {
-		v.off[v.n+j-i] = uint16(int(src.off[j]) - s + v.end)
-	}
-	copy(v.pl[v.end:], src.pl[s:src.end])
-	v.setCount(v.n+src.n-i, v.end+src.end-s)
-}
-
-// truncate drops the entries from i up; their bytes stay past the end.
-func (v *view) truncate(i int) { v.setCount(i, v.start(i)) }
-
-// repoint overwrites entry i's fixed-width RID suffix with rid.
-func (v *view) repoint(i int, rid access.RID) {
-	k := v.key(i)
-	binary.BigEndian.PutUint64(k[len(k)-10:], uint64(rid.Page))
-	binary.BigEndian.PutUint16(k[len(k)-2:], rid.Slot)
-}
-
-// parse reads p's layout into v. A count above maxNodeEntries or a
-// length that runs past the payload is ErrCorrupt.
-func (v *view) parse(p *storage.Page) error {
-	pl := p.Payload()
-	v.pl, v.leaf, v.n = pl, pl[0] == 1, 0
-	v.next, v.prev = p.Next(), p.Prev()
-	cnt := int(binary.LittleEndian.Uint16(pl[1:]))
-	if cnt > maxNodeEntries {
-		return fmt.Errorf("%w: page %d holds %d entries", ErrCorrupt, p.ID, cnt)
-	}
-	off := 3
-	if !v.leaf {
-		off += 8
-	}
-	for i := 0; i < cnt; i++ {
-		if off+2 > len(pl) {
-			return fmt.Errorf("%w: page %d truncated", ErrCorrupt, p.ID)
-		}
-		klen := int(binary.LittleEndian.Uint16(pl[off:]))
-		off += 2
-		if off+klen > len(pl) {
-			return fmt.Errorf("%w: page %d truncated key", ErrCorrupt, p.ID)
-		}
-		v.off[i] = uint16(off)
-		off += klen
-		if !v.leaf {
-			if off+8 > len(pl) {
-				return fmt.Errorf("%w: page %d truncated child", ErrCorrupt, p.ID)
-			}
-			off += 8
-		}
-	}
-	v.n, v.end = cnt, off
-	return nil
-}
-
-// key returns entry i's key as a capped slice of the frame: valid only
-// while the latch is held, and written through only by an edit.
-func (v *view) key(i int) []byte {
-	o := int(v.off[i])
-	e := o + int(binary.LittleEndian.Uint16(v.pl[o-2:]))
-	return v.pl[o:e:e]
-}
-
-// child returns the id of child i of an internal node (0 <= i <= n).
-func (v *view) child(i int) storage.PageID {
-	o := 3
-	if i > 0 {
-		k := v.key(i - 1)
-		o = int(v.off[i-1]) + len(k)
-	}
-	return storage.PageID(binary.LittleEndian.Uint64(v.pl[o:]))
-}
-
-// search returns the first position whose key is >= ck, or > ck when
-// after is set.
-func (v *view) search(ck []byte, after bool) int {
-	lo, hi := 0, v.n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c := bytes.Compare(v.key(m), ck); c < 0 || (after && c == 0) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// lowerBound returns the position ck has, or would be inserted at.
-func (v *view) lowerBound(ck []byte) int { return v.search(ck, false) }
-
-// childIndex returns the index of the child whose subtree covers ck.
-func (v *view) childIndex(ck []byte) int { return v.search(ck, true) }
-
-// has reports whether the entry at pos is exactly ck.
-func (v *view) has(pos int, ck []byte) bool {
-	return pos < v.n && bytes.Equal(v.key(pos), ck)
-}
-
-// children copies out an internal node's child ids (nil for a leaf).
-func (v *view) children() []storage.PageID {
-	if v.leaf {
-		return nil
-	}
-	ids := make([]storage.PageID, v.n+1)
-	for i := range ids {
-		ids[i] = v.child(i)
-	}
-	return ids
-}
-
 // --- latched node references -------------------------------------------
 
 // nref is one latched node and its view. Readers and writers keep nrefs
@@ -617,9 +426,9 @@ func (t *BTree) metaLatch(excl bool) (*buffer.Frame, storage.PageID, error) {
 		return nil, 0, err
 	}
 	pl := f.Page().Payload()
-	if binary.LittleEndian.Uint64(pl) != indexMagic {
+	if err := checkMagic(pl, t.metaID); err != nil {
 		_ = t.pool.UnpinLatched(t.metaID, excl, false)
-		return nil, 0, fmt.Errorf("%w: bad meta magic on page %d", ErrCorrupt, t.metaID)
+		return nil, 0, err
 	}
 	return f, storage.PageID(binary.LittleEndian.Uint64(pl[8:])), nil
 }
@@ -644,20 +453,28 @@ func (t *BTree) descendToLeaf(leaf *nref, ck []byte) error {
 		return err
 	}
 	for !cur.v.leaf {
-		i := 0
-		if ck != nil {
-			i = cur.v.childIndex(ck)
-		}
-		child := other(&pair, cur)
-		err := t.latch(child, cur.v.child(i), false)
-		t.unlatch(cur)
-		if err != nil {
+		if cur, err = t.crab(&pair, cur, ck); err != nil {
 			return err
 		}
-		cur = child
 	}
 	*leaf = *cur
 	return nil
+}
+
+// crab latches shared, into the slot of pair that cur does not occupy,
+// the child of cur whose subtree covers ck (the leftmost for nil), then
+// releases cur. On error both are released.
+func (t *BTree) crab(pair *[2]nref, cur *nref, ck []byte) (*nref, error) {
+	_, id, err := cur.v.route(ck)
+	child := other(pair, cur)
+	if err == nil {
+		err = t.latch(child, id, false)
+	}
+	t.unlatch(cur)
+	if err != nil {
+		return nil, err
+	}
+	return child, nil
 }
 
 // --- system transactions for structure modifications -------------------
@@ -700,24 +517,6 @@ func (t *BTree) newNodeLatched(stx access.TxnContext, leaf bool) (*nref, error) 
 		return nil, err
 	}
 	return r, nil
-}
-
-// --- safety bounds ------------------------------------------------------
-
-// safeForLeaf reports whether a leaf using used payload bytes can take
-// ck without overflowing.
-func safeForLeaf(used int, ck []byte) bool {
-	return used+2+len(ck) <= storage.PayloadSize
-}
-
-// safeFor reports whether the node can absorb an insert of ck: a leaf
-// the key itself, an internal node any separator a child split could
-// push into it (separator length is bounded by MaxKeySize).
-func (v *view) safeFor(ck []byte) bool {
-	if v.leaf {
-		return safeForLeaf(v.end, ck)
-	}
-	return v.end+2+MaxKeySize+8 <= storage.PayloadSize
 }
 
 // --- operations ---------------------------------------------------------
@@ -799,14 +598,10 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 	for !cur.v.leaf {
 		slot := t.versSlot(cur.id)
 		v := slot.Load()
-		child := other(&pair, cur)
-		err := t.latch(child, cur.v.child(cur.v.childIndex(ck)), false)
-		t.unlatch(cur)
-		if err != nil {
+		if cur, err = t.crab(&pair, cur, ck); err != nil {
 			return false, false, err
 		}
 		pSlot, pv = slot, v
-		cur = child
 	}
 	leaf := cur
 	t.unlatch(leaf)
@@ -818,17 +613,8 @@ func (t *BTree) insertOptimistic(tx access.TxnContext, key []byte, rid access.RI
 		t.fallbacks.Add(1)
 		return false, true, nil
 	}
-	pos := leaf.v.lowerBound(ck)
-	if leaf.v.has(pos, ck) {
-		t.unlatch(leaf)
-		return false, false, nil // exact duplicate (same key+rid): no-op
-	}
-	err = t.insertAt(tx, leaf, pos, key, rid, ck)
-	t.unlatch(leaf)
-	if err != nil {
-		return false, false, err
-	}
-	return true, false, nil
+	inserted, err = t.insertLeaf(tx, leaf, key, rid, ck)
+	return inserted, false, err
 }
 
 // insertAttempt runs one exclusive crab descent. done=false means a
@@ -860,16 +646,19 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 	t.metaUnlatch(false, false)
 
 	for !cur.v.leaf {
-		i := cur.v.childIndex(ck)
+		i, id, err := cur.v.route(ck)
 		child := other(&pair, cur)
-		if err := t.latch(child, cur.v.child(i), true); err != nil {
+		if err == nil {
+			err = t.latch(child, id, true)
+		}
+		if err != nil {
 			t.unlatch(cur)
 			return false, false, err
 		}
 		if !child.v.safeFor(ck) {
 			// Preemptive split: cur is safe (invariant), so it can
 			// absorb the separator without propagating further up.
-			right, sep, err := t.splitChild(cur, child, i)
+			right, sep, err := t.splitChild(cur, child, i, ck)
 			if err != nil {
 				t.unlatch(child)
 				t.unlatch(cur)
@@ -886,25 +675,23 @@ func (t *BTree) insertAttempt(tx access.TxnContext, key []byte, rid access.RID, 
 		cur = child
 	}
 
-	pos := cur.v.lowerBound(ck)
-	if cur.v.has(pos, ck) {
-		t.unlatch(cur)
-		return true, false, nil // exact duplicate (same key+rid): no-op
-	}
-	err = t.insertAt(tx, cur, pos, key, rid, ck)
-	t.unlatch(cur)
-	if err != nil {
-		return false, false, err
-	}
-	return true, true, nil
+	inserted, err = t.insertLeaf(tx, cur, key, rid, ck)
+	return err == nil, inserted, err
 }
 
-// insertAt puts ck at position pos of the X-latched leaf r, logged under
-// tx with the logical undo that deletes (key, rid) again.
-func (t *BTree) insertAt(tx access.TxnContext, r *nref, pos int, key []byte, rid access.RID, ck []byte) error {
-	return t.write(tx, r, func() []byte { return undoIndexInsert(t.metaID, key, rid) }, func(*storage.Page) error {
+// insertLeaf puts ck into the X-latched leaf r, logged under tx with the
+// logical undo that deletes (key, rid) again, and releases r. An exact
+// duplicate (same key and rid) is a no-op: inserted is false.
+func (t *BTree) insertLeaf(tx access.TxnContext, r *nref, key []byte, rid access.RID, ck []byte) (inserted bool, err error) {
+	defer t.unlatch(r)
+	pos, dup, err := r.v.find(ck)
+	if err != nil || dup {
+		return false, err
+	}
+	err = t.write(tx, r, func() []byte { return undoIndexInsert(t.metaID, key, rid) }, func(*storage.Page) error {
 		return r.v.insert(pos, ck, storage.InvalidPageID)
 	})
+	return err == nil, err
 }
 
 // splitChild splits child (latched exclusively) into (child, right),
@@ -915,12 +702,12 @@ func (t *BTree) insertAt(tx access.TxnContext, r *nref, pos int, key []byte, rid
 // outcome enter the log while no other transaction can touch the
 // pages, which is what makes its physical undo sound (the manager's
 // held-latches abort writes the before images back directly).
-func (t *BTree) splitChild(parent, child *nref, i int) (*nref, []byte, error) {
+func (t *BTree) splitChild(parent, child *nref, i int, ck []byte) (*nref, []byte, error) {
 	stx, sys, err := t.smoBegin()
 	if err != nil {
 		return nil, nil, err
 	}
-	right, oldNext, sep, err := t.splitNode(stx, child)
+	right, oldNext, sep, err := t.splitNode(stx, child, ck)
 	if err == nil {
 		err = t.write(stx, parent, nil, func(*storage.Page) error { return parent.v.insert(i, sep, right.id) })
 	}
@@ -933,25 +720,48 @@ func (t *BTree) splitChild(parent, child *nref, i int) (*nref, []byte, error) {
 	return right, sep, nil
 }
 
-// splitNode halves the (latched, full) node into itself plus a new
+// splitNode splits the (latched, full) node into itself plus a new
 // right sibling, returning the latched sibling, the latched old next
 // leaf (nil for internal nodes or tail leaves — the CALLER unlatches
 // both after the system transaction finishes) and the separator key.
 // Leaf splits maintain the chain links; latching the old next leaf is
 // a left-to-right acquisition, consistent with every traversal.
-func (t *BTree) splitNode(stx access.TxnContext, n *nref) (right, oldNext *nref, sep []byte, err error) {
+//
+// A node splits in half, except the rightmost leaf when ck, the key
+// about to be inserted, sorts after its last entry: an append. That
+// leaf keeps every entry but the last, which moves right ahead of ck,
+// so ascending inserts leave full leaves behind them instead of half
+// full ones.
+func (t *BTree) splitNode(stx access.TxnContext, n *nref, ck []byte) (right, oldNext *nref, sep []byte, err error) {
 	right, err = t.newNodeLatched(stx, n.v.leaf)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The right node takes entries [lo, n): a leaf's upper half, or an
-	// internal node's entries past the separator it pushes up, whose
-	// right-hand child becomes the new node's child0.
+	// The right node takes entries [lo, n): a leaf's upper half (or its
+	// last entry), or an internal node's entries past the separator it
+	// pushes up, whose right-hand child becomes the new node's child0.
 	leaf, mid, next := n.v.leaf, n.v.n/2, n.v.next
 	lo, child0 := mid, storage.InvalidPageID
-	if !leaf {
-		lo, child0 = mid+1, n.v.child(mid+1)
+	if leaf && next == storage.InvalidPageID && n.v.n > 1 {
+		last, err := n.v.key(n.v.n - 1)
+		if err != nil {
+			return right, nil, nil, err
+		}
+		if bytes.Compare(ck, last) > 0 {
+			lo, mid = n.v.n-1, n.v.n-1
+		}
 	}
+	if !leaf {
+		lo = mid + 1
+		if child0, err = n.v.child(lo); err != nil {
+			return right, nil, nil, err
+		}
+	}
+	k, err := n.v.key(mid)
+	if err != nil {
+		return right, nil, nil, err
+	}
+	sep = bytes.Clone(k)
 	if leaf && next != storage.InvalidPageID {
 		// Latch the neighbour BEFORE any write, so a failure can
 		// roll the whole modification back under held latches.
@@ -960,23 +770,20 @@ func (t *BTree) splitNode(stx access.TxnContext, n *nref) (right, oldNext *nref,
 			return right, nil, nil, err
 		}
 	}
-	sep = bytes.Clone(n.v.key(mid))
 	err = t.write(stx, right, nil, func(p *storage.Page) error {
 		right.v.format(p, leaf, child0)
 		if leaf {
 			p.SetNext(next)
 			p.SetPrev(n.id)
 		}
-		right.v.appendFrom(&n.v, lo)
-		return nil
+		return right.v.appendFrom(&n.v, lo)
 	})
 	if err == nil {
 		err = t.write(stx, n, nil, func(p *storage.Page) error {
 			if leaf {
 				p.SetNext(right.id)
 			}
-			n.v.truncate(mid)
-			return nil
+			return n.v.truncate(mid)
 		})
 	}
 	if err == nil && oldNext != nil {
@@ -1016,7 +823,7 @@ func (t *BTree) splitRoot(ck []byte) error {
 	}
 	var right, oldNext, newRoot *nref
 	var sep []byte
-	right, oldNext, sep, err = t.splitNode(stx, &root)
+	right, oldNext, sep, err = t.splitNode(stx, &root, ck)
 	if err == nil {
 		newRoot, err = t.newNodeLatched(stx, false)
 	}
@@ -1061,16 +868,19 @@ func (t *BTree) Search(key []byte) ([]access.RID, error) {
 		return nil, err
 	}
 	for {
-		for i := leaf.v.lowerBound(lo); i < leaf.v.n; i++ {
-			ck := leaf.v.key(i)
+		i, err := leaf.v.search(lo, false)
+		for ; err == nil && i < leaf.v.n; i++ {
+			var ck []byte
+			if ck, err = leaf.v.key(i); err != nil {
+				break
+			}
 			if bytes.Compare(ck, hi) >= 0 {
 				t.unlatch(&leaf)
 				return out, nil
 			}
-			rid, err := ridOf(ck)
-			if err != nil {
-				t.unlatch(&leaf)
-				return nil, err
+			var rid access.RID
+			if rid, err = ridOf(ck); err != nil {
+				break
 			}
 			out = append(out, rid)
 		}
@@ -1079,6 +889,9 @@ func (t *BTree) Search(key []byte) ([]access.RID, error) {
 		// lands one leaf left of a separator holding the key).
 		next := leaf.v.next
 		t.unlatch(&leaf)
+		if err != nil {
+			return nil, err
+		}
 		if next == storage.InvalidPageID {
 			return out, nil
 		}
@@ -1106,10 +919,14 @@ func (t *BTree) DeleteTx(tx access.TxnContext, key []byte, rid access.RID) (bool
 		return false, err
 	}
 	for {
-		pos := cur.v.lowerBound(ck)
-		if cur.v.has(pos, ck) {
+		pos, found, err := cur.v.find(ck)
+		if err != nil {
+			t.unlatch(cur)
+			return false, err
+		}
+		if found {
 			undo := func() []byte { return undoIndexDelete(t.metaID, key, rid) }
-			err := t.write(tx, cur, undo, func(*storage.Page) error { cur.v.remove(pos); return nil })
+			err := t.write(tx, cur, undo, func(*storage.Page) error { return cur.v.remove(pos) })
 			t.unlatch(cur)
 			if err != nil {
 				return false, err
@@ -1144,10 +961,16 @@ func (t *BTree) relatchLeaf(pair *[2]nref, ck []byte) (*nref, error) {
 // can a concurrent split have moved it right). It returns nil, with cur
 // released, when the search ends there.
 func (t *BTree) chaseRight(pair *[2]nref, cur *nref, ck []byte) (*nref, error) {
-	if cur.v.next == storage.InvalidPageID ||
-		(cur.v.n > 0 && bytes.Compare(ck, cur.v.key(cur.v.n-1)) < 0) {
+	if cur.v.next == storage.InvalidPageID {
 		t.unlatch(cur)
 		return nil, nil
+	}
+	if cur.v.n > 0 {
+		last, err := cur.v.key(cur.v.n - 1)
+		if err != nil || bytes.Compare(ck, last) < 0 {
+			t.unlatch(cur)
+			return nil, err
+		}
 	}
 	next := other(pair, cur)
 	err := t.latch(next, cur.v.next, true)
@@ -1184,10 +1007,14 @@ func (t *BTree) RepointTx(tx access.TxnContext, key []byte, oldRID, newRID acces
 		return false, err
 	}
 	for {
-		pos := cur.v.lowerBound(ckOld)
-		if cur.v.has(pos, ckOld) {
+		pos, found, err := cur.v.find(ckOld)
+		if err != nil {
+			t.unlatch(cur)
+			return false, err
+		}
+		if found {
 			undo := func() []byte { return undoIndexRepoint(t.metaID, key, oldRID, newRID) }
-			err := t.write(tx, cur, undo, func(*storage.Page) error { cur.v.repoint(pos, newRID); return nil })
+			err := t.write(tx, cur, undo, func(*storage.Page) error { return cur.v.repoint(pos, newRID) })
 			t.unlatch(cur)
 			return err == nil, err
 		}
@@ -1230,14 +1057,17 @@ func (t *BTree) rangeScan(clo, chi []byte, fn func(ck []byte) error) error {
 	var buf []byte
 	var ends []int
 	for {
-		start := 0
+		start, err := 0, error(nil)
 		if clo != nil {
-			start = leaf.v.lowerBound(clo)
+			start, err = leaf.v.search(clo, false)
 		}
 		buf, ends = buf[:0], ends[:0]
 		done := false
-		for i := start; i < leaf.v.n; i++ {
-			k := leaf.v.key(i)
+		for i := start; err == nil && i < leaf.v.n; i++ {
+			var k []byte
+			if k, err = leaf.v.key(i); err != nil {
+				break
+			}
 			if chi != nil && bytes.Compare(k, chi) >= 0 {
 				done = true
 				break
@@ -1247,6 +1077,9 @@ func (t *BTree) rangeScan(clo, chi []byte, fn func(ck []byte) error) error {
 		}
 		next := leaf.v.next
 		t.unlatch(&leaf)
+		if err != nil {
+			return err
+		}
 		b := 0
 		for _, e := range ends {
 			if err := fn(buf[b:e:e]); err != nil {
@@ -1279,13 +1112,9 @@ func (t *BTree) Height() (int, error) {
 	}
 	h := 1
 	for !cur.v.leaf {
-		child := other(&pair, cur)
-		err := t.latch(child, cur.v.child(0), false)
-		t.unlatch(cur)
-		if err != nil {
+		if cur, err = t.crab(&pair, cur, nil); err != nil {
 			return 0, err
 		}
-		cur = child
 		h++
 	}
 	t.unlatch(cur)
@@ -1327,8 +1156,11 @@ func (t *BTree) collect(id storage.PageID, out *[]storage.PageID) error {
 	if err := t.latch(&r, id, false); err != nil {
 		return err
 	}
-	children := r.v.children()
+	children, err := r.v.children()
 	t.unlatch(&r)
+	if err != nil {
+		return err
+	}
 	for _, c := range children {
 		if err := t.collect(c, out); err != nil {
 			return err

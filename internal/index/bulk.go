@@ -74,17 +74,19 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 		pages = append(pages, f.ID)
 		return &nref{id: f.ID, f: f, excl: true}, nil
 	}
-	// Each node is staged off the pool, then sealed: copied onto its
-	// frame in one logged record (its only write — unlike newNodeLatched
-	// there is no separate empty-birth record, halving the WAL bytes per
-	// page) and released.
+	// Each node is staged off the pool, then sealed: its header, slots
+	// and cells copied onto its fresh frame in one logged record (its
+	// only write — unlike newNodeLatched there is no separate empty-birth
+	// record, halving the WAL bytes per page) and released.
 	stage := storage.NewPage(storage.InvalidPageID, storage.PageTypeIndex)
 	var sv view
 	seal := func(r *nref) error {
 		err := t.write(tx, r, nil, func(p *storage.Page) error {
 			p.SetNext(stage.Next())
 			p.SetPrev(stage.Prev())
-			copy(p.Payload(), sv.pl[:sv.end])
+			pl := p.Payload()
+			copy(pl[:sv.slotEnd()], sv.pl)
+			copy(pl[sv.cellStart:], sv.pl[sv.cellStart:])
 			return nil
 		})
 		t.unlatch(r)
@@ -103,7 +105,7 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 		return storage.InvalidPageID, pages, err
 	}
 	sv.format(stage, true, storage.InvalidPageID)
-	var prev []byte
+	var prev, first []byte
 	for _, it := range items {
 		ck := compositeKey(it.Key, it.RID)
 		if len(ck) > MaxKeySize {
@@ -115,28 +117,30 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 			return storage.InvalidPageID, pages, ErrUnsorted
 		}
 		prev = ck
-		if sv.n > 0 && !safeForLeaf(sv.end, ck) {
+		if sv.n == 0 {
+			first = ck
+		} else if !sv.fits(len(ck)) {
 			next, err := alloc()
 			if err != nil {
 				t.unlatch(cur)
 				return storage.InvalidPageID, pages, err
 			}
 			stage.SetNext(next.id)
-			level = append(level, sealed{sep: bytes.Clone(sv.key(0)), id: cur.id})
+			level = append(level, sealed{sep: first, id: cur.id})
 			if err := seal(cur); err != nil {
 				t.unlatch(next)
 				return storage.InvalidPageID, pages, err
 			}
 			sv.format(stage, true, storage.InvalidPageID)
 			stage.SetPrev(cur.id)
-			cur = next
+			cur, first = next, ck
 		}
 		if err := sv.insert(sv.n, ck, storage.InvalidPageID); err != nil {
 			t.unlatch(cur)
 			return storage.InvalidPageID, pages, err
 		}
 	}
-	level = append(level, sealed{sep: bytes.Clone(sv.key(0)), id: cur.id})
+	level = append(level, sealed{sep: first, id: cur.id})
 	if err := seal(cur); err != nil {
 		return storage.InvalidPageID, pages, err
 	}
@@ -154,7 +158,7 @@ func (t *BTree) BulkBuild(tx access.TxnContext, items []BulkItem, pageDone func(
 		sv.format(stage, false, level[0].id)
 		first := level[0].sep
 		for _, e := range level[1:] {
-			if sv.n > 0 && sv.end+sv.width(len(e.sep))+sv.width(MaxKeySize) > storage.PayloadSize {
+			if sv.n > 0 && 2+sv.cellWidth(len(e.sep))+2+sv.cellWidth(MaxKeySize) > sv.free() {
 				next = append(next, sealed{sep: first, id: cur.id})
 				if err := seal(cur); err != nil {
 					return storage.InvalidPageID, pages, err

@@ -26,9 +26,10 @@ type seedNode struct {
 // zero bytes, and a leaf filled until the next key would overflow.
 func viewSeedNodes() []seedNode {
 	full := seedNode{leaf: true}
-	for end, i := 3, 0; ; i++ {
+	used := leafSlotsOff
+	for i := 0; ; i++ {
 		ck := compositeKey([]byte(fmt.Sprintf("full-%03d", i)), rid(i))
-		if end += 2 + len(ck); end > storage.PayloadSize {
+		if used += 4 + len(ck); used > storage.PayloadSize {
 			break
 		}
 		full.keys = append(full.keys, ck)
@@ -66,90 +67,145 @@ func (n seedNode) build(t testing.TB) (*storage.Page, int) {
 			t.Fatal(err)
 		}
 	}
-	return p, v.end
+	return p, v.used()
+}
+
+// used returns the payload bytes live entries and the header take.
+func (v *view) used() int { return len(v.pl) - v.free() }
+
+// viewKeys reads every key and child of v, failing the test on any error.
+func viewKeys(t testing.TB, v *view) ([][]byte, []storage.PageID) {
+	t.Helper()
+	keys := make([][]byte, v.n)
+	for i := range keys {
+		k, err := v.key(i)
+		if err != nil {
+			t.Fatalf("key %d: %v", i, err)
+		}
+		keys[i] = k
+	}
+	children, err := v.children()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys, children
 }
 
 // TestNodeViewSeeds: a page built by format and insert parses back to
-// its keys and children, key for key and child for child.
+// its keys and children, key for key and child for child, and the full
+// leaf holds as many entries as its keys plus four bytes each allow.
 func TestNodeViewSeeds(t *testing.T) {
 	for i, want := range viewSeedNodes() {
-		p, end := want.build(t)
+		p, used := want.build(t)
 		var v view
 		if err := v.parse(p); err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		if v.leaf != want.leaf || v.n != len(want.keys) || v.end != end {
-			t.Fatalf("node %d: view leaf=%v n=%d end=%d, built end %d", i, v.leaf, v.n, v.end, end)
+		if v.leaf != want.leaf || v.n != len(want.keys) || v.used() != used || v.frag != 0 {
+			t.Fatalf("node %d: view leaf=%v n=%d used=%d frag=%d, built used %d", i, v.leaf, v.n, v.used(), v.frag, used)
 		}
+		keys, children := viewKeys(t, &v)
 		for j, k := range want.keys {
-			if !bytes.Equal(v.key(j), k) {
-				t.Fatalf("node %d key %d: view %x, want %x", i, j, v.key(j), k)
+			if !bytes.Equal(keys[j], k) {
+				t.Fatalf("node %d key %d: view %x, want %x", i, j, keys[j], k)
 			}
 		}
-		if !slices.Equal(v.children(), want.children) {
-			t.Fatalf("node %d children: view %v, want %v", i, v.children(), want.children)
+		if !slices.Equal(children, want.children) {
+			t.Fatalf("node %d children: view %v, want %v", i, children, want.children)
 		}
+	}
+	full := viewSeedNodes()[3]
+	if len(full.keys) != 169 {
+		t.Fatalf("a full leaf of 20-byte composite keys holds %d entries, want 169", len(full.keys))
 	}
 }
 
-// FuzzNodeView: any payload either parses as ErrCorrupt or yields keys
-// and child ids inside the payload, from which format and insert
-// rebuild the accepted payload byte for byte (byte 0 aside: any value
-// but 1 reads as an internal node).
+// FuzzNodeView: any payload either fails parse with ErrCorrupt, or every
+// key(i) and child(i) returns a slice or id read from inside the payload
+// or ErrCorrupt. Edits on an accepted page (a search, an insert that may
+// compact, a remove) return nil or ErrCorrupt too. Nothing panics.
 func FuzzNodeView(f *testing.F) {
 	for _, n := range viewSeedNodes() {
-		p, end := n.build(f)
-		f.Add(p.Payload()[:end])
+		p, _ := n.build(f)
+		f.Add(bytes.Clone(p.Payload()))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		p := storage.NewPage(1, storage.PageTypeIndex)
 		copy(p.Payload(), payload)
 		var v view
-		if err := v.parse(p); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("unexpected error class: %v", err)
+		corruptOnly := func(what string, err error) {
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: unexpected error class: %v", what, err)
 			}
+		}
+		if err := v.parse(p); err != nil {
+			corruptOnly("parse", err)
 			return
 		}
-		if v.n > maxNodeEntries || v.end > storage.PayloadSize {
-			t.Fatalf("view n=%d end=%d out of range", v.n, v.end)
+		if v.n > maxNodeEntries || v.slotEnd() > v.cellStart || v.cellStart > storage.PayloadSize {
+			t.Fatalf("view n=%d slots end %d cell start %d out of range", v.n, v.slotEnd(), v.cellStart)
 		}
+		pl := p.Payload()
 		for i := 0; i < v.n; i++ {
-			if o := int(v.off[i]); o < 5 || o+len(v.key(i)) > v.end {
-				t.Fatalf("key %d at [%d,+%d) outside payload end %d", i, o, len(v.key(i)), v.end)
+			k, err := v.key(i)
+			corruptOnly("key", err)
+			if err != nil {
+				continue
+			}
+			off := int(binary.LittleEndian.Uint16(pl[v.slots()+2*i:])) + 2
+			if off < v.cellStart || off+len(k) > len(pl) || !bytes.Equal(k, pl[off:off+len(k)]) {
+				t.Fatalf("key %d at [%d,+%d) outside the cells [%d,%d)", i, off, len(k), v.cellStart, len(pl))
 			}
 		}
-		n := seedNode{leaf: v.leaf, children: v.children()}
-		for i := 0; i < v.n; i++ {
-			n.keys = append(n.keys, v.key(i))
+		if !v.leaf {
+			for i := 0; i <= v.n; i++ {
+				_, err := v.child(i)
+				corruptOnly("child", err)
+			}
 		}
-		again, _ := n.build(t)
-		var w view
-		if err := w.parse(again); err != nil {
-			t.Fatalf("rebuilt node does not parse: %v", err)
+		ck := compositeKey([]byte("fuzz"), rid(1))
+		pos, _, err := v.find(ck)
+		corruptOnly("find", err)
+		if err == nil {
+			corruptOnly("insert", v.insert(pos, ck, 99))
 		}
-		if w.n != v.n || w.end != v.end || w.leaf != v.leaf {
-			t.Fatalf("rebuilt layout differs: n %d/%d end %d/%d", w.n, v.n, w.end, v.end)
-		}
-		if !bytes.Equal(again.Payload()[1:w.end], p.Payload()[1:v.end]) {
-			t.Fatalf("rebuilt payload differs from the accepted one")
+		if v.n > 0 {
+			corruptOnly("remove", v.remove(0))
 		}
 	})
+}
+
+// nodeEditSeeds are FuzzNodeEdits inputs: a mixed sequence on both
+// pages, inserts until the leaf overflows, and remove-heavy sequences
+// that leave dead cells behind so a later insert must compact.
+func nodeEditSeeds() [][]byte {
+	fill := bytes.Repeat([]byte{0, 'z', 255, 4, 'y', 255}, 24)
+	churn := append(bytes.Repeat([]byte{0, 'k', 60}, 60), bytes.Repeat([]byte{2, 0, 0, 'q', 90}, 40)...)
+	holes := bytes.Repeat([]byte{0, 'a', 120, 0, 'b', 120, 2, 1, 4, 'i', 200, 6, 0}, 20)
+	return [][]byte{
+		{0, 'm', 5, 0, 'a', 5, 0, 'z', 5, 3, 1, 2, 1, 4, 'm', 9, 4, 'c', 9, 4, 'x', 9, 7, 1, 6, 0, 6, 0},
+		fill,
+		bytes.Repeat([]byte{1, 0, 250, 5, 0, 40, 6, 1}, 40),
+		churn,
+		holes,
+	}
 }
 
 // FuzzNodeEdits runs a byte-driven sequence of insert, remove and
 // repoint edits on one leaf page and one internal page, and after each
 // step checks both the edited view and a fresh parse of the page
 // against a sorted model. insert must refuse with ErrCorrupt, writing
-// nothing, exactly when the entry would overflow the payload.
+// nothing, exactly when the entry would overflow the payload; dead
+// cells never count against it, because an insert that needs them
+// compacts the page first.
 func FuzzNodeEdits(f *testing.F) {
-	f.Add([]byte{0, 'm', 5, 0, 'a', 5, 0, 'z', 5, 3, 1, 2, 1, 4, 'm', 9, 4, 'c', 9, 4, 'x', 9, 7, 1, 6, 0, 6, 0})
-	f.Add(bytes.Repeat([]byte{0, 'z', 255, 4, 'y', 255}, 24))
-	f.Add(bytes.Repeat([]byte{1, 0, 250, 5, 0, 40, 6, 1}, 40))
+	for _, seed := range nodeEditSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type model struct {
 			seedNode
-			end int
+			used int
 		}
 		var pages [2]*storage.Page
 		var views [2]view
@@ -159,10 +215,10 @@ func FuzzNodeEdits(f *testing.F) {
 			models[k].leaf = k == 0
 			if k == 0 {
 				views[k].format(pages[k], true, storage.InvalidPageID)
-				models[k].end = 3
+				models[k].used = leafSlotsOff
 			} else {
 				views[k].format(pages[k], false, 100)
-				models[k].children, models[k].end = []storage.PageID{100}, 11
+				models[k].children, models[k].used = []storage.PageID{100}, internalSlotsOff
 			}
 		}
 		check := func(step int, k int) {
@@ -171,17 +227,21 @@ func FuzzNodeEdits(f *testing.F) {
 			if err := fresh.parse(pages[k]); err != nil {
 				t.Fatalf("step %d: edited page does not parse: %v", step, err)
 			}
+			if fresh.cellStart != views[k].cellStart || fresh.frag != views[k].frag {
+				t.Fatalf("step %d: view cells %d+%d, page %d+%d", step, views[k].cellStart, views[k].frag, fresh.cellStart, fresh.frag)
+			}
 			for _, v := range []*view{&views[k], &fresh} {
-				if v.leaf != m.leaf || v.n != len(m.keys) || v.end != m.end {
-					t.Fatalf("step %d: leaf=%v n=%d end=%d, model %v %d %d", step, v.leaf, v.n, v.end, m.leaf, len(m.keys), m.end)
+				if v.leaf != m.leaf || v.n != len(m.keys) || v.used() != m.used {
+					t.Fatalf("step %d: leaf=%v n=%d used=%d, model %v %d %d", step, v.leaf, v.n, v.used(), m.leaf, len(m.keys), m.used)
 				}
+				keys, children := viewKeys(t, v)
 				for i, ck := range m.keys {
-					if !bytes.Equal(v.key(i), ck) {
-						t.Fatalf("step %d: key %d = %x, model %x", step, i, v.key(i), ck)
+					if !bytes.Equal(keys[i], ck) {
+						t.Fatalf("step %d: key %d = %x, model %x", step, i, keys[i], ck)
 					}
 				}
-				if !slices.Equal(v.children(), m.children) {
-					t.Fatalf("step %d: children %v, model %v", step, v.children(), m.children)
+				if !slices.Equal(children, m.children) {
+					t.Fatalf("step %d: children %v, model %v", step, children, m.children)
 				}
 			}
 		}
@@ -203,34 +263,36 @@ func FuzzNodeEdits(f *testing.F) {
 				key := binary.BigEndian.AppendUint16(bytes.Repeat([]byte{byte(c)}, l), uint16(step))
 				ck := compositeKey(key, rid(step))
 				pos, _ := slices.BinarySearchFunc(m.keys, ck, bytes.Compare)
-				if got := v.lowerBound(ck); got != pos {
-					t.Fatalf("step %d: lowerBound = %d, model %d", step, got, pos)
+				if got, dup, err := v.find(ck); err != nil || dup || got != pos {
+					t.Fatalf("step %d: find = %d, %v, %v; model %d", step, got, dup, err, pos)
 				}
 				child := storage.PageID(1000 + step)
-				w := v.width(len(ck))
+				need := 2 + v.cellWidth(len(ck))
 				before := bytes.Clone(pages[k].Data)
 				err := v.insert(pos, ck, child)
-				if m.end+w > storage.PayloadSize {
+				if m.used+need > storage.PayloadSize {
 					if !errors.Is(err, ErrCorrupt) || !bytes.Equal(pages[k].Data, before) {
 						t.Fatalf("step %d: overflowing insert: err=%v, page changed=%v", step, err, !bytes.Equal(pages[k].Data, before))
 					}
 					break
 				}
 				if err != nil {
-					t.Fatalf("step %d: insert of %d bytes at end %d: %v", step, w, m.end, err)
+					t.Fatalf("step %d: insert of %d bytes at %d used: %v", step, need, m.used, err)
 				}
 				m.keys = slices.Insert(m.keys, pos, ck)
 				if !m.leaf {
 					m.children = slices.Insert(m.children, pos+1, child)
 				}
-				m.end += w
+				m.used += need
 			case 2: // remove
 				if len(m.keys) == 0 {
 					break
 				}
 				i := take() % len(m.keys)
-				v.remove(i)
-				m.end -= v.width(len(m.keys[i]))
+				if err := v.remove(i); err != nil {
+					t.Fatalf("step %d: remove %d: %v", step, i, err)
+				}
+				m.used -= 2 + v.cellWidth(len(m.keys[i]))
 				m.keys = slices.Delete(m.keys, i, i+1)
 				if !m.leaf {
 					m.children = slices.Delete(m.children, i+1, i+2)
@@ -240,7 +302,9 @@ func FuzzNodeEdits(f *testing.F) {
 					break
 				}
 				i := take() % len(m.keys)
-				v.repoint(i, rid(step))
+				if err := v.repoint(i, rid(step)); err != nil {
+					t.Fatalf("step %d: repoint %d: %v", step, i, err)
+				}
 				ck := bytes.Clone(m.keys[i])
 				copy(ck[len(ck)-10:], compositeKey(nil, rid(step))[2:])
 				m.keys[i] = ck
@@ -250,9 +314,58 @@ func FuzzNodeEdits(f *testing.F) {
 	})
 }
 
-// TestCorruptNodeErrors: a leaf whose last key length runs past the
-// payload fails every read and write that reaches it with ErrCorrupt,
-// and no error path leaves a page pinned.
+// TestNodeCompaction: removing every other entry of a full leaf leaves
+// dead cells; an insert that fits only with them reclaimed compacts the
+// page in the same edit, keeping every key, and clears frag.
+func TestNodeCompaction(t *testing.T) {
+	full := viewSeedNodes()[3]
+	p, _ := full.build(t)
+	var v view
+	if err := v.parse(p); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(full.keys)
+	for i := len(want) - 2; i >= 0; i -= 2 {
+		if err := v.remove(i); err != nil {
+			t.Fatal(err)
+		}
+		want = slices.Delete(want, i, i+1)
+	}
+	if v.frag == 0 {
+		t.Fatal("removes left no dead cells")
+	}
+	big := compositeKey(bytes.Repeat([]byte{'~'}, 600), rid(1))
+	if 2+v.cellWidth(len(big)) <= v.cellStart-v.slotEnd() {
+		t.Fatalf("the insert fits without compaction (%d contiguous bytes)", v.cellStart-v.slotEnd())
+	}
+	if err := v.insert(v.n, big, storage.InvalidPageID); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, big)
+	if v.frag != 0 {
+		t.Fatalf("frag = %d after compaction", v.frag)
+	}
+	var fresh view
+	if err := fresh.parse(p); err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := viewKeys(t, &fresh)
+	if len(keys) != len(want) {
+		t.Fatalf("%d keys after compaction, want %d", len(keys), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(keys[i], want[i]) {
+			t.Fatalf("key %d = %x, want %x", i, keys[i], want[i])
+		}
+	}
+}
+
+// TestCorruptNodeErrors: a leaf with (a) a bad header, (b) a slot
+// pointing outside its cells, or (c) a key length running past the
+// payload fails every read and write that reaches the bad part with
+// ErrCorrupt, and no error path leaves a page pinned. parse checks only
+// the header, so (b) and (c) corrupt the entry every op reads: the
+// first of the second leaf, the key the ops name.
 func TestCorruptNodeErrors(t *testing.T) {
 	tr, pool := newTree(t, false)
 	for i := 0; i < 600; i++ {
@@ -269,22 +382,21 @@ func TestCorruptNodeErrors(t *testing.T) {
 	}
 	pages = append(pages, tr.MetaID())
 
-	// Corrupt the second leaf; its first entry names a key that lives there.
 	var first nref
 	if err := tr.descendToLeaf(&first, nil); err != nil {
 		t.Fatal(err)
 	}
 	target := first.v.next
 	tr.unlatch(&first)
-	var ck []byte
+	var ck, clean []byte
 	err := pool.UpdatePage(target, func(p *storage.Page) error {
 		var v view
 		if err := v.parse(p); err != nil {
 			return err
 		}
-		ck = append([]byte(nil), v.key(0)...)
-		binary.LittleEndian.PutUint16(p.Payload()[int(v.off[v.n-1])-2:], storage.PayloadSize)
-		return nil
+		k, err := v.key(0)
+		ck, clean = bytes.Clone(k), bytes.Clone(p.Payload())
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,6 +406,14 @@ func TestCorruptNodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	corruptions := map[string]func(pl []byte){
+		"header": func(pl []byte) { binary.LittleEndian.PutUint16(pl[nodeCountOff:], maxNodeEntries+1) },
+		"slot":   func(pl []byte) { binary.LittleEndian.PutUint16(pl[leafSlotsOff:], storage.PayloadSize-1) },
+		"length": func(pl []byte) {
+			s := binary.LittleEndian.Uint16(pl[leafSlotsOff:])
+			binary.LittleEndian.PutUint16(pl[s:], storage.PayloadSize)
+		},
+	}
 	ops := map[string]func() error{
 		"Search": func() error { _, err := tr.Search(key); return err },
 		"Range": func() error {
@@ -308,13 +428,23 @@ func TestCorruptNodeErrors(t *testing.T) {
 			return err
 		},
 	}
-	for name, op := range ops {
-		if err := op(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s on a corrupt leaf: err = %v, want ErrCorrupt", name, err)
+	for what, corrupt := range corruptions {
+		err := pool.UpdatePage(target, func(p *storage.Page) error {
+			copy(p.Payload(), clean)
+			corrupt(p.Payload())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, id := range pages {
-			if n := pool.PinCount(id); n != 0 {
-				t.Errorf("%s left page %d pinned %d times", name, id, n)
+		for name, op := range ops {
+			if err := op(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s on a leaf with a bad %s: err = %v, want ErrCorrupt", name, what, err)
+			}
+			for _, id := range pages {
+				if n := pool.PinCount(id); n != 0 {
+					t.Errorf("%s (bad %s) left page %d pinned %d times", name, what, id, n)
+				}
 			}
 		}
 	}

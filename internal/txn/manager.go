@@ -223,9 +223,9 @@ func (m *Manager) undoHandler() UndoHandler {
 }
 
 // ReserveID hands out a transaction-id-space identifier without
-// starting a transaction. Lock-only sessions (the shared key lock of a
-// point read, a vacuum pass's per-key locks) use it so their lock owners
-// never collide with real transactions.
+// starting a transaction. Lock-only sessions (a vacuum pass's per-key
+// locks) use it so their lock owners never collide with real
+// transactions.
 func (m *Manager) ReserveID() uint64 { return m.next.Add(1) }
 
 // SystemHooks adapts the manager into the access-layer system
@@ -275,7 +275,11 @@ func (m *Manager) Begin() (*Txn, error) {
 // Commit finishes the transaction: RecCommit is logged and the log
 // flushed (durability), then all locks are released. A transaction that
 // logged nothing and has no stamps or on-commit hooks pending skips
-// both — there is nothing to make durable.
+// both — there is nothing to make durable. A transaction that stamped
+// versions returns only once every older commit timestamp has
+// completed as well (Oracle.WaitVisible): acknowledged ⇒ visible to
+// every later snapshot. If the oracle is halted meanwhile (a commit
+// left in doubt took the engine offline) it returns ErrHalted.
 func (m *Manager) Commit(t *Txn) error { return m.commit(t, true) }
 
 // CommitLazy finishes the transaction without forcing the log: the
@@ -334,10 +338,14 @@ func (m *Manager) commit(t *Txn, flush bool) error {
 	if err := m.FinishCommit(t, lsn); err != nil {
 		return err // ts (if any) deliberately stays outstanding
 	}
-	if ts != 0 {
-		m.oracle.Complete(ts)
+	if ts == 0 {
+		return nil
 	}
-	return nil
+	// Acknowledge in timestamp order: return only once every older
+	// commit has completed too, so the snapshot frontier already holds
+	// this one. The locks are released by now; the wait holds nothing.
+	m.oracle.Complete(ts)
+	return m.oracle.WaitVisible(ts)
 }
 
 // commitIdle commits a transaction that has nothing for the log — no

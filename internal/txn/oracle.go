@@ -1,12 +1,11 @@
 package txn
 
 import (
-	"context"
 	"errors"
 	"sync"
 )
 
-// ErrHalted fails a SnapshotFresh whose wait can never end: the engine
+// ErrHalted fails a WaitVisible whose wait can never end: the engine
 // went offline leaving a commit timestamp in doubt (Halt).
 var ErrHalted = errors.New("txn: oracle halted: a commit was left in doubt")
 
@@ -20,7 +19,9 @@ var ErrHalted = errors.New("txn: oracle halted: a commit was left in doubt")
 //     version whose commit record is not yet durable — committing
 //     transactions stamp their versions on the pages BEFORE forcing
 //     the commit record, and only Complete (called after the force)
-//     lets readers past them.
+//     lets readers past them. A commit is acknowledged only once
+//     VisibleTS has reached its timestamp (WaitVisible), so every
+//     snapshot taken after an acknowledgement holds the write.
 //   - Horizon: the highest timestamp no live snapshot can still need.
 //     The vacuum reclaims versions strictly below the newest version
 //     that is committed at or below the horizon; a reader at
@@ -35,9 +36,8 @@ type Oracle struct {
 	clock       uint64              // last allocated commit timestamp
 	outstanding map[uint64]struct{} // allocated, not yet completed
 	snaps       map[uint64]int      // snapshot readTS -> refcount
-	done        uint64              // newest completed timestamp
 	halted      bool                // Halt was called
-	wake        chan struct{}       // closed by the next Complete or Halt; nil while no SnapshotFresh waits
+	wake        chan struct{}       // closed by the next Complete or Halt; nil while no WaitVisible waits
 }
 
 // NewOracle creates a timestamp oracle with the clock at zero.
@@ -90,14 +90,11 @@ func (o *Oracle) AllocateCommitTS() uint64 {
 func (o *Oracle) Complete(ts uint64) {
 	o.mu.Lock()
 	delete(o.outstanding, ts)
-	if ts > o.done {
-		o.done = ts
-	}
 	o.wakeLocked()
 	o.mu.Unlock()
 }
 
-// Halt ends every SnapshotFresh wait, now and later, with ErrHalted.
+// Halt ends every WaitVisible wait, now and later, with ErrHalted.
 // The engine calls it when it goes offline: a commit whose durability
 // is in doubt leaves its timestamp outstanding for good, and a wait
 // for it would never end.
@@ -158,36 +155,28 @@ func (o *Oracle) Snapshot() *Snapshot {
 	return &Snapshot{ReadTS: ts, o: o}
 }
 
-// SnapshotFresh registers a read view that holds every commit completed
-// before the call. Snapshot's frontier trails the oldest commit still
-// in flight, and a commit with a newer timestamp can complete — and be
-// acknowledged — before that one does; SnapshotFresh first waits for
-// the commits in flight below the newest completed timestamp. ctx
-// bounds the wait.
-func (o *Oracle) SnapshotFresh(ctx context.Context) (*Snapshot, error) {
+// WaitVisible returns once VisibleTS is at least ts: once every
+// timestamp at or below ts has completed. A committer calls it after
+// its own Complete and acknowledges only then, so a commit is never
+// acknowledged ahead of an older one still stamping or forcing its log,
+// and a snapshot taken after the acknowledgement holds the write. Halt
+// ends the wait with ErrHalted.
+func (o *Oracle) WaitVisible(ts uint64) error {
 	o.mu.Lock()
-	target := o.done
-	for o.visibleLocked() < target {
+	defer o.mu.Unlock()
+	for o.visibleLocked() < ts {
 		if o.halted {
-			o.mu.Unlock()
-			return nil, ErrHalted
+			return ErrHalted
 		}
 		if o.wake == nil {
 			o.wake = make(chan struct{})
 		}
 		wake := o.wake
 		o.mu.Unlock()
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		<-wake
 		o.mu.Lock()
 	}
-	ts := o.visibleLocked()
-	o.snaps[ts]++
-	o.mu.Unlock()
-	return &Snapshot{ReadTS: ts, o: o}, nil
+	return nil
 }
 
 // Close deregisters the snapshot, releasing its hold on the vacuum

@@ -17,13 +17,15 @@ import (
 
 // CodedError is a failure with a stable number: one code, one documented
 // message, so the failure survives any boundary that can carry an
-// integer. Match it with errors.Is against its sentinel.
+// integer. Match it with errors.Is against its sentinel. Codes 11xx are
+// on-disk formats this build does not read: 1101 the log
+// (wal.ErrFormat), 1102 the B+tree pages (index.ErrFormat).
 type CodedError struct {
 	Code int
 	Msg  string
 }
 
-func (e *CodedError) Error() string { return fmt.Sprintf("wal: E%d: %s", e.Code, e.Msg) }
+func (e *CodedError) Error() string { return fmt.Sprintf("E%d: %s", e.Code, e.Msg) }
 
 // ErrFormat is returned by OpenDir when a segment was written in an
 // older record format. There is one record format and no migration: the

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -234,7 +235,13 @@ func TestIsolationLostUpdate(t *testing.T) {
 							_ = db.kv.txns.Abort(tx)
 							return
 						}
-						_, body, err := db.kv.headVersion(rids[0])
+						cell, err := db.kv.heap.Get(rids[0])
+						if err != nil {
+							t.Error(err)
+							_ = db.kv.txns.Abort(tx)
+							return
+						}
+						_, body, err := access.DecodeVersion(cell) // committed: the S lock keeps writers out
 						if err != nil {
 							t.Error(err)
 							_ = db.kv.txns.Abort(tx)

@@ -58,16 +58,16 @@ func isErr(err, target error) bool {
 // service at every granularity; what changes between profiles is how
 // many service boundaries a call crosses before reaching it.
 //
-// Concurrency: there is no engine-wide lock. Callers run in parallel
-// and serialise only per KEY, through strict two-phase locks from the
-// shared lock manager (shared for point reads, exclusive for writes,
-// held until the transaction's outcome is durable); page-level
-// consistency below comes from the B+tree's latch crabbing and the
-// heap's page latches. Deadlock victims abort with ErrConflict and can
-// simply be retried. Scans take no key locks at all: every scan reads
-// one MVCC snapshot, an atomic cut of the key space that holds every
-// write acknowledged before the scan began and none of a transaction
-// still in flight.
+// Concurrency: there is no engine-wide lock. Writers run in parallel
+// and serialise only per KEY, through strict two-phase exclusive locks
+// from the shared lock manager, held until the transaction's outcome is
+// durable; page-level consistency below comes from the B+tree's latch
+// crabbing and the heap's page latches. Deadlock victims abort with
+// ErrConflict and can simply be retried. Reads take no key locks at
+// all: every Get and every scan reads one MVCC snapshot, an atomic cut
+// of the key space that holds every write acknowledged before the read
+// began (a commit is acknowledged only once every older one has
+// completed) and none of a transaction still in flight.
 //
 // Every mutation runs under a transaction (one per operation, one per
 // batch) so the heap, the B+tree and — via the file manager's system
@@ -82,11 +82,9 @@ type kvCore struct {
 	idx  *index.BTree
 	txns *txn.Manager
 
-	// locks (per-key 2PL) and oracle (commit timestamps, snapshot read
-	// points) are the transaction manager's own, so every transaction,
-	// lock-only reader and vacuum pass meets in one lock table and
-	// recovery can reseed the one clock.
-	locks  *txn.LockManager
+	// oracle (commit timestamps, snapshot read points) is the
+	// transaction manager's own, so recovery can reseed the one clock;
+	// writers and vacuum passes meet in the manager's one lock table.
 	oracle *txn.Oracle
 
 	// dead counts committed tombstone heads: index entries whose key is
@@ -129,7 +127,7 @@ func newKVCore(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Manager,
 		return nil, err
 	}
 	kv := &kvCore{
-		heap: heap, idx: idx, txns: txns, locks: txns.Locks(), oracle: txns.Oracle(), log: log,
+		heap: heap, idx: idx, txns: txns, oracle: txns.Oracle(), log: log,
 		metaPid: metaPid, pool: pool,
 		freePages: fm.FreePagesLogged, importChunkPages: defaultImportChunkPages,
 	}
@@ -300,7 +298,8 @@ func createKVIndex(fm *storage.FileManager, pool *buffer.Manager, txns *txn.Mana
 
 func (kv *kvCore) key(k string) []byte { return access.EncodeKey(access.NewString(k)) }
 
-// kvRes names a key's lock-manager resource.
+// kvRes names a key's lock-manager resource. Only writers (and the
+// vacuum, which is one) lock keys.
 func kvRes(k string) string { return "kv/" + k }
 
 // stringKeyTag is the type byte access.EncodeKey prefixes string keys
@@ -525,9 +524,8 @@ func (kv *kvCore) putTx(tx *txn.Txn, k string, v []byte) error {
 //
 // A delete appends a bare tombstone version linking the old head and
 // repoints the index entry to it — the entry itself stays, anchoring
-// the version chain for snapshot readers and standing in as the ghost
-// record a Get's S lock blocks resurrection through. Vacuum removes the
-// entry once no snapshot can see any version of the key.
+// the version chain for snapshot readers. Vacuum removes the entry once
+// no snapshot can see any version of the key.
 func (kv *kvCore) deleteTx(tx *txn.Txn, k string) error {
 	rids, err := kv.idx.Search(kv.key(k))
 	if err != nil {
@@ -597,61 +595,12 @@ func (kv *kvCore) PutBatch(ctx context.Context, keys []string, vals [][]byte) er
 	})
 }
 
-// Get fetches a key's value under a shared key lock (blocking out a
-// concurrent writer of the same key, and only of the same key). A
-// poisoned engine refuses reads too: the pool may hold
-// half-rolled-back bytes a failed rollback left behind.
+// Get is GetSnapshot: a lock-free read of the newest version visible
+// at a snapshot taken now, which holds every write acknowledged before
+// the call. On the engine the two rows read alike; they differ only in
+// routing (kvops.go), where get is served by a shard leader alone.
 func (kv *kvCore) Get(ctx context.Context, k string) ([]byte, error) {
-	if err := kv.checkFailed(); err != nil {
-		return nil, err
-	}
-	id := kv.txns.ReserveID()
-	if err := kv.locks.Acquire(ctx, id, kvRes(k), txn.Shared); err != nil {
-		return nil, conflictWrap(err)
-	}
-	defer kv.locks.ReleaseAll(id)
-	rids, err := kv.idx.Search(kv.key(k))
-	if err != nil {
-		return nil, err
-	}
-	if len(rids) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, k)
-	}
-	meta, rest, err := kv.headVersion(rids[0])
-	if err != nil {
-		return nil, err
-	}
-	if meta.Tombstone() {
-		// A ghost entry: the key is deleted. The S lock held on the key
-		// blocks a resurrection until we return.
-		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, k)
-	}
-	_, v, err := decodeKV(rest)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), v...), nil
-}
-
-// headVersion reads a key's head version cell and walks — defensively —
-// past uncommitted marks to the newest committed version. Under the
-// key's lock the head is always committed (writers stamp before their
-// locks release), so the walk normally terminates at the head itself.
-func (kv *kvCore) headVersion(rid access.RID) (access.VersionMeta, []byte, error) {
-	for {
-		cell, err := kv.heap.Get(rid)
-		if err != nil {
-			return access.VersionMeta{}, nil, err
-		}
-		meta, rest, err := access.DecodeVersion(cell)
-		if err != nil {
-			return access.VersionMeta{}, nil, err
-		}
-		if meta.Committed() || !meta.HasPrev() {
-			return meta, rest, nil
-		}
-		rid = meta.Prev
-	}
+	return kv.GetSnapshot(ctx, k)
 }
 
 // Delete removes a key. A miss is ErrKeyNotFound and, like any
@@ -662,22 +611,12 @@ func (kv *kvCore) Delete(ctx context.Context, k string) error {
 	})
 }
 
-// Scan returns up to n keys starting at (inclusive) the given key, in
-// order, read like ScanKeysSnapshot but at a fresh snapshot: one that
-// holds every write acknowledged before the call (it may wait for
-// commits in flight, never for a lock). The result is an atomic,
-// phantom-free cut that never blocks a writer and never returns
-// ErrConflict.
+// Scan is ScanKeysSnapshot, as Get is GetSnapshot: an atomic,
+// phantom-free cut holding every write acknowledged before the call,
+// which never waits, never blocks a writer and never returns
+// ErrConflict. The rows differ only in routing.
 func (kv *kvCore) Scan(ctx context.Context, from string, n int) ([]string, error) {
-	if err := kv.checkFailed(); err != nil {
-		return nil, err
-	}
-	snap, err := kv.oracle.SnapshotFresh(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Close()
-	return kv.scanKeysSnapshotAt(ctx, from, n, snap.ReadTS)
+	return kv.ScanKeysSnapshot(ctx, from, n)
 }
 
 // Len returns the number of live keys: index entries minus committed
@@ -711,7 +650,9 @@ const maxSnapshotRetries = 64
 // the B+tree under shared latches, follows the key's version chain to
 // the newest version visible at the snapshot, and never blocks on (or
 // blocks) concurrent writers. Uncommitted versions are invisible; a
-// visible tombstone is ErrKeyNotFound.
+// visible tombstone is ErrKeyNotFound. A poisoned engine refuses reads
+// too: the pool may hold half-rolled-back bytes a failed rollback left
+// behind.
 func (kv *kvCore) GetSnapshot(ctx context.Context, k string) ([]byte, error) {
 	if err := kv.checkFailed(); err != nil {
 		return nil, err

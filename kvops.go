@@ -19,14 +19,17 @@ import (
 type KVClass uint8
 
 const (
-	// KVLockingRead reads the leader's latest committed state: get
-	// under its key lock, scan at a fresh snapshot, len from the live
-	// count. Only a shard leader serves it.
-	KVLockingRead KVClass = iota
+	// KVLeaderRead reads the leader's engine: get and scan at a
+	// snapshot taken now, which holds every write the leader has
+	// acknowledged, and len from the live count. No read locks a key.
+	// Only a shard leader serves it.
+	KVLeaderRead KVClass = iota
 	// KVWrite mutates: leader only, inside the leader's bootstrap write gate.
 	KVWrite
-	// KVSnapshotRead reads one MVCC cut without locks: any node holding
-	// state serves it, a follower's replica before a leader's engine.
+	// KVSnapshotRead reads one MVCC cut the same way: any node holding
+	// state serves it, a follower's replica (at its applied frontier,
+	// which may trail the leader's acknowledgements) before a leader's
+	// engine.
 	KVSnapshotRead
 )
 
@@ -92,8 +95,8 @@ func (r KVLenRequest) epoch() uint64   { return r.Epoch }
 
 // KVBackend is what the operations run against: the native core, a
 // further service hop (KVClient) or a follower's ReplicaReader. The
-// context bounds lock waits inside the engine (per-key 2PL) as well as
-// service hops.
+// context bounds a writer's key-lock waits inside the engine (per-key
+// 2PL) as well as service hops.
 type KVBackend interface {
 	Put(ctx context.Context, k string, v []byte) error
 	PutBatch(ctx context.Context, keys []string, vals [][]byte) error
@@ -182,14 +185,15 @@ func (o KVOpOf[Req, Rep]) Invoke(ctx context.Context, inv core.Invoker, req Req)
 	return o.Reply(inv.Invoke(ctx, o.Name, req))
 }
 
-// Scan and scanSnapshot both return an atomic, phantom-free MVCC cut
-// read without key locks. Scan's cut holds every write acknowledged
-// before the call and is the leader's; scanSnapshot's is the newest
-// stable one, which a follower may serve. Import sorts the batch and
-// loads it as one transaction at one commit timestamp, bottom-up into
-// an empty store.
+// get and getSnapshot, like scan and scanSnapshot, read one atomic,
+// phantom-free MVCC cut without key locks, through one engine function
+// each. They differ in routing alone: get and scan are the leader's,
+// whose cut holds every write acknowledged before the call;
+// getSnapshot and scanSnapshot may be served by a follower at its
+// applied frontier. Import sorts the batch and loads it as one
+// transaction at one commit timestamp, bottom-up into an empty store.
 var (
-	KVGet = defKVOp("get", "sbdms.KVKeyRequest", "[]byte", KVLockingRead, KVByKey,
+	KVGet = defKVOp("get", "sbdms.KVKeyRequest", "[]byte", KVLeaderRead, KVByKey,
 		func(ctx context.Context, b KVBackend, r KVKeyRequest) ([]byte, error) { return b.Get(ctx, r.Key) })
 	KVPut = defKVOp("put", "sbdms.KVPutRequest", "bool", KVWrite, KVByKey,
 		func(ctx context.Context, b KVBackend, r KVPutRequest) (bool, error) {
@@ -207,7 +211,7 @@ var (
 		func(ctx context.Context, b KVBackend, r KVKeyRequest) (bool, error) {
 			return true, b.Delete(ctx, r.Key)
 		})
-	KVScan = defKVOp("scan", "sbdms.KVScanRequest", "[]string", KVLockingRead, KVFanOut,
+	KVScan = defKVOp("scan", "sbdms.KVScanRequest", "[]string", KVLeaderRead, KVFanOut,
 		func(ctx context.Context, b KVBackend, r KVScanRequest) ([]string, error) {
 			return b.Scan(ctx, r.Key, r.N)
 		})
@@ -219,6 +223,6 @@ var (
 		func(ctx context.Context, b KVBackend, r KVScanRequest) ([]string, error) {
 			return b.ScanKeysSnapshot(ctx, r.Key, r.N)
 		})
-	KVLen = defKVOp("len", "sbdms.KVLenRequest", "uint64", KVLockingRead, KVFanOut,
+	KVLen = defKVOp("len", "sbdms.KVLenRequest", "uint64", KVLeaderRead, KVFanOut,
 		func(ctx context.Context, b KVBackend, _ KVLenRequest) (uint64, error) { return b.Len(ctx) })
 )

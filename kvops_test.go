@@ -269,7 +269,7 @@ func shardKV(t *testing.T, n *cluster.Node) core.Invoker {
 }
 
 // TestKVOpsGuardedByClass: on a cluster node the operation's class alone
-// decides the guard. Every class needs the node's epoch; locking reads
+// decides the guard. Every class needs the node's epoch; leader reads
 // and writes need the leader; snapshot reads are served by any node that
 // holds state. A node that holds none (a closed leader, a follower never
 // seeded) answers every row with a typed ErrNotLeader and never panics.

@@ -30,10 +30,10 @@ func TestMVCCSnapshotIgnoresUncommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("k"), txn.Exclusive); err != nil {
+	if err := tx.Lock(ctx, kvRes("k"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.locks.Acquire(ctx, tx.ID(), kvRes("fresh"), txn.Exclusive); err != nil {
+	if err := tx.Lock(ctx, kvRes("fresh"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.kv.putTx(tx, "k", []byte("v2")); err != nil {
@@ -201,24 +201,17 @@ func runTornBatchRounds(t *testing.T, db *DB, scan func(from string, n int) ([]s
 	return torn, landed
 }
 
-// TestMVCCScanHoldsAckedWrites: a commit can be acknowledged while a
-// commit holding an older timestamp is still in flight, and the
-// snapshot frontier trails that older one. ScanKeys must still list
-// the acknowledged write. Its context bounds the wait, and if the
-// engine goes offline with the older commit in doubt, a scan waiting
-// for it fails instead of hanging.
+// TestMVCCScanHoldsAckedWrites: a commit is acknowledged only once every
+// older commit timestamp has completed, so a Put racing an older commit
+// still in flight does not return until that one completes, and the
+// scan after it lists the key. If the engine goes offline with the
+// older commit in doubt, the waiting Put fails instead of hanging.
 func TestMVCCScanHoldsAckedWrites(t *testing.T) {
 	db := openIsoDB(t)
 	defer db.Close(context.Background())
-	scan := func() <-chan error {
+	put := func(v string) <-chan error {
 		res := make(chan error, 1)
-		go func() {
-			keys, err := db.ScanKeys(ctx, "", 10)
-			if err == nil && (len(keys) != 1 || keys[0] != "acked") {
-				err = fmt.Errorf("ScanKeys = %q, want [acked]", keys)
-			}
-			res <- err
-		}()
+		go func() { res <- db.Put(ctx, "acked", []byte(v)) }()
 		return res
 	}
 	wait := func(res <-chan error) error {
@@ -226,36 +219,90 @@ func TestMVCCScanHoldsAckedWrites(t *testing.T) {
 		case err := <-res:
 			return err
 		case <-time.After(5 * time.Second):
-			t.Fatal("ScanKeys never returned")
+			t.Fatal("Put never returned")
 			return nil
 		}
 	}
 
 	inflight := db.kv.oracle.AllocateCommitTS() // an older commit still forcing its log
-	if err := db.Put(ctx, "acked", []byte("v")); err != nil {
-		t.Fatal(err)
+	res := put("v")
+	select {
+	case err := <-res:
+		t.Fatalf("Put returned (%v) ahead of an older commit still in flight", err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	res := scan()
-	time.Sleep(20 * time.Millisecond)
 	db.kv.oracle.Complete(inflight)
 	if err := wait(res); err != nil {
 		t.Fatal(err)
 	}
+	if keys, err := db.ScanKeys(ctx, "", 10); err != nil || len(keys) != 1 || keys[0] != "acked" {
+		t.Fatalf("ScanKeys after the acknowledgement = %q, %v; want [acked]", keys, err)
+	}
 
-	inflight = db.kv.oracle.AllocateCommitTS()
-	if err := db.Put(ctx, "acked", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancel()
-	if _, err := db.ScanKeys(short, "", 10); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ScanKeys behind an in-flight commit under a 20ms context: %v, want deadline exceeded", err)
-	}
-	res = scan()
+	db.kv.oracle.AllocateCommitTS() // never completes
+	res = put("v2")
 	time.Sleep(20 * time.Millisecond)
 	db.kv.poison(errors.New("commit left in doubt"))
 	if err := wait(res); err == nil {
-		t.Fatal("ScanKeys succeeded while an older commit was left in doubt")
+		t.Fatal("Put acknowledged while an older commit was left in doubt")
+	}
+}
+
+// TestMVCCAckedWriteVisibleToEveryRead: with an older commit timestamp
+// in flight, a Put, then a read on the same node — each read sees the
+// write. The older timestamp completes 50 ms later, on its own; a Put
+// acknowledged ahead of it would leave a snapshot read below the write.
+func TestMVCCAckedWriteVisibleToEveryRead(t *testing.T) {
+	reads := map[string]func(db *DB) error{
+		"Get": func(db *DB) error {
+			v, err := db.Get(ctx, "acked")
+			if err == nil && string(v) != "v" {
+				err = fmt.Errorf("Get = %q, want v", v)
+			}
+			return err
+		},
+		"GetSnapshot": func(db *DB) error {
+			v, err := db.GetSnapshot(ctx, "acked")
+			if err == nil && string(v) != "v" {
+				err = fmt.Errorf("GetSnapshot = %q, want v", v)
+			}
+			return err
+		},
+		"ScanKeysSnapshot": func(db *DB) error {
+			keys, err := db.ScanKeysSnapshot(ctx, "", 10)
+			if err == nil && (len(keys) != 1 || keys[0] != "acked") {
+				err = fmt.Errorf("ScanKeysSnapshot = %q, want [acked]", keys)
+			}
+			return err
+		},
+		"ScanKeys": func(db *DB) error {
+			keys, err := db.ScanKeys(ctx, "", 10)
+			if err == nil && (len(keys) != 1 || keys[0] != "acked") {
+				err = fmt.Errorf("ScanKeys = %q, want [acked]", keys)
+			}
+			return err
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			db := openIsoDB(t)
+			defer db.Close(context.Background())
+			inflight := db.kv.oracle.AllocateCommitTS()
+			completed := make(chan struct{})
+			go func() {
+				time.Sleep(50 * time.Millisecond)
+				db.kv.oracle.Complete(inflight)
+				close(completed)
+			}()
+			err := db.Put(ctx, "acked", []byte("v"))
+			if err == nil {
+				err = read(db)
+			}
+			<-completed
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -283,10 +330,10 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.locks.Acquire(ctx, tx1.ID(), kvRes("ww-1"), txn.Exclusive); err != nil {
+	if err := tx1.Lock(ctx, kvRes("ww-1"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.kv.locks.Acquire(ctx, tx2.ID(), kvRes("ww-2"), txn.Exclusive); err != nil {
+	if err := tx2.Lock(ctx, kvRes("ww-2"), txn.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	type waitResult struct {
@@ -294,8 +341,12 @@ func TestMVCCWriteWriteConflictAborts(t *testing.T) {
 		err error
 	}
 	results := make(chan waitResult, 2)
-	go func() { results <- waitResult{tx1, db.kv.locks.Acquire(ctx, tx1.ID(), kvRes("ww-2"), txn.Exclusive)} }()
-	go func() { results <- waitResult{tx2, db.kv.locks.Acquire(ctx, tx2.ID(), kvRes("ww-1"), txn.Exclusive)} }()
+	go func() {
+		results <- waitResult{tx1, tx1.Lock(ctx, kvRes("ww-2"), txn.Exclusive)}
+	}()
+	go func() {
+		results <- waitResult{tx2, tx2.Lock(ctx, kvRes("ww-1"), txn.Exclusive)}
+	}()
 	// Neither wait can be granted while both base locks are held, so the
 	// first result is always the deadlock victim's refusal — whichever
 	// goroutine enqueued second and closed the cycle.

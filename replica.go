@@ -47,7 +47,7 @@ type ReplicaReader struct {
 	closed   atomic.Bool
 }
 
-// leaderOnly refuses the locking reads and the writes, which makes a
+// leaderOnly refuses the leader reads and the writes, which makes a
 // ReplicaReader a KVBackend: a follower provides the KV contract with
 // only its snapshot-read class served.
 type leaderOnly struct{}

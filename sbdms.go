@@ -362,7 +362,9 @@ func (db *DB) Import(ctx context.Context, keys []string, vals [][]byte) error {
 // and loaded per-key instead.
 func (db *DB) ImportFallbacks() uint64 { return db.kv.ImportFallbacks() }
 
-// Get fetches a value through the configured service path.
+// Get fetches a value through the configured service path: a lock-free
+// read at a snapshot that holds every write acknowledged before the
+// call. It is the get row of the KV table, leader-only in a cluster.
 func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 	return db.kvPath.Get(ctx, key)
 }
@@ -374,11 +376,10 @@ func (db *DB) DeleteKey(ctx context.Context, key string) error {
 
 // ScanKeys returns up to n keys from key onward as of one consistent
 // MVCC snapshot that holds every write acknowledged before the call:
-// the scan takes no key locks, never blocks writers, and never returns
-// ErrConflict. It may wait for commits in flight (ctx bounds the wait).
-// It is the scan row of the KV table, leader-only in a cluster;
-// ScanKeysSnapshot reads the newest stable cut without waiting, as a
-// snapshot-class row a follower may serve.
+// the scan takes no key locks, never waits, never blocks writers, and
+// never returns ErrConflict. It is the scan row of the KV table,
+// leader-only in a cluster; ScanKeysSnapshot reads the same cut on a
+// leader, as a snapshot-class row a follower may serve.
 func (db *DB) ScanKeys(ctx context.Context, key string, n int) ([]string, error) {
 	return db.kvPath.Scan(ctx, key, n)
 }

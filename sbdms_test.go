@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/netbind"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -408,5 +409,80 @@ func TestReadsLeaveNoWALTrace(t *testing.T) {
 				t.Fatalf("two writes forced the log %d times", got)
 			}
 		})
+	}
+}
+
+// TestOldIndexFormatIsRefused: a store whose KV index carries the
+// metadata magic of the packed node format does not open. The typed
+// error (E1102, next to the log's E1101) survives sbdms.Open.
+func TestOldIndexFormatIsRefused(t *testing.T) {
+	path := t.TempDir() + "/data.db"
+	logDir := wal.NewMemSegmentDir()
+	openDev := func() storage.Device {
+		d, err := storage.OpenFileDevice(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	db, err := Open(Options{Device: openDev(), LogDir: logDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	meta := db.kv.idx.MetaID()
+	if err := db.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	dev := openDev()
+	disk, err := storage.OpenDisk(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := disk.ReadPage(meta, buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(storage.WrapPage(meta, buf).Payload(), "1TBSMDBS") // "SBDMSBT1", little-endian
+	if err := disk.WritePage(meta, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(Options{Device: openDev(), LogDir: logDir})
+	var coded *wal.CodedError
+	if !errors.Is(err, index.ErrFormat) || !errors.As(err, &coded) || coded.Code != 1102 {
+		t.Fatalf("Open over a packed-format index: %v, want E1102", err)
+	}
+}
+
+// TestFreshKeyPutLogsLittle: a Put of a fresh key into a B+tree leaf
+// with room logs the new heap cell, the new index cell and the slots it
+// shifts, not the leaf's tail — under 1,000 bytes of log in all.
+func TestFreshKeyPutLogsLittle(t *testing.T) {
+	db, err := Open(Options{Device: storage.NewMemDevice(), Granularity: Monolithic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(ctx)
+	for i := 0; i < 280; i += 2 {
+		if err := db.Put(ctx, fmt.Sprintf("key-%04d", i), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, err := db.kv.idx.Height(); err != nil || h != 1 {
+		t.Fatalf("tree height %d, %v; want one leaf", h, err)
+	}
+	before := db.Log().NextLSN()
+	if err := db.Put(ctx, "key-0141", []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Log().NextLSN() - before; n > 1000 {
+		t.Fatalf("a fresh-key Put into the middle of a leaf logged %d bytes, want <= 1000", n)
 	}
 }
