@@ -28,10 +28,12 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # The storage micro-benchmarks, then the B+tree's point search and
-# 50-key range (the gate of the index page format, stage 1c).
+# 50-key range (the gate of the index page format, stage 1c), then the
+# SQL point UPDATE and indexed aggregate (sql_mixed's UPDATE and scan).
 bench:
 	$(GO) test -run xxx -bench 'BufferContention|WALCommit' -benchtime 0.5s .
 	$(GO) test -run xxx -bench 'BenchmarkSearch|BenchmarkRange50' -benchtime 0.5s ./internal/index
+	$(GO) test -run xxx -bench 'BenchmarkSQLUpdateByID|BenchmarkSQLIndexedAggregate' -benchtime 0.5s ./internal/sql
 
 # bench/ is its own module (repro/bench), so the root build, vet and
 # test never see it: an engine API change can break the benchmark

@@ -208,3 +208,43 @@ func TestNestedLoopJoinEOFAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBindMatchesNameResolution(t *testing.T) {
+	cols := []string{"t.a", "t.b", "u.b"}
+	e := Logic{Op: OpAnd,
+		L: Cmp{Op: OpLt, L: Col{"a"}, R: Arith{Op: OpAdd, L: Col{"t.b"}, R: Lit{access.NewInt(1)}}},
+		R: Not{E: IsNull{E: Col{"u.b"}}},
+	}
+	bound, err := Bind(e, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound.String() != e.String() {
+		t.Fatalf("String() = %s, want %s", bound, e)
+	}
+	for _, row := range []access.Row{
+		{access.NewInt(1), access.NewInt(1), access.NewInt(0)},
+		{access.NewInt(5), access.NewInt(1), access.NewInt(0)},
+		{access.NewInt(1), access.NewInt(1), access.Null()},
+		{access.Null(), access.NewInt(1), access.NewInt(0)},
+	} {
+		want, werr := e.Eval(row, cols)
+		got, gerr := bound.Eval(row, nil)
+		if got.String() != want.String() || (werr == nil) != (gerr == nil) {
+			t.Errorf("row %v: bound %v, %v; by name %v, %v", row, got, gerr, want, werr)
+		}
+	}
+	// Unknown and ambiguous names fail at Bind, as they would per row.
+	for _, name := range []string{"nosuch", "b"} {
+		if _, err := Bind(Not{E: Col{name}}, cols); !errors.Is(err, ErrUnknownColumn) {
+			t.Errorf("Bind(%s) err = %v, want ErrUnknownColumn", name, err)
+		}
+	}
+	agg := &HashAggregate{
+		In:   &Values{Cols: []string{"x"}},
+		Aggs: []AggSpec{{Func: AggSum, Arg: Col{"nosuch"}, As: "s"}},
+	}
+	if _, err := Collect(context.Background(), agg); !errors.Is(err, ErrUnknownColumn) {
+		t.Fatalf("aggregate over unknown column: err = %v", err)
+	}
+}

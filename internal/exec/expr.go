@@ -82,6 +82,65 @@ func (c Col) Eval(row access.Row, cols []string) (access.Value, error) {
 // String implements Expr.
 func (c Col) String() string { return c.Name }
 
+// boundCol is a Col resolved by Bind to its ordinal in one schema.
+type boundCol struct {
+	name string
+	i    int
+}
+
+// Eval implements Expr. It ignores cols: row must have the schema Bind
+// resolved against.
+func (c boundCol) Eval(row access.Row, _ []string) (access.Value, error) {
+	if c.i >= len(row) {
+		return access.Null(), fmt.Errorf("%w: column %d beyond row", ErrBadExpr, c.i)
+	}
+	return row[c.i], nil
+}
+
+// String implements Expr.
+func (c boundCol) String() string { return c.name }
+
+// Bind resolves every column reference in e against cols once, so an
+// operator evaluating e per row indexes the row instead of matching
+// names. The result is only valid over rows of that schema; a nil e
+// stays nil. A column absent from cols fails with ErrUnknownColumn.
+func Bind(e Expr, cols []string) (Expr, error) {
+	var err error
+	switch t := e.(type) {
+	case Col:
+		var i int
+		if i, err = ColumnIndex(cols, t.Name); err != nil {
+			return nil, err
+		}
+		return boundCol{name: t.Name, i: i}, nil
+	case Cmp:
+		t.L, t.R, err = bindPair(t.L, t.R, cols)
+		return t, err
+	case Logic:
+		t.L, t.R, err = bindPair(t.L, t.R, cols)
+		return t, err
+	case Arith:
+		t.L, t.R, err = bindPair(t.L, t.R, cols)
+		return t, err
+	case Not:
+		t.E, err = Bind(t.E, cols)
+		return t, err
+	case IsNull:
+		t.E, err = Bind(t.E, cols)
+		return t, err
+	}
+	return e, nil
+}
+
+func bindPair(l, r Expr, cols []string) (Expr, Expr, error) {
+	l, err := Bind(l, cols)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err = Bind(r, cols)
+	return l, r, err
+}
+
 // Lit is a literal value.
 type Lit struct{ V access.Value }
 

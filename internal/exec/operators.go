@@ -63,11 +63,18 @@ func (s *SeqScan) Columns() []string {
 	return s.cols
 }
 
-// Open implements Operator. The scan materialises RIDs eagerly page by
-// page; rows decode lazily in Next.
+// Open implements Operator: every row is decoded eagerly, page by page.
 func (s *SeqScan) Open(ctx context.Context) error {
 	s.rows = s.rows[:0]
 	s.pos = 0
+	return s.Each(ctx, func(_ access.RID, row access.Row) error {
+		s.rows = append(s.rows, row)
+		return nil
+	})
+}
+
+// Each calls fn with every row of the table and its RID, in heap order.
+func (s *SeqScan) Each(ctx context.Context, fn func(rid access.RID, row access.Row) error) error {
 	return s.Source.Scan(func(rid access.RID, rec []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -76,8 +83,7 @@ func (s *SeqScan) Open(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		s.rows = append(s.rows, row)
-		return nil
+		return fn(rid, row)
 	})
 }
 
@@ -128,8 +134,14 @@ func (s *IndexScan) Columns() []string {
 
 // Open implements Operator: the RID list comes from a tree range scan.
 func (s *IndexScan) Open(ctx context.Context) error {
-	s.rids = s.rids[:0]
 	s.pos = 0
+	var err error
+	s.rids, err = s.rangeRIDs(ctx, s.rids[:0])
+	return err
+}
+
+// rangeRIDs appends the RID of every index entry in [Lo, Hi] to rids.
+func (s *IndexScan) rangeRIDs(ctx context.Context, rids []access.RID) ([]access.RID, error) {
 	var lo, hi []byte
 	if s.Lo != nil {
 		lo = access.EncodeKey(*s.Lo)
@@ -137,13 +149,38 @@ func (s *IndexScan) Open(ctx context.Context) error {
 	if s.Hi != nil {
 		hi = nextKey(access.EncodeKey(*s.Hi)) // inclusive upper bound
 	}
-	return s.Tree.Range(lo, hi, func(key []byte, rid access.RID) error {
+	err := s.Tree.Range(lo, hi, func(key []byte, rid access.RID) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.rids = append(s.rids, rid)
+		rids = append(rids, rid)
 		return nil
 	})
+	return rids, err
+}
+
+// Each calls fn with every row in the range and its RID, in key order.
+// The whole RID list is read before the first row is fetched, so neither
+// the fetch nor fn runs under the tree's latches.
+func (s *IndexScan) Each(ctx context.Context, fn func(rid access.RID, row access.Row) error) error {
+	rids, err := s.rangeRIDs(ctx, nil)
+	if err != nil {
+		return err
+	}
+	for _, rid := range rids {
+		rec, err := s.Source.Get(rid)
+		if err != nil {
+			return err
+		}
+		row, err := access.DecodeRow(rec)
+		if err != nil {
+			return err
+		}
+		if err := fn(rid, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // nextKey returns the smallest key strictly greater than k.
@@ -199,13 +236,22 @@ func (v *Values) Close() error { return nil }
 type Filter struct {
 	In   Operator
 	Pred Expr
+
+	pred Expr // Pred bound to In's columns
 }
 
 // Columns implements Operator.
 func (f *Filter) Columns() []string { return f.In.Columns() }
 
 // Open implements Operator.
-func (f *Filter) Open(ctx context.Context) error { return f.In.Open(ctx) }
+func (f *Filter) Open(ctx context.Context) error {
+	pred, err := Bind(f.Pred, f.In.Columns())
+	if err != nil {
+		return err
+	}
+	f.pred = pred
+	return f.In.Open(ctx)
+}
 
 // Next implements Operator.
 func (f *Filter) Next(ctx context.Context) (access.Row, error) {
@@ -215,7 +261,7 @@ func (f *Filter) Next(ctx context.Context) (access.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ok, err := Truthy(f.Pred, row, cols)
+		ok, err := Truthy(f.pred, row, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -790,10 +836,23 @@ func (a *HashAggregate) Columns() []string {
 
 // Open implements Operator: the input is fully aggregated eagerly.
 func (a *HashAggregate) Open(ctx context.Context) error {
-	if err := a.In.Open(ctx); err != nil {
+	cols := a.In.Columns()
+	var err error
+	groupBy := make([]Expr, len(a.GroupBy))
+	for i, g := range a.GroupBy {
+		if groupBy[i], err = Bind(g, cols); err != nil {
+			return err
+		}
+	}
+	args := make([]Expr, len(a.Aggs)) // nil for COUNT(*)
+	for i, spec := range a.Aggs {
+		if args[i], err = Bind(spec.Arg, cols); err != nil {
+			return err
+		}
+	}
+	if err = a.In.Open(ctx); err != nil {
 		return err
 	}
-	cols := a.In.Columns()
 	groups := make(map[string]*aggState)
 	var order []string
 	for {
@@ -804,9 +863,9 @@ func (a *HashAggregate) Open(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		gvals := make(access.Row, len(a.GroupBy))
+		gvals := make(access.Row, len(groupBy))
 		var keyParts []string
-		for i, g := range a.GroupBy {
+		for i, g := range groupBy {
 			v, err := g.Eval(row, cols)
 			if err != nil {
 				return err
@@ -835,11 +894,11 @@ func (a *HashAggregate) Open(ctx context.Context) error {
 			order = append(order, key)
 		}
 		st.count++
-		for i, spec := range a.Aggs {
-			if spec.Arg == nil {
+		for i, arg := range args {
+			if arg == nil {
 				continue // COUNT(*) uses st.count
 			}
-			v, err := spec.Arg.Eval(row, cols)
+			v, err := arg.Eval(row, cols)
 			if err != nil {
 				return err
 			}

@@ -591,26 +591,26 @@ func coerce(v access.Value, t access.Type) (access.Value, error) {
 	return access.Null(), fmt.Errorf("sql: cannot store %s into %s column", v.Type, t)
 }
 
-// matchTarget finds rows matching a WHERE predicate in a table.
+// matchTarget finds the rows of a table matching a WHERE predicate,
+// through the same access path a SELECT would take. Every match is
+// gathered before the caller writes, so an UPDATE that moves a row
+// within the scanned range never meets it again.
 func (e *Engine) matchTarget(ctx context.Context, tbl *catalog.Table, where exec.Expr) ([]access.RID, []access.Row, error) {
 	h, err := e.heap(tbl)
 	if err != nil {
 		return nil, nil, err
 	}
-	cols := make([]string, len(tbl.Columns))
-	for i, c := range tbl.Columns {
-		cols[i] = tbl.Name + "." + c.Name
+	path, err := e.accessPath(tbl, h, "", where)
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := path.Columns()
+	if where, err = exec.Bind(where, cols); err != nil {
+		return nil, nil, err
 	}
 	var rids []access.RID
 	var rows []access.Row
-	err = h.Scan(func(rid access.RID, rec []byte) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		row, err := access.DecodeRow(rec)
-		if err != nil {
-			return err
-		}
+	err = path.Each(ctx, func(rid access.RID, row access.Row) error {
 		if where != nil {
 			ok, err := exec.Truthy(where, row, cols)
 			if err != nil {
@@ -621,7 +621,7 @@ func (e *Engine) matchTarget(ctx context.Context, tbl *catalog.Table, where exec
 			}
 		}
 		rids = append(rids, rid)
-		rows = append(rows, row.Clone())
+		rows = append(rows, row)
 		return nil
 	})
 	if err != nil {

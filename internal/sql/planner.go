@@ -318,9 +318,9 @@ func indexErrNil(cols []string, name string) (int, bool) {
 	return i, err == nil
 }
 
-// planTableRef builds a scan for one FROM entry: view expansion, index
-// scan when the WHERE clause constrains an indexed column of the first
-// table, or plain sequential scan.
+// planTableRef builds a scan for one FROM entry: view expansion, or the
+// table's access path (an index scan is considered only when the query
+// reads a single table, so every WHERE conjunct is about it).
 func (e *Engine) planTableRef(ctx context.Context, s *Select, ref TableRef, first bool) (exec.Operator, error) {
 	if v, err := e.cat.GetView(ref.Table); err == nil {
 		sub, err := Parse(v.Query)
@@ -358,32 +358,33 @@ func (e *Engine) planTableRef(ctx context.Context, s *Select, ref TableRef, firs
 	if err != nil {
 		return nil, err
 	}
-	if first && len(s.From) == 1 && s.Where != nil {
-		if op, ok, err := e.tryIndexScan(tbl, h, ref.Alias, s.Where); err != nil {
-			return nil, err
-		} else if ok {
-			return op, nil
-		}
+	var where exec.Expr
+	if first && len(s.From) == 1 {
+		where = s.Where
 	}
-	return exec.NewSeqScan(tbl, h, ref.Alias), nil
+	return e.accessPath(tbl, h, ref.Alias, where)
 }
 
-// tryIndexScan looks for a `col CMP literal` conjunct over an indexed
-// column and builds a bounded index scan. The full WHERE still runs as
-// a filter above, so the bound only needs to be an over-approximation.
-func (e *Engine) tryIndexScan(tbl *catalog.Table, h exec.RowSource, alias string, where exec.Expr) (exec.Operator, bool, error) {
+// rowAccess is a base-table scan that can also hand over each row's
+// RID, which UPDATE and DELETE need to write the row back.
+type rowAccess interface {
+	exec.Operator
+	Each(ctx context.Context, fn func(rid access.RID, row access.Row) error) error
+}
+
+// accessPath is the one rule by which SELECT, UPDATE and DELETE reach
+// the rows of a single table: the index range of the first AND-connected
+// `indexed column CMP literal` conjunct of where, else the heap scan.
+// The range over-approximates its conjunct, so every caller still
+// applies the full where to each row.
+func (e *Engine) accessPath(tbl *catalog.Table, h exec.RowSource, alias string, where exec.Expr) (rowAccess, error) {
 	cmp, ok := findIndexableCmp(where, tbl)
 	if !ok {
-		return nil, false, nil
+		return exec.NewSeqScan(tbl, h, alias), nil
 	}
-	col := cmp.col
-	def, ok := tbl.Index(col)
-	if !ok {
-		return nil, false, nil
-	}
-	tree, err := e.tree(def)
+	tree, err := e.tree(cmp.def)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	scan := &exec.IndexScan{Table: tbl, Source: h, Tree: tree, Alias: alias}
 	switch cmp.op {
@@ -391,41 +392,27 @@ func (e *Engine) tryIndexScan(tbl *catalog.Table, h exec.RowSource, alias string
 		scan.Lo, scan.Hi = &cmp.val, &cmp.val
 	case exec.OpLt, exec.OpLe:
 		scan.Hi = &cmp.val
-	case exec.OpGt, exec.OpGe:
+	default: // OpGt, OpGe
 		scan.Lo = &cmp.val
-	default:
-		return nil, false, nil
 	}
-	return scan, true, nil
+	return scan, nil
 }
 
 type indexableCmp struct {
-	col string
+	def catalog.IndexDef
 	op  exec.CmpOp
-	val access.Value
+	val access.Value // of the indexed column's type
 }
 
 // findIndexableCmp extracts the first top-level (AND-connected)
-// comparison between an indexed column and a literal.
+// comparison =, <, <=, > or >= between an indexed column and a literal.
 func findIndexableCmp(where exec.Expr, tbl *catalog.Table) (indexableCmp, bool) {
 	switch t := where.(type) {
 	case exec.Cmp:
-		if c, ok := t.L.(exec.Col); ok {
-			if l, ok := t.R.(exec.Lit); ok {
-				name := bareName(c.Name)
-				if _, has := tbl.Index(name); has {
-					return indexableCmp{col: name, op: t.Op, val: l.V}, true
-				}
-			}
+		if c, ok := indexableSide(t.L, t.R, t.Op, tbl); ok {
+			return c, true
 		}
-		if c, ok := t.R.(exec.Col); ok {
-			if l, ok := t.L.(exec.Lit); ok {
-				name := bareName(c.Name)
-				if _, has := tbl.Index(name); has {
-					return indexableCmp{col: name, op: flipCmp(t.Op), val: l.V}, true
-				}
-			}
-		}
+		return indexableSide(t.R, t.L, flipCmp(t.Op), tbl)
 	case exec.Logic:
 		if t.Op == exec.OpAnd {
 			if c, ok := findIndexableCmp(t.L, tbl); ok {
@@ -435,6 +422,38 @@ func findIndexableCmp(where exec.Expr, tbl *catalog.Table) (indexableCmp, bool) 
 		}
 	}
 	return indexableCmp{}, false
+}
+
+// indexableSide reports `col op lit` as an index range when col is
+// indexed. An index holds keys of its column's type only (int and float
+// keys do not interleave), so the literal is coerced to that type; one
+// the type cannot hold exactly, like 1.5 for an INT column, plans no
+// range.
+func indexableSide(col, lit exec.Expr, op exec.CmpOp, tbl *catalog.Table) (indexableCmp, bool) {
+	c, isCol := col.(exec.Col)
+	l, isLit := lit.(exec.Lit)
+	if !isCol || !isLit {
+		return indexableCmp{}, false
+	}
+	switch op {
+	case exec.OpEq, exec.OpLt, exec.OpLe, exec.OpGt, exec.OpGe:
+	default:
+		return indexableCmp{}, false
+	}
+	name := bareName(c.Name)
+	def, ok := tbl.Index(name)
+	if !ok {
+		return indexableCmp{}, false
+	}
+	ci, err := tbl.ColumnIndex(name)
+	if err != nil {
+		return indexableCmp{}, false
+	}
+	v, err := coerce(l.V, tbl.Columns[ci].Type)
+	if err != nil {
+		return indexableCmp{}, false
+	}
+	return indexableCmp{def: def, op: op, val: v}, true
 }
 
 func flipCmp(op exec.CmpOp) exec.CmpOp {

@@ -20,19 +20,25 @@ import (
 
 // newEngine builds a full engine over an in-memory disk with WAL and
 // transactions.
-func newEngine(t *testing.T) *Engine {
+func newEngine(t testing.TB) *Engine {
 	t.Helper()
 	e, _ := newEngineAndLog(t)
 	return e
 }
 
-func newEngineAndLog(t *testing.T) (*Engine, *wal.Log) {
+func newEngineAndLog(t testing.TB) (*Engine, *wal.Log) {
+	t.Helper()
+	return newEngineFrames(t, 128)
+}
+
+// newEngineFrames is newEngineAndLog over a buffer pool of frames pages.
+func newEngineFrames(t testing.TB, frames int) (*Engine, *wal.Log) {
 	t.Helper()
 	d, err := storage.OpenDisk(storage.NewMemDevice())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := buffer.New(d, 128, buffer.NewLRU())
+	pool := buffer.New(d, frames, buffer.NewLRU())
 	fm, err := storage.OpenFileManager(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +77,7 @@ func seedUsers(t *testing.T, e *Engine) {
 	}
 }
 
-func mustExec(t *testing.T, e *Engine, q string) *Result {
+func mustExec(t testing.TB, e *Engine, q string) *Result {
 	t.Helper()
 	r, err := e.Execute(context.Background(), q)
 	if err != nil {
