@@ -78,13 +78,15 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointMeta$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeView$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeEdits$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzValueOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/access
 
 # Crash-recovery suite: kill -9, dropped write-backs, torn page writes,
 # batched transactions, and the mid-import sweeps (data-device, torn,
 # and WAL crashes at every log write of a bulk load, across segment
 # rollovers: recovery must land on all imported keys or none —
-# TestKVCrashRecoveryMidImport* matches the pattern below) — run under
-# the race detector.
+# TestKVCrashRecoveryMidImport* matches the pattern below), and a
+# CREATE INDEX crashed at every data-device write, dropped or torn
+# (TestEngineCrashRecoveryCreateIndex) — run under the race detector.
 crash:
 	$(GO) test -race -run 'TestKVCrashRecovery|TestAbortThenCrashRecovery|TestEngineCrashRecovery|TestCrashMidVacuum' \
 		-count=1 . ./internal/txn/... ./internal/sql/...
@@ -114,9 +116,10 @@ stress:
 # tests pin what spans two ops — a phantom between two scans, write
 # skew across a scan then a put, lost updates across an unlocked get
 # then a put, none when the key lock is held to commit; lock-manager
-# FIFO fairness, grant-order and no-barging tests.
+# FIFO fairness, grant-order and no-barging tests; a CREATE INDEX racing
+# INSERTs on its table (the index must equal the heap).
 ISOLATION_RUN = 'TestIsolation|TestLockFairness|TestLockFIFO|TestLockNoBarging|TestTryAcquire'
-ISOLATION_PKGS = . ./internal/txn/...
+ISOLATION_PKGS = . ./internal/txn/... ./internal/sql/...
 
 isolation:
 	$(call gomaxprocsMatrix,$(ISOLATION_RUN),$(ISOLATION_PKGS))

@@ -480,11 +480,3 @@ func (h *HeapFile) Count() (int, error) {
 	err := h.Scan(func(RID, []byte) error { n++; return nil })
 	return n, err
 }
-
-// Drop removes the heap file and its pages.
-func (h *HeapFile) Drop() error {
-	h.mu.Lock()
-	h.freeHint = nil
-	h.mu.Unlock()
-	return h.fm.Drop(h.name)
-}

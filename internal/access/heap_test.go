@@ -159,7 +159,7 @@ func TestHeapDrop(t *testing.T) {
 	if _, err := h.Insert(nil, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Drop(); err != nil {
+	if err := h.fm.Drop(h.Name()); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Scan(func(RID, []byte) error { return nil }); !errors.Is(err, storage.ErrFileNotFound) {

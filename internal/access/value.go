@@ -6,6 +6,8 @@
 package access
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,8 +140,11 @@ func (v Value) AsFloat() (float64, bool) {
 }
 
 // Compare orders two values: -1, 0, +1. NULL sorts before everything;
-// int and float compare numerically across types. Incomparable types
-// return ErrTypeMismatch.
+// int and float compare numerically across types, exactly: two INTs as
+// integers, an INT and a FLOAT without rounding the INT to a float. NaN
+// equals NaN and sorts below every other number, and -0 equals 0, as in
+// cmp.Compare.
+// Incomparable types return ErrTypeMismatch.
 func Compare(a, b Value) (int, error) {
 	if a.Type == TypeNull || b.Type == TypeNull {
 		switch {
@@ -151,18 +156,15 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	if af, ok := a.AsFloat(); ok {
-		if bf, ok := b.AsFloat(); ok {
-			switch {
-			case af < bf:
-				return -1, nil
-			case af > bf:
-				return 1, nil
-			default:
-				return 0, nil
-			}
-		}
-		return 0, fmt.Errorf("%w: %s vs %s", ErrTypeMismatch, a.Type, b.Type)
+	switch {
+	case a.Type == TypeInt && b.Type == TypeInt:
+		return cmp.Compare(a.Int, b.Int), nil
+	case a.Type == TypeInt && b.Type == TypeFloat:
+		return compareIntFloat(a.Int, b.Float), nil
+	case a.Type == TypeFloat && b.Type == TypeInt:
+		return -compareIntFloat(b.Int, a.Float), nil
+	case a.Type == TypeFloat && b.Type == TypeFloat:
+		return cmp.Compare(a.Float, b.Float), nil
 	}
 	if a.Type != b.Type {
 		return 0, fmt.Errorf("%w: %s vs %s", ErrTypeMismatch, a.Type, b.Type)
@@ -180,29 +182,26 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	case TypeBytes:
-		return bytesCompare(a.Bytes, b.Bytes), nil
+		return bytes.Compare(a.Bytes, b.Bytes), nil
 	}
 	return 0, fmt.Errorf("%w: %s", ErrTypeMismatch, a.Type)
 }
 
-func bytesCompare(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
+// compareIntFloat orders an INT against a FLOAT exactly: NaN and a
+// float outside the int64 range lie beyond every int, and one inside it
+// is compared by its integer part first, then by its fraction.
+func compareIntFloat(i int64, f float64) int {
 	switch {
-	case len(a) < len(b):
+	case f >= 1<<63:
 		return -1
-	case len(a) > len(b):
+	case math.IsNaN(f) || f < -(1<<63):
 		return 1
-	default:
-		return 0
 	}
+	whole := math.Trunc(f)
+	if c := cmp.Compare(i, int64(whole)); c != 0 {
+		return c
+	}
+	return cmp.Compare(whole, f)
 }
 
 // Equal reports deep equality (NULL equals NULL here; SQL three-valued
@@ -356,12 +355,20 @@ func EncodeKey(v Value) []byte {
 	case TypeFloat:
 		// Index columns have a fixed type, so int and float keys never
 		// mix within one index; each class just needs internal order.
+		// -0 encodes as 0 and every NaN below -Inf, as Compare orders them.
 		var out [9]byte
 		out[0] = 0x01
-		bits := math.Float64bits(v.Float)
-		if v.Float >= 0 {
+		f := v.Float
+		if f == 0 {
+			f = 0
+		}
+		bits := math.Float64bits(f)
+		switch {
+		case math.IsNaN(f):
+			bits = 0
+		case f >= 0:
 			bits ^= 1 << 63
-		} else {
+		default:
 			bits = ^bits
 		}
 		binary.BigEndian.PutUint64(out[1:], bits)

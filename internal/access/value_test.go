@@ -2,6 +2,7 @@ package access
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
 	"sort"
@@ -203,4 +204,96 @@ func TestEncodeKeySortsMixedInts(t *testing.T) {
 			t.Fatalf("key order mismatch at %d (val %d)", i, v)
 		}
 	}
+}
+
+// TestCompareExactAbove2To53 pins the exact numeric order: INTs that
+// the same float64 rounds to stay distinct, and an INT against a FLOAT
+// compares without rounding the INT.
+func TestCompareExactAbove2To53(t *testing.T) {
+	const p = 1 << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(p), NewInt(p + 1), -1},
+		{NewInt(p + 1), NewFloat(p), 1},
+		{NewFloat(p), NewInt(p + 1), -1},
+		{NewInt(math.MaxInt64), NewFloat(1 << 63), -1},
+		{NewInt(math.MinInt64), NewFloat(-(1 << 63)), 0},
+		{NewInt(2), NewFloat(2.5), -1},
+		{NewInt(-2), NewFloat(-2.5), 1},
+		{NewInt(0), NewFloat(math.Copysign(0, -1)), 0},
+		{NewInt(math.MinInt64), NewFloat(math.NaN()), 1},
+		{NewFloat(math.Inf(-1)), NewFloat(math.NaN()), 1},
+	}
+	for _, c := range cases {
+		if got, err := Compare(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
+		}
+	}
+}
+
+// fuzzValue builds a value of one of the six types from fuzz inputs.
+func fuzzValue(kind uint8, i int64, f float64, s string) Value {
+	switch kind % 6 {
+	case 0:
+		return Null()
+	case 1:
+		return NewInt(i)
+	case 2:
+		return NewFloat(f)
+	case 3:
+		return NewString(s)
+	case 4:
+		return NewBool(i&1 == 1)
+	default:
+		return NewBytes([]byte(s))
+	}
+}
+
+func sign(n int) int { return cmp.Compare(n, 0) }
+
+// FuzzValueOrder checks that Compare is a total order on each class of
+// mutually comparable values (antisymmetric, and transitive on triples)
+// and that, for two values of one type, EncodeKey's byte order agrees
+// with it.
+func FuzzValueOrder(f *testing.F) {
+	const p = 1 << 53
+	f.Add(uint8(1), int64(p), 0.0, "", uint8(1), int64(p+1), 0.0, "", uint8(2), int64(0), float64(p), "")
+	f.Add(uint8(2), int64(0), math.Copysign(0, -1), "", uint8(2), int64(0), 0.0, "", uint8(1), int64(0), 0.0, "")
+	f.Add(uint8(2), int64(0), math.NaN(), "", uint8(2), int64(0), math.Inf(-1), "", uint8(1), int64(math.MinInt64), 0.0, "")
+	f.Add(uint8(1), int64(math.MaxInt64), 0.0, "", uint8(2), int64(0), float64(1<<63), "", uint8(2), int64(0), math.Inf(1), "")
+	f.Add(uint8(3), int64(0), 0.0, "a", uint8(3), int64(0), 0.0, "a\x00", uint8(5), int64(0), 0.0, "b")
+	f.Add(uint8(4), int64(0), 0.0, "", uint8(4), int64(1), 0.0, "", uint8(0), int64(0), 0.0, "")
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string, kc uint8, ic int64, fc float64, sc string) {
+		vals := []Value{fuzzValue(ka, ia, fa, sa), fuzzValue(kb, ib, fb, sb), fuzzValue(kc, ic, fc, sc)}
+		order := func(x, y Value) (int, bool) {
+			c, err := Compare(x, y)
+			return sign(c), err == nil
+		}
+		for _, x := range vals {
+			for _, y := range vals {
+				xy, okxy := order(x, y)
+				yx, okyx := order(y, x)
+				if okxy != okyx || (okxy && xy != -yx) {
+					t.Fatalf("Compare(%v, %v) = %d, %v but Compare(%v, %v) = %d, %v", x, y, xy, okxy, y, x, yx, okyx)
+				}
+				if okxy && x.Type == y.Type {
+					if kc := sign(bytes.Compare(EncodeKey(x), EncodeKey(y))); kc != xy {
+						t.Fatalf("Compare(%v, %v) = %d but their keys compare %d", x, y, xy, kc)
+					}
+				}
+			}
+		}
+		a, b, c := vals[0], vals[1], vals[2]
+		ab, ok1 := order(a, b)
+		bc, ok2 := order(b, c)
+		ac, ok3 := order(a, c)
+		if ok1 && ok2 && ok3 && ab <= 0 && bc <= 0 && ac > 0 {
+			t.Fatalf("not transitive: %v <= %v <= %v but %v > %v", a, b, c, a, c)
+		}
+		if ok1 && ok2 && ok3 && ab == 0 && bc == 0 && ac != 0 {
+			t.Fatalf("equality not transitive: %v = %v = %v but Compare(%v, %v) = %d", a, b, c, a, c, ac)
+		}
+	})
 }

@@ -1,7 +1,9 @@
 // Package catalog implements the Data Services metadata of SBDMS:
-// persistent table, column, index and view definitions, stored in a
-// dedicated heap file so the catalog survives restarts through the same
-// storage services as user data ("Data Services present the data in
+// persistent table, column, index and view definitions, stored as rows
+// of a dedicated heap file. A definition changes under the transaction
+// of the DDL statement that changes it, through the same heap, log and
+// recovery as user data, so the catalog survives restarts and crashes
+// through the same storage services ("Data Services present the data in
 // logical structures like tables or views", Section 3.1).
 package catalog
 
@@ -9,13 +11,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/access"
 	"repro/internal/buffer"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Catalog errors.
@@ -95,32 +97,53 @@ const (
 	kindView  entryKind = "view"
 )
 
-// Catalog stores and serves schema metadata. All mutations are
-// persisted immediately to the catalog heap file and flushed, so DDL
-// survives crashes without WAL involvement.
+// Catalog stores and serves schema metadata. A change writes its row
+// with heap.Insert/Update/Delete(tx, …), so it is logged with logical
+// undo and durable with tx's commit record, like a user row. The maps
+// change at once, for the rest of tx to see; if tx aborts they are
+// rebuilt from the heap before its locks are released. Callers keep
+// catalog writers serial until commit (the SQL engine X-locks the
+// catalog for DDL): a rolled-back delete must find its slot free.
 type Catalog struct {
 	mu     sync.RWMutex
-	pool   *buffer.Manager
 	heap   *access.HeapFile
 	tables map[string]*Table
 	views  map[string]*View
 	rids   map[string]access.RID // "kind/name" -> row
 }
 
-// Open loads (or initialises) the catalog from its heap file.
-func Open(fm *storage.FileManager, pool *buffer.Manager) (*Catalog, error) {
+// Tx is the transaction a catalog change runs under. A nil Tx writes
+// unlogged (tests of this package only).
+type Tx interface {
+	access.TxnContext
+	// OnAborted registers a callback run after the transaction has
+	// rolled back, before its locks are released.
+	OnAborted(func() error)
+}
+
+// Open loads (or initialises) the catalog from its heap file, whose
+// changes are logged to l.
+func Open(fm *storage.FileManager, pool *buffer.Manager, l *wal.Log) (*Catalog, error) {
 	heap, err := access.OpenHeap(CatalogFile, fm, pool)
 	if err != nil {
 		return nil, err
 	}
-	c := &Catalog{
-		pool:   pool,
-		heap:   heap,
-		tables: make(map[string]*Table),
-		views:  make(map[string]*View),
-		rids:   make(map[string]access.RID),
+	heap.SetLog(l)
+	c := &Catalog{heap: heap}
+	if err := c.load(); err != nil {
+		return nil, err
 	}
-	err = heap.Scan(func(rid access.RID, rec []byte) error {
+	return c, nil
+}
+
+// load rebuilds the in-memory maps from the catalog heap.
+func (c *Catalog) load() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tables = make(map[string]*Table)
+	c.views = make(map[string]*View)
+	c.rids = make(map[string]access.RID)
+	return c.heap.Scan(func(rid access.RID, rec []byte) error {
 		row, err := access.DecodeRow(rec)
 		if err != nil {
 			return err
@@ -148,13 +171,9 @@ func Open(fm *storage.FileManager, pool *buffer.Manager) (*Catalog, error) {
 		c.rids[string(kind)+"/"+strings.ToLower(name)] = rid
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
-func (c *Catalog) persistLocked(kind entryKind, name string, def any) error {
+func (c *Catalog) persistLocked(tx Tx, kind entryKind, name string, def any) error {
 	blob, err := json.Marshal(def)
 	if err != nil {
 		return err
@@ -166,37 +185,43 @@ func (c *Catalog) persistLocked(kind entryKind, name string, def any) error {
 	}
 	key := string(kind) + "/" + strings.ToLower(name)
 	rec := access.EncodeRow(row)
+	if tx != nil {
+		tx.OnAborted(c.load)
+	}
 	if rid, ok := c.rids[key]; ok {
-		nrid, err := c.heap.Update(nil, rid, rec)
+		nrid, err := c.heap.Update(tx, rid, rec)
 		if err != nil {
 			return err
 		}
 		c.rids[key] = nrid
-	} else {
-		rid, err := c.heap.Insert(nil, rec)
-		if err != nil {
-			return err
-		}
-		c.rids[key] = rid
+		return nil
 	}
-	return c.pool.FlushAll()
+	rid, err := c.heap.Insert(tx, rec)
+	if err != nil {
+		return err
+	}
+	c.rids[key] = rid
+	return nil
 }
 
-func (c *Catalog) removeLocked(kind entryKind, name string) error {
+func (c *Catalog) removeLocked(tx Tx, kind entryKind, name string) error {
 	key := string(kind) + "/" + strings.ToLower(name)
 	rid, ok := c.rids[key]
 	if !ok {
 		return nil
 	}
-	if err := c.heap.Delete(nil, rid); err != nil {
+	if tx != nil {
+		tx.OnAborted(c.load)
+	}
+	if err := c.heap.Delete(tx, rid); err != nil {
 		return err
 	}
 	delete(c.rids, key)
-	return c.pool.FlushAll()
+	return nil
 }
 
-// CreateTable registers a new table definition.
-func (c *Catalog) CreateTable(t *Table) error {
+// CreateTable registers a new table definition under tx.
+func (c *Catalog) CreateTable(tx Tx, t *Table) error {
 	if t.Name == "" || len(t.Columns) == 0 {
 		return fmt.Errorf("catalog: table needs a name and columns")
 	}
@@ -217,17 +242,16 @@ func (c *Catalog) CreateTable(t *Table) error {
 	if t.HeapFile == "" {
 		t.HeapFile = "tbl_" + lname
 	}
-	c.tables[lname] = t
-	if err := c.persistLocked(kindTable, t.Name, t); err != nil {
-		delete(c.tables, lname)
+	if err := c.persistLocked(tx, kindTable, t.Name, t); err != nil {
 		return err
 	}
+	c.tables[lname] = t
 	return nil
 }
 
-// DropTable removes a table definition, returning it so the engine can
-// drop the underlying heap and indexes.
-func (c *Catalog) DropTable(name string) (*Table, error) {
+// DropTable removes a table definition under tx, returning it so the
+// engine can drop the underlying heap and indexes once tx commits.
+func (c *Catalog) DropTable(tx Tx, name string) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	lname := strings.ToLower(name)
@@ -235,11 +259,10 @@ func (c *Catalog) DropTable(name string) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	delete(c.tables, lname)
-	if err := c.removeLocked(kindTable, name); err != nil {
-		c.tables[lname] = t
+	if err := c.removeLocked(tx, kindTable, name); err != nil {
 		return nil, err
 	}
+	delete(c.tables, lname)
 	return t, nil
 }
 
@@ -254,23 +277,14 @@ func (c *Catalog) GetTable(name string) (*Table, error) {
 	return t, nil
 }
 
-// Tables returns the sorted table names.
-func (c *Catalog) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, t.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AddIndex attaches an index definition to a table.
-func (c *Catalog) AddIndex(table string, def IndexDef) error {
+// AddIndex attaches an index definition to a table under tx. The table
+// definition is replaced, not edited, so a reader holding the old one
+// never sees it change.
+func (c *Catalog) AddIndex(tx Tx, table string, def IndexDef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.tables[strings.ToLower(table)]
+	lname := strings.ToLower(table)
+	t, ok := c.tables[lname]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, table)
 	}
@@ -282,54 +296,79 @@ func (c *Catalog) AddIndex(table string, def IndexDef) error {
 	if _, err := t.ColumnIndex(def.Column); err != nil {
 		return err
 	}
-	t.Indexes = append(t.Indexes, def)
-	return c.persistLocked(kindTable, t.Name, t)
+	nt := *t
+	nt.Indexes = append(append([]IndexDef(nil), t.Indexes...), def)
+	return c.replaceLocked(tx, lname, &nt)
 }
 
-// DropIndex removes an index definition by name, returning it.
-func (c *Catalog) DropIndex(name string) (IndexDef, string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Catalog) replaceLocked(tx Tx, lname string, t *Table) error {
+	if err := c.persistLocked(tx, kindTable, t.Name, t); err != nil {
+		return err
+	}
+	c.tables[lname] = t
+	return nil
+}
+
+// IndexTable returns the name of the table the named index belongs to.
+func (c *Catalog) IndexTable(name string) (string, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for _, t := range c.tables {
-		for i, ix := range t.Indexes {
+		for _, ix := range t.Indexes {
 			if strings.EqualFold(ix.Name, name) {
-				t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-				if err := c.persistLocked(kindTable, t.Name, t); err != nil {
-					return IndexDef{}, "", err
-				}
-				return ix, t.Name, nil
+				return t.Name, nil
 			}
 		}
 	}
-	return IndexDef{}, "", fmt.Errorf("%w: %s", ErrNoIndex, name)
+	return "", fmt.Errorf("%w: %s", ErrNoIndex, name)
 }
 
-// CreateView registers a named query.
-func (c *Catalog) CreateView(v *View) error {
+// DropIndex removes the named index of table under tx, returning its
+// definition.
+func (c *Catalog) DropIndex(tx Tx, table, name string) (IndexDef, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lname := strings.ToLower(table)
+	if t, ok := c.tables[lname]; ok {
+		for i, ix := range t.Indexes {
+			if strings.EqualFold(ix.Name, name) {
+				nt := *t
+				nt.Indexes = append(append([]IndexDef(nil), t.Indexes[:i]...), t.Indexes[i+1:]...)
+				return ix, c.replaceLocked(tx, lname, &nt)
+			}
+		}
+	}
+	return IndexDef{}, fmt.Errorf("%w: %s", ErrNoIndex, name)
+}
+
+// CreateView registers a named query under tx.
+func (c *Catalog) CreateView(tx Tx, v *View) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	lname := strings.ToLower(v.Name)
 	if _, ok := c.views[lname]; ok {
 		return fmt.Errorf("%w: %s", ErrViewExists, v.Name)
 	}
-	c.views[lname] = v
-	if err := c.persistLocked(kindView, v.Name, v); err != nil {
-		delete(c.views, lname)
+	if err := c.persistLocked(tx, kindView, v.Name, v); err != nil {
 		return err
 	}
+	c.views[lname] = v
 	return nil
 }
 
-// DropView removes a view.
-func (c *Catalog) DropView(name string) error {
+// DropView removes a view under tx.
+func (c *Catalog) DropView(tx Tx, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	lname := strings.ToLower(name)
 	if _, ok := c.views[lname]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoView, name)
 	}
+	if err := c.removeLocked(tx, kindView, name); err != nil {
+		return err
+	}
 	delete(c.views, lname)
-	return c.removeLocked(kindView, name)
+	return nil
 }
 
 // GetView looks up a view.
@@ -341,16 +380,4 @@ func (c *Catalog) GetView(name string) (*View, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoView, name)
 	}
 	return v, nil
-}
-
-// Views returns the sorted view names.
-func (c *Catalog) Views() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.views))
-	for _, v := range c.views {
-		out = append(out, v.Name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -20,7 +20,7 @@ func newCat(t *testing.T) (*Catalog, *storage.FileManager, *buffer.Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(fm, pool)
+	c, err := Open(fm, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func usersTable() *Table {
 
 func TestCreateGetDropTable(t *testing.T) {
 	c, _, _ := newCat(t)
-	if err := c.CreateTable(usersTable()); err != nil {
+	if err := c.CreateTable(nil, usersTable()); err != nil {
 		t.Fatal(err)
 	}
 	// Case-insensitive lookup.
@@ -50,36 +50,33 @@ func TestCreateGetDropTable(t *testing.T) {
 	if tbl.HeapFile == "" {
 		t.Fatal("heap file must be assigned")
 	}
-	if err := c.CreateTable(usersTable()); !errors.Is(err, ErrTableExists) {
+	if err := c.CreateTable(nil, usersTable()); !errors.Is(err, ErrTableExists) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := c.Tables(); len(got) != 1 || got[0] != "Users" {
-		t.Fatalf("Tables = %v", got)
-	}
-	dropped, err := c.DropTable("USERS")
+	dropped, err := c.DropTable(nil, "USERS")
 	if err != nil || dropped.Name != "Users" {
 		t.Fatalf("Drop = %v, %v", dropped, err)
 	}
 	if _, err := c.GetTable("users"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.DropTable("users"); !errors.Is(err, ErrNoTable) {
+	if _, err := c.DropTable(nil, "users"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestCreateTableValidation(t *testing.T) {
 	c, _, _ := newCat(t)
-	if err := c.CreateTable(&Table{Name: ""}); err == nil {
+	if err := c.CreateTable(nil, &Table{Name: ""}); err == nil {
 		t.Fatal("empty table must fail")
 	}
-	if err := c.CreateTable(&Table{Name: "t"}); err == nil {
+	if err := c.CreateTable(nil, &Table{Name: "t"}); err == nil {
 		t.Fatal("no columns must fail")
 	}
 	dup := &Table{Name: "t", Columns: []Column{
 		{Name: "a", Type: access.TypeInt}, {Name: "A", Type: access.TypeInt},
 	}}
-	if err := c.CreateTable(dup); err == nil {
+	if err := c.CreateTable(nil, dup); err == nil {
 		t.Fatal("duplicate column (case-insensitive) must fail")
 	}
 }
@@ -103,50 +100,51 @@ func TestColumnIndexAndIndexLookup(t *testing.T) {
 
 func TestAddDropIndex(t *testing.T) {
 	c, _, _ := newCat(t)
-	if err := c.CreateTable(usersTable()); err != nil {
+	if err := c.CreateTable(nil, usersTable()); err != nil {
 		t.Fatal(err)
 	}
 	def := IndexDef{Name: "idx_id", Column: "id", MetaPage: 7, Unique: true}
-	if err := c.AddIndex("users", def); err != nil {
+	if err := c.AddIndex(nil, "users", def); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddIndex("users", def); !errors.Is(err, ErrIndexExists) {
+	if err := c.AddIndex(nil, "users", def); !errors.Is(err, ErrIndexExists) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := c.AddIndex("users", IndexDef{Name: "idx2", Column: "nope"}); !errors.Is(err, ErrNoColumn) {
+	if err := c.AddIndex(nil, "users", IndexDef{Name: "idx2", Column: "nope"}); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := c.AddIndex("ghost", def); !errors.Is(err, ErrNoTable) {
+	if err := c.AddIndex(nil, "ghost", def); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("err = %v", err)
 	}
-	got, table, err := c.DropIndex("IDX_ID")
-	if err != nil || got.MetaPage != 7 || table != "Users" {
-		t.Fatalf("DropIndex = %+v, %s, %v", got, table, err)
+	table, err := c.IndexTable("IDX_ID")
+	if err != nil || table != "Users" {
+		t.Fatalf("IndexTable = %s, %v", table, err)
 	}
-	if _, _, err := c.DropIndex("idx_id"); !errors.Is(err, ErrNoIndex) {
+	got, err := c.DropIndex(nil, table, "IDX_ID")
+	if err != nil || got.MetaPage != 7 {
+		t.Fatalf("DropIndex = %+v, %v", got, err)
+	}
+	if _, err := c.DropIndex(nil, table, "idx_id"); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestViews(t *testing.T) {
 	c, _, _ := newCat(t)
-	if err := c.CreateView(&View{Name: "v1", Query: "SELECT 1"}); err != nil {
+	if err := c.CreateView(nil, &View{Name: "v1", Query: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateView(&View{Name: "V1", Query: "SELECT 2"}); !errors.Is(err, ErrViewExists) {
+	if err := c.CreateView(nil, &View{Name: "V1", Query: "SELECT 2"}); !errors.Is(err, ErrViewExists) {
 		t.Fatalf("err = %v", err)
 	}
 	v, err := c.GetView("v1")
 	if err != nil || v.Query != "SELECT 1" {
 		t.Fatalf("GetView = %v, %v", v, err)
 	}
-	if got := c.Views(); len(got) != 1 {
-		t.Fatalf("Views = %v", got)
-	}
-	if err := c.DropView("v1"); err != nil {
+	if err := c.DropView(nil, "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DropView("v1"); !errors.Is(err, ErrNoView) {
+	if err := c.DropView(nil, "v1"); !errors.Is(err, ErrNoView) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -155,21 +153,21 @@ func TestCatalogPersistence(t *testing.T) {
 	d, _ := storage.OpenDisk(storage.NewMemDevice())
 	pool := buffer.New(d, 32, buffer.NewLRU())
 	fm, _ := storage.OpenFileManager(pool)
-	c, err := Open(fm, pool)
+	c, err := Open(fm, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateTable(usersTable()); err != nil {
+	if err := c.CreateTable(nil, usersTable()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddIndex("users", IndexDef{Name: "idx", Column: "id", MetaPage: 3}); err != nil {
+	if err := c.AddIndex(nil, "users", IndexDef{Name: "idx", Column: "id", MetaPage: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateView(&View{Name: "v", Query: "SELECT id FROM users"}); err != nil {
+	if err := c.CreateView(nil, &View{Name: "v", Query: "SELECT id FROM users"}); err != nil {
 		t.Fatal(err)
 	}
 	// Reopen over the same storage: everything must be back.
-	c2, err := Open(fm, pool)
+	c2, err := Open(fm, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +182,10 @@ func TestCatalogPersistence(t *testing.T) {
 		t.Fatal("view lost")
 	}
 	// Drops persist too.
-	if _, err := c2.DropTable("users"); err != nil {
+	if _, err := c2.DropTable(nil, "users"); err != nil {
 		t.Fatal(err)
 	}
-	c3, err := Open(fm, pool)
+	c3, err := Open(fm, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,47 +10,6 @@ import (
 	"repro/internal/catalog"
 )
 
-func TestMergeJoinSkipsNullKeysAndDuplicates(t *testing.T) {
-	ctx := context.Background()
-	left := &Values{Cols: []string{"l.k"}, Rows: []access.Row{
-		{access.NewInt(1)}, {access.Null()}, {access.NewInt(2)}, {access.NewInt(2)},
-	}}
-	right := &Values{Cols: []string{"r.k"}, Rows: []access.Row{
-		{access.NewInt(2)}, {access.NewInt(2)}, {access.Null()}, {access.NewInt(3)},
-	}}
-	j := &MergeJoin{
-		L:    &Sort{In: left, Keys: []SortKey{{E: Col{"l.k"}}}},
-		R:    &Sort{In: right, Keys: []SortKey{{E: Col{"r.k"}}}},
-		LKey: Col{"l.k"}, RKey: Col{"r.k"},
-	}
-	rows, err := Collect(ctx, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2x2 duplicate join on key 2; NULLs never join.
-	if len(rows) != 4 {
-		t.Fatalf("rows = %v", rows)
-	}
-	for _, r := range rows {
-		if r[0].Int != 2 || r[1].Int != 2 {
-			t.Fatalf("bad pair %v", r)
-		}
-	}
-}
-
-func TestMergeJoinDisjointInputs(t *testing.T) {
-	ctx := context.Background()
-	j := &MergeJoin{
-		L:    &Values{Cols: []string{"a"}, Rows: []access.Row{{access.NewInt(1)}}},
-		R:    &Values{Cols: []string{"b"}, Rows: []access.Row{{access.NewInt(9)}}},
-		LKey: Col{"a"}, RKey: Col{"b"},
-	}
-	rows, err := Collect(ctx, j)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("rows = %v, %v", rows, err)
-	}
-}
-
 func TestHashJoinNullKeysNeverJoin(t *testing.T) {
 	ctx := context.Background()
 	j := &HashJoin{

@@ -646,139 +646,6 @@ func (j *HashJoin) Close() error {
 	return rerr
 }
 
-// MergeJoin equi-joins two inputs that are already sorted on their join
-// keys (the planner inserts Sort operators beneath it).
-type MergeJoin struct {
-	L, R       Operator
-	LKey, RKey Expr
-
-	lrows, rrows []access.Row
-	li, ri       int
-	group        []access.Row // current right group
-	gpos         int
-	cur          access.Row
-	cols         []string
-}
-
-// Columns implements Operator.
-func (j *MergeJoin) Columns() []string {
-	if j.cols == nil {
-		j.cols = append(append([]string(nil), j.L.Columns()...), j.R.Columns()...)
-	}
-	return j.cols
-}
-
-// Open implements Operator: both inputs are materialised (the paper's
-// architecture trades peak performance for composability; this keeps
-// the algorithm textbook-simple).
-func (j *MergeJoin) Open(ctx context.Context) error {
-	drain := func(op Operator) ([]access.Row, error) {
-		if err := op.Open(ctx); err != nil {
-			return nil, err
-		}
-		var out []access.Row
-		for {
-			row, err := op.Next(ctx)
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, row)
-		}
-	}
-	var err error
-	if j.lrows, err = drain(j.L); err != nil {
-		return err
-	}
-	if j.rrows, err = drain(j.R); err != nil {
-		return err
-	}
-	j.li, j.ri, j.gpos = 0, 0, 0
-	j.group = nil
-	j.cur = nil
-	return nil
-}
-
-// Next implements Operator.
-func (j *MergeJoin) Next(ctx context.Context) (access.Row, error) {
-	lcols, rcols := j.L.Columns(), j.R.Columns()
-	for {
-		if j.cur != nil && j.gpos < len(j.group) {
-			r := j.group[j.gpos]
-			j.gpos++
-			return append(append(access.Row{}, j.cur...), r...), nil
-		}
-		j.cur = nil
-		if j.li >= len(j.lrows) {
-			return nil, io.EOF
-		}
-		lrow := j.lrows[j.li]
-		lv, err := j.LKey.Eval(lrow, lcols)
-		if err != nil {
-			return nil, err
-		}
-		if lv.IsNull() {
-			j.li++
-			continue
-		}
-		// Advance right side to lv.
-		for j.ri < len(j.rrows) {
-			rv, err := j.RKey.Eval(j.rrows[j.ri], rcols)
-			if err != nil {
-				return nil, err
-			}
-			if rv.IsNull() {
-				j.ri++
-				continue
-			}
-			c, err := access.Compare(rv, lv)
-			if err != nil {
-				return nil, err
-			}
-			if c < 0 {
-				j.ri++
-				continue
-			}
-			break
-		}
-		// Collect the right group equal to lv.
-		j.group = j.group[:0]
-		for k := j.ri; k < len(j.rrows); k++ {
-			rv, err := j.RKey.Eval(j.rrows[k], rcols)
-			if err != nil {
-				return nil, err
-			}
-			c, err := access.Compare(rv, lv)
-			if err != nil {
-				return nil, err
-			}
-			if c != 0 {
-				break
-			}
-			j.group = append(j.group, j.rrows[k])
-		}
-		j.li++
-		if len(j.group) == 0 {
-			continue
-		}
-		j.cur = lrow
-		j.gpos = 0
-	}
-}
-
-// Close implements Operator.
-func (j *MergeJoin) Close() error {
-	j.lrows, j.rrows, j.group = nil, nil, nil
-	lerr := j.L.Close()
-	rerr := j.R.Close()
-	if lerr != nil {
-		return lerr
-	}
-	return rerr
-}
-
 // AggFunc names an aggregate function.
 type AggFunc string
 

@@ -135,29 +135,14 @@ func (t *BTree) versSlot(id storage.PageID) *atomic.Uint64 {
 func (t *BTree) DescentFallbacks() uint64 { return t.fallbacks.Load() }
 
 // Create allocates a new empty tree and returns it with its metadata
-// page id (persist that id in the catalog to reopen the tree).
+// page id (persist that id in the catalog to reopen the tree). It is
+// Build with no transaction, no log and no items: nothing is logged.
 func Create(pool *buffer.Manager, unique bool) (*BTree, storage.PageID, error) {
-	meta, err := pool.NewPage(storage.PageTypeIndex)
+	t, _, err := Build(nil, pool, nil, unique, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	rootF, err := pool.NewPage(storage.PageTypeIndex)
-	if err != nil {
-		_ = pool.Unpin(meta.ID, false)
-		return nil, 0, err
-	}
-	var root view
-	root.format(rootF.Page(), true, storage.InvalidPageID)
-	if err := pool.Unpin(rootF.ID, true); err != nil {
-		_ = pool.Unpin(meta.ID, false)
-		return nil, 0, err
-	}
-	t := &BTree{pool: pool, metaID: meta.ID, unique: unique}
-	writeMetaPage(meta.Page(), rootF.ID, 0, unique)
-	if err := pool.Unpin(meta.ID, true); err != nil {
-		return nil, 0, err
-	}
-	return t, meta.ID, nil
+	return t, t.metaID, nil
 }
 
 // Open loads an existing tree from its metadata page.

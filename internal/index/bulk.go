@@ -2,12 +2,16 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/access"
+	"repro/internal/buffer"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Bulk-build errors.
@@ -38,6 +42,58 @@ type BulkItem struct {
 	RID access.RID
 }
 
+// Build creates a tree holding items, in any order, in fresh pages:
+// BulkBuild's nodes (or one empty root leaf), then the metadata page.
+// Each page is written once under tx with nil undo, so a rollback
+// restores it physically. pages lists every page allocated, also on
+// error, for the caller to free after a rollback. A unique tree rejects
+// a repeated key before allocating anything. A nil tx logs nothing.
+func Build(tx access.TxnContext, pool *buffer.Manager, log *wal.Log, unique bool, items []BulkItem) (t *BTree, pages []storage.PageID, err error) {
+	slices.SortFunc(items, func(a, b BulkItem) int {
+		return cmp.Or(bytes.Compare(a.Key, b.Key), cmp.Compare(a.RID.Page, b.RID.Page), cmp.Compare(a.RID.Slot, b.RID.Slot))
+	})
+	if unique {
+		for i := 1; i < len(items); i++ {
+			if bytes.Equal(items[i-1].Key, items[i].Key) {
+				return nil, nil, fmt.Errorf("%w: %q", ErrDuplicateKey, items[i].Key)
+			}
+		}
+	}
+	meta, err := pool.NewPage(storage.PageTypeIndex)
+	if err != nil {
+		return nil, nil, err
+	}
+	pages = []storage.PageID{meta.ID}
+	if err := pool.Unpin(meta.ID, true); err != nil {
+		return nil, pages, err
+	}
+	t = &BTree{pool: pool, metaID: meta.ID, unique: unique, log: log}
+	var root storage.PageID
+	if len(items) == 0 {
+		r, err := t.newNodeLatched(tx, true)
+		if err != nil {
+			return nil, pages, err
+		}
+		t.unlatch(r)
+		root, pages = r.id, append(pages, r.id)
+	} else {
+		var built []storage.PageID
+		root, built, err = t.BulkBuild(tx, items, nil)
+		if pages = append(pages, built...); err != nil {
+			return nil, pages, err
+		}
+	}
+	err = access.MutatePage(pool, log, tx, meta.ID, func(p *storage.Page) error {
+		writeMetaPage(p, root, uint64(len(items)), unique)
+		return nil
+	})
+	if err != nil {
+		return nil, pages, err
+	}
+	t.count.Store(int64(len(items)))
+	return t, pages, nil
+}
+
 // BulkBuild constructs a complete B+tree bottom-up from sorted items
 // into FRESH pages: leaves are packed densely left to right (chain
 // links included), then interior levels are built from the leaf
@@ -48,8 +104,9 @@ type BulkItem struct {
 // Every page is written exactly once and logged under tx with nil undo:
 // fresh pages log full images (LSN 0 predates every full-page-write
 // fence), so redo rebuilds them from nothing and a loser rolls back
-// physically. tx must be the bulk loader's user transaction, which must
-// log nothing with logical undo.
+// physically. No other transaction may write these pages before tx
+// ends: the bulk loader holds InstallRoot's meta latch until it
+// commits, and Build's caller publishes its new tree under a lock.
 //
 // pageDone, when non-nil, runs after each sealed page — the loader's
 // cancellation hook. On any error the pages allocated so far are

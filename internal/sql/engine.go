@@ -114,17 +114,13 @@ func (e *Engine) configureTreeLocked(t *index.BTree) {
 
 func (e *Engine) heap(t *catalog.Table) (*access.HeapFile, error) {
 	e.mu.RLock()
-	if h, ok := e.heaps[t.HeapFile]; ok {
-		e.mu.RUnlock()
+	h, ok := e.heaps[t.HeapFile]
+	e.mu.RUnlock()
+	if ok {
 		return h, nil
 	}
-	e.mu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.heapLocked(t)
-}
-
-func (e *Engine) heapLocked(t *catalog.Table) (*access.HeapFile, error) {
 	if h, ok := e.heaps[t.HeapFile]; ok {
 		return h, nil
 	}
@@ -160,9 +156,10 @@ func (e *Engine) poison(err error) error {
 	return e.failed
 }
 
-// ExecuteStmt executes a parsed statement. DML and SELECT run under the
-// session transaction when one is open, otherwise under a per-statement
-// auto-commit transaction.
+// ExecuteStmt executes a parsed statement. Every statement but BEGIN,
+// COMMIT and ROLLBACK runs under the session transaction when one is
+// open, otherwise under a per-statement auto-commit transaction, and
+// locks the tables it reads (S) or changes (X) first.
 func (e *Engine) ExecuteStmt(ctx context.Context, st Statement) (*Result, error) {
 	e.mu.RLock()
 	if ferr := e.failed; ferr != nil {
@@ -170,33 +167,24 @@ func (e *Engine) ExecuteStmt(ctx context.Context, st Statement) (*Result, error)
 		return nil, ferr
 	}
 	e.mu.RUnlock()
-	switch s := st.(type) {
+	switch st.(type) {
 	case *Begin:
 		return e.begin()
 	case *Commit:
 		return e.commitSession()
 	case *Rollback:
 		return e.rollbackSession()
-	case *CreateTable:
-		return e.createTable(s)
-	case *CreateIndex:
-		return e.createIndex(ctx, s)
-	case *CreateView:
-		return e.createView(s)
-	case *Drop:
-		return e.drop(s)
 	}
 
 	tx, auto, err := e.stmtTxn()
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.runDMLOrQuery(ctx, st, tx)
+	res, err := e.runStmt(ctx, st, tx)
 	if auto {
 		if err != nil {
-			// Logical undo rolls the statement back through the live
-			// access methods: in-memory tree state stays coherent, no
-			// metadata reload is needed.
+			// Logical undo and the OnAborted hooks (catalog rebuild,
+			// freeing new pages) keep in-memory state coherent.
 			if aerr := e.txns.Abort(tx); aerr != nil {
 				err = fmt.Errorf("%w (%v)", err, e.poison(aerr))
 			}
@@ -221,12 +209,21 @@ func (e *Engine) stmtTxn() (*txn.Txn, bool, error) {
 	return tx, true, nil
 }
 
-func (e *Engine) runDMLOrQuery(ctx context.Context, st Statement, tx *txn.Txn) (*Result, error) {
+// catalogLock is the lock every DDL statement takes besides its
+// table's: it serialises catalog writers until commit, so a rolled-back
+// catalog delete always finds its slot free.
+const catalogLock = catalog.CatalogFile
+
+func (e *Engine) runStmt(ctx context.Context, st Statement, tx *txn.Txn) (*Result, error) {
+	tables, mode, err := e.stmtLocks(st)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.lockTables(ctx, tx, tables, mode); err != nil {
+		return nil, err
+	}
 	switch s := st.(type) {
 	case *Select:
-		if err := e.lockTables(ctx, tx, selectTables(s), txn.Shared); err != nil {
-			return nil, err
-		}
 		op, err := e.planSelect(ctx, s)
 		if err != nil {
 			return nil, err
@@ -237,30 +234,58 @@ func (e *Engine) runDMLOrQuery(ctx context.Context, st Statement, tx *txn.Txn) (
 		}
 		return &Result{Cols: op.Columns(), Rows: rows}, nil
 	case *Insert:
-		if err := e.lockTables(ctx, tx, []string{s.Table}, txn.Exclusive); err != nil {
-			return nil, err
-		}
 		return e.runInsert(ctx, s, tx)
 	case *Update:
-		if err := e.lockTables(ctx, tx, []string{s.Table}, txn.Exclusive); err != nil {
-			return nil, err
-		}
 		return e.runUpdate(ctx, s, tx)
 	case *Delete:
-		if err := e.lockTables(ctx, tx, []string{s.Table}, txn.Exclusive); err != nil {
-			return nil, err
-		}
 		return e.runDelete(ctx, s, tx)
+	case *CreateTable:
+		return e.createTable(s, tx)
+	case *CreateIndex:
+		return e.createIndex(s, tx)
+	case *CreateView:
+		return &Result{}, e.cat.CreateView(tx, &catalog.View{Name: s.Name, Query: s.Query})
+	case *Drop:
+		return e.drop(s, tables[0], tx)
 	}
 	return nil, fmt.Errorf("sql: unsupported statement %T", st)
 }
 
-func selectTables(s *Select) []string {
-	var out []string
-	for _, r := range s.From {
-		out = append(out, r.Table)
+// stmtLocks names the tables a statement locks, and how: a SELECT's
+// tables shared; the table a write or DDL statement changes exclusive,
+// and for DDL the catalog too. A DROP INDEX locks its index's table.
+func (e *Engine) stmtLocks(st Statement) ([]string, txn.LockMode, error) {
+	switch s := st.(type) {
+	case *Select:
+		var out []string
+		for _, r := range s.From {
+			out = append(out, r.Table)
+		}
+		return out, txn.Shared, nil
+	case *Insert:
+		return []string{s.Table}, txn.Exclusive, nil
+	case *Update:
+		return []string{s.Table}, txn.Exclusive, nil
+	case *Delete:
+		return []string{s.Table}, txn.Exclusive, nil
+	case *CreateTable:
+		return []string{s.Name, catalogLock}, txn.Exclusive, nil
+	case *CreateIndex:
+		return []string{s.Table, catalogLock}, txn.Exclusive, nil
+	case *CreateView:
+		return []string{s.Name, catalogLock}, txn.Exclusive, nil
+	case *Drop:
+		name := s.Name
+		if s.Kind == "INDEX" {
+			table, err := e.cat.IndexTable(s.Name)
+			if err != nil {
+				return nil, 0, err
+			}
+			name = table
+		}
+		return []string{name, catalogLock}, txn.Exclusive, nil
 	}
-	return out
+	return nil, 0, fmt.Errorf("sql: unsupported statement %T", st)
 }
 
 func (e *Engine) lockTables(ctx context.Context, tx *txn.Txn, tables []string, mode txn.LockMode) error {
@@ -317,8 +342,12 @@ func (e *Engine) rollbackSession() (*Result, error) {
 }
 
 // --- DDL ---
+//
+// DDL writes its catalog row and pages under the statement's
+// transaction. Storage it allocates is freed OnAborted; storage it
+// drops, OnCommitted.
 
-func (e *Engine) createTable(s *CreateTable) (*Result, error) {
+func (e *Engine) createTable(s *CreateTable, tx *txn.Txn) (*Result, error) {
 	cols := make([]catalog.Column, len(s.Columns))
 	for i, c := range s.Columns {
 		t, err := access.ParseType(c.TypeName)
@@ -327,17 +356,25 @@ func (e *Engine) createTable(s *CreateTable) (*Result, error) {
 		}
 		cols[i] = catalog.Column{Name: c.Name, Type: t, NotNull: c.NotNull}
 	}
-	tbl := &catalog.Table{Name: s.Name, Columns: cols}
-	if err := e.cat.CreateTable(tbl); err != nil {
+	// A heap file of a table dropped earlier in this transaction lives
+	// until the commit, so its name may still be taken.
+	lname := strings.ToLower(s.Name)
+	heapFile := "tbl_" + lname
+	for n := 2; e.fm.Exists(heapFile); n++ {
+		heapFile = fmt.Sprintf("tbl_%s.%d", lname, n)
+	}
+	tbl := &catalog.Table{Name: s.Name, Columns: cols, HeapFile: heapFile}
+	if err := e.cat.CreateTable(tx, tbl); err != nil {
 		return nil, err
 	}
 	if _, err := e.heap(tbl); err != nil {
 		return nil, err
 	}
-	return &Result{}, e.pool.FlushAll()
+	tx.OnAborted(func() error { return e.dropStorage(heapFile, nil) })
+	return &Result{}, nil
 }
 
-func (e *Engine) createIndex(ctx context.Context, s *CreateIndex) (*Result, error) {
+func (e *Engine) createIndex(s *CreateIndex, tx *txn.Txn) (*Result, error) {
 	tbl, err := e.cat.GetTable(s.Table)
 	if err != nil {
 		return nil, err
@@ -346,103 +383,107 @@ func (e *Engine) createIndex(ctx context.Context, s *CreateIndex) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	tree, metaID, err := index.Create(e.pool, s.Unique)
-	if err != nil {
-		return nil, err
+	if _, err := e.cat.IndexTable(s.Name); err == nil {
+		return nil, fmt.Errorf("%w: %s", catalog.ErrIndexExists, s.Name)
 	}
-	e.mu.Lock()
-	e.configureTreeLocked(tree)
-	e.mu.Unlock()
-	// Backfill from existing rows.
 	h, err := e.heap(tbl)
 	if err != nil {
 		return nil, err
 	}
+	var items []index.BulkItem
 	err = h.Scan(func(rid access.RID, rec []byte) error {
 		row, err := access.DecodeRow(rec)
 		if err != nil {
 			return err
 		}
-		return tree.Insert(access.EncodeKey(row[colIdx]), rid)
+		items = append(items, index.BulkItem{Key: access.EncodeKey(row[colIdx]), RID: rid})
+		return nil
 	})
 	if err != nil {
-		_ = tree.Drop()
 		return nil, err
 	}
-	def := catalog.IndexDef{Name: s.Name, Column: s.Column, MetaPage: metaID, Unique: s.Unique}
-	if err := e.cat.AddIndex(tbl.Name, def); err != nil {
-		_ = tree.Drop()
+	// Rolled back, the pages hold their pre-build images again: free
+	// them by list, since the tree can no longer be walked.
+	tree, pages, err := index.Build(tx, e.pool, e.wal, s.Unique, items)
+	if len(pages) > 0 {
+		tx.OnAborted(func() error {
+			e.forgetTree(pages[0])
+			return e.fm.FreePagesLogged(pages)
+		})
+	}
+	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.trees[metaID] = tree
+	e.configureTreeLocked(tree)
+	e.trees[tree.MetaID()] = tree
 	e.mu.Unlock()
-	return &Result{}, e.pool.FlushAll()
+	def := catalog.IndexDef{Name: s.Name, Column: s.Column, MetaPage: tree.MetaID(), Unique: s.Unique}
+	return &Result{}, e.cat.AddIndex(tx, tbl.Name, def)
 }
 
-func (e *Engine) createView(s *CreateView) (*Result, error) {
-	if err := e.cat.CreateView(&catalog.View{Name: s.Name, Query: s.Query}); err != nil {
-		return nil, err
+// drop removes a table, index or view; table is the one it locked.
+func (e *Engine) drop(s *Drop, table string, tx *txn.Txn) (*Result, error) {
+	switch s.Kind {
+	case "TABLE":
+		tbl, err := e.cat.DropTable(tx, s.Name)
+		if err != nil {
+			return nil, err
+		}
+		e.onCommitted(tx, func() error { return e.dropStorage(tbl.HeapFile, tbl.Indexes) })
+	case "INDEX":
+		def, err := e.cat.DropIndex(tx, table, s.Name)
+		if err != nil {
+			return nil, err
+		}
+		e.onCommitted(tx, func() error { return e.dropStorage("", []catalog.IndexDef{def}) })
+	case "VIEW":
+		if err := e.cat.DropView(tx, s.Name); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("sql: unsupported DROP %s", s.Kind)
 	}
 	return &Result{}, nil
 }
 
-func (e *Engine) drop(s *Drop) (*Result, error) {
-	switch s.Kind {
-	case "TABLE":
-		tbl, err := e.cat.DropTable(s.Name)
+// onCommitted runs f once tx commits; a failure takes the engine offline.
+func (e *Engine) onCommitted(tx *txn.Txn, f func() error) {
+	tx.OnCommitted(func() {
+		if err := f(); err != nil {
+			_ = e.poison(fmt.Errorf("sql: freeing dropped storage: %w", err))
+		}
+	})
+}
+
+// dropStorage frees a heap file (when named) and the trees of indexes.
+func (e *Engine) dropStorage(heapFile string, indexes []catalog.IndexDef) error {
+	for _, ix := range indexes {
+		tree, err := e.tree(ix)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, ix := range tbl.Indexes {
-			tree, err := e.tree(ix)
-			if err == nil {
-				_ = tree.Drop()
-			}
-			e.mu.Lock()
-			delete(e.trees, ix.MetaPage)
-			if e.undoex != nil {
-				e.undoex.Unregister(ix.MetaPage)
-			}
-			e.mu.Unlock()
+		e.forgetTree(ix.MetaPage)
+		if err := tree.Drop(); err != nil {
+			return err
 		}
-		e.mu.Lock()
-		h := e.heaps[tbl.HeapFile]
-		delete(e.heaps, tbl.HeapFile)
-		e.mu.Unlock()
-		if h == nil {
-			h, err = access.OpenHeap(tbl.HeapFile, e.fm, e.pool)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := h.Drop(); err != nil {
-			return nil, err
-		}
-		return &Result{}, e.pool.FlushAll()
-	case "INDEX":
-		def, _, err := e.cat.DropIndex(s.Name)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := e.tree(def)
-		if err == nil {
-			_ = tree.Drop()
-		}
-		e.mu.Lock()
-		delete(e.trees, def.MetaPage)
-		if e.undoex != nil {
-			e.undoex.Unregister(def.MetaPage)
-		}
-		e.mu.Unlock()
-		return &Result{}, e.pool.FlushAll()
-	case "VIEW":
-		if err := e.cat.DropView(s.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
 	}
-	return nil, fmt.Errorf("sql: unsupported DROP %s", s.Kind)
+	if heapFile == "" {
+		return nil
+	}
+	e.mu.Lock()
+	delete(e.heaps, heapFile)
+	e.mu.Unlock()
+	return e.fm.Drop(heapFile)
+}
+
+func (e *Engine) forgetTree(metaID storage.PageID) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	delete(e.trees, metaID)
+	if e.undoex != nil {
+		e.undoex.Unregister(metaID)
+	}
 }
 
 func (e *Engine) tree(def catalog.IndexDef) (*index.BTree, error) {

@@ -43,11 +43,11 @@ func newEngineFrames(t testing.TB, frames int) (*Engine, *wal.Log) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := catalog.Open(fm, pool)
+	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.OpenDir(wal.NewMemSegmentDir(), 0)
+	cat, err := catalog.Open(fm, pool, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestEnginePersistenceAcrossReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat, err := catalog.Open(fm, pool)
+		cat, err := catalog.Open(fm, pool, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	// Log directory updates under system transactions, as sbdms.Open
 	// wires it, so recovery can reach the table's pages.
 	fm.SetLogger(mgr.PageLogger())
-	cat, _ := catalog.Open(fm, pool)
+	cat, _ := catalog.Open(fm, pool, l)
 	e := NewEngine(fm, pool, cat, mgr, l)
 	wireUndo(e, pool, l, mgr)
 	mustExec(t, e, "CREATE TABLE kv (k TEXT, v INT)")
@@ -512,7 +512,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat2, err := catalog.Open(fm2, pool2)
+	cat2, err := catalog.Open(fm2, pool2, l2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestLockingBetweenSessions(t *testing.T) {
 	pool := buffer.New(d, 128, buffer.NewLRU())
 	pool.SetBeforeEvict(l.BeforeEvict())
 	fm, _ := storage.OpenFileManager(pool)
-	cat, _ := catalog.Open(fm, pool)
+	cat, _ := catalog.Open(fm, pool, l)
 	mgr := txn.NewManager(l, pool)
 	e1 := NewEngine(fm, pool, cat, mgr, l)
 	e2 := NewEngine(fm, pool, cat, mgr, l)

@@ -57,6 +57,7 @@ type Txn struct {
 	lastLSN   wal.LSN // zero until the transaction logs its first record
 	undo      []*wal.Record
 	committed []func()
+	aborted   []func() error
 	stamps    []func(ts uint64) error
 	commitTS  uint64
 }
@@ -89,6 +90,16 @@ func (t *Txn) OnCommitted(f func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.committed = append(t.committed, f)
+}
+
+// OnAborted registers a callback run after the transaction has rolled
+// back, before its locks are released (never on commit): the SQL engine
+// rebuilds its catalog maps and frees pages a DDL statement allocated.
+// A callback's error fails Abort as a failed rollback does.
+func (t *Txn) OnAborted(f func() error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.aborted = append(t.aborted, f)
 }
 
 // OnCommitTS registers a stamping callback: at commit, after a commit
@@ -501,11 +512,12 @@ func (m *Manager) abort(t *Txn, latched bool) error {
 	t.status = StatusAborted
 	undo := append([]*wal.Record(nil), t.undo...)
 	prev := t.lastLSN
+	hooks := t.aborted
+	t.aborted = nil
 	t.mu.Unlock()
 	if prev == wal.ZeroLSN {
 		// Logged nothing: nothing to roll back, nothing to close in the log.
-		m.finish(t)
-		return nil
+		return m.finishAbort(t, hooks)
 	}
 
 	// An error anywhere below returns without finish(): the transaction
@@ -521,6 +533,17 @@ func (m *Manager) abort(t *Txn, latched bool) error {
 	}
 	if _, err := m.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAbort, PrevLSN: prev}); err != nil {
 		return err
+	}
+	return m.finishAbort(t, hooks)
+}
+
+// finishAbort runs the OnAborted hooks, then releases the transaction's
+// locks. A failed hook leaves them held, as a failed rollback does.
+func (m *Manager) finishAbort(t *Txn, hooks []func() error) error {
+	for _, f := range hooks {
+		if err := f(); err != nil {
+			return err
+		}
 	}
 	m.finish(t)
 	return nil

@@ -181,7 +181,7 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("sbdms: rolling back in-flight transactions: %w", err)
 		}
 	}
-	cat, err := catalog.Open(fm, db.pool)
+	cat, err := catalog.Open(fm, db.pool, db.log)
 	if err != nil {
 		return nil, err
 	}
